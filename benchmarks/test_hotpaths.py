@@ -1,10 +1,11 @@
 """Microbenchmarks for the PR 8 hot paths.
 
 Each benchmark times one of the loops the columnar core was built for:
-the bulk OOB sweep, batch sequence-tag verification, mapping lookups
-and GC victim selection.  Unlike the ``test_fig*`` experiments these
-use pytest-benchmark's normal multi-round timing — the operations are
-cheap and side-effect-free, so repetition is meaningful.
+the bulk OOB sweep, batch sequence-tag verification, mapping lookups,
+GC victim selection and the idle-window page filter.  Unlike the
+``test_fig*`` experiments these use pytest-benchmark's normal
+multi-round timing — the operations are cheap and side-effect-free, so
+repetition is meaningful.
 """
 
 import random
@@ -15,7 +16,10 @@ import pytest
 from repro.flash.core import verify_seq_tags
 from repro.flash.geometry import FlashGeometry
 from repro.flash.page import NULL_PPA, OOBMetadata
+from repro.ftl.block_manager import BlockKind
 from repro.ftl.ssd import RegularSSD, SSDConfig
+from repro.timessd.config import TimeSSDConfig
+from repro.timessd.ssd import TimeSSD
 
 
 def hot_geometry():
@@ -89,3 +93,46 @@ def test_gc_victim_selection(benchmark, churned_ssd):
 
     result = benchmark(bm.select_greedy_victim)
     assert result is not None
+
+
+@pytest.fixture(scope="module")
+def steady_timessd():
+    """A TimeSSD in the idle-window steady state: every retained page of
+    its victim blocks is already compressed, so a window only filters."""
+    ssd = TimeSSD(
+        TimeSSDConfig(
+            geometry=hot_geometry(),
+            retention_floor_us=3600 * 1_000_000,
+            background_gc=False,
+            idle_scan_blocks=64,
+        )
+    )
+    rng = random.Random(2)
+    working = ssd.logical_pages // 4
+    for lpa in range(working):
+        ssd.write(lpa)
+        ssd.clock.advance(700)
+    for _ in range(3000):
+        ssd.write(rng.randrange(working))
+        ssd.clock.advance(700)
+    now = ssd.clock.now_us
+    while ssd._background_victims():  # exhaust every candidate
+        now = ssd._background_compress(now, now + 10**9)
+    ssd.clock.advance_to(now)
+    # Keep the sealed blocks on the victim list (the census only orders
+    # victims), as blocks with a few fresh candidates are in a real run.
+    for pba in list(ssd.block_manager.sealed_blocks(BlockKind.DATA))[:64]:
+        ssd._retained_per_block[pba] = 1
+    return ssd
+
+
+def test_idle_window_scan(benchmark, steady_timessd):
+    """One idle window over 64 victim blocks with no candidate left:
+    the per-page filter cost every real window pays before it finds the
+    few pages worth compressing."""
+    ssd = steady_timessd
+    assert len(ssd._background_victims()) == 64
+    now = ssd.clock.now_us
+
+    end = benchmark(ssd._background_compress, now, now + 10**6)
+    assert end == now

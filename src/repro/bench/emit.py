@@ -1,4 +1,4 @@
-"""Machine-readable metrics snapshots: BENCH_pr9.json and the CLI demo.
+"""Machine-readable metrics snapshots: ``BENCH_pr<N>.json`` and the CLI demo.
 
 The bench smoke workload replays the same seeded churn on both devices
 and serializes their :meth:`~repro.ftl.ssd.BaseSSD.metrics_snapshot`
@@ -24,7 +24,23 @@ from repro.timessd.ssd import TimeSSD
 #: Schema tag: bump only when the JSON layout changes incompatibly.
 SCHEMA = "almanac-metrics/1"
 
-BENCH_FILE = "BENCH_pr9.json"
+
+def newest_bench_file(root="."):
+    """Path of the newest committed ``BENCH_pr<N>.json`` under ``root``.
+
+    The perf ratchet's baseline is whatever snapshot the latest PR
+    committed, found by the same discovery ``repro metrics --history``
+    uses — a new PR commits its file and the ratchet follows.
+    """
+    from repro.bench.history import find_bench_files  # imports this module
+
+    found = find_bench_files(root)
+    if not found:
+        raise FileNotFoundError(
+            "no committed BENCH_pr<N>.json under %r; pass an explicit path" % root
+        )
+    return found[-1][1]
+
 
 #: A fresh run slower than this fraction of the committed ops/sec fails
 #: ``check_bench_snapshot`` (>20% regression, per-run jitter allowed).
@@ -260,8 +276,12 @@ def to_canonical_json(result, indent=2):
 
 
 def write_bench_json(path=None, seed=1, writes=1500):
-    """Emit ``BENCH_pr9.json``; returns the path written."""
-    path = path or BENCH_FILE
+    """Emit the bench snapshot; returns the path written.
+
+    ``path`` defaults to the newest committed ``BENCH_pr<N>.json``
+    (refresh in place); a PR adding its own snapshot passes the new name.
+    """
+    path = path or newest_bench_file()
     result, harness = _timed_smoke(seed, writes)
     result["harness"] = harness
     with open(path, "w") as fh:
@@ -272,14 +292,15 @@ def write_bench_json(path=None, seed=1, writes=1500):
 def check_bench_snapshot(path=None, seed=1, writes=1500, min_ratio=MIN_OPS_RATIO):
     """Regenerate the snapshot and diff it against the committed file.
 
+    ``path`` defaults to the newest committed ``BENCH_pr<N>.json``.
     Returns a list of problem strings; empty means the committed file is
     current.  Three checks: the schema tag matches, the deterministic
     payload is identical (any simulator behaviour change must re-commit
     the snapshot), and the fresh run's ops/sec has not regressed below
     ``min_ratio`` of the committed figure.
     """
-    path = path or BENCH_FILE
     try:
+        path = path or newest_bench_file()
         with open(path, "r", encoding="utf-8") as fh:
             committed = json.load(fh)
     except (OSError, ValueError) as exc:

@@ -275,18 +275,23 @@ def _cmd_metrics(args):
         else:
             print(rendered, end="")
         return 0
-    if args.bench and args.check:
-        problems = emit.check_bench_snapshot(path=args.out)
-        for problem in problems:
-            print("bench check: %s" % problem)
-        if not problems:
-            print("bench check: %s is current" % (args.out or emit.BENCH_FILE))
-        return 1 if problems else 0
     if args.bench:
+        try:
+            path = args.out or emit.newest_bench_file()
+        except FileNotFoundError as exc:
+            print("bench: %s" % exc)
+            return 2
+        if args.check:
+            problems = emit.check_bench_snapshot(path=path)
+            for problem in problems:
+                print("bench check: %s" % problem)
+            if not problems:
+                print("bench check: %s is current" % path)
+            return 1 if problems else 0
         # The committed snapshot is always the canonical workload
         # (write_bench_json's defaults); --writes/--seed only shape the
         # demo, else a stray flag would make CI's regeneration drift.
-        path = emit.write_bench_json(path=args.out)
+        emit.write_bench_json(path=path)
         print("wrote %s" % path)
         return 0
     result = emit.demo_snapshot(
@@ -440,8 +445,8 @@ def build_parser():
     metrics.add_argument(
         "--bench",
         action="store_true",
-        help="run the bench smoke workload on both devices and write %s"
-        % "BENCH_pr8.json",
+        help="run the bench smoke workload on both devices and write "
+        "--out (default: the newest committed BENCH_pr<N>.json)",
     )
     metrics.add_argument(
         "--history",

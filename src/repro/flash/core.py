@@ -210,6 +210,16 @@ class ColumnarFlashArray:
             seq_tag=self.seq_tag[gidx] & _MASK64,
         )
 
+    def intact_at(self, gidx):
+        """``oob_at(gidx).intact`` without building the view: True iff the
+        page is programmed and its seal matches its OOB columns (i.e. the
+        program committed — erased, torn and burned pages read False)."""
+        if not self.state[gidx]:
+            return False
+        return self.seq_tag[gidx] & _MASK64 == seq_tag_of(
+            self.lpa[gidx], self.back_pointer[gidx], self.timestamp_us[gidx]
+        )
+
     def page_slice(self, pba, stop=None):
         """Column slices for one block's first ``stop`` pages.
 

@@ -177,11 +177,10 @@ class FlashDevice:
         """
         geo = self.geometry
         core = self.core
-        pba = geo.block_of_page(ppa)
+        pba, offset = geo.locate(ppa)
         if self.faults is not None:
             self.last_op_start_us = now_us
             self.faults.on_read(self, ppa)
-        offset = geo.page_offset(ppa)
         data, oob = core.read(pba, offset)
         self.counters.page_reads += 1
         # Disturb from *prior* senses degrades this read; this read's own
@@ -208,7 +207,7 @@ class FlashDevice:
             self.timing.read_us * (1 + retry_step),
         )
         complete = self.timelines.schedule(
-            geo.channel_of_page(ppa), cell_done, self.timing.bus_transfer_us
+            geo.channel_of_block(pba), cell_done, self.timing.bus_transfer_us
         )
         self._m_reads.inc()
         self._h_read_us.record(complete - now_us)
@@ -233,7 +232,7 @@ class FlashDevice:
         """
         geo = self.geometry
         core = self.core
-        pba = geo.block_of_page(ppa)
+        pba, offset = geo.locate(ppa)
         if core.failed[pba]:
             raise ProgramFailureError(ppa, permanent=True)
         if self.faults is not None:
@@ -242,13 +241,13 @@ class FlashDevice:
             # this line runs for a failed op — no counters, no timing.
             self.last_op_start_us = now_us
             self.faults.on_program(self, ppa, data, oob)
-        core.program(pba, geo.page_offset(ppa), data, oob)
+        core.program(pba, offset, data, oob)
         core.last_program_us[pba] = now_us
         # Retention clock: charge leakage is measured from this moment.
         core.programmed_us[ppa] = now_us
         self.counters.page_programs += 1
         transferred = self.timelines.schedule(
-            geo.channel_of_page(ppa), now_us, self.timing.bus_transfer_us
+            geo.channel_of_block(pba), now_us, self.timing.bus_transfer_us
         )
         complete = self.chip_timelines.schedule(
             self._chip_index(pba), transferred, self.timing.program_us
@@ -288,7 +287,16 @@ class FlashDevice:
     # --- Untimed peeks (host-side tooling / assertions only) ----------------
 
     def peek_page(self, ppa: Ppa):
-        """Inspect a page without timing or counters (tests, invariants)."""
+        """Inspect a page without timing or counters (tests, invariants).
+
+        Builds a :class:`Page` view per call, so firmware loops read the
+        ``core`` columns instead.  The callers left are deliberate
+        one-shot uses: the auditor (``timessd/verify.py``), recovery's
+        reference-chain walk (``timessd/recovery.py``), delta-block drop
+        (``DeltaManager._mark_block_records_dropped``), the scrubber's
+        per-page guard (``PatrolScrubber._scrub_page``),
+        ``BaseSSD.note_lost_valid_page`` and the FlashGuard comparator.
+        """
         self.geometry.check_ppa(ppa)
         return Page(self.core, ppa)
 

@@ -42,19 +42,18 @@ class FlashGeometry:
         ):
             if getattr(self, name) <= 0:
                 raise ValueError("%s must be positive" % name)
-
-    @property
-    def total_blocks(self):
-        return (
+        # Derived totals, computed once (every address check reads them).
+        # Plain instance attributes, not fields: ``==``, ``hash``, ``repr``
+        # and ``dataclasses.replace`` stay field-only, and ``replace``
+        # recomputes them through this hook.
+        total_blocks = (
             self.channels
             * self.chips_per_channel
             * self.planes_per_chip
             * self.blocks_per_plane
         )
-
-    @property
-    def total_pages(self):
-        return self.total_blocks * self.pages_per_block
+        object.__setattr__(self, "total_blocks", total_blocks)
+        object.__setattr__(self, "total_pages", total_blocks * self.pages_per_block)
 
     @property
     def raw_capacity_bytes(self):
@@ -70,18 +69,27 @@ class FlashGeometry:
         if not 0 <= pba < self.total_blocks:
             raise AddressError("PBA %r out of range [0, %d)" % (pba, self.total_blocks))
 
+    def locate(self, ppa: Ppa):
+        """``(pba, offset)`` of a PPA from one validated division."""
+        if not 0 <= ppa < self.total_pages:
+            self.check_ppa(ppa)
+        return divmod(ppa, self.pages_per_block)
+
     def block_of_page(self, ppa: Ppa) -> BlockId:
         """PBA containing the given PPA."""
-        self.check_ppa(ppa)
+        if not 0 <= ppa < self.total_pages:
+            self.check_ppa(ppa)
         return ppa // self.pages_per_block
 
     def page_offset(self, ppa: Ppa):
         """Index of the page within its block."""
-        self.check_ppa(ppa)
+        if not 0 <= ppa < self.total_pages:
+            self.check_ppa(ppa)
         return ppa % self.pages_per_block
 
     def first_page_of_block(self, pba: BlockId) -> Ppa:
-        self.check_pba(pba)
+        if not 0 <= pba < self.total_blocks:
+            self.check_pba(pba)
         return pba * self.pages_per_block
 
     def pages_of_block(self, pba: BlockId):
@@ -90,18 +98,18 @@ class FlashGeometry:
         return range(first, first + self.pages_per_block)
 
     def channel_of_block(self, pba: BlockId):
-        self.check_pba(pba)
+        if not 0 <= pba < self.total_blocks:
+            self.check_pba(pba)
         return pba % self.channels
 
     def channel_of_page(self, ppa: Ppa):
-        return self.channel_of_block(self.block_of_page(ppa))
+        if not 0 <= ppa < self.total_pages:
+            self.check_ppa(ppa)
+        return ppa // self.pages_per_block % self.channels
 
     def chip_of_block(self, pba: BlockId):
         """(channel, chip) coordinates of a block."""
-        self.check_pba(pba)
-        blocks_per_channel = self.total_blocks // self.channels
-        within_channel = pba // self.channels
-        if within_channel >= blocks_per_channel:
-            raise AddressError("PBA %r decomposition overflow" % pba)
-        chip = within_channel % self.chips_per_channel
-        return (pba % self.channels, chip)
+        if not 0 <= pba < self.total_blocks:
+            self.check_pba(pba)
+        channels = self.channels
+        return (pba % channels, pba // channels % self.chips_per_channel)

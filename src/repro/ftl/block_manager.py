@@ -53,6 +53,7 @@ class BlockManager:
 
     def __init__(self, device, block_endurance_cycles=None):
         self.device = device
+        self._core = device.core
         self.block_endurance_cycles = block_endurance_cycles
         self.retired_blocks = 0
         geo = device.geometry
@@ -112,9 +113,9 @@ class BlockManager:
         info.valid[:] = bytes(len(info.valid))
         info.sealed = False
         self._forget_active(pba)
-        if self.device.blocks[pba].failed or (
+        if self._core.failed[pba] or (
             self.block_endurance_cycles is not None
-            and self.device.blocks[pba].erase_count >= self.block_endurance_cycles
+            and self._core.erase_count[pba] >= self.block_endurance_cycles
         ):
             info.kind = BlockKind.RETIRED
             self.retired_blocks += 1
@@ -230,15 +231,15 @@ class BlockManager:
         slot = state["next"]
         state["next"] = (slot + 1) % channels
         pba = state["blocks"][slot]
-        if pba is not None and self.device.blocks[pba].is_full:
+        write_pointer = self._core.write_pointer
+        if pba is not None and write_pointer[pba] >= self._geo.pages_per_block:
             pba = None
         if pba is None:
             preferred = slot if striped else None
             pba = self._pop_free_block(preferred_channel=preferred)
             self._info[pba].kind = kind
             state["blocks"][slot] = pba
-        offset = self.device.blocks[pba].write_pointer
-        return self._geo.first_page_of_block(pba) + offset
+        return self._geo.first_page_of_block(pba) + write_pointer[pba]
 
     def adopt_active(self, key, pba, striped=True):
         """Resume appending into a partially-programmed block.
@@ -292,8 +293,7 @@ class BlockManager:
     # --- Validity tracking (PVT) ---------------------------------------------
 
     def mark_valid(self, ppa: Ppa):
-        pba = self._geo.block_of_page(ppa)
-        offset = self._geo.page_offset(ppa)
+        pba, offset = self._geo.locate(ppa)
         info = self._info[pba]
         if not info.valid[offset]:
             info.valid[offset] = 1
@@ -301,24 +301,28 @@ class BlockManager:
 
     def invalidate_page(self, ppa: Ppa):
         """Clear the PVT bit for ``ppa`` (update/delete made it stale)."""
-        pba = self._geo.block_of_page(ppa)
-        offset = self._geo.page_offset(ppa)
+        pba, offset = self._geo.locate(ppa)
         info = self._info[pba]
         if info.valid[offset]:
             info.valid[offset] = 0
             info.valid_count -= 1
 
     def is_valid(self, ppa: Ppa):
-        pba = self._geo.block_of_page(ppa)
-        return bool(self._info[pba].valid[self._geo.page_offset(ppa)])
+        pba, offset = self._geo.locate(ppa)
+        return bool(self._info[pba].valid[offset])
+
+    def valid_bits(self, pba: BlockId):
+        """The block's PVT column (one byte per page offset), read-only
+        by convention: per-block loops index it instead of calling
+        :meth:`is_valid` once per page."""
+        return self._info[pba].valid
 
     def valid_count(self, pba: BlockId):
         return self._info[pba].valid_count
 
     def invalid_count(self, pba: BlockId):
         """Programmed-but-stale page count (the BST invalid counter)."""
-        programmed = self.device.blocks[pba].write_pointer
-        return programmed - self._info[pba].valid_count
+        return self._core.write_pointer[pba] - self._info[pba].valid_count
 
     def kind(self, pba):
         return self._info[pba].kind
@@ -336,21 +340,24 @@ class BlockManager:
         do force-sealed partial blocks (crash recovery orphans) and
         grown-bad blocks awaiting retirement: both take no more programs.
         """
+        write_pointer = self._core.write_pointer
+        failed = self._core.failed
+        full = self._geo.pages_per_block
         for pba, info in enumerate(self._info):
             if info.kind is BlockKind.FREE or info.kind is BlockKind.RETIRED:
                 continue
             if kind is not None and info.kind is not kind:
                 continue
-            block = self.device.blocks[pba]
-            if block.is_full or info.sealed or block.failed:
+            if write_pointer[pba] >= full or info.sealed or failed[pba]:
                 yield pba
 
     def select_greedy_victim(self, kind=BlockKind.DATA):
         """Sealed block of ``kind`` with the most invalid pages, or None."""
         best_pba = None
         best_invalid = 0
+        write_pointer = self._core.write_pointer
         for pba in self.sealed_blocks(kind):
-            invalid = self.invalid_count(pba)
+            invalid = write_pointer[pba] - self._info[pba].valid_count
             if invalid > best_invalid:
                 best_invalid = invalid
                 best_pba = pba
@@ -366,12 +373,14 @@ class BlockManager:
         """
         best_pba = None
         best_score = 0.0
+        core = self._core
         for pba in self.sealed_blocks(kind):
-            programmed = self.device.blocks[pba].write_pointer
-            if programmed == 0 or self.invalid_count(pba) == 0:
+            programmed = core.write_pointer[pba]
+            valid = self._info[pba].valid_count
+            if programmed == 0 or programmed == valid:
                 continue
-            u = self._info[pba].valid_count / programmed
-            age = max(1, now_us - self.device.blocks[pba].last_program_us)
+            u = valid / programmed
+            age = max(1, now_us - core.last_program_us[pba])
             score = (1.0 - u) * age / (1.0 + u)
             if score > best_score:
                 best_score = score

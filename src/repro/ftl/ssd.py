@@ -386,10 +386,11 @@ class BaseSSD:
     def free_page_estimate(self):
         """Free pages = free blocks plus the room left in active blocks."""
         bm = self.block_manager
-        pages = bm.free_block_count * self.device.geometry.pages_per_block
+        pages_per_block = self.device.geometry.pages_per_block
+        write_pointer = self.device.core.write_pointer
+        pages = bm.free_block_count * pages_per_block
         for pba in bm.active_blocks():
-            block = self.device.blocks[pba]
-            pages += len(block.pages) - block.write_pointer
+            pages += pages_per_block - write_pointer[pba]
         return pages
 
     # --- Degraded mode (read-only fail-safe) ---------------------------------
@@ -807,9 +808,12 @@ class BaseSSD:
         geo = self.device.geometry
         bm = self.block_manager
         migrated = 0
-        for ppa in geo.pages_of_block(pba):
-            if not bm.is_valid(ppa):
+        base = geo.first_page_of_block(pba)
+        valid = bm.valid_bits(pba)
+        for offset in range(geo.pages_per_block):
+            if not valid[offset]:
                 continue
+            ppa = base + offset
             try:
                 result = self.read_page_with_retry(ppa, now_us)
             except UncorrectableReadError:

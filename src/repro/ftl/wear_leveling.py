@@ -49,14 +49,14 @@ class WearLeveler:
 
     def _swap_one(self, now_us):
         ssd = self._ssd
-        device = ssd.device
+        erase_count = ssd.device.core.erase_count
         bm = ssd.block_manager
         coldest = None
         coldest_erases = None
         hottest_erases = 0
         # Only sealed data blocks are candidates; delta blocks are exempt.
         for pba in bm.sealed_blocks(BlockKind.DATA):
-            erases = device.blocks[pba].erase_count
+            erases = erase_count[pba]
             if erases > hottest_erases:
                 hottest_erases = erases
             if coldest_erases is None or erases < coldest_erases:

@@ -13,11 +13,12 @@ pieces map one-to-one onto the paper's §3:
 * :mod:`repro.timessd.index` — the reverse time-travel index: data-page
   chains via OOB back-pointers plus delta-page chains via the IMT (§3.7);
 * :mod:`repro.timessd.gc` — Algorithm 1 garbage collection (§3.8);
-* :mod:`repro.timessd.idle` — idle-time prediction and background delta
-  compression (§3.6);
+* :mod:`repro.common.idle` — idle-time prediction for background delta
+  compression (§3.6; shared with the base FTL's background GC);
 * :mod:`repro.timessd.ssd` — the device itself.
 """
 
+from repro.common.idle import IdlePredictor
 from repro.timessd.bloom import BloomFilter, TimeSegmentedBlooms
 from repro.timessd.config import ContentMode, TimeSSDConfig
 from repro.timessd.delta import DeltaCodec, ModeledDeltaCodec, RealDeltaCodec
@@ -32,4 +33,5 @@ __all__ = [
     "DeltaCodec",
     "RealDeltaCodec",
     "ModeledDeltaCodec",
+    "IdlePredictor",
 ]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from repro.common.atomic import atomic_section
 from repro.common.errors import EraseFailureError, UncorrectableReadError
-from repro.flash.page import NULL_PPA, PageState
+from repro.flash.page import NULL_PPA
 from repro.ftl.block_manager import BlockKind, StreamId
 from repro.timessd.delta import NO_REF_TS, DeltaRecord
 
@@ -63,28 +63,36 @@ class TimeSSDGarbageCollector:
     def reclaim_block(self, victim_pba, now_us):
         """Reclaim one data block; returns a :class:`ReclaimOutcome`."""
         ssd = self._ssd
-        geo = ssd.device.geometry
+        core = ssd.device.core
         bm = ssd.block_manager
         index = ssd.index
         outcome = ReclaimOutcome(victim_pba)
         t = now_us
-        for ppa in geo.pages_of_block(victim_pba):
-            page = ssd.device.peek_page(ppa)
-            if page.state is not PageState.PROGRAMMED:
+        base = ssd.device.geometry.first_page_of_block(victim_pba)
+        state = core.state
+        valid = bm.valid_bits(victim_pba)
+        reclaimable = index.reclaimable_ppas
+        for offset in range(core.pages_per_block):
+            ppa = base + offset
+            if not state[ppa]:
                 continue
-            if page.oob is None or not page.oob.intact:
+            is_valid = valid[offset]
+            if not is_valid and ppa in reclaimable:
+                # Already compressed or expired (only committed pages
+                # ever enter the PRT): discard without a seal check.
+                outcome.discarded_reclaimable += 1
+                continue
+            if not core.intact_at(ppa):
                 # Torn or burned program: nothing committed lives here,
                 # so there is no version to retain or compress.
                 outcome.discarded_garbage += 1
                 continue
-            if bm.is_valid(ppa):
+            if is_valid:
                 try:
                     t = self._migrate_valid_page(ppa, t)
                     outcome.migrated_valid += 1
                 except UncorrectableReadError:
                     ssd.note_lost_valid_page(ppa)
-            elif index.is_reclaimable(ppa):
-                outcome.discarded_reclaimable += 1
             elif ssd.blooms.find_segment(ppa) is None:
                 # Expired: invalidated before the retention window opened.
                 outcome.discarded_expired += 1

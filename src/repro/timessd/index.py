@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from repro.common.atomic import atomic_section
 from repro.common.units import BlockId, Lba, Ppa, TimeUs
-from repro.flash.page import NULL_PPA, PageState
+from repro.flash.page import NULL_PPA
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ class TimeTravelIndex:
     """IMT + PRT + chain-walking over a flash device."""
 
     def __init__(self, device, reader=None):
-        self._device = device
+        self._core = device.core
         self._geo = device.geometry
         #: Page-read entry point for chain walks.  The owning SSD passes
         #: its read-retry ladder so time-travel queries get the same
@@ -69,6 +69,13 @@ class TimeTravelIndex:
 
     def is_reclaimable(self, ppa: Ppa):
         return ppa in self._reclaimable
+
+    @property
+    def reclaimable_ppas(self):
+        """The PRT itself (live set, read-only by convention): per-block
+        firmware loops test membership on it instead of calling
+        :meth:`is_reclaimable` once per page."""
+        return self._reclaimable
 
     @atomic_section(
         "the PRT bits of an erased block vanish as one unit: a GC pass "
@@ -111,12 +118,13 @@ class TimeTravelIndex:
             # the delta chain, and the physical page may be a stale copy
             # at a reused address — not a trustworthy chain hop.
             return False
-        page = self._device.peek_page(ppa)
-        if page.state is not PageState.PROGRAMMED or page.oob is None:
+        self._geo.check_ppa(ppa)
+        core = self._core
+        if not core.state[ppa]:
             return False
-        if not page.oob.intact:
-            return False  # torn/burned residue: never part of a chain
-        return page.oob.lpa == lpa and page.oob.timestamp_us < newer_ts
+        if core.lpa[ppa] != lpa or core.timestamp_us[ppa] >= newer_ts:
+            return False
+        return core.intact_at(ppa)  # torn/burned residue: never a chain hop
 
     def walk_data_chain(self, lpa: Lba, head_ppa: Ppa, now_us: TimeUs, include_head=True, until_ts=None):
         """Follow back-pointers from ``head_ppa``; returns a ChainWalk.
@@ -136,7 +144,8 @@ class TimeTravelIndex:
         t = now_us
         if head_ppa == NULL_PPA:
             return ChainWalk(entries, t)
-        if self._device.peek_page(head_ppa).state is not PageState.PROGRAMMED:
+        self._geo.check_ppa(head_ppa)
+        if not self._core.state[head_ppa]:
             return ChainWalk(entries, t)
         result = self._read(head_ppa, t)
         t = result.complete_us

@@ -20,7 +20,7 @@ from repro.common.errors import (
     UncorrectableReadError,
 )
 from repro.common.units import Lba, Ppa, TimeUs, format_duration
-from repro.flash.page import NULL_PPA, PageState
+from repro.flash.page import NULL_PPA
 from repro.ftl.block_manager import BlockKind
 from repro.ftl.ssd import BaseSSD
 from repro.timessd.bloom import TimeSegmentedBlooms
@@ -396,21 +396,28 @@ class TimeSSD(BaseSSD):
         # compression still fits in the window.
         step_bound = 3 * timing.read_us + timing.delta_compress_us + timing.program_us
         t = start_us
+        if t + step_bound > deadline_us:
+            return t
+        core = self.device.core
+        state = core.state
+        pages_per_block = core.pages_per_block
+        reclaimable = self.index.reclaimable_ppas
         for pba in self._background_victims():
-            for ppa in self.device.geometry.pages_of_block(pba):
-                if t + step_bound > deadline_us:
-                    return t
-                page = self.device.peek_page(ppa)
-                if page.state is not PageState.PROGRAMMED:
+            valid = self.block_manager.valid_bits(pba)
+            base = pba * pages_per_block
+            for offset in range(pages_per_block):
+                ppa = base + offset
+                # Column filters first: erased, valid and already
+                # compressed/expired pages are not candidates, so an
+                # exhausted block costs no seal check and no bloom lookup.
+                if not state[ppa] or valid[offset] or ppa in reclaimable:
                     continue
-                if page.oob is None or not page.oob.intact:
+                if not core.intact_at(ppa):
                     # Torn or burned residue of a crash-interrupted
                     # program: no committed version lives here, and the
                     # conservative recovery bloom answers "retained" for
                     # it — compressing it would forge a version from a
                     # timestamp that never committed.
-                    continue
-                if self.block_manager.is_valid(ppa) or self.index.is_reclaimable(ppa):
                     continue
                 if self.blooms.find_segment(ppa) is None:
                     if self.index.mark_reclaimable(ppa):
@@ -431,6 +438,10 @@ class TimeSSD(BaseSSD):
                     self._m_compress_lost.inc()
                     continue
                 self.background_compressed += compressed
+                # Only a compression advances ``t``: re-check the budget
+                # here, before the next page could be marked expired.
+                if t + step_bound > deadline_us:
+                    return t
         return t
 
     @atomic_section(

@@ -24,6 +24,7 @@ from repro.flash.page import (
     _MASK64,
     NULL_PPA,
     OOBMetadata,
+    Page,
     PageState,
     seq_tag_of,
 )
@@ -188,6 +189,38 @@ def test_oob_round_trip_preserves_intact(lpa, back, ts, torn, interval):
     state, lpas, backs, tss, seqs, _prog = core.page_slice(0)
     flags = verify_seq_tags(lpas, backs, tss, seqs)
     assert list(flags) == [1 if got.intact else 0]
+    # ... and so does the view-free scalar the firmware loops use.
+    assert core.intact_at(0) is got.intact
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lpa=st.one_of(
+        i64, st.sampled_from([OOBMetadata.TRANSLATION_TAG, OOBMetadata.DELTA_TAG])
+    ),
+    back=st.one_of(i64, st.just(NULL_PPA)),
+    ts=i64,
+    torn=st.booleans(),
+)
+def test_intact_at_matches_the_page_view(lpa, back, ts, torn):
+    """``core.intact_at(gidx)`` ≡ ``Page(core, gidx).oob.intact`` on every
+    page kind: erased (no OOB), programmed, torn, housekeeping tags and
+    NULL back-pointers — before the program, after it, and after erase."""
+    core, views = make_views()
+    block = views[2]
+    gidx = 2 * PPB
+
+    def view_intact():
+        oob = Page(core, gidx).oob
+        return oob is not None and oob.intact
+
+    assert core.intact_at(gidx) is view_intact() is False  # erased
+    oob = OOBMetadata(lpa=lpa, back_pointer=back, timestamp_us=ts)
+    block.program(0, b"p", oob.as_torn() if torn else oob)
+    assert core.intact_at(gidx) is view_intact() is (not torn)
+    assert core.intact_at(gidx + 1) is False  # neighbour still erased
+    block.erase()  # stale OOB columns survive an erase; state masks them
+    assert core.intact_at(gidx) is view_intact() is False
 
 
 @settings(max_examples=40, deadline=None)

@@ -60,3 +60,22 @@ def test_trace_stats_file(tmp_path, capsys):
     save_trace_csv(list(msr_trace("hm", 2048, days=1, seed=1, intensity_scale=30)), path)
     assert main(["trace-stats", path]) == 0
     assert "native trace" in capsys.readouterr().out
+
+
+def test_bench_ratchet_follows_the_newest_committed_snapshot(
+    tmp_path, monkeypatch, capsys
+):
+    from repro.bench import emit
+
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(FileNotFoundError):
+        emit.newest_bench_file()
+    assert main(["metrics", "--bench", "--check"]) == 2
+    assert "no committed BENCH_pr<N>.json" in capsys.readouterr().out
+    for name in ("BENCH_pr9.json", "BENCH_pr12.json", "BENCH_pr12.json.bak"):
+        (tmp_path / name).write_text('{"schema": "other/0"}')
+    # Numeric, not lexicographic: pr12 is newer than pr9.
+    assert emit.newest_bench_file().endswith("BENCH_pr12.json")
+    assert main(["metrics", "--bench", "--check"]) == 1
+    out = capsys.readouterr().out
+    assert "schema mismatch" in out and "BENCH_pr9" not in out

@@ -1,6 +1,6 @@
 import pytest
 
-from repro.timessd.idle import IdlePredictor
+from repro.common.idle import IdlePredictor
 
 
 def test_starts_pessimistic():
