@@ -1,11 +1,13 @@
-"""Microbenchmarks for the PR 8 hot paths.
+"""Microbenchmarks for the hot paths.
 
-Each benchmark times one of the loops the columnar core was built for:
-the bulk OOB sweep, batch sequence-tag verification, mapping lookups,
-GC victim selection and the idle-window page filter.  Unlike the
-``test_fig*`` experiments these use pytest-benchmark's normal
-multi-round timing — the operations are cheap and side-effect-free, so
-repetition is meaningful.
+Each benchmark times one of the loops the columnar core was built for
+(PR 8: the bulk OOB sweep, batch sequence-tag verification, mapping
+lookups, GC victim selection, the idle-window page filter) or one
+function of the per-op kernel (PR 13: a page read, a page program, a
+greedy victim pick on a full device, a negative bloom lookup), so a
+regression names its function.  Unlike the ``test_fig*`` experiments
+these use pytest-benchmark's normal multi-round timing — the operations
+are cheap and repeatable, so repetition is meaningful.
 """
 
 import random
@@ -13,11 +15,14 @@ from array import array
 
 import pytest
 
+from repro.common.clock import SimClock
 from repro.flash.core import verify_seq_tags
+from repro.flash.device import FlashDevice
 from repro.flash.geometry import FlashGeometry
 from repro.flash.page import NULL_PPA, OOBMetadata
 from repro.ftl.block_manager import BlockKind
 from repro.ftl.ssd import RegularSSD, SSDConfig
+from repro.timessd.bloom import TimeSegmentedBlooms
 from repro.timessd.config import TimeSSDConfig
 from repro.timessd.ssd import TimeSSD
 
@@ -136,3 +141,90 @@ def test_idle_window_scan(benchmark, steady_timessd):
 
     end = benchmark(ssd._background_compress, now, now + 10**6)
     assert end == now
+
+
+# --- The per-op kernel (PR 13) ------------------------------------------------
+
+KERNEL_OPS = 2048
+
+
+def test_read_page(benchmark, churned_ssd):
+    """``FlashDevice.read_page`` x 2048 over programmed pages: lane
+    lookups, two timeline schedules, one histogram record, and the two
+    values a read allocates (``OOBMetadata`` + ``ReadResult``)."""
+    device = churned_ssd.device
+    mapping = churned_ssd.mapping
+    ppas = [mapping.lookup(lpa) for lpa in range(KERNEL_OPS)]
+    assert NULL_PPA not in ppas
+    now = churned_ssd.clock.now_us
+
+    def reads():
+        read_page = device.read_page
+        for ppa in ppas:
+            read_page(ppa, now)
+
+    benchmark(reads)
+
+
+def test_program_page(benchmark):
+    """``FlashDevice.program_page`` x 2048 on a fresh device per round
+    (set-up is not timed): the column writes plus the same timing and
+    metrics bookkeeping a read does, allocating nothing."""
+    geometry = hot_geometry()
+    oob = OOBMetadata(lpa=1, back_pointer=NULL_PPA, timestamp_us=5)
+
+    def fresh_device():
+        return (FlashDevice(geometry),), {}
+
+    def programs(device):
+        program_page = device.program_page
+        for ppa in range(KERNEL_OPS):
+            program_page(ppa, None, oob, 0)
+
+    benchmark.pedantic(programs, setup=fresh_device, rounds=30)
+
+
+def test_greedy_victim_full_device(benchmark):
+    """One greedy pick over a device with no free block: every block is
+    sealed and holds a stale page, the last one holds two."""
+    ssd = RegularSSD(SSDConfig(geometry=hot_geometry(), background_gc=False))
+    bm = ssd.block_manager
+    geo = ssd.device.geometry
+    oob = OOBMetadata(lpa=0)
+    for _ in range(geo.total_pages):
+        ppa = bm.allocate_page_keyed("fill", BlockKind.DATA)
+        ssd.device.program_page(ppa, None, oob, 0)
+        bm.mark_valid(ppa)
+    assert len(bm.sealed_blocks(BlockKind.DATA)) == geo.total_blocks
+    last = geo.total_blocks - 1
+    for pba in range(geo.total_blocks):
+        bm.invalidate_page(geo.first_page_of_block(pba))
+    bm.invalidate_page(geo.first_page_of_block(last) + 1)
+
+    assert benchmark(bm.select_greedy_victim) == last
+
+
+def test_negative_find_segment(benchmark):
+    """``find_segment`` x 2048 for groups in none of 14 live segments —
+    the common GC/idle-window answer ("expired"): every filter probed,
+    most probes over after one or two bit tests."""
+    clock = SimClock()
+    blooms = TimeSegmentedBlooms(clock, capacity_per_filter=512, group_size=16, seed=7)
+    ppa = 0
+    while len(blooms) < 14 or not blooms.live_segments()[-1].bloom.count:
+        blooms.record_invalidation(ppa)
+        ppa += 16
+    assert len(blooms) == 14
+    absent = [ppa + 16 * i for i in range(1, 8 * KERNEL_OPS)]
+    absent = [p for p in absent if blooms.find_segment(p) is None][:KERNEL_OPS]
+    assert len(absent) == KERNEL_OPS
+
+    def lookups():
+        find_segment = blooms.find_segment
+        hits = 0
+        for p in absent:
+            if find_segment(p) is not None:
+                hits += 1
+        return hits
+
+    assert benchmark(lookups) == 0

@@ -34,7 +34,7 @@ from array import array
 
 from repro.common.atomic import atomic_section
 from repro.common.errors import FlashStateError
-from repro.flash.page import _MASK64, OOBMetadata, seq_tag_of
+from repro.flash.page import _MASK64, OOBMetadata, _tuple_new, seq_tag_of
 
 try:  # pragma: no cover - exercised via both CI paths
     import numpy as _np
@@ -159,10 +159,15 @@ class ColumnarFlashArray:
                 "block %d: program to non-erased page %d" % (pba, offset)
             )
         self.data[gidx] = data
-        self.lpa[gidx] = _to_i64(oob.lpa)
-        self.back_pointer[gidx] = _to_i64(oob.back_pointer)
-        self.timestamp_us[gidx] = _to_i64(oob.timestamp_us)
-        self.seq_tag[gidx] = _to_i64(oob.seq_tag)
+        try:
+            self.lpa[gidx] = oob.lpa
+            self.back_pointer[gidx] = oob.back_pointer
+            self.timestamp_us[gidx] = oob.timestamp_us
+        except OverflowError:  # a field outside int64: wrap all three
+            self.lpa[gidx] = _to_i64(oob.lpa)
+            self.back_pointer[gidx] = _to_i64(oob.back_pointer)
+            self.timestamp_us[gidx] = _to_i64(oob.timestamp_us)
+        self.seq_tag[gidx] = _to_i64(oob.seq_tag)  # uint64: always wraps
         self.state[gidx] = 1
         self.write_pointer[pba] = wp + 1
 
@@ -203,11 +208,16 @@ class ColumnarFlashArray:
         """
         if not self.state[gidx]:
             return None
-        return OOBMetadata(
-            self.lpa[gidx],
-            self.back_pointer[gidx],
-            self.timestamp_us[gidx],
-            seq_tag=self.seq_tag[gidx] & _MASK64,
+        # The stored tag is passed through as is (no seal is computed
+        # here, so none is skipped): ``intact`` still verifies it.
+        return _tuple_new(
+            OOBMetadata,
+            (
+                self.lpa[gidx],
+                self.back_pointer[gidx],
+                self.timestamp_us[gidx],
+                self.seq_tag[gidx] & _MASK64,
+            ),
         )
 
     def intact_at(self, gidx):

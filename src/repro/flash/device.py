@@ -6,14 +6,15 @@ the FTL above can account I/O response times.  Functional state and timing
 are kept in one place so a single call site cannot forget either.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 
 from repro.common.errors import EraseFailureError, ProgramFailureError
 from repro.common.units import BlockId, Ppa, TimeUs
 from repro.flash.block import Block
 from repro.flash.core import ColumnarFlashArray, verify_seq_tags
 from repro.flash.geometry import FlashGeometry
-from repro.flash.page import Page
+from repro.flash.page import Page, _tuple_new
 from repro.flash.reliability import ReliabilityEngine
 from repro.flash.timing import ChannelTimelines, FlashTiming
 from repro.obs import Scope
@@ -91,15 +92,20 @@ class BlockOOBScan:
         self.intact = intact
 
 
-@dataclass
-class ReadResult:
-    data: object
-    oob: object
-    complete_us: int = 0
-    #: Bits ECC corrected on this read (0 when reliability is disabled).
-    #: Firmware watches this drift toward the ECC budget to refresh
-    #: at-risk pages before they become uncorrectable.
-    corrected_bits: int = 0
+class ReadResult(
+    namedtuple(
+        "_ReadResultFields", "data oob complete_us corrected_bits", defaults=(0, 0)
+    )
+):
+    """What one page read returns (an immutable value, one per read).
+
+    ``corrected_bits`` is the number of bits ECC corrected on this read
+    (0 when reliability is disabled).  Firmware watches this drift
+    toward the ECC budget to refresh at-risk pages before they become
+    uncorrectable.
+    """
+
+    __slots__ = ()
 
 
 class FlashDevice:
@@ -139,12 +145,20 @@ class FlashDevice:
             Block(pba, self.geometry.pages_per_block, core=self.core, index=pba)
             for pba in range(self.geometry.total_blocks)
         ]
-        self.timelines = ChannelTimelines(self.geometry.channels)
+        geo = self.geometry
+        self.timelines = ChannelTimelines(geo.channels)
         # One timeline per die: cell operations (sense/program/erase)
         # occupy the chip while bus transfers occupy the channel.
-        self.chip_timelines = ChannelTimelines(
-            self.geometry.channels * self.geometry.chips_per_channel
-        )
+        self.chip_timelines = ChannelTimelines(geo.channels * geo.chips_per_channel)
+        # Each block's lane on either timeline.  The geometry is
+        # immutable, so the lanes are tabulated here, once, and every
+        # flash op indexes them instead of re-deriving them.
+        blocks = range(geo.total_blocks)
+        self._channel_of = [geo.channel_of_block(pba) for pba in blocks]
+        self._chip_lane_of = [
+            channel * geo.chips_per_channel + chip
+            for channel, chip in map(geo.chip_of_block, blocks)
+        ]
         self.counters = OpCounters()
         metrics = self.obs.metrics
         self._m_reads = metrics.counter("flash.reads")
@@ -155,10 +169,6 @@ class FlashDevice:
         self._h_read_us = metrics.histogram("flash.read_us")
         self._h_program_us = metrics.histogram("flash.program_us")
         self._h_erase_us = metrics.histogram("flash.erase_us")
-
-    def _chip_index(self, pba):
-        channel, chip = self.geometry.chip_of_block(pba)
-        return channel * self.geometry.chips_per_channel + chip
 
     # --- Functional + timed operations --------------------------------------
 
@@ -175,13 +185,15 @@ class FlashDevice:
         attempt (retries included) stresses the block's neighbours, so
         each one advances the read-disturb accumulator.
         """
-        geo = self.geometry
         core = self.core
-        pba, offset = geo.locate(ppa)
+        pages_per_block = core.pages_per_block
+        if not 0 <= ppa < core.total_pages:
+            self.geometry.check_ppa(ppa)
+        pba = ppa // pages_per_block
         if self.faults is not None:
             self.last_op_start_us = now_us
             self.faults.on_read(self, ppa)
-        data, oob = core.read(pba, offset)
+        data, oob = core.read(pba, ppa % pages_per_block)
         self.counters.page_reads += 1
         # Disturb from *prior* senses degrades this read; this read's own
         # stress lands on the next one.  Count before the ECC check so
@@ -201,20 +213,19 @@ class FlashDevice:
                 block_reads=disturb_reads,
                 retry_step=retry_step,
             )
+        timing = self.timing
         cell_done = self.chip_timelines.schedule(
-            self._chip_index(pba),
-            now_us,
-            self.timing.read_us * (1 + retry_step),
+            self._chip_lane_of[pba], now_us, timing.read_us * (1 + retry_step)
         )
         complete = self.timelines.schedule(
-            geo.channel_of_block(pba), cell_done, self.timing.bus_transfer_us
+            self._channel_of[pba], cell_done, timing.bus_transfer_us
         )
         self._m_reads.inc()
         self._h_read_us.record(complete - now_us)
         tr = self.obs.trace
         if tr.enabled:
             tr.emit("flash-op", "read", complete, ppa=ppa, start_us=int(now_us))
-        return ReadResult(data, oob, complete, corrected)
+        return _tuple_new(ReadResult, (data, oob, complete, corrected))
 
     def read_oob(self, ppa: Ppa, now_us: TimeUs = 0):
         """Read only a page's OOB metadata.
@@ -230,9 +241,11 @@ class FlashDevice:
         Timing: the bus transfer occupies the channel, then the cell
         program occupies the chip.
         """
-        geo = self.geometry
         core = self.core
-        pba, offset = geo.locate(ppa)
+        pages_per_block = core.pages_per_block
+        if not 0 <= ppa < core.total_pages:
+            self.geometry.check_ppa(ppa)
+        pba = ppa // pages_per_block
         if core.failed[pba]:
             raise ProgramFailureError(ppa, permanent=True)
         if self.faults is not None:
@@ -241,16 +254,16 @@ class FlashDevice:
             # this line runs for a failed op — no counters, no timing.
             self.last_op_start_us = now_us
             self.faults.on_program(self, ppa, data, oob)
-        core.program(pba, offset, data, oob)
+        core.program(pba, ppa % pages_per_block, data, oob)
         core.last_program_us[pba] = now_us
         # Retention clock: charge leakage is measured from this moment.
         core.programmed_us[ppa] = now_us
         self.counters.page_programs += 1
         transferred = self.timelines.schedule(
-            geo.channel_of_block(pba), now_us, self.timing.bus_transfer_us
+            self._channel_of[pba], now_us, self.timing.bus_transfer_us
         )
         complete = self.chip_timelines.schedule(
-            self._chip_index(pba), transferred, self.timing.program_us
+            self._chip_lane_of[pba], transferred, self.timing.program_us
         )
         self._m_programs.inc()
         self._h_program_us.record(complete - now_us)
@@ -275,7 +288,7 @@ class FlashDevice:
         self.core.erase(pba)
         self.counters.block_erases += 1
         complete = self.chip_timelines.schedule(
-            self._chip_index(pba), now_us, self.timing.erase_us
+            self._chip_lane_of[pba], now_us, self.timing.erase_us
         )
         self._m_erases.inc()
         self._h_erase_us.record(complete - now_us)
@@ -291,10 +304,9 @@ class FlashDevice:
 
         Builds a :class:`Page` view per call, so firmware loops read the
         ``core`` columns instead.  The callers left are deliberate
-        one-shot uses: the auditor (``timessd/verify.py``), recovery's
-        reference-chain walk (``timessd/recovery.py``), delta-block drop
-        (``DeltaManager._mark_block_records_dropped``), the scrubber's
-        per-page guard (``PatrolScrubber._scrub_page``),
+        one-shot uses: the auditor (``timessd/verify.py``), delta-block
+        drop (``DeltaManager._mark_block_records_dropped``), the
+        scrubber's per-page guard (``PatrolScrubber._scrub_page``),
         ``BaseSSD.note_lost_valid_page`` and the FlashGuard comparator.
         """
         self.geometry.check_ppa(ppa)

@@ -7,7 +7,7 @@ instead of packing bytes.
 """
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 
 # Sentinel "no previous version" back-pointer ('-' in the paper's Figure 5).
 NULL_PPA = -1
@@ -39,8 +39,10 @@ class PageState(enum.Enum):
     PROGRAMMED = "programmed"
 
 
-@dataclass(frozen=True)
-class OOBMetadata:
+_tuple_new = tuple.__new__
+
+
+class OOBMetadata(namedtuple("_OOBFields", "lpa back_pointer timestamp_us seq_tag")):
     """Out-of-band metadata written atomically with a page program.
 
     ``lpa`` is the logical page the content belongs to (or a tag for
@@ -51,25 +53,23 @@ class OOBMetadata:
     ``seq_tag`` is the per-page integrity seal (a CRC stand-in) written
     as the last step of a page program; it defaults to the consistent
     value, so only deliberately torn pages carry a mismatched tag.
+
+    An immutable four-field value (tuple-backed: one is built per flash
+    read, so construction has to be cheap); ``==`` and ``hash`` cover
+    exactly the four fields.
     """
 
-    lpa: int
-    back_pointer: int = NULL_PPA
-    timestamp_us: int = 0
-    seq_tag: int = None
+    __slots__ = ()
 
     # Tag values used in ``lpa`` for non-user pages.  Real firmware would
     # reserve magic values the same way.
     TRANSLATION_TAG = -2
     DELTA_TAG = -3
 
-    def __post_init__(self):
-        if self.seq_tag is None:
-            object.__setattr__(
-                self,
-                "seq_tag",
-                seq_tag_of(self.lpa, self.back_pointer, self.timestamp_us),
-            )
+    def __new__(cls, lpa, back_pointer=NULL_PPA, timestamp_us=0, seq_tag=None):
+        if seq_tag is None:
+            seq_tag = seq_tag_of(lpa, back_pointer, timestamp_us)
+        return _tuple_new(cls, (lpa, back_pointer, timestamp_us, seq_tag))
 
     @property
     def intact(self):

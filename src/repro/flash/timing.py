@@ -90,10 +90,13 @@ class ChannelTimelines:
 
         Returns the completion time.
         """
-        self._check(channel)
+        if not 0 <= channel < len(self._busy_until):
+            self._check(channel)
         if latency_us < 0:
             raise ValueError("latency must be non-negative")
-        start = max(now_us, self._busy_until[channel])
+        start = self._busy_until[channel]
+        if not start > now_us:  # max(now_us, busy): ties keep now_us
+            start = now_us
         end = start + latency_us
         self._busy_until[channel] = end
         self._busy_us[channel] += latency_us
@@ -101,8 +104,9 @@ class ChannelTimelines:
         while pending and pending[0] <= now_us:
             pending.popleft()
         pending.append(end)
-        if len(pending) > self._max_depth[channel]:
-            self._max_depth[channel] = len(pending)
+        depth = len(pending)
+        if depth > self._max_depth[channel]:
+            self._max_depth[channel] = depth
         return end
 
     def depth_at(self, channel, now_us):

@@ -35,6 +35,11 @@ class StreamId(enum.Enum):
     GC = "gc"
     DELTA = "delta"
 
+    # Members are singletons compared by identity, so the identity hash
+    # is exact — and, unlike ``Enum.__hash__``, not a Python-level call
+    # on each of the two dict lookups every page allocation makes.
+    __hash__ = object.__hash__
+
 
 class _BlockInfo:
     __slots__ = ("kind", "valid", "valid_count", "sealed")
@@ -184,28 +189,23 @@ class BlockManager:
         # fresh block on its next allocation, not write into a freed one.
         for state in self._active.values():
             blocks = state["blocks"]
-            for i, active in enumerate(blocks):
-                if active == pba:
-                    blocks[i] = None
+            while pba in blocks:
+                blocks[blocks.index(pba)] = None
 
     # --- Allocation ----------------------------------------------------------
 
-    _STREAM_KIND = {
-        StreamId.USER: BlockKind.DATA,
-        StreamId.GC: BlockKind.DATA,
-        StreamId.DELTA: BlockKind.DELTA,
+    #: ``stream -> (block kind, striped)``; striped streams spread
+    #: consecutive pages across channels.
+    _STREAM_LAYOUT = {
+        StreamId.USER: (BlockKind.DATA, True),
+        StreamId.GC: (BlockKind.DATA, True),
+        StreamId.DELTA: (BlockKind.DELTA, False),
     }
-
-    # Streams that stripe consecutive pages across channels.
-    _STRIPED_STREAMS = frozenset((StreamId.USER, StreamId.GC))
 
     def allocate_page(self, stream) -> Ppa:
         """Next writable PPA for ``stream``, opening a new block if needed."""
-        return self.allocate_page_keyed(
-            stream,
-            self._STREAM_KIND[stream],
-            striped=stream in self._STRIPED_STREAMS,
-        )
+        kind, striped = self._STREAM_LAYOUT[stream]
+        return self.allocate_page_keyed(stream, kind, striped)
 
     @atomic_section(
         "append-point rotation, free-block pop and kind tagging are one "
@@ -239,7 +239,7 @@ class BlockManager:
             pba = self._pop_free_block(preferred_channel=preferred)
             self._info[pba].kind = kind
             state["blocks"][slot] = pba
-        return self._geo.first_page_of_block(pba) + write_pointer[pba]
+        return pba * self._geo.pages_per_block + write_pointer[pba]
 
     def adopt_active(self, key, pba, striped=True):
         """Resume appending into a partially-programmed block.
@@ -287,22 +287,29 @@ class BlockManager:
     def active_blocks(self):
         out = set()
         for state in self._active.values():
-            out.update(pba for pba in state["blocks"] if pba is not None)
+            out.update(state["blocks"])
+        out.discard(None)
         return out
 
     # --- Validity tracking (PVT) ---------------------------------------------
 
     def mark_valid(self, ppa: Ppa):
-        pba, offset = self._geo.locate(ppa)
-        info = self._info[pba]
+        if not 0 <= ppa < self._core.total_pages:
+            self._geo.check_ppa(ppa)
+        pages_per_block = self._core.pages_per_block
+        info = self._info[ppa // pages_per_block]
+        offset = ppa % pages_per_block
         if not info.valid[offset]:
             info.valid[offset] = 1
             info.valid_count += 1
 
     def invalidate_page(self, ppa: Ppa):
         """Clear the PVT bit for ``ppa`` (update/delete made it stale)."""
-        pba, offset = self._geo.locate(ppa)
-        info = self._info[pba]
+        if not 0 <= ppa < self._core.total_pages:
+            self._geo.check_ppa(ppa)
+        pages_per_block = self._core.pages_per_block
+        info = self._info[ppa // pages_per_block]
+        offset = ppa % pages_per_block
         if info.valid[offset]:
             info.valid[offset] = 0
             info.valid_count -= 1
@@ -332,8 +339,13 @@ class BlockManager:
 
     # --- Victim selection ----------------------------------------------------
 
+    # The three walks below share one sealed test, inlined in each (GC
+    # runs them once per round over every block): a block is a candidate
+    # when it is in use (not FREE/RETIRED), of the requested kind, and
+    # takes no more programs — full, force-sealed, or grown bad.
+
     def sealed_blocks(self, kind=None):
-        """PBAs of full, non-free blocks (optionally of one kind).
+        """PBAs of full, non-free blocks (optionally of one kind), ascending.
 
         A block that is still a stream's append point but already full
         counts as sealed — nothing more will ever be written to it.  So
@@ -343,22 +355,36 @@ class BlockManager:
         write_pointer = self._core.write_pointer
         failed = self._core.failed
         full = self._geo.pages_per_block
-        for pba, info in enumerate(self._info):
-            if info.kind is BlockKind.FREE or info.kind is BlockKind.RETIRED:
-                continue
-            if kind is not None and info.kind is not kind:
-                continue
-            if write_pointer[pba] >= full or info.sealed or failed[pba]:
-                yield pba
+        free, retired = BlockKind.FREE, BlockKind.RETIRED
+        return [
+            pba
+            for pba, info in enumerate(self._info)
+            if info.kind is not free
+            and info.kind is not retired
+            and (kind is None or info.kind is kind)
+            and (write_pointer[pba] >= full or info.sealed or failed[pba])
+        ]
 
     def select_greedy_victim(self, kind=BlockKind.DATA):
-        """Sealed block of ``kind`` with the most invalid pages, or None."""
+        """Sealed block of ``kind`` with the most invalid pages, or None
+        (lowest PBA among equals)."""
         best_pba = None
         best_invalid = 0
         write_pointer = self._core.write_pointer
-        for pba in self.sealed_blocks(kind):
-            invalid = write_pointer[pba] - self._info[pba].valid_count
-            if invalid > best_invalid:
+        failed = self._core.failed
+        full = self._geo.pages_per_block
+        free, retired = BlockKind.FREE, BlockKind.RETIRED
+        for pba, info in enumerate(self._info):
+            programmed = write_pointer[pba]
+            invalid = programmed - info.valid_count
+            if invalid <= best_invalid:
+                continue  # cannot win: skip the sealed test altogether
+            block_kind = info.kind
+            if block_kind is free or block_kind is retired:
+                continue
+            if kind is not None and block_kind is not kind:
+                continue
+            if programmed >= full or info.sealed or failed[pba]:
                 best_invalid = invalid
                 best_pba = pba
         return best_pba
@@ -373,14 +399,25 @@ class BlockManager:
         """
         best_pba = None
         best_score = 0.0
-        core = self._core
-        for pba in self.sealed_blocks(kind):
-            programmed = core.write_pointer[pba]
-            valid = self._info[pba].valid_count
+        write_pointer = self._core.write_pointer
+        last_program_us = self._core.last_program_us
+        failed = self._core.failed
+        full = self._geo.pages_per_block
+        free, retired = BlockKind.FREE, BlockKind.RETIRED
+        for pba, info in enumerate(self._info):
+            programmed = write_pointer[pba]
+            valid = info.valid_count
             if programmed == 0 or programmed == valid:
+                continue  # nothing programmed, or nothing stale to gain
+            block_kind = info.kind
+            if block_kind is free or block_kind is retired:
+                continue
+            if kind is not None and block_kind is not kind:
+                continue
+            if not (programmed >= full or info.sealed or failed[pba]):
                 continue
             u = valid / programmed
-            age = max(1, now_us - core.last_program_us[pba])
+            age = max(1, now_us - last_program_us[pba])
             score = (1.0 - u) * age / (1.0 + u)
             if score > best_score:
                 best_score = score

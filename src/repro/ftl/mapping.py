@@ -46,9 +46,10 @@ class AddressMappingTable:
             )
 
     def _touch(self, lpa, writing):
-        """Simulate the cache lookup for ``lpa``; count translation I/O."""
-        if self._cache is None:
-            return
+        """Simulate the cache lookup for ``lpa``; count translation I/O.
+
+        Only called in demand-cache mode (``_cache`` is not None).
+        """
         if lpa in self._cache:
             self._cache.move_to_end(lpa)
         else:
@@ -64,8 +65,10 @@ class AddressMappingTable:
 
     def lookup(self, lpa: Lba) -> Ppa:
         """Current PPA for ``lpa`` (``NULL_PPA`` when never written)."""
-        self._check(lpa)
-        self._touch(lpa, writing=False)
+        if not 0 <= lpa < self.logical_pages:
+            self._check(lpa)
+        if self._cache is not None:
+            self._touch(lpa, writing=False)
         return self._table[lpa]
 
     @atomic_section(
@@ -76,8 +79,10 @@ class AddressMappingTable:
     )
     def update(self, lpa: Lba, ppa: Ppa) -> Ppa:
         """Point ``lpa`` at ``ppa``; returns the previous PPA."""
-        self._check(lpa)
-        self._touch(lpa, writing=True)
+        if not 0 <= lpa < self.logical_pages:
+            self._check(lpa)
+        if self._cache is not None:
+            self._touch(lpa, writing=True)
         old = self._table[lpa]
         self._table[lpa] = ppa
         return old

@@ -810,6 +810,10 @@ class BaseSSD:
         migrated = 0
         base = geo.first_page_of_block(pba)
         valid = bm.valid_bits(pba)
+
+        def allocate():
+            return bm.allocate_page(StreamId.GC)
+
         for offset in range(geo.pages_per_block):
             if not valid[offset]:
                 continue
@@ -820,10 +824,7 @@ class BaseSSD:
                 self.note_lost_valid_page(ppa)
                 continue
             new_ppa, _complete = self.program_with_retry(
-                lambda: bm.allocate_page(StreamId.GC),
-                result.data,
-                result.oob,
-                now_us,
+                allocate, result.data, result.oob, now_us
             )
             bm.mark_valid(new_ppa)
             bm.invalidate_page(ppa)

@@ -108,7 +108,8 @@ class LatencyHistogram:
         return low, high
 
     def record(self, latency_us):
-        latency_us = int(latency_us)
+        if latency_us.__class__ is not int:
+            latency_us = int(latency_us)
         if latency_us < 0:
             raise ReproError("latency cannot be negative")
         self.count += 1
@@ -117,8 +118,15 @@ class LatencyHistogram:
             self.min_us = latency_us
         if latency_us > self.max_us:
             self.max_us = latency_us
-        index = self._bucket_index(latency_us)
-        self._buckets[index] = self._buckets.get(index, 0) + 1
+        if latency_us < _SUB_BUCKETS:
+            index = latency_us
+        else:  # _bucket_index, inline: (shift + 1) * 16 + (top - 16)
+            shift = latency_us.bit_length() - _SUB_BITS - 1
+            index = (shift << _SUB_BITS) + (latency_us >> shift)
+        try:
+            self._buckets[index] += 1
+        except KeyError:
+            self._buckets[index] = 1
 
     @property
     def mean_us(self):

@@ -56,23 +56,33 @@ class BloomFilter:
     def nhashes(self):
         return self._hashes
 
-    def _positions(self, item):
-        h1 = _splitmix64(item ^ self._seed)
-        h2 = _splitmix64(h1) | 1
-        for i in range(self._hashes):
-            yield (h1 + i * h2) % self._nbits
+    # Double hashing: position i is ``(h1 + i * h2) % nbits``, walked by
+    # adding ``h2`` so a probe can stop at the first clear bit.
 
     def add(self, item):
         if item < 0:
             raise ReproError("bloom filter items must be non-negative")
-        for pos in self._positions(item):
-            self._bits[pos >> 3] |= 1 << (pos & 7)
+        bits = self._bits
+        nbits = self._nbits
+        h = _splitmix64(item ^ self._seed)
+        h2 = _splitmix64(h) | 1
+        for _ in range(self._hashes):
+            pos = h % nbits
+            bits[pos >> 3] |= 1 << (pos & 7)
+            h += h2
         self.count += 1
 
     def __contains__(self, item):
-        return all(
-            self._bits[pos >> 3] & (1 << (pos & 7)) for pos in self._positions(item)
-        )
+        bits = self._bits
+        nbits = self._nbits
+        h = _splitmix64(item ^ self._seed)
+        h2 = _splitmix64(h) | 1
+        for _ in range(self._hashes):
+            pos = h % nbits
+            if not bits[pos >> 3] >> (pos & 7) & 1:
+                return False
+            h += h2
+        return True
 
     @property
     def is_full(self):

@@ -44,6 +44,8 @@ class TimeSSDGarbageCollector:
 
     def __init__(self, ssd):
         self._ssd = ssd
+        # Looks the block manager up per call: a power cycle replaces it.
+        self._allocate_gc_page = lambda: ssd.block_manager.allocate_page(StreamId.GC)
         self.blocks_reclaimed = 0
         self.versions_compressed = 0
 
@@ -142,13 +144,11 @@ class TimeSSDGarbageCollector:
         ssd = self._ssd
         result = ssd.read_page_with_retry(ppa, now_us)
         new_ppa, t = ssd.program_with_retry(
-            lambda: ssd.block_manager.allocate_page(StreamId.GC),
-            result.data,
-            result.oob,
-            result.complete_us,
+            self._allocate_gc_page, result.data, result.oob, result.complete_us
         )
-        ssd.block_manager.mark_valid(new_ppa)
-        ssd.block_manager.invalidate_page(ppa)
+        bm = ssd.block_manager
+        bm.mark_valid(new_ppa)
+        bm.invalidate_page(ppa)
         ssd.remap_migrated_page(result.oob, ppa, new_ppa)
         return t
 

@@ -101,8 +101,14 @@ def decompress(blob, expected_length=None):
             start = len(out) - distance
             if start < 0:
                 raise ReproError("corrupt LZF stream: reference before start")
-            for k in range(length):
-                out.append(out[start + k])
+            if distance >= length:
+                out += out[start : start + length]
+            else:
+                # The reference overlaps its own output: the last
+                # ``distance`` bytes repeat until ``length`` are written.
+                pattern = out[start:]
+                repeats, rest = divmod(length, distance)
+                out += pattern * repeats + pattern[:rest]
     if expected_length is not None and len(out) != expected_length:
         raise ReproError(
             "LZF length mismatch: expected %d, got %d" % (expected_length, len(out))

@@ -210,15 +210,20 @@ def _reachable_data_ts(ssd, lpa, head):
     out = set()
     if head is None:
         return out
-    device = ssd.device
+    core = ssd.device.core
     _ts, ppa = head
-    page = device.peek_page(ppa)
-    prev_ts = page.oob.timestamp_us
+    ssd.device.geometry.check_ppa(ppa)
+    if not core.state[ppa]:
+        return out
+    # Every later hop was just validated from the same columns by
+    # ``_page_holds_version``: read them directly, no page views.
+    timestamp_us = core.timestamp_us
+    back_pointer = core.back_pointer
+    prev_ts = timestamp_us[ppa]
     out.add(prev_ts)
-    back = page.oob.back_pointer
+    back = back_pointer[ppa]
     while back != NULL_PPA and ssd.index._page_holds_version(back, lpa, prev_ts):
-        oob = device.peek_page(back).oob
-        out.add(oob.timestamp_us)
-        prev_ts = oob.timestamp_us
-        back = oob.back_pointer
+        prev_ts = timestamp_us[back]
+        out.add(prev_ts)
+        back = back_pointer[back]
     return out

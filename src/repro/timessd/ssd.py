@@ -476,13 +476,13 @@ class TimeSSD(BaseSSD):
     def _background_victims(self, limit=None):
         """Sealed data blocks richest in retained, uncompressed pages."""
         limit = limit or self.config.idle_scan_blocks
+        kind = self.block_manager.kind
+        active = self.block_manager.active_blocks()
         candidates = [
             (count, pba)
             for pba, count in self._retained_per_block.items()
-            if count > 0 and self.block_manager.kind(pba) is BlockKind.DATA
+            if count > 0 and pba not in active and kind(pba) is BlockKind.DATA
         ]
-        active = self.block_manager.active_blocks()
-        candidates = [(c, pba) for c, pba in candidates if pba not in active]
         candidates.sort(reverse=True)
         return [pba for _count, pba in candidates[:limit]]
 

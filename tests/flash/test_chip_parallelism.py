@@ -93,3 +93,43 @@ def test_reads_pipeline_across_chips():
     t2 = device.read_page(pages[1], start).complete_us
     serialized = start + 2 * (timing.read_us + timing.bus_transfer_us)
     assert max(t1, t2) < serialized  # cell sense overlapped
+
+
+@pytest.mark.parametrize("chips", [1, 2, 3])
+def test_every_block_occupies_the_lanes_geometry_says(chips):
+    """The device tabulates each block's lanes once; an erase (chip only)
+    and a program (channel, then chip) must land on exactly the lanes
+    ``FlashGeometry`` derives for the block, and on no other."""
+    device = multi_chip_device(chips=chips, bus_us=5)
+    geo = device.geometry
+    timing = device.timing
+    for pba in range(geo.total_blocks):
+        channel, chip = geo.chip_of_block(pba)
+        assert channel == geo.channel_of_block(pba)
+        lane = channel * geo.chips_per_channel + chip
+        bus_before = device.timelines.busy_times()
+        chip_before = device.chip_timelines.busy_times()
+        device.program_page(geo.first_page_of_block(pba), b"d", oob(), 0)
+        device.erase_block(pba, 0)
+        bus_after = device.timelines.busy_times()
+        chip_after = device.chip_timelines.busy_times()
+        for c in range(geo.channels):
+            moved = timing.bus_transfer_us if c == channel else 0
+            assert bus_after[c] - bus_before[c] == moved
+        for l in range(geo.channels * geo.chips_per_channel):
+            moved = timing.program_us + timing.erase_us if l == lane else 0
+            assert chip_after[l] - chip_before[l] == moved
+
+
+def test_read_result_is_a_named_value():
+    from repro.flash.device import ReadResult
+
+    device = multi_chip_device()
+    device.program_page(0, b"a", oob(3), now_us=0)
+    result = device.read_page(0, now_us=5_000)
+    assert result == ReadResult(
+        data=b"a", oob=oob(3), complete_us=result.complete_us, corrected_bits=0
+    )
+    assert ReadResult(b"a", None) == ReadResult(b"a", None, 0, 0)  # defaults
+    with pytest.raises(AttributeError):
+        result.complete_us = 0

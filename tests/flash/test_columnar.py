@@ -292,3 +292,77 @@ def test_standalone_block_has_private_core():
     a, b = Block(0, PPB), Block(0, PPB)
     a.program(0, b"x", OOBMetadata(lpa=1, back_pointer=-1, timestamp_us=0))
     assert b.is_erased and not a.is_erased
+
+
+# --- OOBMetadata is a value: the surface the tuple-backed type must keep ----
+
+
+@settings(max_examples=60, deadline=None)
+@given(lpa=i64, back=i64, ts=i64)
+def test_oob_metadata_value_semantics(lpa, back, ts):
+    oob = OOBMetadata(lpa=lpa, back_pointer=back, timestamp_us=ts)
+    # Field access by name; positional and keyword construction agree.
+    assert (oob.lpa, oob.back_pointer, oob.timestamp_us) == (lpa, back, ts)
+    assert oob == OOBMetadata(lpa, back, ts)
+    # seq_tag defaults to the consistent seal.
+    assert oob.seq_tag == seq_tag_of(lpa, back, ts)
+    assert oob.intact
+    # ==/hash cover exactly the four fields.
+    twin = OOBMetadata(lpa, back, ts, seq_tag=oob.seq_tag)
+    assert twin == oob and hash(twin) == hash(oob)
+    assert len({oob, twin}) == 1
+    torn = oob.as_torn()
+    assert torn.intact is False
+    assert torn != oob
+    assert (torn.lpa, torn.back_pointer, torn.timestamp_us) == (lpa, back, ts)
+    assert OOBMetadata(lpa, back, ts ^ 1) != oob
+    # Immutable: neither a field nor a new attribute can be assigned.
+    for name in ("lpa", "back_pointer", "timestamp_us", "seq_tag", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(oob, name, 0)
+    assert repr(oob) == (
+        "OOBMetadata(lpa=%d, back_pointer=%d, timestamp_us=%d, seq_tag=%d)"
+        % (lpa, back, ts, oob.seq_tag)
+    )
+
+
+def test_oob_metadata_defaults_and_tags():
+    oob = OOBMetadata(lpa=7)
+    assert (oob.back_pointer, oob.timestamp_us) == (NULL_PPA, 0)
+    assert oob.seq_tag == seq_tag_of(7, NULL_PPA, 0)
+    assert (OOBMetadata.TRANSLATION_TAG, OOBMetadata.DELTA_TAG) == (-2, -3)
+    assert oob.TRANSLATION_TAG == -2  # reachable through instances too
+    with pytest.raises(TypeError):
+        OOBMetadata()  # lpa is required
+    # The stored-tag path (``oob_at``) hands back an equal value whose
+    # seal is still *checked*, not assumed.
+    core, views = make_views()
+    views[0].program(0, b"x", oob)
+    assert core.oob_at(0) == oob and core.oob_at(0).intact
+    core.seq_tag[0] ^= 1
+    assert core.oob_at(0) != oob and core.oob_at(0).intact is False
+    assert core.intact_at(0) is False
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lpa=st.integers(-(1 << 70), 1 << 70),
+    back=st.integers(-(1 << 70), 1 << 70),
+    ts=st.integers(-(1 << 70), 1 << 70),
+)
+def test_program_wraps_out_of_range_fields_to_int64(lpa, back, ts):
+    """In-range ints are stored as is; anything wider wraps to two's
+    complement, exactly as the per-field ``_to_i64`` did."""
+    core, views = make_views()
+    views[1].program(0, b"x", OOBMetadata(lpa, back, ts))
+
+    def wrap(value):
+        value &= _MASK64
+        return value - (1 << 64) if value >> 63 else value
+
+    gidx = PPB
+    assert core.lpa[gidx] == wrap(lpa)
+    assert core.back_pointer[gidx] == wrap(back)
+    assert core.timestamp_us[gidx] == wrap(ts)
+    assert core.seq_tag[gidx] & _MASK64 == seq_tag_of(lpa, back, ts)
+    assert core.intact_at(gidx)  # the seal mixes mod 2**64, so it survives

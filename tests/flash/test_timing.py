@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import AddressError
 from repro.flash.timing import ChannelTimelines, FlashTiming
@@ -65,3 +66,63 @@ class TestChannelTimelines:
         tl = ChannelTimelines(1)
         with pytest.raises(ValueError):
             tl.schedule(0, 0, -1)
+
+
+class ReferenceTimelines:
+    """The occupancy model, written for clarity not speed: an op starts at
+    ``max(now, busy_until)``; the queue at an arrival holds every earlier
+    op on the lane that completes after it."""
+
+    def __init__(self, channels):
+        self.busy_until = [0] * channels
+        self.busy_us = [0] * channels
+        self.ends = [[] for _ in range(channels)]
+        self.max_depth = [0] * channels
+
+    def schedule(self, channel, now_us, latency_us):
+        end = max(now_us, self.busy_until[channel]) + latency_us
+        self.busy_until[channel] = end
+        self.busy_us[channel] += latency_us
+        self.ends[channel] = [e for e in self.ends[channel] if e > now_us] + [end]
+        self.max_depth[channel] = max(self.max_depth[channel], len(self.ends[channel]))
+        return end
+
+    def depth_at(self, channel, now_us):
+        return sum(1 for e in self.ends[channel] if e > now_us)
+
+
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.integers(-1, 3),  # channel: -1 and 3 are out of range
+            st.integers(0, 40),  # arrival advance
+            st.integers(-1, 60),  # latency: -1 is rejected
+        ),
+        max_size=120,
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_schedule_matches_reference_model(ops):
+    channels = 3
+    tl = ChannelTimelines(channels)
+    ref = ReferenceTimelines(channels)
+    now = 0
+    for channel, advance, latency in ops:
+        now += advance  # arrivals are monotonic, as the device's are
+        if not 0 <= channel < channels:
+            with pytest.raises(AddressError):
+                tl.schedule(channel, now, max(latency, 0))
+        elif latency < 0:
+            with pytest.raises(ValueError):
+                tl.schedule(channel, now, latency)
+        else:
+            assert tl.schedule(channel, now, latency) == ref.schedule(
+                channel, now, latency
+            )
+        # A rejected op must leave no trace; an accepted one the same trace.
+        for lane in range(channels):
+            assert tl.busy_until(lane) == ref.busy_until[lane]
+            assert tl.depth_at(lane, now) == ref.depth_at(lane, now)
+        assert tl.busy_times() == ref.busy_us
+        assert tl.max_depths() == ref.max_depth
+    assert tl.total_busy_us() == sum(ref.busy_us)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import DeviceFullError
 from repro.flash.device import FlashDevice
@@ -151,3 +152,124 @@ def test_utilization(bm):
     assert bm.utilization() == 0.0
     program(bm, bm.allocate_page(StreamId.USER))
     assert bm.utilization() > 0.0
+
+
+# --- Victim selection ≡ a brute-force reference ----------------------------
+
+
+def reference_sealed(bm, kind):
+    core = bm.device.core
+    full = bm.device.geometry.pages_per_block
+    return [
+        pba
+        for pba in range(bm.device.geometry.total_blocks)
+        if bm.kind(pba) not in (BlockKind.FREE, BlockKind.RETIRED)
+        and (kind is None or bm.kind(pba) is kind)
+        and (core.write_pointer[pba] >= full or bm._info[pba].sealed or core.failed[pba])
+    ]
+
+
+def reference_greedy(bm, kind):
+    scored = [(bm.invalid_count(pba), -pba) for pba in reference_sealed(bm, kind)]
+    scored = [entry for entry in scored if entry[0] > 0]
+    return -max(scored)[1] if scored else None
+
+
+def reference_cost_benefit(bm, now_us, kind):
+    core = bm.device.core
+    scored = []
+    for pba in reference_sealed(bm, kind):
+        programmed, valid = core.write_pointer[pba], bm.valid_count(pba)
+        if programmed == 0 or programmed == valid:
+            continue
+        u = valid / programmed
+        age = max(1, now_us - core.last_program_us[pba])
+        scored.append(((1.0 - u) * age / (1.0 + u), -pba))
+    scored = [entry for entry in scored if entry[0] > 0.0]
+    return -max(scored)[1] if scored else None
+
+
+_STREAMS = (
+    (StreamId.USER, BlockKind.DATA, True),
+    (StreamId.GC, BlockKind.DATA, True),
+    (("delta", 0), BlockKind.DELTA, False),
+    (("delta", 1), BlockKind.DELTA, False),
+    ("ckpt", BlockKind.TRANSLATION, False),
+)
+
+_bm_ops = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["write", "write", "write", "valid", "invalidate", "seal",
+             "condemn", "release"]
+        ),
+        st.integers(0, 10_000),  # picks the stream / block / page
+        st.integers(1, 24),  # pages per "write" burst
+    ),
+    max_size=60,
+)
+
+
+@given(ops=_bm_ops)
+@settings(max_examples=120, deadline=None)
+def test_victim_selection_matches_brute_force(ops):
+    geo = small_geometry(channels=2, blocks_per_plane=6, pages_per_block=4)
+    bm = BlockManager(FlashDevice(geo))
+    core = bm.device.core
+    now = 0
+    kinds = (None,) + tuple(BlockKind)
+    for op, pick, burst in ops:
+        now += 37
+        pba = pick % geo.total_blocks
+        if op == "write":
+            key, kind, striped = _STREAMS[pick % len(_STREAMS)]
+            for _ in range(burst):
+                if bm.free_block_count == 0:
+                    break
+                ppa = bm.allocate_page_keyed(key, kind, striped)
+                bm.device.program_page(ppa, b"d", OOBMetadata(0, NULL_PPA, now), now)
+                if pick % 3:
+                    bm.mark_valid(ppa)
+        elif op == "valid":
+            bm.mark_valid(pick % geo.total_pages)  # programmed or not
+        elif op == "invalidate":
+            bm.invalidate_page(pick % geo.total_pages)
+        elif op == "seal":
+            if bm.kind(pba) is not BlockKind.FREE:
+                bm.seal_block(pba)
+        elif op == "condemn":
+            if bm.kind(pba) not in (BlockKind.FREE, BlockKind.RETIRED):
+                core.failed[pba] = 1  # a grown-bad block, mid-life
+                bm.condemn_block(pba)
+        elif op == "release":
+            if bm.kind(pba) not in (BlockKind.FREE, BlockKind.RETIRED):
+                for ppa in geo.pages_of_block(pba):
+                    bm.invalidate_page(ppa)
+                core.erase(pba)
+                bm.release_block(pba)  # frees, or retires a failed block
+        for kind in kinds:
+            sealed = bm.sealed_blocks(kind)
+            assert list(sealed) == reference_sealed(bm, kind)
+            assert bm.select_greedy_victim(kind) == reference_greedy(bm, kind)
+            assert bm.select_cost_benefit_victim(now, kind) == reference_cost_benefit(
+                bm, now, kind
+            )
+    assert bm.select_greedy_victim() == reference_greedy(bm, BlockKind.DATA)
+    assert bm.select_victim("cost_benefit", now) == reference_cost_benefit(
+        bm, now, BlockKind.DATA
+    )
+
+
+def test_greedy_tie_goes_to_the_lowest_pba(bm):
+    geo = bm.device.geometry
+    # Fill two blocks on different channels; one stale page in each.
+    blocks = []
+    for _ in range(geo.channels * geo.pages_per_block):
+        ppa = bm.allocate_page(StreamId.USER)
+        program(bm, ppa)
+        blocks.append(geo.block_of_page(ppa))
+    first, second = sorted(set(blocks))[:2]
+    bm.invalidate_page(geo.first_page_of_block(second))
+    bm.invalidate_page(geo.first_page_of_block(first))
+    assert bm.select_greedy_victim() == first
+    assert bm.select_cost_benefit_victim(10**6) == first

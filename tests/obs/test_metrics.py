@@ -115,6 +115,45 @@ class TestLatencyHistogram:
         for p in (0, 10, 50, 90, 100):
             assert lo <= h.percentile(p) <= hi
 
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(min_value=0, max_value=2**40),
+                st.integers(min_value=0, max_value=40).map(lambda k: 2**k),
+                st.integers(min_value=1, max_value=40).map(lambda k: 2**k - 1),
+            ),
+            min_size=1,
+            max_size=200,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_record_buckets_match_bucket_index(self, values):
+        """``record`` computes the bucket inline; ``_bucket_index`` is the
+        spec.  Exact side totals included."""
+        h = LatencyHistogram("x")
+        expected = {}
+        for v in values:
+            h.record(v)
+            index = LatencyHistogram._bucket_index(v)
+            expected[index] = expected.get(index, 0) + 1
+        assert h._buckets == expected
+        assert (h.count, h.total_us) == (len(values), sum(values))
+        assert (h.min_us, h.max_us) == (min(values), max(values))
+
+    def test_record_coerces_non_ints(self):
+        h = LatencyHistogram("x")
+        for value in (17.9, True, 300.0):
+            h.record(value)
+        reference = LatencyHistogram("y")
+        for value in (17, 1, 300):
+            reference.record(value)
+        assert h.snapshot() == reference.snapshot()
+        assert all(type(k) is int for k in h._buckets)
+        assert type(h.total_us) is int and type(h.max_us) is int
+        with pytest.raises(ReproError):
+            h.record(-0.5 - 1)
+        assert h.count == 3  # the rejected sample left no trace
+
     def test_bucket_bounds_roundtrip(self):
         for value in (0, 1, 15, 16, 17, 31, 32, 100, 1023, 1024, 10**6, 10**9):
             index = LatencyHistogram._bucket_index(value)

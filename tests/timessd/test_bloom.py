@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.clock import SimClock
-from repro.timessd.bloom import BloomFilter, TimeSegmentedBlooms
+from repro.common.errors import ReproError
+from repro.timessd.bloom import BloomFilter, TimeSegmentedBlooms, _splitmix64
 
 
 class TestBloomFilter:
@@ -50,6 +51,40 @@ class TestBloomFilter:
         for item in items:
             bf.add(item)
         assert all(item in bf for item in items)
+
+    @given(
+        items=st.lists(st.integers(min_value=0, max_value=2**48), max_size=120),
+        probes=st.lists(st.integers(min_value=-5, max_value=2**48), max_size=120),
+        capacity=st.integers(1, 64),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_membership_matches_reference_bitset(self, items, probes, capacity, seed):
+        """The early-exit probe loop answers exactly what the textbook
+        double-hash bitset does: same positions, same bits, same count."""
+        bf = BloomFilter(capacity=capacity, fp_rate=0.05, seed=seed)
+
+        def positions(item):
+            h1 = _splitmix64(item ^ seed)
+            h2 = _splitmix64(h1) | 1
+            return [(h1 + i * h2) % bf.nbits for i in range(bf.nhashes)]
+
+        reference = set()
+        for item in items:
+            bf.add(item)
+            reference.update(positions(item))
+        assert bf.count == len(items)
+        assert {
+            pos for pos in range(bf.nbits) if bf._bits[pos >> 3] >> (pos & 7) & 1
+        } == reference
+        for probe in items + probes:
+            assert (probe in bf) == reference.issuperset(positions(probe))
+
+    def test_negative_add_leaves_filter_untouched(self):
+        bf = BloomFilter(capacity=8)
+        with pytest.raises(ReproError):
+            bf.add(-1)
+        assert bf.count == 0 and not any(bf._bits)
 
 
 class TestTimeSegmentedBlooms:

@@ -82,3 +82,100 @@ def test_structured_roundtrip_property(seed, block, repeats):
     chunk = bytes(rng.randrange(4) for _ in range(block))
     data = chunk * repeats
     assert lzf.decompress(lzf.compress(data), len(data)) == data
+
+
+def _reference_decompress(blob):
+    """LibLZF decode, one byte at a time (what ``decompress`` did before
+    it copied slices): the spec the slice copies must match."""
+    out = bytearray()
+    i = 0
+    while i < len(blob):
+        ctrl = blob[i]
+        i += 1
+        if ctrl < 32:
+            out.extend(blob[i : i + ctrl + 1])
+            i += ctrl + 1
+            continue
+        length = ctrl >> 5
+        if length == 7:
+            length += blob[i]
+            i += 1
+        distance = (((ctrl & 0x1F) << 8) | blob[i]) + 1
+        i += 1
+        start = len(out) - distance
+        for k in range(length + 2):
+            out.append(out[start + k])
+    return bytes(out)
+
+
+def _backrefs(blob):
+    """``(distance, length)`` of every back-reference in a valid stream."""
+    refs = []
+    i = 0
+    while i < len(blob):
+        ctrl = blob[i]
+        i += 1
+        if ctrl < 32:
+            i += ctrl + 1
+            continue
+        length = ctrl >> 5
+        if length == 7:
+            length += blob[i]
+            i += 1
+        refs.append(((((ctrl & 0x1F) << 8) | blob[i]) + 1, length + 2))
+        i += 1
+    return refs
+
+
+@given(
+    period=st.integers(1, 7),
+    seed=st.integers(0, 1000),
+    repeats=st.integers(4, 400),
+    tail=st.binary(max_size=40),
+)
+@settings(max_examples=150, deadline=None)
+def test_overlapping_references_roundtrip(period, seed, repeats, tail):
+    """Short-period runs force references that overlap their own output
+    (period 1 -> ``distance == 1``; period 3 -> ``distance < length``)."""
+    rng = random.Random(seed)
+    # Distinct bytes: the period is exact, so the encoder must reach back
+    # exactly ``period`` bytes for a match many periods long.
+    pattern = bytes(rng.sample(range(256), period))
+    data = pattern * repeats + tail
+    blob = lzf.compress(data)
+    assert any(
+        distance == period and distance < length
+        for distance, length in _backrefs(blob)
+    )
+    assert lzf.decompress(blob, len(data)) == data
+    assert _reference_decompress(blob) == data
+
+
+@given(data=st.binary(max_size=3000), cut=st.integers(1, 8))
+@settings(max_examples=150, deadline=None)
+def test_decoder_matches_bytewise_reference(data, cut):
+    # Low-entropy input so plenty of references of every shape appear.
+    data = bytes(b & 0x03 for b in data)
+    blob = lzf.compress(data)
+    assert lzf.decompress(blob) == _reference_decompress(blob) == data
+    # Any truncation of a non-empty stream must fail loudly, never
+    # return short output: either the stream itself is cut mid-token or
+    # the length check catches the missing tail.
+    if blob:
+        with pytest.raises(ReproError):
+            lzf.decompress(blob[: max(0, len(blob) - cut)], expected_length=len(data))
+
+
+@pytest.mark.parametrize(
+    "blob, message",
+    [
+        (bytes([0x05, 0x41]), "literal run past end"),
+        (bytes([0x00, 0x41, 0xE0]), "missing length byte"),
+        (bytes([0x00, 0x41, 0x20]), "missing offset byte"),
+        (bytes([0x00, 0x41, 0xE0, 0x01]), "missing offset byte"),
+        (bytes([0x00, 0x41, 0x20, 0x01]), "reference before start"),
+    ],
+)
+def test_truncated_and_corrupt_streams_name_the_fault(blob, message):
+    with pytest.raises(ReproError, match=message):
+        lzf.decompress(blob)

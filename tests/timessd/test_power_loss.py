@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.common.errors import AddressError
 from repro.common.units import SECOND_US
 from repro.timessd.config import ContentMode
 from repro.timessd.recovery import rebuild_from_flash, simulate_power_loss
@@ -107,3 +108,26 @@ def test_gc_still_works_after_recovery():
     assert ssd.gc_runs + ssd.background_gc_runs > before
     report = DeviceAuditor(ssd).audit(sample_lpa_stride=11)
     assert report.clean, report.violations
+
+
+def test_reachable_reference_timestamps_mirror_the_chain_walk():
+    """Recovery's untimed reference-chain walk reads the OOB columns
+    directly; it must reach exactly the versions the timed
+    ``walk_data_chain`` reaches from the same head — on a churned device
+    where GC has broken some chains and compression has marked others."""
+    from repro.timessd.recovery import _reachable_data_ts
+
+    ssd, _state, _history = churned_device()
+    core = ssd.device.core
+    assert _reachable_data_ts(ssd, 0, None) == set()
+    walked = chained = 0
+    for lpa in ssd.mapping.mapped_lpas():
+        head = ssd.mapping.lookup(lpa)
+        walk = ssd.index.walk_data_chain(lpa, head, ssd.clock.now_us)
+        expected = {oob.timestamp_us for _ppa, oob, _data in walk.entries}
+        assert _reachable_data_ts(ssd, lpa, (core.timestamp_us[head], head)) == expected
+        walked += 1
+        chained += len(expected) > 1
+    assert walked > 50 and chained > 10
+    with pytest.raises(AddressError):  # the bounds check peek_page made
+        _reachable_data_ts(ssd, 0, (0, ssd.device.geometry.total_pages))
