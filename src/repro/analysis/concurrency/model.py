@@ -70,7 +70,7 @@ TASK_ROOTS = (
         name="background-gc",
         category="background",
         qualnames=(
-            "repro.ftl.ssd.BaseSSD._background_collect",
+            "repro.ftl.ssd.BaseSSD.background_collect",
             "repro.sched.tasks.background_gc_task",
         ),
         description=(
@@ -82,7 +82,7 @@ TASK_ROOTS = (
         name="background-compression",
         category="background",
         qualnames=(
-            "repro.timessd.ssd.TimeSSD._background_compress",
+            "repro.timessd.ssd.TimeSSD.background_compress",
             "repro.sched.tasks.background_compress_task",
         ),
         description=(
@@ -94,7 +94,7 @@ TASK_ROOTS = (
         name="background-scrub",
         category="background",
         qualnames=(
-            "repro.ftl.scrub.PatrolScrubber.run",
+            "repro.ftl.scrub.PatrolScrubber.run_window",
             "repro.sched.tasks.background_scrub_task",
         ),
         description=(
@@ -463,12 +463,6 @@ POLICIES = (
             "collector scratch state lives within reclaim/compress "
             "atomic sections"
         ),
-    ),
-    SharedStatePolicy(
-        owner="repro.common.stats.*",
-        attr="*",
-        policy="monotonic",
-        why="latency/mean accumulators tolerate interleaved appends",
     ),
     SharedStatePolicy(
         owner="repro.common.idle.IdlePredictor",

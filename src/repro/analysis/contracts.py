@@ -152,13 +152,6 @@ CONTRACTS = (
                 "compression is RNG-free",
             ),
             Waiver(
-                "repro.common.stats.LatencyStats.record",
-                "the latency reservoir's eviction slot draw: "
-                "observability-only state seeded per-stats-object, never "
-                "read back by the simulation; scrub recording a latency "
-                "cannot perturb host-visible behaviour",
-            ),
-            Waiver(
                 "repro.faults.hooks.FaultHooks.on_read",
                 "fault-injection harness: fire() draws from the fault "
                 "plan's own seeded stream, which exists only when a "

@@ -209,31 +209,3 @@ class UnseededRngRule(LintRule):
                     "random.Random() without a seed is seeded from the OS; "
                     "pass an explicit per-workload seed",
                 )
-
-
-@register
-class LatencyStatsRngRule(LintRule):
-    rule_id = "determinism-latencystats-rng"
-    pack = "determinism"
-    description = (
-        "LatencyStats() must receive a seeded random.Random for reservoir "
-        "sampling; a missing rng makes percentiles nondeterministic"
-    )
-
-    def check(self, module, project):
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            chain = _dotted(node.func)
-            if not chain or chain[-1] != "LatencyStats":
-                continue
-            has_rng = bool(node.args) or any(
-                kw.arg == "rng" or kw.arg is None for kw in node.keywords
-            )
-            if not has_rng:
-                yield self.violation(
-                    module,
-                    node,
-                    "LatencyStats() without an rng argument; pass a seeded "
-                    "random.Random so reservoir eviction is deterministic",
-                )

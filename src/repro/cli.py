@@ -458,7 +458,7 @@ def build_parser():
         "--check",
         action="store_true",
         help="with --bench: verify the committed snapshot instead of "
-        "rewriting it (schema, deterministic payload, ops/sec floor)",
+        "rewriting it (schema, deterministic payload)",
     )
     metrics.add_argument(
         "--device", choices=("regular", "timessd"), default="timessd"

@@ -1,4 +1,4 @@
-"""Shared infrastructure: simulated time, units, errors, and statistics.
+"""Shared infrastructure: simulated time, units and errors.
 
 Everything in the simulator that needs a notion of time uses a
 :class:`~repro.common.clock.SimClock` carrying integer microseconds, so
@@ -14,7 +14,6 @@ from repro.common.errors import (
     ReproError,
     RetentionViolationError,
 )
-from repro.common.stats import LatencyStats, RunningMean
 from repro.common.units import (
     DAY_US,
     GIB,
@@ -36,8 +35,6 @@ __all__ = [
     "DeviceFullError",
     "FlashStateError",
     "RetentionViolationError",
-    "LatencyStats",
-    "RunningMean",
     "KIB",
     "MIB",
     "GIB",

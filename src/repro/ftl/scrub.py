@@ -103,7 +103,7 @@ class PatrolScrubber:
 
     # --- The idle-window entry point -----------------------------------------
 
-    def run(self, start_us, deadline_us):
+    def run_window(self, start_us, deadline_us):
         """One scrub pass inside ``[start_us, deadline_us)``.
 
         Order: drain the at-risk queue (pages known to be near the

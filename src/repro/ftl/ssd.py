@@ -191,7 +191,6 @@ class BaseSSD:
         )
         self._last_io_end_us = self.clock.now_us
         self._idle = IdlePredictor()
-        self._gc_is_background = False
         self._translation_reads_seen = 0
         self._translation_writes_seen = 0
 
@@ -206,21 +205,12 @@ class BaseSSD:
         self.ensure_writable()
         arrival = self.clock.now_us
         self._before_host_request(arrival)
-        try:
-            self._ensure_free_space(arrival)
-            complete = self._program_user_page(lpa, data, self.clock.now_us)
-        except (DeviceFullError, ProgramFailureError) as exc:
-            # The device can no longer honor writes: go read-only rather
-            # than fail differently on every subsequent request.
-            self._enter_degraded(exc)
-            raise
+        complete = self.serve_write_at(lpa, data, arrival)
         self.clock.advance_to(complete)
-        self.lost_lpas.pop(lpa, None)  # a rewrite clears the media error
-        self.host_pages_written += 1
         self._m_host_writes.inc()
         response = complete - arrival
         self.write_latency.record(response)
-        self._after_host_request(self.clock.now_us, wrote=True)
+        self._after_host_request(complete, wrote=True)
         return response
 
     def read(self, lpa):
@@ -232,33 +222,30 @@ class BaseSSD:
         """
         arrival = self.clock.now_us
         self._before_host_request(arrival)
-        ppa = self.mapping.lookup(lpa)
-        start = self._translation_delay(arrival)
-        self.host_pages_read += 1
         self._m_host_reads.inc()
-        if ppa == NULL_PPA:
-            self.read_latency.record(0)
-            self._after_host_request(self.clock.now_us, wrote=False)
+        try:
+            data, complete = self.serve_read_at(lpa, arrival)
+        except UncorrectableReadError:
             if lpa in self.lost_lpas:
-                raise UncorrectableReadError(self.lost_lpas[lpa], lost=True)
-            return None, 0
-        result = self.read_page_with_retry(ppa, start)
-        self.clock.advance_to(result.complete_us)
-        response = result.complete_us - arrival
+                # A lost LBA is answered from the mapping table like an
+                # unmapped one: the request completes, with the media
+                # error, at zero latency.
+                self.read_latency.record(0)
+                self._after_host_request(arrival, wrote=False)
+            raise
+        self.clock.advance_to(complete)
+        response = complete - arrival
         self.read_latency.record(response)
-        self._after_host_request(self.clock.now_us, wrote=False)
-        return result.data, response
+        self._after_host_request(complete, wrote=False)
+        return data, response
 
     def trim(self, lpa):
         """Delete a logical page (e.g. file deletion punched through)."""
         self.ensure_writable()
         arrival = self.clock.now_us
         self._before_host_request(arrival)
-        old = self.mapping.invalidate(lpa)
-        self.lost_lpas.pop(lpa, None)  # deletion clears the media error
-        if old != NULL_PPA:
-            self._on_invalidate(lpa, old, arrival)
-        self._after_host_request(self.clock.now_us, wrote=False)
+        self.serve_trim_at(lpa, arrival)
+        self._after_host_request(arrival, wrote=False)
 
     def write_range(self, start_lpa, npages, pages=None):
         """Write ``npages`` consecutive pages; returns total response us."""
@@ -278,48 +265,54 @@ class BaseSSD:
             total += response
         return out, total
 
-    # --- Frontend service points ------------------------------------------
+    # --- Per-page executors -------------------------------------------------
 
     def serve_write_at(self, lpa: Lba, data, start_us: TimeUs) -> TimeUs:
         """Program one host page at ``start_us``; returns completion time.
 
-        The service point for co-packaged frontends (the NVMe batch
-        engine, TimeKits restore threads) that run their own time
-        cursors and therefore cannot go through :meth:`write`, which is
-        tied to the device clock.  Unlike :meth:`write` it performs no
-        admission work (``ensure_writable``, idle-window accounting,
-        latency recording) — that stays with the frontend, once per
-        request rather than once per page.
+        The one write body: :meth:`write` wraps it in admission work
+        (``ensure_writable``, idle-window accounting, latency recording,
+        clock advance) for the device-clock API, while frontends that
+        run their own time cursors (the NVMe executor, TimeKits restore
+        threads) call it directly and do admission once per request.
         """
-        self._ensure_free_space(start_us)
-        complete = self._program_user_page(lpa, data, start_us)
+        try:
+            self._ensure_free_space(start_us)
+            complete = self._program_user_page(lpa, data, start_us)
+        except (DeviceFullError, ProgramFailureError) as exc:
+            # The device can no longer honor writes: go read-only rather
+            # than fail differently on every subsequent request.
+            self._enter_degraded(exc)
+            raise
+        self.lost_lpas.pop(lpa, None)  # a rewrite clears the media error
         self.host_pages_written += 1
         return complete
 
     def serve_trim_at(self, lpa: Lba, start_us: TimeUs):
-        """Invalidate one LPA at ``start_us`` (frontend counterpart of
-        :meth:`trim`); returns True when a mapping was dropped."""
+        """Invalidate one LPA at ``start_us`` (the one TRIM body);
+        returns True when a mapping was dropped."""
         old = self.mapping.invalidate(lpa)
+        self.lost_lpas.pop(lpa, None)  # deletion clears the media error
         if old != NULL_PPA:
             self._on_invalidate(lpa, old, start_us)
             return True
         return False
 
     def serve_read_at(self, lpa: Lba, start_us: TimeUs):
-        """Read one host page starting at ``start_us``.
+        """Read one host page starting at ``start_us`` (the one read body).
 
         Returns ``(data, complete_us)``; an unmapped LPA answers from
-        the mapping table with no media time.  Like the other service
-        points this performs no admission work — the frontend owns
-        latency recording and idle accounting.
+        the mapping table with no media time.  Admission work (latency
+        recording, idle accounting) stays with the caller.
         """
         ppa = self.mapping.lookup(lpa)
+        start = self._translation_delay(start_us)
         self.host_pages_read += 1
         if ppa == NULL_PPA:
             if lpa in self.lost_lpas:
                 raise UncorrectableReadError(self.lost_lpas[lpa], lost=True)
             return None, start_us
-        result = self.read_page_with_retry(ppa, start_us)
+        result = self.read_page_with_retry(ppa, start)
         return result.data, result.complete_us
 
     # --- Stats ------------------------------------------------------------
@@ -661,16 +654,16 @@ class BaseSSD:
     def _use_idle_window(self, start_us, deadline_us):
         """Housekeeping inside a predicted-idle window.
 
-        The base device runs background GC, then patrol scrubbing;
-        TimeSSD inserts background delta compression in between.  Work
-        must stay inside the window — the request arriving at
-        ``deadline_us`` never waits on it.
+        Background GC, then background compression (a TimeSSD stage; the
+        base hook does nothing), then patrol scrubbing — each a
+        ``(start_us, deadline_us) -> end_us`` window runner handing its
+        cursor to the next.  Work must stay inside the window — the
+        request arriving at ``deadline_us`` never waits on it.
         """
-        cursor = start_us
-        if self.config.background_gc:
-            cursor = self._background_collect(start_us, deadline_us)
+        cursor = self.background_collect(start_us, deadline_us)
+        cursor = self.background_compress(cursor, deadline_us)
         if self.scrubber is not None:
-            self.scrubber.run(cursor, deadline_us)
+            self.scrubber.run_window(cursor, deadline_us)
 
     def gc_round_cost_bound(self):
         """Upper-bound cost of one GC round in microseconds.
@@ -687,67 +680,30 @@ class BaseSSD:
             + timing.erase_us
         )
 
-    def background_gc_step(self, now_us):
-        """One scheduler-driven background GC round (the async core's
-        background-gc task body).
-
-        Runs at most one round, and only while the free pool sits below
-        the idle-refill target.  Returns the round's cost bound in
-        microseconds, or 0 when there was nothing to do — the task
-        sleeps on 0 instead of spinning.
-        """
-        if not self.config.background_gc or self.degraded_reason is not None:
-            return 0
-        target = self.BACKGROUND_GC_HEADROOM * self.config.gc_low_watermark
-        if self.block_manager.free_block_count >= target:
-            return 0
-        self._gc_is_background = True
-        try:
-            try:
-                self._collect_garbage(now_us)
-            except DeviceFullError:
-                return 0
-            self.background_gc_runs += 1
-            self._m_background_gc_runs.inc()
-        finally:
-            self._gc_is_background = False
-        return self.gc_round_cost_bound()
-
-    def background_scrub_step(self, now_us, budget_us):
-        """One scheduler-driven patrol-scrub window of ``budget_us``.
-
-        Returns the simulated time the pass consumed (0 when scrubbing
-        is disabled or nothing needed patrol).
-        """
-        if self.scrubber is None:
-            return 0
-        end = self.scrubber.run(now_us, now_us + budget_us)
-        return end - now_us
-
-    def _background_collect(self, start_us, deadline_us):
-        """GC rounds during idle, budgeted by an upper-bound round cost.
+    def background_collect(self, start_us, deadline_us):
+        """GC rounds inside ``[start_us, deadline_us)``, each budgeted by
+        an upper-bound round cost; runs only while the free pool sits
+        below the idle-refill target.
 
         Returns the time cursor where the window's remaining budget
-        starts (TimeSSD continues with background compression from it).
+        starts (``start_us`` when there was nothing to do).
         """
+        if not self.config.background_gc:
+            return start_us
         round_bound = self.gc_round_cost_bound()
         target = self.BACKGROUND_GC_HEADROOM * self.config.gc_low_watermark
         t = start_us
-        self._gc_is_background = True
-        try:
-            while (
-                self.block_manager.free_block_count < target
-                and t + round_bound <= deadline_us
-            ):
-                try:
-                    self._collect_garbage(t)
-                except DeviceFullError:
-                    break
-                self.background_gc_runs += 1
-                self._m_background_gc_runs.inc()
-                t += round_bound
-        finally:
-            self._gc_is_background = False
+        while (
+            self.block_manager.free_block_count < target
+            and t + round_bound <= deadline_us
+        ):
+            try:
+                self._collect_garbage(t)
+            except DeviceFullError:
+                break
+            self.background_gc_runs += 1
+            self._m_background_gc_runs.inc()
+            t += round_bound
         return t
 
     # --- Hooks overridden by TimeSSD ----------------------------------------
@@ -756,6 +712,11 @@ class BaseSSD:
         """Back-pointer for a fresh write of ``lpa`` whose previous PPA
         was ``old_ppa`` (TimeSSD: consults TRIM tombstones)."""
         return old_ppa
+
+    def background_compress(self, start_us, deadline_us):
+        """Idle-window stage between GC and scrub (TimeSSD: background
+        delta compression); returns the cursor where it stopped."""
+        return start_us
 
     def _after_host_request(self, complete_us, wrote):
         """Called after every host request completes."""
@@ -932,7 +893,6 @@ class BaseSSD:
             self.checkpointer = CheckpointWriter(self)
         self._last_io_end_us = self.clock.now_us
         self._idle = IdlePredictor()
-        self._gc_is_background = False
         self._translation_reads_seen = 0
         self._translation_writes_seen = 0
 

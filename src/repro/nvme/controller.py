@@ -82,31 +82,8 @@ class NVMeController:
                 result = self._admin(command)
             else:
                 result = self._io(command)
-        except AddressError:
-            return self._complete(command, NVMeCompletion(StatusCode.LBA_OUT_OF_RANGE))
-        # DegradedModeError and RetentionViolationError are both
-        # refused-write DeviceFullErrors; they are sibling classes, so
-        # order here is documentation, not shadowing.
-        except DegradedModeError:
-            return self._complete(
-                command, NVMeCompletion(StatusCode.DEGRADED_READ_ONLY)
-            )
-        except RetentionViolationError:
-            return self._complete(
-                command, NVMeCompletion(StatusCode.RETENTION_PROTECTED)
-            )
-        except UncorrectableReadError:
-            return self._complete(
-                command, NVMeCompletion(StatusCode.MEDIA_UNRECOVERED_READ)
-            )
-        except ProgramFailureError:
-            return self._complete(
-                command, NVMeCompletion(StatusCode.MEDIA_WRITE_FAULT)
-            )
-        except _InvalidOpcode:
-            return self._complete(command, NVMeCompletion(StatusCode.INVALID_OPCODE))
-        except _InvalidField:
-            return self._complete(command, NVMeCompletion(StatusCode.INVALID_FIELD))
+        except _COMMAND_ERRORS as exc:
+            return self._complete(command, NVMeCompletion(_status_for(exc)))
         return self._complete(
             command,
             NVMeCompletion(
@@ -114,72 +91,24 @@ class NVMeController:
             ),
         )
 
-    def submit_batch(self, commands, queue_depth=8):
-        """Submit I/O commands at a queue depth > 1.
-
-        The synchronous :meth:`submit` models QD=1 hosts; real NVMe
-        keeps many commands in flight, and the device's channel/chip
-        parallelism is what turns that into IOPS.  Commands are applied
-        in submission order (so writes stay coherent) but their timing
-        overlaps: slot ``i % queue_depth`` issues its next command as
-        soon as its previous one completes.
-
-        This is the *analytic* overlap model (static slot cursors, no
-        scheduler); :class:`~repro.nvme.engine.AsyncNVMeEngine` is the
-        event-driven one.  Both apply commands through
-        :meth:`execute_io`, so their QD=1 semantics coincide.
-
-        Returns ``(completions, elapsed_us)``; only READ/WRITE/DSM are
-        accepted (vendor commands are host-serial by nature).
-        """
-        if queue_depth < 1:
-            raise _InvalidField()
-        ssd = self.ssd
-        arrival = ssd.clock.now_us
-        cursors = [arrival] * queue_depth
-        completions = []
-        for i, command in enumerate(commands):
-            slot = i % queue_depth
-            completion, end = self.execute_io(command, cursors[slot])
-            cursors[slot] = end
-            completions.append(completion)
-        end = max(cursors)
-        ssd.clock.advance_to(end)
-        return completions, end - arrival
-
     def execute_io(self, command, start_us):
         """Apply one I/O command with its own time cursor.
 
-        The shared executor behind :meth:`submit_batch` and the async
-        engine's slot workers: the command applies as one atomic step
-        starting at ``start_us``, and device errors map to NVMe statuses
-        instead of raising.  Returns ``(completion, end_us)``; a failed
-        command completes immediately, leaving ``end_us == start_us`` so
-        the issuing slot does not lose its cursor.
+        The executor behind the async engine's slot workers: the command
+        applies as one atomic step starting at ``start_us``, and device
+        errors map to NVMe statuses instead of raising.  Returns
+        ``(completion, end_us)``; a failed command completes
+        immediately, leaving ``end_us == start_us`` so the issuing slot
+        does not lose its cursor.  Only READ/WRITE/DSM are accepted
+        (vendor commands are host-serial by nature).
         """
         self.commands_processed += 1
         try:
             self._check_range(command)
             result, end = self._apply_io(command, start_us)
-        except (
-            AddressError,
-            DegradedModeError,
-            RetentionViolationError,
-            UncorrectableReadError,
-            ProgramFailureError,
-        ) as exc:
+        except _COMMAND_ERRORS as exc:
             return (
                 self._complete(command, NVMeCompletion(_status_for(exc))),
-                start_us,
-            )
-        except _InvalidOpcode:
-            return (
-                self._complete(command, NVMeCompletion(StatusCode.INVALID_OPCODE)),
-                start_us,
-            )
-        except _InvalidField:
-            return (
-                self._complete(command, NVMeCompletion(StatusCode.INVALID_FIELD)),
                 start_us,
             )
         return (
@@ -347,30 +276,32 @@ class NVMeController:
     }
 
 
-#: Device-error to NVMe-status mapping shared by every submission path.
-#: Order matters only for documentation: DegradedModeError and
-#: RetentionViolationError are sibling DeviceFullErrors, and the
-#: ``isinstance`` walk below checks most-specific classes first.
-_STATUS_BY_ERROR = (
-    (AddressError, StatusCode.LBA_OUT_OF_RANGE),
-    (DegradedModeError, StatusCode.DEGRADED_READ_ONLY),
-    (RetentionViolationError, StatusCode.RETENTION_PROTECTED),
-    (UncorrectableReadError, StatusCode.MEDIA_UNRECOVERED_READ),
-    (ProgramFailureError, StatusCode.MEDIA_WRITE_FAULT),
-)
-
-
-def _status_for(exc):
-    """NVMe status code for a device-level error."""
-    for error_cls, status in _STATUS_BY_ERROR:
-        if isinstance(exc, error_cls):
-            return status
-    raise TypeError("no NVMe status for %r" % (exc,))
-
-
 class _InvalidOpcode(Exception):
     pass
 
 
 class _InvalidField(Exception):
     pass
+
+
+#: Error to NVMe-status mapping shared by every submission path.
+#: Order matters only for documentation: DegradedModeError and
+#: RetentionViolationError are sibling refused-write DeviceFullErrors,
+#: so neither shadows the other in the ``isinstance`` walk below.
+_STATUS_BY_ERROR = (
+    (AddressError, StatusCode.LBA_OUT_OF_RANGE),
+    (DegradedModeError, StatusCode.DEGRADED_READ_ONLY),
+    (RetentionViolationError, StatusCode.RETENTION_PROTECTED),
+    (UncorrectableReadError, StatusCode.MEDIA_UNRECOVERED_READ),
+    (ProgramFailureError, StatusCode.MEDIA_WRITE_FAULT),
+    (_InvalidOpcode, StatusCode.INVALID_OPCODE),
+    (_InvalidField, StatusCode.INVALID_FIELD),
+)
+_COMMAND_ERRORS = tuple(error_cls for error_cls, _status in _STATUS_BY_ERROR)
+
+
+def _status_for(exc):
+    """NVMe status code for a caught ``_COMMAND_ERRORS`` instance."""
+    return next(
+        status for error_cls, status in _STATUS_BY_ERROR if isinstance(exc, error_cls)
+    )

@@ -60,10 +60,6 @@ class HostNVMeDriver:
     def flush(self):
         return self._submit(NVMeCommand(Opcode.FLUSH)).result
 
-    def submit_batch(self, commands, queue_depth=8):
-        """Queue-depth > 1 submission; returns (completions, elapsed_us)."""
-        return self.controller.submit_batch(commands, queue_depth)
-
     def submit_async(self, commands, queue_depth=8, queue_pairs=1,
                      tie_break=None, daemons=False, retention_target_us=None):
         """Event-driven submission: returns (completions, elapsed_us).

@@ -1,9 +1,7 @@
 """Event-driven NVMe engine: multi-queue submission with real overlap.
 
-This is the async device core of ISSUE 9.  Where
-:meth:`NVMeController.submit_batch` models queue depth analytically
-(static slot cursors, one pass over the command list), the engine runs
-the same per-command executor under the deterministic event loop:
+This is the async device core of ISSUE 9: queue depth is modelled by
+running the per-command executor under the deterministic event loop.
 
 * The host enqueues commands onto one or more :class:`QueuePair` rings.
 * ``queue_depth`` *slot workers* per pair — cooperative tasks with the
@@ -18,9 +16,9 @@ the same per-command executor under the deterministic event loop:
 Completions therefore post *out of submission order* whenever a later
 command finishes first, and throughput scales with queue depth because
 workers overlap on the device's channel/chip timelines.  With
-``queue_depth=1`` the single worker's fetch→execute→sleep chain
-reproduces ``submit_batch(queue_depth=1)`` cursor-for-cursor, which the
-golden-determinism tests in ``tests/sched`` pin down.
+``queue_depth=1`` the single worker's fetch→execute→sleep chain is a
+plain serial ``execute_io`` loop cursor-for-cursor, which
+``tests/sched/test_async_nvme.py`` pins down.
 """
 
 from repro.nvme.controller import NVMeController

@@ -11,8 +11,7 @@ The histogram is HDR-style: log2 major buckets split into 16 linear
 sub-buckets, so relative quantile error is bounded (~6%) at any scale
 from one microsecond to days, with O(1) integer-only recording — cheap
 enough to sit on the flash-op hot path, deterministic by construction
-(no sampling, no RNG, unlike the reservoir in
-:class:`repro.common.stats.LatencyStats` it replaces on the device).
+(no sampling, no RNG).
 """
 
 from repro.common.errors import ReproError
@@ -70,11 +69,6 @@ class LatencyHistogram:
     ``count`` / ``total_us`` / ``min_us`` / ``max_us`` are tracked on
     the side; ``percentile(0)`` and ``percentile(100)`` return the exact
     extremes.
-
-    The API is a superset of what the device models used from
-    ``LatencyStats`` (``record`` / ``count`` / ``mean_us`` /
-    ``percentile`` / ``max_us`` / ``total_us``), so it drops into the
-    FTL response-time accounting unchanged.
     """
 
     __slots__ = ("name", "count", "total_us", "min_us", "max_us", "_buckets")

@@ -1,12 +1,13 @@
 """Background firmware work expressed as scheduler tasks.
 
-Each of the device's background activities — garbage collection, delta
-compression, retention expiry, patrol scrub — already exists as a
-synchronous step method on the SSD that does one bounded unit of work
-and reports its cost.  The generators here wrap those steps into daemon
-tasks for the :class:`~repro.sched.core.EventLoop`: do one step, sleep
-for the step's duration (the firmware core is busy that long), or for
-an idle poll interval when there was nothing to do.
+Garbage collection, delta compression and patrol scrub are each one
+``(start_us, deadline_us) -> end_us`` window runner on the SSD — the
+body the synchronous path spends predicted-idle gaps on.  The generators
+here drive them as daemon tasks for the
+:class:`~repro.sched.core.EventLoop`: run one bounded window, sleep for
+the time it consumed (the firmware core is busy that long) or, when
+there was nothing to do, for an idle poll interval.  Retention expiry
+drops one segment per wakeup instead.
 
 The task-root names used by :func:`spawn_device_daemons` are the ones
 declared in the interleaving contract
@@ -29,15 +30,18 @@ EXPIRY_IDLE_US = 5_000
 def background_gc_task(loop, ssd, idle_us=GC_IDLE_US):
     """Run opportunistic GC rounds whenever the free pool sags."""
     while True:
-        cost_us = ssd.background_gc_step(loop.now_us)
-        yield Delay(cost_us if cost_us > 0 else idle_us)
+        now_us = loop.now_us
+        # A window of exactly one round bound admits at most one round.
+        end_us = ssd.background_collect(now_us, now_us + ssd.gc_round_cost_bound())
+        yield Delay(end_us - now_us or idle_us)
 
 
 def background_compress_task(loop, ssd, idle_us=COMPRESS_IDLE_US, budget_us=500):
     """Delta-compress retained page versions in bounded budgets."""
     while True:
-        spent_us = ssd.background_compress_step(loop.now_us, budget_us)
-        yield Delay(spent_us if spent_us > 0 else idle_us)
+        now_us = loop.now_us
+        end_us = ssd.background_compress(now_us, now_us + budget_us)
+        yield Delay(end_us - now_us or idle_us)
 
 
 def retention_expiry_task(loop, ssd, target_window_us, idle_us=EXPIRY_IDLE_US):
@@ -54,8 +58,9 @@ def retention_expiry_task(loop, ssd, target_window_us, idle_us=EXPIRY_IDLE_US):
 def background_scrub_task(loop, ssd, idle_us=SCRUB_IDLE_US, budget_us=1_000):
     """Patrol-scrub a bounded slice of blocks per wakeup."""
     while True:
-        spent_us = ssd.background_scrub_step(loop.now_us, budget_us)
-        yield Delay(spent_us if spent_us > 0 else idle_us)
+        now_us = loop.now_us
+        end_us = ssd.scrubber.run_window(now_us, now_us + budget_us)
+        yield Delay(end_us - now_us or idle_us)
 
 
 def spawn_device_daemons(loop, ssd, retention_target_us=None):

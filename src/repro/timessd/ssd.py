@@ -165,16 +165,6 @@ class TimeSSD(BaseSSD):
                 if self._shrink_retention(complete_us) is None:
                     break
 
-    def _use_idle_window(self, start_us, deadline_us):
-        """Idle housekeeping: background GC, delta compression, scrub."""
-        cursor = start_us
-        if self.config.background_gc:
-            cursor = self._background_collect(start_us, deadline_us)
-        if self.config.background_compression and self.config.delta_compression:
-            cursor = self._background_compress(cursor, deadline_us)
-        if self.scrubber is not None:
-            self.scrubber.run(cursor, deadline_us)
-
     # --- Garbage collection ----------------------------------------------------
 
     def _collect_garbage(self, now_us):
@@ -356,19 +346,6 @@ class TimeSSD(BaseSSD):
 
     # --- Background (idle) compression -------------------------------------------
 
-    def background_compress_step(self, now_us, budget_us):
-        """One scheduler-driven delta-compression window of ``budget_us``
-        (the async core's background-compression task body).
-
-        Returns the simulated time consumed — 0 when compression is
-        disabled or no retained page needed work, so the task can sleep
-        instead of spinning.
-        """
-        if not (self.config.background_compression and self.config.delta_compression):
-            return 0
-        end = self._background_compress(now_us, now_us + budget_us)
-        return end - now_us
-
     def expire_retention_step(self, now_us, target_window_us):
         """Shrink the retention window one segment toward a target (the
         async core's retention-expiry task body).
@@ -383,13 +360,15 @@ class TimeSSD(BaseSSD):
             return False
         return self._shrink_retention(now_us) is not None
 
-    def _background_compress(self, start_us, deadline_us):
+    def background_compress(self, start_us, deadline_us):
         """Compress retained pages during a predicted-idle window (§3.6).
 
         Work is scheduled inside ``[start_us, deadline_us)`` and suspends
         before any step that would overrun the arrival of the request that
         ended the window, so foreground I/O never waits on it.
         """
+        if not (self.config.background_compression and self.config.delta_compression):
+            return start_us
         self.background_windows += 1
         timing = self.device.timing
         # Conservative per-page cost bound used to decide whether the next

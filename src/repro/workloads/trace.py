@@ -1,13 +1,8 @@
 """Block-level trace records and the replayer."""
 
-import random
 from dataclasses import dataclass
 
-from repro.common.stats import LatencyStats
-
-#: Reservoir-sampling seed for replay response-time stats.  Fixed so two
-#: replays of the same trace report identical percentiles.
-_RESPONSE_STATS_SEED = 0x5EED
+from repro.obs import LatencyHistogram
 
 
 @dataclass(frozen=True)
@@ -35,12 +30,12 @@ class ReplayStats:
     write_requests: int = 0
     pages_written: int = 0
     pages_read: int = 0
-    response: LatencyStats = None
+    response: LatencyHistogram = None
     aborted_at: int = None  # request index where the device stopped, if any
 
     def __post_init__(self):
         if self.response is None:
-            self.response = LatencyStats(random.Random(_RESPONSE_STATS_SEED))
+            self.response = LatencyHistogram("replay.response_us")
 
 
 class TraceReplayer:

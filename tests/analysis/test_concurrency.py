@@ -562,7 +562,7 @@ CONTENDED = {
         def write(self, lpa):
             return self.pad.poke(lpa)
 
-        def _background_collect(self, start_us, deadline_us):
+        def background_collect(self, start_us, deadline_us):
             return self.pad.prod()
     """,
     "repro.ftl.scratch": """
@@ -602,7 +602,7 @@ def test_single_writing_root_is_clean(lint_package):
         def write(self, lpa):
             return self.pad.poke(lpa)
 
-        def _background_collect(self, start_us, deadline_us):
+        def background_collect(self, start_us, deadline_us):
             return deadline_us
     """
     violations = lint_package(
@@ -622,7 +622,7 @@ def test_policy_covered_owner_is_clean(lint_package):
                     self.gc_runs = lpa
                     return lpa
 
-                def _background_collect(self, start_us, deadline_us):
+                def background_collect(self, start_us, deadline_us):
                     self.gc_runs = 0
             """,
         },

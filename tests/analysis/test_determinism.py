@@ -85,50 +85,3 @@ def test_seeded_random_is_clean(lint):
         "y = rng.gauss(0.2, 0.05)\n"
     )
     assert lint(source, rules=RULES) == []
-
-
-def test_latencystats_without_rng_flagged(lint):
-    source = (
-        "from repro.common.stats import LatencyStats\n"
-        "stats = LatencyStats()\n"
-    )
-    assert rule_ids(lint(source, rules=RULES)) == [
-        "determinism-latencystats-rng"
-    ]
-
-
-def test_latencystats_attribute_call_without_rng_flagged(lint):
-    source = (
-        "import repro.common.stats as stats\n"
-        "s = stats.LatencyStats()\n"
-    )
-    assert rule_ids(lint(source, rules=RULES)) == [
-        "determinism-latencystats-rng"
-    ]
-
-
-def test_latencystats_with_rng_clean(lint):
-    source = (
-        "import random\n"
-        "from repro.common.stats import LatencyStats\n"
-        "a = LatencyStats(random.Random(7))\n"
-        "b = LatencyStats(rng=random.Random(8))\n"
-    )
-    assert rule_ids(lint(source, rules=RULES)) == []
-
-
-def test_latencystats_with_kwargs_passthrough_clean(lint):
-    source = (
-        "from repro.common.stats import LatencyStats\n"
-        "def make(**kwargs):\n"
-        "    return LatencyStats(**kwargs)\n"
-    )
-    assert rule_ids(lint(source, rules=RULES)) == []
-
-
-def test_latencystats_suppressible(lint):
-    source = (
-        "from repro.common.stats import LatencyStats\n"
-        "s = LatencyStats()  # almanac: ignore[determinism-latencystats-rng]\n"
-    )
-    assert rule_ids(lint(source, rules=RULES)) == []

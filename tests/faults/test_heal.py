@@ -45,7 +45,7 @@ def degrade(ssd, plan):
 
 def run_scrub(ssd, window_us=50_000):
     now = ssd.clock.now_us
-    return ssd.scrubber.run(now, now + window_us)
+    return ssd.scrubber.run_window(now, now + window_us)
 
 
 class TestScrubDrivenHeal:

@@ -140,9 +140,9 @@ class TestPatrolOrder:
         now = ssd.clock.now_us
         reads = ssd.obs.metrics.counter("scrub.patrol_reads")
         # A window too small for even one ladder read: no work admitted.
-        ssd.scrubber.run(now, now + 10)
+        ssd.scrubber.run_window(now, now + 10)
         assert reads.value == 0
-        end = ssd.scrubber.run(now, now + SECOND_US)
+        end = ssd.scrubber.run_window(now, now + SECOND_US)
         assert 0 < reads.value <= ssd.config.scrub_pages_per_run
         assert end <= now + SECOND_US
 

@@ -181,7 +181,7 @@ class TestBatchedSubmission:
         elapsed = {}
         for qd in (1, 8):
             commands = [NVMeCommand(Opcode.READ, slba=lpa, nlb=1) for lpa in lpas]
-            completions, took = driver.submit_batch(commands, queue_depth=qd)
+            completions, took = driver.submit_async(commands, queue_depth=qd)
             assert all(c.ok for c in completions)
             elapsed[qd] = took
         assert elapsed[8] < elapsed[1] / 2  # deep queues exploit channels
@@ -192,26 +192,26 @@ class TestBatchedSubmission:
             NVMeCommand(Opcode.WRITE, slba=5, nlb=1, data=[b"first"]),
             NVMeCommand(Opcode.WRITE, slba=5, nlb=1, data=[b"second"]),
         ]
-        completions, _ = driver.submit_batch(commands, queue_depth=4)
+        completions, _ = driver.submit_async(commands, queue_depth=4)
         assert all(c.ok for c in completions)
         assert driver.read(5) == [b"second"]
 
     def test_batch_reports_bad_lba(self):
         driver = self._loaded_driver()
         commands = [NVMeCommand(Opcode.READ, slba=10**9, nlb=1)]
-        completions, _ = driver.submit_batch(commands)
+        completions, _ = driver.submit_async(commands)
         assert completions[0].status is StatusCode.LBA_OUT_OF_RANGE
 
     def test_batch_rejects_vendor_opcodes(self):
         driver = self._loaded_driver()
-        completions, _ = driver.submit_batch(
+        completions, _ = driver.submit_async(
             [NVMeCommand(Opcode.ADDR_QUERY_ALL, slba=0, nlb=1)]
         )
         assert completions[0].status is StatusCode.INVALID_OPCODE
 
     def test_batch_trim(self):
         driver = self._loaded_driver()
-        completions, _ = driver.submit_batch(
+        completions, _ = driver.submit_async(
             [NVMeCommand(Opcode.DSM, slba=0, nlb=4)]
         )
         assert completions[0].ok

@@ -1,0 +1,160 @@
+"""Every host route runs the same per-page executor.
+
+One op list is driven down the three routes a host op can take —
+``ssd.write/read/trim`` (the device-clock API), ``controller.submit``
+(synchronous NVMe) and ``submit_async(queue_depth=1)`` (the event loop
+over ``execute_io``) — and the routes must agree on what the host sees
+(status, data) and on what the firmware holds afterwards (L2P,
+``lost_lpas``, ``degraded_reason``).
+"""
+
+import random
+
+import pytest
+
+from repro.common.errors import (
+    DegradedModeError,
+    ProgramFailureError,
+    UncorrectableReadError,
+)
+from repro.faults.hooks import FaultHooks
+from repro.faults.plan import FaultPlan
+from repro.nvme.commands import NVMeCommand, Opcode, StatusCode
+from repro.nvme.driver import HostNVMeDriver
+
+from tests.conftest import make_regular_ssd, make_timessd
+
+ROUTES = ("ssd", "submit", "async")
+LBAS = 24
+
+_STATUS_OF = {
+    DegradedModeError: StatusCode.DEGRADED_READ_ONLY,
+    UncorrectableReadError: StatusCode.MEDIA_UNRECOVERED_READ,
+    ProgramFailureError: StatusCode.MEDIA_WRITE_FAULT,
+}
+
+
+def _command(op, lba, arg):
+    if op == "W":
+        return NVMeCommand(Opcode.WRITE, slba=lba, nlb=len(arg), data=arg)
+    return NVMeCommand(Opcode.READ if op == "R" else Opcode.DSM, slba=lba, nlb=arg)
+
+
+def _direct(ssd, op, lba, arg):
+    start = ssd.clock.now_us
+    try:
+        if op == "W":
+            for i, data in enumerate(arg):
+                ssd.write(lba + i, data)
+            result = len(arg)
+        elif op == "R":
+            result = [ssd.read(lba + i)[0] for i in range(arg)]
+        else:
+            for i in range(arg):
+                ssd.trim(lba + i)
+            result = arg
+    except tuple(_STATUS_OF) as exc:
+        return _STATUS_OF[type(exc)], None, 0
+    return StatusCode.SUCCESS, result, ssd.clock.now_us - start
+
+
+def drive(route, ssd, ops):
+    """Run ``(op, lba, arg)`` triples down one route; returns one
+    ``(status, result, latency_us)`` per op."""
+    if route == "ssd":
+        return [_direct(ssd, *op) for op in ops]
+    driver = HostNVMeDriver(ssd)
+    commands = [_command(*op) for op in ops]
+    if route == "submit":
+        completions = [driver.controller.submit(c) for c in commands]
+    else:
+        completions, _elapsed = driver.submit_async(commands, queue_depth=1)
+    return [(c.status, c.result, c.latency_us) for c in completions]
+
+
+def firmware_state(ssd):
+    return {
+        "l2p": [ssd.mapping.lookup(lpa) for lpa in range(LBAS)],
+        "lost_lpas": dict(ssd.lost_lpas),
+        "degraded_reason": ssd.degraded_reason,
+    }
+
+
+def seeded_ops(seed, count=120):
+    """Writes, overwrites, reads (mapped and unmapped) and TRIMs, one to
+    three pages per command, back to back (no idle gaps)."""
+    rng = random.Random(seed)
+    ops = []
+    for n in range(count):
+        npages = rng.randint(1, 3)
+        lba = rng.randrange(LBAS - npages + 1)
+        roll = rng.random()
+        if roll < 0.5:
+            ops.append(("W", lba, [b"v%d.%d" % (n, i) for i in range(npages)]))
+        elif roll < 0.85:
+            ops.append(("R", lba, npages))
+        else:
+            ops.append(("T", lba, npages))
+    return ops
+
+
+@pytest.mark.parametrize("maker", [make_regular_ssd, make_timessd])
+def test_seeded_ops_agree_on_every_route(maker):
+    outcomes = {}
+    for route in ROUTES:
+        ssd = maker()
+        results = drive(route, ssd, seeded_ops(seed=11))
+        outcomes[route] = (results, firmware_state(ssd))
+    reads = [r for _s, r, _l in outcomes["ssd"][0] if isinstance(r, list)]
+    assert any(None in pages for pages in reads)  # unmapped reads happened
+    assert outcomes["submit"] == outcomes["ssd"]
+    assert outcomes["async"] == outcomes["ssd"]
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_rewrite_and_trim_clear_a_lost_lba(route):
+    ssd = make_regular_ssd()
+    ssd.write(5, b"doomed")
+    ssd.note_lost_valid_page(ssd.mapping.lookup(5))
+    assert 5 in ssd.lost_lpas
+    ops = [("R", 5, 1), ("W", 5, [b"again"]), ("T", 5, 1), ("R", 5, 1)]
+    statuses = [status for status, _r, _l in drive(route, ssd, ops)]
+    assert statuses == [
+        StatusCode.MEDIA_UNRECOVERED_READ,
+        StatusCode.SUCCESS,
+        StatusCode.SUCCESS,
+        StatusCode.SUCCESS,
+    ]
+    assert ssd.lost_lpas == {}
+    assert ssd.read(5) == (None, 0)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_finite_cache_read_pays_its_translation_io(route):
+    ssd = make_regular_ssd(mapping_cache_entries=2)
+    timing = ssd.device.timing
+    fill = [("W", lba, [b"x"]) for lba in range(4)]
+    # LBA 0 fell out of the two-entry cache: its read misses (one
+    # translation read) and evicts a dirty entry (one translation write).
+    results = drive(route, ssd, fill + [("R", 0, 1), ("W", 9, [b"y"])])
+    read_status, read_data, read_latency = results[4]
+    assert (read_status, read_data) == (StatusCode.SUCCESS, [b"x"])
+    assert read_latency == 2 * timing.read_us + timing.program_us
+    # ...and the next write is not billed for it.
+    assert results[5][2] == results[3][2]
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_retry_exhausted_write_degrades_the_device(route):
+    plan = FaultPlan()
+    ssd = make_regular_ssd(faults=FaultHooks(plan))
+    plan.add_program_failure(every=1, max_fires=None)
+    ops = [("W", 0, [b"never-acked"]), ("W", 1, [b"refused"]), ("R", 0, 1)]
+    results = drive(route, ssd, ops)
+    assert [status for status, _r, _l in results] == [
+        StatusCode.MEDIA_WRITE_FAULT,
+        StatusCode.DEGRADED_READ_ONLY,
+        StatusCode.SUCCESS,
+    ]
+    assert results[2][1] == [None]
+    assert ssd.degraded_reason is not None

@@ -132,9 +132,15 @@ class TestQD1MatchesSynchronousBatch:
             return cmds
 
         sync_ssd, async_ssd = maker(), maker()
-        sync_out = HostNVMeDriver(sync_ssd).submit_batch(
-            workload(), queue_depth=1
-        )
+        # The reference: a plain serial execute_io loop chaining cursors.
+        controller = HostNVMeDriver(sync_ssd).controller
+        arrival = cursor = sync_ssd.clock.now_us
+        completions = []
+        for command in workload():
+            completion, cursor = controller.execute_io(command, cursor)
+            completions.append(completion)
+        sync_ssd.clock.advance_to(cursor)
+        sync_out = (completions, cursor - arrival)
         async_out = HostNVMeDriver(async_ssd).submit_async(
             workload(), queue_depth=1
         )

@@ -1,6 +1,6 @@
 """The firmware's per-page loops, pinned page by page.
 
-``TimeSSD._background_compress``, ``TimeSSDGarbageCollector.reclaim_block``
+``TimeSSD.background_compress``, ``TimeSSDGarbageCollector.reclaim_block``
 and ``TimeTravelIndex._page_holds_version`` read the flash columns, the
 PVT bytes and the PRT set directly.  The view-walking code they replaced
 — one ``peek_page`` view per page, the idle budget gate evaluated before
@@ -62,6 +62,7 @@ def build_device():
         ssd.clock.advance(20_000)
     while ssd._shrink_retention(ssd.clock.now_us) is not None:
         pass
+    ssd.config.background_compression = True  # the window under test
     return ssd
 
 
@@ -80,7 +81,7 @@ def torn_ppas(ssd):
 
 
 def reference_window(ssd, start_us, deadline_us):
-    """The view-walking loop ``_background_compress`` replaced, verbatim."""
+    """The view-walking loop ``background_compress`` replaced, verbatim."""
     ssd.background_windows += 1
     bound = step_bound(ssd)
     t = start_us
@@ -138,7 +139,7 @@ def run_window(ssd, window, budget_us):
 
 
 def column_window(ssd, start_us, deadline_us):
-    return ssd._background_compress(start_us, deadline_us)
+    return ssd.background_compress(start_us, deadline_us)
 
 
 @pytest.mark.parametrize("steps", [1, 3, 9, 200])
