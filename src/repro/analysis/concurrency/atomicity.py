@@ -180,12 +180,6 @@ def _walk(graph, starts, stop_at=frozenset(), confident_only=False):
     return parent
 
 
-#: Public name for the reachability walk; the shared-state inventory
-#: and the yield analysis (:mod:`.yields`) both traverse with it so
-#: every concurrency pass agrees on what "reachable from a root" means.
-walk = _walk
-
-
 def _is_dunder(qualname):
     short = qualname.rsplit(".", 1)[-1]
     return short.startswith("__") and short.endswith("__")
@@ -295,18 +289,9 @@ def reentrancy_findings(analysis, index):
     for qualname in sorted(index.sections):
         if qualname not in graph.functions:
             continue
-        callees = sorted(graph.edges.get(qualname, ()))
-        parent = {qualname: None}
-        order = []
-        for callee in callees:
-            if (qualname, callee) in graph.ambiguous_edges:
-                continue
-            if callee not in parent:
-                parent[callee] = qualname
-                order.append(callee)
-        extended = _walk_from(graph, parent, order)
-        for reached in extended:
-            if reached not in root_of:
+        parent = _walk(graph, [qualname], confident_only=True)
+        for reached in parent:
+            if reached == qualname or reached not in root_of:
                 continue
             info = graph.functions[qualname]
             findings.append(
@@ -324,22 +309,6 @@ def reentrancy_findings(analysis, index):
                 )
             )
     return findings
-
-
-def _walk_from(graph, parent, order):
-    """Continue a BFS whose frontier is already seeded (confident only)."""
-    index = 0
-    while index < len(order):
-        current = order[index]
-        index += 1
-        for callee in sorted(graph.edges.get(current, ())):
-            if callee in parent:
-                continue
-            if (current, callee) in graph.ambiguous_edges:
-                continue
-            parent[callee] = current
-            order.append(callee)
-    return order
 
 
 def yield_findings(analysis, index, task_generators=frozenset()):

@@ -155,39 +155,19 @@ def schedulable_roots():
     )
 
 
-#: Wait-instruction constructors by kind.  A task generator yields an
-#: instance of one of these classes; the loop interprets it.  The kind
-#: names are what the yield analysis (:mod:`.yields`) dispatches on:
-#: ``acquire``/``release`` drive the lane-discipline rules, everything
-#: is a suspension point for the staleness rule.
-WAIT_INSTRUCTION_KINDS = {
-    "repro.sched.core.Delay": "delay",
-    "repro.sched.core.At": "at",
-    "repro.sched.core.Acquire": "acquire",
-    "repro.sched.core.Release": "release",
-    "repro.sched.core.Join": "join",
-}
-
-#: Functions that suspend the running task under the event-loop
-#: scheduler (``repro.sched``).  Constructing a wait instruction is the
-#: yield: tasks build one and ``yield`` it to the loop, so any call to
-#: these constructors inside an ``@atomic_section`` means the section
-#: can be suspended mid-flight — which ``concurrency-yield-in-atomic``
-#: rejects.  Both the class and ``__init__`` qualnames appear because
-#: the call graph records class-constructor edges in either form.
-#: ``await`` expressions are always treated as yields regardless.
+#: Wait-instruction constructors.  A task generator yields an instance
+#: of one of these classes and the loop interprets it.  Constructing one
+#: is the yield, so any call to these inside an ``@atomic_section`` means
+#: the section can be suspended mid-flight — which
+#: ``concurrency-yield-in-atomic`` rejects.  Both the class and
+#: ``__init__`` qualnames appear because the call graph records
+#: class-constructor edges in either form.  ``await`` expressions are
+#: always treated as yields regardless.
 SCHEDULER_YIELD_QUALNAMES = frozenset(
     qualname
-    for base in WAIT_INSTRUCTION_KINDS
+    for base in ("repro.sched.core.Delay", "repro.sched.core.At")
     for qualname in (base, base + ".__init__")
 )
-
-
-def wait_kind(qualname):
-    """The wait-instruction kind a constructor qualname builds, or None."""
-    if qualname.endswith(".__init__"):
-        qualname = qualname[: -len(".__init__")]
-    return WAIT_INSTRUCTION_KINDS.get(qualname)
 
 
 #: Spawn entry points: a generator passed (as first argument) to one of
@@ -251,9 +231,10 @@ MUTATING_METHOD_NAMES = frozenset(
 
 @dataclass(frozen=True)
 class SharedStatePolicy:
-    """Why one shared attribute is safe under task interleaving.
+    """Why one owner's shared state is safe under task interleaving.
 
-    ``owner``/``attr`` may end with ``*`` to match a prefix.  ``policy``
+    Policies are class-granular: one row covers every attribute of the
+    owner.  ``owner`` may end with ``*`` to match a prefix.  ``policy``
     is one of:
 
     ``turnstile``
@@ -271,24 +252,18 @@ class SharedStatePolicy:
     """
 
     owner: str
-    attr: str
     policy: str
     why: str
 
-    def matches(self, owner, attr):
-        return _glob(self.owner, owner) and _glob(self.attr, attr)
-
-
-def _glob(pattern, value):
-    if pattern.endswith("*"):
-        return value.startswith(pattern[:-1])
-    return value == pattern
+    def matches(self, owner):
+        if self.owner.endswith("*"):
+            return owner.startswith(self.owner[:-1])
+        return owner == self.owner
 
 
 POLICIES = (
     SharedStatePolicy(
         owner="repro.ftl.ssd.BaseSSD",
-        attr="*",
         policy="turnstile",
         why=(
             "FTL top-level state (mapping/back-pointer bookkeeping, GC "
@@ -299,7 +274,6 @@ POLICIES = (
     ),
     SharedStatePolicy(
         owner="repro.ftl.block_manager.BlockManager",
-        attr="*",
         policy="turnstile",
         why=(
             "allocation pools, validity bitmaps and stream state mutate "
@@ -309,7 +283,6 @@ POLICIES = (
     ),
     SharedStatePolicy(
         owner="repro.ftl.mapping.AddressMappingTable",
-        attr="*",
         policy="turnstile",
         why=(
             "L2P entries and the demand-cache simulation update in one "
@@ -319,7 +292,6 @@ POLICIES = (
     ),
     SharedStatePolicy(
         owner="repro.ftl.wear_leveling.WearLeveler",
-        attr="*",
         policy="turnstile",
         why=(
             "wear accounting advances only from on_erase, which runs "
@@ -328,7 +300,6 @@ POLICIES = (
     ),
     SharedStatePolicy(
         owner="repro.timessd.index.TimeTravelIndex",
-        attr="*",
         policy="turnstile",
         why=(
             "IMT/PRT chains are rewritten only by atomic compress/clear "
@@ -338,7 +309,6 @@ POLICIES = (
     ),
     SharedStatePolicy(
         owner="repro.timessd.delta.DeltaCodec",
-        attr="*",
         policy="monotonic",
         why=(
             "the compression memo is a pure cache: compress() is a pure "
@@ -350,7 +320,6 @@ POLICIES = (
     ),
     SharedStatePolicy(
         owner="repro.timessd.delta.DeltaManager",
-        attr="*",
         policy="turnstile",
         why=(
             "delta buffers flush and segments drop inside atomic "
@@ -360,7 +329,6 @@ POLICIES = (
     ),
     SharedStatePolicy(
         owner="repro.timessd.bloom.TimeSegmentedBlooms",
-        attr="*",
         policy="turnstile",
         why=(
             "bloom segments roll and record inside single calls; "
@@ -370,7 +338,6 @@ POLICIES = (
     ),
     SharedStatePolicy(
         owner="repro.timessd.retention.GCOverheadEstimator",
-        attr="*",
         policy="monotonic",
         why=(
             "op counters feeding the overshoot ratio; the ratio is a "
@@ -379,7 +346,6 @@ POLICIES = (
     ),
     SharedStatePolicy(
         owner="repro.timessd.retention.RetentionManager",
-        attr="*",
         policy="turnstile",
         why=(
             "the retention window shrinks one segment at a time inside "
@@ -388,7 +354,6 @@ POLICIES = (
     ),
     SharedStatePolicy(
         owner="repro.flash.device.FlashDevice",
-        attr="*",
         policy="turnstile",
         why=(
             "media state mutates only through program/erase primitives, "
@@ -398,7 +363,6 @@ POLICIES = (
     ),
     SharedStatePolicy(
         owner="repro.flash.*",
-        attr="*",
         policy="turnstile",
         why=(
             "block/page state below FlashDevice shares the primitive-"
@@ -407,7 +371,6 @@ POLICIES = (
     ),
     SharedStatePolicy(
         owner="repro.nvme.queues.QueuePair",
-        attr="*",
         policy="turnstile",
         why=(
             "ring push/fetch/post are each one statement between yields; "
@@ -417,7 +380,6 @@ POLICIES = (
     ),
     SharedStatePolicy(
         owner="repro.nvme.engine.AsyncNVMeEngine",
-        attr="*",
         policy="turnstile",
         why=(
             "engine counters (inflight, high-water mark) mutate in "
@@ -427,7 +389,6 @@ POLICIES = (
     ),
     SharedStatePolicy(
         owner="repro.obs.*",
-        attr="*",
         policy="monotonic",
         why=(
             "metrics, gauges and trace buffers are observability-only: "
@@ -436,7 +397,6 @@ POLICIES = (
     ),
     SharedStatePolicy(
         owner="repro.faults.*",
-        attr="*",
         policy="owner-task",
         why=(
             "fault-plan bookkeeping mutates only inside the interposed "
@@ -445,7 +405,6 @@ POLICIES = (
     ),
     SharedStatePolicy(
         owner="repro.ftl.scrub.PatrolScrubber",
-        attr="*",
         policy="monotonic",
         why=(
             "the at-risk queue and patrol cursor are advisory scrub "
@@ -457,7 +416,6 @@ POLICIES = (
     ),
     SharedStatePolicy(
         owner="repro.timessd.gc.TimeSSDGarbageCollector",
-        attr="*",
         policy="turnstile",
         why=(
             "collector scratch state lives within reclaim/compress "
@@ -466,7 +424,6 @@ POLICIES = (
     ),
     SharedStatePolicy(
         owner="repro.common.idle.IdlePredictor",
-        attr="*",
         policy="monotonic",
         why=(
             "inter-arrival history is a heuristic input to idle-window "
@@ -475,7 +432,6 @@ POLICIES = (
     ),
     SharedStatePolicy(
         owner="repro.common.clock.SimClock",
-        attr="*",
         policy="turnstile",
         why=(
             "simulated time advances monotonically in single "
@@ -485,9 +441,9 @@ POLICIES = (
 )
 
 
-def policy_for(owner, attr):
+def policy_for(owner):
     """First matching policy, or None (declaration order wins)."""
     for policy in POLICIES:
-        if policy.matches(owner, attr):
+        if policy.matches(owner):
             return policy
     return None

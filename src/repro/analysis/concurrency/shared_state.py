@@ -25,9 +25,10 @@ skipped: construction initializes private state before the object is
 published to any other task.
 
 Every written (owner, attr) is joined against the declared
-:data:`~repro.analysis.concurrency.model.POLICIES`; an attribute
-written by two or more *schedulable* roots with no policy is the
-``concurrency-unclassified-shared-state`` finding.  Exclusive roots
+:data:`~repro.analysis.concurrency.model.POLICIES`, which are
+class-granular (one row per owner, not per attribute); an attribute
+of an unpolicied owner written by two or more *schedulable* roots is
+the ``concurrency-unclassified-shared-state`` finding.  Exclusive roots
 (recovery) never count toward that writer set.  Policies that match
 nothing are themselves flagged (``concurrency-stale-policy``) so the
 table cannot rot.
@@ -60,7 +61,7 @@ class Inventory:
     """The full inventory plus which declared policies were exercised."""
 
     records: list = field(default_factory=list)  # sorted StateRecords
-    used_policies: set = field(default_factory=set)  # (owner, attr) patterns
+    used_policies: set = field(default_factory=set)  # owner patterns
     #: root name -> sorted list of reached qualnames (for the report)
     reach: dict = field(default_factory=dict)
 
@@ -74,8 +75,8 @@ def owner_of(graph, info, receiver):
     """Owner qualname for an attribute receiver expression, or None.
 
     The one receiver-resolution convention of the concurrency tier,
-    shared by the inventory scan here and the staleness/lane tracking
-    in :mod:`.yields`: ``self``/``cls`` resolve to the method's family
+    shared by the inventory scan here and the staleness tracking in
+    :mod:`.yields`: ``self``/``cls`` resolve to the method's family
     root, ``self.field`` through the call graph's attribute typing, and
     bare parameter/local names through the
     :data:`~repro.analysis.concurrency.model.STATE_OWNERS` conventions.
@@ -208,11 +209,9 @@ def build_inventory(project):
             record = table[key]
             if not record.writers:
                 continue  # never-written state cannot race
-            record.policy = model.policy_for(record.owner, record.attr)
+            record.policy = model.policy_for(record.owner)
             if record.policy is not None:
-                inventory.used_policies.add(
-                    (record.policy.owner, record.policy.attr)
-                )
+                inventory.used_policies.add(record.policy.owner)
             inventory.records.append(record)
         return inventory
 
@@ -281,17 +280,16 @@ def stale_policy_findings(project):
     module = _model_module(project)
     if module is None:
         return []
-    declared = {(p.owner, p.attr): p for p in model.POLICIES}
     findings = []
-    for key in sorted(declared):
-        if key in inventory.used_policies:
+    for owner in sorted({p.owner for p in model.POLICIES}):
+        if owner in inventory.used_policies:
             continue
         findings.append(
             (
                 module,
                 _Line(1),
-                "policy (%s, %s) matches no inventoried shared state; "
-                "delete it or fix its pattern" % key,
+                "policy for %s matches no inventoried shared state; "
+                "delete it or fix its pattern" % owner,
             )
         )
     return findings

@@ -1,11 +1,11 @@
 """Scheduler-aware yield analysis (pure ``ast``).
 
 PR 9 made the device genuinely concurrent: cooperative generator tasks
-yield wait instructions (``Delay``/``At``/``Acquire``/``Release``/
-``Join``) to a deterministic event loop, and every yield is a point
-where *any* other schedulable task may run.  The atomicity tier
-(:mod:`.atomicity`) defends the regions between yields; this module
-defends the yields themselves, over the PR 5 call graph:
+yield wait instructions (``Delay``/``At``) to a deterministic event
+loop, and every yield is a point where *any* other schedulable task may
+run.  The atomicity tier (:mod:`.atomicity`) defends the regions
+between yields; this module defends the yields themselves, over the
+PR 5 call graph:
 
 * **May-yield set** — every function that can suspend the running
   task, seeded from plain ``yield``/``yield from``/``await`` sites and
@@ -24,15 +24,7 @@ defends the yields themselves, over the PR 5 call graph:
   :mod:`.shared_state`, minus interleaving-tolerant policies).  Using
   such a local after a yield without re-reading it is the canonical
   interleaving bug: the value describes a world another task may have
-  rewritten wholesale.  A local captured while holding a
-  :class:`~repro.sched.core.Lane` that is *still held* at the yield
-  stays fresh — the lane is the declared protection.
-
-* **Lane discipline** — ``concurrency-lane-leak`` (an ``Acquire``
-  without ``Release`` on some path, exception edges included),
-  ``concurrency-lane-double-acquire`` (re-acquiring a held lane
-  deadlocks the task on itself), and a static lane-order graph whose
-  cycles become ``concurrency-lane-order-cycle`` (deadlock potential).
+  rewritten wholesale.
 
 * **Task-generator protocol** — ``concurrency-bad-yield-value`` (the
   loop rejects non-instruction yields at runtime; the lint rejects
@@ -46,13 +38,9 @@ generator delegates to via ``yield from``.  Data generators —
 ``scan_oob`` yielding pages to a same-task consumer — are exempt by
 construction: their yields transfer values, not control of the task.
 
-Known approximations, all on the safe-and-quiet side: statements are
-processed atomically (uses inside a statement that also yields are
-checked against the pre-yield state); ``break`` ends its path rather
-than jumping to the loop exit; exception edges into ``except``
-handlers merge the try-entry and try-exit states.  Anything the
-analysis cannot see (lanes passed through untracked expressions) is
-skipped, never guessed at.
+Control flow is :mod:`repro.analysis.flow`'s; the one approximation
+added here is that statements are processed atomically (uses inside a
+statement that also yields are checked against the pre-yield state).
 """
 
 import ast
@@ -60,17 +48,14 @@ from dataclasses import dataclass, field, replace
 
 from repro.analysis.callgraph import dotted
 from repro.analysis.concurrency import model
-from repro.analysis.concurrency.atomicity import (
-    _line_anchor,
-    _raising_sites,
-    shallow_walk,
-)
+from repro.analysis.concurrency.atomicity import _line_anchor, shallow_walk
 from repro.analysis.concurrency.shared_state import (
     build_inventory,
     owner_of,
     stale_sensitive_keys,
 )
 from repro.analysis.effects import effect_analysis
+from repro.analysis.flow import FlowWalker
 
 
 # --- The analysis object ------------------------------------------------------
@@ -78,7 +63,7 @@ from repro.analysis.effects import effect_analysis
 
 @dataclass
 class YieldAnalysis:
-    """Everything the yield/lane rules and the contract report consume."""
+    """Everything the yield rules and the contract report consume."""
 
     graph: object
     #: qualname -> [(node, kind)] own suspension sites, source order;
@@ -94,13 +79,13 @@ class YieldAnalysis:
     resolved: dict = field(default_factory=dict)
 
 
-def _wait_call_kind(graph, caller, resolved_map, node):
-    """Wait-instruction kind a call constructs (non-ambiguous), or None."""
-    for target in resolved_map.get(id(node), ()):
-        kind = model.wait_kind(target)
-        if kind is not None and (caller, target) not in graph.ambiguous_edges:
-            return kind
-    return None
+def _is_wait_call(graph, caller, resolved_map, node):
+    """Whether a call (non-ambiguously) constructs a wait instruction."""
+    return any(
+        target in model.SCHEDULER_YIELD_QUALNAMES
+        and (caller, target) not in graph.ambiguous_edges
+        for target in resolved_map.get(id(node), ())
+    )
 
 
 def _spawn_keyword(node, name):
@@ -120,7 +105,7 @@ def _collect_own_sites(graph, qualname, info, resolved_map):
         elif isinstance(node, ast.Await):
             sites.append((node, "await"))
         elif isinstance(node, ast.Call):
-            if _wait_call_kind(graph, qualname, resolved_map, node):
+            if _is_wait_call(graph, qualname, resolved_map, node):
                 sites.append((node, "wait-construct"))
     sites.sort(key=lambda item: (item[0].lineno, item[0].col_offset))
     return sites
@@ -202,7 +187,7 @@ def yield_analysis(project):
             for node, kind in out.own_sites[qualname]:
                 if kind != "yield" or not isinstance(node.value, ast.Call):
                     continue
-                if _wait_call_kind(
+                if _is_wait_call(
                     graph, qualname, out.resolved[qualname], node.value
                 ):
                     out.task_generators[qualname] = (
@@ -235,7 +220,7 @@ def yield_analysis(project):
     return project.cached("yield_analysis", build)
 
 
-# --- Flow state ---------------------------------------------------------------
+# --- Per-task-generator scan --------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -245,116 +230,35 @@ class _Taint:
     owner: str
     attr: str
     line: int  # capture site
-    held: frozenset  # lane keys held at capture
     stale_line: object = None  # yield line that staled it, or None
 
 
-class _State:
-    """Abstract state at one program point (may-semantics on merge)."""
-
-    __slots__ = ("taints", "held", "live")
-
-    def __init__(self, taints=None, held=None, live=True):
-        self.taints = taints if taints is not None else {}
-        self.held = held if held is not None else {}
-        self.live = live
+class _Taints(dict):
+    """Local name -> :class:`_Taint` at one program point."""
 
     def copy(self):
-        return _State(dict(self.taints), dict(self.held), self.live)
+        return _Taints(self)
 
-    def become(self, other):
-        self.taints = other.taints
-        self.held = other.held
-        self.live = other.live
-
-
-def _merge(a, b):
-    """Join two path states: stale-wins, may-held union."""
-    if not a.live:
-        return b.copy()
-    if not b.live:
-        return a.copy()
-    taints = dict(a.taints)
-    for name, taint in b.taints.items():
-        mine = taints.get(name)
-        if mine is None:
-            taints[name] = taint
-        elif mine.stale_line is None and taint.stale_line is not None:
-            taints[name] = taint
-    held = dict(b.held)
-    held.update(a.held)  # keep a's (earlier) acquire sites on conflict
-    return _State(taints, held, True)
+    def join(self, other):
+        """May-semantics: a taint on either path survives, stale wins."""
+        out = _Taints(self)
+        for name, taint in other.items():
+            mine = out.get(name)
+            if mine is None or (
+                mine.stale_line is None and taint.stale_line is not None
+            ):
+                out[name] = taint
+        return out
 
 
-_HANDLERS = ("handlers",)  # sentinel frame on the protection stack
+class _TaskScan(FlowWalker):
+    """Staleness over one task generator's body."""
 
-
-# --- Per-task-generator scan --------------------------------------------------
-
-
-class _TaskScan:
-    """Staleness + lane discipline over one task generator's body."""
-
-    def __init__(self, analysis, yanal, info, sensitive):
-        self.analysis = analysis
-        self.graph = analysis.graph
+    def __init__(self, graph, info, sensitive):
+        self.graph = graph
         self.info = info
         self.sensitive = sensitive
-        self.resolved = yanal.resolved.get(info.qualname, {})
-        self.stale = set()  # (line, col, message)
-        self.leaks = set()
-        self.doubles = set()
-        self.edges = {}  # (held_key, acquired_key) -> line
-        self.local_names = self._local_names()
-        self.raising_lines = frozenset(
-            line for line, _exc, _via in _raising_sites(analysis, info)
-        )
-
-    def _local_names(self):
-        names = set()
-        args = self.info.node.args
-        for arg in (
-            args.posonlyargs + args.args + args.kwonlyargs
-            + ([args.vararg] if args.vararg else [])
-            + ([args.kwarg] if args.kwarg else [])
-        ):
-            names.add(arg.arg)
-        for node in shallow_walk(self.info.node):
-            if isinstance(node, ast.Name) and isinstance(
-                node.ctx, (ast.Store, ast.Del)
-            ):
-                names.add(node.id)
-        return names
-
-    # -- keys and classification --
-
-    def _lane_key(self, expr):
-        """(key, is_global) for a lane expression, or None if untracked."""
-        if isinstance(expr, ast.Attribute):
-            owner = owner_of(self.graph, self.info, expr.value)
-            if owner is not None:
-                return ("%s.%s" % (owner, expr.attr), True)
-            chain = dotted(expr)
-            if chain:
-                return (
-                    "%s:%s" % (self.info.qualname, ".".join(chain)),
-                    False,
-                )
-            return None
-        if isinstance(expr, ast.Name):
-            if expr.id not in self.local_names:
-                # Module-level lane object: global across this module.
-                return (
-                    "%s.%s" % (self.info.module.module, expr.id),
-                    True,
-                )
-            return ("%s:%s" % (self.info.qualname, expr.id), False)
-        return None
-
-    def _wait_kind(self, call):
-        return _wait_call_kind(
-            self.graph, self.info.qualname, self.resolved, call
-        )
+        self.stale = set()  # (line, col, message); loops are walked twice
 
     def _sensitive_loads(self, expr):
         out = []
@@ -367,151 +271,29 @@ class _TaskScan:
                     out.append((owner, node.attr, node.lineno))
         return sorted(out)
 
-    # -- driving --
+    # -- FlowWalker transfer functions --
 
-    def run(self):
-        state = _State()
-        self._block(self.info.node.body, state, ())
-        if state.live:
-            anchor = _line_anchor(self.info.node.lineno)
-            self._exit_check(state, anchor, (), "falls off the end")
+    def expr(self, node, state):
+        """Stale-use check, then the yields, for one node."""
+        self._check_uses(node, state)
+        yield_lines = [
+            inner.lineno
+            for inner in shallow_walk(node)
+            if isinstance(inner, (ast.Yield, ast.YieldFrom, ast.Await))
+        ]
+        if yield_lines:
+            self._mark_stale(state, min(yield_lines))
 
-    def _block(self, stmts, state, protection):
-        for stmt in stmts:
-            if not state.live:
-                break
-            self._stmt(stmt, state, protection)
+    def bind(self, target, state, source):
+        loads = self._sensitive_loads(source) if source is not None else []
+        self._assign_targets([target], loads, state)
 
-    def _stmt(self, stmt, state, protection):
-        if isinstance(stmt, ast.If):
-            self._expr_effects(stmt.test, state, protection)
-            then_state = state.copy()
-            else_state = state.copy()
-            self._block(stmt.body, then_state, protection)
-            self._block(stmt.orelse, else_state, protection)
-            state.become(_merge(then_state, else_state))
-        elif isinstance(stmt, (ast.While, ast.For)):
-            self._loop(stmt, state, protection)
-        elif isinstance(stmt, ast.Try):
-            self._try(stmt, state, protection)
-        elif isinstance(stmt, ast.With):
-            for item in stmt.items:
-                self._expr_effects(item.context_expr, state, protection)
-                if item.optional_vars is not None:
-                    self._clear_targets([item.optional_vars], state)
-            self._block(stmt.body, state, protection)
-        elif isinstance(stmt, ast.Return):
-            if stmt.value is not None:
-                self._expr_effects(stmt.value, state, protection)
-            self._exit_check(
-                state, _line_anchor(stmt.lineno, stmt.col_offset + 1),
-                protection, "returns",
-            )
-            state.live = False
-        elif isinstance(stmt, ast.Raise):
-            if stmt.exc is not None:
-                self._expr_effects(stmt.exc, state, protection)
-            self._raise_check(stmt.lineno, state, protection)
-            state.live = False
-        elif isinstance(stmt, (ast.Break, ast.Continue)):
-            state.live = False
-        elif isinstance(
-            stmt,
-            (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
-             ast.Global, ast.Nonlocal, ast.Import, ast.ImportFrom,
-             ast.Pass),
-        ):
-            return
-        else:
-            self._linear(stmt, state, protection)
+    def returns(self, stmt, state):
+        if stmt.value is not None:
+            self.expr(stmt.value, state)
 
-    def _loop(self, stmt, state, protection):
-        if isinstance(stmt, ast.For):
-            self._expr_effects(stmt.iter, state, protection)
-            loads = self._sensitive_loads(stmt.iter)
-        else:
-            self._expr_effects(stmt.test, state, protection)
-            loads = []
-        # Two passes so loop-carried state (a taint captured in
-        # iteration N, staled and used in iteration N+1) is seen;
-        # findings are sets, so re-scanning cannot duplicate them.
-        merged = state.copy()
-        for _ in range(2):
-            body_state = merged.copy()
-            if isinstance(stmt, ast.For):
-                self._assign_targets([stmt.target], loads, body_state)
-            self._block(stmt.body, body_state, protection)
-            merged = _merge(merged, body_state)
-        if stmt.orelse:
-            self._block(stmt.orelse, merged, protection)
-        if self._loops_forever(stmt):
-            merged.live = False
-        state.become(merged)
-
-    def _loops_forever(self, stmt):
-        if not isinstance(stmt, ast.While):
-            return False
-        test = stmt.test
-        if not (isinstance(test, ast.Constant) and bool(test.value)):
-            return False
-        return not any(
-            isinstance(node, ast.Break)
-            for body_stmt in stmt.body
-            for node in shallow_walk(body_stmt)
-        )
-
-    def _try(self, stmt, state, protection):
-        release_keys = self._release_keys(stmt.finalbody)
-        entry = state.copy()
-        body_protection = protection
-        if stmt.finalbody:
-            body_protection += (("finally", release_keys),)
-        if stmt.handlers:
-            body_protection += (_HANDLERS,)
-        self._block(stmt.body, state, body_protection)
-        handler_entry = _merge(entry, state)
-        handler_states = []
-        for handler in stmt.handlers:
-            handler_state = handler_entry.copy()
-            if handler.name:
-                handler_state.taints.pop(handler.name, None)
-            self._block(handler.body, handler_state, protection)
-            handler_states.append(handler_state)
-        if stmt.orelse and state.live:
-            self._block(stmt.orelse, state, protection)
-        merged = state
-        for handler_state in handler_states:
-            merged = _merge(merged, handler_state)
-        if stmt.finalbody:
-            self._block(stmt.finalbody, merged, protection)
-        state.become(merged)
-
-    def _release_keys(self, stmts):
-        """Lane keys released by ``yield Release(...)`` in a suite."""
-        keys = set()
-        for stmt in stmts:
-            for node in shallow_walk(stmt):
-                if not isinstance(node, ast.Yield):
-                    continue
-                value = node.value
-                if not isinstance(value, ast.Call):
-                    continue
-                if self._wait_kind(value) != "release":
-                    continue
-                lane = (
-                    value.args[0]
-                    if value.args
-                    else _spawn_keyword(value, "lane")
-                )
-                key_info = self._lane_key(lane) if lane is not None else None
-                if key_info is not None:
-                    keys.add(key_info[0])
-        return frozenset(keys)
-
-    # -- linear statements --
-
-    def _linear(self, stmt, state, protection):
-        self._expr_effects(stmt, state, protection)
+    def simple(self, stmt, state):
+        self.expr(stmt, state)
         if isinstance(stmt, ast.Assign):
             self._assign_targets(
                 stmt.targets, self._sensitive_loads(stmt.value), state,
@@ -527,74 +309,7 @@ class _TaskScan:
             if loads and isinstance(stmt.target, ast.Name):
                 self._assign_targets([stmt.target], loads, state)
         elif isinstance(stmt, ast.Delete):
-            self._clear_targets(stmt.targets, state)
-
-    def _expr_effects(self, node, state, protection):
-        """Raise check, stale-use check, then yields, for one node."""
-        self._raising_check(node, state, protection)
-        self._check_uses(node, state)
-        yields = [
-            inner
-            for inner in shallow_walk(node)
-            if isinstance(inner, (ast.Yield, ast.YieldFrom, ast.Await))
-        ]
-        yields.sort(key=lambda n: (n.lineno, n.col_offset))
-        for inner in yields:
-            self._yield_point(inner, state)
-
-    def _raising_check(self, node, state, protection):
-        if not state.held:
-            return
-        lo = getattr(node, "lineno", None)
-        if lo is None:
-            return
-        hi = getattr(node, "end_lineno", None) or lo
-        lines = [l for l in self.raising_lines if lo <= l <= hi]
-        if lines:
-            self._raise_check(min(lines), state, protection)
-
-    def _raise_check(self, line, state, protection):
-        if _HANDLERS in protection:
-            return  # the except-handler paths are analyzed on their own
-        protected = set()
-        for frame in protection:
-            if frame is not _HANDLERS and frame[0] == "finally":
-                protected |= frame[1]
-        for key in sorted(state.held):
-            if key in protected:
-                continue
-            acquired_line, _is_global = state.held[key]
-            self.leaks.add(
-                (
-                    line,
-                    1,
-                    "lane `%s` (acquired at line %d) leaks if line %d "
-                    "raises; release it in a `finally`, or catch the "
-                    "exception before it escapes %s"
-                    % (key, acquired_line, line, self.info.qualname),
-                )
-            )
-
-    def _exit_check(self, state, anchor, protection, how):
-        protected = set()
-        for frame in protection:
-            if frame is not _HANDLERS and frame[0] == "finally":
-                protected |= frame[1]
-        for key in sorted(state.held):
-            if key in protected:
-                continue
-            acquired_line, _is_global = state.held[key]
-            self.leaks.add(
-                (
-                    anchor.line,
-                    anchor.col,
-                    "task generator %s %s still holding lane `%s` "
-                    "(acquired at line %d); the loop raises "
-                    "SchedulerError for held lanes at task exit — "
-                    "yield Release on every path"
-                    % (self.info.qualname, how, key, acquired_line),
-                )
-            )
+            self._assign_targets(stmt.targets, [], state)
 
     def _check_uses(self, node, state):
         for inner in shallow_walk(node):
@@ -602,7 +317,7 @@ class _TaskScan:
                 continue
             if not isinstance(inner.ctx, ast.Load):
                 continue
-            taint = state.taints.get(inner.id)
+            taint = state.get(inner.id)
             if taint is None or taint.stale_line is None:
                 continue
             self.stale.add(
@@ -611,8 +326,7 @@ class _TaskScan:
                     inner.col_offset + 1,
                     "local '%s' (read from %s.%s at line %d) is used "
                     "after the task may have been suspended at line "
-                    "%d; re-read it after the wait, hold the "
-                    "protecting lane across it, or suppress with a "
+                    "%d; re-read it after the wait, or suppress with a "
                     "written reason"
                     % (
                         inner.id,
@@ -623,68 +337,12 @@ class _TaskScan:
                     ),
                 )
             )
-            del state.taints[inner.id]  # one finding per staleness episode
-
-    def _yield_point(self, node, state):
-        value = node.value
-        kind = None
-        key_info = None
-        if isinstance(node, ast.Yield) and isinstance(value, ast.Call):
-            kind = self._wait_kind(value)
-            if kind in ("acquire", "release"):
-                lane = (
-                    value.args[0]
-                    if value.args
-                    else _spawn_keyword(value, "lane")
-                )
-                if lane is not None:
-                    key_info = self._lane_key(lane)
-        if kind == "release" and key_info is not None:
-            key, _is_global = key_info
-            if key in state.held:
-                del state.held[key]
-            else:
-                self.leaks.add(
-                    (
-                        node.lineno,
-                        node.col_offset + 1,
-                        "%s yields Release for lane `%s` it does not "
-                        "hold on this path; the loop raises "
-                        "SchedulerError at runtime"
-                        % (self.info.qualname, key),
-                    )
-                )
-        self._mark_stale(state, node.lineno)
-        if kind == "acquire" and key_info is not None:
-            key, is_global = key_info
-            if key in state.held:
-                first_line, _g = state.held[key]
-                self.doubles.add(
-                    (
-                        node.lineno,
-                        node.col_offset + 1,
-                        "%s acquires lane `%s` again at line %d while "
-                        "already holding it (acquired at line %d); the "
-                        "task would wait on itself forever"
-                        % (self.info.qualname, key, node.lineno,
-                           first_line),
-                    )
-                )
-            else:
-                for held_key in sorted(state.held):
-                    self.edges.setdefault(
-                        (held_key, key), node.lineno
-                    )
-                state.held[key] = (node.lineno, is_global)
+            del state[inner.id]  # one finding per staleness episode
 
     def _mark_stale(self, state, line):
-        for name in sorted(state.taints):
-            taint = state.taints[name]
-            if taint.stale_line is not None:
-                continue
-            if taint.held and taint.held & set(state.held):
-                continue  # a protecting lane is still held
-            state.taints[name] = replace(taint, stale_line=line)
+        for name, taint in state.items():
+            if taint.stale_line is None:
+                state[name] = replace(taint, stale_line=line)
 
     # -- assignments --
 
@@ -705,127 +363,34 @@ class _TaskScan:
             names = self._target_names(target)
             for name in names:
                 if loads:
-                    owner, attr, line = loads[0]
-                    state.taints[name] = _Taint(
-                        owner, attr, line, frozenset(state.held)
-                    )
+                    state[name] = _Taint(*loads[0])
                 elif (
-                    alias is not None
-                    and isinstance(alias, ast.Name)
-                    and alias.id in state.taints
+                    isinstance(alias, ast.Name)
+                    and alias.id in state
                     and len(names) == 1
                 ):
-                    state.taints[name] = state.taints[alias.id]
+                    state[name] = state[alias.id]
                 else:
-                    state.taints.pop(name, None)
-
-    def _clear_targets(self, targets, state):
-        for target in targets:
-            for name in self._target_names(target):
-                state.taints.pop(name, None)
-
-
-# --- Discipline findings ------------------------------------------------------
-
-
-@dataclass
-class Discipline:
-    """The per-tree result of scanning every task generator."""
-
-    stale: list = field(default_factory=list)
-    leaks: list = field(default_factory=list)
-    doubles: list = field(default_factory=list)
-    cycles: list = field(default_factory=list)
-    #: (held_key, acquired_key) -> (module, line) — the lane-order graph.
-    order_edges: dict = field(default_factory=dict)
-
-
-def _canonical_cycle(path):
-    pivot = path.index(min(path))
-    return tuple(path[pivot:] + path[:pivot])
-
-
-def _find_cycles(adjacency):
-    cycles = set()
-    for start in sorted(adjacency):
-        stack = [(start, [start])]
-        while stack:
-            node, path = stack.pop()
-            for nxt in sorted(adjacency.get(node, ())):
-                if nxt == start:
-                    cycles.add(_canonical_cycle(path))
-                elif nxt not in path and len(path) < 16:
-                    stack.append((nxt, path + [nxt]))
-    return sorted(cycles)
-
-
-def lane_discipline(project):
-    """Scan every task generator once; cache the combined findings."""
-
-    def build():
-        analysis = effect_analysis(project)
-        yanal = yield_analysis(project)
-        sensitive = stale_sensitive_keys(project)
-        out = Discipline()
-        for qualname in sorted(yanal.task_generators):
-            info = analysis.graph.functions.get(qualname)
-            if info is None:
-                continue
-            scan = _TaskScan(analysis, yanal, info, sensitive)
-            scan.run()
-            module = info.module
-            for line, col, message in sorted(scan.stale):
-                out.stale.append(
-                    (module, _line_anchor(line, col), message)
-                )
-            for line, col, message in sorted(scan.leaks):
-                out.leaks.append(
-                    (module, _line_anchor(line, col), message)
-                )
-            for line, col, message in sorted(scan.doubles):
-                out.doubles.append(
-                    (module, _line_anchor(line, col), message)
-                )
-            for pair, line in scan.edges.items():
-                out.order_edges.setdefault(pair, (module, line))
-        adjacency = {}
-        for held_key, acquired_key in out.order_edges:
-            adjacency.setdefault(held_key, set()).add(acquired_key)
-        for cycle in _find_cycles(adjacency):
-            first = (cycle[0], cycle[(1) % len(cycle)])
-            module, line = out.order_edges[first]
-            chain = " -> ".join(cycle + (cycle[0],))
-            out.cycles.append(
-                (
-                    module,
-                    _line_anchor(line),
-                    "lanes are acquired in a cycle: %s; two tasks "
-                    "running these paths can deadlock — pick one "
-                    "global acquisition order" % chain,
-                )
-            )
-        return out
-
-    return project.cached("lane_discipline", build)
+                    state.pop(name, None)
 
 
 # --- Rule engines -------------------------------------------------------------
 
 
 def stale_read_findings(project):
-    return lane_discipline(project).stale
-
-
-def lane_leak_findings(project):
-    return lane_discipline(project).leaks
-
-
-def lane_double_acquire_findings(project):
-    return lane_discipline(project).doubles
-
-
-def lane_order_cycle_findings(project):
-    return lane_discipline(project).cycles
+    """Scan every task generator for locals used stale across a wait."""
+    yanal = yield_analysis(project)
+    sensitive = stale_sensitive_keys(project)
+    findings = []
+    for qualname in sorted(yanal.task_generators):
+        info = yanal.graph.functions.get(qualname)
+        if info is None:
+            continue
+        scan = _TaskScan(yanal.graph, info, sensitive)
+        scan.walk(info.node.body, _Taints())
+        for line, col, message in sorted(scan.stale):
+            findings.append((info.module, _line_anchor(line, col), message))
+    return findings
 
 
 def bad_yield_findings(project):
@@ -843,7 +408,7 @@ def bad_yield_findings(project):
                 continue
             if not isinstance(node.value, ast.Call):
                 continue
-            if not _wait_call_kind(
+            if not _is_wait_call(
                 graph, qualname, yanal.resolved[qualname], node.value
             ):
                 continue
@@ -861,11 +426,11 @@ def bad_yield_findings(project):
                             "bare `yield` in task generator %s; the "
                             "loop rejects non-instruction values with "
                             "SchedulerError — yield a wait instruction "
-                            "(Delay/At/Acquire/Release/Join)" % qualname,
+                            "(Delay/At)" % qualname,
                         )
                     )
                     continue
-                if isinstance(value, ast.Call) and _wait_call_kind(
+                if isinstance(value, ast.Call) and _is_wait_call(
                     graph, qualname, yanal.resolved[qualname], value
                 ):
                     continue
@@ -936,8 +501,7 @@ def return_in_daemon_findings(project):
                         "daemon task generator %s returns; a daemon "
                         "that finishes stops its background service "
                         "silently — loop forever, or spawn it as a "
-                        "non-daemon task whose completion is joined"
-                        % qualname,
+                        "non-daemon task" % qualname,
                     )
                 )
     return findings

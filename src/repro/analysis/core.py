@@ -361,19 +361,14 @@ def _unused_suppressions(modules, used_by_path, selected_ids):
     return violations
 
 
-def analyze_paths(paths, rules=None, cache=None):
+def analyze_paths(paths, rules=None):
     """Lint ``paths`` (files or directories) and return sorted violations.
 
     ``rules=None`` means *every* registered rule, deep passes included.
-    ``cache`` is an optional :class:`repro.analysis.cache.ResultCache`;
-    shallow results are reused per unchanged file, deep results per
-    unchanged tree.
     """
     if rules is None:
         rules = all_rules()
     selected_ids = {rule.rule_id for rule in rules}
-    shallow = [rule for rule in rules if not rule.deep]
-    deep = [rule for rule in rules if rule.deep]
     modules = [SourceModule.from_path(p) for p in collect_files(paths)]
     project = Project(modules)
     violations = []
@@ -391,39 +386,12 @@ def analyze_paths(paths, rules=None, cache=None):
                 )
             )
             continue
-        entry = cache.lookup_file(module) if cache is not None else None
-        if entry is None:
-            found, used = _check_module(module, shallow, project)
-            if cache is not None:
-                cache.store_file(module, found, used)
-        else:
-            found, used = entry
+        found, used = _check_module(module, rules, project)
         violations.extend(found)
         if used:
-            used_by_path.setdefault(module.path, set()).update(used)
-    if deep:
-        entry = cache.lookup_deep(modules) if cache is not None else None
-        if entry is None:
-            deep_violations = []
-            deep_used = {}
-            for module in modules:
-                if module.parse_error is not None:
-                    continue
-                found, used = _check_module(module, deep, project)
-                deep_violations.extend(found)
-                if used:
-                    deep_used[module.path] = used
-            if cache is not None:
-                cache.store_deep(modules, deep_violations, deep_used)
-        else:
-            deep_violations, deep_used = entry
-        violations.extend(deep_violations)
-        for path, used in deep_used.items():
-            used_by_path.setdefault(path, set()).update(used)
+            used_by_path[module.path] = used
     if UNUSED_SUPPRESSION_RULE in selected_ids:
         violations.extend(
             _unused_suppressions(modules, used_by_path, selected_ids)
         )
-    if cache is not None:
-        cache.save()
     return sorted(violations, key=Violation.sort_key)

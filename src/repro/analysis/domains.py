@@ -30,8 +30,9 @@ Checked (one rule id each):
     Argument whose domain contradicts the seeded domain of the resolved
     callee's parameter (confident call-graph edges only).
 
-The analysis is flow-sensitive per function: branch arms are walked on
-copies of the environment and joined (disagreement -> unknown).
+The analysis is flow-sensitive per function: :mod:`repro.analysis.flow`
+walks branch arms and loop bodies on copies of the environment and
+joins them (disagreement -> unknown).
 Multiplicative/floor-division arithmetic deliberately launders domains
 (``ppa // pages_per_block`` *is* the conversion idiom).
 """
@@ -40,6 +41,7 @@ import ast
 from dataclasses import dataclass
 
 from repro.analysis.callgraph import build_call_graph, dotted
+from repro.analysis.flow import FlowWalker
 
 LBA = "LBA"
 PPA = "PPA"
@@ -150,8 +152,22 @@ class Finding:
     message: str
 
 
-class _FunctionPass:
-    """One function's flow-sensitive walk."""
+class _Env(dict):
+    """Local name -> domain at one program point."""
+
+    def copy(self):
+        return _Env(self)
+
+    def join(self, other):
+        """Disagreement -> unknown; a one-sided binding is kept."""
+        out = _Env(other)
+        for name, domain in self.items():
+            out[name] = domain if other.get(name, domain) == domain else None
+        return out
+
+
+class _FunctionPass(FlowWalker):
+    """One function's flow-sensitive walk (control flow: :mod:`.flow`)."""
 
     def __init__(self, owner, node, qualname):
         self.owner = owner  # DomainAnalysis
@@ -160,7 +176,6 @@ class _FunctionPass:
         self.annotated = {}  # local name -> annotation-seeded domain
         self.return_domain = annotation_domain(node.returns)
         self.targets_by_node = owner.call_targets(qualname)
-        env = {}
         args = node.args
         for arg in (
             args.posonlyargs + args.args + args.kwonlyargs
@@ -168,15 +183,33 @@ class _FunctionPass:
             domain = annotation_domain(arg.annotation)
             if domain is not None:
                 self.annotated[arg.arg] = domain
-        self._exec_block(node.body, env)
+        self.walk(node.body, _Env())
 
-    # -- statement level ------------------------------------------------------
+    # -- statement level (FlowWalker transfer functions) ----------------------
 
-    def _exec_block(self, stmts, env):
-        for stmt in stmts:
-            self._exec(stmt, env)
+    def expr(self, node, env):
+        self._eval(node, env)
 
-    def _exec(self, stmt, env):
+    def bind(self, target, env, source):
+        self._assign_target(target, None, env, target)
+
+    def returns(self, stmt, env):
+        if stmt.value is not None:
+            domain = self._eval(stmt.value, env)
+            if incompatible(self.return_domain, domain):
+                self._report(
+                    "domains-cross-assign",
+                    stmt,
+                    "returns %s value from a function annotated %s"
+                    % (domain, self.return_domain),
+                )
+
+    def nested(self, stmt, env):
+        # Nested classes are out of scope for this pass.
+        if not isinstance(stmt, ast.ClassDef):
+            self.owner.check_function(stmt, qualname=None)
+
+    def simple(self, stmt, env):
         if isinstance(stmt, ast.Assign):
             self._do_assign(stmt, env)
         elif isinstance(stmt, ast.AnnAssign):
@@ -200,72 +233,12 @@ class _FunctionPass:
                     "augmented assignment mixes %s and %s"
                     % (target_domain, value_domain),
                 )
-        elif isinstance(stmt, ast.Return):
-            if stmt.value is not None:
-                domain = self._eval(stmt.value, env)
-                if incompatible(self.return_domain, domain):
-                    self._report(
-                        "domains-cross-assign",
-                        stmt,
-                        "returns %s value from a function annotated %s"
-                        % (domain, self.return_domain),
-                    )
-        elif isinstance(stmt, ast.If):
-            self._eval(stmt.test, env)
-            then_env = dict(env)
-            else_env = dict(env)
-            self._exec_block(stmt.body, then_env)
-            self._exec_block(stmt.orelse, else_env)
-            env.clear()
-            env.update(_merge(then_env, else_env))
-        elif isinstance(stmt, (ast.While,)):
-            self._eval(stmt.test, env)
-            body_env = dict(env)
-            self._exec_block(stmt.body, body_env)
-            self._exec_block(stmt.orelse, body_env)
-            env.clear()
-            env.update(_merge(env, body_env) or body_env)
-        elif isinstance(stmt, ast.For):
-            self._eval(stmt.iter, env)
-            body_env = dict(env)
-            self._assign_target(stmt.target, None, body_env, stmt)
-            self._exec_block(stmt.body, body_env)
-            self._exec_block(stmt.orelse, body_env)
-            env.clear()
-            env.update(_merge(env, body_env) or body_env)
-        elif isinstance(stmt, ast.Try):
-            body_env = dict(env)
-            self._exec_block(stmt.body, body_env)
-            envs = [body_env]
-            for handler in stmt.handlers:
-                handler_env = dict(env)
-                self._exec_block(handler.body, handler_env)
-                envs.append(handler_env)
-            merged = envs[0]
-            for other in envs[1:]:
-                merged = _merge(merged, other)
-            self._exec_block(stmt.orelse, merged)
-            self._exec_block(stmt.finalbody, merged)
-            env.clear()
-            env.update(merged)
-        elif isinstance(stmt, ast.With):
-            for item in stmt.items:
-                self._eval(item.context_expr, env)
-                if item.optional_vars is not None:
-                    self._assign_target(item.optional_vars, None, env, stmt)
-            self._exec_block(stmt.body, env)
-        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            self.owner.check_function(stmt, qualname=None)
-        elif isinstance(stmt, ast.ClassDef):
-            pass  # nested classes: out of scope for this pass
         else:
-            # Expr / Raise / Assert / Delete / Global / ...: evaluate any
+            # Expr / Assert / Delete / Global / ...: evaluate any
             # embedded expressions for compare/arg checks.
             for child in ast.iter_child_nodes(stmt):
                 if isinstance(child, ast.expr):
                     self._eval(child, env)
-                elif isinstance(child, ast.stmt):
-                    self._exec(child, env)
 
     def _do_assign(self, stmt, env):
         # Element-wise when both sides are literal tuples of equal arity.
@@ -495,24 +468,15 @@ class _FunctionPass:
         return None
 
     def _report(self, rule_id, node, message):
-        self.owner.findings.append(
-            Finding(
-                rule_id=rule_id,
-                line=node.lineno,
-                col=node.col_offset + 1,
-                message=message,
-            )
+        finding = Finding(
+            rule_id=rule_id,
+            line=node.lineno,
+            col=node.col_offset + 1,
+            message=message,
         )
-
-
-def _merge(env_a, env_b):
-    out = {}
-    for key in set(env_a) | set(env_b):
-        if key in env_a and key in env_b:
-            out[key] = env_a[key] if env_a[key] == env_b[key] else None
-        else:
-            out[key] = env_a.get(key, env_b.get(key))
-    return out
+        # Loop bodies are walked twice; a finding is reported once.
+        if finding not in self.owner.findings:
+            self.owner.findings.append(finding)
 
 
 class DomainAnalysis:

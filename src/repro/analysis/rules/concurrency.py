@@ -2,8 +2,8 @@
 
 Each rule wraps one engine from :mod:`repro.analysis.concurrency`.
 Findings are computed once per run (cached on the project) and emitted
-per module, so suppressions, SARIF and the cache behave exactly like
-every other deep pack.
+per module, so suppressions and SARIF behave exactly like every other
+deep pack.
 """
 
 from repro.analysis.concurrency import atomicity, shared_state, yields
@@ -34,8 +34,9 @@ class _ConcurrencyRule(LintRule):
 class UnclassifiedSharedStateRule(_ConcurrencyRule):
     rule_id = "concurrency-unclassified-shared-state"
     description = (
-        "an attribute written by two or more schedulable task roots "
-        "must carry a declared interleaving policy"
+        "state written by two or more schedulable task roots must "
+        "belong to an owner class with a declared interleaving policy "
+        "(class-granular: one policy covers every attribute of its owner)"
     )
 
     def _evaluate(self, project):
@@ -47,7 +48,7 @@ class StalePolicyRule(_ConcurrencyRule):
     rule_id = "concurrency-stale-policy"
     description = (
         "a declared SharedStatePolicy must match at least one "
-        "inventoried attribute; stale entries rot the contract"
+        "inventoried owner; stale entries rot the contract"
     )
 
     def _evaluate(self, project):
@@ -142,48 +143,11 @@ class StaleReadAfterYieldRule(_ConcurrencyRule):
 
 
 @register
-class LaneLeakRule(_ConcurrencyRule):
-    rule_id = "concurrency-lane-leak"
-    description = (
-        "every Acquire must be matched by a Release on every path out "
-        "of the task generator, exception edges included"
-    )
-
-    def _evaluate(self, project):
-        return yields.lane_leak_findings(project)
-
-
-@register
-class LaneDoubleAcquireRule(_ConcurrencyRule):
-    rule_id = "concurrency-lane-double-acquire"
-    description = (
-        "re-acquiring a lane the task already holds deadlocks the "
-        "task on itself (lanes are unit-capacity and non-reentrant)"
-    )
-
-    def _evaluate(self, project):
-        return yields.lane_double_acquire_findings(project)
-
-
-@register
-class LaneOrderCycleRule(_ConcurrencyRule):
-    rule_id = "concurrency-lane-order-cycle"
-    description = (
-        "the static holds-while-acquiring graph over lanes must be "
-        "acyclic; a cycle is cross-task deadlock potential"
-    )
-
-    def _evaluate(self, project):
-        return yields.lane_order_cycle_findings(project)
-
-
-@register
 class BadYieldValueRule(_ConcurrencyRule):
     rule_id = "concurrency-bad-yield-value"
     description = (
         "a task generator may only yield wait instructions "
-        "(Delay/At/Acquire/Release/Join) or delegate to another task "
-        "generator"
+        "(Delay/At) or delegate to another task generator"
     )
 
     def _evaluate(self, project):

@@ -19,15 +19,10 @@ skipped, never guessed at.
 
 The catalog is discovered by walking up from the analyzed files to the
 nearest ``docs/OBSERVABILITY.md``; no catalog means no findings (the
-rule only ever judges a tree that carries the contract).  Because the
-findings depend on a file outside the analyzed tree, the result cache
-folds the catalog content into its signature
-(:func:`catalog_fingerprint`) so editing only the docs still
-invalidates cached results.
+rule only ever judges a tree that carries the contract).
 """
 
 import ast
-import hashlib
 import os
 import re
 
@@ -149,26 +144,6 @@ def find_catalog(start):
         if parent == directory:
             return None
         directory = parent
-
-
-def catalog_fingerprint(paths):
-    """Content hash of the catalog the analyzed paths resolve to.
-
-    Folded into the result-cache signature so a docs-only edit still
-    invalidates cached ``obs-uncataloged-metric`` results.
-    """
-    digest = hashlib.sha256()
-    seen = set()
-    for path in sorted(os.fspath(p) for p in paths):
-        catalog = find_catalog(path)
-        if catalog is None or catalog in seen:
-            continue
-        seen.add(catalog)
-        with open(catalog, "rb") as handle:
-            digest.update(handle.read())
-    if not seen:
-        return "no-catalog"
-    return digest.hexdigest()[:16]
 
 
 class _Line:

@@ -5,9 +5,7 @@ entry point backs the ``repro lint`` CLI subcommand.
 
 The default selection is every *shallow* rule; ``--deep`` adds the
 whole-program passes (call graph, effect contracts, address domains).
-``--select``/``--ignore`` filter by rule id or pack name.  Results are
-cached under ``--cache-dir`` (default ``.almanac-cache/``) keyed on
-file content and analyzer version; ``--no-cache`` disables it.
+``--select``/``--ignore`` filter by rule id or pack name.
 """
 
 import argparse
@@ -78,8 +76,7 @@ def build_parser():
     parser.add_argument(
         "--stats",
         action="store_true",
-        help="print per-rule finding counts and cache hit/miss rates "
-        "to stderr after the run",
+        help="print per-rule finding counts to stderr after the run",
     )
     parser.add_argument(
         "--emit-interleaving",
@@ -90,16 +87,6 @@ def build_parser():
         help="write the interleaving contract (task roots, atomic "
         "sections, shared-state inventory) to PATH (default: "
         "docs/interleaving-contract.md)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="cache directory (default: .almanac-cache)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the on-disk result cache for this run",
     )
     return parser
 
@@ -123,22 +110,6 @@ def _select_rules(args):
             if rule.rule_id not in dropped and rule.pack not in dropped
         ]
     return rules
-
-
-def _make_cache(args, rules):
-    if args.no_cache:
-        return None
-    from repro.analysis.cache import DEFAULT_CACHE_DIR, ResultCache
-    from repro.analysis.rules.observability import catalog_fingerprint
-
-    directory = args.cache_dir or DEFAULT_CACHE_DIR
-    return ResultCache(
-        directory,
-        [rule.rule_id for rule in rules],
-        # The obs pack reads docs/OBSERVABILITY.md, which file shas
-        # cannot see — fold its content into the signature.
-        extra=catalog_fingerprint(args.paths),
-    )
 
 
 def _print_unresolved(paths):
@@ -165,7 +136,7 @@ def _emit_interleaving(paths, out_path):
     print("wrote %s" % out_path, file=sys.stderr)
 
 
-def _print_stats(violations, rules, cache):
+def _print_stats(violations, rules):
     counts = {}
     for violation in violations:
         counts[violation.rule_id] = counts.get(violation.rule_id, 0) + 1
@@ -175,19 +146,6 @@ def _print_stats(violations, rules, cache):
     for rule_id in sorted(counts):
         print("  %-36s %d" % (rule_id, counts[rule_id]), file=sys.stderr)
     print("rules run: %d" % len(rules), file=sys.stderr)
-    if cache is None:
-        print("cache: disabled", file=sys.stderr)
-        return
-    for tier, hits, misses in (
-        ("shallow", cache.shallow_hits, cache.shallow_misses),
-        ("deep", cache.deep_hits, cache.deep_misses),
-    ):
-        total = hits + misses
-        rate = " (%.0f%% hit)" % (100.0 * hits / total) if total else ""
-        print(
-            "cache %s: %d hit / %d miss%s" % (tier, hits, misses, rate),
-            file=sys.stderr,
-        )
 
 
 def main(argv=None):
@@ -205,9 +163,8 @@ def main(argv=None):
     except KeyError as exc:
         print("error: %s" % exc.args[0], file=sys.stderr)
         return 2
-    cache = _make_cache(args, rules)
     try:
-        violations = analyze_paths(args.paths, rules, cache=cache)
+        violations = analyze_paths(args.paths, rules)
         if args.show_unresolved:
             _print_unresolved(args.paths)
         if args.emit_interleaving:
@@ -216,7 +173,7 @@ def main(argv=None):
         print("error: %s" % exc, file=sys.stderr)
         return 2
     if args.stats:
-        _print_stats(violations, rules, cache)
+        _print_stats(violations, rules)
     if args.format == "json":
         print(format_json(violations))
     elif args.format == "sarif":

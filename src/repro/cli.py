@@ -250,10 +250,6 @@ def _cmd_lint(args):
         argv += ["--list-rules"]
     if args.show_unresolved:
         argv += ["--show-unresolved"]
-    if args.cache_dir:
-        argv += ["--cache-dir", args.cache_dir]
-    if args.no_cache:
-        argv += ["--no-cache"]
     if args.stats:
         argv += ["--stats"]
     if args.emit_interleaving:
@@ -379,12 +375,10 @@ def build_parser():
     )
     lint.add_argument("--list-rules", action="store_true")
     lint.add_argument("--show-unresolved", action="store_true")
-    lint.add_argument("--cache-dir", default=None)
-    lint.add_argument("--no-cache", action="store_true")
     lint.add_argument(
         "--stats",
         action="store_true",
-        help="print per-rule finding counts and cache hit/miss rates",
+        help="print per-rule finding counts",
     )
     lint.add_argument(
         "--emit-interleaving",

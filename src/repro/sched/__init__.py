@@ -11,28 +11,20 @@ argument.
 """
 
 from repro.sched.core import (
-    Acquire,
     At,
     Delay,
     EventLoop,
     FifoTieBreak,
-    Join,
-    Lane,
-    Release,
     SchedulerError,
     SeededTieBreak,
     Task,
 )
 
 __all__ = [
-    "Acquire",
     "At",
     "Delay",
     "EventLoop",
     "FifoTieBreak",
-    "Join",
-    "Lane",
-    "Release",
     "SchedulerError",
     "SeededTieBreak",
     "Task",

@@ -3,9 +3,9 @@
 The event loop is the concurrency substrate the async device core runs
 on (ROADMAP item 1): an event heap keyed by ``(t_us, tie, seq)`` and
 cooperative tasks written as plain generators.  A task yields *wait
-instructions* — :class:`Delay`, :class:`At`, :class:`Acquire`,
-:class:`Release`, :class:`Join` — and the loop resumes it when the wait
-is satisfied, advancing the shared clock to each event's timestamp.
+instructions* — :class:`Delay` or :class:`At` — and the loop resumes it
+when the wait is satisfied, advancing the shared clock to each event's
+timestamp.
 
 Determinism is the design center, not an afterthought:
 
@@ -30,7 +30,7 @@ from repro.common.errors import ReproError
 
 
 class SchedulerError(ReproError):
-    """A task misused the scheduler (bad yield, lane protocol breach)."""
+    """A task misused the scheduler (bad yield, bad wait argument)."""
 
 
 # --- Wait instructions ---------------------------------------------------------
@@ -69,33 +69,6 @@ class At:
                 "At takes an integer microsecond timestamp, got %r" % (t_us,)
             )
         self.t_us = t_us
-
-
-class Acquire:
-    """Suspend until the lane is free, then hold it."""
-
-    __slots__ = ("lane",)
-
-    def __init__(self, lane):
-        self.lane = lane
-
-
-class Release:
-    """Hand the lane to its earliest waiter (FIFO) and keep running."""
-
-    __slots__ = ("lane",)
-
-    def __init__(self, lane):
-        self.lane = lane
-
-
-class Join:
-    """Suspend until ``task`` completes; resumes with its result."""
-
-    __slots__ = ("task",)
-
-    def __init__(self, task):
-        self.task = task
 
 
 # --- Tie-breaking --------------------------------------------------------------
@@ -146,8 +119,6 @@ class Task:
         "daemon",
         "done",
         "result",
-        "joiners",
-        "held_lanes",
     )
 
     def __init__(self, gen, name, root, daemon):
@@ -160,36 +131,10 @@ class Task:
         self.daemon = daemon
         self.done = False
         self.result = None
-        self.joiners = []
-        self.held_lanes = []
 
     def __repr__(self):
         state = "done" if self.done else "pending"
         return "Task(%s, %s)" % (self.name, state)
-
-
-class Lane:
-    """An exclusive resource with FIFO handoff (queue slot, append point).
-
-    Channel/chip *occupancy* stays in the flash timelines — a lane is
-    for host-side mutual exclusion, e.g. serializing submission-queue
-    consumption among the slot workers of one queue pair.
-    """
-
-    __slots__ = ("name", "holder", "waiters")
-
-    def __init__(self, name):
-        self.name = name
-        self.holder = None
-        self.waiters = []
-
-    @property
-    def free(self):
-        return self.holder is None
-
-    def __repr__(self):
-        holder = self.holder.name if self.holder is not None else "free"
-        return "Lane(%s, %s, %d waiting)" % (self.name, holder, len(self.waiters))
 
 
 # --- The loop ------------------------------------------------------------------
@@ -228,15 +173,15 @@ class EventLoop:
         if not daemon:
             self._live += 1
         start = self.now_us if at_us is None else max(self.now_us, at_us)
-        self._push(task, start, None)
+        self._push(task, start)
         self._trace("task-spawn", start, task=name, root=root)
         return task
 
-    def _push(self, task, t_us, send_value):
+    def _push(self, task, t_us):
         self._seq += 1
         heapq.heappush(
             self._heap,
-            (t_us, self._tie.key(t_us, self._seq), self._seq, task, send_value),
+            (t_us, self._tie.key(t_us, self._seq), self._seq, task),
         )
 
     # --- Running ----------------------------------------------------------
@@ -254,32 +199,26 @@ class EventLoop:
             if until_us is not None and entry[0] > until_us:
                 break
             heapq.heappop(self._heap)
-            t_us, _tie, _seq, task, value = entry
+            t_us, _tie, _seq, task = entry
             if task.done:
                 continue
             self.clock.advance_to(t_us)
             self.events_dispatched += 1
             dispatched += 1
-            self._step(task, value)
+            self._step(task)
         return dispatched
 
-    def _step(self, task, value):
+    def _step(self, task):
         """Resume one task and interpret the instruction it yields."""
         try:
-            instruction = task.gen.send(value)
+            instruction = next(task.gen)
         except StopIteration as stop:
             self._finish(task, stop.value)
             return
         if isinstance(instruction, Delay):
-            self._push(task, self.now_us + instruction.delta_us, None)
+            self._push(task, self.now_us + instruction.delta_us)
         elif isinstance(instruction, At):
-            self._push(task, max(self.now_us, instruction.t_us), None)
-        elif isinstance(instruction, Acquire):
-            self._acquire(task, instruction.lane)
-        elif isinstance(instruction, Release):
-            self._release(task, instruction.lane)
-        elif isinstance(instruction, Join):
-            self._join(task, instruction.task)
+            self._push(task, max(self.now_us, instruction.t_us))
         else:
             raise SchedulerError(
                 "task %s yielded %r; tasks must yield a wait instruction"
@@ -287,54 +226,11 @@ class EventLoop:
             )
 
     def _finish(self, task, result):
-        if task.held_lanes:
-            raise SchedulerError(
-                "task %s finished still holding %s"
-                % (task.name, ", ".join(l.name for l in task.held_lanes))
-            )
         task.done = True
         task.result = result
         if not task.daemon:
             self._live -= 1
         self._trace("task-done", self.now_us, task=task.name, root=task.root)
-        for joiner in task.joiners:
-            self._push(joiner, self.now_us, result)
-        task.joiners = []
-
-    def _acquire(self, task, lane):
-        if lane.holder is None:
-            lane.holder = task
-            task.held_lanes.append(lane)
-            self._push(task, self.now_us, lane)
-        else:
-            lane.waiters.append(task)
-
-    def _release(self, task, lane):
-        if lane.holder is not task:
-            raise SchedulerError(
-                "task %s released lane %s held by %s"
-                % (
-                    task.name,
-                    lane.name,
-                    lane.holder.name if lane.holder else "nobody",
-                )
-            )
-        task.held_lanes.remove(lane)
-        if lane.waiters:
-            next_task = lane.waiters.pop(0)
-            lane.holder = next_task
-            next_task.held_lanes.append(lane)
-            self._push(next_task, self.now_us, lane)
-        else:
-            lane.holder = None
-        # The releasing task keeps running in the same dispatch slot.
-        self._push(task, self.now_us, None)
-
-    def _join(self, task, target):
-        if target.done:
-            self._push(task, self.now_us, target.result)
-        else:
-            target.joiners.append(task)
 
     # --- Introspection ----------------------------------------------------
 

@@ -64,18 +64,18 @@ def test_task_root_declarations_are_well_formed():
         assert all(q.startswith("repro.") for q in root.qualnames)
 
 
-def test_policy_for_matches_glob_owner_and_attr():
-    assert policy_for("repro.ftl.ssd.BaseSSD", "gc_runs") is not None
-    assert policy_for("repro.obs.metrics.Counter", "value") is not None
-    assert policy_for("repro.nowhere.Nothing", "x") is None
+def test_policy_for_matches_glob_owner():
+    assert policy_for("repro.ftl.ssd.BaseSSD") is not None
+    assert policy_for("repro.obs.metrics.Counter") is not None
+    assert policy_for("repro.nowhere.Nothing") is None
 
 
 def test_shared_state_policy_glob_semantics():
     policy = SharedStatePolicy(
-        owner="repro.obs.*", attr="*", policy="monotonic", why="w"
+        owner="repro.obs.*", policy="monotonic", why="w"
     )
-    assert policy.matches("repro.obs.metrics.Counter", "anything")
-    assert not policy.matches("repro.ftl.ssd.BaseSSD", "anything")
+    assert policy.matches("repro.obs.metrics.Counter")
+    assert not policy.matches("repro.ftl.ssd.BaseSSD")
 
 
 # --- The @atomic_section decorator (runtime surface) --------------------------

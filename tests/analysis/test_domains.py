@@ -128,3 +128,100 @@ def test_branch_merge_forgets_disagreeing_domains(lint_package):
         rules=["domains-cross-assign"],
     )
     assert violations == []
+
+
+# --- Loop joins (one walker, one join: repro.analysis.flow) -------------------
+
+COMPARE = ["domains-cross-compare"]
+
+
+def test_if_join_of_disagreeing_assignments_is_unknown(lint_package):
+    violations = lint_package(
+        {
+            "repro.ftl.pick": """
+                def chase(lpa, ppa, flag):
+                    cur = lpa
+                    if flag:
+                        cur = ppa
+                    return cur == lpa
+            """,
+        },
+        rules=COMPARE,
+    )
+    assert violations == []
+
+
+def test_for_loop_join_of_disagreeing_assignments_is_unknown(lint_package):
+    # The body may run zero times, so after the loop ``cur`` is LBA on
+    # one path and PPA on the other: unknown, exactly like the ``if``.
+    violations = lint_package(
+        {
+            "repro.ftl.pick": """
+                def chase(lpa, ppa, hops):
+                    cur = lpa
+                    for _hop in hops:
+                        cur = ppa
+                    return cur == lpa
+            """,
+        },
+        rules=COMPARE,
+    )
+    assert violations == []
+
+
+def test_while_loop_join_of_disagreeing_assignments_is_unknown(lint_package):
+    violations = lint_package(
+        {
+            "repro.ftl.pick": """
+                def chase(lpa, ppa, more):
+                    cur = lpa
+                    while more():
+                        cur = ppa
+                    return cur == lpa
+            """,
+        },
+        rules=COMPARE,
+    )
+    assert violations == []
+
+
+def test_mix_inside_a_loop_body_is_reported_exactly_once(lint_package):
+    # Loop bodies are walked twice (loop-carried state); the finding is
+    # still one finding.
+    violations = lint_package(
+        {
+            "repro.ftl.pick": """
+                def chase(lpa, ppa, hops):
+                    hits = 0
+                    for _hop in hops:
+                        if ppa == lpa:
+                            hits += 1
+                    return hits
+            """,
+        },
+        rules=COMPARE,
+    )
+    assert rule_ids(violations) == COMPARE
+    assert violations[0].line == 5
+
+
+def test_loop_carried_domain_reaches_the_next_iteration(lint_package):
+    # ``prev`` is bound only at the bottom of the body, so the mix in
+    # the test above it is visible only to the second pass.
+    violations = lint_package(
+        {
+            "repro.ftl.pick": """
+                def chase(lpa, ppa, hops):
+                    seen = False
+                    for _hop in hops:
+                        if seen and prev == lpa:
+                            return True
+                        prev = ppa
+                        seen = True
+                    return False
+            """,
+        },
+        rules=COMPARE,
+    )
+    assert rule_ids(violations) == COMPARE
+    assert violations[0].line == 5

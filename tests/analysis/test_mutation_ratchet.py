@@ -1,0 +1,491 @@
+"""Seeded-mutation ratchet: a rule earns its place by a bug it catches.
+
+Every row of :data:`MUTATIONS` is one realistic one-edit bug seeded into
+a scratch copy of the real ``src/repro`` tree, and names the rule that
+must catch it.  The copy is linted with only the claimed rule selected,
+so a row proves that *this rule* sees *this bug* in the code as it is
+today — not in a synthetic fixture shaped to fit the rule.  The last
+test closes the loop: every registered rule id is either claimed by a
+row or listed in :data:`UNSEEDED` with a written reason.  A rule nobody
+can write a row for polices nothing; deleting it is licensed by this
+file staying green (docs/ANALYSIS.md, "How a rule earns its place").
+
+``slow``: ~40 whole-tree lint runs.  ``pytest -m slow`` on this file is
+a ``deepcheck`` CI step.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+from collections import namedtuple
+
+import pytest
+
+from repro.analysis.core import all_rules, analyze_paths, rules_by_id
+
+pytestmark = pytest.mark.slow
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+
+#: One seeded bug.  ``edits`` is ``((file under src/repro, old, new),
+#: ...)`` — ``old`` must occur exactly once in the file, so a row cannot
+#: rot silently when the code around it moves.  ``select`` is what the
+#: linter runs (default: just ``rule``); ``says`` are substrings the
+#: report must contain; ``cli`` rows go through ``python -m
+#: repro.analysis`` with the *mutated* copy on ``sys.path``, proving the
+#: linter survives a tree whose runtime no longer imports.
+Mutation = namedtuple("Mutation", "rule edits select says cli")
+
+
+def seed(rule, path, old, new, *more, select=None, says=(), cli=False):
+    edits = ((path, old, new),) + tuple(
+        more[i:i + 3] for i in range(0, len(more), 3)
+    )
+    return Mutation(rule, edits, select or rule, says, cli)
+
+
+MUTATIONS = (
+    # --- determinism ----------------------------------------------------------
+    seed(
+        "determinism-wallclock",  # host arrival stamped from the wall clock
+        "ftl/ssd.py",
+        "from repro.common.atomic import atomic_section\n",
+        "import time\n\nfrom repro.common.atomic import atomic_section\n",
+        "ftl/ssd.py",
+        '        """\n        arrival = self.clock.now_us\n'
+        "        self._before_host_request(arrival)\n"
+        "        self._m_host_reads.inc()\n",
+        '        """\n        arrival = int(time.time() * 1_000_000)\n'
+        "        self._before_host_request(arrival)\n"
+        "        self._m_host_reads.inc()\n",
+    ),
+    seed(
+        "determinism-global-random",  # seeding the shared module RNG
+        "timessd/ssd.py",
+        "        self._rng = random.Random(config.seed)\n",
+        "        random.seed(config.seed)\n        self._rng = random\n",
+    ),
+    seed(
+        "determinism-unseeded-rng",  # the per-device seed dropped
+        "timessd/ssd.py",
+        "random.Random(config.seed)",
+        "random.Random()",
+    ),
+    # --- hygiene --------------------------------------------------------------
+    seed(
+        "hygiene-mutable-default",
+        "ftl/ssd.py",
+        "def write_range(self, start_lpa, npages, pages=None):",
+        "def write_range(self, start_lpa, npages, pages=[]):",
+    ),
+    seed(
+        "hygiene-bare-except",  # GC migration swallowing everything
+        "ftl/ssd.py",
+        "            except UncorrectableReadError:\n"
+        "                self.note_lost_valid_page(ppa)\n",
+        "            except:\n"
+        "                self.note_lost_valid_page(ppa)\n",
+    ),
+    seed(
+        "hygiene-print",  # debug print left in the reclaim path
+        "ftl/ssd.py",
+        '            tr.emit("gc", "reclaim", now_us, pba=pba, '
+        "migrated=migrated)\n",
+        '            print("reclaim", now_us, pba, migrated)\n',
+    ),
+    seed(
+        "hygiene-unit-mix",  # a millisecond budget added to a us cursor
+        "sched/tasks.py",
+        "idle_us=COMPRESS_IDLE_US, budget_us=500):",
+        "idle_us=COMPRESS_IDLE_US, budget_ms=1):",
+        "sched/tasks.py",
+        "ssd.background_compress(now_us, now_us + budget_us)",
+        "ssd.background_compress(now_us, now_us + budget_ms)",
+    ),
+    seed(
+        "unused-suppression",  # the violation fixed, its waiver left behind
+        "security/flashguard.py",
+        "                self.device.program_page(new_ppa, result.data, "
+        "result.oob, now_us)  # almanac: ignore[layering-flash-api]\n"
+        "                version.ppa",
+        "                self.program_with_retry(lambda: new_ppa, result.data, "
+        "result.oob, now_us)  # almanac: ignore[layering-flash-api]\n"
+        "                version.ppa",
+        select="unused-suppression,layering-flash-api",
+    ),
+    # --- layering -------------------------------------------------------------
+    seed(
+        "layering-order",  # flash -> ftl; used to kill the linter at import
+        "flash/device.py",
+        "from repro.common.errors import",
+        "from repro.ftl.mapping import NULL_PPA\n"
+        "from repro.common.errors import",
+        cli=True,
+    ),
+    seed(
+        "layering-flash-api",  # the NVMe layer erasing raw flash on TRIM
+        "nvme/controller.py",
+        "            self.ssd.trim(command.slba + i)\n",
+        "            self.ssd.trim(command.slba + i)\n"
+        "            self.ssd.device.erase_block(command.slba + i, 0)\n",
+    ),
+    seed(
+        "layering-obs-isolated",  # the observer reaching up into flash
+        "obs/metrics.py",
+        "from repro.common.errors import ReproError\n",
+        "from repro.common.errors import ReproError\n"
+        "from repro.flash.geometry import FlashGeometry\n",
+    ),
+    seed(
+        "layering-cycle",  # ftl <-> timessd: same layer, so order is blind
+        "ftl/ssd.py",
+        "from repro.common.atomic import atomic_section\n",
+        "from repro.common.atomic import atomic_section\n"
+        "from repro.timessd.config import TimeSSDConfig\n",
+    ),
+    # --- callgraph ------------------------------------------------------------
+    seed(
+        "callgraph-private-cross-package",  # NVMe kicking FTL-private GC
+        "nvme/controller.py",
+        "        data, _ = self.ssd.read_range(command.slba, command.nlb)\n",
+        "        self.ssd._collect_garbage(self.ssd.clock.now_us)\n"
+        "        data, _ = self.ssd.read_range(command.slba, command.nlb)\n",
+    ),
+    # --- effects --------------------------------------------------------------
+    seed(
+        "effects-recovery-rng",  # recovery adopting blocks in random order
+        "ftl/recovery.py",
+        "    for pba in sweep.partial_blocks:\n",
+        "    for pba in ssd._rng.sample(\n"
+        "        sweep.partial_blocks, len(sweep.partial_blocks)\n"
+        "    ):\n",
+    ),
+    seed(
+        "effects-read-path-flash",  # read-disturb "fix": relocate on read
+        "ftl/ssd.py",
+        "        result = self.read_page_with_retry(ppa, start)\n"
+        "        return result.data, result.complete_us\n",
+        "        result = self.read_page_with_retry(ppa, start)\n"
+        "        self.relocate_block(\n"
+        "            self.device.geometry.block_of_page(ppa), start\n"
+        "        )\n"
+        "        return result.data, result.complete_us\n",
+    ),
+    seed(
+        "effects-read-path-flash",  # ROADMAP's example: program in a read
+        "ftl/ssd.py",
+        "        result = self.read_page_with_retry(ppa, start)\n"
+        "        return result.data, result.complete_us\n",
+        "        result = self.read_page_with_retry(ppa, start)\n"
+        "        self.device.program_page(ppa, result.data, result.oob, start)\n"
+        "        return result.data, result.complete_us\n",
+    ),
+    seed(
+        "effects-fault-hook-sites",  # a fault hook on the side-effect-free peek
+        "flash/device.py",
+        '        """Inspect a page without timing or counters (tests, '
+        'invariants).\n',
+        "        self.faults.on_read(self, ppa)\n"
+        '        """Inspect a page without timing or counters (tests, '
+        'invariants).\n',
+    ),
+    seed(
+        "effects-obs-raises",  # a metric emit site raising outside ReproError
+        "obs/metrics.py",
+        '            raise ReproError("latency cannot be negative")\n',
+        '            raise ValueError("latency cannot be negative")\n',
+    ),
+    seed(
+        "effects-scrub-rng",  # patrol order drawn from the foreground RNG
+        "ftl/scrub.py",
+        "        order = self._patrol_order()\n",
+        "        order = self._patrol_order()\n"
+        "        ssd._rng.shuffle(order)\n",
+    ),
+    seed(
+        "effects-scrub-flash-writes",  # scrub erasing outside the refresh API
+        "ftl/scrub.py",
+        "            # Lost despite the full ladder: nothing left to refresh.\n",
+        "            ssd.device.erase_block(\n"
+        "                ssd.device.geometry.block_of_page(ppa), now_us\n"
+        "            )\n",
+    ),
+    # --- domains --------------------------------------------------------------
+    seed(
+        "domains-cross-assign",  # the chain head's LBA read from the wrong
+        "timessd/gc.py",  # OOB field
+        "        lpa = head.oob.lpa\n",
+        "        lpa = head.oob.back_pointer\n",
+    ),
+    seed(
+        "domains-cross-compare",  # ROADMAP's example: LBA tested as a PPA
+        "ftl/ssd.py",
+        "        self.host_pages_read += 1\n        if ppa == NULL_PPA:\n",
+        "        self.host_pages_read += 1\n        if lpa == NULL_PPA:\n",
+    ),
+    seed(
+        "domains-cross-arg",  # the bloom filter keyed by the wrong domain
+        "timessd/ssd.py",
+        "        self.blooms.record_invalidation(old_ppa)\n",
+        "        self.blooms.record_invalidation(lpa)\n",
+    ),
+    seed(
+        "domains-cross-arg",  # swapped positional arguments
+        "ftl/ssd.py",
+        "                result = self.read_page_with_retry(ppa, now_us)\n"
+        "            except UncorrectableReadError:\n"
+        "                self.note_lost_valid_page(ppa)\n",
+        "                result = self.read_page_with_retry(now_us, ppa)\n"
+        "            except UncorrectableReadError:\n"
+        "                self.note_lost_valid_page(ppa)\n",
+    ),
+    # --- obs ------------------------------------------------------------------
+    seed(
+        "obs-uncataloged-metric",  # ROADMAP's example: a renamed counter
+        "timessd/ssd.py",
+        'metrics.counter("timessd.delta.compressions")',
+        'metrics.counter("timessd.delta.compression_count")',
+    ),
+    # --- concurrency: atomic sections -----------------------------------------
+    seed(
+        "concurrency-unannotated-flash-mutator",  # the decorator dropped
+        "ftl/ssd.py",
+        "    @atomic_section(\n"
+        '        "allocate + map + program + validity must commit as one '
+        'step: a "\n'
+        '        "competing task between mapping update and program would '
+        'read a "\n'
+        '        "mapped-but-unwritten page",\n'
+        "        restores_state=True,  # retry exhaustion re-points the "
+        "mapping at\n"
+        "        # the last durable copy (or invalidates a first write) "
+        "before the\n"
+        "        # ProgramFailureError escapes\n"
+        "    )\n",
+        "",
+    ),
+    seed(
+        "concurrency-reentrant-atomic",  # GC fired from inside the commit
+        "ftl/ssd.py",
+        "        ppa = self.block_manager.allocate_page(StreamId.USER)\n"
+        "        old = self.mapping.update(lpa, ppa)\n"
+        "        now_us = self._translation_delay(now_us)\n",
+        "        self.background_collect(now_us, now_us + 1)\n"
+        "        ppa = self.block_manager.allocate_page(StreamId.USER)\n"
+        "        old = self.mapping.update(lpa, ppa)\n"
+        "        now_us = self._translation_delay(now_us)\n",
+    ),
+    seed(
+        "concurrency-yield-in-atomic",  # a slot worker "made atomic"
+        "nvme/engine.py",
+        "from repro.nvme.controller import NVMeController\n",
+        "from repro.common.atomic import atomic_section\n"
+        "from repro.nvme.controller import NVMeController\n",
+        "nvme/engine.py",
+        "    def _slot_worker(self, pair):\n",
+        '    @atomic_section("fetch, execute and post are one step")\n'
+        "    def _slot_worker(self, pair):\n",
+    ),
+    seed(
+        "concurrency-atomic-raise-after-mutate",  # range check moved last
+        "ftl/mapping.py",
+        "        old = self._table[lpa]\n"
+        "        self._table[lpa] = ppa\n"
+        "        return old\n",
+        "        old = self._table[lpa]\n"
+        "        self._table[lpa] = ppa\n"
+        "        self._check(lpa)\n"
+        "        return old\n",
+    ),
+    seed(
+        "concurrency-atomic-raise-after-mutate",  # the waiver dropped
+        "ftl/ssd.py",
+        "        restores_state=True,  # the flag flip is the last firmware\n",
+        "        # the flag flip is the last firmware\n",
+    ),
+    seed(
+        "concurrency-malformed-atomic",  # used to die on the ValueError
+        "timessd/ssd.py",
+        "    @atomic_section(\n"
+        '        "the retention census (blooms, per-block retained counts, '
+        'TRIM "\n'
+        '        "tombstones) must move with the validity flip it '
+        'describes: a "\n'
+        '        "suspension in between would let GC see a stale page the '
+        'census "\n'
+        '        "does not yet count as retained",\n'
+        "        # The PVT flip, bloom insert and census increment are each\n"
+        "        # independently consistent sub-updates; recovery rebuilds "
+        "the\n"
+        "        # census from flash, so a geometry/bloom failure mid-way "
+        "(which\n"
+        "        # means corrupted configuration, not a data race) loses "
+        "nothing.\n"
+        "        restores_state=True,\n"
+        "    )\n"
+        "    def _on_invalidate(",
+        "    @atomic_section\n    def _on_invalidate(",
+        cli=True,
+    ),
+    # --- concurrency: shared state --------------------------------------------
+    seed(
+        "concurrency-unclassified-shared-state",  # a new class of contended
+        "ftl/ssd.py",  # state: foreground and idle-window GC both migrate
+        "class RegularSSD(BaseSSD):\n",
+        "class MigrationTally:\n"
+        "    def __init__(self):\n"
+        "        self.pages = 0\n\n"
+        "    def note(self, count):\n"
+        "        self.pages = self.pages + count\n\n\n"
+        "class RegularSSD(BaseSSD):\n",
+        "ftl/ssd.py",
+        "        self._translation_writes_seen = 0\n\n    # --- Host",
+        "        self._translation_writes_seen = 0\n"
+        "        self._tally = MigrationTally()\n\n    # --- Host",
+        "ftl/ssd.py",
+        "            migrated += 1\n"
+        "        self._m_gc_migrated.inc(migrated)\n",
+        "            migrated += 1\n"
+        "        self._tally.note(migrated)\n"
+        "        self._m_gc_migrated.inc(migrated)\n",
+        says=("MigrationTally.pages", "background-gc", "host-serve"),
+    ),
+    seed(
+        "concurrency-stale-policy",  # a class renamed under its policy row
+        "timessd/retention.py",
+        "class GCOverheadEstimator:",
+        "class OverheadEstimator:",
+    ),
+    # --- concurrency: yield points --------------------------------------------
+    seed(
+        "concurrency-stale-read-after-yield",  # ROADMAP's example: the
+        "nvme/engine.py",  # classic lost update across a wait
+        "            if end > start:\n"
+        "                yield At(end)\n"
+        "            self._inflight -= 1\n",
+        "            inflight = self._inflight\n"
+        "            if end > start:\n"
+        "                yield At(end)\n"
+        "            self._inflight = inflight - 1\n",
+    ),
+    seed(
+        "concurrency-bad-yield-value",  # the Delay() wrapper forgotten
+        "sched/tasks.py",
+        "ssd.gc_round_cost_bound())\n"
+        "        yield Delay(end_us - now_us or idle_us)\n",
+        "ssd.gc_round_cost_bound())\n"
+        "        yield end_us - now_us or idle_us\n",
+    ),
+    seed(
+        "concurrency-return-in-daemon",  # expiry stops once at target
+        "sched/tasks.py",
+        "        ssd.expire_retention_step(loop.now_us, target_window_us)\n",
+        "        if not ssd.expire_retention_step(loop.now_us, "
+        "target_window_us):\n"
+        "            return\n",
+    ),
+)
+
+#: Rules no row claims, each with the reason seeding it is impractical.
+#: Empty today: every registered rule catches a seeded bug.
+UNSEEDED = {}
+
+
+def _read(path):
+    with open(path, "r", encoding="utf-8") as handle:
+        return handle.read()
+
+
+def _write(path, text):
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+
+
+@pytest.fixture(scope="module")
+def tree(tmp_path_factory):
+    """A scratch copy of ``src/repro`` with the metric catalog beside it
+    (``obs-uncataloged-metric`` walks up to ``docs/OBSERVABILITY.md``)."""
+    root = tmp_path_factory.mktemp("ratchet")
+    shutil.copytree(
+        os.path.join(REPO_ROOT, "src", "repro"),
+        str(root / "src" / "repro"),
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    (root / "docs").mkdir()
+    shutil.copy(
+        os.path.join(REPO_ROOT, "docs", "OBSERVABILITY.md"),
+        str(root / "docs" / "OBSERVABILITY.md"),
+    )
+    return root
+
+
+def _lint(tree, mutation):
+    """Rule ids reported for the (mutated) copy, plus a failure detail."""
+    target = str(tree / "src" / "repro")
+    if not mutation.cli:
+        found = analyze_paths([target], rules_by_id(mutation.select.split(",")))
+        return {v.rule_id for v in found}, "\n".join(map(str, found))
+    result = subprocess.run(
+        [sys.executable, "-m", "repro.analysis", target,
+         "--select", mutation.select],
+        capture_output=True, text=True, cwd=str(tree),
+        env=dict(os.environ, PYTHONPATH=str(tree / "src")),
+    )
+    detail = result.stdout + result.stderr
+    assert result.returncode == 1 and "Traceback" not in detail, detail
+    fired = {
+        rule.rule_id for rule in all_rules()
+        if "[%s]" % rule.rule_id in result.stdout
+    }
+    return fired, detail
+
+
+def test_unmutated_copy_is_clean(tree):
+    # The baseline every row is judged against: whatever fires below is
+    # the seeded bug, not something the copy already had.
+    assert analyze_paths([str(tree / "src" / "repro")]) == []
+
+
+@pytest.mark.parametrize(
+    "mutation",
+    MUTATIONS,
+    ids=["%02d-%s" % (i, m.rule) for i, m in enumerate(MUTATIONS)],
+)
+def test_seeded_bug_is_caught_by_its_claimed_rule(tree, mutation):
+    originals = {}
+    try:
+        for relpath, old, new in mutation.edits:
+            path = str(tree / "src" / "repro" / relpath)
+            text = _read(path)
+            originals.setdefault(path, text)
+            assert text.count(old) == 1, (
+                "%s: anchor occurs %d times, want exactly 1:\n%s"
+                % (relpath, text.count(old), old)
+            )
+            _write(path, text.replace(old, new))
+        fired, detail = _lint(tree, mutation)
+    finally:
+        for path, text in originals.items():
+            _write(path, text)
+    assert mutation.rule in fired, (
+        "%s did not fire for its seeded bug; the linter said:\n%s"
+        % (mutation.rule, detail or "(clean)")
+    )
+    for text in mutation.says:
+        assert text in detail
+
+
+def test_every_rule_is_claimed_or_has_a_written_reason():
+    registered = {rule.rule_id for rule in all_rules()}
+    claimed = {mutation.rule for mutation in MUTATIONS}
+    assert claimed <= registered, sorted(claimed - registered)
+    assert set(UNSEEDED) <= registered, sorted(set(UNSEEDED) - registered)
+    assert not set(UNSEEDED) & claimed, "claimed rules need no excuse"
+    assert all(reason.strip() for reason in UNSEEDED.values())
+    unaccounted = registered - claimed - set(UNSEEDED)
+    assert not unaccounted, (
+        "rules that catch no seeded bug and carry no written reason: %s"
+        % sorted(unaccounted)
+    )
+    assert len(MUTATIONS) >= 30

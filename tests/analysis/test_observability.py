@@ -2,15 +2,10 @@
 
 The catalog lives *outside* the analyzed tree, so these tests build it
 next to the synthetic package (``find_catalog`` walks up from the
-analyzed files) and also pin :func:`catalog_fingerprint`, the hook that
-keys the result cache on catalog content.
+analyzed files).
 """
 
-from repro.analysis.rules.observability import (
-    _covers,
-    _template,
-    catalog_fingerprint,
-)
+from repro.analysis.rules.observability import _covers, _template
 
 from tests.analysis.conftest import rule_ids
 
@@ -145,17 +140,6 @@ def test_no_catalog_means_no_findings(lint_package):
         """,
     }, rules=[OBS_RULE])
     assert violations == []
-
-
-def test_catalog_fingerprint_tracks_content(tmp_path):
-    pkg = tmp_path / "pkg"
-    pkg.mkdir()
-    assert catalog_fingerprint([str(pkg)]) == "no-catalog"
-    _catalog(tmp_path, ["a.b"])
-    first = catalog_fingerprint([str(pkg)])
-    assert first != "no-catalog"
-    _catalog(tmp_path, ["a.b", "c.d"])
-    assert catalog_fingerprint([str(pkg)]) != first
 
 
 def test_template_and_covers_normalization():

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 from repro.analysis.core import analyze_paths
 from repro.analysis.runner import main as lint_main
@@ -139,16 +141,16 @@ def test_deep_flag_runs_whole_program_passes(tmp_path, capsys):
     (tmp_path / "repro" / "__init__.py").write_text("")
     (pkg / "__init__.py").write_text("")
     (pkg / "mapping.py").write_text("def f(lpa, ppa):\n    lpa = ppa\n")
-    assert lint_main([str(tmp_path / "repro"), "--no-cache"]) == 0
+    assert lint_main([str(tmp_path / "repro")]) == 0
     capsys.readouterr()
-    assert lint_main([str(tmp_path / "repro"), "--deep", "--no-cache"]) == 1
+    assert lint_main([str(tmp_path / "repro"), "--deep"]) == 1
     assert "domains-cross-assign" in capsys.readouterr().out
 
 
 def test_syntax_error_is_reported_not_raised(tmp_path, capsys):
     path = tmp_path / "broken.py"
     path.write_text("def broken(:\n    pass\n")
-    assert lint_main([str(path), "--deep", "--no-cache"]) == 1
+    assert lint_main([str(path), "--deep"]) == 1
     out = capsys.readouterr().out
     assert "[parse-error]" in out
 
@@ -156,20 +158,9 @@ def test_syntax_error_is_reported_not_raised(tmp_path, capsys):
 def test_undecodable_file_is_reported_not_raised(tmp_path, capsys):
     path = tmp_path / "binary.py"
     path.write_bytes(b"\xff\xfe\x00junk\x80\x81")
-    assert lint_main([str(path), "--deep", "--no-cache"]) == 1
+    assert lint_main([str(path), "--deep"]) == 1
     out = capsys.readouterr().out
     assert "[parse-error]" in out
-
-
-def test_cache_round_trip_matches_cold_run(tmp_path, capsys):
-    path = tmp_path / "dirty.py"
-    path.write_text(DIRTY)
-    cache_dir = str(tmp_path / "cache")
-    assert lint_main([str(path), "--cache-dir", cache_dir]) == 1
-    cold = capsys.readouterr().out
-    assert os.listdir(cache_dir)
-    assert lint_main([str(path), "--cache-dir", cache_dir]) == 1
-    assert capsys.readouterr().out == cold
 
 
 def test_whole_tree_is_clean():
@@ -178,26 +169,38 @@ def test_whole_tree_is_clean():
     assert analyze_paths([SRC_REPRO]) == []
 
 
-def test_stats_flag_reports_counts_and_cache(tmp_path, capsys):
+def test_stats_flag_reports_per_rule_counts(tmp_path, capsys):
     path = tmp_path / "dirty.py"
     path.write_text(DIRTY)
-    cache_dir = str(tmp_path / "cache")
-    assert lint_main([str(path), "--cache-dir", cache_dir, "--stats"]) == 1
+    assert lint_main([str(path), "--stats"]) == 1
     err = capsys.readouterr().err
     assert "findings by rule:" in err
     assert "determinism-wallclock" in err
-    assert "cache shallow: 0 hit / 1 miss" in err
-    # Warm run: same selection, unchanged file -> pure hit.
-    assert lint_main([str(path), "--cache-dir", cache_dir, "--stats"]) == 1
-    err = capsys.readouterr().err
-    assert "cache shallow: 1 hit / 0 miss (100% hit)" in err
+    assert "rules run:" in err
 
 
-def test_stats_flag_reports_disabled_cache(tmp_path, capsys):
-    path = tmp_path / "clean.py"
-    path.write_text(CLEAN)
-    assert lint_main([str(path), "--no-cache", "--stats"]) == 0
-    assert "cache: disabled" in capsys.readouterr().err
+def test_lint_loads_no_runtime_module():
+    # The linter must be able to lint a tree whose runtime does not
+    # import, so ``python -m repro.analysis`` may load ``repro`` itself
+    # and ``repro.analysis.*`` — nothing else of the package.
+    probe = (
+        "import runpy, sys\n"
+        "sys.argv = ['repro.analysis', '--list-rules']\n"
+        "try:\n"
+        "    runpy.run_module('repro.analysis', run_name='__main__')\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "print('LOADED', sorted(\n"
+        "    m for m in sys.modules\n"
+        "    if m.startswith('repro.')\n"
+        "    and not m.startswith('repro.analysis')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert result.stdout.splitlines()[-1] == "LOADED []"
 
 
 def test_emit_interleaving_writes_report(tmp_path, capsys):
@@ -213,7 +216,6 @@ def test_emit_interleaving_writes_report(tmp_path, capsys):
         lint_main(
             [
                 str(tmp_path / "repro"),
-                "--no-cache",
                 "--emit-interleaving",
                 str(out),
             ]

@@ -1,5 +1,5 @@
-"""The yield/lane tier: staleness across waits, lane discipline,
-task-generator protocol, and the extended contract report.
+"""The yield tier: staleness across waits, task-generator protocol,
+and the extended contract report.
 
 Synthetic trees define a minimal ``repro.sched.core`` with the real
 wait-instruction and ``EventLoop.spawn`` qualnames so the hard-coded
@@ -26,22 +26,6 @@ SCHED_CORE = """
     class At:
         def __init__(self, at_us):
             self.at_us = at_us
-
-    class Acquire:
-        def __init__(self, lane):
-            self.lane = lane
-
-    class Release:
-        def __init__(self, lane):
-            self.lane = lane
-
-    class Join:
-        def __init__(self, task):
-            self.task = task
-
-    class Lane:
-        def __init__(self, name):
-            self.name = name
 
     class EventLoop:
         def spawn(self, gen, name, root="task", daemon=False, at_us=None):
@@ -196,26 +180,6 @@ def test_stale_read_rereading_after_yield_is_clean(lint_package):
     assert violations == []
 
 
-def test_stale_read_protected_by_held_lane_is_clean(lint_package):
-    violations = lint_package(_tree({
-        "repro.sched.tasks": """
-            from repro.sched.core import Acquire, Delay, Lane, Release
-
-            GC_LANE = Lane("gc")
-
-            def background_gc_task(loop, ssd):
-                while True:
-                    yield Acquire(GC_LANE)
-                    pending = ssd.queue_len
-                    ssd.queue_len = pending + 1
-                    yield Delay(5)
-                    ssd.consume(pending)
-                    yield Release(GC_LANE)
-        """,
-    }), rules=[STALE_RULE])
-    assert violations == []
-
-
 def test_stale_read_skips_data_generators(lint_package):
     # The same capture/use shape, but the generator yields values to a
     # same-task consumer — its yields do not suspend the task.
@@ -228,146 +192,6 @@ def test_stale_read_skips_data_generators(lint_package):
                 ssd.consume(pending)
         """,
     }), rules=[STALE_RULE])
-    assert violations == []
-
-
-# --- Lane discipline ----------------------------------------------------------
-
-
-def test_lane_leak_on_return_while_holding(lint_package):
-    violations = lint_package(_tree({
-        "repro.sched.tasks": """
-            from repro.sched.core import Acquire, Lane, Release
-
-            GC_LANE = Lane("gc")
-
-            def background_gc_task(loop, ssd):
-                yield Acquire(GC_LANE)
-                if ssd.busy:
-                    return
-                yield Release(GC_LANE)
-        """,
-    }), rules=["concurrency-lane-leak"])
-    assert rule_ids(violations) == ["concurrency-lane-leak"]
-    assert "returns" in violations[0].message
-
-
-def test_lane_leak_on_exception_edge(lint_package):
-    violations = lint_package(_tree({
-        "repro.sched.tasks": """
-            from repro.sched.core import Acquire, Lane, Release
-
-            GC_LANE = Lane("gc")
-
-            def background_gc_task(loop, ssd):
-                yield Acquire(GC_LANE)
-                if ssd.broken:
-                    raise ValueError("broken mid-section")
-                yield Release(GC_LANE)
-        """,
-    }), rules=["concurrency-lane-leak"])
-    assert rule_ids(violations) == ["concurrency-lane-leak"]
-    assert "raises" in violations[0].message
-
-
-def test_lane_release_in_finally_protects_exception_edge(lint_package):
-    violations = lint_package(_tree({
-        "repro.sched.tasks": """
-            from repro.sched.core import Acquire, Delay, Lane, Release
-
-            GC_LANE = Lane("gc")
-
-            def background_gc_task(loop, ssd):
-                yield Acquire(GC_LANE)
-                try:
-                    if ssd.broken:
-                        raise ValueError("broken mid-section")
-                    yield Delay(5)
-                finally:
-                    yield Release(GC_LANE)
-        """,
-    }), rules=["concurrency-lane-leak"])
-    assert violations == []
-
-
-def test_lane_release_without_hold(lint_package):
-    violations = lint_package(_tree({
-        "repro.sched.tasks": """
-            from repro.sched.core import Lane, Release
-
-            GC_LANE = Lane("gc")
-
-            def background_gc_task(loop, ssd):
-                yield Release(GC_LANE)
-        """,
-    }), rules=["concurrency-lane-leak"])
-    assert rule_ids(violations) == ["concurrency-lane-leak"]
-    assert "does not hold" in violations[0].message
-
-
-def test_lane_double_acquire(lint_package):
-    violations = lint_package(_tree({
-        "repro.sched.tasks": """
-            from repro.sched.core import Acquire, Lane, Release
-
-            GC_LANE = Lane("gc")
-
-            def background_gc_task(loop, ssd):
-                yield Acquire(GC_LANE)
-                yield Acquire(GC_LANE)
-                yield Release(GC_LANE)
-        """,
-    }), rules=["concurrency-lane-double-acquire"])
-    assert rule_ids(violations) == ["concurrency-lane-double-acquire"]
-
-
-def test_lane_order_cycle_across_tasks(lint_package):
-    violations = lint_package(_tree({
-        "repro.sched.tasks": """
-            from repro.sched.core import Acquire, Lane, Release
-
-            MAP_LANE = Lane("map")
-            GC_LANE = Lane("gc")
-
-            def background_gc_task(loop, ssd):
-                yield Acquire(MAP_LANE)
-                yield Acquire(GC_LANE)
-                yield Release(GC_LANE)
-                yield Release(MAP_LANE)
-
-            def background_scrub_task(loop, ssd):
-                yield Acquire(GC_LANE)
-                yield Acquire(MAP_LANE)
-                yield Release(MAP_LANE)
-                yield Release(GC_LANE)
-        """,
-    }), rules=["concurrency-lane-order-cycle"])
-    assert rule_ids(violations) == ["concurrency-lane-order-cycle"]
-    assert "GC_LANE" in violations[0].message
-    assert "MAP_LANE" in violations[0].message
-
-
-def test_consistent_lane_order_is_acyclic(lint_package):
-    violations = lint_package(_tree({
-        "repro.sched.tasks": """
-            from repro.sched.core import Acquire, Lane, Release
-
-            MAP_LANE = Lane("map")
-            GC_LANE = Lane("gc")
-
-            def background_gc_task(loop, ssd):
-                yield Acquire(MAP_LANE)
-                yield Acquire(GC_LANE)
-                yield Release(GC_LANE)
-                yield Release(MAP_LANE)
-
-            def background_scrub_task(loop, ssd):
-                yield Acquire(MAP_LANE)
-                yield Acquire(GC_LANE)
-                yield Release(GC_LANE)
-                yield Release(MAP_LANE)
-        """,
-    }), rules=["concurrency-lane-order-cycle", "concurrency-lane-leak"])
     assert violations == []
 
 
@@ -493,41 +317,39 @@ def test_return_in_non_daemon_task_is_fine(lint_package):
 def test_selecting_single_new_rule_runs_only_it(package_tree, capsys):
     root = package_tree(_tree({
         "repro.sched.tasks": """
-            from repro.sched.core import Acquire, Lane
-
-            GC_LANE = Lane("gc")
+            from repro.sched.core import Delay
 
             def background_gc_task(loop, ssd):
                 print("noise")
-                yield Acquire(GC_LANE)
+                yield Delay(5)
+                yield 42
         """,
     }))
-    # The tree has a hygiene-print hit AND a lane leak; a single-rule
+    # The tree has a hygiene-print hit AND a bad yield; a single-rule
     # selection must surface only the selected rule.
     assert lint_main(
-        [root, "--select", "concurrency-lane-leak", "--no-cache"]
+        [root, "--select", "concurrency-bad-yield-value"]
     ) == 1
     out = capsys.readouterr().out
-    assert "concurrency-lane-leak" in out
+    assert "concurrency-bad-yield-value" in out
     assert "hygiene-print" not in out
 
 
 def test_pack_name_selects_new_rules_uniformly(package_tree, capsys):
     root = package_tree(_tree({
         "repro.sched.tasks": """
-            from repro.sched.core import Acquire, Lane
-
-            GC_LANE = Lane("gc")
+            from repro.sched.core import Delay
 
             def background_gc_task(loop, ssd):
-                yield Acquire(GC_LANE)
+                yield Delay(5)
+                yield 42
         """,
     }))
-    assert lint_main([root, "--select", "concurrency", "--no-cache"]) == 1
-    assert "concurrency-lane-leak" in capsys.readouterr().out
+    assert lint_main([root, "--select", "concurrency"]) == 1
+    assert "concurrency-bad-yield-value" in capsys.readouterr().out
     # ... and --ignore drops them from a deep run.
     assert lint_main(
-        [root, "--deep", "--ignore", "concurrency,obs", "--no-cache"]
+        [root, "--deep", "--ignore", "concurrency,obs"]
     ) == 0
 
 
@@ -561,40 +383,32 @@ def test_blanket_ignores_not_judged_on_filtered_runs(package_tree, capsys):
     # A filtered run cannot prove the blanket ignore useless (other
     # rules might need it), so unused-suppression must stay quiet.
     assert lint_main(
-        [root, "--select", "concurrency-stale-read-after-yield",
-         "--no-cache"]
+        [root, "--select", "concurrency-stale-read-after-yield"]
     ) == 0
 
 
 # --- SARIF output for the new rules -------------------------------------------
 
 
-def test_sarif_covers_yield_and_lane_rules(package_tree, capsys):
+def test_sarif_covers_yield_rules(package_tree, capsys):
     root = package_tree(_tree({
         "repro.sched.tasks": """
-            from repro.sched.core import Acquire, Delay, Lane
-
-            GC_LANE = Lane("gc")
+            from repro.sched.core import Delay
 
             def background_gc_task(loop, ssd):
                 while True:
                     pending = ssd.queue_len
                     ssd.queue_len = pending + 1
-                    yield Acquire(GC_LANE)
+                    yield Delay(100)
                     ssd.consume(pending)
         """,
     }))
-    assert lint_main(
-        [root, "--deep", "--format", "sarif", "--no-cache"]
-    ) == 1
+    assert lint_main([root, "--deep", "--format", "sarif"]) == 1
     document = json.loads(capsys.readouterr().out)
     run = document["runs"][0]
     metadata = {r["id"]: r for r in run["tool"]["driver"]["rules"]}
     for rule_id in (
         "concurrency-stale-read-after-yield",
-        "concurrency-lane-leak",
-        "concurrency-lane-double-acquire",
-        "concurrency-lane-order-cycle",
         "concurrency-bad-yield-value",
         "concurrency-return-in-daemon",
         "obs-uncataloged-metric",
@@ -607,8 +421,6 @@ def test_sarif_covers_yield_and_lane_rules(package_tree, capsys):
     for result in run["results"]:
         by_rule.setdefault(result["ruleId"], []).append(result)
     assert "concurrency-stale-read-after-yield" in by_rule
-    # The re-acquire on the loop's second iteration is a double-acquire.
-    assert "concurrency-lane-double-acquire" in by_rule
     stale = by_rule["concurrency-stale-read-after-yield"][0]
     region = stale["locations"][0]["physicalLocation"]["region"]
     assert region["startLine"] > 0
@@ -620,20 +432,16 @@ def test_sarif_covers_yield_and_lane_rules(package_tree, capsys):
 def test_sarif_suppressed_findings_are_absent(package_tree, capsys):
     root = package_tree(_tree({
         "repro.sched.tasks": """
-            from repro.sched.core import Acquire, Lane, Release
-
-            GC_LANE = Lane("gc")
+            from repro.sched.core import Delay
 
             def background_gc_task(loop, ssd):
-                yield Acquire(GC_LANE)
-                if ssd.draining:
-                    return  # almanac: ignore[concurrency-lane-leak] -- shutdown path, loop tears lanes down
-                yield Release(GC_LANE)
+                yield Delay(5)
+                yield 42  # almanac: ignore[concurrency-bad-yield-value] -- drained by a same-task consumer in tests
         """,
     }))
     assert lint_main(
-        [root, "--select", "concurrency-lane-leak", "--format", "sarif",
-         "--no-cache"]
+        [root, "--select", "concurrency-bad-yield-value", "--format",
+         "sarif"]
     ) == 0
     document = json.loads(capsys.readouterr().out)
     assert document["runs"][0]["results"] == []
@@ -642,33 +450,7 @@ def test_sarif_suppressed_findings_are_absent(package_tree, capsys):
 # --- The extended contract report ---------------------------------------------
 
 
-def test_report_gains_yield_point_and_lane_order_sections(package_tree):
-    project = _project(package_tree, _tree({
-        "repro.sched.tasks": """
-            from repro.sched.core import Acquire, Delay, Lane, Release
-
-            MAP_LANE = Lane("map")
-            GC_LANE = Lane("gc")
-
-            def background_gc_task(loop, ssd):
-                yield Acquire(MAP_LANE)
-                yield Acquire(GC_LANE)
-                yield Release(GC_LANE)
-                yield Release(MAP_LANE)
-                yield Delay(10)
-        """,
-    }))
-    text = render_report(project)
-    assert "## Yield points" in text
-    assert "### Task generators" in text
-    assert "`repro.sched.tasks.background_gc_task`" in text
-    assert "## Lane order" in text
-    assert "MAP_LANE" in text and "GC_LANE" in text
-    # Determinism: regenerating over the same project is byte-identical.
-    assert render_report(project) == text
-
-
-def test_report_lane_section_on_empty_graph(package_tree):
+def test_report_gains_yield_point_section(package_tree):
     project = _project(package_tree, _tree({
         "repro.sched.tasks": """
             from repro.sched.core import Delay
@@ -678,4 +460,8 @@ def test_report_lane_section_on_empty_graph(package_tree):
         """,
     }))
     text = render_report(project)
-    assert "the graph is empty" in text
+    assert "## Yield points" in text
+    assert "### Task generators" in text
+    assert "`repro.sched.tasks.background_gc_task`" in text
+    # Determinism: regenerating over the same project is byte-identical.
+    assert render_report(project) == text

@@ -4,14 +4,10 @@ import pytest
 
 from repro.common.clock import SimClock
 from repro.sched import (
-    Acquire,
     At,
     Delay,
     EventLoop,
     FifoTieBreak,
-    Join,
-    Lane,
-    Release,
     SchedulerError,
     SeededTieBreak,
 )
@@ -113,88 +109,7 @@ class TestWaitValidation:
             loop.run()
 
 
-class TestLanes:
-    def test_lane_hands_off_fifo(self):
-        loop = make_loop()
-        lane = Lane("turnstile")
-        log = []
-
-        def task(name):
-            yield Acquire(lane)
-            log.append(("enter", name, loop.now_us))
-            yield Delay(10)
-            yield Release(lane)
-            log.append(("exit", name, loop.now_us))
-
-        for name in "abc":
-            loop.spawn(task(name), name=name)
-        loop.run()
-        entries = [entry[1] for entry in log if entry[0] == "enter"]
-        assert entries == list("abc")
-        # Exclusive: each holder's 10us window ends before the next enters.
-        enters = {e[1]: e[2] for e in log if e[0] == "enter"}
-        assert enters == {"a": 0, "b": 10, "c": 20}
-        assert lane.free
-
-    def test_release_of_unheld_lane_is_an_error(self):
-        loop = make_loop()
-        lane = Lane("l")
-
-        def task():
-            yield Release(lane)
-
-        loop.spawn(task(), name="t")
-        with pytest.raises(SchedulerError):
-            loop.run()
-
-    def test_finishing_while_holding_a_lane_is_an_error(self):
-        loop = make_loop()
-        lane = Lane("l")
-
-        def task():
-            yield Acquire(lane)
-
-        loop.spawn(task(), name="t")
-        with pytest.raises(SchedulerError):
-            loop.run()
-
-
-class TestJoinAndDaemons:
-    def test_join_receives_the_target_result(self):
-        loop = make_loop()
-        got = []
-
-        def worker():
-            yield Delay(30)
-            return "payload"
-
-        def waiter(target):
-            result = yield Join(target)
-            got.append((result, loop.now_us))
-
-        target = loop.spawn(worker(), name="w")
-        loop.spawn(waiter(target), name="j")
-        loop.run()
-        assert got == [("payload", 30)]
-
-    def test_join_on_finished_task_resumes_immediately(self):
-        loop = make_loop()
-
-        def worker():
-            return "done"
-            yield  # pragma: no cover
-
-        target = loop.spawn(worker(), name="w")
-        loop.run()
-        got = []
-
-        def waiter():
-            got.append((yield Join(target)))
-
-        loop.spawn(waiter(), name="j")
-        loop.run()
-        assert got == ["done"]
-
+class TestDaemons:
     def test_daemons_do_not_keep_the_loop_alive(self):
         loop = make_loop()
         ticks = []
