@@ -18,7 +18,7 @@ Resolution strategy, in order:
 2. **Methods on ``self``/``cls``** — resolved through the enclosing
    class's in-project MRO, *plus* overrides in known subclasses
    (virtual dispatch is over-approximated, which is what a safety
-   analysis wants).
+   analysis wants).  ``super().m()`` resolves up the MRO only.
 3. **Typed receivers** — a local ``x = ClassName(...)`` or an instance
    attribute ``self.attr = ClassName(...)`` (anywhere in the class
    family) types later ``x.m()`` / ``self.attr.m()`` calls.
@@ -518,6 +518,14 @@ class CallGraph:
             self._note_unresolved(func, node, "<expr>()", "dynamic-call")
             return []
         name = callee.attr
+        if _is_bare_super(callee.value) and func.is_method:
+            # super().m(): the next definition up the in-project MRO; a
+            # base outside the project (Exception, object) has no edge.
+            inherited = (
+                self.method_on(base, name)
+                for base in self._bases.get(func.class_qualname, ())
+            )
+            return [method for method in inherited if method is not None]
         receivers = self._receiver_classes(func, callee.value, local_types)
         if receivers is SELF:
             targets = self.virtual_targets(func.class_qualname, name)
@@ -601,6 +609,15 @@ class CallGraph:
 
 #: Sentinel: the receiver is the enclosing instance.
 SELF = object()
+
+
+def _is_bare_super(node):
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "super"
+        and not node.args
+    )
 
 
 class _ModuleRef(ClassInfo):

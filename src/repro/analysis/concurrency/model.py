@@ -48,11 +48,6 @@ TASK_ROOTS = (
         name="host-serve",
         category="foreground",
         qualnames=(
-            "repro.ftl.ssd.BaseSSD.write",
-            "repro.ftl.ssd.BaseSSD.read",
-            "repro.ftl.ssd.BaseSSD.trim",
-            "repro.ftl.ssd.BaseSSD.write_range",
-            "repro.ftl.ssd.BaseSSD.read_range",
             "repro.ftl.ssd.BaseSSD.serve_write_at",
             "repro.ftl.ssd.BaseSSD.serve_trim_at",
             "repro.ftl.ssd.BaseSSD.serve_read_at",
@@ -60,10 +55,12 @@ TASK_ROOTS = (
             "repro.timessd.ssd.TimeSSD.version_chain",
         ),
         description=(
-            "host request service: one task per NVMe command; subclass "
-            "overrides (TimeSSD, FlashGuardSSD) are reached by virtual "
-            "dispatch from these base entries; the async engine's slot "
-            "workers are the scheduled form of the same root"
+            "host request service: one task per NVMe command; every "
+            "route admits its pages through the three serve_*_at bodies "
+            "(write/read/trim and the *_range loops only call them at "
+            "the device clock); subclass overrides (TimeSSD, "
+            "FlashGuardSSD) are reached by virtual dispatch; the async "
+            "engine's slot workers are the scheduled form of the same root"
         ),
     ),
     TaskRoot(
@@ -428,14 +425,6 @@ POLICIES = (
         why=(
             "inter-arrival history is a heuristic input to idle-window "
             "sizing; stale or interleaved updates only mis-size windows"
-        ),
-    ),
-    SharedStatePolicy(
-        owner="repro.common.clock.SimClock",
-        policy="turnstile",
-        why=(
-            "simulated time advances monotonically in single "
-            "assignments; under PR 7 the event loop owns the clock"
         ),
     ),
 )

@@ -96,9 +96,10 @@ CONTRACTS = (
             "that mutates media can destroy the history it serves"
         ),
         roots=(
-            "repro.nvme.controller.NVMeController._op_read",
-            "repro.ftl.ssd.BaseSSD.read",
-            "repro.ftl.ssd.BaseSSD.read_range",
+            # Every route's read is serve_read_at (execute_io, the one
+            # NVMe interpreter, also serves WRITE/DSM, so it cannot root a
+            # read-only contract; its READ branch only calls this).
+            "repro.ftl.ssd.BaseSSD.serve_read_at",
             "repro.timessd.ssd.TimeSSD.version_chain",
         ),
         effect="mutates-flash",

@@ -144,8 +144,6 @@ class BaseSSD:
             self.config.wear_check_interval,
             self.config.wear_gap_threshold,
         )
-        self.host_pages_written = 0
-        self.host_pages_read = 0
         metrics = self.obs.metrics
         # Host response-time histograms double as the legacy
         # write_latency/read_latency attributes (same record/mean_us/
@@ -202,16 +200,10 @@ class BaseSSD:
 
     def write(self, lpa, data=None):
         """Write one logical page; returns the response time in us."""
-        self.ensure_writable()
         arrival = self.clock.now_us
-        self._before_host_request(arrival)
         complete = self.serve_write_at(lpa, data, arrival)
         self.clock.advance_to(complete)
-        self._m_host_writes.inc()
-        response = complete - arrival
-        self.write_latency.record(response)
-        self._after_host_request(complete, wrote=True)
-        return response
+        return complete - arrival
 
     def read(self, lpa):
         """Read one logical page; returns ``(data, response_us)``.
@@ -221,31 +213,13 @@ class BaseSSD:
         FTLs do for unmapped LBAs.
         """
         arrival = self.clock.now_us
-        self._before_host_request(arrival)
-        self._m_host_reads.inc()
-        try:
-            data, complete = self.serve_read_at(lpa, arrival)
-        except UncorrectableReadError:
-            if lpa in self.lost_lpas:
-                # A lost LBA is answered from the mapping table like an
-                # unmapped one: the request completes, with the media
-                # error, at zero latency.
-                self.read_latency.record(0)
-                self._after_host_request(arrival, wrote=False)
-            raise
+        data, complete = self.serve_read_at(lpa, arrival)
         self.clock.advance_to(complete)
-        response = complete - arrival
-        self.read_latency.record(response)
-        self._after_host_request(complete, wrote=False)
-        return data, response
+        return data, complete - arrival
 
     def trim(self, lpa):
         """Delete a logical page (e.g. file deletion punched through)."""
-        self.ensure_writable()
-        arrival = self.clock.now_us
-        self._before_host_request(arrival)
-        self.serve_trim_at(lpa, arrival)
-        self._after_host_request(arrival, wrote=False)
+        self.serve_trim_at(lpa, self.clock.now_us)
 
     def write_range(self, start_lpa, npages, pages=None):
         """Write ``npages`` consecutive pages; returns total response us."""
@@ -265,57 +239,78 @@ class BaseSSD:
             total += response
         return out, total
 
-    # --- Per-page executors -------------------------------------------------
+    # --- Admitted host pages ------------------------------------------------
+    # Every route into the FTL (the device-clock API above, the NVMe
+    # executor's slot cursors, TimeKits' restore threads) comes through
+    # these three, so admission — writable gate, checkpoint and idle-gap
+    # detection, ``ftl.host_*`` and latency accounting, the Equation-1
+    # hook — runs exactly once per host page whatever its route.
 
-    def serve_write_at(self, lpa: Lba, data, start_us: TimeUs) -> TimeUs:
-        """Program one host page at ``start_us``; returns completion time.
-
-        The one write body: :meth:`write` wraps it in admission work
-        (``ensure_writable``, idle-window accounting, latency recording,
-        clock advance) for the device-clock API, while frontends that
-        run their own time cursors (the NVMe executor, TimeKits restore
-        threads) call it directly and do admission once per request.
-        """
+    def serve_write_at(self, lpa: Lba, data, arrival_us: TimeUs) -> TimeUs:
+        """Admit and program one host page arriving at ``arrival_us``;
+        returns its completion time."""
+        self.ensure_writable()
+        self._before_host_request(arrival_us)
         try:
-            self._ensure_free_space(start_us)
-            complete = self._program_user_page(lpa, data, start_us)
+            self._ensure_free_space(arrival_us)
+            complete = self._program_user_page(lpa, data, arrival_us)
         except (DeviceFullError, ProgramFailureError) as exc:
             # The device can no longer honor writes: go read-only rather
             # than fail differently on every subsequent request.
             self._enter_degraded(exc)
             raise
         self.lost_lpas.pop(lpa, None)  # a rewrite clears the media error
-        self.host_pages_written += 1
+        self._m_host_writes.inc()
+        self.write_latency.record(complete - arrival_us)
+        self._after_host_request(complete, wrote=True)
         return complete
 
-    def serve_trim_at(self, lpa: Lba, start_us: TimeUs):
-        """Invalidate one LPA at ``start_us`` (the one TRIM body);
-        returns True when a mapping was dropped."""
+    def serve_trim_at(self, lpa: Lba, arrival_us: TimeUs):
+        """Admit one TRIM arriving at ``arrival_us`` (it completes there:
+        TRIM costs no media time); returns True when a mapping was
+        dropped."""
+        self.ensure_writable()
+        self._before_host_request(arrival_us)
         old = self.mapping.invalidate(lpa)
         self.lost_lpas.pop(lpa, None)  # deletion clears the media error
         if old != NULL_PPA:
-            self._on_invalidate(lpa, old, start_us)
-            return True
-        return False
+            self._on_invalidate(lpa, old, arrival_us)
+        self._after_host_request(arrival_us, wrote=False)
+        return old != NULL_PPA
 
-    def serve_read_at(self, lpa: Lba, start_us: TimeUs):
-        """Read one host page starting at ``start_us`` (the one read body).
+    def serve_read_at(self, lpa: Lba, arrival_us: TimeUs):
+        """Admit and read one host page arriving at ``arrival_us``.
 
-        Returns ``(data, complete_us)``; an unmapped LPA answers from
-        the mapping table with no media time.  Admission work (latency
-        recording, idle accounting) stays with the caller.
+        Returns ``(data, complete_us)``.  An unmapped LPA answers from
+        the mapping table with no media time; so does a lost one, whose
+        request completes — with the media error — at zero latency.
         """
+        self._before_host_request(arrival_us)
+        self._m_host_reads.inc()
         ppa = self.mapping.lookup(lpa)
-        start = self._translation_delay(start_us)
-        self.host_pages_read += 1
+        start = self._translation_delay(arrival_us)
         if ppa == NULL_PPA:
-            if lpa in self.lost_lpas:
-                raise UncorrectableReadError(self.lost_lpas[lpa], lost=True)
-            return None, start_us
-        result = self.read_page_with_retry(ppa, start)
-        return result.data, result.complete_us
+            data, complete = None, arrival_us
+        else:
+            result = self.read_page_with_retry(ppa, start)
+            data, complete = result.data, result.complete_us
+        self.read_latency.record(complete - arrival_us)
+        self._after_host_request(complete, wrote=False)
+        if ppa == NULL_PPA and lpa in self.lost_lpas:
+            raise UncorrectableReadError(self.lost_lpas[lpa], lost=True)
+        return data, complete
 
     # --- Stats ------------------------------------------------------------
+
+    @property
+    def host_pages_written(self):
+        """Host pages programmed (the ``ftl.host_writes`` counter)."""
+        return self._m_host_writes.value
+
+    @property
+    def host_pages_read(self):
+        """Host page reads admitted (the ``ftl.host_reads`` counter)."""
+        return self._m_host_reads.value
 
     @property
     def write_amplification(self):
@@ -719,8 +714,12 @@ class BaseSSD:
         return start_us
 
     def _after_host_request(self, complete_us, wrote):
-        """Called after every host request completes."""
-        self._last_io_end_us = complete_us
+        """Called as every admitted host page completes.  Idle means no
+        admitted page still in service: queued commands complete out of
+        order, so a TRIM admitted while a write is in flight must not
+        pull the idle mark back inside that write."""
+        if complete_us > self._last_io_end_us:
+            self._last_io_end_us = complete_us
 
     @atomic_section(
         "stale-page bookkeeping (PVT clear; TimeSSD adds the retention "

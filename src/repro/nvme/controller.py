@@ -47,26 +47,38 @@ class NVMeController:
         #: Shared with the SSD: per-opcode counts/latencies and
         #: per-status counts land in the device's metrics registry.
         self.obs = ssd.obs
+        #: ``(opcode name, status) -> (op counter, status counter,
+        #: latency histogram or None)``, resolved on first completion.
+        self._completion_metrics = {}
 
     # --- Completion accounting -------------------------------------------------
 
-    def _complete(self, command, completion):
-        """Record metrics/trace for a completion, then return it."""
+    def _complete(self, command, completion, t_us):
+        """Record metrics/trace for a completion at ``t_us``; returns it."""
         opcode = getattr(command.opcode, "name", str(command.opcode))
-        metrics = self.obs.metrics
-        metrics.counter("nvme.op.%s" % opcode).inc()
-        metrics.counter("nvme.status.%s" % completion.status.name).inc()
-        if completion.status is StatusCode.SUCCESS:
-            metrics.histogram("nvme.op.%s_us" % opcode).record(
-                completion.latency_us
+        status = completion.status
+        resolved = self._completion_metrics.get((opcode, status))
+        if resolved is None:
+            metrics = self.obs.metrics
+            resolved = self._completion_metrics[opcode, status] = (
+                metrics.counter("nvme.op.%s" % opcode),
+                metrics.counter("nvme.status.%s" % status.name),
+                metrics.histogram("nvme.op.%s_us" % opcode)
+                if status is StatusCode.SUCCESS
+                else None,
             )
+        op_count, status_count, latency = resolved
+        op_count.inc()
+        status_count.inc()
+        if latency is not None:
+            latency.record(completion.latency_us)
         tr = self.obs.trace
         if tr.enabled:
             tr.emit(
                 "nvme",
                 opcode,
-                self.ssd.clock.now_us,
-                status=completion.status.name,
+                t_us,
+                status=status.name,
                 latency_us=completion.latency_us,
             )
         return completion
@@ -74,76 +86,83 @@ class NVMeController:
     # --- Queues ---------------------------------------------------------------
 
     def submit(self, command):
-        """Process one command synchronously; returns a completion."""
+        """Process one command synchronously; returns a completion.
+
+        READ/WRITE/DSM/FLUSH are :meth:`execute_io` at the device clock,
+        run to completion; admin and vendor commands advance the clock
+        themselves.
+        """
+        clock = self.ssd.clock
+        start = clock.now_us
+        if not command.admin and command.opcode not in self._HANDLERS:
+            completion, end = self.execute_io(command, start)
+            clock.advance_to(end)
+            return completion
         self.commands_processed += 1
-        start = self.ssd.clock.now_us
         try:
             if command.admin:
                 result = self._admin(command)
             else:
-                result = self._io(command)
+                result = self._HANDLERS[command.opcode](self, command)
         except _COMMAND_ERRORS as exc:
-            return self._complete(command, NVMeCompletion(_status_for(exc)))
-        return self._complete(
-            command,
-            NVMeCompletion(
-                StatusCode.SUCCESS, result, latency_us=self.ssd.clock.now_us - start
-            ),
-        )
+            completion = NVMeCompletion(_status_for(exc))
+        else:
+            completion = NVMeCompletion(
+                StatusCode.SUCCESS, result, latency_us=clock.now_us - start
+            )
+        return self._complete(command, completion, clock.now_us)
 
     def execute_io(self, command, start_us):
         """Apply one I/O command with its own time cursor.
 
-        The executor behind the async engine's slot workers: the command
-        applies as one atomic step starting at ``start_us``, and device
-        errors map to NVMe statuses instead of raising.  Returns
+        The one interpreter of READ/WRITE/DSM/FLUSH, behind both
+        :meth:`submit` and the async engine's slot workers: the command
+        applies as one atomic step starting at ``start_us``, every page
+        of it admitted by the FTL's ``serve_*_at``, and device errors map
+        to NVMe statuses instead of raising.  Returns
         ``(completion, end_us)``; a failed command completes
         immediately, leaving ``end_us == start_us`` so the issuing slot
-        does not lose its cursor.  Only READ/WRITE/DSM are accepted
-        (vendor commands are host-serial by nature).
+        does not lose its cursor.  Vendor commands are refused
+        ``INVALID_OPCODE`` (they are host-serial by nature).
         """
         self.commands_processed += 1
+        end = start_us
         try:
-            self._check_range(command)
             result, end = self._apply_io(command, start_us)
         except _COMMAND_ERRORS as exc:
-            return (
-                self._complete(command, NVMeCompletion(_status_for(exc))),
-                start_us,
+            completion = NVMeCompletion(_status_for(exc))
+        else:
+            completion = NVMeCompletion(
+                StatusCode.SUCCESS, result, latency_us=end - start_us
             )
-        return (
-            self._complete(
-                command,
-                NVMeCompletion(
-                    StatusCode.SUCCESS, result, latency_us=end - start_us
-                ),
-            ),
-            end,
-        )
+        return self._complete(command, completion, end), end
 
     def _apply_io(self, command, start_us):
-        """Apply one queued command starting at ``start_us``; returns
+        """Apply one I/O command starting at ``start_us``; returns
         ``(result, complete_us)``."""
         ssd = self.ssd
+        opcode = command.opcode
         t = start_us
-        if command.opcode == Opcode.READ:
+        if opcode == Opcode.READ:  # tested first: the common case
+            self._check_range(command)
             pages = []
             for i in range(command.nlb):
                 data, t = ssd.serve_read_at(command.slba + i, t)
                 pages.append(data)
             return pages, t
-        if command.opcode == Opcode.WRITE:
-            ssd.ensure_writable()
+        if opcode == Opcode.FLUSH:
+            return 0, t  # writes are durable on completion in this model
+        if opcode != Opcode.WRITE and opcode != Opcode.DSM:
+            raise _InvalidOpcode()
+        self._check_range(command)
+        if opcode == Opcode.WRITE:
             for i in range(command.nlb):
                 data = command.data[i] if command.data is not None else None
                 t = ssd.serve_write_at(command.slba + i, data, t)
             return command.nlb, t
-        if command.opcode == Opcode.DSM:
-            ssd.ensure_writable()
-            for i in range(command.nlb):
-                ssd.serve_trim_at(command.slba + i, t)
-            return command.nlb, t
-        raise _InvalidOpcode()
+        for i in range(command.nlb):
+            ssd.serve_trim_at(command.slba + i, t)
+        return command.nlb, t
 
     # --- Admin commands ---------------------------------------------------------
 
@@ -168,13 +187,7 @@ class NVMeController:
             }
         raise _InvalidOpcode()
 
-    # --- I/O and vendor commands -------------------------------------------------
-
-    def _io(self, command):
-        handler = self._HANDLERS.get(command.opcode)
-        if handler is None:
-            raise _InvalidOpcode()
-        return handler(self, command)
+    # --- Vendor commands ---------------------------------------------------------
 
     def _check_range(self, command):
         if command.nlb < 1:
@@ -186,25 +199,6 @@ class NVMeController:
         if self._kits is None:
             raise _InvalidOpcode()
         return self._kits
-
-    def _op_read(self, command):
-        self._check_range(command)
-        data, _ = self.ssd.read_range(command.slba, command.nlb)
-        return data
-
-    def _op_write(self, command):
-        self._check_range(command)
-        self.ssd.write_range(command.slba, command.nlb, command.data)
-        return command.nlb
-
-    def _op_trim(self, command):
-        self._check_range(command)
-        for i in range(command.nlb):
-            self.ssd.trim(command.slba + i)
-        return command.nlb
-
-    def _op_flush(self, command):
-        return 0  # writes are durable on completion in this model
 
     def _op_addr_query(self, command):
         self._check_range(command)
@@ -260,10 +254,6 @@ class NVMeController:
         }
 
     _HANDLERS = {
-        Opcode.READ: _op_read,
-        Opcode.WRITE: _op_write,
-        Opcode.DSM: _op_trim,
-        Opcode.FLUSH: _op_flush,
         Opcode.ADDR_QUERY: _op_addr_query,
         Opcode.ADDR_QUERY_RANGE: _op_addr_query_range,
         Opcode.ADDR_QUERY_ALL: _op_addr_query_all,

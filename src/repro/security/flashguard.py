@@ -39,10 +39,10 @@ class FlashGuardSSD(BaseSSD):
 
     # --- Retention rule ----------------------------------------------------------
 
-    def read(self, lpa):
-        data, response = super().read(lpa)
+    def serve_read_at(self, lpa, arrival_us):
+        result = super().serve_read_at(lpa, arrival_us)
         self._read_since_write.add(lpa)
-        return data, response
+        return result
 
     def _on_invalidate(self, lpa, old_ppa, now_us):
         super()._on_invalidate(lpa, old_ppa, now_us)

@@ -99,9 +99,10 @@ class TimeKits:
     def restore_many(self, pairs, threads=1):
         """Write ``(lpa, data)`` pairs back with simulated threads.
 
-        Rollback writes are regular writes (the pre-rollback state stays
-        retained), issued concurrently by the recovery threads so the
-        write-back phase overlaps across channels like the walk phase.
+        Rollback writes are regular admitted host writes (refused on a
+        read-only device, counted by Equation 1; the pre-rollback state
+        stays retained), issued concurrently by the recovery threads so
+        the write-back phase overlaps across channels like the walk phase.
         """
         ssd = self.ssd
         start = ssd.clock.now_us

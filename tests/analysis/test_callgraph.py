@@ -92,6 +92,36 @@ def test_override_dispatch_targets_base_and_subclass(package_tree):
     assert "repro.timessd.ssd.TimeSSD.flush" in edges
 
 
+def test_super_call_resolves_up_the_mro_only(package_tree):
+    root = package_tree(
+        {
+            "repro.common.errors": """
+                class ReproError(Exception):
+                    def __init__(self, message):
+                        super().__init__(message)
+
+
+                class ReadError(ReproError):
+                    def __init__(self, ppa):
+                        super().__init__("read failed at %d" % ppa)
+            """,
+            "repro.fs.volume": """
+                class Volume:
+                    def __init__(self, driver):
+                        driver.write_pages()
+            """,
+        }
+    )
+    graph = graph_for(root)
+    # Not "every __init__ in the project": that guess made raising an
+    # error reach whatever any constructor does.
+    assert set(graph.edges["repro.common.errors.ReadError.__init__"]) == {
+        "repro.common.errors.ReproError.__init__"
+    }
+    # A base outside the project (Exception) has no edge at all.
+    assert graph.edges.get("repro.common.errors.ReproError.__init__", {}) == {}
+
+
 def test_dynamic_call_lands_in_unresolved_report(package_tree):
     root = package_tree(
         {

@@ -1,7 +1,7 @@
 """The concurrency pack: task roots, atomic sections, shared state.
 
 Synthetic trees reuse the real root qualnames (``repro.ftl.ssd.BaseSSD
-.write`` etc.) so the hard-coded task-root table applies to them; the
+.serve_write_at`` etc.) so the hard-coded task-root table applies to them; the
 shipped tree's own cleanliness is asserted by
 ``test_runner.test_whole_tree_is_clean``.
 """
@@ -199,7 +199,7 @@ def test_flash_mutation_reachable_from_root_is_flagged(lint_package):
         {
             "repro.ftl.ssd": """
             class BaseSSD:
-                def write(self, lpa):
+                def serve_write_at(self, lpa):
                     return self._do(lpa)
 
                 def _do(self, lpa):
@@ -218,7 +218,7 @@ def test_mutation_inside_atomic_section_is_clean(lint_package):
         {
             "repro.ftl.ssd": _with_import("""
             class BaseSSD:
-                def write(self, lpa):
+                def serve_write_at(self, lpa):
                     return self._do(lpa)
 
                 @atomic_section("program commits in one step")
@@ -238,7 +238,7 @@ def test_mutator_behind_atomic_wall_is_clean(lint_package):
         {
             "repro.ftl.ssd": _with_import("""
             class BaseSSD:
-                def write(self, lpa):
+                def serve_write_at(self, lpa):
                     return self._commit(lpa)
 
                 @atomic_section("one step")
@@ -267,7 +267,7 @@ def test_flash_layer_internals_are_not_flagged(lint_package):
                 def __init__(self):
                     self.device = FlashDevice()
 
-                def write(self, lpa):
+                def serve_write_at(self, lpa):
                     return self.device.commit(lpa)
             """,
             "repro.flash.device": """
@@ -290,7 +290,7 @@ def test_unreached_mutator_is_not_flagged(lint_package):
         {
             "repro.ftl.ssd": """
             class BaseSSD:
-                def write(self, lpa):
+                def serve_write_at(self, lpa):
                     return lpa
 
                 def scrub(self, lpa):
@@ -310,12 +310,12 @@ def test_atomic_section_calling_task_root_is_flagged(lint_package):
         {
             "repro.ftl.ssd": _with_import("""
             class BaseSSD:
-                def write(self, lpa):
+                def serve_write_at(self, lpa):
                     return lpa
 
                 @atomic_section("one step")
                 def _commit(self, lpa):
-                    return self.write(lpa)
+                    return self.serve_write_at(lpa)
             """),
         },
         rules=["concurrency-reentrant-atomic"],
@@ -323,7 +323,7 @@ def test_atomic_section_calling_task_root_is_flagged(lint_package):
     assert rule_ids(violations) == ["concurrency-reentrant-atomic"]
     assert "BaseSSD._commit" in violations[0].message
     assert "'host-serve'" in violations[0].message
-    assert "write" in violations[0].message
+    assert "serve_write_at" in violations[0].message
 
 
 def test_atomic_section_reaching_root_transitively_is_flagged(lint_package):
@@ -331,7 +331,7 @@ def test_atomic_section_reaching_root_transitively_is_flagged(lint_package):
         {
             "repro.ftl.ssd": _with_import("""
             class BaseSSD:
-                def write(self, lpa):
+                def serve_write_at(self, lpa):
                     return lpa
 
                 @atomic_section("one step")
@@ -339,7 +339,7 @@ def test_atomic_section_reaching_root_transitively_is_flagged(lint_package):
                     return self._indirect(lpa)
 
                 def _indirect(self, lpa):
-                    return self.write(lpa)
+                    return self.serve_write_at(lpa)
             """),
         },
         rules=["concurrency-reentrant-atomic"],
@@ -352,7 +352,7 @@ def test_atomic_section_calling_plain_helpers_is_clean(lint_package):
         {
             "repro.ftl.ssd": _with_import("""
             class BaseSSD:
-                def write(self, lpa):
+                def serve_write_at(self, lpa):
                     return self._commit(lpa)
 
                 @atomic_section("one step")
@@ -559,7 +559,7 @@ CONTENDED = {
         def __init__(self):
             self.pad = ScratchPad()
 
-        def write(self, lpa):
+        def serve_write_at(self, lpa):
             return self.pad.poke(lpa)
 
         def background_collect(self, start_us, deadline_us):
@@ -599,7 +599,7 @@ def test_single_writing_root_is_clean(lint_package):
         def __init__(self):
             self.pad = ScratchPad()
 
-        def write(self, lpa):
+        def serve_write_at(self, lpa):
             return self.pad.poke(lpa)
 
         def background_collect(self, start_us, deadline_us):
@@ -618,7 +618,7 @@ def test_policy_covered_owner_is_clean(lint_package):
         {
             "repro.ftl.ssd": """
             class BaseSSD:
-                def write(self, lpa):
+                def serve_write_at(self, lpa):
                     self.gc_runs = lpa
                     return lpa
 
@@ -662,7 +662,7 @@ def test_inventory_descends_atomic_interiors(package_tree):
         {
             "repro.ftl.ssd": _with_import("""
             class BaseSSD:
-                def write(self, lpa):
+                def serve_write_at(self, lpa):
                     return self._commit(lpa)
 
                 @atomic_section("one step")
@@ -686,7 +686,7 @@ def test_inventory_joins_declared_policies(package_tree):
         {
             "repro.ftl.ssd": """
             class BaseSSD:
-                def write(self, lpa):
+                def serve_write_at(self, lpa):
                     self.gc_runs = lpa
                     return lpa
             """,
@@ -719,7 +719,7 @@ def test_render_report_lists_sections_roots_and_state(package_tree):
         {
             "repro.ftl.ssd": _with_import("""
             class BaseSSD:
-                def write(self, lpa):
+                def serve_write_at(self, lpa):
                     self.gc_runs = lpa
                     return self._commit(lpa)
 

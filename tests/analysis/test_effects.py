@@ -40,7 +40,7 @@ def test_read_path_flash_contract_sees_transitive_program(lint_package):
         {
             "repro.ftl.ssd": """
                 class BaseSSD:
-                    def read(self, lpa):
+                    def serve_read_at(self, lpa):
                         return self._fixup(lpa)
 
                     def _fixup(self, lpa):

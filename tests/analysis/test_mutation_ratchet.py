@@ -54,11 +54,9 @@ MUTATIONS = (
         "import time\n\nfrom repro.common.atomic import atomic_section\n",
         "ftl/ssd.py",
         '        """\n        arrival = self.clock.now_us\n'
-        "        self._before_host_request(arrival)\n"
-        "        self._m_host_reads.inc()\n",
+        "        data, complete = self.serve_read_at(lpa, arrival)\n",
         '        """\n        arrival = int(time.time() * 1_000_000)\n'
-        "        self._before_host_request(arrival)\n"
-        "        self._m_host_reads.inc()\n",
+        "        data, complete = self.serve_read_at(lpa, arrival)\n",
     ),
     seed(
         "determinism-global-random",  # seeding the shared module RNG
@@ -126,8 +124,8 @@ MUTATIONS = (
     seed(
         "layering-flash-api",  # the NVMe layer erasing raw flash on TRIM
         "nvme/controller.py",
-        "            self.ssd.trim(command.slba + i)\n",
-        "            self.ssd.trim(command.slba + i)\n"
+        "            ssd.serve_trim_at(command.slba + i, t)\n",
+        "            ssd.serve_trim_at(command.slba + i, t)\n"
         "            self.ssd.device.erase_block(command.slba + i, 0)\n",
     ),
     seed(
@@ -148,9 +146,9 @@ MUTATIONS = (
     seed(
         "callgraph-private-cross-package",  # NVMe kicking FTL-private GC
         "nvme/controller.py",
-        "        data, _ = self.ssd.read_range(command.slba, command.nlb)\n",
-        "        self.ssd._collect_garbage(self.ssd.clock.now_us)\n"
-        "        data, _ = self.ssd.read_range(command.slba, command.nlb)\n",
+        "                data, t = ssd.serve_read_at(command.slba + i, t)\n",
+        "                self.ssd._collect_garbage(t)\n"
+        "                data, t = ssd.serve_read_at(command.slba + i, t)\n",
     ),
     # --- effects --------------------------------------------------------------
     seed(
@@ -164,22 +162,22 @@ MUTATIONS = (
     seed(
         "effects-read-path-flash",  # read-disturb "fix": relocate on read
         "ftl/ssd.py",
-        "        result = self.read_page_with_retry(ppa, start)\n"
-        "        return result.data, result.complete_us\n",
-        "        result = self.read_page_with_retry(ppa, start)\n"
-        "        self.relocate_block(\n"
-        "            self.device.geometry.block_of_page(ppa), start\n"
-        "        )\n"
-        "        return result.data, result.complete_us\n",
+        "            result = self.read_page_with_retry(ppa, start)\n"
+        "            data, complete = result.data, result.complete_us\n",
+        "            result = self.read_page_with_retry(ppa, start)\n"
+        "            self.relocate_block(\n"
+        "                self.device.geometry.block_of_page(ppa), start\n"
+        "            )\n"
+        "            data, complete = result.data, result.complete_us\n",
     ),
     seed(
         "effects-read-path-flash",  # ROADMAP's example: program in a read
         "ftl/ssd.py",
-        "        result = self.read_page_with_retry(ppa, start)\n"
-        "        return result.data, result.complete_us\n",
-        "        result = self.read_page_with_retry(ppa, start)\n"
-        "        self.device.program_page(ppa, result.data, result.oob, start)\n"
-        "        return result.data, result.complete_us\n",
+        "            result = self.read_page_with_retry(ppa, start)\n"
+        "            data, complete = result.data, result.complete_us\n",
+        "            result = self.read_page_with_retry(ppa, start)\n"
+        "            self.device.program_page(ppa, result.data, result.oob, start)\n"
+        "            data, complete = result.data, result.complete_us\n",
     ),
     seed(
         "effects-fault-hook-sites",  # a fault hook on the side-effect-free peek
@@ -221,8 +219,10 @@ MUTATIONS = (
     seed(
         "domains-cross-compare",  # ROADMAP's example: LBA tested as a PPA
         "ftl/ssd.py",
-        "        self.host_pages_read += 1\n        if ppa == NULL_PPA:\n",
-        "        self.host_pages_read += 1\n        if lpa == NULL_PPA:\n",
+        "        start = self._translation_delay(arrival_us)\n"
+        "        if ppa == NULL_PPA:\n",
+        "        start = self._translation_delay(arrival_us)\n"
+        "        if lpa == NULL_PPA:\n",
     ),
     seed(
         "domains-cross-arg",  # the bloom filter keyed by the wrong domain
@@ -387,6 +387,20 @@ MUTATIONS = (
     ),
 )
 
+#: One-edit firmware bugs no lint rule claims: ``(file, old, new, the
+#: tier-1 test that must fail)``.  The first rows of ROADMAP item 2's
+#: firmware mutation table, run the same way — seeded into the scratch
+#: copy, which goes first on the named test's ``PYTHONPATH``.
+FIRMWARE_MUTATIONS = (
+    (
+        "ftl/ssd.py",  # a read-only device accepting TRIM, on any route
+        '        dropped."""\n        self.ensure_writable()\n',
+        '        dropped."""\n',
+        "tests/nvme/test_path_equivalence.py"
+        "::test_retry_exhausted_write_degrades_the_device",
+    ),
+)
+
 #: Rules no row claims, each with the reason seeding it is impractical.
 #: Empty today: every registered rule catches a seeded bug.
 UNSEEDED = {}
@@ -474,6 +488,33 @@ def test_seeded_bug_is_caught_by_its_claimed_rule(tree, mutation):
     )
     for text in mutation.says:
         assert text in detail
+
+
+@pytest.mark.parametrize(
+    "relpath, old, new, test_id",
+    FIRMWARE_MUTATIONS,
+    ids=[row[3].rsplit("::", 1)[1] for row in FIRMWARE_MUTATIONS],
+)
+def test_seeded_firmware_bug_fails_its_named_test(tree, relpath, old, new, test_id):
+    path = str(tree / "src" / "repro" / relpath)
+    original = _read(path)
+    assert original.count(old) == 1, (relpath, original.count(old), old)
+
+    def run():
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test_id],
+            capture_output=True, text=True, cwd=REPO_ROOT,
+            env=dict(os.environ, PYTHONPATH=str(tree / "src")),
+        )
+
+    baseline = run()
+    assert baseline.returncode == 0, baseline.stdout + baseline.stderr
+    try:
+        _write(path, original.replace(old, new))
+        mutated = run()
+    finally:
+        _write(path, original)
+    assert mutated.returncode == 1, mutated.stdout + mutated.stderr
 
 
 def test_every_rule_is_claimed_or_has_a_written_reason():

@@ -140,3 +140,23 @@ def test_free_page_estimate_decreases_with_writes(regular_ssd):
     before = regular_ssd.free_page_estimate()
     regular_ssd.write(0)
     assert regular_ssd.free_page_estimate() == before - 1
+
+
+def test_idle_means_no_admitted_page_still_in_service(regular_ssd):
+    ssd = regular_ssd
+    t = 1_000
+    complete = ssd.serve_write_at(3, b"in-flight", t)
+    assert complete > t + 1
+    gaps = ssd._idle.observed_gaps
+    # A zero-latency TRIM admitted while the write is still in flight
+    # (queued commands complete out of order) must not move the idle
+    # mark back inside that write, nor count as an idle gap.
+    ssd.serve_trim_at(9, t + 1)
+    assert ssd._last_io_end_us == complete
+    assert ssd._idle.observed_gaps == gaps
+    # The next arrival after the write completes sees only the real gap.
+    idle = ssd._idle
+    expected = idle.alpha * 700 + (1 - idle.alpha) * idle.predicted_us
+    ssd.serve_read_at(3, complete + 700)
+    assert idle.observed_gaps == gaps + 1
+    assert idle.predicted_us == pytest.approx(expected)

@@ -121,12 +121,13 @@ class TimeSSDMachine(RuleBasedStateMachine):
             return
         data, _ = self.ssd.read(lpa)
         assert data == target.data
-        if data != self._current(lpa):
-            # The rollback wrote a new version; mirror it in the model
-            # with the timestamp the device actually stamped.
-            head = self.ssd.mapping.lookup(lpa)
-            actual_ts = self.ssd.device.peek_page(head).oob.timestamp_us
-            self.history.setdefault(lpa, []).append((actual_ts, data))
+        head = self.ssd.mapping.lookup(lpa)
+        actual_ts = self.ssd.device.peek_page(head).oob.timestamp_us
+        if all(ts != actual_ts for ts, _content in self.history[lpa]):
+            # The rollback wrote a new version (also when an *older*
+            # version holds the same bytes as the current one); mirror it
+            # in the model with the timestamp the device actually stamped.
+            self.history[lpa].append((actual_ts, data))
 
     @invariant()
     def accounting_is_sane(self):

@@ -1,11 +1,12 @@
-"""Every host route runs the same per-page executor.
+"""Every host route admits its pages through the same ``serve_*_at``.
 
 One op list is driven down the three routes a host op can take —
 ``ssd.write/read/trim`` (the device-clock API), ``controller.submit``
 (synchronous NVMe) and ``submit_async(queue_depth=1)`` (the event loop
 over ``execute_io``) — and the routes must agree on what the host sees
-(status, data) and on what the firmware holds afterwards (L2P,
-``lost_lpas``, ``degraded_reason``).
+(status, data, latency) and on everything the firmware holds afterwards:
+L2P, ``lost_lpas``, ``degraded_reason``, every non-``nvme.*`` metric,
+the checkpoints written and the Equation-1 periods evaluated.
 """
 
 import random
@@ -35,6 +36,8 @@ _STATUS_OF = {
 
 
 def _command(op, lba, arg):
+    if op == "F":
+        return NVMeCommand(Opcode.FLUSH)
     if op == "W":
         return NVMeCommand(Opcode.WRITE, slba=lba, nlb=len(arg), data=arg)
     return NVMeCommand(Opcode.READ if op == "R" else Opcode.DSM, slba=lba, nlb=arg)
@@ -49,6 +52,8 @@ def _direct(ssd, op, lba, arg):
             result = len(arg)
         elif op == "R":
             result = [ssd.read(lba + i)[0] for i in range(arg)]
+        elif op == "F":
+            result = 0  # the device-clock API has no flush: acked is durable
         else:
             for i in range(arg):
                 ssd.trim(lba + i)
@@ -73,16 +78,25 @@ def drive(route, ssd, ops):
 
 
 def firmware_state(ssd):
+    metrics = {
+        kind: {k: v for k, v in values.items() if not k.startswith("nvme.")}
+        for kind, values in ssd.metrics_snapshot().items()
+    }
+    estimator = getattr(ssd, "estimator", None)
     return {
         "l2p": [ssd.mapping.lookup(lpa) for lpa in range(LBAS)],
         "lost_lpas": dict(ssd.lost_lpas),
         "degraded_reason": ssd.degraded_reason,
+        "metrics": metrics,
+        "periods_evaluated": estimator and estimator.periods_evaluated,
+        "checkpoints": metrics["counters"].get("recovery.checkpoint.written"),
     }
 
 
 def seeded_ops(seed, count=120):
-    """Writes, overwrites, reads (mapped and unmapped) and TRIMs, one to
-    three pages per command, back to back (no idle gaps)."""
+    """Writes, overwrites, reads (mapped and unmapped), TRIMs and
+    FLUSHes, one to three pages per command, back to back (no idle
+    gaps)."""
     rng = random.Random(seed)
     ops = []
     for n in range(count):
@@ -91,14 +105,24 @@ def seeded_ops(seed, count=120):
         roll = rng.random()
         if roll < 0.5:
             ops.append(("W", lba, [b"v%d.%d" % (n, i) for i in range(npages)]))
-        elif roll < 0.85:
+        elif roll < 0.8:
             ops.append(("R", lba, npages))
-        else:
+        elif roll < 0.95:
             ops.append(("T", lba, npages))
+        else:
+            ops.append(("F", 0, 0))
     return ops
 
 
-@pytest.mark.parametrize("maker", [make_regular_ssd, make_timessd])
+def make_checkpointing_timessd():
+    """Checkpoints every two blocks of programs, Equation 1 every 16
+    user writes: both fire many times inside one seeded op list."""
+    return make_timessd(checkpoint_interval_blocks=2, gc_overhead_period_writes=16)
+
+
+@pytest.mark.parametrize(
+    "maker", [make_regular_ssd, make_timessd, make_checkpointing_timessd]
+)
 def test_seeded_ops_agree_on_every_route(maker):
     outcomes = {}
     for route in ROUTES:
@@ -107,8 +131,56 @@ def test_seeded_ops_agree_on_every_route(maker):
         outcomes[route] = (results, firmware_state(ssd))
     reads = [r for _s, r, _l in outcomes["ssd"][0] if isinstance(r, list)]
     assert any(None in pages for pages in reads)  # unmapped reads happened
+    if maker is make_checkpointing_timessd:
+        state = outcomes["ssd"][1]
+        assert state["checkpoints"] >= 3 and state["periods_evaluated"] >= 3
     assert outcomes["submit"] == outcomes["ssd"]
     assert outcomes["async"] == outcomes["ssd"]
+
+
+def _queued_churn(ssd, writes=400, queue_depth=4):
+    """Single-page overwrites over a small working set at QD 4."""
+    rng = random.Random(5)
+    commands = [
+        NVMeCommand(Opcode.WRITE, slba=rng.randrange(LBAS), nlb=1, data=[b"q%d" % n])
+        for n in range(writes)
+    ]
+    commands += [NVMeCommand(Opcode.READ, slba=lba, nlb=1) for lba in range(LBAS)]
+    completions, _elapsed = HostNVMeDriver(ssd).submit_async(
+        commands, queue_depth=queue_depth
+    )
+    assert all(c.ok for c in completions)
+    return writes, LBAS
+
+
+def test_queued_writes_take_checkpoints():
+    ssd = make_checkpointing_timessd()
+    _queued_churn(ssd)
+    assert ssd.metrics_snapshot()["counters"]["recovery.checkpoint.written"] >= 10
+
+
+def test_queued_writes_close_equation1_periods():
+    ssd = make_checkpointing_timessd()
+    writes, _reads = _queued_churn(ssd)
+    assert ssd.estimator.periods_evaluated == writes // 16
+
+
+def test_queued_pages_count_in_ftl_host_metrics():
+    ssd = make_regular_ssd()
+    writes, reads = _queued_churn(ssd)
+    snapshot = ssd.metrics_snapshot()
+    assert snapshot["counters"]["ftl.host_writes"] == writes
+    assert snapshot["counters"]["ftl.host_reads"] == reads
+    assert snapshot["histograms"]["ftl.write_us"]["count"] == writes
+    assert snapshot["histograms"]["ftl.read_us"]["count"] == reads
+    assert (ssd.host_pages_written, ssd.host_pages_read) == (writes, reads)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_flush_succeeds_on_every_route(route):
+    ssd = make_regular_ssd()
+    results = drive(route, ssd, [("W", 1, [b"x"]), ("F", 0, 0)])
+    assert results[1] == (StatusCode.SUCCESS, 0, 0)
 
 
 @pytest.mark.parametrize("route", ROUTES)
@@ -149,12 +221,18 @@ def test_retry_exhausted_write_degrades_the_device(route):
     plan = FaultPlan()
     ssd = make_regular_ssd(faults=FaultHooks(plan))
     plan.add_program_failure(every=1, max_fires=None)
-    ops = [("W", 0, [b"never-acked"]), ("W", 1, [b"refused"]), ("R", 0, 1)]
+    ops = [
+        ("W", 0, [b"never-acked"]),
+        ("W", 1, [b"refused"]),
+        ("T", 1, 1),  # read-only refuses every mutation, TRIM included
+        ("R", 0, 1),
+    ]
     results = drive(route, ssd, ops)
     assert [status for status, _r, _l in results] == [
         StatusCode.MEDIA_WRITE_FAULT,
         StatusCode.DEGRADED_READ_ONLY,
+        StatusCode.DEGRADED_READ_ONLY,
         StatusCode.SUCCESS,
     ]
-    assert results[2][1] == [None]
+    assert results[3][1] == [None]
     assert ssd.degraded_reason is not None

@@ -1,7 +1,10 @@
 """Metrics wired through the device stack agree with first-party accounting."""
 
+import random
+
 import pytest
 
+from repro.common.units import SECOND_US
 from repro.nvme import HostNVMeDriver, NVMeCommand, Opcode, StatusCode
 
 from tests.conftest import fill_and_churn, make_regular_ssd, make_timessd
@@ -47,29 +50,62 @@ class TestHostCounters:
         assert ssd.read_latency.count == 20
 
 
+def churn(ssd, route, working_set=600, churn_writes=4000):
+    """``fill_and_churn`` down one host route: the device-clock API,
+    ``submit_async`` at QD 4, or the device-clock API followed by a
+    ROLLBACK of a slice of the working set to one second ago."""
+    if route == "async":
+        rng = random.Random(7)
+        lpas = list(range(working_set))
+        lpas += [rng.randrange(working_set) for _ in range(churn_writes)]
+        completions, _elapsed = HostNVMeDriver(ssd).submit_async(
+            [NVMeCommand(Opcode.WRITE, slba=lpa, nlb=1) for lpa in lpas],
+            queue_depth=4,
+        )
+        assert all(c.ok for c in completions)
+        return ssd
+    fill_and_churn(ssd, working_set, churn_writes)
+    if route == "rollback":
+        restored = HostNVMeDriver(ssd).rollback(
+            0, count=128, t=ssd.clock.now_us - SECOND_US, threads=4
+        )
+        assert len(restored) > 32
+    return ssd
+
+
 class TestGCAccounting:
     def test_regular_program_identity(self):
         # Fault-free, every flash program is either a host write or a
         # GC migration — the gc.pages_migrated counter must close the
-        # books against the device's own program count.
-        ssd = fill_and_churn(make_regular_ssd(), working_set=600, churn_writes=4000)
-        assert ssd.gc_runs > 0
-        migrated = counter(ssd, "gc.pages_migrated")
-        assert migrated > 0
-        assert (
-            ssd.device.counters.page_programs
-            == ssd.host_pages_written + migrated
-        )
+        # books against the device's own program count, whatever route
+        # the host pages took.
+        for route in ("ssd", "async"):
+            ssd = churn(make_regular_ssd(), route)
+            assert ssd.gc_runs > 0
+            migrated = counter(ssd, "gc.pages_migrated")
+            assert migrated > 0
+            assert counter(ssd, "flash.programs") == (
+                counter(ssd, "ftl.host_writes") + migrated
+            ), route
 
     def test_timessd_program_identity(self):
         # TimeSSD adds one more program source: packed delta segments.
-        ssd = fill_and_churn(make_timessd(), working_set=600, churn_writes=4000)
-        migrated = counter(ssd, "gc.pages_migrated")
-        flushed = counter(ssd, "timessd.delta.flushed_pages")
-        assert (
-            ssd.device.counters.page_programs
-            == ssd.host_pages_written + migrated + flushed
-        )
+        # (Queued writes arrive back to back, so that run gets a floor
+        # it outlasts; the others keep the two-second default.)
+        for route in ("ssd", "async", "rollback"):
+            floor_us = SECOND_US // 50 if route == "async" else 2 * SECOND_US
+            ssd = churn(
+                make_timessd(
+                    retention_floor_us=floor_us,
+                    bloom_segment_max_age_us=floor_us // 4,
+                ),
+                route,
+            )
+            migrated = counter(ssd, "gc.pages_migrated")
+            flushed = counter(ssd, "timessd.delta.flushed_pages")
+            assert counter(ssd, "flash.programs") == (
+                counter(ssd, "ftl.host_writes") + migrated + flushed
+            ), route
 
     def test_gc_run_counters_match_properties(self):
         ssd = fill_and_churn(make_regular_ssd(), working_set=600, churn_writes=4000)

@@ -90,8 +90,9 @@ class TestStatusMapping:
             [
                 NVMeCommand(Opcode.WRITE, slba=0, nlb=1),
                 NVMeCommand(Opcode.READ, slba=ssd.logical_pages, nlb=1),
-                NVMeCommand(Opcode.FLUSH),  # host-serial; not queueable
+                NVMeCommand(Opcode.RETENTION_INFO),  # host-serial; not queueable
                 NVMeCommand(Opcode.WRITE, slba=0, nlb=0),
+                NVMeCommand(Opcode.FLUSH),  # queueable: same answer as submit()
             ]
         )
         assert [c.status for c in completions] == [
@@ -99,6 +100,7 @@ class TestStatusMapping:
             StatusCode.LBA_OUT_OF_RANGE,
             StatusCode.INVALID_OPCODE,
             StatusCode.INVALID_FIELD,
+            StatusCode.SUCCESS,
         ]
 
     def test_failed_command_does_not_advance_time(self):

@@ -3,6 +3,7 @@ import pytest
 from repro.common.units import SECOND_US
 from repro.fs import PlainFS
 from repro.ftl.ssd import SSDConfig
+from repro.nvme import HostNVMeDriver, NVMeCommand, Opcode
 from repro.security import FlashGuardSSD, RANSOMWARE_FAMILIES, RansomwareAttack, RansomwareDefense
 
 from tests.conftest import small_geometry
@@ -19,6 +20,20 @@ class TestRetentionRule:
         ssd.read(5)
         ssd.clock.advance(100)
         ssd.write(5, b"cipher")
+        assert ssd.retained_count == 1
+
+    @pytest.mark.parametrize("route", ["submit", "async"])
+    def test_read_through_nvme_counts_as_a_read(self, route):
+        # Ransomware reads through the driver like everyone else: the
+        # rule keys on the admitted page, not on which API carried it.
+        ssd = make_flashguard()
+        driver = HostNVMeDriver(ssd)
+        driver.write(5, [b"secret"])
+        if route == "submit":
+            driver.read(5)
+        else:
+            driver.submit_async([NVMeCommand(Opcode.READ, slba=5, nlb=1)])
+        driver.write(5, [b"cipher"])
         assert ssd.retained_count == 1
 
     def test_overwrite_without_read_not_retained(self):

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from repro.common.errors import QueryError
+from repro.common.errors import DegradedModeError, QueryError
 from repro.common.units import SECOND_US
+from repro.nvme.commands import NVMeCommand, Opcode, StatusCode
+from repro.nvme.controller import NVMeController
 from repro.timekits.api import QueryResult, TimeKits, pick_as_of
 from repro.timessd.index import Version
 
@@ -169,6 +171,44 @@ class TestRollback:
             # ...via a fresh write, so the chain grew to three versions.
             assert versions[0].timestamp_us > t
             assert len(versions) == 3
+
+    @pytest.mark.parametrize(
+        "opcode", [Opcode.ROLLBACK, Opcode.ROLLBACK_ALL], ids=lambda op: op.name
+    )
+    def test_rollback_is_refused_when_the_device_is_read_only(self, kit, opcode):
+        ssd = kit.ssd
+        stamps = write_history(ssd, 7, 2)
+        ssd._enter_degraded("injected by test")
+        programs = ssd.metrics_snapshot()["counters"]["flash.programs"]
+        with pytest.raises(DegradedModeError):
+            if opcode is Opcode.ROLLBACK:
+                kit.rollback(7, t=stamps[0])
+            else:
+                kit.rollback_all(stamps[0])
+        completion = NVMeController(ssd).submit(
+            NVMeCommand(opcode, slba=7, nlb=1, t=stamps[0])
+        )
+        assert completion.status is StatusCode.DEGRADED_READ_ONLY
+        assert ssd.metrics_snapshot()["counters"]["flash.programs"] == programs
+        # Read-only, not dead: the state a rollback would restore stays
+        # queryable.
+        assert kit.addr_query(7, t=stamps[0]).value[7].timestamp_us == stamps[0]
+
+    def test_rollback_pages_are_admitted_host_writes(self, kit):
+        ssd = kit.ssd
+        for lpa in (1, 2, 3):
+            t_old = write_history(ssd, lpa, 1)[0]
+        for lpa in (1, 2, 3):
+            write_history(ssd, lpa, 1)
+        before = ssd.metrics_snapshot()
+        kit.rollback(1, cnt=3, t=t_old, threads=2)
+        after = ssd.metrics_snapshot()
+        assert after["counters"]["ftl.host_writes"] == (
+            before["counters"]["ftl.host_writes"] + 3
+        )
+        assert after["histograms"]["ftl.write_us"]["count"] == (
+            before["histograms"]["ftl.write_us"]["count"] + 3
+        )
 
 
 class TestQueryResult:
