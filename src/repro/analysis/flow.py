@@ -1,12 +1,11 @@
-"""One structured forward walker for the flow-sensitive passes.
+"""The structured forward walker under the flow-sensitive pass.
 
-The address-domain pass (:mod:`repro.analysis.domains`) and the
-staleness scan (:mod:`repro.analysis.concurrency.yields`) both push an
-abstract state forwards through one function body.  What differs is the
-state and what a statement does to it; how control flow splits and
-rejoins is the same question with one right answer, so it lives here
-once.  A pass subclasses :class:`FlowWalker`, supplies the transfer
-functions (:meth:`~FlowWalker.expr`, :meth:`~FlowWalker.bind`,
+The address-domain pass (:mod:`repro.analysis.domains`) pushes an
+abstract state forwards through one function body.  How control flow
+splits and rejoins is kept apart from what a statement does to that
+state, so each can be read (and tested) alone.  A pass subclasses
+:class:`FlowWalker`, supplies the transfer functions
+(:meth:`~FlowWalker.expr`, :meth:`~FlowWalker.bind`,
 :meth:`~FlowWalker.simple`, :meth:`~FlowWalker.returns`,
 :meth:`~FlowWalker.nested`) and a state object with two methods:
 

@@ -8,8 +8,8 @@ package root is exempt.
     layer 0   common, obs                 (clock, units, errors, stats, metrics)
     layer 1   flash                       (NAND device model)
     layer 2   ftl, timessd                (the two FTLs)
-    layer 3   fs, nvme, timekits          (host-visible substrates)
-    layer 4   workloads, security, casestudies, bench, cli, analysis
+    layer 3   fs, nvme, sched, timekits   (host-visible substrates, event loop)
+    layer 4   workloads, security, casestudies, bench, cli, analysis, faults
 
 A ``repro.*`` package missing from this map is itself a violation —
 new top-level packages must be placed in a layer explicitly.

@@ -2,7 +2,6 @@
 
 from repro.analysis.rules import (  # noqa: F401  (import-for-effect)
     address_domains,
-    concurrency,
     determinism,
     hygiene,
     layering,

@@ -1,4 +1,5 @@
-"""Deep rules: call-graph hygiene and the effect contract table.
+"""Deep rules: call-graph hygiene, the effect contract table and the
+atomic-section mutations-last check.
 
 These rules need the whole-program call graph, so they carry
 ``deep = True`` and only run under ``--deep`` (or when selected
@@ -13,6 +14,7 @@ anchored in that module, which keeps the per-line suppression
 machinery working unchanged.
 """
 
+from repro.analysis import atomicity
 from repro.analysis import contracts as contract_table
 from repro.analysis.core import LintRule, register
 from repro.analysis.effects import effect_analysis
@@ -269,3 +271,20 @@ for _contract in contract_table.CONTRACTS:
             },
         )
     )
+
+
+@register
+class RaiseAfterMutateRule(_ContractRule):
+    rule_id = "concurrency-atomic-raise-after-mutate"
+    pack = "concurrency"
+    description = (
+        "an atomic section that can raise partway through must keep "
+        "its mutations last or declare restores_state=True"
+    )
+
+    def _evaluate(self, analysis):
+        sections = atomicity.atomic_index(analysis.project)
+        for module, line, message in atomicity.raise_after_mutate_findings(
+            analysis, sections
+        ):
+            yield module, _Anchor(line), message

@@ -78,16 +78,6 @@ def build_parser():
         action="store_true",
         help="print per-rule finding counts to stderr after the run",
     )
-    parser.add_argument(
-        "--emit-interleaving",
-        nargs="?",
-        const="docs/interleaving-contract.md",
-        default=None,
-        metavar="PATH",
-        help="write the interleaving contract (task roots, atomic "
-        "sections, shared-state inventory) to PATH (default: "
-        "docs/interleaving-contract.md)",
-    )
     return parser
 
 
@@ -126,16 +116,6 @@ def _print_unresolved(paths):
         print("  %s" % entry, file=sys.stderr)
 
 
-def _emit_interleaving(paths, out_path):
-    from repro.analysis.concurrency.report import render_report
-
-    modules = [SourceModule.from_path(p) for p in collect_files(paths)]
-    text = render_report(Project(modules))
-    with open(out_path, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    print("wrote %s" % out_path, file=sys.stderr)
-
-
 def _print_stats(violations, rules):
     counts = {}
     for violation in violations:
@@ -167,8 +147,6 @@ def main(argv=None):
         violations = analyze_paths(args.paths, rules)
         if args.show_unresolved:
             _print_unresolved(args.paths)
-        if args.emit_interleaving:
-            _emit_interleaving(args.paths, args.emit_interleaving)
     except (FileNotFoundError, IsADirectoryError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -252,8 +252,6 @@ def _cmd_lint(args):
         argv += ["--show-unresolved"]
     if args.stats:
         argv += ["--stats"]
-    if args.emit_interleaving:
-        argv += ["--emit-interleaving", args.emit_interleaving]
     return lint_main(argv)
 
 
@@ -379,14 +377,6 @@ def build_parser():
         "--stats",
         action="store_true",
         help="print per-rule finding counts",
-    )
-    lint.add_argument(
-        "--emit-interleaving",
-        nargs="?",
-        const="docs/interleaving-contract.md",
-        default=None,
-        metavar="PATH",
-        help="write the interleaving contract report",
     )
     lint.set_defaults(fn=_cmd_lint)
 

@@ -1,18 +1,16 @@
-"""Atomic-section annotations for the interleaving contract.
+"""Atomic-section annotations: state updates that must land together.
 
-The simulator is synchronous today, but ROADMAP item 1 rebuilds the
-request path around a discrete-event scheduler with interleaved
-background tasks (GC, delta compression, bloom expiration).  Every
-multi-step invariant-restoring sequence — program page, tag OOB, update
-the mapping, insert into the index — is only correct because nothing can
-interrupt it.  :func:`atomic_section` makes that assumption *explicit*:
-the decorated function is one atomic step with respect to task
-interleaving, and the static concurrency passes
-(:mod:`repro.analysis.concurrency`) verify that
-
-* every flash-mutating call site sits inside some atomic section,
-* no call out of a section can re-enter a competing task root, and
-* no ``await``/scheduler yield ever appears inside one.
+Every multi-step invariant-restoring sequence — program page, tag OOB,
+update the mapping, insert into the index — runs to completion: a task
+is only ever suspended at its own ``yield``, and firmware code cannot
+yield to the scheduler (DESIGN.md, "Why interleavings are safe").  What
+*can* cut such a sequence short is an exception.
+:func:`atomic_section` names the sequences where that matters, and the
+deep lint rule ``concurrency-atomic-raise-after-mutate``
+(:mod:`repro.analysis.atomicity`) checks that each one either keeps
+its mutations last — so a raise leaves nothing half-applied — or
+declares ``restores_state=True`` with the reason written beside it.
+Annotation is opt-in: the rule has no opinion about undecorated code.
 
 The decorator is metadata only: it stores the annotation on the function
 object and returns the function unchanged — zero wrappers, zero per-call
@@ -26,14 +24,13 @@ ATOMIC_ATTR = "__atomic_section__"
 
 
 def atomic_section(reason, restores_state=False):
-    """Mark a function as one atomic step of the interleaving contract.
+    """Mark a function whose state updates must land together.
 
-    ``reason`` names the invariant the section maintains (it is printed
-    in ``docs/interleaving-contract.md``).  ``restores_state=True``
-    waives the mutations-last discipline for sections that may raise
-    partway through *because* they explicitly restore a consistent state
-    before the exception escapes — the justification belongs in
-    ``reason``.
+    ``reason`` names the invariant the section maintains.
+    ``restores_state=True`` waives the mutations-last discipline for
+    sections that may raise partway through *because* they explicitly
+    restore a consistent state before the exception escapes — the
+    justification belongs in ``reason``.
     """
     if not isinstance(reason, str) or not reason.strip():
         raise ValueError("atomic_section requires a non-empty reason string")

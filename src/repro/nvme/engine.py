@@ -4,14 +4,15 @@ This is the async device core of ISSUE 9: queue depth is modelled by
 running the per-command executor under the deterministic event loop.
 
 * The host enqueues commands onto one or more :class:`QueuePair` rings.
-* ``queue_depth`` *slot workers* per pair — cooperative tasks with the
-  ``host-serve`` root from the interleaving contract — each fetch the
-  next submission, apply it atomically via
-  :meth:`NVMeController.execute_io`, then sleep until the command's
-  device-time completion before posting to the completion ring.
+* ``queue_depth`` *slot workers* per pair — cooperative tasks labelled
+  ``host-serve`` — each fetch the next submission, apply it in one
+  synchronous :meth:`NVMeController.execute_io` call, then sleep until
+  the command's device-time completion before posting to the
+  completion ring.  That sleep is the worker's only ``yield``; engine
+  state read before it (``_inflight``) is re-read after it.
 * Background firmware tasks (GC, compression, expiry, scrub) spawned
   through :func:`repro.sched.tasks.spawn_device_daemons` interleave
-  with the workers at yield points only.
+  with the workers at those sleeps only.
 
 Completions therefore post *out of submission order* whenever a later
 command finishes first, and throughput scales with queue depth because

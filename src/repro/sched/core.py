@@ -18,10 +18,12 @@ Determinism is the design center, not an afterthought:
   events with a pure integer hash so the schedule fuzzer
   (``tests/sched``) can explore alternative legal interleavings while
   staying bit-reproducible per seed.
-* Tasks may only suspend *between* atomic sections (enforced statically
-  by the ``concurrency-yield-in-atomic`` analyzer rule), so every
-  interleaving the loop can produce is one the interleaving contract
-  (docs/interleaving-contract.md) already declares safe.
+* A task runs until its own next ``yield``, and the firmware layers
+  below ``repro.sched`` cannot import a wait instruction
+  (``layering-order``), so every firmware call a task makes finishes
+  before any other task runs (DESIGN.md, "Why interleavings are safe").
+  The loop rejects what would break that protocol: a yield that is not
+  a wait instruction, and a daemon that returns.
 """
 
 import heapq
@@ -30,17 +32,15 @@ from repro.common.errors import ReproError
 
 
 class SchedulerError(ReproError):
-    """A task misused the scheduler (bad yield, bad wait argument)."""
+    """A task misused the scheduler (bad yield, bad wait argument, a
+    daemon that returned)."""
 
 
 # --- Wait instructions ---------------------------------------------------------
 #
 # Instances of these classes are what tasks yield.  They are deliberately
 # tiny value objects: the loop interprets them, tasks never call back
-# into the loop directly.  Their constructors are registered as
-# scheduler-yield primitives in the concurrency model
-# (``SCHEDULER_YIELD_QUALNAMES``) so constructing one inside an
-# ``@atomic_section`` fails the deep lint.
+# into the loop directly.
 
 
 class Delay:
@@ -124,7 +124,7 @@ class Task:
     def __init__(self, gen, name, root, daemon):
         self.gen = gen
         self.name = name
-        #: Task-root name from the interleaving contract (trace label).
+        #: Which kind of work this task does (trace label).
         self.root = root
         #: Daemon tasks never keep the loop alive: once every non-daemon
         #: task has finished, pending daemon events are discarded.
@@ -226,10 +226,15 @@ class EventLoop:
             )
 
     def _finish(self, task, result):
+        if task.daemon:
+            raise SchedulerError(
+                "daemon %s returned; a daemon runs until the loop drops "
+                "it, and one that finishes stops its background service "
+                "silently" % task.name
+            )
         task.done = True
         task.result = result
-        if not task.daemon:
-            self._live -= 1
+        self._live -= 1
         self._trace("task-done", self.now_us, task=task.name, root=task.root)
 
     # --- Introspection ----------------------------------------------------

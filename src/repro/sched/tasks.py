@@ -9,10 +9,10 @@ the time it consumed (the firmware core is busy that long) or, when
 there was nothing to do, for an idle poll interval.  Retention expiry
 drops one segment per wakeup instead.
 
-The task-root names used by :func:`spawn_device_daemons` are the ones
-declared in the interleaving contract
-(``repro.analysis.concurrency.model.TASK_ROOTS``), so the schedules the
-loop produces are exactly the interleavings the deep lint proves safe.
+Each generator's only ``yield`` sits at the top level of its ``while
+True``, below one ordinary synchronous call into the firmware: a window
+finishes before any other task runs, and a daemon never returns (the
+loop raises if one does).
 """
 
 from repro.sched.core import Delay

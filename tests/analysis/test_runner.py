@@ -201,28 +201,3 @@ def test_lint_loads_no_runtime_module():
         capture_output=True, text=True, env=env, check=True,
     )
     assert result.stdout.splitlines()[-1] == "LOADED []"
-
-
-def test_emit_interleaving_writes_report(tmp_path, capsys):
-    pkg = tmp_path / "repro" / "ftl"
-    pkg.mkdir(parents=True)
-    (tmp_path / "repro" / "__init__.py").write_text("")
-    (pkg / "__init__.py").write_text("")
-    (pkg / "ssd.py").write_text(
-        "class BaseSSD:\n    def write(self, lpa):\n        return lpa\n"
-    )
-    out = tmp_path / "contract.md"
-    assert (
-        lint_main(
-            [
-                str(tmp_path / "repro"),
-                "--emit-interleaving",
-                str(out),
-            ]
-        )
-        == 0
-    )
-    text = out.read_text()
-    assert text.startswith("<!-- Generated by")
-    assert "host-serve" in text
-    capsys.readouterr()

@@ -183,22 +183,41 @@ def test_flush_succeeds_on_every_route(route):
     assert results[1] == (StatusCode.SUCCESS, 0, 0)
 
 
+def _ssd_with_lost_lba(lba):
+    ssd = make_regular_ssd()
+    ssd.write(lba, b"doomed")
+    ssd.note_lost_valid_page(ssd.mapping.lookup(lba))
+    assert lba in ssd.lost_lpas
+    return ssd
+
+
 @pytest.mark.parametrize("route", ROUTES)
 def test_rewrite_and_trim_clear_a_lost_lba(route):
-    ssd = make_regular_ssd()
-    ssd.write(5, b"doomed")
-    ssd.note_lost_valid_page(ssd.mapping.lookup(5))
-    assert 5 in ssd.lost_lpas
-    ops = [("R", 5, 1), ("W", 5, [b"again"]), ("T", 5, 1), ("R", 5, 1)]
+    ssd = _ssd_with_lost_lba(5)
+    ops = [("R", 5, 1), ("W", 5, [b"again"])]
     statuses = [status for status, _r, _l in drive(route, ssd, ops)]
-    assert statuses == [
-        StatusCode.MEDIA_UNRECOVERED_READ,
-        StatusCode.SUCCESS,
-        StatusCode.SUCCESS,
-        StatusCode.SUCCESS,
+    assert statuses == [StatusCode.MEDIA_UNRECOVERED_READ, StatusCode.SUCCESS]
+    # Checked before the TRIM below, whose own clearing would mask a
+    # rewrite that forgot to.
+    assert 5 not in ssd.lost_lpas
+    results = drive(route, ssd, [("R", 5, 1), ("T", 5, 1), ("R", 5, 1)])
+    assert [(status, r) for status, r, _l in results] == [
+        (StatusCode.SUCCESS, [b"again"]),
+        (StatusCode.SUCCESS, 1),
+        (StatusCode.SUCCESS, [None]),
     ]
     assert ssd.lost_lpas == {}
-    assert ssd.read(5) == (None, 0)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_trim_alone_clears_a_lost_lba(route):
+    ssd = _ssd_with_lost_lba(5)
+    results = drive(route, ssd, [("T", 5, 1), ("R", 5, 1)])
+    assert [(status, r) for status, r, _l in results] == [
+        (StatusCode.SUCCESS, 1),
+        (StatusCode.SUCCESS, [None]),
+    ]
+    assert ssd.lost_lpas == {}
 
 
 @pytest.mark.parametrize("route", ROUTES)

@@ -130,6 +130,13 @@ class TestDaemons:
         assert ticks == [5, 10]
         assert loop.now_us == 12
 
+    def test_a_daemon_that_returns_fails_loud(self):
+        loop = make_loop()
+        loop.spawn(iter(()), name="d", daemon=True)
+        loop.spawn(iter([Delay(1)]), name="w")
+        with pytest.raises(SchedulerError, match="daemon d returned"):
+            loop.run()
+
 
 class TestTieBreak:
     def test_seeded_tiebreak_is_deterministic(self):

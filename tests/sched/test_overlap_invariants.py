@@ -80,6 +80,23 @@ class TestRealConcurrency:
         snap = ssd.metrics_snapshot()
         assert snap["gauges"]["nvme.engine.inflight_max"] == queue_depth
 
+    @pytest.mark.parametrize("queue_depth, queue_pairs", [(2, 1), (8, 1), (4, 2)])
+    def test_nothing_stays_in_flight_across_pumps(self, queue_depth, queue_pairs):
+        # A slot worker that carries the in-flight count across its wait
+        # loses every overlapping worker's decrement: the first pump
+        # still peaks at the depth, the leak shows once it has drained
+        # and compounds in the next one.
+        ssd = make_regular_ssd()
+        engine = AsyncNVMeEngine(
+            ssd, queue_depth=queue_depth, queue_pairs=queue_pairs
+        )
+        for _pump in range(2):
+            engine.process(
+                [NVMeCommand(Opcode.WRITE, slba=i, nlb=1) for i in range(64)]
+            )
+            assert engine._inflight == 0
+            assert engine.inflight_max == queue_depth * queue_pairs
+
     def test_channel_queues_actually_deepen(self):
         ssd = make_regular_ssd()
         churn(ssd, queue_depth=8)
