@@ -285,7 +285,7 @@ def _raising_sites(analysis, info):
     effects pass recorded there."""
     sites = []
     qualname = info.qualname
-    for atom, (path, line) in analysis.intrinsic.get(qualname, {}).items():
+    for atom, line in analysis.intrinsic.get(qualname, {}).items():
         raised = atom_exception(atom)
         if raised is not None:
             sites.append((line, raised, ""))

@@ -1,12 +1,13 @@
 """Whole-program call graph over the ``repro`` tree (pure ``ast``).
 
-The deep passes (:mod:`repro.analysis.effects`,
-:mod:`repro.analysis.domains`) need to know *who calls whom* across the
-entire simulator, not just within one file.  Python makes a fully
-precise answer undecidable, so this builder implements name/attribute
-resolution that is good enough for this repo's idiom — and is honest
-about the rest: every call it cannot (or will not) resolve lands in an
-explicit unresolved-call report instead of silently vanishing.
+The deep rules (``callgraph-private-cross-package`` and, through
+:mod:`repro.analysis.effects`, the atomic-section raise inference) need
+to know *who calls whom* across the entire simulator, not just within
+one file.  Python makes a fully precise answer undecidable, so this
+builder implements name/attribute resolution that is good enough for
+this repo's idiom — and is honest about the rest: every call it cannot
+(or will not) resolve lands in an explicit unresolved-call report
+instead of silently vanishing.
 
 Resolution strategy, in order:
 
@@ -200,12 +201,6 @@ class CallGraph:
         #: call expression with its resolved targets, in source order.  The
         #: effects pass re-walks these with try/except context.
         self.calls = {}
-        #: (caller, callee) pairs that exist only via the dynamic-dispatch
-        #: fallback (several classes define the method).  Sound for effect
-        #: propagation; contract checks that need confident edges skip
-        #: these — the ambiguity is surfaced in ``unresolved`` instead.
-        self.ambiguous_edges = set()
-        self._ambiguous_call_nodes = set()
         #: class qualname -> resolved in-project base class qualnames
         self._bases = {}
         #: class qualname -> direct subclasses
@@ -440,14 +435,9 @@ class CallGraph:
                 if not isinstance(node, ast.Call):
                     continue
                 targets = self._classify_call(func, node, local_types)
-                ambiguous = id(node) in self._ambiguous_call_nodes
                 resolved = []
                 for info in targets:
                     self._add_edge(func, info, node)
-                    if ambiguous:
-                        self.ambiguous_edges.add(
-                            (func.qualname, info.qualname)
-                        )
                     if isinstance(info, ClassInfo):
                         init = self.method_on(info.qualname, "__init__")
                         resolved.append(
@@ -555,7 +545,6 @@ class CallGraph:
         if len(candidates) == 1:
             return list(candidates)
         if len(candidates) > 1:
-            self._ambiguous_call_nodes.add(id(node))
             self._note_unresolved(
                 func, node, ".%s()" % name, "ambiguous-method", candidates
             )

@@ -68,7 +68,7 @@ class LintRule:
     #: Stable kebab-case identifier, used in reports and suppressions.
     rule_id = None
     #: Rule family: ``determinism``, ``layering``, ``hygiene``,
-    #: ``callgraph``, ``effects`` or ``domains``.
+    #: ``callgraph``, ``concurrency`` or ``obs``.
     pack = None
     #: One-line human description (shown by ``--list-rules``).
     description = ""

@@ -6,13 +6,6 @@ Every function gets a set of *effect atoms*:
     Transitively reaches a flash-array mutation primitive
     (``Block.program``/``Block.erase`` or the ``FlashDevice``
     ``program_page``/``erase_block`` wrappers).
-``advances-clock``
-    Transitively reaches ``SimClock.advance``/``advance_to``.
-``consumes-rng``
-    Draws from a random generator (an ``rng``-named receiver calling a
-    ``random.Random`` method).
-``emits-metrics``
-    Transitively calls into ``repro.obs``.
 ``raises:<qualname>``
     May let that exception escape.  ``raises:*`` means "something we
     could not resolve".  ``raise`` sites inside a ``try`` whose handlers
@@ -23,7 +16,7 @@ Every function gets a set of *effect atoms*:
 Intrinsic atoms are assigned from each function's own AST, then
 propagated bottom-up to a fixpoint.  The per-call-site try/except
 context recorded during the scan filters ``raises:`` atoms as they
-flow upward; all other atoms propagate unconditionally.
+flow upward; ``mutates-flash`` propagates unconditionally.
 """
 
 import ast
@@ -36,11 +29,7 @@ from repro.analysis.callgraph import (
 )
 
 MUTATES_FLASH = "mutates-flash"
-ADVANCES_CLOCK = "advances-clock"
-CONSUMES_RNG = "consumes-rng"
-EMITS_METRICS = "emits-metrics"
 RAISES_PREFIX = "raises:"
-RAISES_ANY = "raises:*"
 
 #: Functions that ARE a flash mutation (the leaves of the effect).
 FLASH_MUTATOR_QUALNAMES = frozenset(
@@ -55,48 +44,6 @@ FLASH_MUTATOR_QUALNAMES = frozenset(
 #: Attribute names that mean flash mutation even when the receiver could
 #: not be typed (mirrors the layering pack's FLASH_API_ATTRS).
 FLASH_MUTATOR_ATTRS = frozenset({"program_page", "erase_block"})
-
-#: Functions that ARE a clock advance.
-CLOCK_ADVANCE_QUALNAMES = frozenset(
-    {
-        "repro.common.clock.SimClock.advance",
-        "repro.common.clock.SimClock.advance_to",
-    }
-)
-
-#: ``random.Random`` draw methods: calling one of these on an
-#: rng-looking receiver is an intrinsic ``consumes-rng``.
-RNG_METHODS = frozenset(
-    {
-        "betavariate",
-        "choice",
-        "choices",
-        "expovariate",
-        "gauss",
-        "getrandbits",
-        "lognormvariate",
-        "normalvariate",
-        "paretovariate",
-        "randbytes",
-        "randint",
-        "random",
-        "randrange",
-        "sample",
-        "shuffle",
-        "triangular",
-        "uniform",
-        "vonmisesvariate",
-        "weibullvariate",
-    }
-)
-
-
-def _rng_receiver(chain):
-    """Does this dotted receiver chain look like a random generator?"""
-    if not chain:
-        return False
-    tail = chain[-1].lower()
-    return "rng" in tail or "random" in tail
 
 
 def atom_exception(atom):
@@ -172,7 +119,7 @@ class EffectAnalysis:
         self.project = project
         self.graph = build_call_graph(project)
         self.hierarchy = ExceptionHierarchy(self.graph)
-        #: qualname -> {atom: (path, line) of the introducing site}
+        #: qualname -> {atom: line of the introducing site}
         self.intrinsic = {}
         #: qualname -> [(callee qualname, frozenset absorbed, line)]
         self.call_records = {}
@@ -192,17 +139,13 @@ class EffectAnalysis:
             id(node): targets
             for node, targets in self.graph.calls.get(qual, ())
         }
-        if qual.startswith("repro.obs."):
-            self._add_intrinsic(
-                func, EMITS_METRICS, func.node, "defined in repro.obs"
-            )
         for stmt in func.node.body:
             self._visit(func, stmt, guards=(), handler_types=None)
 
-    def _add_intrinsic(self, func, atom, node, _why=""):
+    def _add_intrinsic(self, func, atom, node):
         table = self.intrinsic[func.qualname]
         if atom not in table:
-            table[atom] = (func.module.path, node.lineno)
+            table[atom] = node.lineno
 
     def _visit(self, func, node, guards, handler_types):
         if isinstance(node, ast.Try):
@@ -292,18 +235,12 @@ class EffectAnalysis:
         # Intrinsic atoms recognisable at the call expression itself.
         callee_expr = node.func
         if isinstance(callee_expr, ast.Attribute):
-            attr = callee_expr.attr
-            chain = dotted(callee_expr.value)
-            if attr in RNG_METHODS and _rng_receiver(chain):
-                self._add_intrinsic(func, CONSUMES_RNG, node)
-            if attr in FLASH_MUTATOR_ATTRS and not targets:
+            if callee_expr.attr in FLASH_MUTATOR_ATTRS and not targets:
                 # Untypeable receiver, but the name is the flash API.
                 self._add_intrinsic(func, MUTATES_FLASH, node)
         for callee in targets:
             if callee in FLASH_MUTATOR_QUALNAMES:
                 self._add_intrinsic(func, MUTATES_FLASH, node)
-            if callee in CLOCK_ADVANCE_QUALNAMES:
-                self._add_intrinsic(func, ADVANCES_CLOCK, node)
 
     # --- Propagation ---------------------------------------------------------
 
@@ -311,14 +248,11 @@ class EffectAnalysis:
         effects = {
             qual: set(table) for qual, table in self.intrinsic.items()
         }
-        # Flash mutators and clock advancers carry their own atoms even
-        # if their bodies mutate state directly rather than via a call.
+        # Flash mutators carry their own atom even if their bodies
+        # mutate state directly rather than via a call.
         for qual in FLASH_MUTATOR_QUALNAMES:
             if qual in effects:
                 effects[qual].add(MUTATES_FLASH)
-        for qual in CLOCK_ADVANCE_QUALNAMES:
-            if qual in effects:
-                effects[qual].add(ADVANCES_CLOCK)
         changed = True
         while changed:
             changed = False
@@ -341,73 +275,6 @@ class EffectAnalysis:
                 if len(mine) != before:
                     changed = True
         self.effects = effects
-
-    # --- Queries -------------------------------------------------------------
-
-    def effects_of(self, qualname):
-        return self.effects.get(qualname, set())
-
-    def intrinsic_site(self, qualname, atom):
-        """(path, line) where ``atom`` is introduced in ``qualname``."""
-        return self.intrinsic.get(qualname, {}).get(atom)
-
-    def find_effect_paths(self, root, atom, waived=()):
-        """Shortest call chains from ``root`` to intrinsic ``atom`` sites.
-
-        Traversal never descends through a qualname in ``waived``.
-        Returns a list of (chain, site) where ``chain`` is the qualname
-        path ``[root, ..., sink]`` and ``site`` is the (path, line) of
-        the intrinsic effect.
-        """
-        waived = set(waived)
-        parent = {root: None}
-        order = [root]
-        found = []
-        seen_sinks = set()
-        index = 0
-        while index < len(order):
-            current = order[index]
-            index += 1
-            if atom in self.intrinsic.get(current, {}):
-                if current not in seen_sinks:
-                    seen_sinks.add(current)
-                    chain = []
-                    walk = current
-                    while walk is not None:
-                        chain.append(walk)
-                        walk = parent[walk]
-                    found.append(
-                        (
-                            list(reversed(chain)),
-                            self.intrinsic_site(current, atom),
-                        )
-                    )
-                continue  # no need to look past the first sink on a path
-            for callee in sorted(self.graph.edges.get(current, ())):
-                if callee in parent or callee in waived:
-                    continue
-                parent[callee] = current
-                order.append(callee)
-        return found
-
-    def callers_of(self, qualname, confident_only=False):
-        """Caller qualname -> (line, col) of the first call site.
-
-        With ``confident_only`` edges that exist solely via the
-        dynamic-dispatch fallback are skipped (they are listed in the
-        unresolved-call report instead).
-        """
-        out = {}
-        for caller, sites in self.graph.edges.items():
-            if qualname not in sites:
-                continue
-            if (
-                confident_only
-                and (caller, qualname) in self.graph.ambiguous_edges
-            ):
-                continue
-            out[caller] = sites[qualname]
-        return out
 
 
 def effect_analysis(project):

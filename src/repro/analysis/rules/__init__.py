@@ -1,7 +1,6 @@
 """Built-in rule packs.  Importing this package registers every rule."""
 
 from repro.analysis.rules import (  # noqa: F401  (import-for-effect)
-    address_domains,
     determinism,
     hygiene,
     layering,

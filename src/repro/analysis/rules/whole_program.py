@@ -1,12 +1,9 @@
-"""Deep rules: call-graph hygiene, the effect contract table and the
-atomic-section mutations-last check.
+"""Deep rules: call-graph hygiene and the atomic-section mutations-last
+check.
 
 These rules need the whole-program call graph, so they carry
 ``deep = True`` and only run under ``--deep`` (or when selected
-explicitly).  Each contract in :data:`repro.analysis.contracts.CONTRACTS`
-is materialised as one lint rule, so contract ids work with
-``--select``, suppressions and every reporter, and adding a contract to
-the table requires no rule code.
+explicitly).
 
 All whole-program work is computed once per run (cached on the
 project); each module's ``check`` then yields only the violations
@@ -15,14 +12,10 @@ machinery working unchanged.
 """
 
 from repro.analysis import atomicity
-from repro.analysis import contracts as contract_table
+from repro.analysis.callgraph import build_call_graph
 from repro.analysis.core import LintRule, register
 from repro.analysis.effects import effect_analysis
 from repro.analysis.imports import subpackage
-
-
-def _chain_text(chain):
-    return " -> ".join(part.rsplit(".", 2)[-1] for part in chain) or chain
 
 
 class _Anchor:
@@ -31,13 +24,6 @@ class _Anchor:
     def __init__(self, line, col=1):
         self.line = line
         self.col = col
-
-
-def _def_anchor(analysis, qualname):
-    info = analysis.graph.functions.get(qualname)
-    if info is None:
-        return _Anchor(1)
-    return _Anchor(info.node.lineno, info.node.col_offset + 1)
 
 
 def _is_private_name(qualname):
@@ -82,8 +68,7 @@ class PrivateCrossPackageCallRule(LintRule):
     def check(self, module, project):
         if module.module is None or module.tree is None:
             return
-        analysis = effect_analysis(project)
-        graph = analysis.graph
+        graph = build_call_graph(project)
         caller_pkg = subpackage(module.module)
         if caller_pkg is None:
             return
@@ -130,161 +115,23 @@ class PrivateCrossPackageCallRule(LintRule):
                 )
 
 
-class _ContractRule(LintRule):
-    """Base: findings computed once per run, emitted per module."""
-
-    deep = True
-    contract = None
-
-    def check(self, module, project):
-        analysis = effect_analysis(project)
-        findings = project.cached(
-            ("contract_findings", self.rule_id),
-            lambda: list(self._evaluate(analysis)),
-        )
-        for found_module, anchor, message in findings:
-            if found_module is module:
-                yield self.violation(module, anchor, message)
-
-    def _evaluate(self, analysis):
-        raise NotImplementedError
-
-    def _anchored(self, analysis, qualname, message):
-        info = analysis.graph.functions.get(qualname)
-        if info is None:
-            return None
-        return (info.module, _def_anchor(analysis, qualname), message)
-
-
-class _ReachContractRule(_ContractRule):
-    def _evaluate(self, analysis):
-        contract = self.contract
-        roots = []
-        for root in contract.roots:
-            if root.endswith("."):
-                roots.extend(
-                    qual
-                    for qual in sorted(analysis.graph.functions)
-                    if qual.startswith(root)
-                )
-            else:
-                roots.append(root)
-        waived = contract.waived_qualnames()
-        for root in roots:
-            paths = analysis.find_effect_paths(
-                root, contract.effect, waived
-            )
-            for chain, site in paths:
-                message = (
-                    "%s: %s reaches %r via %s (intrinsic at %s:%d)"
-                    % (
-                        contract.description,
-                        root,
-                        contract.effect,
-                        _chain_text(chain),
-                        site[0] if site else "?",
-                        site[1] if site else 0,
-                    )
-                )
-                anchored = self._anchored(analysis, root, message)
-                if anchored is not None:
-                    yield anchored
-
-
-class _CallerContractRule(_ContractRule):
-    def _evaluate(self, analysis):
-        contract = self.contract
-        allowed = set(contract.allowed_callers)
-        for callee in contract.callees:
-            callers = analysis.callers_of(callee, confident_only=True)
-            for caller, (line, col) in sorted(callers.items()):
-                if caller in allowed:
-                    continue
-                info = analysis.graph.functions.get(caller)
-                if info is None:
-                    continue
-                yield (
-                    info.module,
-                    _Anchor(line, col),
-                    "%s: %s may not call %s (allowed: %s)"
-                    % (
-                        contract.description,
-                        caller,
-                        callee,
-                        ", ".join(contract.allowed_callers),
-                    ),
-                )
-
-
-class _RaiseContractRule(_ContractRule):
-    def _evaluate(self, analysis):
-        contract = self.contract
-        allowed = contract.allowed
-        for qualname in sorted(analysis.effects):
-            if not qualname.startswith(contract.scope):
-                continue
-            for atom in sorted(analysis.effects_of(qualname)):
-                raised = _atom_exception(atom)
-                if raised is None:
-                    continue
-                if raised != "*" and any(
-                    analysis.hierarchy.is_caught_by(raised, {allow})
-                    for allow in allowed
-                ):
-                    continue
-                message = (
-                    "%s: %s may raise %s (allowed: %s)"
-                    % (
-                        contract.description,
-                        qualname,
-                        raised,
-                        ", ".join(allowed),
-                    )
-                )
-                anchored = self._anchored(analysis, qualname, message)
-                if anchored is not None:
-                    yield anchored
-
-
-def _atom_exception(atom):
-    from repro.analysis.effects import atom_exception
-
-    return atom_exception(atom)
-
-
-_SHAPES = {
-    contract_table.ReachContract: _ReachContractRule,
-    contract_table.CallerContract: _CallerContractRule,
-    contract_table.RaiseContract: _RaiseContractRule,
-}
-
-for _contract in contract_table.CONTRACTS:
-    register(
-        type(
-            "Contract_%s" % _contract.rule_id.replace("-", "_"),
-            (_SHAPES[type(_contract)],),
-            {
-                "rule_id": _contract.rule_id,
-                "pack": "effects",
-                "description": _contract.description,
-                "contract": _contract,
-            },
-        )
-    )
-
-
 @register
-class RaiseAfterMutateRule(_ContractRule):
+class RaiseAfterMutateRule(LintRule):
     rule_id = "concurrency-atomic-raise-after-mutate"
     pack = "concurrency"
+    deep = True
     description = (
         "an atomic section that can raise partway through must keep "
         "its mutations last or declare restores_state=True"
     )
 
-    def _evaluate(self, analysis):
-        sections = atomicity.atomic_index(analysis.project)
-        for module, line, message in atomicity.raise_after_mutate_findings(
-            analysis, sections
-        ):
-            yield module, _Anchor(line), message
+    def check(self, module, project):
+        findings = project.cached(
+            "raise_after_mutate_findings",
+            lambda: atomicity.raise_after_mutate_findings(
+                effect_analysis(project), atomicity.atomic_index(project)
+            ),
+        )
+        for found_module, line, message in findings:
+            if found_module is module:
+                yield self.violation(module, _Anchor(line), message)

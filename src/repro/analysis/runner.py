@@ -4,7 +4,7 @@ Exit status: 0 clean, 1 violations found, 2 usage error.  The same
 entry point backs the ``repro lint`` CLI subcommand.
 
 The default selection is every *shallow* rule; ``--deep`` adds the
-whole-program passes (call graph, effect contracts, address domains).
+whole-program rules (call graph, atomic sections, metric catalog).
 ``--select``/``--ignore`` filter by rule id or pack name.
 """
 
@@ -59,8 +59,8 @@ def build_parser():
     parser.add_argument(
         "--deep",
         action="store_true",
-        help="include the whole-program passes (call-graph, effect "
-        "contracts, address-domain dataflow)",
+        help="include the whole-program rules (call graph, atomic "
+        "sections, metric catalog)",
     )
     parser.add_argument(
         "--list-rules",

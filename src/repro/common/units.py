@@ -2,15 +2,13 @@
 
 All simulated time is carried as integer microseconds.  All sizes are bytes.
 
-The :func:`typing.NewType` aliases below are the *address-domain*
-vocabulary: LBAs, PPAs, block ids, timestamps, byte counts and page
-counts are all plain ``int`` at runtime, which is exactly how the
-paper's OOB back-pointer and reverse-index bugs (§3) happen — an LBA
-stored where a PPA belongs is still just an integer.  Annotating a
-parameter with one of these aliases costs nothing at runtime and seeds
-``almanac-deepcheck``'s address-domain dataflow pass
-(:mod:`repro.analysis.domains`), which flags cross-domain assignments,
-comparisons and argument passing statically.
+The :func:`typing.NewType` aliases below name the address domains —
+LBAs, PPAs, block ids and timestamps are all plain ``int`` at runtime,
+which is exactly how the paper's OOB back-pointer and reverse-index
+bugs (§3) happen: an LBA stored where a PPA belongs is still just an
+integer.  They are boundary documentation: annotating a parameter with
+one costs nothing at runtime and says which kind of integer a firmware
+signature expects; nothing checks them statically.
 """
 
 from typing import NewType
@@ -23,10 +21,6 @@ Ppa = NewType("Ppa", int)
 BlockId = NewType("BlockId", int)
 #: Simulated time: an instant or duration in integer microseconds.
 TimeUs = NewType("TimeUs", int)
-#: A size in bytes.
-ByteCount = NewType("ByteCount", int)
-#: A count of pages (not an address).
-PageCount = NewType("PageCount", int)
 
 KIB = 1024
 MIB = 1024 * KIB

@@ -23,7 +23,7 @@ Two firmware defenses hook in here:
 Determinism: the engine owns a dedicated seeded RNG stream.  It is the
 media's noise source, deliberately separate from the FTL's foreground
 RNG so background patrol reads never perturb host-visible randomness
-(the ``effects-scrub-rng`` contract pins this).
+(``tests/ftl/test_scrub.py`` pins this).
 
 Disabled by default (``raw_bit_error_rate = 0``): functional experiments
 stay deterministic and error-free unless a test opts in.

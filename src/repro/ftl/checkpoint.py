@@ -38,8 +38,8 @@ record payloads recovery must re-read anyway, and translation blocks
 are the checkpoint's own storage.
 
 Determinism: the writer runs from the host-request path on a pure
-function of firmware state; recovery stays RNG-free (the
-``effects-recovery-rng`` contract covers this module).
+function of firmware state; recovery stays RNG-free (pinned by
+``tests/timessd/test_power_loss.py``).
 """
 
 from repro.common.atomic import atomic_section

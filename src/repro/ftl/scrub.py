@@ -34,8 +34,8 @@ Determinism: patrol order is a pure function of firmware state (sealed
 blocks sorted oldest-programmed-first, rotating cursor), the at-risk
 queue is FIFO, and the only randomness anywhere below is the
 :class:`~repro.flash.reliability.ReliabilityEngine`'s own seeded media
-stream — scrub never touches the foreground RNG (pinned by the
-``effects-scrub-rng`` contract).
+stream — scrub never touches the foreground RNG (pinned by
+``tests/ftl/test_scrub.py``).
 """
 
 from repro.common.atomic import atomic_section

@@ -11,7 +11,9 @@ from dataclasses import dataclass
 from repro.common.errors import (
     AddressError,
     DegradedModeError,
+    DeviceFullError,
     ProgramFailureError,
+    QueryError,
     RetentionViolationError,
     UncorrectableReadError,
 )
@@ -275,13 +277,16 @@ class _InvalidField(Exception):
 
 
 #: Error to NVMe-status mapping shared by every submission path.
-#: Order matters only for documentation: DegradedModeError and
-#: RetentionViolationError are sibling refused-write DeviceFullErrors,
-#: so neither shadows the other in the ``isinstance`` walk below.
+#: ``_status_for`` takes the first ``isinstance`` match, so order
+#: matters: DegradedModeError and RetentionViolationError are sibling
+#: refused-write DeviceFullErrors and must precede their base, which
+#: catches the plain "no GC victim" full device.
 _STATUS_BY_ERROR = (
     (AddressError, StatusCode.LBA_OUT_OF_RANGE),
     (DegradedModeError, StatusCode.DEGRADED_READ_ONLY),
     (RetentionViolationError, StatusCode.RETENTION_PROTECTED),
+    (DeviceFullError, StatusCode.CAPACITY_EXCEEDED),
+    (QueryError, StatusCode.INVALID_FIELD),
     (UncorrectableReadError, StatusCode.MEDIA_UNRECOVERED_READ),
     (ProgramFailureError, StatusCode.MEDIA_WRITE_FAULT),
     (_InvalidOpcode, StatusCode.INVALID_OPCODE),

@@ -10,7 +10,7 @@ running the per-command executor under the deterministic event loop.
   the command's device-time completion before posting to the
   completion ring.  That sleep is the worker's only ``yield``; engine
   state read before it (``_inflight``) is re-read after it.
-* Background firmware tasks (GC, compression, expiry, scrub) spawned
+* Background firmware tasks (GC, retention expiry) spawned
   through :func:`repro.sched.tasks.spawn_device_daemons` interleave
   with the workers at those sleeps only.
 

@@ -62,7 +62,6 @@ def test_method_resolution_through_attribute_type(package_tree):
     caller = "repro.timessd.recovery.Rebuilder.rebuild"
     callee = "repro.ftl.block_manager.BlockManager.claim_block"
     assert callee in graph.edges[caller]
-    assert (caller, callee) not in graph.ambiguous_edges
 
 
 def test_override_dispatch_targets_base_and_subclass(package_tree):
@@ -161,7 +160,6 @@ def test_ambiguous_method_edges_to_all_candidates(package_tree):
     edges = graph.edges[caller]
     assert "repro.flash.a.Reader.poke" in edges
     assert "repro.ftl.b.Writer.poke" in edges
-    assert (caller, "repro.flash.a.Reader.poke") in graph.ambiguous_edges
     ambiguous = [u for u in graph.unresolved if u.reason == "ambiguous-method"]
     assert any(u.caller == caller for u in ambiguous)
 

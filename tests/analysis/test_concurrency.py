@@ -179,6 +179,46 @@ def test_caught_exception_does_not_count(lint_package):
     assert violations == []
 
 
+def test_project_subclass_is_absorbed_by_its_base_handler(lint_package):
+    # The hierarchy walk crosses modules: TraceError is caught as the
+    # ReproError it subclasses; an unrelated handler absorbs nothing.
+    files = {
+        "repro.common.errors": """
+            class ReproError(Exception):
+                pass
+
+
+            class TraceError(ReproError):
+                pass
+        """,
+        "repro.ftl.ssd": _with_import("""
+        from repro.common.errors import ReproError, TraceError
+
+
+        class BaseSSD:
+            @atomic_section("one step")
+            def _commit(self, lpa):
+                self.cursor = lpa
+                try:
+                    self._check(lpa)
+                except %s:
+                    return None
+                return lpa
+
+            def _check(self, lpa):
+                if lpa < 0:
+                    raise TraceError("bad lpa")
+        """),
+    }
+    source = files["repro.ftl.ssd"]
+    files["repro.ftl.ssd"] = source % "ReproError"
+    assert lint_package(files, rules=[RULE]) == []
+    files["repro.ftl.ssd"] = source % "KeyError"
+    violations = lint_package(files, rules=[RULE])
+    assert rule_ids(violations) == [RULE]
+    assert "TraceError" in violations[0].message
+
+
 def test_loop_join_of_mutation_and_raise_is_flagged(lint_package):
     # Inside one loop the raise re-executes after earlier iterations'
     # mutations even when it textually precedes them.

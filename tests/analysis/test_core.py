@@ -21,8 +21,6 @@ def test_registry_has_all_packs():
         "layering",
         "hygiene",
         "callgraph",
-        "effects",
-        "domains",
         "concurrency",
         "obs",
     }

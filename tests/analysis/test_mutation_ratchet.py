@@ -13,9 +13,10 @@ file staying green (docs/ANALYSIS.md, "How a rule earns its place").
 :data:`FIRMWARE_MUTATIONS` is the same idea one level down: seeded bugs
 no lint rule claims, each naming the tier-1 *test* that must fail.  A
 rule whose seeded bug a row there catches for less code loses its place
-(the nine concurrency rules PR 17 deleted left theirs here).
+(the nine concurrency rules PR 17 deleted left theirs here, and so did
+the effect-contract table and the address-domain pass in PR 18).
 
-``slow``: ~30 whole-tree lint runs and ~25 single-test pytest runs.
+``slow``: ~20 whole-tree lint runs and ~50 single-test pytest runs.
 ``pytest -m slow`` on this file is a ``deepcheck`` CI step.
 """
 
@@ -112,13 +113,10 @@ MUTATIONS = (
         '            print("reclaim", now_us, pba, migrated)\n',
     ),
     seed(
-        "hygiene-unit-mix",  # a millisecond budget added to a us cursor
-        "sched/tasks.py",
-        "idle_us=COMPRESS_IDLE_US, budget_us=500):",
-        "idle_us=COMPRESS_IDLE_US, budget_ms=1):",
-        "sched/tasks.py",
-        "ssd.background_compress(now_us, now_us + budget_us)",
-        "ssd.background_compress(now_us, now_us + budget_ms)",
+        "hygiene-unit-mix",  # a millisecond dwell taken off a us clock
+        "ftl/ssd.py",
+        "        if now_us - self._degraded_since_us < self.config.heal_dwell_us:\n",
+        "        if now_us - self.config.heal_dwell_ms < self._degraded_since_us:\n",
     ),
     seed(
         "unused-suppression",  # the violation fixed, its waiver left behind
@@ -170,96 +168,6 @@ MUTATIONS = (
         "                self.ssd._collect_garbage(t)\n"
         "                data, t = ssd.serve_read_at(command.slba + i, t)\n",
     ),
-    # --- effects --------------------------------------------------------------
-    seed(
-        "effects-recovery-rng",  # recovery adopting blocks in random order
-        "ftl/recovery.py",
-        "    for pba in sweep.partial_blocks:\n",
-        "    for pba in ssd._rng.sample(\n"
-        "        sweep.partial_blocks, len(sweep.partial_blocks)\n"
-        "    ):\n",
-    ),
-    seed(
-        "effects-read-path-flash",  # read-disturb "fix": relocate on read
-        "ftl/ssd.py",
-        "            result = self.read_page_with_retry(ppa, start)\n"
-        "            data, complete = result.data, result.complete_us\n",
-        "            result = self.read_page_with_retry(ppa, start)\n"
-        "            self.relocate_block(\n"
-        "                self.device.geometry.block_of_page(ppa), start\n"
-        "            )\n"
-        "            data, complete = result.data, result.complete_us\n",
-    ),
-    seed(
-        "effects-read-path-flash",  # ROADMAP's example: program in a read
-        "ftl/ssd.py",
-        "            result = self.read_page_with_retry(ppa, start)\n"
-        "            data, complete = result.data, result.complete_us\n",
-        "            result = self.read_page_with_retry(ppa, start)\n"
-        "            self.device.program_page(ppa, result.data, result.oob, start)\n"
-        "            data, complete = result.data, result.complete_us\n",
-    ),
-    seed(
-        "effects-fault-hook-sites",  # a fault hook on the side-effect-free peek
-        "flash/device.py",
-        '        """Inspect a page without timing or counters (tests, '
-        'invariants).\n',
-        "        self.faults.on_read(self, ppa)\n"
-        '        """Inspect a page without timing or counters (tests, '
-        'invariants).\n',
-    ),
-    seed(
-        "effects-obs-raises",  # a metric emit site raising outside ReproError
-        "obs/metrics.py",
-        '            raise ReproError("latency cannot be negative")\n',
-        '            raise ValueError("latency cannot be negative")\n',
-    ),
-    seed(
-        "effects-scrub-rng",  # patrol order drawn from the foreground RNG
-        "ftl/scrub.py",
-        "        order = self._patrol_order()\n",
-        "        order = self._patrol_order()\n"
-        "        ssd._rng.shuffle(order)\n",
-    ),
-    seed(
-        "effects-scrub-flash-writes",  # scrub erasing outside the refresh API
-        "ftl/scrub.py",
-        "            # Lost despite the full ladder: nothing left to refresh.\n",
-        "            ssd.device.erase_block(\n"
-        "                ssd.device.geometry.block_of_page(ppa), now_us\n"
-        "            )\n",
-    ),
-    # --- domains --------------------------------------------------------------
-    seed(
-        "domains-cross-assign",  # the chain head's LBA read from the wrong
-        "timessd/gc.py",  # OOB field
-        "        lpa = head.oob.lpa\n",
-        "        lpa = head.oob.back_pointer\n",
-    ),
-    seed(
-        "domains-cross-compare",  # ROADMAP's example: LBA tested as a PPA
-        "ftl/ssd.py",
-        "        start = self._translation_delay(arrival_us)\n"
-        "        if ppa == NULL_PPA:\n",
-        "        start = self._translation_delay(arrival_us)\n"
-        "        if lpa == NULL_PPA:\n",
-    ),
-    seed(
-        "domains-cross-arg",  # the bloom filter keyed by the wrong domain
-        "timessd/ssd.py",
-        "        self.blooms.record_invalidation(old_ppa)\n",
-        "        self.blooms.record_invalidation(lpa)\n",
-    ),
-    seed(
-        "domains-cross-arg",  # swapped positional arguments
-        "ftl/ssd.py",
-        "                result = self.read_page_with_retry(ppa, now_us)\n"
-        "            except UncorrectableReadError:\n"
-        "                self.note_lost_valid_page(ppa)\n",
-        "                result = self.read_page_with_retry(now_us, ppa)\n"
-        "            except UncorrectableReadError:\n"
-        "                self.note_lost_valid_page(ppa)\n",
-    ),
     # --- obs ------------------------------------------------------------------
     seed(
         "obs-uncataloged-metric",  # ROADMAP's example: a renamed counter
@@ -292,6 +200,14 @@ MUTATIONS = (
 #: table, run the same way — seeded into the scratch copy, which goes
 #: first on the named test's ``PYTHONPATH``.
 _PATHS = "tests/nvme/test_path_equivalence.py::"
+_SCRUB = "tests/ftl/test_scrub.py::TestScrubTouchesOnlyWhatItRefreshes::"
+_RANDOM_ORDER = (
+    "    for pba in ssd._rng.sample(\n"
+    "        sweep.partial_blocks, len(sweep.partial_blocks)\n"
+    "    ):\n"
+)
+_SENSE = "            result = self.read_page_with_retry(ppa, start)\n"
+_UNPACK = "            data, complete = result.data, result.complete_us\n"
 FIRMWARE_MUTATIONS = (
     # --- the host path: PR 14's disagreements and PR 16's gate -----------------
     (
@@ -385,6 +301,108 @@ FIRMWARE_MUTATIONS = (
         "class OverheadEstimator:",
         "tests/timessd/test_retention.py"
         "::TestGCOverheadEstimator::test_equation_1_arithmetic",
+    ),
+    # --- what the deleted effect contracts' rows seeded ------------------------
+    (
+        "ftl/recovery.py",  # recovery adopting blocks in random order
+        "    for pba in sweep.partial_blocks:\n",
+        _RANDOM_ORDER,
+        "tests/ftl/test_checkpoint.py"
+        "::test_checkpointed_recovery_matches_full_scan_exactly",
+    ),
+    (
+        "timessd/recovery.py",  # ...and its TimeSSD twin
+        "    for pba in sweep.partial_blocks:\n",
+        _RANDOM_ORDER,
+        "tests/timessd/test_power_loss.py"
+        "::test_recovery_draws_nothing_from_the_device_rng",
+    ),
+    (
+        "ftl/ssd.py",  # read-disturb "fix": relocate on read
+        _SENSE + _UNPACK,
+        _SENSE
+        + "            self.relocate_block(\n"
+        "                self.device.geometry.block_of_page(ppa), start\n"
+        "            )\n"
+        + _UNPACK,
+        "tests/ftl/test_ssd.py::test_host_reads_mutate_no_flash",
+    ),
+    (
+        "ftl/ssd.py",  # a program in the read path
+        _SENSE + _UNPACK,
+        _SENSE
+        + "            self.device.program_page(ppa, result.data, result.oob, start)\n"
+        + _UNPACK,
+        "tests/ftl/test_ssd.py::test_host_reads_mutate_no_flash",
+    ),
+    (
+        # A fault hook on the side-effect-free peek (guarded likewise: a
+        # device built without hooks has ``faults = None``).
+        "flash/device.py",
+        "        self.geometry.check_ppa(ppa)\n        return Page(self.core, ppa)\n",
+        "        self.geometry.check_ppa(ppa)\n"
+        "        if self.faults is not None:\n"
+        "            self.faults.on_read(self, ppa)\n"
+        "        return Page(self.core, ppa)\n",
+        "tests/faults/test_hooks.py"
+        "::TestEraseAndRead::test_op_counter_spans_all_op_types",
+    ),
+    (
+        "obs/metrics.py",  # a metric emit site raising outside ReproError
+        '            raise ReproError("latency cannot be negative")\n',
+        '            raise ValueError("latency cannot be negative")\n',
+        "tests/obs/test_metrics.py::TestLatencyHistogram::test_rejects_negative",
+    ),
+    (
+        # Patrol order drawn from the foreground RNG.  Guarded, so the row
+        # proves the property and not that a RegularSSD has no ``_rng``.
+        "ftl/scrub.py",
+        "        order = self._patrol_order()\n",
+        "        order = self._patrol_order()\n"
+        '        if getattr(ssd, "_rng", None):\n'
+        "            ssd._rng.shuffle(order)\n",
+        _SCRUB + "test_a_scrub_window_draws_nothing_from_the_device_rng",
+    ),
+    (
+        "ftl/scrub.py",  # scrub erasing outside the refresh API
+        "            # Lost despite the full ladder: nothing left to refresh.\n",
+        "            ssd.device.erase_block(\n"
+        "                ssd.device.geometry.block_of_page(ppa), now_us\n"
+        "            )\n",
+        _SCRUB + "test_an_uncorrectable_patrol_read_touches_no_flash",
+    ),
+    # --- what the deleted address-domain rules' rows seeded --------------------
+    (
+        "timessd/gc.py",  # the chain head's LBA read from the wrong OOB field
+        "        lpa = head.oob.lpa\n",
+        "        lpa = head.oob.back_pointer\n",
+        "tests/timessd/test_gc.py"
+        "::TestReclaimBlock::test_reclaim_compresses_retained_history",
+    ),
+    (
+        "ftl/ssd.py",  # an LBA tested as a PPA
+        "        start = self._translation_delay(arrival_us)\n"
+        "        if ppa == NULL_PPA:\n",
+        "        start = self._translation_delay(arrival_us)\n"
+        "        if lpa == NULL_PPA:\n",
+        "tests/ftl/test_ssd.py::test_read_unwritten_returns_none",
+    ),
+    (
+        "timessd/ssd.py",  # the bloom filter keyed by the wrong domain
+        "        self.blooms.record_invalidation(old_ppa)\n",
+        "        self.blooms.record_invalidation(lpa)\n",
+        "tests/timessd/test_timessd.py"
+        "::TestRetentionUnderGC::test_versions_survive_gc_as_deltas",
+    ),
+    (
+        "ftl/ssd.py",  # swapped positional arguments
+        "                result = self.read_page_with_retry(ppa, now_us)\n"
+        "            except UncorrectableReadError:\n"
+        "                self.note_lost_valid_page(ppa)\n",
+        "                result = self.read_page_with_retry(now_us, ppa)\n"
+        "            except UncorrectableReadError:\n"
+        "                self.note_lost_valid_page(ppa)\n",
+        "tests/ftl/test_ssd.py::test_gc_preserves_all_current_data",
     ),
 )
 

@@ -72,8 +72,8 @@ def test_list_rules_shows_every_pack(capsys):
         "layering",
         "hygiene",
         "callgraph",
-        "effects",
-        "domains",
+        "concurrency",
+        "obs",
     ):
         assert pack in out
     assert "[deep]" in out
@@ -136,15 +136,18 @@ def test_ignore_drops_whole_pack(tmp_path, capsys):
 
 
 def test_deep_flag_runs_whole_program_passes(tmp_path, capsys):
-    pkg = tmp_path / "repro" / "ftl"
-    pkg.mkdir(parents=True)
+    for name in ("ftl", "nvme"):
+        (tmp_path / "repro" / name).mkdir(parents=True)
+        (tmp_path / "repro" / name / "__init__.py").write_text("")
     (tmp_path / "repro" / "__init__.py").write_text("")
-    (pkg / "__init__.py").write_text("")
-    (pkg / "mapping.py").write_text("def f(lpa, ppa):\n    lpa = ppa\n")
+    (tmp_path / "repro" / "ftl" / "gc.py").write_text("def _collect():\n    pass\n")
+    (tmp_path / "repro" / "nvme" / "ctl.py").write_text(
+        "from repro.ftl.gc import _collect\n\ndef submit():\n    _collect()\n"
+    )
     assert lint_main([str(tmp_path / "repro")]) == 0
     capsys.readouterr()
     assert lint_main([str(tmp_path / "repro"), "--deep"]) == 1
-    assert "domains-cross-assign" in capsys.readouterr().out
+    assert "callgraph-private-cross-package" in capsys.readouterr().out
 
 
 def test_syntax_error_is_reported_not_raised(tmp_path, capsys):

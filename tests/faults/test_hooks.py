@@ -121,4 +121,5 @@ class TestEraseAndRead:
         device.program_page(0, b"a" * 16, oob())
         device.read_page(0)
         device.program_page(1, b"b" * 16, oob())
+        device.peek_page(0)  # host-side tooling, not a flash op: no hook
         assert plan.ops_seen == 3

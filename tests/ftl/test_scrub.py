@@ -10,7 +10,10 @@ retained chain compression, retention-expired skip).
 import pytest
 
 from repro.common.units import SECOND_US
+from repro.faults.hooks import FaultHooks
+from repro.faults.plan import FaultPlan
 from repro.flash.reliability import FlashReliability, UncorrectableReadError
+from repro.timessd.config import ContentMode
 
 from tests.conftest import make_regular_ssd, make_timessd
 
@@ -221,3 +224,55 @@ class TestRefreshDispositions:
         assert metrics.counter("scrub.skipped_expired").value == 1
         assert metrics.counter("scrub.refreshed_retained").value == 0
         assert ssd.index.is_reclaimable(old_ppa)
+
+
+class TestScrubTouchesOnlyWhatItRefreshes:
+    def test_an_uncorrectable_patrol_read_touches_no_flash(self):
+        plan = FaultPlan()
+        ssd = make_regular_ssd(
+            faults=FaultHooks(plan),
+            patrol_scrub=True,
+            reliability=tame_reliability(),
+        )
+        geo = ssd.device.geometry
+        lpas = range(2 * geo.channels * geo.pages_per_block)
+        for lpa in lpas:
+            ssd.write(lpa, PAGE)
+        plan.add_read_error(
+            every=1, address={ssd.mapping.lookup(0)}, max_fires=None
+        )
+        before = ssd.device.counters.snapshot()
+        now = ssd.clock.now_us
+        ssd.scrubber.run_window(now, now + 10 * SECOND_US)
+        assert ssd.obs.metrics.counter("scrub.uncorrectable").value >= 1
+        # Scrub accounts the loss and moves on: the lost page's block
+        # still holds its neighbours, so nothing is erased or rewritten.
+        after = ssd.device.counters
+        assert after.block_erases == before.block_erases
+        assert after.page_programs == before.page_programs
+        for lpa in lpas[1:]:
+            assert ssd.read(lpa)[0] == PAGE
+
+    def test_a_scrub_window_draws_nothing_from_the_device_rng(self):
+        # REAL content: the modeled codec draws its compression ratio
+        # from the device RNG by design, so only the real one can show
+        # that scrub itself (patrol order, refresh dispatch) draws none.
+        ssd = make_timessd(
+            patrol_scrub=True,
+            reliability=tame_reliability(),
+            content_mode=ContentMode.REAL,
+        )
+        for lpa in range(80):
+            ssd.write(lpa, PAGE)
+        retained = ssd.mapping.lookup(5)
+        for lpa in range(80):
+            ssd.write(lpa, b"v2".ljust(PAGE_SIZE, b"\x22"))
+            ssd.clock.advance(1000)
+        ssd.scrubber.observe_read(retained, corrected_bits=40)
+        state = ssd._rng.getstate()
+        now = ssd.clock.now_us
+        ssd.scrubber.run_window(now, now + 10 * SECOND_US)
+        metrics = ssd.obs.metrics
+        assert metrics.counter("scrub.patrol_reads").value > 0
+        assert metrics.counter("scrub.refreshed_retained").value == 1
+        assert ssd._rng.getstate() == state

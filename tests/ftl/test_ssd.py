@@ -40,6 +40,21 @@ def test_overwrite_returns_latest(regular_ssd):
     assert regular_ssd.read(5)[0] == b"v2"
 
 
+def test_host_reads_mutate_no_flash(regular_ssd):
+    # The read path may sense flash and nothing else: a read that
+    # programs or erases (a read-disturb "fix" relocating on read) would
+    # wear the device and move data under a concurrent reader.
+    for lpa in range(64):
+        regular_ssd.write(lpa, b"v1")
+    before = regular_ssd.device.counters.snapshot()
+    for lpa in range(64):
+        assert regular_ssd.read(lpa)[0] == b"v1"
+    after = regular_ssd.device.counters
+    assert after.page_reads == before.page_reads + 64
+    assert after.page_programs == before.page_programs
+    assert after.block_erases == before.block_erases
+
+
 def test_trim_unmaps(regular_ssd):
     regular_ssd.write(5, b"v1")
     regular_ssd.trim(5)

@@ -136,6 +136,29 @@ class TestVendorCommands:
         assert info["retained_pages"] == 1
         assert info["retention_floor_us"] == 3600 * SECOND_US
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            NVMeCommand(Opcode.ADDR_QUERY, slba=0, nlb=1, threads=0),
+            NVMeCommand(Opcode.TIME_QUERY_ALL, threads=-3),
+            NVMeCommand(Opcode.ROLLBACK, slba=0, nlb=1, threads=0),
+        ],
+        ids=lambda command: command.opcode.name,
+    )
+    def test_hostile_thread_count_is_a_status_not_a_traceback(self, driver, command):
+        assert driver.controller.submit(command).status is StatusCode.INVALID_FIELD
+
+    def test_locked_history_is_a_status_not_a_traceback(self):
+        locked = HostNVMeDriver(
+            make_timessd(content_mode=ContentMode.REAL, retention_key=b"k" * 16)
+        )
+        locked.write(0, [page(locked, "a")])
+        locked.write(0, [page(locked, "b")])
+        completion = locked.controller.submit(
+            NVMeCommand(Opcode.ADDR_QUERY_ALL, slba=0, nlb=1)
+        )
+        assert completion.status is StatusCode.INVALID_FIELD
+
     def test_vendor_opcodes_rejected_on_regular_ssd(self):
         regular = HostNVMeDriver(make_regular_ssd())
         completion = regular.controller.submit(NVMeCommand(Opcode.ADDR_QUERY_ALL))
@@ -162,6 +185,33 @@ class TestRetentionAlarm:
                 break
             ssd.clock.advance(100)
         assert status is StatusCode.RETENTION_PROTECTED
+
+
+class TestFullDevice:
+    @pytest.mark.parametrize("route", ["submit", "submit_async"])
+    def test_full_device_completes_capacity_exceeded_then_read_only(self, route):
+        # Every LBA valid: the first overwrites use up the spare blocks,
+        # then GC finds no victim.  That is a plain DeviceFullError, not
+        # one of its two refused-write subclasses.
+        ssd = make_regular_ssd()
+        driver = HostNVMeDriver(ssd)
+        for lpa in range(ssd.logical_pages):
+            ssd.write(lpa)
+
+        def overwrite(lpa):
+            command = NVMeCommand(Opcode.WRITE, slba=lpa, nlb=1, data=[None])
+            if route == "submit":
+                return driver.controller.submit(command)
+            (completion,), _ = driver.submit_async([command])
+            return completion
+
+        failed = next(
+            completion
+            for completion in map(overwrite, range(ssd.logical_pages))
+            if not completion.ok
+        )
+        assert failed.status is StatusCode.CAPACITY_EXCEEDED
+        assert overwrite(0).status is StatusCode.DEGRADED_READ_ONLY
 
 
 class TestBatchedSubmission:

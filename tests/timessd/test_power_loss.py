@@ -85,6 +85,17 @@ def test_recovered_device_passes_audit():
     assert report.clean, report.violations
 
 
+def test_recovery_draws_nothing_from_the_device_rng():
+    # Recovery must rebuild the same tables from the same flash every
+    # time: any draw from the device RNG would make it depend on how
+    # much compression ran before the crash.
+    ssd, _state, _history = churned_device()
+    state = ssd._rng.getstate()
+    simulate_power_loss(ssd)
+    rebuild_from_flash(ssd)
+    assert ssd._rng.getstate() == state
+
+
 def test_recovery_stats_are_coherent():
     ssd, state, _history = churned_device()
     simulate_power_loss(ssd)
