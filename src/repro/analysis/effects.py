@@ -4,7 +4,7 @@ Every function gets a set of *effect atoms*:
 
 ``mutates-flash``
     Transitively reaches a flash-array mutation primitive
-    (``Block.program``/``Block.erase`` or the ``FlashDevice``
+    (``ColumnarFlashArray.program``/``.erase`` or the ``FlashDevice``
     ``program_page``/``erase_block`` wrappers).
 ``raises:<qualname>``
     May let that exception escape.  ``raises:*`` means "something we
@@ -34,8 +34,8 @@ RAISES_PREFIX = "raises:"
 #: Functions that ARE a flash mutation (the leaves of the effect).
 FLASH_MUTATOR_QUALNAMES = frozenset(
     {
-        "repro.flash.block.Block.program",
-        "repro.flash.block.Block.erase",
+        "repro.flash.core.ColumnarFlashArray.program",
+        "repro.flash.core.ColumnarFlashArray.erase",
         "repro.flash.device.FlashDevice.program_page",
         "repro.flash.device.FlashDevice.erase_block",
     }

@@ -13,7 +13,7 @@ fault itself leaves:
 * PROGRAM_FAIL burns the page (garbage data, torn tag): real NAND
   consumes the page on a failed program, so firmware must skip it;
 * PROGRAM_FAIL_PERMANENT / ERASE_FAIL additionally mark the block as a
-  grown bad block (``Block.failed``), which survives power cuts;
+  grown bad block (the ``failed`` column), which survives power cuts;
 * POWER_CUT and READ_UNCORRECTABLE leave no residue.
 
 The flash layer never imports this module (layering: faults sits above
@@ -98,7 +98,7 @@ class FaultHooks:
         self._burn_page(device, ppa, data, oob, torn=False)
         permanent = kind is FaultKind.PROGRAM_FAIL_PERMANENT
         if permanent:
-            device.blocks[device.geometry.block_of_page(ppa)].failed = True
+            device.core.failed[device.geometry.block_of_page(ppa)] = 1
         raise ProgramFailureError(ppa, permanent=permanent)
 
     def on_erase(self, device, pba):
@@ -112,7 +112,7 @@ class FaultHooks:
                 % (pba, self.plan.ops_seen),
                 op_index=self.plan.ops_seen,
             )
-        device.blocks[pba].failed = True
+        device.core.failed[pba] = 1
         raise EraseFailureError(pba)
 
     # --- Media residue ------------------------------------------------------
@@ -121,12 +121,11 @@ class FaultHooks:
     def _burn_page(device, ppa, data, oob, torn):
         """Consume the page: partial/garbage data under a torn OOB tag.
 
-        Goes through ``Block.program`` so NAND sequencing invariants hold
+        Goes through ``core.program`` so NAND sequencing invariants hold
         and the block's write pointer advances — exactly what a real
         failed/torn program does to the media.
         """
         geo = device.geometry
-        block = device.blocks[geo.block_of_page(ppa)]
         if isinstance(data, (bytes, bytearray)):
             half = len(data) // 2
             residue = bytes(data[:half]).ljust(len(data), b"\x00")
@@ -134,4 +133,6 @@ class FaultHooks:
             residue = data
         else:
             residue = BURNED_PAGE
-        block.program(geo.page_offset(ppa), residue, oob.as_torn())
+        device.core.program(
+            geo.block_of_page(ppa), geo.page_offset(ppa), residue, oob.as_torn()
+        )

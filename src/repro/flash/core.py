@@ -18,11 +18,10 @@ store per-page state as flat arrays instead; this module does the same:
   ``last_program_us`` and ``reads_since_erase``, plus a ``bytearray``
   for the grown-bad flag.
 
-``Page`` and ``Block`` (:mod:`repro.flash.page`,
-:mod:`repro.flash.block`) survive as thin views over these columns, so
-the public API, the torn-page semantics (``intact`` / ``seq_tag_of``)
-and the fault hooks are unchanged.  Bulk consumers go through
-:meth:`FlashDevice.scan_oob` and read the columns directly.
+Firmware and the fault hooks read and write these columns and nothing
+else; bulk consumers go through :meth:`FlashDevice.scan_oob`.  One
+read-only view, :class:`repro.flash.page.Page` via
+:meth:`FlashDevice.peek_page`, is left for tests and host-side tooling.
 
 The optional numpy accelerator vectorizes batch sequence-tag
 verification over zero-copy ``int64`` views of the very same columns.
@@ -94,8 +93,7 @@ class ColumnarFlashArray:
     Indexing: global page index = ``pba * pages_per_block + offset``
     (identical to the device's flat PPA numbering), block index = PBA.
     All NAND invariants (erased-only program, sequential-in-block
-    program order, erase resets) are enforced here, in one place, so the
-    ``Block`` view and the device fast path cannot drift.
+    program order, erase resets) are enforced here, in one place.
     """
 
     __slots__ = (

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 from repro.common.errors import EraseFailureError, ProgramFailureError
 from repro.common.units import BlockId, Ppa, TimeUs
-from repro.flash.block import Block
 from repro.flash.core import ColumnarFlashArray, verify_seq_tags
 from repro.flash.geometry import FlashGeometry
 from repro.flash.page import Page, _tuple_new
@@ -137,14 +136,10 @@ class FlashDevice:
         #: hooks have no clock of their own, so trace events read this.
         self.last_op_start_us = 0
         #: The columnar (structure-of-arrays) page/block store.  All
-        #: functional state lives here; ``self.blocks`` are views.
+        #: functional state lives here.
         self.core = ColumnarFlashArray(
             self.geometry.total_blocks, self.geometry.pages_per_block
         )
-        self.blocks = [
-            Block(pba, self.geometry.pages_per_block, core=self.core, index=pba)
-            for pba in range(self.geometry.total_blocks)
-        ]
         geo = self.geometry
         self.timelines = ChannelTimelines(geo.channels)
         # One timeline per die: cell operations (sense/program/erase)
@@ -227,14 +222,6 @@ class FlashDevice:
             tr.emit("flash-op", "read", complete, ppa=ppa, start_us=int(now_us))
         return _tuple_new(ReadResult, (data, oob, complete, corrected))
 
-    def read_oob(self, ppa: Ppa, now_us: TimeUs = 0):
-        """Read only a page's OOB metadata.
-
-        Real controllers fetch OOB together with the page, so this costs a
-        full page read; it exists for call-site clarity.
-        """
-        return self.read_page(ppa, now_us)
-
     def program_page(self, ppa: Ppa, data, oob, now_us: TimeUs = 0):
         """Program an erased page; returns the completion time.
 
@@ -300,14 +287,9 @@ class FlashDevice:
     # --- Untimed peeks (host-side tooling / assertions only) ----------------
 
     def peek_page(self, ppa: Ppa):
-        """Inspect a page without timing or counters (tests, invariants).
-
-        Builds a :class:`Page` view per call, so firmware loops read the
-        ``core`` columns instead.  The callers left are deliberate
-        one-shot uses: the auditor (``timessd/verify.py``), delta-block
-        drop (``DeltaManager._mark_block_records_dropped``), the
-        scrubber's per-page guard (``PatrolScrubber._scrub_page``),
-        ``BaseSSD.note_lost_valid_page`` and the FlashGuard comparator.
+        """Inspect a page without timing or counters: a read-only
+        :class:`Page` view for tests and host-side tooling.  Nothing under
+        ``src/repro`` calls this — firmware reads the ``core`` columns.
         """
         self.geometry.check_ppa(ppa)
         return Page(self.core, ppa)

@@ -90,12 +90,13 @@ class OOBMetadata(namedtuple("_OOBFields", "lpa back_pointer timestamp_us seq_ta
 
 
 class Page:
-    """View of one flash page over the device's columnar core.
+    """Read-only view of one flash page over the device's columnar core.
 
-    Since the columnar refactor the authoritative page state lives in
-    flat per-device columns (:class:`repro.flash.core.ColumnarFlashArray`);
-    a ``Page`` is a two-word handle that reads and writes those columns
-    through the same attributes the old object model exposed:
+    The authoritative page state lives in flat per-device columns
+    (:class:`repro.flash.core.ColumnarFlashArray`); a ``Page`` is the
+    two-word handle :meth:`FlashDevice.peek_page` hands to tests and
+    host-side tooling, reading those columns through the attributes the
+    old object model exposed (firmware reads the columns themselves):
 
     * ``state`` — :class:`PageState`;
     * ``data`` — whatever object the FTL programmed (raw ``bytes`` for
@@ -122,45 +123,17 @@ class Page:
             else PageState.ERASED
         )
 
-    @state.setter
-    def state(self, value):
-        self._core.state[self._gidx] = 1 if value is PageState.PROGRAMMED else 0
-
     @property
     def data(self):
         return self._core.data[self._gidx]
-
-    @data.setter
-    def data(self, value):
-        self._core.data[self._gidx] = value
 
     @property
     def oob(self):
         return self._core.oob_at(self._gidx)
 
-    @oob.setter
-    def oob(self, value):
-        core, gidx = self._core, self._gidx
-        if value is None:
-            core.lpa[gidx] = 0
-            core.back_pointer[gidx] = 0
-            core.timestamp_us[gidx] = 0
-            core.seq_tag[gidx] = 0
-            return
-        core.lpa[gidx] = value.lpa
-        core.back_pointer[gidx] = value.back_pointer
-        core.timestamp_us[gidx] = value.timestamp_us
-        core.seq_tag[gidx] = value.seq_tag - (
-            (1 << 64) if value.seq_tag >> 63 else 0
-        )
-
     @property
     def programmed_us(self):
         return self._core.programmed_us[self._gidx]
-
-    @programmed_us.setter
-    def programmed_us(self, value):
-        self._core.programmed_us[self._gidx] = value
 
     def __repr__(self):
         oob = self.oob

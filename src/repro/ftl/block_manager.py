@@ -147,8 +147,8 @@ class BlockManager:
         """Stop appending to a block that grew a bad page (program failed).
 
         The block keeps its kind and valid pages; GC will migrate them
-        out and :meth:`release_block` retires it (``Block.failed`` makes
-        it a victim via :meth:`sealed_blocks` despite being partial).
+        out and :meth:`release_block` retires it (the ``failed`` column
+        makes it a victim via :meth:`sealed_blocks` despite being partial).
         """
         self._forget_active(pba)
 

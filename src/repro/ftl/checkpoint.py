@@ -282,7 +282,7 @@ class CheckpointWriter:
                 # (e.g. a wear-leveling relocation erased and reused
                 # it).  It is not ours to erase anymore.
                 continue
-            ssd._erase_and_release(pba, t)
+            ssd.erase_and_release(pba, t)
             self._m_superseded.inc()
         return t
 

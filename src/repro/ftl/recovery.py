@@ -9,7 +9,7 @@ power cut it reconstructs them from the shared OOB sweep
   mapping; pages whose OOB sequence tag mismatches (torn or burned
   programs) are discarded, never mapped;
 * block states and the free pool — from device write pointers; grown
-  bad blocks (``Block.failed``, media truth) are retired on sight;
+  bad blocks (the ``failed`` column, media truth) are retired on sight;
 * append points — partially-programmed blocks are re-adopted as the
   user stream's active blocks (one per channel); orphans are
   force-sealed so GC can reclaim, not append to, them.

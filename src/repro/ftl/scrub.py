@@ -14,10 +14,9 @@ request that ends the window never waits on scrub work.
 
 Refresh dispatch:
 
-* a **valid** page is migrated exactly like a GC migration — fresh copy
-  via :meth:`~repro.ftl.ssd.BaseSSD.program_with_retry`, mapping moved
-  via the public :meth:`~repro.ftl.ssd.BaseSSD.remap_migrated_page`
-  path, OOB (timestamp, back-pointer) carried over unchanged;
+* a **valid** page is migrated exactly like a GC migration — through
+  :meth:`~repro.ftl.ssd.BaseSSD.migrate_page`, OOB (timestamp,
+  back-pointer) carried over unchanged;
 * an **invalid** page is handed to the device's
   :meth:`~repro.ftl.ssd.BaseSSD._refresh_retained_page` hook — a no-op
   on the base SSD (stale pages are garbage), while TimeSSD compresses
@@ -38,10 +37,8 @@ stream — scrub never touches the foreground RNG (pinned by
 ``tests/ftl/test_scrub.py``).
 """
 
-from repro.common.atomic import atomic_section
 from repro.common.errors import ProgramFailureError, UncorrectableReadError
-from repro.flash.page import PageState
-from repro.ftl.block_manager import BlockKind, StreamId
+from repro.ftl.block_manager import BlockKind
 
 __all__ = ["PatrolScrubber"]
 
@@ -178,11 +175,11 @@ class PatrolScrubber:
     def _patrol_order(self):
         """Sealed data blocks, oldest-programmed-first (ties by PBA)."""
         ssd = self._ssd
-        blocks = ssd.device.blocks
+        last_program_us = ssd.device.core.last_program_us
         candidates = [
             pba for pba in ssd.block_manager.sealed_blocks(BlockKind.DATA)
         ]
-        candidates.sort(key=lambda pba: (blocks[pba].last_program_us, pba))
+        candidates.sort(key=lambda pba: (last_program_us[pba], pba))
         return candidates
 
     def _rotate(self, order):
@@ -195,11 +192,10 @@ class PatrolScrubber:
         """PPAs in ``pba`` worth a patrol read, via one columnar OOB sweep.
 
         Skips pages a patrol read could not help: erased or torn/burned
-        (batch sequence-tag check).  One
-        :meth:`~repro.flash.device.FlashDevice.scan_block_oob` sweep
-        replaces the old page-at-a-time ``peek_page`` walk; it is safe to
-        snapshot because a sealed block's programmed/intact columns are
-        immutable during the walk.  Validity is *not* snapshotted — a
+        (batch sequence-tag check).  The
+        :meth:`~repro.flash.device.FlashDevice.scan_block_oob` sweep is
+        safe to snapshot because a sealed block's programmed/intact columns
+        are immutable during the walk.  Validity is *not* snapshotted — a
         refresh earlier in the same walk can compress a later candidate
         into the delta chain, so the caller re-checks it per page.
         """
@@ -225,13 +221,8 @@ class PatrolScrubber:
         queued at-risk pages, whose foreground read already crossed it.
         """
         ssd = self._ssd
-        page = ssd.device.peek_page(ppa)
-        if (
-            page.state is not PageState.PROGRAMMED
-            or page.oob is None
-            or not page.oob.intact
-        ):
-            return now_us
+        if not ssd.device.core.intact_at(ppa):
+            return now_us  # erased, torn or burned: nothing to protect
         try:
             result = ssd.read_page_with_retry(ppa, now_us)
         except UncorrectableReadError:
@@ -282,26 +273,10 @@ class PatrolScrubber:
             self._at_risk_set.discard(ppa)
             self._at_risk.remove(ppa)
 
-    @atomic_section(
-        "refresh is a one-page GC migration: program + validity flip + "
-        "remap commit together, or a competing read could land on a "
-        "mapping that moved before its copy was durable",
-        restores_state=True,  # program_with_retry leaves firmware state
-        # untouched on failure; the source page stays valid and mapped
-    )
     def _refresh_valid(self, ppa, result, now_us):
         """Migrate one valid page to a fresh location (same OOB)."""
         ssd = self._ssd
-        bm = ssd.block_manager
-        new_ppa, t = ssd.program_with_retry(
-            lambda: bm.allocate_page(StreamId.GC),
-            result.data,
-            result.oob,
-            now_us,
-        )
-        bm.mark_valid(new_ppa)
-        bm.invalidate_page(ppa)
-        ssd.remap_migrated_page(result.oob, ppa, new_ppa)
+        t = ssd.migrate_page(ppa, result, now_us)
         index = getattr(ssd, "index", None)
         if index is not None:
             # The stale copy is a byte-identical duplicate of the
@@ -320,7 +295,7 @@ class PatrolScrubber:
         A block that grew a bad page mid-write was condemned but still
         holds valid data; until it is emptied and released it counts
         against the pool.  Relocation ends with ``release_block``, which
-        sees ``Block.failed`` and retires it for good.
+        sees the ``failed`` column and retires it for good.
         """
         ssd = self._ssd
         geo = ssd.device.geometry
@@ -359,10 +334,11 @@ class PatrolScrubber:
 
     def _failed_data_blocks(self):
         ssd = self._ssd
+        failed = ssd.device.core.failed
         return [
             pba
             for pba in ssd.block_manager.sealed_blocks(BlockKind.DATA)
-            if ssd.device.blocks[pba].failed
+            if failed[pba]
         ]
 
     def _trace_refresh(self, ppa, now_us, kind):

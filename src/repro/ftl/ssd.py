@@ -162,8 +162,6 @@ class BaseSSD:
         self._h_corrected_bits = metrics.histogram("reliability.corrected_bits")
         self._m_degraded_entered = metrics.counter("ftl.degraded.entered")
         self._m_degraded_healed = metrics.counter("ftl.degraded.healed")
-        self.gc_runs = 0
-        self.background_gc_runs = 0
         #: Media program/erase failures the firmware absorbed.
         self.program_failures = 0
         self.erase_failures = 0
@@ -313,6 +311,16 @@ class BaseSSD:
         return self._m_host_reads.value
 
     @property
+    def gc_runs(self):
+        """Foreground GC rounds (the ``gc.runs`` counter)."""
+        return self._m_gc_runs.value
+
+    @property
+    def background_gc_runs(self):
+        """Idle-window GC rounds (the ``gc.background_runs`` counter)."""
+        return self._m_background_gc_runs.value
+
+    @property
     def write_amplification(self):
         """Flash page programs divided by host page writes."""
         if self.host_pages_written == 0:
@@ -389,7 +397,7 @@ class BaseSSD:
         Degraded mode is sticky once entered; it is also (re-)entered
         here when bad-block retirement has shrunk the pool below what
         logical capacity plus GC headroom require — a condition reboots
-        cannot clear, because ``Block.failed`` is media truth.
+        cannot clear, because the ``failed`` column is media truth.
         """
         if self.degraded_reason is None and self.block_manager.retired_blocks:
             reason = self._pool_health_reason()
@@ -452,8 +460,8 @@ class BaseSSD:
         Called by the patrol scrubber at the end of each run.  Healing
         requires a full ``heal_dwell_us`` with no new program/erase
         failures, a pool that retirement has not shrunk below logical
-        capacity (that condition is permanent — ``Block.failed`` is
-        media truth), and a free pool above the GC watermark.  New
+        capacity (that condition is permanent — the ``failed`` column
+        is media truth), and a free pool above the GC watermark.  New
         failures restart the dwell, so a device under sustained faults
         never flaps between writable and read-only.
         """
@@ -594,13 +602,24 @@ class BaseSSD:
             )
 
     def _ensure_free_space(self, now_us):
+        """Foreground GC: reclaim until the pool clears the low watermark."""
+        bm = self.block_manager
+        stalled_rounds = 0
         guard = 0
-        while self.block_manager.free_block_count <= self.config.gc_low_watermark:
+        while bm.free_block_count <= self.config.gc_low_watermark:
+            pages_before = self.free_page_estimate()
             self._collect_garbage(now_us)
-            self.gc_runs += 1
             self._m_gc_runs.inc()
+            # Progress is measured in free *pages*: a round that compresses
+            # retained data gains pages even when opening fresh GC/delta
+            # append blocks momentarily dips the free-block count.
+            if self.free_page_estimate() <= pages_before:
+                stalled_rounds += 1
+                self._on_gc_stall(stalled_rounds, now_us)
+            else:
+                stalled_rounds = 0
             guard += 1
-            if guard > self.device.geometry.total_blocks:
+            if guard > 4 * self.device.geometry.total_blocks:
                 raise DeviceFullError("GC cannot make progress")
 
     def _translation_delay(self, now_us):
@@ -696,7 +715,6 @@ class BaseSSD:
                 self._collect_garbage(t)
             except DeviceFullError:
                 break
-            self.background_gc_runs += 1
             self._m_background_gc_runs.inc()
             t += round_bound
         return t
@@ -712,6 +730,15 @@ class BaseSSD:
         """Idle-window stage between GC and scrub (TimeSSD: background
         delta compression); returns the cursor where it stopped."""
         return start_us
+
+    def _on_gc_stall(self, stalled_rounds, now_us):
+        """Foreground GC just ran its ``stalled_rounds``-th consecutive
+        round that freed no page.  The baseline has nothing to give up;
+        devices that retain history shed some of it here."""
+
+    def _forget_block(self, pba):
+        """Per-block firmware state to drop as ``pba`` is erased (TimeSSD:
+        its PRT bits and retained-page census)."""
 
     def _after_host_request(self, complete_us, wrote):
         """Called as every admitted host page completes.  Idle means no
@@ -759,21 +786,16 @@ class BaseSSD:
         OOB metadata (same version: same timestamp and back-pointer).
         """
         migrated = self._migrate_valid_pages(pba, now_us)
-        self._erase_and_release(pba, now_us)
+        self.erase_and_release(pba, now_us)
         tr = self.obs.trace
         if tr.enabled:
             tr.emit("gc", "reclaim", now_us, pba=pba, migrated=migrated)
 
     def _migrate_valid_pages(self, pba, now_us):
         geo = self.device.geometry
-        bm = self.block_manager
         migrated = 0
         base = geo.first_page_of_block(pba)
-        valid = bm.valid_bits(pba)
-
-        def allocate():
-            return bm.allocate_page(StreamId.GC)
-
+        valid = self.block_manager.valid_bits(pba)
         for offset in range(geo.pages_per_block):
             if not valid[offset]:
                 continue
@@ -783,12 +805,9 @@ class BaseSSD:
             except UncorrectableReadError:
                 self.note_lost_valid_page(ppa)
                 continue
-            new_ppa, _complete = self.program_with_retry(
-                allocate, result.data, result.oob, now_us
-            )
-            bm.mark_valid(new_ppa)
-            bm.invalidate_page(ppa)
-            self.remap_migrated_page(result.oob, ppa, new_ppa)
+            # Every read and program of a victim is issued at the round's
+            # start (Algorithm 1's loop threads a cursor instead).
+            self.migrate_page(ppa, result, now_us)
             migrated += 1
         self._m_gc_migrated.inc(migrated)
         return migrated
@@ -803,8 +822,8 @@ class BaseSSD:
         the LBA clears it.  The block's reclaim then proceeds — the
         unreadable copy is garbage either way.
         """
-        page = self.device.peek_page(ppa)
-        lpa = page.oob.lpa if page.oob is not None else None
+        core = self.device.core
+        lpa = core.lpa[ppa] if core.state[ppa] else None
         self.block_manager.invalidate_page(ppa)
         if lpa is not None and self.mapping.lookup(lpa) == ppa:
             self.mapping.invalidate(lpa)
@@ -823,37 +842,69 @@ class BaseSSD:
         """
         return now_us, False
 
-    def remap_migrated_page(self, oob, old_ppa: Ppa, new_ppa: Ppa):
-        """Point the mapping at the migrated copy (no invalidation hook).
+    @atomic_section(
+        "a page migration is program + validity flip + remap committed "
+        "together, or a competing read could land on a mapping that "
+        "moved before its copy was durable",
+        restores_state=True,  # program_with_retry leaves firmware state
+        # untouched on failure; the source page stays valid and mapped
+    )
+    def migrate_page(self, ppa: Ppa, result, now_us: TimeUs) -> TimeUs:
+        """Move the valid page at ``ppa``, already read as ``result``, to
+        the GC stream; returns the copy's completion time.
 
-        Part of the GC-collaborator surface (with
-        :meth:`program_with_retry`): the TimeSSD reclaimer and the
-        FlashGuard defense run their own migration loops and remap
-        through here.
+        The one migration step GC, wear leveling, scrub refresh and the
+        FlashGuard comparator share.  The copy is programmed at
+        ``now_us`` — the caller decides whether that is the round's start
+        or the read's completion — with the OOB carried over unchanged
+        (same version: same timestamp and back-pointer), and the mapping
+        follows only if it still names ``ppa`` (no invalidation hook).
         """
-        current = self.mapping.lookup(oob.lpa)
-        if current == old_ppa:
-            self.mapping.update(oob.lpa, new_ppa)
+        bm = self.block_manager
+        new_ppa, complete = self.program_with_retry(
+            lambda: bm.allocate_page(StreamId.GC), result.data, result.oob, now_us
+        )
+        bm.mark_valid(new_ppa)
+        bm.invalidate_page(ppa)
+        lpa = result.oob.lpa
+        if self.mapping.lookup(lpa) == ppa:
+            self.mapping.update(lpa, new_ppa)
+        return complete
 
     @atomic_section(
-        "erase + release/retire + wear accounting commit together; a "
-        "half-released block would be visible to a competing allocator",
+        "erase + per-block forget (TimeSSD: index clear and retention "
+        "census) + release/retire + wear accounting commit together: in "
+        "between, the block is erased flash that the index still claims "
+        "holds versions, and a half-released block would be visible to a "
+        "competing allocator",
         # A completed erase is durable media truth; release_block either
         # frees or retires the block, and the wear-leveler accounting is
         # monotonic counters that recovery rebuilds from flash anyway.
         restores_state=True,
     )
-    def _erase_and_release(self, pba, now_us):
+    def erase_and_release(self, pba, now_us: TimeUs) -> TimeUs:
+        """Erase ``pba`` and hand it back to the pool; returns the erase's
+        completion time (``now_us`` when the block proved grown bad).
+
+        The tail of every reclaim — data, delta and translation blocks
+        alike — and the only place firmware erases flash.
+        """
+        erased = True
+        complete = now_us
         try:
-            self.device.erase_block(pba, now_us)
+            complete = self.device.erase_block(pba, now_us)
         except EraseFailureError:
-            # Grown bad block: release_block sees Block.failed and
+            # Grown bad block: release_block sees the failed column and
             # retires it instead of returning it to the free pool.
             self.erase_failures += 1
-            self.block_manager.release_block(pba)
-            return
+            erased = False
+        self._forget_block(pba)
         self.block_manager.release_block(pba)
-        self.wear_leveler.on_erase(now_us)
+        if erased:
+            # The leveler is told when the erase was issued, not when it
+            # ends: a swap it starts is booked from the same instant.
+            self.wear_leveler.on_erase(now_us)
+        return complete
 
     # --- Volatile-state lifecycle (power loss) --------------------------------
 

@@ -49,8 +49,8 @@ class FlashGuardSSD(BaseSSD):
         if lpa not in self._read_since_write:
             return
         self._read_since_write.discard(lpa)
-        oob = self.device.peek_page(old_ppa).oob
-        version = _RetainedVersion(lpa, oob.timestamp_us, old_ppa)
+        timestamp_us = self.device.core.timestamp_us[old_ppa]
+        version = _RetainedVersion(lpa, timestamp_us, old_ppa)
         self._retained_by_ppa[old_ppa] = version
         self._versions_by_lpa.setdefault(lpa, []).append(version)
         self._retention_queue.append(version)
@@ -76,44 +76,27 @@ class FlashGuardSSD(BaseSSD):
         restores_state=True,
     )
     def _reclaim(self, victim, now_us):
-        geo = self.device.geometry
         bm = self.block_manager
-        from repro.flash.page import PageState
-
-        for ppa in geo.pages_of_block(victim):
-            page = self.device.peek_page(ppa)
-            if page.state is not PageState.PROGRAMMED:
+        state = self.device.core.state
+        for ppa in self.device.geometry.pages_of_block(victim):
+            if not state[ppa]:
                 continue
             if bm.is_valid(ppa):
-                result = self.device.read_page(ppa, now_us)
-                new_ppa = bm.allocate_page(StreamId.GC)
-                # FlashGuard is itself an FTL (the CCS'17 comparator), so
-                # its GC owns raw page migration like repro.ftl does.
-                self.device.program_page(new_ppa, result.data, result.oob, now_us)  # almanac: ignore[layering-flash-api]
-                bm.mark_valid(new_ppa)
-                bm.invalidate_page(ppa)
-                self.remap_migrated_page(result.oob, ppa, new_ppa)
+                self.migrate_page(ppa, self.device.read_page(ppa, now_us), now_us)
             elif ppa in self._retained_by_ppa:
                 version = self._retained_by_ppa.pop(ppa)
                 result = self.device.read_page(ppa, now_us)
                 new_ppa = bm.allocate_page(StreamId.GC)
+                # FlashGuard is itself an FTL (the CCS'17 comparator), so
+                # its GC owns the raw copy of a retained page: it re-points
+                # a version record, not the mapping.
                 self.device.program_page(new_ppa, result.data, result.oob, now_us)  # almanac: ignore[layering-flash-api]
                 version.ppa = new_ppa
                 self._retained_by_ppa[new_ppa] = version
-        self._erase_and_release(victim, now_us)
+        self.erase_and_release(victim, now_us)
 
-    def _ensure_free_space(self, now_us):
-        guard = 0
-        bm = self.block_manager
-        while bm.free_block_count <= self.config.gc_low_watermark:
-            pages_before = self.free_page_estimate()
-            self._collect_garbage(now_us)
-            self.gc_runs += 1
-            if self.free_page_estimate() <= pages_before:
-                self._evict_oldest_retained(fraction=0.1)
-            guard += 1
-            if guard > 4 * self.device.geometry.total_blocks:
-                raise DeviceFullError("FlashGuard GC cannot make progress")
+    def _on_gc_stall(self, stalled_rounds, now_us):
+        self._evict_oldest_retained(fraction=0.1)
 
     def _evict_oldest_retained(self, fraction):
         """Give up the oldest retained versions to make GC progress."""

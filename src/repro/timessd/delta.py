@@ -351,7 +351,7 @@ class DeltaManager:
         "one event — a reader interleaved mid-drop could resurrect a "
         "record whose backing block is already queued for erase",
         # Records are marked dropped before any erase, so a mid-loop
-        # erase failure (bad block, retired inside erase_delta_block)
+        # erase failure (bad block, retired inside erase_and_release)
         # never resurrects history; completed erases are durable.
         restores_state=True,
     )
@@ -372,16 +372,16 @@ class DeltaManager:
         erased = 0
         for pba in state.blocks:
             self._mark_block_records_dropped(pba)
-            self._ssd.erase_delta_block(pba, now_us)
+            self._ssd.erase_and_release(pba, now_us)
             erased += 1
         return erased
 
     def _mark_block_records_dropped(self, pba):
-        device = self._ssd.device
-        for ppa in device.geometry.pages_of_block(pba):
-            page = device.peek_page(ppa)
-            if page.data is not None and isinstance(page.data, DeltaPage):
-                for record in page.data.records:
+        core = self._ssd.device.core
+        base = pba * core.pages_per_block
+        for data in core.data[base : base + core.pages_per_block]:
+            if isinstance(data, DeltaPage):
+                for record in data.records:
                     record.dropped = True
 
     def live_segment_ids(self):

@@ -19,9 +19,8 @@ prescribes.
 from dataclasses import dataclass
 
 from repro.common.atomic import atomic_section
-from repro.common.errors import EraseFailureError, UncorrectableReadError
+from repro.common.errors import UncorrectableReadError
 from repro.flash.page import NULL_PPA
-from repro.ftl.block_manager import BlockKind, StreamId
 from repro.timessd.delta import NO_REF_TS, DeltaRecord
 
 
@@ -44,10 +43,6 @@ class TimeSSDGarbageCollector:
 
     def __init__(self, ssd):
         self._ssd = ssd
-        # Looks the block manager up per call: a power cycle replaces it.
-        self._allocate_gc_page = lambda: ssd.block_manager.allocate_page(StreamId.GC)
-        self.blocks_reclaimed = 0
-        self.versions_compressed = 0
 
     # --- Block reclamation (Algorithm 1, lines 5-26) --------------------------
 
@@ -66,14 +61,12 @@ class TimeSSDGarbageCollector:
         """Reclaim one data block; returns a :class:`ReclaimOutcome`."""
         ssd = self._ssd
         core = ssd.device.core
-        bm = ssd.block_manager
-        index = ssd.index
         outcome = ReclaimOutcome(victim_pba)
         t = now_us
         base = ssd.device.geometry.first_page_of_block(victim_pba)
         state = core.state
-        valid = bm.valid_bits(victim_pba)
-        reclaimable = index.reclaimable_ppas
+        valid = ssd.block_manager.valid_bits(victim_pba)
+        reclaimable = ssd.index.reclaimable_ppas
         for offset in range(core.pages_per_block):
             ppa = base + offset
             if not state[ppa]:
@@ -91,40 +84,24 @@ class TimeSSDGarbageCollector:
                 continue
             if is_valid:
                 try:
-                    t = self._migrate_valid_page(ppa, t)
-                    outcome.migrated_valid += 1
+                    result = ssd.read_page_with_retry(ppa, t)
                 except UncorrectableReadError:
                     ssd.note_lost_valid_page(ppa)
+                    continue
+                # A cursor threads read -> program -> next page (the
+                # baseline loop issues them all at the round's start).
+                t = ssd.migrate_page(ppa, result, result.complete_us)
+                outcome.migrated_valid += 1
             elif ssd.blooms.find_segment(ppa) is None:
                 # Expired: invalidated before the retention window opened.
+                ssd.expire_page(ppa)
                 outcome.discarded_expired += 1
-                ssd._m_expired.inc()
-                ssd.note_page_no_longer_retained(ppa)
             else:
-                try:
-                    t, compressed = self.compress_version_chain(ppa, t)
-                    outcome.compressed += compressed
-                except UncorrectableReadError:
-                    # Some page of the chain is gone despite the full
-                    # ladder.  The block must still be reclaimed, so
-                    # the version is lost: account it and let the erase
-                    # proceed.
-                    index.mark_reclaimable(ppa)
-                    ssd.note_page_no_longer_retained(ppa)
-                    ssd._m_compress_lost.inc()
-        erased = True
-        try:
-            t = ssd.device.erase_block(victim_pba, t)
-        except EraseFailureError:
-            # Grown bad block: release_block retires it below.
-            ssd.erase_failures += 1
-            erased = False
-        index.clear_block(victim_pba)
-        ssd.forget_block_retention(victim_pba)
-        bm.release_block(victim_pba)
-        if erased:
-            ssd.wear_leveler.on_erase(t)
-        self.blocks_reclaimed += 1
+                # A chain unreadable through the full ladder loses the
+                # version; the block is reclaimed all the same.
+                t, compressed = ssd.compress_or_lose(ppa, t)
+                outcome.compressed += compressed
+        t = ssd.erase_and_release(victim_pba, t)
         outcome.complete_us = t
         ssd._m_gc_migrated.inc(outcome.migrated_valid)
         tr = ssd.obs.trace
@@ -139,18 +116,6 @@ class TimeSSDGarbageCollector:
                 compressed=outcome.compressed,
             )
         return outcome
-
-    def _migrate_valid_page(self, ppa, now_us):
-        ssd = self._ssd
-        result = ssd.read_page_with_retry(ppa, now_us)
-        new_ppa, t = ssd.program_with_retry(
-            self._allocate_gc_page, result.data, result.oob, result.complete_us
-        )
-        bm = ssd.block_manager
-        bm.mark_valid(new_ppa)
-        bm.invalidate_page(ppa)
-        ssd.remap_migrated_page(result.oob, ppa, new_ppa)
-        return t
 
     # --- Retained-version compression (Algorithm 1, lines 19-25) --------------
 
@@ -262,7 +227,6 @@ class TimeSSDGarbageCollector:
         for src_ppa, _oob, _data in chain:
             if index.mark_reclaimable(src_ppa):
                 ssd.note_page_no_longer_retained(src_ppa)
-        self.versions_compressed += len(records)
         ssd._h_compressed_chain.record(len(records))
         return t, len(records)
 
@@ -284,9 +248,7 @@ class TimeSSDGarbageCollector:
             result = ssd.read_page_with_retry(back, t)
             t = result.complete_us
             if ssd.blooms.find_segment(back) is None:
-                if index.mark_reclaimable(back):
-                    ssd._m_expired.inc()
-                    ssd.note_page_no_longer_retained(back)
+                ssd.expire_page(back)
                 break
             chain.append((back, result.oob, result.data))
             prev_ts = result.oob.timestamp_us

@@ -149,7 +149,7 @@ class TimeTravelIndex:
             return ChainWalk(entries, t)
         result = self._read(head_ppa, t)
         t = result.complete_us
-        if result.oob.lpa != lpa or not result.oob.intact:
+        if result.oob.lpa != lpa or not self._core.intact_at(head_ppa):
             return ChainWalk(entries, t)
         if include_head:
             entries.append((head_ppa, result.oob, result.data))

@@ -17,7 +17,7 @@ retirement, partial/translation-block handling, checkpoint summaries):
   mapping; pages whose OOB sequence tag mismatches (torn or failed
   programs the cut interrupted) are discarded, never mapped;
 * block states and the free pool — from device write pointers; grown
-  bad blocks (``Block.failed``, media truth) are retired on sight;
+  bad blocks (the ``failed`` column, media truth) are retired on sight;
 * the append points — partially-programmed data blocks are re-adopted
   as the user stream's active blocks (one per channel); orphans are
   force-sealed so GC can reclaim them;

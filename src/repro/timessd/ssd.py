@@ -12,8 +12,6 @@ from collections import defaultdict
 
 from repro.common.atomic import atomic_section
 from repro.common.errors import (
-    DeviceFullError,
-    EraseFailureError,
     QueryError,
     ReproError,
     RetentionViolationError,
@@ -153,6 +151,19 @@ class TimeSSD(BaseSSD):
         count = self._retained_per_block.pop(pba, 0)
         self.retained_pages -= count
 
+    def _forget_block(self, pba):
+        self.index.clear_block(pba)
+        self.forget_block_retention(pba)
+
+    def expire_page(self, ppa: Ppa):
+        """The invalid page at ``ppa`` is in no bloom segment: it was
+        invalidated before the retention window opened.  PRT-mark it so
+        GC discards it without another read, and (once per page) count it
+        and drop it from the retained census."""
+        if self.index.mark_reclaimable(ppa):
+            self._m_expired.inc()
+            self.note_page_no_longer_retained(ppa)
+
     # --- Write path ---------------------------------------------------------
 
     def _after_host_request(self, complete_us, wrote):
@@ -189,36 +200,18 @@ class TimeSSD(BaseSSD):
             deltas=after.delta_compressions - before.delta_compressions,
         )
 
-    def _ensure_free_space(self, now_us):
-        stalled_rounds = 0
-        guard = 0
-        bm = self.block_manager
-        while bm.free_block_count <= self.config.gc_low_watermark:
-            pages_before = self.free_page_estimate()
-            self._collect_garbage(now_us)
-            self.gc_runs += 1
-            # Progress is measured in free *pages*: a round that compresses
-            # retained data gains pages even when opening fresh GC/delta
-            # append blocks momentarily dips the free-block count.
-            if self.free_page_estimate() <= pages_before:
-                stalled_rounds += 1
-                # GC is churning without freeing space: the device is
-                # filling with valid + retained data.  Shrink the window
-                # (floor permitting) so expired pages open up.  The alarm
-                # (stop serving I/O, paper §3.4) fires only when the pool
-                # is truly exhausted and the floor forbids recycling.
-                if stalled_rounds >= 3:
-                    if (
-                        self._shrink_retention(now_us) is None
-                        and bm.free_block_count <= 2
-                    ):
-                        self._raise_retention_violation()
-                    stalled_rounds = 0
-            else:
-                stalled_rounds = 0
-            guard += 1
-            if guard > 4 * self.device.geometry.total_blocks:
-                raise DeviceFullError("TimeSSD GC cannot make progress")
+    def _on_gc_stall(self, stalled_rounds, now_us):
+        # GC is churning without freeing space: the device is filling
+        # with valid + retained data.  Every third stalled round, shrink
+        # the window (floor permitting) so expired pages open up.  The
+        # alarm (stop serving I/O, paper §3.4) fires only when the pool
+        # is truly exhausted and the floor forbids recycling.
+        if (
+            stalled_rounds % 3 == 0
+            and self._shrink_retention(now_us) is None
+            and self.block_manager.free_block_count <= 2
+        ):
+            self._raise_retention_violation()
 
     def relocate_block(self, pba, now_us):
         """Wear-leveling relocation uses the retention-aware reclaimer."""
@@ -246,7 +239,7 @@ class TimeSSD(BaseSSD):
         "between would leave queryable timestamps pointing at a segment "
         "the window no longer covers",
         # Grown-bad-block erase failures are absorbed inside
-        # erase_delta_block (the block is retired); every earlier erase
+        # erase_and_release (the block is retired); every earlier erase
         # is durable media truth, not state to roll back.
         restores_state=True,
     )
@@ -265,31 +258,6 @@ class TimeSSD(BaseSSD):
                     window_us=self.blooms.retention_us(),
                 )
         return segment
-
-    @atomic_section(
-        "erase + index clear + retention-census forget + pool release "
-        "commit as one reclaim step: between them the block is erased "
-        "flash that the index still claims holds versions",
-        # The bad-block path retires the block instead of erasing it;
-        # either way the index/census/pool teardown below runs to
-        # completion, leaving per-block-consistent state.
-        restores_state=True,
-    )
-    def erase_delta_block(self, pba, now_us: TimeUs):
-        """Erase an expired delta block (no migration, Algorithm 1 line 3)."""
-        try:
-            self.device.erase_block(pba, now_us)
-        except EraseFailureError:
-            # Grown bad block: release_block retires it below.
-            self.erase_failures += 1
-            self.index.clear_block(pba)
-            self.forget_block_retention(pba)
-            self.block_manager.release_block(pba)
-            return
-        self.index.clear_block(pba)
-        self.forget_block_retention(pba)
-        self.block_manager.release_block(pba)
-        self.wear_leveler.on_erase(now_us)
 
     def retention_window_us(self):
         """Current achieved retention duration (Figure 8 metric)."""
@@ -399,29 +367,32 @@ class TimeSSD(BaseSSD):
                     # timestamp that never committed.
                     continue
                 if self.blooms.find_segment(ppa) is None:
-                    if self.index.mark_reclaimable(ppa):
-                        self._m_expired.inc()
-                        self.note_page_no_longer_retained(ppa)
+                    self.expire_page(ppa)
                     continue
-                try:
-                    t, compressed = self.collector.compress_version_chain(
-                        ppa, t
-                    )
-                except UncorrectableReadError:
-                    # A chain page is gone despite the full ladder: the
-                    # version cannot be compressed, and retrying every
-                    # idle window is pointless.  Drop it and account the
-                    # loss, exactly as GC's reclaim would.
-                    self.index.mark_reclaimable(ppa)
-                    self.note_page_no_longer_retained(ppa)
-                    self._m_compress_lost.inc()
-                    continue
+                t, compressed = self.compress_or_lose(ppa, t)
                 self.background_compressed += compressed
                 # Only a compression advances ``t``: re-check the budget
                 # here, before the next page could be marked expired.
                 if t + step_bound > deadline_us:
                     return t
         return t
+
+    def compress_or_lose(self, ppa: Ppa, now_us: TimeUs):
+        """Compress the retained page at ``ppa`` plus its older chain into
+        deltas; returns ``(complete_us, versions_compressed)``.
+
+        When some page of the chain is gone despite the full ladder, the
+        version cannot be kept — retrying every idle window is pointless
+        and a block under reclaim is erased regardless — so it is dropped
+        and the loss accounted: ``(now_us, 0)``.
+        """
+        try:
+            return self.collector.compress_version_chain(ppa, now_us)
+        except UncorrectableReadError:
+            self.index.mark_reclaimable(ppa)
+            self.note_page_no_longer_retained(ppa)
+            self._m_compress_lost.inc()
+            return now_us, 0
 
     @atomic_section(
         "expiry marking or chain compression of a retained page must "
@@ -445,9 +416,7 @@ class TimeSSD(BaseSSD):
         if self.index.is_reclaimable(ppa):
             return now_us, False  # already lives in the delta chain
         if self.blooms.find_segment(ppa) is None:
-            if self.index.mark_reclaimable(ppa):
-                self._m_expired.inc()
-                self.note_page_no_longer_retained(ppa)
+            self.expire_page(ppa)
             return now_us, False
         t, compressed = self.collector.compress_version_chain(ppa, now_us)
         return t, compressed > 0

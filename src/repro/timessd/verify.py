@@ -23,7 +23,6 @@ Checked invariants:
 
 from dataclasses import dataclass, field
 
-from repro.flash.page import PageState
 from repro.ftl.block_manager import BlockKind
 
 
@@ -72,6 +71,7 @@ class DeviceAuditor:
     def _check_mapping_pvt(self, report):
         report.checks_run += 1
         ssd = self.ssd
+        core = ssd.device.core
         heads = set()
         for lpa in ssd.mapping.mapped_lpas():
             ppa = ssd.mapping.lookup(lpa)
@@ -79,14 +79,13 @@ class DeviceAuditor:
             if not ssd.block_manager.is_valid(ppa):
                 report.problem("mapped LPA %d head PPA %d not valid" % (lpa, ppa))
                 continue
-            page = ssd.device.peek_page(ppa)
-            if page.state is not PageState.PROGRAMMED:
+            if not core.state[ppa]:
                 report.problem("mapped LPA %d head PPA %d not programmed" % (lpa, ppa))
-            elif page.oob.lpa != lpa:
+            elif core.lpa[ppa] != lpa:
                 report.problem(
-                    "mapped LPA %d head holds LPA %d" % (lpa, page.oob.lpa)
+                    "mapped LPA %d head holds LPA %d" % (lpa, core.lpa[ppa])
                 )
-            elif not page.oob.intact:
+            elif not core.intact_at(ppa):
                 report.problem(
                     "mapped LPA %d head PPA %d has a torn OOB tag" % (lpa, ppa)
                 )
@@ -135,16 +134,17 @@ class DeviceAuditor:
         report.checks_run += 1
         ssd = self.ssd
         geo = ssd.device.geometry
+        core = ssd.device.core
         free_seen = 0
         for pba in range(geo.total_blocks):
             kind = ssd.block_manager.kind(pba)
             # A failed block may stay DATA until GC migrates it out, but it
             # must never re-enter the free pool.
-            if ssd.device.blocks[pba].failed and kind is BlockKind.FREE:
+            if core.failed[pba] and kind is BlockKind.FREE:
                 report.problem("failed block %d is in the free pool" % pba)
             if kind is BlockKind.FREE:
                 free_seen += 1
-                if not ssd.device.blocks[pba].is_erased:
+                if core.write_pointer[pba]:
                     report.problem("FREE block %d is not erased" % pba)
         if free_seen != ssd.block_manager.free_block_count:
             report.problem(

@@ -404,6 +404,29 @@ FIRMWARE_MUTATIONS = (
         "                self.note_lost_valid_page(ppa)\n",
         "tests/ftl/test_ssd.py::test_gc_preserves_all_current_data",
     ),
+    # --- the one-of-each GC steps (PR 19) --------------------------------------
+    (
+        "timessd/ssd.py",  # an erased block whose PRT bits outlive it
+        "        self.index.clear_block(pba)\n"
+        "        self.forget_block_retention(pba)\n",
+        "        self.forget_block_retention(pba)\n",
+        "tests/timessd/test_column_loops.py"
+        "::test_reclaim_dispatches_every_page_of_the_torn_block",
+    ),
+    (
+        "ftl/ssd.py",  # a migrated page left valid in the victim
+        "        bm.mark_valid(new_ppa)\n        bm.invalidate_page(ppa)\n",
+        "        bm.mark_valid(new_ppa)\n",
+        "tests/ftl/test_ssd.py::test_gc_reclaims_space_under_churn",
+    ),
+    (
+        "ftl/ssd.py",  # foreground rounds nobody counts (TimeSSD, PRs 4-18)
+        "            self._collect_garbage(now_us)\n"
+        "            self._m_gc_runs.inc()\n",
+        "            self._collect_garbage(now_us)\n",
+        "tests/obs/test_device_metrics.py"
+        "::TestGCAccounting::test_gc_run_counters_match_properties",
+    ),
 )
 
 #: Rules no row claims, each with the reason seeding it is impractical.

@@ -63,13 +63,13 @@ class TestBadBlockRetirement:
         assert ssd.program_failures == 1
         assert ssd.read(0)[0] == PAGE
         bad_pba = ssd.device.geometry.block_of_page(plan.fired[0].address)
-        assert ssd.device.blocks[bad_pba].failed
+        assert ssd.device.core.failed[bad_pba]
         # Condemned: no longer an append point, but GC prey despite
         # being partial.
         assert bad_pba not in ssd.block_manager.active_blocks()
         assert bad_pba in set(ssd.block_manager.sealed_blocks())
         # Reclaiming it retires it instead of refreshing the free pool.
-        ssd._erase_and_release(bad_pba, ssd.clock.now_us)
+        ssd.erase_and_release(bad_pba, ssd.clock.now_us)
         assert ssd.erase_failures == 1
         assert ssd.block_manager.retired_blocks == 1
         assert ssd.block_manager.kind(bad_pba) is BlockKind.RETIRED
@@ -104,7 +104,7 @@ class TestBadBlockRetirement:
         ]
         assert to_retire <= len(free)
         for pba in free[:to_retire]:
-            ssd.device.blocks[pba].failed = True
+            ssd.device.core.failed[pba] = 1
             bm.retire_failed_block(pba)
         with pytest.raises(DegradedModeError):
             ssd.write(1, PAGE)

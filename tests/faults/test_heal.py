@@ -138,7 +138,7 @@ class TestScrubDrivenHeal:
             if bm.kind(pba) is BlockKind.FREE
         ]
         for pba in free[:to_retire]:
-            ssd.device.blocks[pba].failed = True
+            ssd.device.core.failed[pba] = 1
             bm.retire_failed_block(pba)
         with pytest.raises(DegradedModeError):
             ssd.write(1, PAGE)
@@ -155,7 +155,7 @@ class TestScrubDrivenHeal:
         plan.add_program_failure(permanent=True, every=1, max_fires=1)
         ssd.write(0, PAGE)
         bad_pba = ssd.device.geometry.block_of_page(plan.fired[0].address)
-        assert ssd.device.blocks[bad_pba].failed
+        assert ssd.device.core.failed[bad_pba]
         ssd._enter_degraded("injected: media instability")
         ssd.clock.advance(DWELL + 1)
         run_scrub(ssd, window_us=500_000)

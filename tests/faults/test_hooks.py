@@ -41,7 +41,7 @@ class TestTornProgram:
         # The op never committed as far as accounting is concerned...
         assert device.counters.page_programs == 0
         # ...but the page itself is consumed: the write pointer advanced.
-        assert device.blocks[0].write_pointer == 1
+        assert device.core.write_pointer[0] == 1
 
     def test_clean_power_cut_leaves_no_residue(self):
         plan = FaultPlan()
@@ -50,7 +50,7 @@ class TestTornProgram:
         with pytest.raises(PowerCutError):
             device.program_page(0, b"x" * 16, oob())
         assert device.peek_page(0).state is PageState.ERASED
-        assert device.blocks[0].write_pointer == 0
+        assert device.core.write_pointer[0] == 0
 
 
 class TestProgramFailure:
@@ -61,7 +61,7 @@ class TestProgramFailure:
         with pytest.raises(ProgramFailureError) as excinfo:
             device.program_page(0, b"y" * 16, oob())
         assert not excinfo.value.permanent
-        assert not device.blocks[0].failed
+        assert not device.core.failed[0]
         page = device.peek_page(0)
         assert page.state is PageState.PROGRAMMED
         assert not page.oob.intact
@@ -76,7 +76,7 @@ class TestProgramFailure:
         with pytest.raises(ProgramFailureError) as excinfo:
             device.program_page(0, b"y" * 16, oob())
         assert excinfo.value.permanent
-        assert device.blocks[0].failed
+        assert device.core.failed[0]
         # Every later program to the failed block is refused by the media
         # itself, before any fault plan is consulted.
         with pytest.raises(ProgramFailureError):
@@ -98,7 +98,7 @@ class TestEraseAndRead:
         device = make_device(plan)
         with pytest.raises(EraseFailureError):
             device.erase_block(0)
-        assert device.blocks[0].failed
+        assert device.core.failed[0]
         # Grown-bad is media truth: later erases fail without the plan
         # (the device guard refuses before the hook is even consulted).
         with pytest.raises(EraseFailureError):

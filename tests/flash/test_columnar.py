@@ -1,11 +1,13 @@
 """Columnar core ≡ the old per-page dataclass model.
 
 PR 8 replaced the ``Page``/``OOBMetadata`` object graph with flat
-columns (:mod:`repro.flash.core`); ``Page`` and ``Block`` became views.
+columns (:mod:`repro.flash.core`); what is left of the object model is
+the read-only ``Page`` that ``FlashDevice.peek_page`` hands out.
 These properties drive random operation sequences against the columnar
 core *and* a literal reimplementation of the old dataclass model, and
 assert every observable — state, data, OOB round-trip, ``intact``,
-write pointers, wear counts, error behaviour — stays identical.
+write pointers, wear counts, error behaviour — stays identical, read
+both from the columns and through ``peek_page``.
 """
 
 import pytest
@@ -14,17 +16,13 @@ from array import array
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import FlashStateError
-from repro.flash.block import Block
-from repro.flash.core import (
-    HAVE_NUMPY,
-    ColumnarFlashArray,
-    verify_seq_tags,
-)
+from repro.flash.core import HAVE_NUMPY, verify_seq_tags
+from repro.flash.device import FlashDevice
+from repro.flash.geometry import FlashGeometry
 from repro.flash.page import (
     _MASK64,
     NULL_PPA,
     OOBMetadata,
-    Page,
     PageState,
     seq_tag_of,
 )
@@ -102,21 +100,21 @@ def ops_strategy():
     return st.lists(st.one_of(program, erase, read, fail), max_size=40)
 
 
-def make_views():
-    core = ColumnarFlashArray(BLOCKS, PPB)
-    views = [Block(pba, PPB, core=core, index=pba) for pba in range(BLOCKS)]
-    return core, views
+def make_device():
+    """A ``BLOCKS`` x ``PPB`` device: ``(core, peek_page)``."""
+    device = FlashDevice(
+        FlashGeometry(channels=1, blocks_per_plane=BLOCKS, pages_per_block=PPB)
+    )
+    return device.core, device.peek_page
 
 
-def assert_equivalent(views, legacy):
-    for view, ref in zip(views, legacy):
-        assert view.erase_count == ref.erase_count
-        assert view.write_pointer == ref.write_pointer
-        assert view.failed == ref.failed
-        assert view.is_full == (ref.write_pointer == PPB)
-        assert view.is_erased == (ref.write_pointer == 0)
+def assert_equivalent(core, peek, legacy):
+    for pba, ref in enumerate(legacy):
+        assert core.erase_count[pba] == ref.erase_count
+        assert core.write_pointer[pba] == ref.write_pointer
+        assert bool(core.failed[pba]) == ref.failed
         for offset in range(PPB):
-            page, ref_page = view.pages[offset], ref.pages[offset]
+            page, ref_page = peek(pba * PPB + offset), ref.pages[offset]
             assert page.state is ref_page.state
             assert page.data == ref_page.data
             if ref_page.oob is None:
@@ -130,7 +128,7 @@ def assert_equivalent(views, legacy):
 @settings(max_examples=60, deadline=None)
 @given(ops=ops_strategy())
 def test_columnar_matches_legacy_model(ops):
-    core, views = make_views()
+    core, peek = make_device()
     legacy = [LegacyBlock(PPB) for _ in range(BLOCKS)]
     for op in ops:
         if op[0] == "program":
@@ -139,29 +137,35 @@ def test_columnar_matches_legacy_model(ops):
             if torn:
                 oob = oob.as_torn()
             outcomes = []
-            for target in (views[pba], legacy[pba]):
+            for program, where in (
+                (core.program, (pba, offset)),
+                (legacy[pba].program, (offset,)),
+            ):
                 try:
-                    target.program(offset, b"d%d" % ts, oob)
+                    program(*where, b"d%d" % ts, oob)
                     outcomes.append(None)
                 except FlashStateError:
                     outcomes.append("raise")
             assert outcomes[0] == outcomes[1]
         elif op[0] == "erase":
-            views[op[1]].erase()
+            core.erase(op[1])
             legacy[op[1]].erase()
         elif op[0] == "read":
             _, pba, offset = op
             outcomes = []
-            for target in (views[pba], legacy[pba]):
+            for read, where in (
+                (core.read, (pba, offset)),
+                (legacy[pba].read, (offset,)),
+            ):
                 try:
-                    outcomes.append(target.read(offset))
+                    outcomes.append(read(*where))
                 except FlashStateError:
                     outcomes.append("raise")
             assert outcomes[0] == outcomes[1]
         elif op[0] == "fail":
-            views[op[1]].failed = True
+            core.failed[op[1]] = 1
             legacy[op[1]].failed = True
-        assert_equivalent(views, legacy)
+        assert_equivalent(core, peek, legacy)
 
 
 @settings(max_examples=60, deadline=None)
@@ -170,19 +174,18 @@ def test_columnar_matches_legacy_model(ops):
 )
 def test_oob_round_trip_preserves_intact(lpa, back, ts, torn, interval):
     """Program → read round-trips OOB exactly, torn or not, across erases."""
-    core, views = make_views()
-    block = views[0]
+    core, peek = make_device()
     for _ in range(interval):  # wear history must not affect OOB round-trip
-        block.program(0, b"x", OOBMetadata(lpa=1, back_pointer=-1, timestamp_us=0))
-        block.erase()
+        core.program(0, 0, b"x", OOBMetadata(lpa=1, back_pointer=-1, timestamp_us=0))
+        core.erase(0)
     oob = OOBMetadata(lpa=lpa, back_pointer=back, timestamp_us=ts)
     assert oob.intact
     if torn:
         oob = oob.as_torn()
         assert not oob.intact
-    block.program(0, b"payload", oob)
-    _data, got = block.read(0)
-    assert got == oob
+    core.program(0, 0, b"payload", oob)
+    _data, got = core.read(0, 0)
+    assert got == oob == peek(0).oob
     assert got.intact == oob.intact
     assert got.seq_tag == oob.seq_tag
     # And the batch path agrees with the scalar path, page by page.
@@ -203,23 +206,22 @@ def test_oob_round_trip_preserves_intact(lpa, back, ts, torn, interval):
     torn=st.booleans(),
 )
 def test_intact_at_matches_the_page_view(lpa, back, ts, torn):
-    """``core.intact_at(gidx)`` ≡ ``Page(core, gidx).oob.intact`` on every
+    """``core.intact_at(gidx)`` ≡ ``peek_page(gidx).oob.intact`` on every
     page kind: erased (no OOB), programmed, torn, housekeeping tags and
     NULL back-pointers — before the program, after it, and after erase."""
-    core, views = make_views()
-    block = views[2]
+    core, peek = make_device()
     gidx = 2 * PPB
 
     def view_intact():
-        oob = Page(core, gidx).oob
+        oob = peek(gidx).oob
         return oob is not None and oob.intact
 
     assert core.intact_at(gidx) is view_intact() is False  # erased
     oob = OOBMetadata(lpa=lpa, back_pointer=back, timestamp_us=ts)
-    block.program(0, b"p", oob.as_torn() if torn else oob)
+    core.program(2, 0, b"p", oob.as_torn() if torn else oob)
     assert core.intact_at(gidx) is view_intact() is (not torn)
     assert core.intact_at(gidx + 1) is False  # neighbour still erased
-    block.erase()  # stale OOB columns survive an erase; state masks them
+    core.erase(2)  # stale OOB columns survive an erase; state masks them
     assert core.intact_at(gidx) is view_intact() is False
 
 
@@ -261,37 +263,6 @@ def test_numpy_accelerator_is_present_in_ci():
     # benchmarking the fallback path. (The fallback itself is covered
     # above by passing plain lists.)
     assert HAVE_NUMPY
-
-
-def test_page_view_mutations_round_trip():
-    """Direct Page-view pokes (faults, tests) behave like the dataclass."""
-    core, views = make_views()
-    block = views[1]
-    oob = OOBMetadata(lpa=9, back_pointer=NULL_PPA, timestamp_us=55)
-    block.program(0, b"live", oob)
-    page = block.pages[0]
-    # Burn it the way faults/hooks.py does: residue data + torn OOB.
-    page.data = b"\x00" * 4
-    page.oob = page.oob.as_torn()
-    assert page.state is PageState.PROGRAMMED
-    assert not page.oob.intact
-    assert page.oob.lpa == 9
-    # Clearing OOB matches the old `page.oob = None`.
-    page.oob = None
-    assert core.seq_tag[1 * PPB] == 0
-    page.state = PageState.ERASED
-    assert page.oob is None
-    assert block.pages[0].data == b"\x00" * 4  # state, not data, gates reads
-    with pytest.raises(FlashStateError):
-        block.read(0)
-    page.programmed_us = 1234
-    assert core.programmed_us[1 * PPB] == 1234
-
-
-def test_standalone_block_has_private_core():
-    a, b = Block(0, PPB), Block(0, PPB)
-    a.program(0, b"x", OOBMetadata(lpa=1, back_pointer=-1, timestamp_us=0))
-    assert b.is_erased and not a.is_erased
 
 
 # --- OOBMetadata is a value: the surface the tuple-backed type must keep ----
@@ -336,8 +307,8 @@ def test_oob_metadata_defaults_and_tags():
         OOBMetadata()  # lpa is required
     # The stored-tag path (``oob_at``) hands back an equal value whose
     # seal is still *checked*, not assumed.
-    core, views = make_views()
-    views[0].program(0, b"x", oob)
+    core, _peek = make_device()
+    core.program(0, 0, b"x", oob)
     assert core.oob_at(0) == oob and core.oob_at(0).intact
     core.seq_tag[0] ^= 1
     assert core.oob_at(0) != oob and core.oob_at(0).intact is False
@@ -353,8 +324,8 @@ def test_oob_metadata_defaults_and_tags():
 def test_program_wraps_out_of_range_fields_to_int64(lpa, back, ts):
     """In-range ints are stored as is; anything wider wraps to two's
     complement, exactly as the per-field ``_to_i64`` did."""
-    core, views = make_views()
-    views[1].program(0, b"x", OOBMetadata(lpa, back, ts))
+    core, _peek = make_device()
+    core.program(1, 0, b"x", OOBMetadata(lpa, back, ts))
 
     def wrap(value):
         value &= _MASK64

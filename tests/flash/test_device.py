@@ -1,11 +1,23 @@
+import random
+
 import pytest
 
 from repro.common.errors import FlashStateError
+from repro.common.units import SECOND_US
+from repro.faults.hooks import FaultHooks
+from repro.faults.plan import FaultPlan
 from repro.flash.device import FlashDevice
 from repro.flash.page import NULL_PPA, OOBMetadata, PageState
 from repro.flash.timing import FlashTiming
+from repro.ftl.block_manager import BlockKind
+from repro.ftl.ssd import SSDConfig
+from repro.security.flashguard import FlashGuardSSD
+from repro.timessd.config import ContentMode
+from repro.timessd.recovery import rebuild_from_flash, simulate_power_loss
+from repro.timessd.verify import DeviceAuditor
 
-from tests.conftest import small_geometry
+from tests.conftest import make_timessd, small_geometry
+from tests.ftl.test_scrub import tame_reliability
 
 
 @pytest.fixture
@@ -77,6 +89,9 @@ def test_peek_page_has_no_cost(device):
     page = device.peek_page(0)
     assert page.state is PageState.PROGRAMMED
     assert device.counters.page_reads == before
+    for name in ("state", "data", "oob", "programmed_us"):  # a read-only view
+        with pytest.raises(AttributeError):
+            setattr(page, name, None)
 
 
 def test_block_erase_counts_roundtrip(device):
@@ -85,3 +100,70 @@ def test_block_erase_counts_roundtrip(device):
     counts = device.block_erase_counts()
     assert counts[0] == 1
     assert sum(counts) == 1
+
+
+def test_firmware_never_builds_a_page_view(monkeypatch):
+    """``peek_page`` is for tests and tooling: every firmware path — GC,
+    idle compression, retention expiry, scrub, loss accounting, fsck,
+    recovery, the FlashGuard comparator — reads the columns."""
+
+    def no_views(self, ppa):
+        raise AssertionError("firmware built a Page view of PPA %d" % ppa)
+
+    monkeypatch.setattr(FlashDevice, "peek_page", no_views)
+    plan = FaultPlan(seed=5)
+    ssd = make_timessd(
+        content_mode=ContentMode.REAL,
+        patrol_scrub=True,
+        reliability=tame_reliability(),
+        checkpoint_interval_blocks=2,
+        faults=FaultHooks(plan),
+    )
+    geo = ssd.device.geometry
+    bm = ssd.block_manager
+    rng = random.Random(19)
+    working_set = 500
+
+    def write_one(target):
+        lpa = rng.randrange(working_set)
+        target.write(lpa, bytes([rng.randrange(256)]) * geo.page_size)
+        return lpa
+
+    def counter(name):
+        return ssd.metrics_snapshot()["counters"].get(name, 0)
+
+    def delta_blocks():
+        return sum(
+            bm.kind(pba) is BlockKind.DELTA for pba in range(geo.total_blocks)
+        )
+
+    # Foreground GC: back-to-back writes leave no idle window to hide in.
+    while ssd.gc_runs == 0:
+        write_one(ssd)
+    # Idle windows: background compression, then the patrol scrub.
+    for _ in range(60):
+        ssd.clock.advance(50_000)
+        write_one(ssd)
+    assert ssd.background_compressed > 0
+    assert counter("scrub.patrol_reads") > 0
+    # A retention shrink that erases the expired segments' delta blocks.
+    assert delta_blocks() > 0
+    ssd.clock.advance(3 * SECOND_US)
+    while ssd._shrink_retention(ssd.clock.now_us) is not None:
+        pass
+    assert delta_blocks() == 0
+    assert DeviceAuditor(ssd).audit().clean
+    # A GC round over a valid page no retry step can read.
+    victim = bm.select_victim("greedy", ssd.clock.now_us, BlockKind.DATA)
+    lost = next(ppa for ppa in geo.pages_of_block(victim) if bm.is_valid(ppa))
+    plan.add_read_error(address={lost}, every=1, max_fires=None)
+    ssd.collector.reclaim_block(victim, ssd.clock.now_us)
+    assert list(ssd.lost_lpas.values()) == [lost]
+    simulate_power_loss(ssd)
+    assert rebuild_from_flash(ssd)["checkpoint_seq"] is not None
+
+    # FlashGuard: one reclaim that moves valid and retained pages alike.
+    guard = FlashGuardSSD(SSDConfig(geometry=small_geometry()))
+    while guard.gc_runs == 0:
+        guard.read(write_one(guard))
+    assert guard.retained_count > 0

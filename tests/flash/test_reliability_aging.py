@@ -92,16 +92,16 @@ class TestDevicePlumbing:
     def test_program_stamps_the_retention_clock(self):
         device = make_device()
         self._program(device, 0, now_us=12345)
-        assert device.blocks[0].pages[0].programmed_us == 12345
+        assert device.core.programmed_us[0] == 12345
 
     def test_reads_accumulate_disturb_and_erase_resets_it(self):
         device = make_device()
         self._program(device, 0)
         for _ in range(5):
             device.read_page(0, 0)
-        assert device.blocks[0].reads_since_erase == 5
+        assert device.core.reads_since_erase[0] == 5
         device.erase_block(0, 0)
-        assert device.blocks[0].reads_since_erase == 0
+        assert device.core.reads_since_erase[0] == 0
 
     def test_read_result_surfaces_corrected_bits(self):
         # High-but-correctable BER: some read of a page must correct > 0

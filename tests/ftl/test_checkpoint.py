@@ -126,8 +126,7 @@ def test_torn_root_falls_back_to_previous_checkpoint():
         for offset in range(core.write_pointer[pba]):
             payload = core.data[first + offset]
             if isinstance(payload, CheckpointImage) and payload.seq == image.seq:
-                page = device.peek_page(first + offset)
-                page.oob = page.oob.as_torn()
+                core.seq_tag[first + offset] ^= 1  # a mismatched seal: torn
                 torn = payload
     assert torn is not None
     fallback = load_latest_checkpoint(device, blocks)
@@ -156,8 +155,7 @@ def test_missing_part_invalidates_checkpoint():
         for offset in range(core.write_pointer[pba]):
             payload = core.data[first + offset]
             if isinstance(payload, CheckpointPart) and payload.seq == image.seq:
-                page = device.peek_page(first + offset)
-                page.oob = page.oob.as_torn()
+                core.seq_tag[first + offset] ^= 1  # a mismatched seal: torn
     fallback = load_latest_checkpoint(device, blocks)
     assert fallback is None or fallback.seq < image.seq
 

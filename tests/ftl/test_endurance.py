@@ -39,7 +39,7 @@ def test_worn_blocks_are_retired():
     assert len(retired) == ssd.block_manager.retired_blocks
     # Retired blocks really did exhaust their budget.
     for pba in retired:
-        assert ssd.device.blocks[pba].erase_count >= 4
+        assert ssd.device.core.erase_count[pba] >= 4
 
 
 def test_device_dies_when_spares_run_out():

@@ -124,9 +124,9 @@ class TestPatrolOrder:
         ssd = self._sealed_ssd()
         order = ssd.scrubber._patrol_order()
         assert len(order) >= 2
-        blocks = ssd.device.blocks
+        last_program_us = ssd.device.core.last_program_us
         assert order == sorted(
-            order, key=lambda pba: (blocks[pba].last_program_us, pba)
+            order, key=lambda pba: (last_program_us[pba], pba)
         )
 
     def test_cursor_rotates_the_sweep(self):

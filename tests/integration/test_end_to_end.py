@@ -87,7 +87,7 @@ class TestTraceDrivenConsistency:
         geo = ssd.device.geometry
         for pba in range(geo.total_blocks):
             if ssd.block_manager.kind(pba) is BlockKind.FREE:
-                assert ssd.device.blocks[pba].is_erased
+                assert ssd.device.core.write_pointer[pba] == 0
 
     def test_retention_window_respects_floor(self, replayed):
         ssd, _ = replayed

@@ -5,9 +5,16 @@ import random
 import pytest
 
 from repro.common.units import SECOND_US
+from repro.ftl.ssd import SSDConfig
 from repro.nvme import HostNVMeDriver, NVMeCommand, Opcode, StatusCode
+from repro.security.flashguard import FlashGuardSSD
 
-from tests.conftest import fill_and_churn, make_regular_ssd, make_timessd
+from tests.conftest import (
+    fill_and_churn,
+    make_regular_ssd,
+    make_timessd,
+    small_geometry,
+)
 
 
 def counter(ssd, name):
@@ -108,9 +115,26 @@ class TestGCAccounting:
             ), route
 
     def test_gc_run_counters_match_properties(self):
-        ssd = fill_and_churn(make_regular_ssd(), working_set=600, churn_writes=4000)
-        assert counter(ssd, "gc.runs") == ssd.gc_runs
-        assert counter(ssd, "gc.background_runs") == ssd.background_gc_runs
+        # The properties read the counters, so the witness is a third
+        # party: with background GC off, every ``_collect_garbage`` call
+        # is one foreground round — on every device kind.
+        def make_flashguard(**overrides):
+            return FlashGuardSSD(SSDConfig(geometry=small_geometry(), **overrides))
+
+        for make in (make_regular_ssd, make_timessd, make_flashguard):
+            ssd = make(background_gc=False)
+            rounds = []
+
+            def counted(now_us, collect=ssd._collect_garbage):
+                rounds.append(now_us)
+                return collect(now_us)
+
+            ssd._collect_garbage = counted
+            fill_and_churn(ssd, working_set=600, churn_writes=4000)
+            counters = ssd.metrics_snapshot()["counters"]
+            assert counters["gc.runs"] == len(rounds) > 0, make.__name__
+            assert counters["gc.background_runs"] == 0
+            assert (ssd.gc_runs, ssd.background_gc_runs) == (len(rounds), 0)
 
 
 class TestTimeSSDCounters:

@@ -39,9 +39,10 @@ def test_deltas_live_in_dedicated_blocks():
     from repro.timessd.delta import DeltaPage
 
     for pba in blocks:
-        block = ssd.device.blocks[pba]
-        for offset in range(block.write_pointer):
-            assert isinstance(block.pages[offset].data, DeltaPage)
+        core = ssd.device.core
+        first = pba * core.pages_per_block
+        for offset in range(core.write_pointer[pba]):
+            assert isinstance(core.data[first + offset], DeltaPage)
 
 
 def test_delta_blocks_not_wear_swapped():

@@ -86,8 +86,8 @@ def corrupt_free_pool_unerased(ssd):
     geo = ssd.device.geometry
     for pba in range(geo.total_blocks):
         if ssd.block_manager.kind(pba) is BlockKind.FREE:
-            ssd.device.blocks[pba].program(
-                0, b"ghost", OOBMetadata(lpa=0, timestamp_us=0)
+            ssd.device.core.program(
+                pba, 0, b"ghost", OOBMetadata(lpa=0, timestamp_us=0)
             )
             return
     raise AssertionError("no FREE block to corrupt")
