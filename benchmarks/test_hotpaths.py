@@ -22,8 +22,11 @@ from repro.flash.geometry import FlashGeometry
 from repro.flash.page import NULL_PPA, OOBMetadata
 from repro.ftl.block_manager import BlockKind
 from repro.ftl.ssd import RegularSSD, SSDConfig
+from repro.timekits.api import TimeKits
+from repro.timessd import lzf
 from repro.timessd.bloom import TimeSegmentedBlooms
-from repro.timessd.config import TimeSSDConfig
+from repro.timessd.config import ContentMode, TimeSSDConfig
+from repro.timessd.delta import RealDeltaCodec
 from repro.timessd.ssd import TimeSSD
 
 
@@ -228,3 +231,84 @@ def test_negative_find_segment(benchmark):
         return hits
 
     assert benchmark(lookups) == 0
+
+
+# --- The TimeKits query path (PR 20) ------------------------------------------
+
+QUERY_PAGE = 1024
+
+
+def mutate(rng, page, fraction):
+    """Rewrite ``fraction`` of ``page``'s bytes in place (content locality)."""
+    changes = int(len(page) * fraction)
+    positions = rng.sample(range(len(page)), changes)
+    for position, value in zip(positions, rng.randbytes(changes)):
+        page[position] = value
+
+
+@pytest.fixture(scope="module")
+def compressed_history_ssd():
+    """An 8 MiB REAL-content TimeSSD whose retained history GC has
+    compressed into XOR+LZF deltas."""
+    ssd = TimeSSD(
+        TimeSSDConfig(
+            geometry=FlashGeometry(
+                channels=8, blocks_per_plane=16, pages_per_block=64,
+                page_size=QUERY_PAGE,
+            ),
+            retention_floor_us=3600 * 1_000_000,
+            content_mode=ContentMode.REAL,
+        )
+    )
+    rng = random.Random(2)
+    working = ssd.logical_pages // 3
+    pages = [bytearray(rng.randbytes(QUERY_PAGE)) for _ in range(working)]
+    for lpa, page in enumerate(pages):
+        ssd.write(lpa, bytes(page))
+        ssd.clock.advance(700)
+    for _ in range(4 * working):
+        lpa = rng.randrange(working)
+        mutate(rng, pages[lpa], 0.02)
+        ssd.write(lpa, bytes(pages[lpa]))
+        ssd.clock.advance(700)
+    assert ssd.index.imt_size() > working // 2
+    return ssd
+
+
+def test_time_query_full_scan(benchmark, compressed_history_ssd, monkeypatch):
+    """``time_query_all`` over every LPA with 8 threads — Table 3's full
+    scan.  The answer is LPAs and timestamps, so the walk bills the
+    decompressions it passes but the host codec must not run once."""
+    ssd = compressed_history_ssd
+    kit = TimeKits(ssd)
+    decodes = []
+    decompress = RealDeltaCodec.decompress
+
+    def counting(codec, payload, ref_data):
+        decodes.append(payload[0])
+        return decompress(codec, payload, ref_data)
+
+    monkeypatch.setattr(RealDeltaCodec, "decompress", counting)
+    billed = ssd.device.counters.delta_decompressions
+
+    result = benchmark(kit.time_query_all, threads=8)
+    assert len(result.value) == ssd.logical_pages // 3
+    assert ssd.device.counters.delta_decompressions > billed
+    assert decodes == []
+    kit.addr_query_all(0, cnt=64)
+    assert decodes  # the wrapper does see the queries that carry bytes
+
+
+def test_lzf_decode_page(benchmark):
+    """``lzf.decompress`` of one XOR delta: a 1 KiB page against a copy
+    with 10 % of its bytes rewritten — the blob shape the ``timekits``
+    ledger workload decodes, a few hundred two-byte tokens."""
+    rng = random.Random(2)
+    old = bytearray(rng.randbytes(QUERY_PAGE))
+    new = bytearray(old)
+    mutate(rng, new, 0.1)
+    mode, blob = RealDeltaCodec(QUERY_PAGE).compress(bytes(old), bytes(new))[0]
+    assert mode == "xor" and len(blob) < QUERY_PAGE // 2
+
+    diff = benchmark(lzf.decompress, blob, QUERY_PAGE)
+    assert len(diff) == QUERY_PAGE

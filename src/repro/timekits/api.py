@@ -65,7 +65,7 @@ class TimeKits:
 
     # --- Multi-LPA fan-out primitives (public: case studies build on them) ----
 
-    def walk_many(self, lpas, threads=1, until_ts=None):
+    def walk_many(self, lpas, threads=1, until_ts=None, payloads=True):
         """Walk version chains of many LPAs with simulated threads.
 
         Returns ``(chains, elapsed_us)`` where ``chains`` maps LPA to its
@@ -75,6 +75,12 @@ class TimeKits:
         exactly the parallelism the paper exploits.  ``until_ts`` enables
         the AddrQuery early stop (walk ends at the first version written
         at or before it).
+
+        The address queries and the rollbacks carry page bytes and keep
+        ``payloads=True``.  The time queries answer with LPAs and
+        timestamps only and pass ``False``: the same walk and the same
+        simulated cost, every ``Version.data`` ``None`` (see
+        :meth:`TimeSSD.version_chain`).
         """
         if threads < 1:
             raise QueryError("threads must be >= 1")
@@ -85,7 +91,7 @@ class TimeKits:
         for i, lpa in enumerate(lpas):
             k = i % threads
             versions, complete = self.ssd.version_chain(
-                lpa, cursors[k], until_ts=until_ts
+                lpa, cursors[k], until_ts=until_ts, payloads=payloads
             )
             cursors[k] = complete
             chains[lpa] = versions
@@ -154,12 +160,21 @@ class TimeKits:
     # --- Time-based state queries (Table 1, rows 4-6) ---------------------------
 
     def _time_filtered(self, predicate, threads):
-        """Scan all mapped LPAs, keeping write timestamps that match."""
+        """Scan every LPA with history, keeping write timestamps that match.
+
+        The body of all three time queries.  Their answer is LPAs and
+        timestamps, never bytes, so this is the one walk that asks for no
+        payloads.  LPAs with history but no current version (trimmed and
+        not rewritten) belong in the chronology too; they are walked
+        after the mapped ones, so the mapped walk's thread assignment and
+        booked times do not depend on them, and answered in LPA order.
+        """
         lpas = list(self.ssd.mapping.mapped_lpas())
-        chains, elapsed = self.walk_many(lpas, threads)
+        lpas += self.ssd.unmapped_lpas_with_history()
+        chains, elapsed = self.walk_many(lpas, threads, payloads=False)
         out = {}
-        for lpa, versions in chains.items():
-            stamps = [v.timestamp_us for v in versions if predicate(v.timestamp_us)]
+        for lpa in sorted(chains):
+            stamps = [v.timestamp_us for v in chains[lpa] if predicate(v.timestamp_us)]
             if stamps:
                 out[lpa] = sorted(stamps)
         return QueryResult(out, elapsed, self._last_pages_touched)

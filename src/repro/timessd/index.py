@@ -107,6 +107,10 @@ class TimeTravelIndex:
     def imt_size(self):
         return len(self._imt)
 
+    def delta_head_lpas(self):
+        """The LPAs that own a delta chain (the IMT's keys, a live view)."""
+        return self._imt.keys()
+
     # --- Data-page chain ------------------------------------------------------
 
     def _page_holds_version(self, ppa, lpa, newer_ts):

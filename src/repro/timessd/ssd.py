@@ -436,7 +436,18 @@ class TimeSSD(BaseSSD):
 
     # --- Version retrieval (the substrate TimeKits queries ride on) -------------
 
-    def version_chain(self, lpa: Lba, start_us: TimeUs = None, until_ts=None):
+    def unmapped_lpas_with_history(self):
+        """Ascending LPAs that have no current version but a chain
+        :meth:`version_chain` can still reach: trimmed and not rewritten
+        (the tombstone), or left unmapped with a delta head by recovery
+        (a stale pre-trim page is never mapped as current)."""
+        is_mapped = self.mapping.is_mapped
+        candidates = self._trim_tombstones.keys() | self.index.delta_head_lpas()
+        return sorted(lpa for lpa in candidates if not is_mapped(lpa))
+
+    def version_chain(
+        self, lpa: Lba, start_us: TimeUs = None, until_ts=None, payloads=True
+    ):
         """All retrievable versions of ``lpa``, newest first.
 
         Returns ``(versions, complete_us)`` where ``versions`` includes
@@ -449,6 +460,12 @@ class TimeSSD(BaseSSD):
         ends at the first version written at or before ``until_ts``, and
         the delta chain is only consulted when the data-page chain did
         not reach that far back.
+
+        ``payloads=False`` is the walk of a query that answers with
+        timestamps only: the same reads, the same billed decompression
+        and the same ``(timestamp_us, source)`` list, but the host never
+        opens or decodes a retained payload and every ``Version.data``
+        — data-page entries included — is ``None``.
         """
         if self.retention_lock is not None and not self.retention_lock.unlocked:
             # §3.10: with a retention key configured, history retrieval
@@ -465,15 +482,15 @@ class TimeSSD(BaseSSD):
             # still reachable through the tombstone.
             head_ppa = self._trim_tombstones.get(lpa, NULL_PPA)
         versions = []
-        seen_ts = set()
-        by_ts = {}
+        by_ts = {}  # write timestamp -> page bytes, for every version seen
 
         walk = self.index.walk_data_chain(lpa, head_ppa, t, until_ts=until_ts)
         t = walk.complete_us
         for i, (_ppa, oob, data) in enumerate(walk.entries):
             source = "current" if (i == 0 and has_current) else "data-page"
+            if not payloads:
+                data = None
             versions.append(Version(lpa, oob.timestamp_us, data, source))
-            seen_ts.add(oob.timestamp_us)
             by_ts[oob.timestamp_us] = data
 
         if (
@@ -488,14 +505,20 @@ class TimeSSD(BaseSSD):
         t = delta_walk.complete_us
         timing = self.device.timing
         for record in delta_walk.entries:
-            if record.version_ts in seen_ts:
+            if record.version_ts in by_ts:
                 continue  # still on an un-erased data page; prefer that copy
-            payload = record.payload
-            if self.retention_lock is not None:
-                payload = self.retention_lock.open_payload(payload)
+            data = None
+            if payloads:
+                data = record.payload
+                if self.retention_lock is not None:
+                    data = self.retention_lock.open_payload(data)
+                if record.compressed:
+                    data = self.deltas.codec.decompress(
+                        data, by_ts.get(record.ref_ts)
+                    )
             if record.compressed:
-                ref_data = by_ts.get(record.ref_ts)
-                data = self.deltas.codec.decompress(payload, ref_data)
+                # The modelled firmware decompresses every delta it walks
+                # past, whether or not the host is handed the bytes.
                 self.device.counters.delta_decompressions += 1
                 channel = (
                     self.device.geometry.channel_of_page(record.flash_ppa)
@@ -505,11 +528,8 @@ class TimeSSD(BaseSSD):
                 t = self.device.timelines.schedule(
                     channel, t, timing.delta_decompress_us
                 )
-            else:
-                data = payload
             source = "delta" if record.flash_ppa is not None else "delta-ram"
             versions.append(Version(lpa, record.version_ts, data, source))
-            seen_ts.add(record.version_ts)
             by_ts[record.version_ts] = data
             if until_ts is not None and record.version_ts <= until_ts:
                 break

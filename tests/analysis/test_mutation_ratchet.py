@@ -427,6 +427,23 @@ FIRMWARE_MUTATIONS = (
         "tests/obs/test_device_metrics.py"
         "::TestGCAccounting::test_gc_run_counters_match_properties",
     ),
+    # --- the stamp-only TimeKits walk (PR 20) ----------------------------------
+    (
+        "timessd/ssd.py",  # a time query billed no decompression for what it walks
+        "            if record.compressed:\n"
+        "                # The modelled firmware decompresses",
+        "            if record.compressed and payloads:\n"
+        "                # The modelled firmware decompresses",
+        "tests/timessd/test_timessd.py"
+        "::test_stamp_only_walk_bills_what_the_full_walk_bills",
+    ),
+    (
+        "timekits/api.py",  # a trimmed LPA's writes missing from the chronology
+        "        lpas += self.ssd.unmapped_lpas_with_history()\n",
+        "",
+        "tests/timekits/test_api.py"
+        "::TestTimeQueries::test_time_queries_list_writes_to_since_trimmed_lpas",
+    ),
 )
 
 #: Rules no row claims, each with the reason seeding it is impractical.

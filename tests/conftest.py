@@ -55,6 +55,29 @@ def fill_and_churn(ssd, working_set, churn_writes, seed=7, gap_us=1500):
     return ssd
 
 
+def churn_real_content(ssd, working_set, churn_writes, seed=7, gap_us=1500):
+    """:func:`fill_and_churn` for ``ContentMode.REAL``: every rewrite
+    changes ~2 % of the page's bytes, so retained versions compress into
+    XOR deltas.  Returns ``{lpa: [write timestamps, oldest first]}``."""
+    rng = random.Random(seed)
+    page_size = ssd.device.geometry.page_size
+    pages = {}
+    history = {}
+    order = list(range(working_set))
+    order += [rng.randrange(working_set) for _ in range(churn_writes)]
+    for lpa in order:
+        page = pages.get(lpa)
+        if page is None:
+            page = pages[lpa] = bytearray(rng.randbytes(page_size))
+        else:
+            for position in rng.sample(range(page_size), page_size // 50):
+                page[position] = rng.randrange(256)
+        history.setdefault(lpa, []).append(ssd.clock.now_us)
+        ssd.write(lpa, bytes(page))
+        ssd.clock.advance(gap_us)
+    return history
+
+
 @pytest.fixture
 def geometry():
     return small_geometry()

@@ -7,9 +7,19 @@ from repro.common.units import SECOND_US
 from repro.nvme.commands import NVMeCommand, Opcode, StatusCode
 from repro.nvme.controller import NVMeController
 from repro.timekits.api import QueryResult, TimeKits, pick_as_of
+from repro.timekits.forensics import ForensicTimeline
+from repro.timessd.config import ContentMode
+from repro.timessd.delta import RealDeltaCodec
 from repro.timessd.index import Version
+from repro.timessd.secure import RetentionLock
 
-from tests.conftest import make_regular_ssd, make_timessd
+from tests.conftest import (
+    churn_real_content,
+    fill_and_churn,
+    make_regular_ssd,
+    make_timessd,
+    small_geometry,
+)
 
 
 @pytest.fixture
@@ -111,6 +121,89 @@ class TestTimeQueries:
             kit.ssd.write(lpa)
         result = kit.time_query_all()
         assert result.elapsed_us >= 64 / kit.ssd.device.geometry.channels * kit.ssd.device.timing.read_us
+
+    def test_time_queries_list_writes_to_since_trimmed_lpas(self, kit):
+        """Delete-then-rewrite elsewhere is the ransomware footprint: the
+        deleted LPA's writes stay in the chronology."""
+        ssd = kit.ssd
+        old = write_history(ssd, 5, 1)
+        t0 = ssd.clock.now_us
+        new = write_history(ssd, 5, 1)
+        kept = write_history(ssd, 6, 1)
+        ssd.trim(5)
+        ssd.clock.advance(1000)
+        assert ssd.unmapped_lpas_with_history() == [5]
+        assert kit.time_query(t0).value == {5: new, 6: kept}
+        assert kit.time_query_range(0, t0 - 1).value == {5: old}
+        everything = kit.time_query_all().value
+        assert everything == {5: old + new, 6: kept}
+        assert list(everything) == [5, 6]  # answered in LPA order
+        ssd.write(5)
+        assert ssd.unmapped_lpas_with_history() == []
+
+    def test_time_queries_reach_a_delta_chain_left_unmapped_by_recovery(self):
+        """Recovery leaves an LPA unmapped when its surviving head is
+        older than its delta history: a delta head, no mapping and no
+        tombstone."""
+        ssd = make_timessd(
+            geometry=small_geometry(blocks_per_plane=32),
+            retention_floor_us=3600 * SECOND_US,
+        )
+        fill_and_churn(ssd, ssd.logical_pages // 3, 2000)
+        demoted, mapped = sorted(ssd.index.delta_head_lpas())[:2]
+        ssd.mapping.invalidate(demoted)  # no _on_invalidate: no tombstone
+        assert ssd.unmapped_lpas_with_history() == [demoted]
+        stamps = sorted(v.timestamp_us for v in ssd.version_chain(demoted)[0])
+        assert stamps
+        everything = TimeKits(ssd).time_query_all(threads=4).value
+        assert everything[demoted] == stamps
+        assert mapped in everything
+
+    def test_time_queries_never_run_the_codec(self, monkeypatch):
+        """A time query answers with stamps: it decodes no retained
+        payload, yet returns and bills what the decoding walk would."""
+
+        key = b"correct horse battery staple"
+
+        def twin():
+            ssd = make_timessd(
+                geometry=small_geometry(blocks_per_plane=32),
+                content_mode=ContentMode.REAL,
+                retention_floor_us=3600 * SECOND_US,
+                retention_key=key,
+            )
+            history = churn_real_content(ssd, ssd.logical_pages // 3, 2000)
+            counters = ssd.metrics_snapshot()["counters"]
+            assert counters["timessd.delta.compressions"] > 0
+            ssd.unlock_retention(key)
+            return TimeKits(ssd), sorted(sum(history.values(), []))
+
+        def answers(kit, stamps):
+            t1, t2 = stamps[len(stamps) // 4], stamps[len(stamps) // 2]
+            completion = NVMeController(kit.ssd).submit(
+                NVMeCommand(Opcode.TIME_QUERY, t=t2, threads=4)
+            )
+            assert completion.ok
+            return [
+                kit.time_query(t2, threads=4),
+                kit.time_query_range(t1, t2, threads=2),
+                kit.time_query_all(),
+                ForensicTimeline(kit).events_since(t2),
+                (completion.result, completion.latency_us),
+            ]
+
+        expected = answers(*twin())
+        assert len(expected[2].value) > 100
+        kit, stamps = twin()
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a time query decoded a retained payload")
+
+        monkeypatch.setattr(RealDeltaCodec, "decompress", refuse)
+        monkeypatch.setattr(RetentionLock, "open_payload", refuse)
+        assert answers(kit, stamps) == expected
+        with pytest.raises(AssertionError):
+            kit.addr_query_all(0, cnt=kit.ssd.logical_pages // 3)
 
 
 class TestRollback:

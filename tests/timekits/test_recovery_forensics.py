@@ -100,3 +100,21 @@ class TestForensicTimeline:
         timeline = ForensicTimeline(kit)
         touched, _ = timeline.touched_lpas_between(t1, t2)
         assert touched == {2} or touched == {1, 2}  # boundary inclusive
+
+    def test_footprint_includes_deleted_lpas(self, kit):
+        """Ransomware that deletes the original and writes the ciphertext
+        elsewhere touched both places."""
+        ssd = kit.ssd
+        ssd.write(5, page("original"))
+        ssd.clock.advance(1000)
+        t1 = ssd.clock.now_us
+        ssd.write(5, page("original, edited"))
+        ssd.clock.advance(1000)
+        ssd.write(6, page("ENCRYPTED"))
+        ssd.clock.advance(1000)
+        ssd.trim(5)
+        timeline = ForensicTimeline(kit)
+        touched, _ = timeline.touched_lpas_between(t1, ssd.clock.now_us)
+        assert touched == {5, 6}
+        events, _ = timeline.events_since(0)
+        assert [e.lpa for e in events] == [5, 5, 6]

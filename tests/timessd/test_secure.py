@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.errors import QueryError, ReproError
 from repro.common.units import SECOND_US
+from repro.timekits.api import TimeKits
 from repro.timessd.config import ContentMode
 from repro.timessd.delta import DeltaPage
 from repro.timessd.secure import EncryptedPayload, RetentionCipher, RetentionLock
@@ -130,6 +131,27 @@ class TestEncryptedDevice:
         by_ts = {ts: payload for ts, payload in contents}
         for v in versions:
             assert v.data == by_ts[v.timestamp_us]
+
+    def test_locked_device_refuses_time_queries_too(self):
+        """A time query opens no payload, but the gate at the top of the
+        walk still keeps write times inside a locked device."""
+        ssd = self.make_device()
+        self.churn_history(ssd)
+        with pytest.raises(QueryError):
+            TimeKits(ssd).time_query_all()
+
+    def test_unlocked_time_query_decrypts_nothing(self, monkeypatch):
+        ssd = self.make_device()
+        contents = self.churn_history(ssd)
+        ssd.unlock_retention(KEY)
+        assert any(v.source == "delta" for v in ssd.version_chain(4)[0])
+
+        def refuse(_cipher, _payload):
+            raise AssertionError("a time query decrypted a retained payload")
+
+        monkeypatch.setattr(RetentionCipher, "decrypt_payload", refuse)
+        answer = TimeKits(ssd).time_query_all().value
+        assert answer == {4: [ts for ts, _payload in contents]}
 
     def test_wrong_key_fails_loudly(self):
         ssd = self.make_device()

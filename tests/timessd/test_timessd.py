@@ -9,7 +9,7 @@ from repro.ftl.block_manager import BlockKind
 from repro.timessd.config import ContentMode, TimeSSDConfig
 from repro.timessd.ssd import TimeSSD
 
-from tests.conftest import make_timessd, small_geometry
+from tests.conftest import churn_real_content, make_timessd, small_geometry
 
 
 def test_requires_timessd_config():
@@ -228,3 +228,38 @@ class TestAccounting:
         churn(ssd, ssd.logical_pages // 2, 2000, gap_us=200)
         assert ssd.estimator.periods_evaluated > 0
         assert ssd.gc_runs > 0
+
+
+def test_stamp_only_walk_bills_what_the_full_walk_bills():
+    """``payloads=False`` is the same walk: same versions, same finish
+    time, same device counters and metrics — it only hands out no bytes."""
+
+    def twin():
+        ssd = make_timessd(
+            geometry=small_geometry(blocks_per_plane=32),
+            content_mode=ContentMode.REAL,
+            retention_floor_us=3600 * SECOND_US,
+        )
+        history = churn_real_content(ssd, ssd.logical_pages // 3, 2000)
+        return ssd, history
+
+    full, history = twin()
+    stamp_only, _ = twin()
+    with_deltas = sorted(full.index.delta_head_lpas())
+    assert with_deltas
+    decompressions = full.device.counters.delta_decompressions
+    for lpa in with_deltas:
+        for until_ts in (None, history[lpa][len(history[lpa]) // 2]):
+            got, got_us = stamp_only.version_chain(
+                lpa, until_ts=until_ts, payloads=False
+            )
+            want, want_us = full.version_chain(lpa, until_ts=until_ts)
+            assert [(v.timestamp_us, v.source) for v in got] == [
+                (v.timestamp_us, v.source) for v in want
+            ]
+            assert got_us == want_us
+            assert all(v.data is None for v in got)
+            assert all(v.data is not None for v in want)
+    assert full.device.counters.delta_decompressions > decompressions
+    assert stamp_only.device.counters.snapshot() == full.device.counters.snapshot()
+    assert stamp_only.metrics_snapshot() == full.metrics_snapshot()
