@@ -6,6 +6,7 @@ the FTL above can account I/O response times.  Functional state and timing
 are kept in one place so a single call site cannot forget either.
 """
 
+from array import array
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -68,19 +69,26 @@ class BlockOOBScan:
         "intact",
     )
 
-    def __init__(self, core, pba):
+    def __init__(self, core, pba, columns=None, intact=None):
+        """``columns`` / ``intact`` are the block's ``core.page_slice`` and
+        its seal-check result when the caller already holds them (the
+        batched :meth:`FlashDevice.scan_oob`); both default to being
+        taken here."""
         self.pba = pba
         self.erase_count = core.erase_count[pba]
         self.write_pointer = core.write_pointer[pba]
         self.failed = bool(core.failed[pba])
-        state, lpa, back, ts, seq, programmed = core.page_slice(pba)
+        if columns is None:
+            columns = core.page_slice(pba)
+        state, lpa, back, ts, seq, programmed = columns
         self.state = state
         self.lpa = lpa
         self.back_pointer = back
         self.timestamp_us = ts
         self.seq_tag = seq
         self.programmed_us = programmed
-        intact = verify_seq_tags(lpa, back, ts, seq)
+        if intact is None:
+            intact = verify_seq_tags(lpa, back, ts, seq)
         if 0 in state:
             # Defensive: sequential-program NAND never leaves erased
             # holes below the write pointer, but a direct state poke
@@ -315,19 +323,43 @@ class FlashDevice:
         return scan
 
     def scan_oob(self, pbas=None):
-        """Sweep OOB metadata block-by-block; yields :class:`BlockOOBScan`.
+        """Sweep the OOB metadata of many blocks; yields :class:`BlockOOBScan`.
 
         ``pbas`` defaults to every block.  Erased, non-failed blocks are
         skipped (nothing to report); failed blocks are yielded (with
         ``failed=True``) so recovery can retire them on sight.
+
+        Every scan equals :meth:`scan_block_oob`'s and is counted the
+        same way; what differs is that the seals of all requested blocks
+        are verified in one :func:`verify_seq_tags` call over their
+        columns laid end to end (the batch verifier costs far more per
+        call than per page), so the columns are read when the first scan
+        is asked for.
         """
         core = self.core
         if pbas is None:
             pbas = range(self.geometry.total_blocks)
+        wanted = []
         for pba in pbas:
-            if core.write_pointer[pba] == 0 and not core.failed[pba]:
-                continue
-            yield self.scan_block_oob(pba)
+            self.geometry.check_pba(pba)
+            if core.write_pointer[pba] or core.failed[pba]:
+                wanted.append(pba)
+        slices = [core.page_slice(pba) for pba in wanted]
+        lpas, backs, timestamps, seqs = (array("q") for _ in range(4))
+        for _state, lpa, back, ts, seq, _programmed in slices:
+            lpas.extend(lpa)
+            backs.extend(back)
+            timestamps.extend(ts)
+            seqs.extend(seq)
+        intact = verify_seq_tags(lpas, backs, timestamps, seqs)
+        start = 0
+        for pba, columns in zip(wanted, slices):
+            stop = start + len(columns[0])
+            scan = BlockOOBScan(core, pba, columns, intact[start:stop])
+            start = stop
+            self._m_scan_blocks.inc()
+            self._m_scan_pages.inc(scan.write_pointer)
+            yield scan
 
     def __repr__(self):
         return "FlashDevice(%d blocks x %d pages, %d channels)" % (

@@ -303,6 +303,22 @@ class BlockManager:
             info.valid[offset] = 1
             info.valid_count += 1
 
+    def mark_valid_many(self, ppas):
+        """:meth:`mark_valid` over an iterable of PPAs, in order (the
+        recovery load: one call per rebuild instead of one per head)."""
+        core = self._core
+        total_pages = core.total_pages
+        pages_per_block = core.pages_per_block
+        blocks = self._info
+        for ppa in ppas:
+            if not 0 <= ppa < total_pages:
+                self._geo.check_ppa(ppa)
+            info = blocks[ppa // pages_per_block]
+            offset = ppa % pages_per_block
+            if not info.valid[offset]:
+                info.valid[offset] = 1
+                info.valid_count += 1
+
     def invalidate_page(self, ppa: Ppa):
         """Clear the PVT bit for ``ppa`` (update/delete made it stale)."""
         if not 0 <= ppa < self._core.total_pages:

@@ -87,6 +87,20 @@ class AddressMappingTable:
         self._table[lpa] = ppa
         return old
 
+    def load(self, heads):
+        """Fill the table from a recovery sweep's ``{lpa: (timestamp_us,
+        ppa)}`` heads — a mount, not host traffic: the entries are written
+        and nothing else moves, so the demand cache starts cold and clean
+        and no translation I/O is counted.  Every LPA is range-checked
+        before the first entry is written.
+        """
+        if heads and not 0 <= min(heads) <= max(heads) < self.logical_pages:
+            for lpa in heads:
+                self._check(lpa)
+        table = self._table
+        for lpa, (_ts, ppa) in heads.items():
+            table[lpa] = ppa
+
     def invalidate(self, lpa: Lba) -> Ppa:
         """Drop the mapping (TRIM/delete); returns the previous PPA."""
         return self.update(lpa, NULL_PPA)

@@ -47,9 +47,7 @@ def rebuild_from_flash(ssd):
         if not bm.adopt_active(StreamId.USER, pba):
             bm.seal_block(pba)
 
-    for lpa, (_ts, ppa) in sweep.heads.items():
-        ssd.mapping.update(lpa, ppa)
-        bm.mark_valid(ppa)
+    ssd.load_mapping(sweep.heads)
 
     if ssd.checkpointer is not None:
         ssd.checkpointer.adopt(sweep.translation_blocks, sweep.checkpoint_seq)

@@ -20,8 +20,8 @@ The sweep owns exactly the semantics the two recoveries share:
   as user append points;
 * torn/burned pages (sequence-tag mismatch) are discarded, never
   reported;
-* intact user pages feed the newest-timestamp-wins ``heads`` map and
-  the flat ``user_pages`` list;
+* intact user pages feed the newest-timestamp-wins ``heads`` map, the
+  flat ``user_pages`` list and the ``committed`` column;
 * intact housekeeping pages (negative LPA tags: delta pages,
   translation pages in unrecognized blocks) are collected with their
   tag for the caller to classify;
@@ -43,6 +43,7 @@ class OOBSweep:
     __slots__ = (
         "heads",
         "user_pages",
+        "committed",
         "housekeeping",
         "partial_blocks",
         "translation_blocks",
@@ -53,11 +54,18 @@ class OOBSweep:
         "checkpoint_seq",
     )
 
-    def __init__(self):
+    def __init__(self, total_pages):
         #: ``{lpa: (timestamp_us, ppa)}`` — newest intact version wins.
         self.heads = {}
         #: Every intact user page: ``(ppa, lpa, timestamp_us)``.
         self.user_pages = []
+        #: One byte per PPA, 1 for exactly the pages in ``user_pages``:
+        #: their seal was verified by this sweep (scanned blocks) or is
+        #: vouched for by a still-matching checkpoint summary.  A positive
+        #: cache for the caller's chain walks, never an authority — a page
+        #: reading 0 here (torn, housekeeping, or in a retired block the
+        #: sweep skipped) still needs ``core.intact_at``.
+        self.committed = bytearray(total_pages)
         #: Intact housekeeping pages: ``(pba, ppa, lpa_tag, timestamp_us)``.
         self.housekeeping = []
         #: Partially-programmed non-translation blocks, scan order.
@@ -86,7 +94,7 @@ def sweep_oob(ssd, collect_housekeeping=False):
     core = device.core
     bm = ssd.block_manager
     ppb = geo.pages_per_block
-    sweep = OOBSweep()
+    sweep = OOBSweep(geo.total_pages)
 
     translation_blocks = checkpointing.find_translation_blocks(device)
     image = (
@@ -98,17 +106,22 @@ def sweep_oob(ssd, collect_housekeeping=False):
     if image is not None:
         sweep.checkpoint_seq = image.seq
 
-    heads = sweep.heads
-    user_pages = sweep.user_pages
+    # Pass 1, block order: settle every block's place in the (fresh)
+    # block manager and decide who vouches for its pages — a checkpoint
+    # summary, or a scan.  The scans are then taken in one batch.
+    occupied = []  # (pba, summary or None), block order
+    to_scan = []
+    failed = core.failed
+    write_pointer = core.write_pointer
     for pba in range(geo.total_blocks):
-        if core.failed[pba]:
+        if failed[pba]:
             # Grown bad block: the media remembers even though the fresh
             # BST does not.  Take it out of service; any versions it held
             # are gone (matching a real drive's data loss on bad blocks).
             bm.retire_failed_block(pba)
             sweep.failed_blocks += 1
             continue
-        wp = core.write_pointer[pba]
+        wp = write_pointer[pba]
         if wp == 0:
             continue
         # Occupied blocks must leave the (fresh) free pool.
@@ -123,41 +136,51 @@ def sweep_oob(ssd, collect_housekeeping=False):
             continue
         if wp < ppb:
             sweep.partial_blocks.append(pba)
-        first = geo.first_page_of_block(pba)
         summary = checkpointing.summary_for(image, core, pba, ppb)
+        occupied.append((pba, summary))
+        if summary is None:
+            to_scan.append(pba)
+    sweep.scanned_blocks = len(to_scan)
+    sweep.summarized_blocks = len(occupied) - len(to_scan)
+
+    # Pass 2, the same block order (so ``heads``, ``user_pages`` and
+    # ``housekeeping`` fill exactly as a block-at-a-time sweep fills
+    # them): reduce every vouched-for page into the result.
+    scans = device.scan_oob(to_scan)
+    heads = sweep.heads
+    user_pages = sweep.user_pages
+    committed = sweep.committed
+    housekeeping = sweep.housekeeping
+    for pba, summary in occupied:
+        first = pba * ppb
         if summary is not None:
-            sweep.summarized_blocks += 1
             sweep.torn_pages += summary.torn_pages
             for offset, lpa, ts in summary.entries:
                 ppa = first + offset
                 user_pages.append((ppa, lpa, ts))
+                committed[ppa] = 1
                 best = heads.get(lpa)
                 if best is None or ts > best[0]:
                     heads[lpa] = (ts, ppa)
             continue
-        scan = device.scan_block_oob(pba)
-        sweep.scanned_blocks += 1
-        intact = scan.intact
-        lpas = scan.lpa
-        timestamps = scan.timestamp_us
+        scan = next(scans)
         states = scan.state
-        for offset in range(wp):
-            if not states[offset]:
-                continue
-            if not intact[offset]:
+        columns = zip(scan.intact, scan.lpa, scan.timestamp_us)
+        for ppa, (ok, lpa, ts) in enumerate(columns, first):
+            if not ok:
                 # Torn tail of the interrupted program (or a burned
                 # page): the sequence tag mismatch proves it never
                 # committed, so it must not corrupt the rebuilt tables.
-                sweep.torn_pages += 1
+                # (An erased hole below the write pointer is not torn.)
+                if states[ppa - first]:
+                    sweep.torn_pages += 1
                 continue
-            lpa = lpas[offset]
-            ts = timestamps[offset]
             if lpa < 0:
                 if collect_housekeeping:
-                    sweep.housekeeping.append((pba, first + offset, lpa, ts))
+                    housekeeping.append((pba, ppa, lpa, ts))
                 continue
-            ppa = first + offset
             user_pages.append((ppa, lpa, ts))
+            committed[ppa] = 1
             best = heads.get(lpa)
             if best is None or ts > best[0]:
                 heads[lpa] = (ts, ppa)

@@ -946,6 +946,12 @@ class BaseSSD:
         self._translation_reads_seen = 0
         self._translation_writes_seen = 0
 
+    def load_mapping(self, heads):
+        """Mount the L2P a recovery sweep found: AMT entries and PVT bits
+        for ``{lpa: (timestamp_us, ppa)}``, each table in one pass."""
+        self.mapping.load(heads)
+        self.block_manager.mark_valid_many([ppa for _ts, ppa in heads.values()])
+
 
 class RegularSSD(BaseSSD):
     """The paper's baseline: a conventional page-mapped SSD.

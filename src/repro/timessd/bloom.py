@@ -208,6 +208,42 @@ class TimeSegmentedBlooms:
         active.bloom.add(group)
         return active
 
+    def record_invalidations(self, ppas):
+        """:meth:`record_invalidation` for each of ``ppas``, in order.
+
+        The per-page sequence exactly — same segments, same ``count``s,
+        same filter bits, same full-filter and age roll-overs — minus the
+        probes whose answer this call already holds: a group it has
+        added to (or found in) the *current* active filter is in it, as
+        bits are only ever set.  Every other group takes the real probe,
+        because a false positive skips an ``add`` and so decides
+        ``count`` and when the filter rolls over.
+        """
+        active = self._segments[-1]
+        group_size = self.group_size
+        max_age_us = self._max_age_us
+        clock = self._clock
+        in_active = set()
+        for ppa in ppas:
+            if (
+                max_age_us is not None
+                and active.bloom.count > 0
+                and clock.now_us - active.created_us >= max_age_us
+            ):
+                active.sealed_us = clock.now_us
+                active = self._new_segment()
+                in_active.clear()
+            group = ppa // group_size
+            if group in in_active:
+                continue
+            if group not in active.bloom:
+                if active.bloom.is_full:
+                    active.sealed_us = clock.now_us
+                    active = self._new_segment()
+                    in_active.clear()
+                active.bloom.add(group)
+            in_active.add(group)
+
     # --- Lookup --------------------------------------------------------------
 
     def find_segment(self, ppa):

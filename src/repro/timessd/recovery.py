@@ -25,14 +25,17 @@ retirement, partial/translation-block handling, checkpoint summaries):
   delta record are reclaimable;
 * the IMT — delta chains relinked from the records found in delta
   pages, newest-first;
-* the bloom chain — one conservative recovery segment retaining every
-  surviving invalid page (nothing expires before the floor re-elapses,
-  which errs on the safe side); recovered delta blocks are re-homed
-  under the recovery segment so their wholesale erase still happens
-  when it expires.
+* the bloom chain — conservative recovery segments, all created at
+  rebuild time, retaining every surviving invalid page (nothing expires
+  before the floor re-elapses, which errs on the safe side).  The pages
+  go in through the ordinary recording path, so a filter that fills up
+  rolls over and a rebuild can open several segments; recovered delta
+  records and delta blocks are re-homed under the first of them, so
+  their wholesale erase still happens when it expires.
 """
 
 from collections import defaultdict
+from operator import attrgetter
 
 from repro.ftl.block_manager import BlockKind, StreamId
 from repro.ftl.recovery_scan import sweep_oob
@@ -58,7 +61,7 @@ def rebuild_from_flash(ssd):
     Returns a dict of recovery statistics.
     """
     device = ssd.device
-    geo = device.geometry
+    ppb = device.geometry.pages_per_block
     bm = ssd.block_manager
 
     sweep = sweep_oob(ssd, collect_housekeeping=True)
@@ -76,11 +79,11 @@ def rebuild_from_flash(ssd):
         if not isinstance(payload, DeltaPage):
             continue
         delta_blocks.add(pba)
-        delta_records.extend(r for r in payload.records if not r.dropped)
+        delta_records += [r for r in payload.records if not r.dropped]
 
     # Delta chains: group, order newest-first, relink, and re-home every
-    # record (and every recovered delta block) into one conservative
-    # recovery segment.
+    # record (and every recovered delta block) under the segment that is
+    # active when the rebuild starts — the first recovery segment.
     recovery_segment = ssd.blooms.live_segments()[-1]
     for pba in delta_blocks:
         bm.set_kind(pba, BlockKind.DELTA)
@@ -100,33 +103,28 @@ def rebuild_from_flash(ssd):
         record.segment_id = recovery_segment.segment_id
         by_lpa[record.lpa].append(record)
 
-    # A head older than the LPA's delta history means the LPA was
-    # trimmed before the crash and its whole live chain was compressed
-    # and erased: the surviving data page is a stale pre-trim version.
-    # Mapping it would resurrect old data *as current* and corrupt the
-    # chain order; leave the LPA unmapped (trim durability across power
-    # loss is advisory, as on real drives).
-    for lpa, records in by_lpa.items():
-        head = heads.get(lpa)
-        if head is not None and head[0] <= max(r.version_ts for r in records):
-            del heads[lpa]
-
-    # AMT + PVT: the newest version of each LPA is the live mapping.
-    for lpa, (_ts, ppa) in heads.items():
-        ssd.mapping.update(lpa, ppa)
-        bm.mark_valid(ppa)
-    delta_identities = set()
+    committed = sweep.committed
     newest_delta_ts = {}
     unresolvable = 0
     for lpa, records in by_lpa.items():
-        records.sort(key=lambda r: -r.version_ts)
+        records.sort(key=attrgetter("version_ts"), reverse=True)
+        # A head older than the LPA's delta history means the LPA was
+        # trimmed before the crash and its whole live chain was compressed
+        # and erased: the surviving data page is a stale pre-trim version.
+        # Mapping it would resurrect old data *as current* and corrupt the
+        # chain order; leave the LPA unmapped (trim durability across power
+        # loss is advisory, as on real drives).
+        head = heads.get(lpa)
+        if head is not None and head[0] <= records[0].version_ts:
+            del heads[lpa]
+            head = None
         # A compressed delta decompresses against its reference version
         # (the head at compression time).  If that reference survives
         # only in a lost RAM delta buffer, the record is garbage — prune
         # it so queries cannot hit an unresolvable delta.  Walking
         # newest-first, a kept record's own version can serve as a later
         # record's reference, exactly as in version_chain.
-        resolvable = _reachable_data_ts(ssd, lpa, heads.get(lpa))
+        resolvable = _reachable_data_ts(ssd, lpa, head, committed)
         kept = []
         for record in records:
             if (
@@ -138,7 +136,6 @@ def rebuild_from_flash(ssd):
                 continue
             kept.append(record)
             resolvable.add(record.version_ts)
-            delta_identities.add((record.lpa, record.version_ts))
         if not kept:
             continue
         for newer, older in zip(kept, kept[1:]):
@@ -147,48 +144,46 @@ def rebuild_from_flash(ssd):
         ssd.index.set_delta_head(lpa, kept[0])
         newest_delta_ts[lpa] = kept[0].version_ts
 
+    # AMT + PVT: the newest version of each LPA is the live mapping.
+    ssd.load_mapping(heads)
+
     # Retained invalid pages: everything programmed but not a head.
-    retained = 0
-    reclaimable = 0
+    mark_reclaimable = ssd.index.mark_reclaimable
+    retained = []
     for ppa, lpa, ts in sweep.user_pages:
-        head = heads.get(lpa, (None, None))
-        if head[1] == ppa:
+        head_ts, head_ppa = heads.get(lpa, (None, None))
+        if ppa == head_ppa:
             continue
-        if ts == head[0]:
+        if ts == head_ts:
             # Byte-identical duplicate of the mapped head, left behind by
             # a scrub/GC refresh migration the cut interrupted between
             # the new copy's program and the (volatile) PRT mark.  It is
             # the *same* version, not an older one — retaining it would
             # later compress into a self-referential delta record.
-            ssd.index.mark_reclaimable(ppa)
-            reclaimable += 1
-            continue
-        if (lpa, ts) in delta_identities:
-            # Already preserved as a delta: the data page is redundant.
-            ssd.index.mark_reclaimable(ppa)
-            reclaimable += 1
-            continue
-        if ts <= newest_delta_ts.get(lpa, -1):
-            # Older than the LPA's recovered delta chain: retaining it
-            # would make a later GC compression prepend an out-of-order
-            # record (deltas link newest-first).  The chain invariant
-            # wins; the stale version is given up.
-            ssd.index.mark_reclaimable(ppa)
-            reclaimable += 1
-            continue
-        ssd.blooms.record_invalidation(ppa)
-        pba = geo.block_of_page(ppa)
-        ssd._retained_per_block[pba] += 1
-        ssd.retained_pages += 1
-        retained += 1
+            mark_reclaimable(ppa)
+        elif ts <= newest_delta_ts.get(lpa, -1):
+            # Not newer than the LPA's recovered delta chain.  Either the
+            # version is already preserved as one of its records (the
+            # data page is redundant), or retaining it would make a later
+            # GC compression prepend an out-of-order record (deltas link
+            # newest-first): the chain invariant wins and the stale
+            # version is given up.
+            mark_reclaimable(ppa)
+        else:
+            retained.append(ppa)
+    ssd.blooms.record_invalidations(retained)
+    retained_per_block = ssd._retained_per_block
+    for ppa in retained:
+        retained_per_block[ppa // ppb] += 1
+    ssd.retained_pages += len(retained)
 
     if ssd.checkpointer is not None:
         ssd.checkpointer.adopt(sweep.translation_blocks, sweep.checkpoint_seq)
 
     return {
         "mapped_lpas": len(heads),
-        "retained_pages": retained,
-        "reclaimable_pages": reclaimable,
+        "retained_pages": len(retained),
+        "reclaimable_pages": ssd.index.reclaimable_count(),
         "delta_records": len(delta_records),
         "delta_blocks": len(delta_blocks),
         "free_blocks": bm.free_block_count,
@@ -201,28 +196,45 @@ def rebuild_from_flash(ssd):
     }
 
 
-def _reachable_data_ts(ssd, lpa, head):
+def _reachable_data_ts(ssd, lpa, head, committed):
     """Timestamps of the data-page versions a chain walk can reach.
 
-    Mirrors :meth:`TimeTravelIndex.walk_data_chain` (same hop checks,
-    no timing): these are the versions available as delta references.
+    Mirrors :meth:`TimeTravelIndex.walk_data_chain` hop for hop (the
+    checks of ``_page_holds_version``, no timing), read off the columns:
+    these are the versions available as delta references.  ``committed``
+    is the sweep's column of pages whose seal is already verified; a hop
+    it does not vouch for (torn, or in a retired block the sweep skipped
+    but the timed walk still enters) takes ``core.intact_at``.
     """
     out = set()
     if head is None:
         return out
     core = ssd.device.core
+    geo = ssd.device.geometry
+    total_pages = core.total_pages
     _ts, ppa = head
-    ssd.device.geometry.check_ppa(ppa)
-    if not core.state[ppa]:
+    if not 0 <= ppa < total_pages:
+        geo.check_ppa(ppa)
+    state = core.state
+    if not state[ppa]:
         return out
-    # Every later hop was just validated from the same columns by
-    # ``_page_holds_version``: read them directly, no page views.
+    lpas = core.lpa
     timestamp_us = core.timestamp_us
     back_pointer = core.back_pointer
+    reclaimable = ssd.index.reclaimable_ppas
     prev_ts = timestamp_us[ppa]
     out.add(prev_ts)
     back = back_pointer[ppa]
-    while back != NULL_PPA and ssd.index._page_holds_version(back, lpa, prev_ts):
+    while back != NULL_PPA and back not in reclaimable:
+        if not 0 <= back < total_pages:
+            geo.check_ppa(back)
+        if (
+            not state[back]
+            or lpas[back] != lpa
+            or timestamp_us[back] >= prev_ts
+            or not (committed[back] or core.intact_at(back))
+        ):
+            break
         prev_ts = timestamp_us[back]
         out.add(prev_ts)
         back = back_pointer[back]

@@ -444,6 +444,28 @@ FIRMWARE_MUTATIONS = (
         "tests/timekits/test_api.py"
         "::TestTimeQueries::test_time_queries_list_writes_to_since_trimmed_lpas",
     ),
+    # --- the one-pass recovery (PR 21) -----------------------------------------
+    (
+        "timessd/recovery.py",  # the sweep's seal cache promoted to an authority
+        "committed[back] or core.intact_at(back)",
+        "True",
+        "tests/timessd/test_power_loss.py"
+        "::test_reachable_reference_timestamps_mirror_the_chain_walk",
+    ),
+    (
+        "timessd/bloom.py",  # a group "known" to be in a filter that rolled over
+        "                    in_active.clear()\n",
+        "",
+        "tests/timessd/test_bloom_properties.py"
+        "::test_batch_recording_is_the_per_page_sequence",
+    ),
+    (
+        "ftl/mapping.py",  # a mount billed as host traffic (PRs 8-20)
+        "            table[lpa] = ppa\n",
+        "            self.update(lpa, ppa)\n",
+        "tests/ftl/test_translation_timing.py"
+        "::test_recovery_bills_no_translation_io",
+    ),
 )
 
 #: Rules no row claims, each with the reason seeding it is impractical.

@@ -167,3 +167,64 @@ def test_firmware_never_builds_a_page_view(monkeypatch):
     while guard.gc_runs == 0:
         guard.read(write_one(guard))
     assert guard.retained_count > 0
+
+
+@pytest.mark.parametrize("numpy_on", [True, False], ids=["numpy", "pure-python"])
+def test_batched_scan_oob_equals_per_block_scans(device, monkeypatch, numpy_on):
+    """``scan_oob(pbas)`` verifies every requested block's seals in one
+    batch; each scan it yields, and what it counts, must be what
+    ``scan_block_oob`` gives block by block."""
+    from repro.common.errors import AddressError
+    from repro.flash import core as flash_core
+    from repro.flash.device import BlockOOBScan
+
+    if not numpy_on:
+        monkeypatch.setattr(flash_core, "HAVE_NUMPY", False)
+    geo = device.geometry
+    ppb = geo.pages_per_block
+
+    def program(pba, count, torn_at=()):
+        for offset in range(count):
+            meta = OOBMetadata(
+                lpa=pba * 100 + offset, back_pointer=NULL_PPA, timestamp_us=7 * offset
+            )
+            if offset in torn_at:
+                meta = meta.as_torn()
+            device.program_page(geo.first_page_of_block(pba) + offset, b"x", meta)
+
+    program(0, ppb, torn_at={3})  # full, one torn page
+    program(1, 5)  # partial
+    program(3, 2)  # grown bad after two programs
+    device.core.failed[3] = 1
+    device.core.failed[4] = 1  # grown bad while erased: still reported
+    request = [3, 0, 2, 1, 4]  # block 2 is erased: skipped
+
+    def counted(take):
+        counters = [
+            device.obs.metrics.counter(name)
+            for name in ("flash.scan.blocks", "flash.scan.pages")
+        ]
+        before = [counter.value for counter in counters]
+        scans = take()
+        return scans, {
+            counter.name: counter.value - was
+            for counter, was in zip(counters, before)
+        }
+
+    one_by_one, counted_one_by_one = counted(
+        lambda: [device.scan_block_oob(pba) for pba in request if pba != 2]
+    )
+    batched, counted_batched = counted(lambda: list(device.scan_oob(request)))
+    assert [scan.pba for scan in batched] == [3, 0, 1, 4]
+    for got, expected in zip(batched, one_by_one):
+        for slot in BlockOOBScan.__slots__:
+            assert getattr(got, slot) == getattr(expected, slot), (got.pba, slot)
+    assert counted_batched == counted_one_by_one == {
+        "flash.scan.blocks": 4,
+        "flash.scan.pages": ppb + 5 + 2,
+    }
+    assert list(batched[1].intact) == [1, 1, 1, 0] + [1] * (ppb - 4)
+    assert [scan.failed for scan in batched] == [True, False, False, True]
+    assert [scan.pba for scan in device.scan_oob()] == [0, 1, 3, 4]
+    with pytest.raises(AddressError):
+        list(device.scan_oob([0, geo.total_blocks]))

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common.errors import DeviceFullError
+from repro.common.errors import AddressError, DeviceFullError
 from repro.flash.device import FlashDevice
 from repro.flash.page import NULL_PPA, OOBMetadata
 from repro.ftl.block_manager import BlockKind, BlockManager, StreamId
@@ -273,3 +273,34 @@ def test_greedy_tie_goes_to_the_lowest_pba(bm):
     bm.invalidate_page(geo.first_page_of_block(first))
     assert bm.select_greedy_victim() == first
     assert bm.select_cost_benefit_victim(10**6) == first
+
+
+def test_mark_valid_many_is_mark_valid():
+    """The bulk PVT load is the per-page call, in order — a repeated PPA
+    counts once, and an out-of-range one raises where the per-page call
+    would, with everything before it marked."""
+    geo = small_geometry()
+    ppb = geo.pages_per_block
+    ppas = [0, 1, ppb + 3, 1, 5 * ppb, ppb + 3, 2 * ppb - 1]
+    one_by_one, bulk = BlockManager(FlashDevice(geo)), BlockManager(FlashDevice(geo))
+
+    def pvt(bm):
+        return [
+            (bytes(bm.valid_bits(pba)), bm.valid_count(pba))
+            for pba in range(geo.total_blocks)
+        ]
+
+    for ppa in ppas:
+        one_by_one.mark_valid(ppa)
+    bulk.mark_valid_many(iter(ppas))
+    assert pvt(bulk) == pvt(one_by_one)
+    assert bulk.valid_count(0) == 2 and bulk.valid_count(1) == 2
+
+    for bad in (geo.total_pages, -1):
+        with pytest.raises(AddressError):
+            one_by_one.mark_valid(bad)
+        with pytest.raises(AddressError):
+            bulk.mark_valid_many([7, bad, 8])
+        one_by_one.mark_valid(7)
+        assert pvt(bulk) == pvt(one_by_one)
+        assert not bulk.is_valid(8)

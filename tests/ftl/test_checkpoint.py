@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.ftl import checkpoint
 from repro.ftl.checkpoint import (
     CHECKPOINT_STREAM,
     CheckpointImage,
@@ -12,6 +13,7 @@ from repro.ftl.checkpoint import (
     summary_for,
 )
 from repro.ftl.recovery import rebuild_from_flash, simulate_power_loss
+from repro.ftl.recovery_scan import sweep_oob
 
 from tests.conftest import make_regular_ssd, small_geometry
 
@@ -53,10 +55,21 @@ def test_checkpoints_are_written_and_superseded():
     assert len(find_translation_blocks(ssd.device)) <= 8
 
 
-def test_checkpointed_recovery_matches_full_scan_exactly():
+def test_checkpointed_recovery_matches_full_scan_exactly(monkeypatch):
     ssd = churned()
     before = mapping_snapshot(ssd)
     erases_before = ssd.device.block_erase_counts()
+    # The sweep itself: adopting summaries reports — and vouches for the
+    # seals of — exactly the pages a scan of every block verifies.
+    checkpointed = sweep_oob(simulate_power_loss(ssd))
+    with monkeypatch.context() as patch:
+        patch.setattr(checkpoint, "load_latest_checkpoint", lambda *_args: None)
+        full = sweep_oob(simulate_power_loss(ssd))
+    assert full.summarized_blocks == 0 < checkpointed.summarized_blocks
+    assert checkpointed.user_pages == full.user_pages
+    assert checkpointed.heads == full.heads
+    assert checkpointed.committed == full.committed
+    assert sum(full.committed) == len(full.user_pages) > 0
     simulate_power_loss(ssd)
     stats = rebuild_from_flash(ssd)
     assert mapping_snapshot(ssd) == before

@@ -91,3 +91,38 @@ def test_infinite_cache_never_counts_traffic():
         amt.lookup(lpa)
     assert amt.translation_reads == 0
     assert amt.translation_writes == 0
+
+
+@pytest.mark.parametrize("cache_entries", [None, 4])
+def test_load_is_update_without_cache_traffic(cache_entries):
+    """``load`` leaves the table ``update`` would leave and nothing else:
+    a mount is not host traffic, so the demand cache stays cold and clean
+    and no translation I/O is counted."""
+    heads = {lpa: (1000 + lpa, 7 * lpa + 1) for lpa in (0, 3, 9, 15, 4)}
+    updated = AddressMappingTable(16, cache_entries)
+    for lpa, (_ts, ppa) in heads.items():
+        updated.update(lpa, ppa)
+    # What going through ``update`` bills: a miss per entry, and a
+    # write-back for the one a four-entry cache had to evict.
+    billed = (len(heads), 1) if cache_entries else (0, 0)
+    assert (updated.translation_reads, updated.translation_writes) == billed
+    loaded = AddressMappingTable(16, cache_entries)
+    loaded.update(5, 99)  # an entry load does not name stays put
+    loaded.load(heads)
+    assert [loaded.lookup(lpa) for lpa in heads] == [
+        updated.lookup(lpa) for lpa in heads
+    ]
+    assert loaded.mapped_count() == len(heads) + 1
+
+    fresh = AddressMappingTable(16, cache_entries)
+    fresh.load(heads)
+    assert (fresh.translation_reads, fresh.translation_writes) == (0, 0)
+    assert not fresh._dirty and not fresh._cache
+
+    # Out of range anywhere in the batch: nothing is written.
+    for bad in (16, -1):
+        with pytest.raises(AddressError):
+            fresh.load({1: (5, 50), bad: (6, 60), 2: (7, 70)})
+        assert not fresh.is_mapped(1) and not fresh.is_mapped(2)
+    fresh.load({})
+    assert fresh.mapped_count() == len(heads)

@@ -1,7 +1,7 @@
 """Property-based tests on the time-segmented bloom chain."""
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.common.clock import SimClock
 from repro.timessd.bloom import TimeSegmentedBlooms
@@ -84,3 +84,61 @@ def test_floor_always_respected_by_can_drop(events, floor):
         # least the floor.
         assert clock.now_us - live[1].created_us >= floor
         blooms.drop_oldest()
+
+
+def _chain_state(blooms):
+    return [
+        (
+            segment.segment_id,
+            segment.created_us,
+            segment.sealed_us,
+            segment.bloom.count,
+            bytes(segment.bloom._bits),
+        )
+        for segment in blooms._segments
+    ]
+
+
+@given(
+    batches=st.lists(
+        st.lists(st.integers(min_value=0, max_value=4095), max_size=120),
+        min_size=1,
+        max_size=4,
+    ),
+    capacity=st.integers(2, 12),
+    group=st.sampled_from([1, 4, 16]),
+    # None: segments roll over when full only.  Otherwise the active
+    # segment is already older than this when each batch arrives, so the
+    # first page of a batch also rolls it over by age.
+    max_age_us=st.sampled_from([None, 1, 1000]),
+)
+# A group re-invalidated after the filter it was added to rolled over —
+# full, then aged — must be added again to the new one.
+@example(batches=[[0, 1, 2, 0]], capacity=2, group=1, max_age_us=None)
+@example(batches=[[5, 5]], capacity=8, group=1, max_age_us=1000)
+@settings(max_examples=80, deadline=None)
+def test_batch_recording_is_the_per_page_sequence(batches, capacity, group, max_age_us):
+    """``record_invalidations`` skips only probes whose answer it holds:
+    twin chains fed page by page and batch by batch agree on segment ids,
+    ``count``s, seal times and every filter bit — through several
+    roll-overs, where one wrongly skipped (or wrongly made) ``add`` would
+    shift every later segment boundary."""
+    chains = []
+    for batched in (False, True):
+        clock = SimClock()
+        blooms = TimeSegmentedBlooms(
+            clock,
+            capacity_per_filter=capacity,
+            group_size=group,
+            seed=5,
+            max_segment_age_us=max_age_us,
+        )
+        for ppas in batches:
+            clock.advance(2000)
+            if batched:
+                blooms.record_invalidations(ppas)
+            else:
+                for ppa in ppas:
+                    blooms.record_invalidation(ppa)
+        chains.append(_chain_state(blooms))
+    assert chains[0] == chains[1]

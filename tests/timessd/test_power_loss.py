@@ -121,24 +121,98 @@ def test_gc_still_works_after_recovery():
     assert report.clean, report.violations
 
 
-def test_reachable_reference_timestamps_mirror_the_chain_walk():
-    """Recovery's untimed reference-chain walk reads the OOB columns
-    directly; it must reach exactly the versions the timed
-    ``walk_data_chain`` reaches from the same head — on a churned device
-    where GC has broken some chains and compression has marked others."""
+def _assert_reachable_mirrors_walk(ssd, committed_columns):
+    """Recovery's column walk reaches what the timed walk reaches, for
+    every mapped LPA and under every ``committed`` given; returns
+    ``{lpa: [chain ppas, head first]}``."""
     from repro.timessd.recovery import _reachable_data_ts
 
-    ssd, _state, _history = churned_device()
     core = ssd.device.core
-    assert _reachable_data_ts(ssd, 0, None) == set()
-    walked = chained = 0
+    chains = {}
     for lpa in ssd.mapping.mapped_lpas():
         head = ssd.mapping.lookup(lpa)
         walk = ssd.index.walk_data_chain(lpa, head, ssd.clock.now_us)
         expected = {oob.timestamp_us for _ppa, oob, _data in walk.entries}
-        assert _reachable_data_ts(ssd, lpa, (core.timestamp_us[head], head)) == expected
-        walked += 1
-        chained += len(expected) > 1
-    assert walked > 50 and chained > 10
+        for committed in committed_columns:
+            got = _reachable_data_ts(
+                ssd, lpa, (core.timestamp_us[head], head), committed
+            )
+            assert got == expected, lpa
+        chains[lpa] = [ppa for ppa, _oob, _data in walk.entries]
+    return chains
+
+
+def _power_cycle_keeping_the_sweep(ssd, monkeypatch):
+    """Power-cycle ``ssd``; returns the :class:`OOBSweep` recovery used."""
+    from repro.timessd import recovery
+
+    sweeps = []
+
+    def recording_sweep(*args, **kwargs):
+        sweeps.append(recovery_sweep(*args, **kwargs))
+        return sweeps[-1]
+
+    recovery_sweep = recovery.sweep_oob
+    monkeypatch.setattr(recovery, "sweep_oob", recording_sweep)
+    simulate_power_loss(ssd)
+    rebuild_from_flash(ssd)
+    monkeypatch.undo()
+    (sweep,) = sweeps
+    return sweep
+
+
+def test_reachable_reference_timestamps_mirror_the_chain_walk(monkeypatch):
+    """Recovery's untimed reference-chain walk reads the OOB columns
+    directly; it must reach exactly the versions the timed
+    ``walk_data_chain`` reaches from the same head — on a churned device
+    where GC has broken some chains and compression has marked others —
+    whether a hop's seal is vouched for by the sweep's ``committed``
+    column or checked on the spot."""
+    from repro.timessd.recovery import _reachable_data_ts
+
+    ssd, _state, _history = churned_device()
+    core = ssd.device.core
+    geo = ssd.device.geometry
+    nobody = bytearray(geo.total_pages)  # pure fallback: every hop checked
+    assert _reachable_data_ts(ssd, 0, None, nobody) == set()
+    chains = _assert_reachable_mirrors_walk(ssd, [nobody])
+    assert len(chains) > 50
+    assert sum(len(chain) > 1 for chain in chains.values()) > 10
     with pytest.raises(AddressError):  # the bounds check peek_page made
-        _reachable_data_ts(ssd, 0, (0, ssd.device.geometry.total_pages))
+        _reachable_data_ts(ssd, 0, (0, geo.total_pages), nobody)
+
+    # The sweep's own column: the same sets, with the seal checks it
+    # already made skipped.
+    sweep = _power_cycle_keeping_the_sweep(ssd, monkeypatch)
+    assert sum(sweep.committed) == len(sweep.user_pages) > len(chains)
+    chains = _assert_reachable_mirrors_walk(ssd, [nobody, sweep.committed])
+    long_chains = sorted(
+        (lpa, chain) for lpa, chain in chains.items() if len(chain) > 2
+    )
+    assert len(long_chains) > 4
+
+    # A hop holding what a torn program leaves (right LPA, older stamp,
+    # mismatched seal) ends the walk, whoever is asked about the seal.
+    torn_lpa, torn_chain = long_chains[0]
+    torn_hop = torn_chain[1]
+    core.seq_tag[torn_hop] ^= 1
+    torn_head = torn_chain[0]
+    assert _reachable_data_ts(
+        ssd, torn_lpa, (core.timestamp_us[torn_head], torn_head), nobody
+    ) == {core.timestamp_us[torn_head]}
+    # A hop into a grown-bad block is still followed — the sweep retires
+    # the block without reporting its pages, the timed walk enters it.
+    retired_lpa, retired_chain = next(
+        (lpa, chain)
+        for lpa, chain in long_chains[1:]
+        if geo.block_of_page(chain[1])
+        not in {geo.block_of_page(ppa) for ppa in [chain[0]] + torn_chain[:2]}
+    )
+    retired_hop = retired_chain[1]
+    core.failed[geo.block_of_page(retired_hop)] = 1
+    sweep = _power_cycle_keeping_the_sweep(ssd, monkeypatch)
+    assert not sweep.committed[torn_hop] and not sweep.committed[retired_hop]
+    assert sweep.failed_blocks == 1 and sweep.torn_pages >= 1
+    chains = _assert_reachable_mirrors_walk(ssd, [nobody, sweep.committed])
+    assert chains[torn_lpa] == torn_chain[:1]
+    assert chains[retired_lpa][:2] == retired_chain[:2]
