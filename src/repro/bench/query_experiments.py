@@ -6,6 +6,15 @@ representative TimeKits calls the paper times:
 * ``TimeQuery`` (state since one day ago) — a full device scan, seconds;
 * ``AddrQueryAll`` on one random LPA — a few page reads, milliseconds;
 * ``RollBack`` of that LPA to one day ago — reads plus one write.
+
+``time_query_s`` is page reads and nothing else, as in the paper's
+Table 3: every LPA with history costs its data-page chain hops, every
+flushed delta page is read once per command however many LPAs have a
+record in it, and no delta is decompressed because the answer carries
+timestamps, which sit in the delta-page header.  ``scanned_lpas`` is how
+many chains the scan walked, so a reader (and
+``benchmarks/test_table3_queries.py``) can hold the time against the
+floor of one read per LPA spread over every flash lane.
 """
 
 import random
@@ -26,6 +35,7 @@ class QueryTimings:
     time_query_s: float
     addr_query_all_ms: float
     rollback_ms: float
+    scanned_lpas: int
 
 
 def _warm_device(source, volume, usage=0.5, days=7, seed=1):
@@ -45,6 +55,7 @@ def run_volume_queries(source, volume, usage=0.5, days=7, seed=1, threads=8):
     rng = random.Random(seed)
     day_ago = max(0, ssd.clock.now_us - DAY_US)
 
+    scanned = ssd.mapping.mapped_count() + len(ssd.unmapped_lpas_with_history())
     tq = kits.time_query(day_ago, threads=threads)
 
     # Pick an LPA that actually has history (hot region).
@@ -57,6 +68,7 @@ def run_volume_queries(source, volume, usage=0.5, days=7, seed=1, threads=8):
         time_query_s=tq.elapsed_us / SECOND_US,
         addr_query_all_ms=aq.elapsed_us / MS_US,
         rollback_ms=rb.elapsed_us / MS_US,
+        scanned_lpas=scanned,
     )
 
 

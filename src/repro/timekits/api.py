@@ -78,28 +78,51 @@ class TimeKits:
 
         The address queries and the rollbacks carry page bytes and keep
         ``payloads=True``.  The time queries answer with LPAs and
-        timestamps only and pass ``False``: the same walk and the same
-        simulated cost, every ``Version.data`` ``None`` (see
+        timestamps only and pass ``False``: the same page reads, no
+        decompression, every ``Version.data`` ``None`` (see
         :meth:`TimeSSD.version_chain`).
+
+        One call is one vendor command, and the controller buffers the
+        delta pages a command fetches: neighbouring LPAs' deltas are
+        packed into the same pages, so every walk of the call is handed
+        the same ``delta_pages`` set and each page is read at most once.
+        The set dies with the call.
         """
         if threads < 1:
             raise QueryError("threads must be >= 1")
-        start = self.ssd.clock.now_us
-        reads_before = self.ssd.device.counters.page_reads
+        ssd = self.ssd
+        counters = ssd.device.counters
+        start = ssd.clock.now_us
+        reads_before = counters.page_reads
+        decompressed_before = counters.delta_decompressions
+        passed_before = ssd.deltas_passed
+        delta_pages = set()
         cursors = [start] * threads
         chains = {}
         for i, lpa in enumerate(lpas):
             k = i % threads
-            versions, complete = self.ssd.version_chain(
-                lpa, cursors[k], until_ts=until_ts, payloads=payloads
+            versions, complete = ssd.version_chain(
+                lpa,
+                cursors[k],
+                until_ts=until_ts,
+                payloads=payloads,
+                delta_pages=delta_pages,
             )
             cursors[k] = complete
             chains[lpa] = versions
         end = max(cursors) if cursors else start
-        self.ssd.clock.advance_to(end)
-        self._last_pages_touched = (
-            self.ssd.device.counters.page_reads - reads_before
+        ssd.clock.advance_to(end)
+        self._last_pages_touched = counters.page_reads - reads_before
+        metrics = ssd.obs.metrics
+        metrics.counter("timekits.walk.deltas_passed").inc(
+            ssd.deltas_passed - passed_before
         )
+        metrics.counter("timekits.walk.deltas_decompressed").inc(
+            counters.delta_decompressions - decompressed_before
+        )
+        metrics.counter("timekits.walk.delta_pages_read").inc(len(delta_pages))
+        buffered = metrics.gauge("timekits.walk.delta_pages_buffered")
+        buffered.set(max(buffered.value, len(delta_pages)))
         return chains, end - start
 
     def restore_many(self, pairs, threads=1):

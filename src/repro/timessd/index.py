@@ -173,26 +173,33 @@ class TimeTravelIndex:
 
     # --- Delta chain ------------------------------------------------------------
 
-    def walk_delta_chain(self, lpa: Lba, now_us: TimeUs, until_ts=None):
+    def walk_delta_chain(
+        self, lpa: Lba, now_us: TimeUs, until_ts=None, delta_pages=None
+    ):
         """Follow the delta chain from the IMT head; returns a ChainWalk.
 
         Entries are live :class:`DeltaRecord` objects, newest first.
-        Hopping into a flushed delta page costs one flash read (cached
-        within the walk — several deltas of one LPA often share a page);
-        RAM-buffered records cost nothing.  ``until_ts`` stops the walk
-        at the first record written at or before it.
+        Hopping into a flushed delta page costs one flash read unless the
+        page is already in ``delta_pages``, the set of delta pages the
+        controller holds buffered, which every fetched page joins —
+        several deltas of one LPA, and of neighbouring LPAs, often share
+        a page.  The caller that owns the set decides how long the buffer
+        lives; ``None`` means this walk alone.  RAM-buffered records cost
+        nothing.  ``until_ts`` stops the walk at the first record written
+        at or before it.
         """
         entries = []
         t = now_us
-        pages_read = set()
+        if delta_pages is None:
+            delta_pages = set()
         record = self._imt.get(lpa)
         while record is not None:
             if record.dropped:
                 break
-            if record.flash_ppa is not None and record.flash_ppa not in pages_read:
+            if record.flash_ppa is not None and record.flash_ppa not in delta_pages:
                 result = self._read(record.flash_ppa, t)
                 t = result.complete_us
-                pages_read.add(record.flash_ppa)
+                delta_pages.add(record.flash_ppa)
             entries.append(record)
             if until_ts is not None and record.version_ts <= until_ts:
                 break

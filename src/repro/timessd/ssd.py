@@ -86,6 +86,8 @@ class TimeSSD(BaseSSD):
         self.retained_pages = 0
         self.background_compressed = 0
         self.background_windows = 0
+        #: Delta records every :meth:`version_chain` walk has stepped over.
+        self.deltas_passed = 0
         metrics = self.obs.metrics
         self._m_shrinks = metrics.counter("timessd.retention.shrinks")
         self._m_expired = metrics.counter("timessd.expire.pages")
@@ -446,7 +448,12 @@ class TimeSSD(BaseSSD):
         return sorted(lpa for lpa in candidates if not is_mapped(lpa))
 
     def version_chain(
-        self, lpa: Lba, start_us: TimeUs = None, until_ts=None, payloads=True
+        self,
+        lpa: Lba,
+        start_us: TimeUs = None,
+        until_ts=None,
+        payloads=True,
+        delta_pages=None,
     ):
         """All retrievable versions of ``lpa``, newest first.
 
@@ -462,10 +469,19 @@ class TimeSSD(BaseSSD):
         not reach that far back.
 
         ``payloads=False`` is the walk of a query that answers with
-        timestamps only: the same reads, the same billed decompression
-        and the same ``(timestamp_us, source)`` list, but the host never
-        opens or decodes a retained payload and every ``Version.data``
-        — data-page entries included — is ``None``.
+        timestamps only: the same page reads and the same
+        ``(timestamp_us, source)`` list, but no retained payload is
+        opened or decompressed — a delta's timestamp sits in the header
+        of the delta page the walk has just read, and the paper's Table 3
+        prices TimeQuery as a scan of flash reads — so nothing is billed
+        ``delta_decompress_us`` and every ``Version.data`` — data-page
+        entries included — is ``None``.
+
+        ``delta_pages`` is the set of flushed delta pages already in the
+        controller's buffer: a page in it costs no read, a page the walk
+        fetches joins it.  :meth:`TimeKits.walk_many` hands one set to
+        every walk of a vendor command; left ``None`` the buffer lives
+        for this walk alone.
         """
         if self.retention_lock is not None and not self.retention_lock.unlocked:
             # §3.10: with a retention key configured, history retrieval
@@ -499,10 +515,14 @@ class TimeSSD(BaseSSD):
             and versions[-1].timestamp_us <= until_ts
         ):
             # The data-page chain already reached the target time.
+            self._h_query_chain.record(len(versions))
             return versions, t
 
-        delta_walk = self.index.walk_delta_chain(lpa, t, until_ts=until_ts)
+        delta_walk = self.index.walk_delta_chain(
+            lpa, t, until_ts=until_ts, delta_pages=delta_pages
+        )
         t = delta_walk.complete_us
+        self.deltas_passed += len(delta_walk.entries)
         timing = self.device.timing
         for record in delta_walk.entries:
             if record.version_ts in by_ts:
@@ -516,9 +536,9 @@ class TimeSSD(BaseSSD):
                     data = self.deltas.codec.decompress(
                         data, by_ts.get(record.ref_ts)
                     )
-            if record.compressed:
-                # The modelled firmware decompresses every delta it walks
-                # past, whether or not the host is handed the bytes.
+            if record.compressed and payloads:
+                # Only a walk that hands out bytes runs the decompressor;
+                # a stamp-only walk has the timestamp from the page read.
                 self.device.counters.delta_decompressions += 1
                 channel = (
                     self.device.geometry.channel_of_page(record.flash_ppa)

@@ -427,15 +427,20 @@ FIRMWARE_MUTATIONS = (
         "tests/obs/test_device_metrics.py"
         "::TestGCAccounting::test_gc_run_counters_match_properties",
     ),
-    # --- the stamp-only TimeKits walk (PR 20) ----------------------------------
+    # --- the TimeKits walk: stamp-only (PR 20), one read per delta page --------
     (
-        "timessd/ssd.py",  # a time query billed no decompression for what it walks
-        "            if record.compressed:\n"
-        "                # The modelled firmware decompresses",
-        "            if record.compressed and payloads:\n"
-        "                # The modelled firmware decompresses",
+        "timessd/ssd.py",  # a time query billed a decompressor it never runs
+        "            if record.compressed and payloads:\n",
+        "            if record.compressed:\n",
         "tests/timessd/test_timessd.py"
-        "::test_stamp_only_walk_bills_what_the_full_walk_bills",
+        "::test_stamp_only_walk_reads_what_the_full_walk_reads_never_decompresses",
+    ),
+    (
+        "timekits/api.py",  # every LPA of a command re-reading the same delta page
+        "                delta_pages=delta_pages,\n",
+        "",
+        "tests/timekits/test_api.py"
+        "::TestAddrQueries::test_one_command_reads_a_shared_delta_page_once",
     ),
     (
         "timekits/api.py",  # a trimmed LPA's writes missing from the chronology

@@ -154,6 +154,10 @@ class TestTimeSSDCounters:
         hist = ssd.obs.metrics.get("timessd.chain.length")
         assert hist.count == 1
         assert hist.max_us == 3  # chain length, not a latency
+        # An AddrQuery early stop on the data-page chain is a walk too.
+        versions, _ = ssd.version_chain(5, until_ts=ssd.clock.now_us)
+        assert len(versions) == 1
+        assert (hist.count, hist.total_us) == (2, 4)
 
 
 class TestNVMeMetrics:

@@ -92,6 +92,55 @@ class TestAddrQueries:
             k: [v.timestamp_us for v in vs] for k, vs in parallel.value.items()
         }
 
+    def test_one_command_reads_a_shared_delta_page_once(self):
+        """Neighbouring LPAs' deltas are packed into the same flushed
+        pages.  One vendor command buffers what it fetches; the buffer
+        dies with the command and a bare ``version_chain`` has its own."""
+        ssd = make_timessd(
+            geometry=small_geometry(blocks_per_plane=32),
+            content_mode=ContentMode.REAL,
+            retention_floor_us=3600 * SECOND_US,
+        )
+        churn_real_content(ssd, ssd.logical_pages // 3, 2000)
+        kit = TimeKits(ssd)
+        owners = {}  # flushed delta page -> LPAs with a record in it
+        for lpa in ssd.index.delta_head_lpas():
+            record = ssd.index.delta_head(lpa)
+            while record is not None and not record.dropped:
+                if record.flash_ppa is not None:
+                    owners.setdefault(record.flash_ppa, set()).add(lpa)
+                record = record.back
+        shared, lpas = max(owners.items(), key=lambda item: (len(item[1]), item[0]))
+        assert len(lpas) >= 2
+        addr, cnt = min(lpas), max(lpas) - min(lpas) + 1
+
+        reads = []
+        read = ssd.index._read
+
+        def counting_read(ppa, t):
+            reads.append(ppa)
+            return read(ppa, t)
+
+        ssd.index._read = counting_read
+        alone = {lpa: ssd.version_chain(lpa)[0] for lpa in range(addr, addr + cnt)}
+        assert reads.count(shared) == len(lpas)
+
+        now = ssd.clock.now_us
+        for command in (1, 2):
+            del reads[:]
+            result = kit.addr_query_range(addr, cnt, 0, now)
+            assert result.value == alone
+            assert reads.count(shared) == 1
+            delta_reads = [ppa for ppa in reads if ppa in owners]
+            assert len(delta_reads) == len(set(delta_reads))
+            snapshot = ssd.metrics_snapshot()
+            assert snapshot["counters"]["timekits.walk.delta_pages_read"] == (
+                command * len(delta_reads)
+            )
+            assert snapshot["gauges"]["timekits.walk.delta_pages_buffered"] == len(
+                delta_reads
+            )
+
 
 class TestTimeQueries:
     def test_time_query_finds_recent_updates(self, kit):
@@ -161,7 +210,8 @@ class TestTimeQueries:
 
     def test_time_queries_never_run_the_codec(self, monkeypatch):
         """A time query answers with stamps: it decodes no retained
-        payload, yet returns and bills what the decoding walk would."""
+        payload, so its answer and latency are those of a twin whose
+        codec and lock would raise if touched."""
 
         key = b"correct horse battery staple"
 

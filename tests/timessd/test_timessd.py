@@ -230,9 +230,10 @@ class TestAccounting:
         assert ssd.gc_runs > 0
 
 
-def test_stamp_only_walk_bills_what_the_full_walk_bills():
-    """``payloads=False`` is the same walk: same versions, same finish
-    time, same device counters and metrics — it only hands out no bytes."""
+def test_stamp_only_walk_reads_what_the_full_walk_reads_never_decompresses():
+    """``payloads=False`` is the same walk over the same pages: same
+    versions, same sources, same page reads.  It hands out no bytes, so
+    it runs no decompressor and finishes no later than the full walk."""
 
     def twin():
         ssd = make_timessd(
@@ -248,6 +249,7 @@ def test_stamp_only_walk_bills_what_the_full_walk_bills():
     with_deltas = sorted(full.index.delta_head_lpas())
     assert with_deltas
     decompressions = full.device.counters.delta_decompressions
+    faster = 0
     for lpa in with_deltas:
         for until_ts in (None, history[lpa][len(history[lpa]) // 2]):
             got, got_us = stamp_only.version_chain(
@@ -257,9 +259,15 @@ def test_stamp_only_walk_bills_what_the_full_walk_bills():
             assert [(v.timestamp_us, v.source) for v in got] == [
                 (v.timestamp_us, v.source) for v in want
             ]
-            assert got_us == want_us
+            assert got_us <= want_us
+            faster += got_us < want_us
             assert all(v.data is None for v in got)
             assert all(v.data is not None for v in want)
+    assert faster
     assert full.device.counters.delta_decompressions > decompressions
-    assert stamp_only.device.counters.snapshot() == full.device.counters.snapshot()
-    assert stamp_only.metrics_snapshot() == full.metrics_snapshot()
+    assert stamp_only.device.counters.delta_decompressions == decompressions
+    assert stamp_only.device.counters.page_reads == full.device.counters.page_reads
+    assert (
+        stamp_only.metrics_snapshot()["histograms"]["timessd.chain.length"]
+        == full.metrics_snapshot()["histograms"]["timessd.chain.length"]
+    )
