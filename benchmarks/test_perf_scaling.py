@@ -2,21 +2,17 @@
 
 ROADMAP item 2's acceptance run.  The seed's object-per-page flash
 array topped out around 48 MiB; the columnar core must drive a device
-ten times that size through the canonical churn workload on a CI
-budget, and checkpointed ``rebuild_from_flash`` must scan under 25% of
-the blocks a full OOB sweep would visit.
+ten times that size through the canonical churn workload (the CI
+step's timeout bounds the run), and checkpointed
+``rebuild_from_flash`` must scan under 25% of the blocks a full OOB
+sweep would visit.
 """
 
 import random
-import time
 
 from repro.flash.geometry import FlashGeometry
 from repro.ftl.recovery import rebuild_from_flash, simulate_power_loss
 from repro.ftl.ssd import RegularSSD, SSDConfig
-
-#: Wall-clock ceiling for workload + crash + recovery, generous enough
-#: for a loaded CI runner (a warm local run takes a small fraction).
-BUDGET_S = 240.0
 
 GIB = 1024**3
 
@@ -29,7 +25,6 @@ def big_geometry():
 
 
 def test_10x_device_checkpointed_recovery():
-    t0 = time.perf_counter()  # almanac: ignore[determinism-wallclock]
     geometry = big_geometry()
     assert geometry.raw_capacity_bytes >= GIB // 2
 
@@ -57,10 +52,7 @@ def test_10x_device_checkpointed_recovery():
     }
 
     simulate_power_loss(ssd)
-    t_recover = time.perf_counter()  # almanac: ignore[determinism-wallclock]
     stats = rebuild_from_flash(ssd)
-    t_done = time.perf_counter()  # almanac: ignore[determinism-wallclock]
-    recovery_s = t_done - t_recover
 
     # Exact equivalence with the full scan, at a fraction of the work.
     mapping_after = {
@@ -74,7 +66,7 @@ def test_10x_device_checkpointed_recovery():
     scan_fraction = stats["scanned_blocks"] / full_scan_blocks
     print(
         "\n10x geometry: %.2f GiB raw, %d blocks; recovery scanned "
-        "%d/%d blocks (%.1f%%), %d from checkpoint seq %s, in %.2fs"
+        "%d/%d blocks (%.1f%%), %d from checkpoint seq %s"
         % (
             geometry.raw_capacity_bytes / GIB,
             geometry.total_blocks,
@@ -83,7 +75,6 @@ def test_10x_device_checkpointed_recovery():
             100 * scan_fraction,
             stats["summarized_blocks"],
             stats["checkpoint_seq"],
-            recovery_s,
         )
     )
     assert scan_fraction < 0.25
@@ -92,8 +83,3 @@ def test_10x_device_checkpointed_recovery():
     for lpa in range(64):
         ssd.write(lpa)
         ssd.clock.advance(300)
-
-    t_end = time.perf_counter()  # almanac: ignore[determinism-wallclock]
-    elapsed = t_end - t0
-    print("total wall-clock: %.1fs (budget %.0fs)" % (elapsed, BUDGET_S))
-    assert elapsed < BUDGET_S

@@ -1,15 +1,13 @@
-"""Machine-readable metrics snapshots: ``BENCH_pr<N>.json`` and the CLI demo.
+"""Machine-readable metrics snapshots: the committed bench snapshot and the CLI demo.
 
 The bench smoke workload replays the same seeded churn on both devices
 and serializes their :meth:`~repro.ftl.ssd.BaseSSD.metrics_snapshot`
-output.  The simulation payload is derived from sim time and an
-explicit seed, so two runs of the same seed produce an identical
-``devices`` tree — the perf trajectory can diff files across commits,
-not just eyeball numbers.  One deliberately non-deterministic section,
-``harness``, records the wall-clock throughput of the run for the
-cross-PR trajectory; :func:`check_bench_snapshot` compares everything
-*except* that section byte-for-byte (``benchmarks/perf`` is the perf
-gate).
+output.  Every leaf is derived from sim time and an explicit seed, so
+two runs of the same seed produce an identical file:
+:func:`check_bench_snapshot` compares the whole of
+:data:`BENCH_SNAPSHOT` against a fresh run, and ``git log -p`` on it is
+the behaviour trajectory.  Nothing here reads a wall clock; host speed
+is measured by the ledger under ``benchmarks/perf``.
 """
 
 import json
@@ -25,22 +23,8 @@ from repro.timessd.ssd import TimeSSD
 #: Schema tag: bump only when the JSON layout changes incompatibly.
 SCHEMA = "almanac-metrics/1"
 
-
-def newest_bench_file(root="."):
-    """Path of the newest committed ``BENCH_pr<N>.json`` under ``root``.
-
-    The perf ratchet's baseline is whatever snapshot the latest PR
-    committed, found by the same discovery ``repro metrics --history``
-    uses — a new PR commits its file and the ratchet follows.
-    """
-    from repro.bench.history import find_bench_files  # imports this module
-
-    found = find_bench_files(root)
-    if not found:
-        raise FileNotFoundError(
-            "no committed BENCH_pr<N>.json under %r; pass an explicit path" % root
-        )
-    return found[-1][1]
+#: The one committed bench snapshot, relative to the repository root.
+BENCH_SNAPSHOT = "benchmarks/results/bench_smoke.json"
 
 
 def churn(ssd, writes, seed, working_fraction=0.5, gap_us=1500):
@@ -241,79 +225,42 @@ def reliability_smoke_snapshot(seed=1, writes=360):
     }
 
 
-def _timed_smoke(seed, writes):
-    """Run the smoke workload under a wall clock; returns (result, harness).
-
-    The harness section is the one place the bench layer reads real
-    time: it measures how fast the *simulator* runs, which sim time by
-    construction cannot see.  It never feeds back into the simulation.
-    """
-    import time
-
-    t0 = time.perf_counter()  # almanac: ignore[determinism-wallclock]
-    result = bench_smoke_snapshots(seed=seed, writes=writes)
-    elapsed = time.perf_counter() - t0  # almanac: ignore[determinism-wallclock]
-    ops = 2 * writes  # churn phase ops, both devices
-    harness = {
-        "elapsed_s": round(elapsed, 3),
-        "ops_per_sec": round(ops / elapsed, 1) if elapsed > 0 else 0.0,
-    }
-    return result, harness
-
-
-def deterministic_payload(result):
-    """The snapshot minus its wall-clock section (the comparable part)."""
-    return {k: v for k, v in result.items() if k != "harness"}
-
-
 def to_canonical_json(result, indent=2):
     """Stable rendering: sorted keys, fixed separators, trailing newline."""
     return json.dumps(result, sort_keys=True, indent=indent) + "\n"
 
 
-def write_bench_json(path=None, seed=1, writes=1500):
-    """Emit the bench snapshot; returns the path written.
-
-    ``path`` defaults to the newest committed ``BENCH_pr<N>.json``
-    (refresh in place); a PR adding its own snapshot passes the new name.
-    """
-    path = path or newest_bench_file()
-    result, harness = _timed_smoke(seed, writes)
-    result["harness"] = harness
+def write_bench_json(path=BENCH_SNAPSHOT, seed=1, writes=1500):
+    """Run the bench smoke workload and write it to ``path``; returns the path."""
     with open(path, "w") as fh:
-        fh.write(to_canonical_json(result))
+        fh.write(to_canonical_json(bench_smoke_snapshots(seed=seed, writes=writes)))
     return path
 
 
-def check_bench_snapshot(path=None, seed=1, writes=1500):
+def check_bench_snapshot(path=BENCH_SNAPSHOT, seed=1, writes=1500):
     """Regenerate the snapshot and diff it against the committed file.
 
-    ``path`` defaults to the newest committed ``BENCH_pr<N>.json``.
     Returns a list of problem strings; empty means the committed file is
-    current.  Two checks: the schema tag matches and the deterministic
-    payload is identical (any simulator behaviour change must re-commit
-    the snapshot).
+    current.  Two checks: the schema tag matches and the whole file is
+    identical to a fresh run (any simulator behaviour change must
+    re-commit the snapshot).
     """
     try:
-        path = path or newest_bench_file()
         with open(path, "r", encoding="utf-8") as fh:
             committed = json.load(fh)
     except (OSError, ValueError) as exc:
         return ["cannot read committed snapshot %s: %s" % (path, exc)]
-    problems = []
     if committed.get("schema") != SCHEMA:
-        problems.append(
+        return [
             "schema mismatch: committed %r, analyzer expects %r"
             % (committed.get("schema"), SCHEMA)
-        )
-        return problems
+        ]
     fresh = bench_smoke_snapshots(seed=seed, writes=writes)
     # Round-trip the fresh result through JSON so tuples compare equal
     # to the lists json.load hands back for the committed file.
-    fresh = json.loads(to_canonical_json(fresh))
-    if deterministic_payload(committed) != deterministic_payload(fresh):
-        problems.append(
-            "deterministic payload drifted from %s: simulator behaviour "
-            "changed; regenerate with `repro metrics --bench`" % path
-        )
-    return problems
+    if committed != json.loads(to_canonical_json(fresh)):
+        return [
+            "%s drifted: simulator behaviour changed; regenerate with "
+            "`repro metrics --bench`" % path
+        ]
+    return []

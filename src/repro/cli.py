@@ -14,6 +14,7 @@ Commands:
 """
 
 import argparse
+import os
 import sys
 
 from repro.common.units import SECOND_US, format_duration
@@ -258,24 +259,12 @@ def _cmd_lint(args):
 def _cmd_metrics(args):
     from repro.bench import emit
 
-    if args.history:
-        from repro.bench import history
-
-        rendered = history.render_table(history.trajectory())
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(rendered)
-            print("wrote %s" % args.out)
-        else:
-            print(rendered, end="")
-        return 0
     if args.bench:
-        try:
-            path = args.out or emit.newest_bench_file()
-        except FileNotFoundError as exc:
-            print("bench: %s" % exc)
-            return 2
+        path = args.out or emit.BENCH_SNAPSHOT
         if args.check:
+            if not os.path.isfile(path):
+                print("bench check: no committed snapshot at %s" % path)
+                return 2
             problems = emit.check_bench_snapshot(path=path)
             for problem in problems:
                 print("bench check: %s" % problem)
@@ -284,7 +273,7 @@ def _cmd_metrics(args):
             return 1 if problems else 0
         # The committed snapshot is always the canonical workload
         # (write_bench_json's defaults); --writes/--seed only shape the
-        # demo, else a stray flag would make CI's regeneration drift.
+        # demo, else a stray flag would make the snapshot drift.
         emit.write_bench_json(path=path)
         print("wrote %s" % path)
         return 0
@@ -301,34 +290,6 @@ def _cmd_metrics(args):
         print("wrote %s" % args.out)
     else:
         print(rendered, end="")
-    return 0
-
-
-def _cmd_trace_stats(args):
-    from repro.workloads.analyze import analyze_trace
-
-    source = args.source
-    if source.startswith("msr:") or source.startswith("fiu:"):
-        kind, volume = source.split(":", 1)
-        from repro.workloads.fiu import fiu_trace
-        from repro.workloads.msr import msr_trace
-
-        fn = msr_trace if kind == "msr" else fiu_trace
-        records = list(
-            fn(volume, 16384, days=args.days, seed=1, intensity_scale=args.scale)
-        )
-        print("synthesized %s/%s, %d days:" % (kind, volume, args.days))
-    else:
-        from repro.workloads.io import load_msr_csv, load_trace_csv
-        from repro.common.errors import ReproError
-
-        try:
-            records = load_trace_csv(source)
-            print("native trace %s:" % source)
-        except ReproError:
-            records = load_msr_csv(source)
-            print("MSR-format trace %s:" % source)
-    print(analyze_trace(records).summary())
     return 0
 
 
@@ -429,20 +390,14 @@ def build_parser():
     metrics.add_argument(
         "--bench",
         action="store_true",
-        help="run the bench smoke workload on both devices and write "
-        "--out (default: the newest committed BENCH_pr<N>.json)",
-    )
-    metrics.add_argument(
-        "--history",
-        action="store_true",
-        help="diff every committed BENCH_pr*.json and print the cross-PR "
-        "perf trajectory table",
+        help="run the bench smoke workload on both devices and rewrite "
+        "--out (default: the committed benchmarks/results/bench_smoke.json)",
     )
     metrics.add_argument(
         "--check",
         action="store_true",
-        help="with --bench: verify the committed snapshot instead of "
-        "rewriting it (schema, deterministic payload)",
+        help="with --bench: compare the committed snapshot with a fresh "
+        "run instead of rewriting it",
     )
     metrics.add_argument(
         "--device", choices=("regular", "timessd"), default="timessd"
@@ -457,15 +412,6 @@ def build_parser():
     metrics.add_argument("--out", help="write JSON to a file instead of stdout")
     metrics.set_defaults(fn=_cmd_metrics)
 
-    stats = sub.add_parser("trace-stats", help="characterize a trace")
-    stats.add_argument(
-        "source",
-        help="volume name (e.g. msr:hm, fiu:webmail) or a trace CSV path",
-    )
-    stats.add_argument("--days", type=int, default=7)
-    stats.add_argument("--scale", type=float, default=20.0, help="intensity scale")
-    stats.set_defaults(fn=_cmd_trace_stats)
-
     exp = sub.add_parser("experiment", help="regenerate a paper table/figure")
     exp.add_argument("id", help="experiment id (see `repro list`)")
     exp.add_argument("--days", type=int, default=7, help="trace length (default 7)")
@@ -477,7 +423,10 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "metrics" and args.check and not args.bench:
+        parser.error("metrics --check only checks the bench snapshot; pass --bench")
     return args.fn(args)
 
 

@@ -1,26 +1,7 @@
 """Size and time units used throughout the simulator.
 
 All simulated time is carried as integer microseconds.  All sizes are bytes.
-
-The :func:`typing.NewType` aliases below name the address domains —
-LBAs, PPAs, block ids and timestamps are all plain ``int`` at runtime,
-which is exactly how the paper's OOB back-pointer and reverse-index
-bugs (§3) happen: an LBA stored where a PPA belongs is still just an
-integer.  They are boundary documentation: annotating a parameter with
-one costs nothing at runtime and says which kind of integer a firmware
-signature expects; nothing checks them statically.
 """
-
-from typing import NewType
-
-#: Logical (host-visible) page address.
-Lba = NewType("Lba", int)
-#: Physical (flash) page address.
-Ppa = NewType("Ppa", int)
-#: Physical block address (flat block id).
-BlockId = NewType("BlockId", int)
-#: Simulated time: an instant or duration in integer microseconds.
-TimeUs = NewType("TimeUs", int)
 
 KIB = 1024
 MIB = 1024 * KIB

@@ -11,7 +11,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 from repro.common.errors import EraseFailureError, ProgramFailureError
-from repro.common.units import BlockId, Ppa, TimeUs
 from repro.flash.core import ColumnarFlashArray, verify_seq_tags
 from repro.flash.geometry import FlashGeometry
 from repro.flash.page import Page, _tuple_new
@@ -175,7 +174,7 @@ class FlashDevice:
 
     # --- Functional + timed operations --------------------------------------
 
-    def read_page(self, ppa: Ppa, now_us: TimeUs = 0, retry_step: int = 0):
+    def read_page(self, ppa, now_us=0, retry_step: int = 0):
         """Read a page; returns :class:`ReadResult` with completion time.
 
         Timing: the cell sense occupies the chip, then the data transfer
@@ -230,7 +229,7 @@ class FlashDevice:
             tr.emit("flash-op", "read", complete, ppa=ppa, start_us=int(now_us))
         return _tuple_new(ReadResult, (data, oob, complete, corrected))
 
-    def program_page(self, ppa: Ppa, data, oob, now_us: TimeUs = 0):
+    def program_page(self, ppa, data, oob, now_us=0):
         """Program an erased page; returns the completion time.
 
         Timing: the bus transfer occupies the channel, then the cell
@@ -267,7 +266,7 @@ class FlashDevice:
             tr.emit("flash-op", "program", complete, ppa=ppa, start_us=int(now_us))
         return complete
 
-    def erase_block(self, pba: BlockId, now_us: TimeUs = 0):
+    def erase_block(self, pba, now_us=0):
         """Erase a block; returns the completion time.
 
         Erase occupies only the die — the channel stays free for other
@@ -294,7 +293,7 @@ class FlashDevice:
 
     # --- Untimed peeks (host-side tooling / assertions only) ----------------
 
-    def peek_page(self, ppa: Ppa):
+    def peek_page(self, ppa):
         """Inspect a page without timing or counters: a read-only
         :class:`Page` view for tests and host-side tooling.  Nothing under
         ``src/repro`` calls this — firmware reads the ``core`` columns.
@@ -307,7 +306,7 @@ class FlashDevice:
 
     # --- Bulk OOB sweeps ------------------------------------------------------
 
-    def scan_block_oob(self, pba: BlockId):
+    def scan_block_oob(self, pba):
         """One block's OOB columns as a :class:`BlockOOBScan`.
 
         An OOB sweep models firmware reading only the out-of-band area

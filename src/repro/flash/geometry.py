@@ -10,7 +10,6 @@ round-robin, matching how real FTLs spread load.
 from dataclasses import dataclass
 
 from repro.common.errors import AddressError
-from repro.common.units import BlockId, Ppa
 
 
 @dataclass(frozen=True)
@@ -61,53 +60,53 @@ class FlashGeometry:
 
     # --- Address arithmetic -------------------------------------------------
 
-    def check_ppa(self, ppa: Ppa):
+    def check_ppa(self, ppa):
         if not 0 <= ppa < self.total_pages:
             raise AddressError("PPA %r out of range [0, %d)" % (ppa, self.total_pages))
 
-    def check_pba(self, pba: BlockId):
+    def check_pba(self, pba):
         if not 0 <= pba < self.total_blocks:
             raise AddressError("PBA %r out of range [0, %d)" % (pba, self.total_blocks))
 
-    def locate(self, ppa: Ppa):
+    def locate(self, ppa):
         """``(pba, offset)`` of a PPA from one validated division."""
         if not 0 <= ppa < self.total_pages:
             self.check_ppa(ppa)
         return divmod(ppa, self.pages_per_block)
 
-    def block_of_page(self, ppa: Ppa) -> BlockId:
+    def block_of_page(self, ppa):
         """PBA containing the given PPA."""
         if not 0 <= ppa < self.total_pages:
             self.check_ppa(ppa)
         return ppa // self.pages_per_block
 
-    def page_offset(self, ppa: Ppa):
+    def page_offset(self, ppa):
         """Index of the page within its block."""
         if not 0 <= ppa < self.total_pages:
             self.check_ppa(ppa)
         return ppa % self.pages_per_block
 
-    def first_page_of_block(self, pba: BlockId) -> Ppa:
+    def first_page_of_block(self, pba):
         if not 0 <= pba < self.total_blocks:
             self.check_pba(pba)
         return pba * self.pages_per_block
 
-    def pages_of_block(self, pba: BlockId):
+    def pages_of_block(self, pba):
         """Range of PPAs belonging to block ``pba``."""
         first = self.first_page_of_block(pba)
         return range(first, first + self.pages_per_block)
 
-    def channel_of_block(self, pba: BlockId):
+    def channel_of_block(self, pba):
         if not 0 <= pba < self.total_blocks:
             self.check_pba(pba)
         return pba % self.channels
 
-    def channel_of_page(self, ppa: Ppa):
+    def channel_of_page(self, ppa):
         if not 0 <= ppa < self.total_pages:
             self.check_ppa(ppa)
         return ppa // self.pages_per_block % self.channels
 
-    def chip_of_block(self, pba: BlockId):
+    def chip_of_block(self, pba):
         """(channel, chip) coordinates of a block."""
         if not 0 <= pba < self.total_blocks:
             self.check_pba(pba)

@@ -11,7 +11,6 @@ from collections import deque
 
 from repro.common.atomic import atomic_section
 from repro.common.errors import AddressError, DeviceFullError
-from repro.common.units import BlockId, Ppa, TimeUs
 
 
 class BlockKind(enum.Enum):
@@ -102,7 +101,7 @@ class BlockManager:
         "in between, the block belongs to nobody (valid-page guard "
         "raises before any mutation)"
     )
-    def release_block(self, pba: BlockId):
+    def release_block(self, pba):
         """Return an erased block to the free pool — or retire it.
 
         With a configured endurance budget, a block that has used up its
@@ -129,7 +128,7 @@ class BlockManager:
         self._free[channel].append(pba)
         self._free_count += 1
 
-    def claim_block(self, pba: BlockId, kind=BlockKind.DATA):
+    def claim_block(self, pba, kind=BlockKind.DATA):
         """Remove an occupied block from a fresh manager's free pool.
 
         Crash recovery builds a new :class:`BlockManager` (all blocks
@@ -143,7 +142,7 @@ class BlockManager:
         self._free_count -= 1
         self.set_kind(pba, kind)
 
-    def condemn_block(self, pba: BlockId):
+    def condemn_block(self, pba):
         """Stop appending to a block that grew a bad page (program failed).
 
         The block keeps its kind and valid pages; GC will migrate them
@@ -156,7 +155,7 @@ class BlockManager:
         "pool removal, validity clear and RETIRED marking commit "
         "together; a half-retired block could be re-allocated"
     )
-    def retire_failed_block(self, pba: BlockId):
+    def retire_failed_block(self, pba):
         """Take a known-bad block out of service immediately.
 
         Used by crash recovery when the media says ``failed`` but the
@@ -179,7 +178,7 @@ class BlockManager:
         info.kind = BlockKind.RETIRED
         self.retired_blocks += 1
 
-    def seal_block(self, pba: BlockId):
+    def seal_block(self, pba):
         """Mark a partial block as never-to-be-appended (GC may claim it)."""
         self._info[pba].sealed = True
         self._forget_active(pba)
@@ -202,7 +201,7 @@ class BlockManager:
         StreamId.DELTA: (BlockKind.DELTA, False),
     }
 
-    def allocate_page(self, stream) -> Ppa:
+    def allocate_page(self, stream):
         """Next writable PPA for ``stream``, opening a new block if needed."""
         kind, striped = self._STREAM_LAYOUT[stream]
         return self.allocate_page_keyed(stream, kind, striped)
@@ -214,7 +213,7 @@ class BlockManager:
         restores_state=True,  # DeviceFullError escapes with only the
         # round-robin cursor advanced — no block claimed, no slot filled
     )
-    def allocate_page_keyed(self, key, kind, striped=False) -> Ppa:
+    def allocate_page_keyed(self, key, kind, striped=False):
         """Like :meth:`allocate_page` but for a dynamic stream ``key``.
 
         TimeSSD uses one (unstriped) stream per bloom-filter time segment
@@ -293,7 +292,7 @@ class BlockManager:
 
     # --- Validity tracking (PVT) ---------------------------------------------
 
-    def mark_valid(self, ppa: Ppa):
+    def mark_valid(self, ppa):
         if not 0 <= ppa < self._core.total_pages:
             self._geo.check_ppa(ppa)
         pages_per_block = self._core.pages_per_block
@@ -319,7 +318,7 @@ class BlockManager:
                 info.valid[offset] = 1
                 info.valid_count += 1
 
-    def invalidate_page(self, ppa: Ppa):
+    def invalidate_page(self, ppa):
         """Clear the PVT bit for ``ppa`` (update/delete made it stale)."""
         if not 0 <= ppa < self._core.total_pages:
             self._geo.check_ppa(ppa)
@@ -330,20 +329,20 @@ class BlockManager:
             info.valid[offset] = 0
             info.valid_count -= 1
 
-    def is_valid(self, ppa: Ppa):
+    def is_valid(self, ppa):
         pba, offset = self._geo.locate(ppa)
         return bool(self._info[pba].valid[offset])
 
-    def valid_bits(self, pba: BlockId):
+    def valid_bits(self, pba):
         """The block's PVT column (one byte per page offset), read-only
         by convention: per-block loops index it instead of calling
         :meth:`is_valid` once per page."""
         return self._info[pba].valid
 
-    def valid_count(self, pba: BlockId):
+    def valid_count(self, pba):
         return self._info[pba].valid_count
 
-    def invalid_count(self, pba: BlockId):
+    def invalid_count(self, pba):
         """Programmed-but-stale page count (the BST invalid counter)."""
         return self._core.write_pointer[pba] - self._info[pba].valid_count
 
@@ -405,7 +404,7 @@ class BlockManager:
                 best_pba = pba
         return best_pba
 
-    def select_cost_benefit_victim(self, now_us: TimeUs, kind=BlockKind.DATA):
+    def select_cost_benefit_victim(self, now_us, kind=BlockKind.DATA):
         """LFS-style cost-benefit victim: maximize (1-u)*age / (1+u).
 
         ``u`` is the block\'s valid fraction (the migration cost) and
@@ -440,7 +439,7 @@ class BlockManager:
                 best_pba = pba
         return best_pba
 
-    def select_victim(self, policy, now_us: TimeUs, kind=BlockKind.DATA):
+    def select_victim(self, policy, now_us, kind=BlockKind.DATA):
         """Dispatch on the configured GC victim policy."""
         if policy == "greedy":
             return self.select_greedy_victim(kind)

@@ -16,7 +16,6 @@ from collections import OrderedDict
 
 from repro.common.atomic import atomic_section
 from repro.common.errors import AddressError
-from repro.common.units import Lba, Ppa
 from repro.flash.page import NULL_PPA
 
 # How many mapping entries one 4 KiB translation page holds (8-byte PPAs),
@@ -63,7 +62,7 @@ class AddressMappingTable:
         if writing:
             self._dirty.add(lpa)
 
-    def lookup(self, lpa: Lba) -> Ppa:
+    def lookup(self, lpa):
         """Current PPA for ``lpa`` (``NULL_PPA`` when never written)."""
         if not 0 <= lpa < self.logical_pages:
             self._check(lpa)
@@ -77,7 +76,7 @@ class AddressMappingTable:
         "for a mapping no reader can see yet (range check precedes any "
         "mutation)"
     )
-    def update(self, lpa: Lba, ppa: Ppa) -> Ppa:
+    def update(self, lpa, ppa):
         """Point ``lpa`` at ``ppa``; returns the previous PPA."""
         if not 0 <= lpa < self.logical_pages:
             self._check(lpa)
@@ -101,11 +100,11 @@ class AddressMappingTable:
         for lpa, (_ts, ppa) in heads.items():
             table[lpa] = ppa
 
-    def invalidate(self, lpa: Lba) -> Ppa:
+    def invalidate(self, lpa):
         """Drop the mapping (TRIM/delete); returns the previous PPA."""
         return self.update(lpa, NULL_PPA)
 
-    def is_mapped(self, lpa: Lba):
+    def is_mapped(self, lpa):
         self._check(lpa)
         return self._table[lpa] != NULL_PPA
 

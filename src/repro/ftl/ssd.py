@@ -19,7 +19,7 @@ from repro.common.errors import (
     ProgramFailureError,
     UncorrectableReadError,
 )
-from repro.common.units import SECOND_US, Lba, Ppa, TimeUs
+from repro.common.units import SECOND_US
 from repro.flash.device import FlashDevice
 from repro.flash.geometry import FlashGeometry
 from repro.flash.page import NULL_PPA, OOBMetadata
@@ -244,7 +244,7 @@ class BaseSSD:
     # detection, ``ftl.host_*`` and latency accounting, the Equation-1
     # hook — runs exactly once per host page whatever its route.
 
-    def serve_write_at(self, lpa: Lba, data, arrival_us: TimeUs) -> TimeUs:
+    def serve_write_at(self, lpa, data, arrival_us):
         """Admit and program one host page arriving at ``arrival_us``;
         returns its completion time."""
         self.ensure_writable()
@@ -263,7 +263,7 @@ class BaseSSD:
         self._after_host_request(complete, wrote=True)
         return complete
 
-    def serve_trim_at(self, lpa: Lba, arrival_us: TimeUs):
+    def serve_trim_at(self, lpa, arrival_us):
         """Admit one TRIM arriving at ``arrival_us`` (it completes there:
         TRIM costs no media time); returns True when a mapping was
         dropped."""
@@ -276,7 +276,7 @@ class BaseSSD:
         self._after_host_request(arrival_us, wrote=False)
         return old != NULL_PPA
 
-    def serve_read_at(self, lpa: Lba, arrival_us: TimeUs):
+    def serve_read_at(self, lpa, arrival_us):
         """Admit and read one host page arriving at ``arrival_us``.
 
         Returns ``(data, complete_us)``.  An unmapped LPA answers from
@@ -558,7 +558,7 @@ class BaseSSD:
                 self._note_program_failure(exc)
         raise last_failure
 
-    def read_page_with_retry(self, ppa: Ppa, now_us: TimeUs):
+    def read_page_with_retry(self, ppa, now_us):
         """Read one page through the read-retry ladder.
 
         Step 0 is the normal read; each further step re-senses with
@@ -849,7 +849,7 @@ class BaseSSD:
         restores_state=True,  # program_with_retry leaves firmware state
         # untouched on failure; the source page stays valid and mapped
     )
-    def migrate_page(self, ppa: Ppa, result, now_us: TimeUs) -> TimeUs:
+    def migrate_page(self, ppa, result, now_us):
         """Move the valid page at ``ppa``, already read as ``result``, to
         the GC stream; returns the copy's completion time.
 
@@ -882,7 +882,7 @@ class BaseSSD:
         # monotonic counters that recovery rebuilds from flash anyway.
         restores_state=True,
     )
-    def erase_and_release(self, pba, now_us: TimeUs) -> TimeUs:
+    def erase_and_release(self, pba, now_us):
         """Erase ``pba`` and hand it back to the pool; returns the erase's
         completion time (``now_us`` when the block proved grown bad).
 

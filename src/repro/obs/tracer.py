@@ -15,7 +15,6 @@ per candidate event — the "near-zero when disabled" budget in ISSUE 4.
 from collections import deque
 
 from repro.common.errors import ReproError
-from repro.common.units import TimeUs
 
 __all__ = ["CATEGORIES", "EventTracer"]
 
@@ -39,7 +38,7 @@ class EventTracer:
         self.dropped = 0
         self._ring = deque(maxlen=capacity)
 
-    def emit(self, category, name, t_us: TimeUs, **fields):
+    def emit(self, category, name, t_us, **fields):
         """Record one event; no-op (and near-free) when disabled."""
         if not self.enabled:
             return

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 from repro.common.atomic import atomic_section
 from repro.common.errors import DeviceFullError, ProgramFailureError, ReproError
-from repro.common.units import TimeUs
 from repro.flash.page import OOBMetadata
 from repro.ftl.block_manager import BlockKind
 from repro.timessd import lzf
@@ -28,8 +27,8 @@ from repro.timessd import lzf
 #: sentinel must live in the time domain — recovery tests it with
 #: ``ref_ts >= 0`` (uncompressed records carry it too); reusing the PPA
 #: sentinel here was exactly the paper-§3 class of cross-domain
-#: confusion almanac-deepcheck exists to catch.
-NO_REF_TS = TimeUs(-1)
+#: confusion.
+NO_REF_TS = -1
 
 
 @dataclass

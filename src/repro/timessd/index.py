@@ -19,7 +19,6 @@ been compressed (or has expired) so GC can discard them without reading.
 from dataclasses import dataclass
 
 from repro.common.atomic import atomic_section
-from repro.common.units import BlockId, Lba, Ppa, TimeUs
 from repro.flash.page import NULL_PPA
 
 
@@ -60,14 +59,14 @@ class TimeTravelIndex:
 
     # --- PRT ----------------------------------------------------------------
 
-    def mark_reclaimable(self, ppa: Ppa):
+    def mark_reclaimable(self, ppa):
         """Mark an invalid page reclaimable; True if newly marked."""
         if ppa in self._reclaimable:
             return False
         self._reclaimable.add(ppa)
         return True
 
-    def is_reclaimable(self, ppa: Ppa):
+    def is_reclaimable(self, ppa):
         return ppa in self._reclaimable
 
     @property
@@ -82,7 +81,7 @@ class TimeTravelIndex:
         "interleaved over a half-cleared block would treat its surviving "
         "reclaimable bits as live compression state"
     )
-    def clear_block(self, pba: BlockId):
+    def clear_block(self, pba):
         """Forget PRT bits of an erased block."""
         # Resolve the page range (which validates pba) before touching
         # the PRT, so a bad block id leaves the set untouched.
@@ -95,10 +94,10 @@ class TimeTravelIndex:
 
     # --- IMT ----------------------------------------------------------------
 
-    def delta_head(self, lpa: Lba):
+    def delta_head(self, lpa):
         return self._imt.get(lpa)
 
-    def set_delta_head(self, lpa: Lba, record):
+    def set_delta_head(self, lpa, record):
         if record is None:
             self._imt.pop(lpa, None)
         else:
@@ -130,7 +129,7 @@ class TimeTravelIndex:
             return False
         return core.intact_at(ppa)  # torn/burned residue: never a chain hop
 
-    def walk_data_chain(self, lpa: Lba, head_ppa: Ppa, now_us: TimeUs, include_head=True, until_ts=None):
+    def walk_data_chain(self, lpa, head_ppa, now_us, include_head=True, until_ts=None):
         """Follow back-pointers from ``head_ppa``; returns a ChainWalk.
 
         Entries are ``(ppa, oob, data)`` newest first.  Each hop costs a
@@ -173,9 +172,7 @@ class TimeTravelIndex:
 
     # --- Delta chain ------------------------------------------------------------
 
-    def walk_delta_chain(
-        self, lpa: Lba, now_us: TimeUs, until_ts=None, delta_pages=None
-    ):
+    def walk_delta_chain(self, lpa, now_us, until_ts=None, delta_pages=None):
         """Follow the delta chain from the IMT head; returns a ChainWalk.
 
         Entries are live :class:`DeltaRecord` objects, newest first.
@@ -206,7 +203,7 @@ class TimeTravelIndex:
             record = record.back
         return ChainWalk(entries, t)
 
-    def prune_dropped_head(self, lpa: Lba):
+    def prune_dropped_head(self, lpa):
         """Drop IMT heads whose records died with their bloom segment."""
         record = self._imt.get(lpa)
         while record is not None and record.dropped:

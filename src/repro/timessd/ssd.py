@@ -17,7 +17,7 @@ from repro.common.errors import (
     RetentionViolationError,
     UncorrectableReadError,
 )
-from repro.common.units import Lba, Ppa, TimeUs, format_duration
+from repro.common.units import format_duration
 from repro.flash.page import NULL_PPA
 from repro.ftl.block_manager import BlockKind
 from repro.ftl.ssd import BaseSSD
@@ -141,7 +141,7 @@ class TimeSSD(BaseSSD):
             )
         return super()._program_user_page(lpa, data, now_us)
 
-    def note_page_no_longer_retained(self, ppa: Ppa):
+    def note_page_no_longer_retained(self, ppa):
         """A retained page expired or was compressed into the delta chain."""
         pba = self.device.geometry.block_of_page(ppa)
         if self._retained_per_block[pba] > 0:
@@ -157,7 +157,7 @@ class TimeSSD(BaseSSD):
         self.index.clear_block(pba)
         self.forget_block_retention(pba)
 
-    def expire_page(self, ppa: Ppa):
+    def expire_page(self, ppa):
         """The invalid page at ``ppa`` is in no bloom segment: it was
         invalidated before the retention window opened.  PRT-mark it so
         GC discards it without another read, and (once per page) count it
@@ -379,7 +379,7 @@ class TimeSSD(BaseSSD):
                     return t
         return t
 
-    def compress_or_lose(self, ppa: Ppa, now_us: TimeUs):
+    def compress_or_lose(self, ppa, now_us):
         """Compress the retained page at ``ppa`` plus its older chain into
         deltas; returns ``(complete_us, versions_compressed)``.
 
@@ -449,8 +449,8 @@ class TimeSSD(BaseSSD):
 
     def version_chain(
         self,
-        lpa: Lba,
-        start_us: TimeUs = None,
+        lpa,
+        start_us=None,
         until_ts=None,
         payloads=True,
         delta_pages=None,

@@ -80,7 +80,7 @@ class TestDemoAndBenchGolden:
     def test_bench_file_round_trips(self, tmp_path):
         import json
 
-        path = tmp_path / "BENCH_pr4.json"
+        path = tmp_path / "bench_smoke.json"
         emit.write_bench_json(path=str(path), seed=1, writes=200)
         payload = json.loads(path.read_text())
         assert payload["schema"] == emit.SCHEMA
@@ -88,3 +88,6 @@ class TestDemoAndBenchGolden:
         for device in payload["devices"].values():
             assert "metrics" in device and "summary" in device
             assert device["summary"]["write_amplification"] >= 1.0
+
+    def test_committed_bench_snapshot_is_current(self):
+        assert emit.check_bench_snapshot() == []

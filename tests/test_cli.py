@@ -46,36 +46,29 @@ def test_selftest_passes(capsys):
     assert "all invariants hold" in out
 
 
-def test_trace_stats_synthetic(capsys):
-    assert main(["trace-stats", "fiu:webmail", "--days", "2", "--scale", "30"]) == 0
-    out = capsys.readouterr().out
-    assert "write ratio" in out
-
-
-def test_trace_stats_file(tmp_path, capsys):
-    from repro.workloads.io import save_trace_csv
-    from repro.workloads.msr import msr_trace
-
-    path = str(tmp_path / "t.csv")
-    save_trace_csv(list(msr_trace("hm", 2048, days=1, seed=1, intensity_scale=30)), path)
-    assert main(["trace-stats", path]) == 0
-    assert "native trace" in capsys.readouterr().out
-
-
-def test_bench_ratchet_follows_the_newest_committed_snapshot(
-    tmp_path, monkeypatch, capsys
-):
+def test_bench_check_reads_the_one_committed_snapshot(tmp_path, monkeypatch, capsys):
     from repro.bench import emit
 
     monkeypatch.chdir(tmp_path)
-    with pytest.raises(FileNotFoundError):
-        emit.newest_bench_file()
     assert main(["metrics", "--bench", "--check"]) == 2
-    assert "no committed BENCH_pr<N>.json" in capsys.readouterr().out
-    for name in ("BENCH_pr9.json", "BENCH_pr12.json", "BENCH_pr12.json.bak"):
-        (tmp_path / name).write_text('{"schema": "other/0"}')
-    # Numeric, not lexicographic: pr12 is newer than pr9.
-    assert emit.newest_bench_file().endswith("BENCH_pr12.json")
+    assert emit.BENCH_SNAPSHOT in capsys.readouterr().out
+    snapshot = tmp_path / emit.BENCH_SNAPSHOT
+    snapshot.parent.mkdir(parents=True)
+    snapshot.write_text('{"schema": "other/0"}')
     assert main(["metrics", "--bench", "--check"]) == 1
-    out = capsys.readouterr().out
-    assert "schema mismatch" in out and "BENCH_pr9" not in out
+    assert "schema mismatch" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["metrics", "--check"], ["metrics", "--check", "--out", "snap.json"]],
+    ids=["stdout", "out"],
+)
+def test_metrics_check_without_bench_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--bench" in capsys.readouterr().err
+    assert not (tmp_path / "snap.json").exists()
+

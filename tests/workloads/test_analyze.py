@@ -1,91 +1,57 @@
-"""Trace analyzer, and synthesizer-fidelity checks built on it."""
+"""Synthesizer fidelity: the generated traces exhibit their volume profiles."""
 
 import pytest
 
 from repro.common.units import DAY_US
-from repro.workloads.analyze import analyze_trace
 from repro.workloads.msr import MSR_VOLUMES, msr_trace
 from repro.workloads.fiu import FIU_VOLUMES, fiu_trace
-from repro.workloads.trace import TraceRecord
+
+#: A gap between two requests longer than this counts as idle time.
+IDLE_GAP_US = 10_000
 
 
-class TestAnalyzer:
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            analyze_trace([])
+def write_ratio(records):
+    return sum(r.op == "W" for r in records) / len(records)
 
-    def test_basic_counts(self):
-        stats = analyze_trace(
-            [
-                TraceRecord(0, "W", 0, 2),
-                TraceRecord(1000, "R", 0, 1),
-                TraceRecord(2000, "W", 2, 1),  # sequential after first W
-            ]
-        )
-        assert stats.requests == 3
-        assert stats.pages_written == 3
-        assert stats.pages_read == 1
-        assert stats.write_ratio == pytest.approx(2 / 3)
-        assert stats.working_set_pages == 3
 
-    def test_sequentiality_detection(self):
-        seq = analyze_trace(
-            [TraceRecord(i * 10, "W", i * 2, 2) for i in range(50)]
-        )
-        rand = analyze_trace(
-            [TraceRecord(i * 10, "W", (i * 37) % 100, 1) for i in range(50)]
-        )
-        assert seq.sequentiality > 0.9
-        assert rand.sequentiality < 0.2
+def daily_turnover(records):
+    """Pages written per day divided by the working-set size."""
+    touched = {page for r in records for page in range(r.lpa, r.lpa + r.npages)}
+    written = sum(r.npages for r in records if r.op == "W")
+    days = (records[-1].timestamp_us - records[0].timestamp_us) / DAY_US
+    return written / len(touched) / days
 
-    def test_idle_fraction(self):
-        # One giant gap dominates the duration.
-        stats = analyze_trace(
-            [TraceRecord(0, "W", 0, 1), TraceRecord(10_000_000, "W", 1, 1)]
-        )
-        assert stats.idle_fraction > 0.99
 
-    def test_hot_half_skew(self):
-        skewed = [TraceRecord(i * 10, "W", 0, 1) for i in range(90)]
-        skewed += [TraceRecord(1000 + i * 10, "W", i + 1, 1) for i in range(10)]
-        stats = analyze_trace(skewed)
-        assert stats.hot_half_fraction < 0.2
-
-    def test_summary_renders(self):
-        stats = analyze_trace([TraceRecord(0, "W", 0, 1), TraceRecord(10, "R", 1, 1)])
-        text = stats.summary()
-        assert "write ratio" in text
+def idle_fraction(records):
+    """Share of the trace's span spent in gaps longer than IDLE_GAP_US."""
+    stamps = [r.timestamp_us for r in records]
+    gaps = [b - a for a, b in zip(stamps, stamps[1:])]
+    return sum(g for g in gaps if g > IDLE_GAP_US) / (stamps[-1] - stamps[0])
 
 
 class TestSynthesizerFidelity:
-    """The generated traces actually exhibit their volume profiles."""
-
     @pytest.mark.parametrize("volume", sorted(MSR_VOLUMES))
     def test_msr_write_ratios(self, volume):
         records = list(
             msr_trace(volume, 8192, days=7, seed=3, intensity_scale=40)
         )
-        stats = analyze_trace(records)
-        assert abs(stats.write_ratio - MSR_VOLUMES[volume].write_ratio) < 0.10
+        assert abs(write_ratio(records) - MSR_VOLUMES[volume].write_ratio) < 0.10
 
     @pytest.mark.parametrize("volume", sorted(FIU_VOLUMES))
     def test_fiu_write_ratios(self, volume):
         records = list(
             fiu_trace(volume, 8192, days=7, seed=3, intensity_scale=60)
         )
-        stats = analyze_trace(records)
-        assert abs(stats.write_ratio - FIU_VOLUMES[volume].write_ratio) < 0.10
+        assert abs(write_ratio(records) - FIU_VOLUMES[volume].write_ratio) < 0.10
 
     def test_turnover_close_to_profile(self):
         profile = MSR_VOLUMES["hm"]
         records = list(
             msr_trace("hm", 8192, days=7, seed=2, intensity_scale=30)
         )
-        stats = analyze_trace(records)
         target = profile.daily_turnover * 30
-        assert 0.4 * target < stats.daily_turnover < 2.5 * target
+        assert 0.4 * target < daily_turnover(records) < 2.5 * target
 
     def test_traces_are_mostly_idle(self):
         records = list(msr_trace("usr", 8192, days=7, seed=1, intensity_scale=5))
-        stats = analyze_trace(records)
-        assert stats.idle_fraction > 0.9  # light volumes are idle-rich
+        assert idle_fraction(records) > 0.9  # light volumes are idle-rich
