@@ -19,6 +19,10 @@ Checked invariants:
   negative and covers only data blocks;
 * **segment/delta agreement** — live delta records reference live
   segments; dropped segments own no reachable records.
+
+The chain and segment checks walk every LPA a time query or rollback
+can reach: :meth:`TimeSSD.unmapped_lpas_with_history` adds the trimmed
+ones to the mapped ones.
 """
 
 from dataclasses import dataclass, field
@@ -54,8 +58,8 @@ class DeviceAuditor:
     def audit(self, sample_lpa_stride=1):
         """Run every check; returns an :class:`AuditReport`.
 
-        ``sample_lpa_stride`` audits every N-th mapped LPA's chain (1 =
-        all of them) — chain walks on huge devices can be throttled.
+        ``sample_lpa_stride`` audits every N-th LPA's chain (1 = all of
+        them) — chain walks on huge devices can be throttled.
         """
         report = AuditReport()
         self._check_mapping_pvt(report)
@@ -65,6 +69,11 @@ class DeviceAuditor:
         self._check_retention_census(report)
         self._check_segments(report)
         return report
+
+    def _lpas_with_history(self):
+        """The mapped LPAs, then the trimmed ones with reachable history."""
+        ssd = self.ssd
+        return list(ssd.mapping.mapped_lpas()) + ssd.unmapped_lpas_with_history()
 
     # --- Individual checks ------------------------------------------------------
 
@@ -103,7 +112,7 @@ class DeviceAuditor:
         )
         if locked:
             return  # encrypted history cannot be walked while locked
-        for lpa in list(ssd.mapping.mapped_lpas())[::stride]:
+        for lpa in self._lpas_with_history()[::stride]:
             versions, _ = ssd.version_chain(lpa)
             stamps = [v.timestamp_us for v in versions]
             if stamps != sorted(stamps, reverse=True):
@@ -166,7 +175,7 @@ class DeviceAuditor:
         ssd = self.ssd
         live_ids = {s.segment_id for s in ssd.blooms.live_segments()}
         # Every reachable delta record must belong to a live segment.
-        for lpa in ssd.mapping.mapped_lpas():
+        for lpa in self._lpas_with_history():
             record = ssd.index.delta_head(lpa)
             while record is not None and not record.dropped:
                 if record.segment_id not in live_ids:

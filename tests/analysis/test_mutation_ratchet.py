@@ -208,6 +208,11 @@ _RANDOM_ORDER = (
 )
 _SENSE = "            result = self.read_page_with_retry(ppa, start)\n"
 _UNPACK = "            data, complete = result.data, result.complete_us\n"
+_REPLAY = (
+    "tests/integration/test_end_to_end.py"
+    "::test_trace_replay_leaves_a_clean_device[cut]"
+)
+_REFERENCE = "        result = ssd.read_page_with_retry(head_ppa, now_us)\n"
 FIRMWARE_MUTATIONS = (
     # --- the host path: PR 14's disagreements and PR 16's gate -----------------
     (
@@ -470,6 +475,28 @@ FIRMWARE_MUTATIONS = (
         "            self.update(lpa, ppa)\n",
         "tests/ftl/test_translation_timing.py"
         "::test_recovery_bills_no_translation_io",
+    ),
+    # --- what the hand-written trace audits targeted: the fsck on the cut ------
+    (
+        "ftl/ssd.py",  # an overwritten page left valid: an orphan
+        "        self.block_manager.invalidate_page(old_ppa)\n",
+        "",
+        _REPLAY,
+    ),
+    (
+        "timessd/gc.py",  # the compression reference marked reclaimable
+        _REFERENCE,
+        _REFERENCE + "        ssd.index.mark_reclaimable(head_ppa)\n",
+        _REPLAY,
+    ),
+    (
+        # A reclaimed block released unerased.  The replay's next program
+        # into it raises FlashStateError before the fsck looks: a FREE
+        # block is reused too soon for any free-pool bug to reach the audit.
+        "ftl/ssd.py",
+        "            complete = self.device.erase_block(pba, now_us)\n",
+        "            pass\n",
+        _REPLAY,
     ),
 )
 

@@ -1,44 +1,56 @@
 """End-to-end integration: the whole stack working together."""
 
+import functools
 import random
 
 import pytest
 
-from repro.common.units import DAY_US, SECOND_US
+from repro.common.units import SECOND_US
 from repro.flash.page import PageState
 from repro.fs import PlainFS
 from repro.ftl.block_manager import BlockKind
 from repro.nvme import HostNVMeDriver
 from repro.timekits import FileRecovery, TimeKits
 from repro.timessd.config import ContentMode
+from repro.timessd.verify import DeviceAuditor
 from repro.workloads.msr import msr_trace
 from repro.workloads.trace import TraceReplayer
 
 from tests.conftest import make_timessd, small_geometry
 
 
+#: (days, intensity_scale) of the tier-1 replay: about the smallest with
+#: over 2 000 requests, on which foreground and background GC, delta
+#: flushes and retention shrinks each fire at least three times.
+CUT = (1, 26)
+
+
+@functools.lru_cache(maxsize=1)
+def _replay(days, intensity):
+    """Replay the msr ``src`` trace on a small TimeSSD.  Cached, so the
+    hand-written audits and the fsck share one run of the cut."""
+    ssd = make_timessd(
+        geometry=small_geometry(blocks_per_plane=64, pages_per_block=32),
+        retention_floor_us=2 * SECOND_US,
+        bloom_segment_max_age_us=SECOND_US,
+    )
+    trace = msr_trace(
+        "src",
+        ssd.logical_pages,
+        days=days,
+        seed=4,
+        intensity_scale=intensity,
+        working_pages=ssd.logical_pages // 2,
+    )
+    return ssd, TraceReplayer(ssd).replay(trace)
+
+
 class TestTraceDrivenConsistency:
-    """Replay a realistic trace, then audit the device's entire state."""
+    """Replay a realistic trace, then audit the device's state by hand."""
 
     @pytest.fixture(scope="class")
     def replayed(self):
-        ssd = make_timessd(
-            geometry=small_geometry(blocks_per_plane=64, pages_per_block=32),
-            retention_floor_us=2 * SECOND_US,
-            bloom_segment_max_age_us=SECOND_US,
-        )
-        working = ssd.logical_pages // 2
-        trace = list(
-            msr_trace(
-                "src",
-                ssd.logical_pages,
-                days=2,
-                seed=4,
-                intensity_scale=400,
-                working_pages=working,
-            )
-        )
-        stats = TraceReplayer(ssd).replay(trace)
+        ssd, stats = _replay(*CUT)
         assert stats.aborted_at is None
         assert stats.requests > 2000
         return ssd, stats
@@ -89,11 +101,31 @@ class TestTraceDrivenConsistency:
             if ssd.block_manager.kind(pba) is BlockKind.FREE:
                 assert ssd.device.core.write_pointer[pba] == 0
 
-    def test_retention_window_respects_floor(self, replayed):
-        ssd, _ = replayed
-        # The run never aborted, so the window never dipped below floor
-        # while serving writes.
-        assert ssd.retention_window_us() >= 0
+
+@pytest.mark.parametrize(
+    "days, intensity",
+    [
+        pytest.param(*CUT, id="cut"),
+        pytest.param(2, 400, id="full", marks=pytest.mark.slow),
+    ],
+)
+def test_trace_replay_leaves_a_clean_device(days, intensity):
+    """Replay a realistic trace through foreground and background GC,
+    delta flushes and retention shrinks, then fsck the whole device.
+
+    ``full`` (101 k requests, 4 M GC page migrations) is the same audit
+    at scale."""
+    ssd, stats = _replay(days, intensity)
+    assert stats.aborted_at is None
+    assert ssd.block_manager.free_block_count > 0
+    report = DeviceAuditor(ssd).audit(sample_lpa_stride=1)
+    assert report.clean, report.violations[:5]
+    # ...and the replay exercised what the audit is meant to vouch for.
+    counters = ssd.metrics_snapshot()["counters"]
+    assert ssd.gc_runs >= 1
+    assert ssd.background_gc_runs >= 1
+    assert counters["timessd.delta.flushed_pages"] >= 1
+    assert counters["timessd.retention.shrinks"] >= 1
 
 
 class TestFullStackRecovery:

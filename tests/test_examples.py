@@ -1,7 +1,8 @@
-"""Every example script runs cleanly end-to-end."""
+"""Every example script runs once, end to end, and tells its story."""
 
+import contextlib
+import io
 import runpy
-import sys
 
 import pytest
 
@@ -15,45 +16,54 @@ EXAMPLES = [
     "examples/fault_drill.py",
 ]
 
+_OUTPUT = {}
+
+
+def run_example(path):
+    """What ``path`` prints when run as a script.  Each example runs once
+    per session; ``runpy`` propagates its exceptions, so a crash fails
+    every test that asks for it."""
+    if path not in _OUTPUT:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            runpy.run_path(path, run_name="__main__")
+        _OUTPUT[path] = out.getvalue()
+    return _OUTPUT[path]
+
 
 @pytest.mark.parametrize("path", EXAMPLES)
-def test_example_runs(path, capsys):
-    runpy.run_path(path, run_name="__main__")
-    out = capsys.readouterr().out
+def test_example_runs(path):
+    out = run_example(path)
     assert out.strip(), "%s produced no output" % path
     assert "Traceback" not in out
+    assert "ERROR" not in out
 
 
-def test_quickstart_rolls_back(capsys):
-    runpy.run_path("examples/quickstart.py", run_name="__main__")
-    out = capsys.readouterr().out
+def test_quickstart_rolls_back():
+    out = run_example("examples/quickstart.py")
     assert "'draft two'" in out
 
 
-def test_ransomware_example_verifies(capsys):
-    runpy.run_path("examples/ransomware_recovery.py", run_name="__main__")
-    out = capsys.readouterr().out
+def test_ransomware_example_verifies():
+    out = run_example("examples/ransomware_recovery.py")
     assert "byte-exact restoration: yes" in out
 
 
-def test_file_time_machine_verifies(capsys):
-    runpy.run_path("examples/file_time_machine.py", run_name="__main__")
-    out = capsys.readouterr().out
+def test_file_time_machine_verifies():
+    out = run_example("examples/file_time_machine.py")
     assert out.count("verified: yes") == 3
 
 
-def test_fault_drill_recovers_and_rolls_back(capsys):
-    runpy.run_path("examples/fault_drill.py", run_name="__main__")
-    out = capsys.readouterr().out
+def test_fault_drill_recovers_and_rolls_back():
+    out = run_example("examples/fault_drill.py")
     assert "torn pages discarded" in out
     assert "self-audit" in out and "clean" in out
     assert "byte-exact rollback: yes" in out
     assert "ERROR" not in out
 
 
-def test_firmware_resilience_example(capsys):
-    runpy.run_path("examples/firmware_resilience.py", run_name="__main__")
-    out = capsys.readouterr().out
+def test_firmware_resilience_example():
+    out = run_example("examples/firmware_resilience.py")
     assert "clean" in out
     assert "history while locked" in out
     assert "ERROR" not in out

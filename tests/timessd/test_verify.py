@@ -1,8 +1,8 @@
-"""The device auditor: clean after stress, loud after corruption."""
+"""The device auditor: clean after stress, loud after corruption.  That
+each corruption raises only its own violation class is
+test_verify_corruption.py."""
 
 import random
-
-import pytest
 
 from repro.common.units import SECOND_US
 from repro.timessd.config import ContentMode

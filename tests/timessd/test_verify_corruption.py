@@ -3,7 +3,9 @@
 Each parametrized case corrupts exactly one audited structure —
 mapping/PVT agreement, version-chain order, the PRT, the free pool,
 the retention census, segment/delta agreement — and asserts the
-auditor reports *that* violation class and nothing else.
+auditor reports *that* violation class and nothing else.  The
+``trimmed-*`` cases damage the history of an LPA that is no longer
+mapped, which time queries and rollback still walk.
 """
 
 import random
@@ -56,11 +58,27 @@ def live_delta_record(ssd):
     raise AssertionError("churn produced no live delta records")
 
 
+def trimmed_ssd():
+    """:func:`churned_ssd` with the LPA of :func:`live_delta_record`
+    trimmed: no longer mapped, its history still reachable by time
+    queries and rollback, and still the record the corruptors damage."""
+    ssd = churned_ssd()
+    lpa = live_delta_record(ssd).lpa
+    ssd.trim(lpa)
+    assert lpa in ssd.unmapped_lpas_with_history()
+    assert live_delta_record(ssd).lpa == lpa
+    return ssd
+
+
 # --- Corruptors: each damages exactly one audited structure -------------------
 
 
 def corrupt_mapping_head(ssd):
     ssd.block_manager.invalidate_page(ssd.mapping.lookup(3))
+
+
+def corrupt_mapping_lpa(ssd):
+    ssd.device.core.lpa[ssd.mapping.lookup(3)] = 2  # the head claims LPA 2
 
 
 def corrupt_orphan_valid_page(ssd):
@@ -104,13 +122,16 @@ def corrupt_segment_agreement(ssd):
 
 CASES = [
     pytest.param(quiet_ssd, corrupt_mapping_head, r"head PPA \d+ not valid", id="mapping-pvt-head"),
+    pytest.param(quiet_ssd, corrupt_mapping_lpa, r"head holds LPA 2", id="mapping-pvt-wrong-lpa"),
     pytest.param(quiet_ssd, corrupt_orphan_valid_page, r"not any LPA's head", id="mapping-pvt-orphan"),
     pytest.param(churned_ssd, corrupt_chain_order, r"chain", id="chain-order"),
+    pytest.param(trimmed_ssd, corrupt_chain_order, r"chain", id="trimmed-chain-order"),
     pytest.param(quiet_ssd, corrupt_prt, r"reclaimable page \d+ is marked valid", id="prt"),
     pytest.param(quiet_ssd, corrupt_free_pool_count, r"free-block count", id="free-pool-count"),
     pytest.param(quiet_ssd, corrupt_free_pool_unerased, r"FREE block \d+ is not erased", id="free-pool-unerased"),
     pytest.param(quiet_ssd, corrupt_retention_census, r"negative retained-page", id="retention-census"),
     pytest.param(churned_ssd, corrupt_segment_agreement, r"in dead segment", id="segment-agreement"),
+    pytest.param(trimmed_ssd, corrupt_segment_agreement, r"in dead segment", id="trimmed-segment-agreement"),
 ]
 
 
