@@ -67,14 +67,10 @@ class LintRule:
 
     #: Stable kebab-case identifier, used in reports and suppressions.
     rule_id = None
-    #: Rule family: ``determinism``, ``layering``, ``hygiene``,
-    #: ``callgraph``, ``concurrency`` or ``obs``.
+    #: Rule family: ``determinism``, ``layering``, ``hygiene`` or ``obs``.
     pack = None
     #: One-line human description (shown by ``--list-rules``).
     description = ""
-    #: Deep rules need the whole-program call graph; they run only under
-    #: ``--deep`` or when selected explicitly.
-    deep = False
 
     def check(self, module, project):
         raise NotImplementedError
@@ -115,12 +111,6 @@ def all_rules():
     """Every registered rule, sorted by (pack, rule_id)."""
     _load_rule_packs()
     return sorted(_REGISTRY.values(), key=lambda r: (r.pack, r.rule_id))
-
-
-def default_rules():
-    """The fast selection: every rule except the deep (whole-program)
-    passes.  ``--deep`` or an explicit ``--select`` widens this."""
-    return [rule for rule in all_rules() if not rule.deep]
 
 
 def rules_by_id(rule_ids):
@@ -364,7 +354,7 @@ def _unused_suppressions(modules, used_by_path, selected_ids):
 def analyze_paths(paths, rules=None):
     """Lint ``paths`` (files or directories) and return sorted violations.
 
-    ``rules=None`` means *every* registered rule, deep passes included.
+    ``rules=None`` means every registered rule.
     """
     if rules is None:
         rules = all_rules()

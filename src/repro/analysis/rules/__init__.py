@@ -6,5 +6,4 @@ from repro.analysis.rules import (  # noqa: F401  (import-for-effect)
     layering,
     observability,
     suppressions,
-    whole_program,
 )

@@ -1,10 +1,11 @@
 """Layering rules: the DESIGN.md import order and the FTL flash monopoly.
 
 The flash device model must not know about FTLs; substrates must not
-reach into the firmware; and nothing outside the two FTL packages may
+reach into the firmware; nothing outside the two FTL packages may
 program or erase raw flash pages (the erase-before-write and OOB
 back-pointer invariants live entirely inside the FTL — a stray
-``device.program_page`` elsewhere bypasses both).
+``device.program_page`` elsewhere bypasses both); and a package's
+``_private`` functions are its own.
 """
 
 import ast
@@ -16,6 +17,7 @@ from repro.analysis.imports import (
     cyclic_packages,
     module_imports,
     package_graph,
+    resolve_relative,
     subpackage,
 )
 
@@ -175,3 +177,74 @@ def _reachable(graph, start):
                 seen.add(succ)
                 frontier.append(succ)
     return seen
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+#: Receivers whose private calls stay inside one class family.
+OWN_RECEIVERS = frozenset({"self", "cls", "super()"})
+
+
+def private_definitions(project):
+    """``{_name: {subpackage, ...}}`` — the ``repro`` subpackages that
+    ``def`` each private function or method; cached on the project."""
+
+    def build():
+        owners = {}
+        for module in project.modules:
+            pkg = subpackage(module.module)
+            if pkg is None or module.tree is None:
+                continue
+            for node in ast.walk(module.tree):
+                if isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef)
+                ) and _is_private(node.name):
+                    owners.setdefault(node.name, set()).add(pkg)
+        return owners
+
+    return project.cached("private_definitions", build)
+
+
+@register
+class PrivateCrossPackageRule(LintRule):
+    rule_id = "layering-private-cross-package"
+    pack = "layering"
+    description = (
+        "a _private name may only be imported or called from its own "
+        "repro subpackage (self/cls/super() calls are exempt)"
+    )
+
+    def check(self, module, project):
+        src = subpackage(module.module)
+        if src is None:
+            return
+        owners = private_definitions(project)
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.ImportFrom):
+                dst = subpackage(
+                    resolve_relative(module.module, node.level, node.module)
+                )
+                names = [a.name for a in node.names if _is_private(a.name)]
+                if names and dst not in (None, src):
+                    yield self.violation(
+                        module,
+                        node,
+                        "repro.%s imports private %s from repro.%s; use (or "
+                        "add) a public API" % (src, ", ".join(names), dst),
+                    )
+            elif isinstance(node, ast.Call) and isinstance(
+                node.func, ast.Attribute
+            ):
+                defined_in = owners.get(node.func.attr, {src})
+                if src in defined_in:
+                    continue
+                if ast.unparse(node.func.value) not in OWN_RECEIVERS:
+                    yield self.violation(
+                        module,
+                        node,
+                        "repro.%s calls private %s, defined only in repro.%s; "
+                        "use (or add) a public API"
+                        % (src, node.func.attr, "/".join(sorted(defined_in))),
+                    )

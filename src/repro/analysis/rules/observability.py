@@ -1,4 +1,4 @@
-"""Deep rule: the metric catalog must match the code (both ways).
+"""The metric catalog must match the code (both ways).
 
 docs/OBSERVABILITY.md carries the metric catalog — the named contract
 every experiment table and identity check is written against.  The
@@ -17,16 +17,17 @@ same way, and templates compare segment-wise.  A name built from an
 expression the analysis cannot read (no literal skeleton at all) is
 skipped, never guessed at.
 
-The catalog is discovered by walking up from the analyzed files to the
-nearest ``docs/OBSERVABILITY.md``; no catalog means no findings (the
-rule only ever judges a tree that carries the contract).
+The catalog is discovered by walking up from the registry module
+(``repro.obs.metrics``) to the nearest ``docs/OBSERVABILITY.md``.  No
+registry among the analyzed modules (a lint of ``tests/`` alone) or no
+catalog means no findings: the rule only ever judges a tree that
+carries the contract.
 """
 
 import ast
 import os
 import re
 
-from repro.analysis.callgraph import dotted
 from repro.analysis.core import LintRule, register
 
 #: Registry factory methods whose first argument names a metric.
@@ -35,8 +36,9 @@ METRIC_FACTORIES = frozenset({"counter", "gauge", "histogram"})
 CATALOG_RELPATH = os.path.join("docs", "OBSERVABILITY.md")
 CATALOG_HEADING = "## Metric catalog"
 
-#: Module that owns the registry — direction-2 findings anchor here,
-#: because a rotted row's fix is in code-or-docs, not at any one site.
+#: Module that owns the registry — the rule judges only a tree that
+#: contains it, and direction-2 findings anchor here, because a rotted
+#: row's fix is in code-or-docs, not at any one site.
 REGISTRY_MODULE = "repro.obs.metrics"
 
 
@@ -67,6 +69,18 @@ def _covers(template, name):
         "\\*", "[A-Za-z0-9_]+"
     )
     return re.match(pattern, name) is not None
+
+
+def dotted(node):
+    """``a.b.c`` as a list of names, or None for non-trivial chains."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return list(reversed(parts))
+    return None
 
 
 def _literal_skeleton(node):
@@ -156,7 +170,6 @@ class _Line:
 class UncatalogedMetricRule(LintRule):
     rule_id = "obs-uncataloged-metric"
     pack = "obs"
-    deep = True
     description = (
         "every emitted metric name must have a catalog row in "
         "docs/OBSERVABILITY.md, and every catalog row must still be "
@@ -172,17 +185,17 @@ class UncatalogedMetricRule(LintRule):
                 yield self.violation(module, anchor, message)
 
     def _evaluate(self, project):
-        modules = [m for m in project.modules if m.tree is not None]
-        if not modules:
+        registry = project.by_module.get(REGISTRY_MODULE)
+        if registry is None:
             return []
-        catalog_path = find_catalog(sorted(m.path for m in modules)[0])
+        catalog_path = find_catalog(registry.path)
         if catalog_path is None:
             return []
         with open(catalog_path, "r", encoding="utf-8") as handle:
             rows = parse_catalog(handle.read())
         catalog = [(_template(name), name, line) for name, line in rows]
         emitted = []
-        for module in modules:
+        for module in project.modules:
             for template, node in emitted_templates(module):
                 emitted.append((template, module, node))
 
@@ -201,23 +214,21 @@ class UncatalogedMetricRule(LintRule):
                 )
             )
 
-        registry = project.by_module.get(REGISTRY_MODULE)
-        if registry is not None:
-            emitted_templates_all = {entry[0] for entry in emitted}
-            for template, name, line in catalog:
-                if any(
-                    _covers(e, template) or _covers(template, e)
-                    for e in emitted_templates_all
-                ):
-                    continue
-                findings.append(
-                    (
-                        registry,
-                        _Line(1),
-                        "catalog row `%s` (docs/OBSERVABILITY.md line "
-                        "%d) matches no metric referenced in the "
-                        "analyzed tree; delete the row or restore the "
-                        "metric" % (name, line),
-                    )
+        emitted_templates_all = {entry[0] for entry in emitted}
+        for template, name, line in catalog:
+            if any(
+                _covers(e, template) or _covers(template, e)
+                for e in emitted_templates_all
+            ):
+                continue
+            findings.append(
+                (
+                    registry,
+                    _Line(1),
+                    "catalog row `%s` (docs/OBSERVABILITY.md line "
+                    "%d) matches no metric referenced in the "
+                    "analyzed tree; delete the row or restore the "
+                    "metric" % (name, line),
                 )
+            )
         return findings

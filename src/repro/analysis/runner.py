@@ -3,23 +3,14 @@
 Exit status: 0 clean, 1 violations found, 2 usage error.  The same
 entry point backs the ``repro lint`` CLI subcommand.
 
-The default selection is every *shallow* rule; ``--deep`` adds the
-whole-program rules (call graph, atomic sections, metric catalog).
-``--select``/``--ignore`` filter by rule id or pack name.
+The default selection is every rule; ``--select``/``--ignore`` filter
+by rule id or pack name.
 """
 
 import argparse
 import sys
 
-from repro.analysis.core import (
-    Project,
-    SourceModule,
-    all_rules,
-    analyze_paths,
-    collect_files,
-    default_rules,
-    rules_by_id,
-)
+from repro.analysis.core import all_rules, analyze_paths, rules_by_id
 from repro.analysis.reporting import format_json, format_sarif, format_text
 
 
@@ -27,9 +18,8 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(
-            "almanac-lint/deepcheck: determinism, layering, hygiene and "
-            "whole-program effect/domain checks for the simulator "
-            "(see docs/ANALYSIS.md)"
+            "almanac-lint: determinism, layering, hygiene and metric-catalog "
+            "checks for the simulator (see docs/ANALYSIS.md)"
         ),
     )
     parser.add_argument(
@@ -49,7 +39,7 @@ def build_parser():
         "--rules",
         dest="select",
         help="comma-separated rule ids or pack names to run "
-        "(default: every shallow rule; every rule with --deep)",
+        "(default: every rule)",
     )
     parser.add_argument(
         "--ignore",
@@ -57,21 +47,9 @@ def build_parser():
         "selection",
     )
     parser.add_argument(
-        "--deep",
-        action="store_true",
-        help="include the whole-program rules (call graph, atomic "
-        "sections, metric catalog)",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="list registered rules and exit",
-    )
-    parser.add_argument(
-        "--show-unresolved",
-        action="store_true",
-        help="print the call-graph unresolved-call report to stderr "
-        "(implies building the call graph)",
     )
     parser.add_argument(
         "--stats",
@@ -88,10 +66,8 @@ def _split_ids(text):
 def _select_rules(args):
     if args.select:
         rules = rules_by_id(_split_ids(args.select))
-    elif args.deep:
-        rules = all_rules()
     else:
-        rules = default_rules()
+        rules = all_rules()
     if args.ignore:
         dropped = set(_split_ids(args.ignore))
         rules = [
@@ -100,20 +76,6 @@ def _select_rules(args):
             if rule.rule_id not in dropped and rule.pack not in dropped
         ]
     return rules
-
-
-def _print_unresolved(paths):
-    from repro.analysis.callgraph import build_call_graph
-
-    modules = [SourceModule.from_path(p) for p in collect_files(paths)]
-    graph = build_call_graph(Project(modules))
-    print(
-        "unresolved calls: %d" % len(graph.unresolved), file=sys.stderr
-    )
-    for entry in sorted(
-        graph.unresolved, key=lambda u: (u.path, u.line, u.col)
-    ):
-        print("  %s" % entry, file=sys.stderr)
 
 
 def _print_stats(violations, rules):
@@ -132,10 +94,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.list_rules:
         for rule in all_rules():
-            marker = " [deep]" if rule.deep else ""
             print(
-                "%-28s %-12s %s%s"
-                % (rule.rule_id, rule.pack, rule.description, marker)
+                "%-30s %-12s %s" % (rule.rule_id, rule.pack, rule.description)
             )
         return 0
     try:
@@ -145,8 +105,6 @@ def main(argv=None):
         return 2
     try:
         violations = analyze_paths(args.paths, rules)
-        if args.show_unresolved:
-            _print_unresolved(args.paths)
     except (FileNotFoundError, IsADirectoryError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

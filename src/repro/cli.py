@@ -245,12 +245,8 @@ def _cmd_lint(args):
         argv += ["--select", args.select]
     if args.ignore:
         argv += ["--ignore", args.ignore]
-    if args.deep:
-        argv += ["--deep"]
     if args.list_rules:
         argv += ["--list-rules"]
-    if args.show_unresolved:
-        argv += ["--show-unresolved"]
     if args.stats:
         argv += ["--stats"]
     return lint_main(argv)
@@ -309,7 +305,7 @@ def build_parser():
     ).set_defaults(fn=_cmd_selftest)
 
     lint = sub.add_parser(
-        "lint", help="almanac-lint: determinism/layering/hygiene checks"
+        "lint", help="almanac-lint: determinism/layering/hygiene/obs checks"
     )
     lint.add_argument(
         "paths", nargs="*", default=["src/repro"], help="files or directories"
@@ -327,13 +323,7 @@ def build_parser():
         "--ignore",
         help="comma-separated rule ids or pack names to drop",
     )
-    lint.add_argument(
-        "--deep",
-        action="store_true",
-        help="include the whole-program passes",
-    )
     lint.add_argument("--list-rules", action="store_true")
-    lint.add_argument("--show-unresolved", action="store_true")
     lint.add_argument(
         "--stats",
         action="store_true",

@@ -5,44 +5,32 @@ update the mapping, insert into the index — runs to completion: a task
 is only ever suspended at its own ``yield``, and firmware code cannot
 yield to the scheduler (DESIGN.md, "Why interleavings are safe").  What
 *can* cut such a sequence short is an exception.
-:func:`atomic_section` names the sequences where that matters, and the
-deep lint rule ``concurrency-atomic-raise-after-mutate``
-(:mod:`repro.analysis.atomicity`) checks that each one either keeps
-its mutations last — so a raise leaves nothing half-applied — or
-declares ``restores_state=True`` with the reason written beside it.
-Annotation is opt-in: the rule has no opinion about undecorated code.
+:func:`atomic_section` names the sequences where that matters and says,
+in its reason (and the comment beside it), why an exception partway
+through leaves nothing half-applied: the mutations come last, or the
+section restores a consistent state before the exception escapes.  The
+runtime checks are tier-1 tests and the seeded firmware bugs of
+``tests/analysis/test_mutation_ratchet.py`` that they must catch.
 
-The decorator is metadata only: it stores the annotation on the function
-object and returns the function unchanged — zero wrappers, zero per-call
-cost.  The analyzer reads the decoration from the AST (it never imports
-this module at lint time).
+The decorator is metadata only: it stores the reason on the function
+object and returns the function unchanged — zero wrappers, zero
+per-call cost.
 """
 
-#: Attribute set on decorated functions (read by tests and tooling; the
-#: static analyzer matches the decorator syntactically instead).
+#: Attribute set on decorated functions; its value is the reason.
 ATOMIC_ATTR = "__atomic_section__"
 
 
-def atomic_section(reason, restores_state=False):
+def atomic_section(reason):
     """Mark a function whose state updates must land together.
 
     ``reason`` names the invariant the section maintains.
-    ``restores_state=True`` waives the mutations-last discipline for
-    sections that may raise partway through *because* they explicitly
-    restore a consistent state before the exception escapes — the
-    justification belongs in ``reason``.
     """
     if not isinstance(reason, str) or not reason.strip():
         raise ValueError("atomic_section requires a non-empty reason string")
-    if not isinstance(restores_state, bool):
-        raise ValueError("restores_state must be a bool")
 
     def mark(fn):
-        setattr(
-            fn,
-            ATOMIC_ATTR,
-            {"reason": reason, "restores_state": restores_state},
-        )
+        setattr(fn, ATOMIC_ATTR, reason)
         return fn
 
     return mark

@@ -210,8 +210,8 @@ class BlockManager:
         "append-point rotation, free-block pop and kind tagging are one "
         "allocation step; a competing allocator between them would hand "
         "out the same PPA twice",
-        restores_state=True,  # DeviceFullError escapes with only the
-        # round-robin cursor advanced — no block claimed, no slot filled
+        # DeviceFullError escapes with only the round-robin cursor
+        # advanced — no block claimed, no slot filled.
     )
     def allocate_page_keyed(self, key, kind, striped=False):
         """Like :meth:`allocate_page` but for a dynamic stream ``key``.

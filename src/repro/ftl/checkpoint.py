@@ -150,9 +150,9 @@ class CheckpointWriter:
         "superseded-block erase are one checkpoint transaction: a scan "
         "interleaved between parts would adopt a checkpoint whose root "
         "is not yet durable",
-        restores_state=True,  # the root page programs last, so an abort
-        # (device full, media failure) leaves the previous checkpoint in
-        # force; orphaned part pages are superseded garbage
+        # The root page programs last, so an abort (device full, media
+        # failure) leaves the previous checkpoint in force; orphaned part
+        # pages are superseded garbage.
     )
     def write_checkpoint(self, now_us):
         """Emit one checkpoint; returns the time cursor afterwards.

@@ -450,9 +450,9 @@ class BaseSSD:
         "the dwell clock, then flips the degraded flag in one step; a "
         "media failure arriving mid-decision must restart the dwell, "
         "not race the flip",
-        restores_state=True,  # the flag flip is the last firmware
-        # mutation; what follows is observability (counter + trace),
-        # whose ReproError would leave the healed state fully consistent
+        # The flag flip is the last firmware mutation; what follows is
+        # observability (counter + trace), whose ReproError would leave
+        # the healed state fully consistent.
     )
     def _maybe_heal(self, now_us):
         """Exit degraded mode once the media has proven stable.
@@ -491,9 +491,9 @@ class BaseSSD:
         "allocate + map + program + validity must commit as one step: a "
         "competing task between mapping update and program would read a "
         "mapped-but-unwritten page",
-        restores_state=True,  # retry exhaustion re-points the mapping at
-        # the last durable copy (or invalidates a first write) before the
-        # ProgramFailureError escapes
+        # Retry exhaustion re-points the mapping at the last durable copy
+        # (or invalidates a first write) before the ProgramFailureError
+        # escapes.
     )
     def _program_user_page(self, lpa, data, now_us):
         """Allocate, program and map one user page; returns completion.
@@ -535,10 +535,9 @@ class BaseSSD:
         "transaction: suspending between a burned page and its "
         "replacement allocation would let a competing allocator reuse "
         "the failed block",
-        restores_state=True,  # a failed program permanently burns the
-        # page and may retire the block (durable media truth); no
-        # mapping/index state is touched, so the raise leaves firmware
-        # state consistent
+        # A failed program permanently burns the page and may retire the
+        # block (durable media truth); no mapping/index state is touched,
+        # so the raise leaves firmware state consistent.
     )
     def program_with_retry(self, allocate, data, oob, now_us):
         """Program with remap-on-failure for housekeeping writes.
@@ -775,9 +774,9 @@ class BaseSSD:
         "migrate + erase + release is one reclaim step: suspending "
         "between migration and erase would expose two valid copies of "
         "each page to a competing victim selection",
-        restores_state=True,  # a program failure mid-migration escapes
-        # with every already-migrated page individually remapped and the
-        # victim still intact — consistent, merely unreclaimed
+        # A program failure mid-migration escapes with every
+        # already-migrated page individually remapped and the victim
+        # still intact — consistent, merely unreclaimed.
     )
     def relocate_block(self, pba, now_us):
         """Migrate every valid page out of ``pba``, erase and free it.
@@ -846,8 +845,8 @@ class BaseSSD:
         "a page migration is program + validity flip + remap committed "
         "together, or a competing read could land on a mapping that "
         "moved before its copy was durable",
-        restores_state=True,  # program_with_retry leaves firmware state
-        # untouched on failure; the source page stays valid and mapped
+        # program_with_retry leaves firmware state untouched on failure;
+        # the source page stays valid and mapped.
     )
     def migrate_page(self, ppa, result, now_us):
         """Move the valid page at ``ppa``, already read as ``result``, to
@@ -880,7 +879,6 @@ class BaseSSD:
         # A completed erase is durable media truth; release_block either
         # frees or retires the block, and the wear-leveler accounting is
         # monotonic counters that recovery rebuilds from flash anyway.
-        restores_state=True,
     )
     def erase_and_release(self, pba, now_us):
         """Erase ``pba`` and hand it back to the pool; returns the erase's

@@ -73,7 +73,6 @@ class FlashGuardSSD(BaseSSD):
         # Per-page migration is self-consistent: a page is remapped (or
         # its retained-version record re-pointed) before the next page
         # is touched, so a mid-reclaim failure loses nothing.
-        restores_state=True,
     )
     def _reclaim(self, victim, now_us):
         bm = self.block_manager

@@ -271,7 +271,6 @@ class DeltaManager:
         # truth: the RAM-side bookkeeping after the program is exactly
         # what recovery's segment scan reconstructs, so an exception in
         # it loses no record.
-        restores_state=True,
     )
     def flush_segment(self, segment_id, now_us):
         """Write the segment's buffered deltas as one delta page.
@@ -352,7 +351,6 @@ class DeltaManager:
         # Records are marked dropped before any erase, so a mid-loop
         # erase failure (bad block, retired inside erase_and_release)
         # never resurrects history; completed erases are durable.
-        restores_state=True,
     )
     def drop_segment(self, segment_id, now_us):
         """Destroy a segment's deltas: erase its delta blocks immediately.

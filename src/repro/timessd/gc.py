@@ -55,7 +55,6 @@ class TimeSSDGarbageCollector:
         # migrated page is remapped before the next page is touched; a
         # compressed chain is linked before its sources are marked
         # reclaimable), so a mid-loop failure loses no version.
-        restores_state=True,
     )
     def reclaim_block(self, victim_pba, now_us):
         """Reclaim one data block; returns a :class:`ReclaimOutcome`."""
@@ -127,7 +126,6 @@ class TimeSSDGarbageCollector:
         # Sources are marked reclaimable only after their deltas are
         # linked and buffered, so a mid-step failure leaves every
         # version still retrievable from its original flash page.
-        restores_state=True,
     )
     def compress_version_chain(self, ppa, now_us):
         """Compress the retained page at ``ppa`` plus its older chain.

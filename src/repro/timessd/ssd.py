@@ -108,7 +108,6 @@ class TimeSSD(BaseSSD):
         # independently consistent sub-updates; recovery rebuilds the
         # census from flash, so a geometry/bloom failure mid-way (which
         # means corrupted configuration, not a data race) loses nothing.
-        restores_state=True,
     )
     def _on_invalidate(self, lpa, old_ppa, now_us):
         super()._on_invalidate(lpa, old_ppa, now_us)
@@ -243,7 +242,6 @@ class TimeSSD(BaseSSD):
         # Grown-bad-block erase failures are absorbed inside
         # erase_and_release (the block is retired); every earlier erase
         # is durable media truth, not state to roll back.
-        restores_state=True,
     )
     def _shrink_retention(self, now_us):
         segment = self.retention.shrink()
@@ -400,9 +398,9 @@ class TimeSSD(BaseSSD):
         "expiry marking or chain compression of a retained page must "
         "commit as one step with the census it updates — the same unit "
         "GC's per-page dispatch commits in reclaim_block",
-        restores_state=True,  # compress_version_chain links deltas
-        # before marking sources reclaimable; a mid-step failure leaves
-        # every version retrievable from its original flash page
+        # compress_version_chain links deltas before marking sources
+        # reclaimable; a mid-step failure leaves every version
+        # retrievable from its original flash page.
     )
     def _refresh_retained_page(self, ppa, now_us):
         """Scrub refresh of an invalid-but-retained page.

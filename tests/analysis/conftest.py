@@ -71,3 +71,31 @@ def package_tree(tmp_path):
 
 def rule_ids(violations):
     return [v.rule_id for v in violations]
+
+
+#: A stand-in ``repro.obs.metrics``: ``obs-uncataloged-metric`` judges
+#: only a tree that contains the registry module.
+REGISTRY = """
+    class MetricsRegistry:
+        pass
+
+    metrics = MetricsRegistry()
+"""
+
+
+def write_catalog(tmp_path, rows):
+    """A ``docs/OBSERVABILITY.md`` beside the synthetic package, listing
+    ``rows`` (``find_catalog`` walks up from the registry module)."""
+    docs = tmp_path / "docs"
+    docs.mkdir(exist_ok=True)
+    lines = [
+        "# Observability",
+        "",
+        "## Metric catalog",
+        "",
+        "| metric | kind | meaning |",
+        "| --- | --- | --- |",
+    ]
+    lines += ["| `%s` | gauge | something |" % name for name in rows]
+    lines += ["", "## Something else", "", "| `not.a.metric` | x | y |"]
+    (docs / "OBSERVABILITY.md").write_text("\n".join(lines) + "\n")

@@ -1,48 +1,55 @@
-"""Call-graph builder: resolution, hierarchy, unresolved reporting."""
+"""The call-graph rule's resolution cases, judged by the name check that
+replaced it (``layering-private-cross-package``).
 
-from repro.analysis.callgraph import build_call_graph
-from repro.analysis.core import Project, SourceModule, collect_files
+The deleted call graph chased re-exports, typed receivers through
+``self.attr = Cls()``, followed overrides and ``super()`` up the class
+family, and fanned an ambiguous method name out to every candidate —
+all to decide whether a call lands on another package's private
+function.  The name check needs none of it: a private name ``def``'d
+only in other packages is enough (docs/ANALYSIS.md, "How a rule earns
+its place").  Its basic fixtures are in ``test_layering.py``.
+"""
+
+from tests.analysis.conftest import rule_ids
+
+RULE = "layering-private-cross-package"
 
 
-def graph_for(root):
-    modules = [SourceModule.from_path(p) for p in collect_files([root])]
-    return build_call_graph(Project(modules))
-
-
-def test_reexported_name_resolves_to_definition(package_tree):
-    root = package_tree(
+def test_reexported_name_resolves_to_definition(lint_package):
+    # The graph followed flash/__init__ back to the defining module; the
+    # import itself already names a private from another package.
+    violations = lint_package(
         {
-            "repro.common.errors": """
-                class ReproError(Exception):
-                    pass
-
-
-                class UncorrectableReadError(ReproError):
-                    pass
+            "repro.flash.device": """
+                def _sense(ppa):
+                    return ppa
             """,
             "repro.flash.__init__": """
-                from repro.common.errors import UncorrectableReadError
+                from repro.flash.device import _sense
             """,
             "repro.ftl.user": """
-                from repro.flash import UncorrectableReadError
+                from repro.flash import _sense
 
 
-                def handle():
-                    return UncorrectableReadError()
+                def handle(ppa):
+                    return _sense(ppa)
             """,
-        }
+        },
+        rules=[RULE],
     )
-    graph = graph_for(root)
-    edges = graph.edges["repro.ftl.user.handle"]
-    assert "repro.common.errors.UncorrectableReadError" in edges
+    assert rule_ids(violations) == [RULE]
+    assert violations[0].path.endswith("user.py")
+    assert "imports private _sense from repro.flash" in violations[0].message
 
 
-def test_method_resolution_through_attribute_type(package_tree):
-    root = package_tree(
+def test_method_resolution_through_attribute_type(lint_package):
+    # The graph typed ``self.bm`` from ``BlockManager()``; the name check
+    # needs no type for the receiver.
+    violations = lint_package(
         {
             "repro.ftl.block_manager": """
                 class BlockManager:
-                    def claim_block(self, pba):
+                    def _claim(self, pba):
                         return pba
             """,
             "repro.timessd.recovery": """
@@ -54,129 +61,124 @@ def test_method_resolution_through_attribute_type(package_tree):
                         self.bm = BlockManager()
 
                     def rebuild(self):
-                        return self.bm.claim_block(3)
+                        return self.bm._claim(3)
             """,
-        }
+        },
+        rules=[RULE],
     )
-    graph = graph_for(root)
-    caller = "repro.timessd.recovery.Rebuilder.rebuild"
-    callee = "repro.ftl.block_manager.BlockManager.claim_block"
-    assert callee in graph.edges[caller]
+    assert [(v.rule_id, v.line) for v in violations] == [(RULE, 10)]
+    assert "defined only in repro.ftl" in violations[0].message
 
 
-def test_override_dispatch_targets_base_and_subclass(package_tree):
-    root = package_tree(
+def test_override_dispatch_targets_base_and_subclass(lint_package):
+    # A hook the base defines and a subclass in another package
+    # overrides: self-dispatch on either side is the class family's own
+    # business; an outside caller is flagged once.
+    violations = lint_package(
         {
             "repro.ftl.ssd": """
                 class BaseSSD:
-                    def flush(self):
+                    def _flush(self):
                         return 0
 
                     def sync(self):
-                        return self.flush()
+                        return self._flush()
             """,
             "repro.timessd.ssd": """
                 from repro.ftl.ssd import BaseSSD
 
 
                 class TimeSSD(BaseSSD):
-                    def flush(self):
+                    def _flush(self):
                         return 1
+
+                    def sync_all(self):
+                        return self._flush()
             """,
-        }
+            "repro.nvme.controller": """
+                def flush(ssd):
+                    return ssd._flush()
+            """,
+        },
+        rules=[RULE],
     )
-    graph = graph_for(root)
-    edges = graph.edges["repro.ftl.ssd.BaseSSD.sync"]
-    assert "repro.ftl.ssd.BaseSSD.flush" in edges
-    assert "repro.timessd.ssd.TimeSSD.flush" in edges
+    assert rule_ids(violations) == [RULE]
+    assert violations[0].path.endswith("controller.py")
+    assert "repro.ftl/timessd" in violations[0].message
 
 
-def test_super_call_resolves_up_the_mro_only(package_tree):
-    root = package_tree(
+def test_super_call_resolves_up_the_mro_only(lint_package):
+    violations = lint_package(
         {
-            "repro.common.errors": """
-                class ReproError(Exception):
-                    def __init__(self, message):
-                        super().__init__(message)
+            "repro.ftl.ssd": """
+                class BaseSSD:
+                    def _on_invalidate(self, ppa):
+                        return ppa
+
+                    @classmethod
+                    def _blank(cls):
+                        return cls()
+            """,
+            "repro.timessd.ssd": """
+                from repro.ftl.ssd import BaseSSD
 
 
-                class ReadError(ReproError):
-                    def __init__(self, ppa):
-                        super().__init__("read failed at %d" % ppa)
+                class TimeSSD(BaseSSD):
+                    def _on_invalidate(self, ppa):
+                        return super()._on_invalidate(ppa) + 1
+
+                    @classmethod
+                    def rebuild(cls):
+                        return cls._blank()
             """,
-            "repro.fs.volume": """
-                class Volume:
-                    def __init__(self, driver):
-                        driver.write_pages()
-            """,
-        }
+        },
+        rules=[RULE],
     )
-    graph = graph_for(root)
-    # Not "every __init__ in the project": that guess made raising an
-    # error reach whatever any constructor does.
-    assert set(graph.edges["repro.common.errors.ReadError.__init__"]) == {
-        "repro.common.errors.ReproError.__init__"
-    }
-    # A base outside the project (Exception) has no edge at all.
-    assert graph.edges.get("repro.common.errors.ReproError.__init__", {}) == {}
+    assert violations == []
 
 
-def test_dynamic_call_lands_in_unresolved_report(package_tree):
-    root = package_tree(
-        {
-            "repro.workloads.runner": """
-                def apply(handler):
-                    return handler()
-            """,
-        }
-    )
-    graph = graph_for(root)
-    dynamic = [u for u in graph.unresolved if u.reason == "dynamic-call"]
-    assert any(u.caller == "repro.workloads.runner.apply" for u in dynamic)
-    assert graph.edges.get("repro.workloads.runner.apply", {}) == {}
-
-
-def test_ambiguous_method_edges_to_all_candidates(package_tree):
-    root = package_tree(
+def test_ambiguous_method_edges_to_all_candidates(lint_package):
+    # Defined by unrelated classes in two packages: the graph fanned the
+    # call out (and the old rule gave up); the name check flags it.
+    violations = lint_package(
         {
             "repro.flash.a": """
                 class Reader:
-                    def poke(self):
+                    def _poke(self):
                         return 1
             """,
             "repro.ftl.b": """
                 class Writer:
-                    def poke(self):
+                    def _poke(self):
                         return 2
             """,
             "repro.obs.c": """
                 def kick(thing):
-                    return thing.poke()
+                    return thing._poke()
             """,
-        }
+        },
+        rules=[RULE],
     )
-    graph = graph_for(root)
-    caller = "repro.obs.c.kick"
-    edges = graph.edges[caller]
-    assert "repro.flash.a.Reader.poke" in edges
-    assert "repro.ftl.b.Writer.poke" in edges
-    ambiguous = [u for u in graph.unresolved if u.reason == "ambiguous-method"]
-    assert any(u.caller == caller for u in ambiguous)
+    assert rule_ids(violations) == [RULE]
+    assert "defined only in repro.flash/ftl" in violations[0].message
 
 
-def test_builtin_method_names_do_not_count_as_ambiguous(package_tree):
-    root = package_tree(
+def test_builtin_method_names_do_not_count_as_ambiguous(lint_package):
+    # Private-looking names the project never defines (namedtuple's
+    # ``_replace``/``_asdict``, a stdlib internal) are not the project's.
+    violations = lint_package(
         {
             "repro.common.holder": """
-                def gather(items):
-                    out = []
-                    out.append(items)
+                from collections import namedtuple
+
+                Pair = namedtuple("Pair", "a b")
+
+
+                def gather(pair, out):
+                    out.append(pair._replace(a=1)._asdict())
                     return out
             """,
-        }
+        },
+        rules=[RULE],
     )
-    graph = graph_for(root)
-    assert graph.edges.get("repro.common.holder.gather", {}) == {}
-    assert not any(
-        u.caller == "repro.common.holder.gather" for u in graph.unresolved
-    )
+    assert violations == []

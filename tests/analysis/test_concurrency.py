@@ -1,28 +1,33 @@
-"""``@atomic_section``: the decorator, its AST discovery, and the one
-rule that reads it (``concurrency-atomic-raise-after-mutate``).
+"""``@atomic_section``: the decorator, the sections that carry it, and
+the promise they make at run time.
 
-The shipped tree's own cleanliness is asserted by
-``test_runner.test_whole_tree_is_clean``.
+A section's reason says why an exception partway through leaves nothing
+half-applied.  No lint rule reads it; the runtime checks are below and
+in the seeded firmware bugs of ``test_mutation_ratchet.py``.  The last
+three tests are the selection, suppression and SARIF mechanics of a
+project-cached rule (one evaluation per run, findings handed out per
+module), on ``obs-uncataloged-metric``.
 """
 
+import ast
+import importlib
 import json
-import textwrap
+import os
 
 import pytest
 
-from repro.analysis.atomicity import atomic_index
-from repro.analysis.core import Project, SourceModule, collect_files
+import repro
+from repro.analysis.core import SourceModule, collect_files
 from repro.analysis.runner import main as lint_main
 from repro.common.atomic import ATOMIC_ATTR, atomic_section
+from repro.common.errors import AddressError, FlashStateError
+from repro.flash.core import ColumnarFlashArray
+from repro.flash.device import FlashDevice
+from repro.flash.page import NULL_PPA, OOBMetadata
+from repro.ftl.block_manager import BlockKind, BlockManager
 
-from tests.analysis.conftest import rule_ids
-
-
-def _project(package_tree, files):
-    root = package_tree(files)
-    return Project(
-        [SourceModule.from_path(p) for p in collect_files([root])]
-    )
+from tests.analysis.conftest import REGISTRY, write_catalog
+from tests.conftest import small_geometry
 
 
 # --- The @atomic_section decorator (runtime surface) --------------------------
@@ -38,12 +43,11 @@ def test_atomic_section_returns_the_function_unchanged():
 
 
 def test_atomic_section_attaches_metadata():
-    @atomic_section("why it is one step", restores_state=True)
+    @atomic_section("why it is one step")
     def step():
         pass
 
-    meta = getattr(step, ATOMIC_ATTR)
-    assert meta == {"reason": "why it is one step", "restores_state": True}
+    assert getattr(step, ATOMIC_ATTR) == "why it is one step"
 
 
 def test_atomic_section_rejects_empty_reason():
@@ -56,263 +60,137 @@ def test_atomic_section_rejects_non_string_reason():
         atomic_section(None)
 
 
-def test_atomic_section_rejects_non_bool_restores_state():
-    with pytest.raises(ValueError):
-        atomic_section("fine", restores_state="yes")
+# --- The sections in the tree -------------------------------------------------
 
 
-# --- Atomic-section discovery (AST surface) -----------------------------------
-
-IMPORT = "from repro.common.atomic import atomic_section\n"
-
-
-def _with_import(body):
-    """Prepend the atomic_section import to an (indented) source body."""
-    return IMPORT + textwrap.dedent(body)
-
-
-def test_atomic_index_collects_sections(package_tree):
-    project = _project(
-        package_tree,
-        {
-            "repro.ftl.ssd": _with_import("""
-            class BaseSSD:
-                @atomic_section("map+program as one", restores_state=True)
-                def commit(self):
-                    self.x = 1
-
-                @atomic_section
-                def bare(self):
-                    self.x = 2
-
-                @atomic_section("fine", restores_state="yes")
-                def flagged(self):
-                    self.x = 3
-            """),
-        },
+def _is_atomic_decorator(node):
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "atomic_section"
     )
-    index = atomic_index(project)
-    # The two malformed uses raise ValueError when the module is
-    # imported; the index skips them instead of reporting them.
-    assert set(index) == {"repro.ftl.ssd.BaseSSD.commit"}
-    section = index["repro.ftl.ssd.BaseSSD.commit"]
-    assert section.reason == "map+program as one"
-    assert section.restores_state is True
 
 
-# --- Rule: exception-state consistency ----------------------------------------
+def test_atomic_index_collects_sections():
+    # Every ``@atomic_section(...)`` method in the source carries its
+    # reason on the imported function.
+    sections = set()
+    for path in collect_files([os.path.dirname(repro.__file__)]):
+        module = SourceModule.from_path(path)
+        for node in ast.walk(module.tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and any(
+                    map(_is_atomic_decorator, item.decorator_list)
+                ):
+                    sections.add((module.module, node.name, item.name))
+    assert ("repro.ftl.mapping", "AddressMappingTable", "update") in sections
+    assert len(sections) >= 20
+    for module_name, class_name, name in sorted(sections):
+        cls = getattr(importlib.import_module(module_name), class_name)
+        reason = getattr(vars(cls)[name], ATOMIC_ATTR)
+        assert isinstance(reason, str) and reason.strip(), (class_name, name)
 
 
-def test_raise_after_attribute_store_is_flagged(lint_package):
-    violations = lint_package(
-        {
-            "repro.ftl.ssd": _with_import("""
-            class BaseSSD:
-                @atomic_section("one step")
-                def _commit(self, lpa):
-                    self.cursor = lpa
-                    if lpa < 0:
-                        raise ValueError("bad lpa")
-            """),
-        },
-        rules=["concurrency-atomic-raise-after-mutate"],
+def _columns(core):
+    return (
+        bytes(core.state),
+        list(core.data),
+        list(core.write_pointer),
+        list(core.lpa),
+        list(core.timestamp_us),
     )
-    assert rule_ids(violations) == ["concurrency-atomic-raise-after-mutate"]
-    assert "ValueError" in violations[0].message
 
 
-def test_mutations_last_discipline_is_clean(lint_package):
-    violations = lint_package(
-        {
-            "repro.ftl.ssd": _with_import("""
-            class BaseSSD:
-                @atomic_section("one step")
-                def _commit(self, lpa):
-                    if lpa < 0:
-                        raise ValueError("bad lpa")
-                    self.cursor = lpa
-            """),
-        },
-        rules=["concurrency-atomic-raise-after-mutate"],
-    )
-    assert violations == []
+def test_mutations_last_discipline_is_clean():
+    # Sections whose guard raises before their first mutation, provoked
+    # at run time: the raise leaves no trace.  (AddressMappingTable.update
+    # is ``tests/ftl/test_mapping.py::test_bounds_checked``.)
+    oob = OOBMetadata(lpa=1, back_pointer=NULL_PPA, timestamp_us=5)
+    core = ColumnarFlashArray(1, 4)
+    core.program(0, 0, b"x", oob)
+    before = _columns(core)
+    for offset in (0, 2):  # a programmed page, then out of order
+        with pytest.raises(FlashStateError):
+            core.program(0, offset, b"y", oob)
+    assert _columns(core) == before
+
+    bm = BlockManager(FlashDevice(small_geometry()))
+    ppa = bm.allocate_page_keyed("k", BlockKind.DATA)
+    bm.device.program_page(ppa, b"d", oob)
+    bm.mark_valid(ppa)
+    pba = bm.device.geometry.block_of_page(ppa)
+    free = bm.free_block_count
+    with pytest.raises(AddressError):
+        bm.release_block(pba)  # still holds a valid page
+    assert bm.free_block_count == free
+    assert bm.is_valid(ppa)
+    # The append point survived: the stream keeps filling the block.
+    assert bm.allocate_page_keyed("k", BlockKind.DATA) == ppa + 1
 
 
-def test_restores_state_waives_raise_after_mutate(lint_package):
-    violations = lint_package(
-        {
-            "repro.ftl.ssd": _with_import("""
-            class BaseSSD:
-                @atomic_section("one step", restores_state=True)
-                def _commit(self, lpa):
-                    self.cursor = lpa
-                    if lpa < 0:
-                        raise ValueError("bad lpa")
-            """),
-        },
-        rules=["concurrency-atomic-raise-after-mutate"],
-    )
-    assert violations == []
+# --- Selection, suppression and SARIF for a project-cached rule ---------------
+
+RULE = "obs-uncataloged-metric"
+
+EMITS_UNCATALOGED = """
+    from repro.obs.metrics import metrics
 
 
-def test_caught_exception_does_not_count(lint_package):
-    violations = lint_package(
-        {
-            "repro.ftl.ssd": _with_import("""
-            class BaseSSD:
-                @atomic_section("one step")
-                def _commit(self, lpa):
-                    self.cursor = lpa
-                    try:
-                        self._check(lpa)
-                    except ValueError:
-                        return None
-                    return lpa
-
-                def _check(self, lpa):
-                    if lpa < 0:
-                        raise ValueError("bad lpa")
-            """),
-        },
-        rules=["concurrency-atomic-raise-after-mutate"],
-    )
-    assert violations == []
-
-
-def test_project_subclass_is_absorbed_by_its_base_handler(lint_package):
-    # The hierarchy walk crosses modules: TraceError is caught as the
-    # ReproError it subclasses; an unrelated handler absorbs nothing.
-    files = {
-        "repro.common.errors": """
-            class ReproError(Exception):
-                pass
-
-
-            class TraceError(ReproError):
-                pass
-        """,
-        "repro.ftl.ssd": _with_import("""
-        from repro.common.errors import ReproError, TraceError
-
-
-        class BaseSSD:
-            @atomic_section("one step")
-            def _commit(self, lpa):
-                self.cursor = lpa
-                try:
-                    self._check(lpa)
-                except %s:
-                    return None
-                return lpa
-
-            def _check(self, lpa):
-                if lpa < 0:
-                    raise TraceError("bad lpa")
-        """),
-    }
-    source = files["repro.ftl.ssd"]
-    files["repro.ftl.ssd"] = source % "ReproError"
-    assert lint_package(files, rules=[RULE]) == []
-    files["repro.ftl.ssd"] = source % "KeyError"
-    violations = lint_package(files, rules=[RULE])
-    assert rule_ids(violations) == [RULE]
-    assert "TraceError" in violations[0].message
-
-
-def test_loop_join_of_mutation_and_raise_is_flagged(lint_package):
-    # Inside one loop the raise re-executes after earlier iterations'
-    # mutations even when it textually precedes them.
-    violations = lint_package(
-        {
-            "repro.ftl.ssd": _with_import("""
-            class BaseSSD:
-                @atomic_section("one step")
-                def _commit(self, lpas):
-                    for lpa in lpas:
-                        self._check(lpa)
-                        self.cursor = lpa
-
-                def _check(self, lpa):
-                    if lpa < 0:
-                        raise ValueError("bad lpa")
-            """),
-        },
-        rules=["concurrency-atomic-raise-after-mutate"],
-    )
-    assert rule_ids(violations) == ["concurrency-atomic-raise-after-mutate"]
-    assert "one loop" in violations[0].message
-
-
-def test_exception_set_collapses_to_one_finding(lint_package):
-    violations = lint_package(
-        {
-            "repro.ftl.ssd": _with_import("""
-            class BaseSSD:
-                @atomic_section("one step")
-                def _commit(self, lpa):
-                    self.cursor = lpa
-                    self._check(lpa)
-
-                def _check(self, lpa):
-                    if lpa < 0:
-                        raise ValueError("negative")
-                    if lpa > 100:
-                        raise KeyError("huge")
-                    if lpa == 13:
-                        raise TypeError("unlucky")
-            """),
-        },
-        rules=["concurrency-atomic-raise-after-mutate"],
-    )
-    assert len(violations) == 1
-    assert "(+1 more)" in violations[0].message
-
-
-# --- Selection, suppression and SARIF for a deep, project-cached rule ---------
-
-RULE = "concurrency-atomic-raise-after-mutate"
-
-RAISES_LATE = """
-    class BaseSSD:
-        @atomic_section("one step")
-        def _commit(self, lpa):
-            self.cursor = lpa
-            self._check(lpa)%s
-
-        def _check(self, lpa):
-            if lpa < 0:
-                raise ValueError("bad lpa")
+    def collect():
+        metrics.counter("ftl.gc.moves")
+        metrics.gauge("ftl.gc.backlog")%s
 """
 
 
-def test_pack_name_selects_deep_rules_and_ignore_drops_them(
-    package_tree, capsys
-):
-    root = package_tree({"repro.ftl.ssd": _with_import(RAISES_LATE % "")})
-    assert lint_main([root]) == 0  # deep rules are off by default
-    assert lint_main([root, "--select", "concurrency"]) == 1
-    assert RULE in capsys.readouterr().out
-    assert lint_main([root, "--deep", "--ignore", "concurrency,obs"]) == 0
-
-
-def test_suppression_with_reason_waives_a_deep_finding(lint_package):
-    waiver = "  # almanac: ignore[%s] -- the cursor is advisory" % RULE
-    violations = lint_package(
-        {"repro.ftl.ssd": _with_import(RAISES_LATE % waiver)}, rules=[RULE]
+def _uncataloged_tree(tmp_path, package_tree, waiver=""):
+    write_catalog(tmp_path, ["ftl.gc.moves"])
+    return package_tree(
+        {
+            "repro.obs.metrics": REGISTRY,
+            "repro.ftl.gc": EMITS_UNCATALOGED % waiver,
+        }
     )
-    assert violations == []
 
 
-def test_sarif_covers_deep_rules(package_tree, capsys):
-    root = package_tree({"repro.ftl.ssd": _with_import(RAISES_LATE % "")})
-    assert lint_main([root, "--deep", "--format", "sarif"]) == 1
+def test_pack_name_selects_deep_rules_and_ignore_drops_them(
+    tmp_path, package_tree, capsys
+):
+    root = _uncataloged_tree(tmp_path, package_tree)
+    assert lint_main([root]) == 1  # the one tier runs every rule
+    assert lint_main([root, "--select", "layering"]) == 0
+    assert lint_main([root, "--select", "obs"]) == 1
+    assert RULE in capsys.readouterr().out
+    assert lint_main([root, "--ignore", "obs"]) == 0
+
+
+def test_suppression_with_reason_waives_a_deep_finding(
+    tmp_path, package_tree, capsys
+):
+    waiver = "  # almanac: ignore[%s] -- a debugging gauge" % RULE
+    root = _uncataloged_tree(tmp_path, package_tree, waiver)
+    # Every rule runs, so a waiver that filtered nothing would be
+    # reported as an unused suppression.
+    assert lint_main([root]) == 0
+    assert "clean" in capsys.readouterr().out
+
+
+def test_sarif_covers_deep_rules(tmp_path, package_tree, capsys):
+    root = _uncataloged_tree(tmp_path, package_tree)
+    assert lint_main([root, "--format", "sarif"]) == 1
     run = json.loads(capsys.readouterr().out)["runs"][0]
     metadata = {r["id"]: r for r in run["tool"]["driver"]["rules"]}
-    for rule_id, pack in ((RULE, "concurrency"), ("obs-uncataloged-metric", "obs")):
+    for rule_id, pack in (
+        (RULE, "obs"),
+        ("layering-cycle", "layering"),
+        ("layering-private-cross-package", "layering"),
+    ):
         assert metadata[rule_id]["properties"]["pack"] == pack
         assert metadata[rule_id]["shortDescription"]["text"]
-    (result,) = [r for r in run["results"] if r["ruleId"] == RULE]
+    (result,) = run["results"]
+    assert result["ruleId"] == RULE
     location = result["locations"][0]["physicalLocation"]
     assert location["region"]["startLine"] > 0
     assert location["region"]["startColumn"] > 0
-    assert location["artifactLocation"]["uri"].endswith("ssd.py")
+    assert location["artifactLocation"]["uri"].endswith("gc.py")

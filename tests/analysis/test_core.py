@@ -16,14 +16,7 @@ VIOLATING = "import time\nt0 = time.time()\n"
 
 def test_registry_has_all_packs():
     packs = {rule.pack for rule in all_rules()}
-    assert packs == {
-        "determinism",
-        "layering",
-        "hygiene",
-        "callgraph",
-        "concurrency",
-        "obs",
-    }
+    assert packs == {"determinism", "layering", "hygiene", "obs"}
     ids = [rule.rule_id for rule in all_rules()]
     assert len(ids) == len(set(ids))
     for rule in all_rules():

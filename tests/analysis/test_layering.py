@@ -1,4 +1,5 @@
-"""Layering pack: import order, the FTL flash monopoly, cycles."""
+"""Layering pack: import order, the FTL flash monopoly, cycles, and
+private names across packages."""
 
 from tests.analysis.conftest import rule_ids
 
@@ -139,6 +140,118 @@ def test_obs_importing_common_and_obs_clean(lint_package):
             )
         },
         rules=["layering-obs-isolated"],
+    )
+    assert violations == []
+
+
+PRIVATE = "layering-private-cross-package"
+
+FTL_GC = """
+    def _collect(now_us):
+        return now_us
+
+
+    class BaseSSD:
+        def _collect_garbage(self, now_us):
+            return _collect(now_us)
+"""
+
+
+def test_private_import_across_packages_flagged(lint_package):
+    violations = lint_package(
+        {
+            "repro.ftl.gc": FTL_GC,
+            "repro.nvme.ctl": "from repro.ftl.gc import _collect, BaseSSD\n",
+            "repro.nvme.rel": "from ..ftl.gc import _collect\n",
+        },
+        rules=[PRIVATE],
+    )
+    assert [(v.rule_id, v.path.rsplit("/", 1)[-1]) for v in violations] == [
+        (PRIVATE, "ctl.py"),
+        (PRIVATE, "rel.py"),
+    ]
+    assert "imports private _collect from repro.ftl" in violations[0].message
+
+
+def test_private_call_on_another_packages_object_flagged(lint_package):
+    # A module-level private reached through its module, and a method
+    # through an untyped receiver.
+    violations = lint_package(
+        {
+            "repro.ftl.gc": FTL_GC,
+            "repro.nvme.controller": (
+                "import repro.ftl.gc as gc\n\n\n"
+                "def flush(ssd, t):\n"
+                "    gc._collect(t)\n"
+                "    ssd._collect_garbage(t)\n"
+            ),
+        },
+        rules=[PRIVATE],
+    )
+    assert [(v.rule_id, v.line) for v in violations] == [
+        (PRIVATE, 5),
+        (PRIVATE, 6),
+    ]
+    assert "calls private _collect, defined only in repro.ftl" in (
+        violations[0].message
+    )
+
+
+def test_private_call_through_self_cls_or_super_clean(lint_package):
+    violations = lint_package(
+        {
+            "repro.ftl.gc": FTL_GC,
+            "repro.timessd.ssd": (
+                "from repro.ftl.gc import BaseSSD\n\n\n"
+                "class TimeSSD(BaseSSD):\n"
+                "    def _collect_garbage(self, now_us):\n"
+                "        return super()._collect_garbage(now_us)\n\n"
+                "    def step(self, now_us):\n"
+                "        return self._collect_garbage(now_us)\n\n"
+                "    @classmethod\n"
+                "    def idle(cls, now_us):\n"
+                "        return cls._collect_garbage(cls(), now_us)\n"
+            ),
+        },
+        rules=[PRIVATE],
+    )
+    assert violations == []
+
+
+def test_private_use_within_its_package_clean(lint_package):
+    violations = lint_package(
+        {
+            "repro.ftl.gc": FTL_GC,
+            "repro.ftl.background": (
+                "from repro.ftl.gc import _collect\n\n\n"
+                "def kick(ssd, now_us):\n"
+                "    ssd._collect_garbage(now_us)\n"
+                "    return _collect(now_us)\n"
+            ),
+        },
+        rules=[PRIVATE],
+    )
+    assert violations == []
+
+
+def test_private_name_the_callers_package_also_defines_clean(lint_package):
+    # ``_check`` is also nvme's own: the call may well be to it.
+    violations = lint_package(
+        {
+            "repro.ftl.mapping": (
+                "class Table:\n"
+                "    def _check(self, lpa):\n"
+                "        return lpa\n"
+            ),
+            "repro.nvme.command": (
+                "class Command:\n"
+                "    def _check(self):\n"
+                "        return True\n\n\n"
+                "def validate(command):\n"
+                "    return command._check()\n"
+            ),
+        },
+        rules=[PRIVATE],
     )
     assert violations == []
 

@@ -13,11 +13,12 @@ file staying green (docs/ANALYSIS.md, "How a rule earns its place").
 :data:`FIRMWARE_MUTATIONS` is the same idea one level down: seeded bugs
 no lint rule claims, each naming the tier-1 *test* that must fail.  A
 rule whose seeded bug a row there catches for less code loses its place
-(the nine concurrency rules PR 17 deleted left theirs here, and so did
-the effect-contract table and the address-domain pass in PR 18).
+(the nine deleted concurrency rules left theirs here, and so did the
+effect-contract table, the address-domain pass and the
+raise-after-mutate rule).
 
-``slow``: ~20 whole-tree lint runs and ~50 single-test pytest runs.
-``pytest -m slow`` on this file is a ``deepcheck`` CI step.
+``slow``: ~15 whole-tree lint runs and ~40 single-test pytest runs.
+``pytest -m slow`` on this file is a ``lint-and-test`` CI step.
 """
 
 import os
@@ -160,9 +161,8 @@ MUTATIONS = (
         "from repro.common.atomic import atomic_section\n"
         "from repro.timessd.config import TimeSSDConfig\n",
     ),
-    # --- callgraph ------------------------------------------------------------
     seed(
-        "callgraph-private-cross-package",  # NVMe kicking FTL-private GC
+        "layering-private-cross-package",  # NVMe kicking FTL-private GC
         "nvme/controller.py",
         "                data, t = ssd.serve_read_at(command.slba + i, t)\n",
         "                self.ssd._collect_garbage(t)\n"
@@ -174,24 +174,6 @@ MUTATIONS = (
         "timessd/ssd.py",
         'metrics.counter("timessd.delta.compressions")',
         'metrics.counter("timessd.delta.compression_count")',
-    ),
-    # --- concurrency ----------------------------------------------------------
-    seed(
-        "concurrency-atomic-raise-after-mutate",  # range check moved last
-        "ftl/mapping.py",
-        "        old = self._table[lpa]\n"
-        "        self._table[lpa] = ppa\n"
-        "        return old\n",
-        "        old = self._table[lpa]\n"
-        "        self._table[lpa] = ppa\n"
-        "        self._check(lpa)\n"
-        "        return old\n",
-    ),
-    seed(
-        "concurrency-atomic-raise-after-mutate",  # the waiver dropped
-        "ftl/ssd.py",
-        "        restores_state=True,  # the flag flip is the last firmware\n",
-        "        # the flag flip is the last firmware\n",
     ),
 )
 
@@ -475,6 +457,25 @@ FIRMWARE_MUTATIONS = (
         "            self.update(lpa, ppa)\n",
         "tests/ftl/test_translation_timing.py"
         "::test_recovery_bills_no_translation_io",
+    ),
+    # --- what the deleted raise-after-mutate rule's rows seeded ----------------
+    (
+        # The range check moved after the store: LPA -1 overwrites the
+        # last entry (and bills a cache miss) before AddressError escapes.
+        "ftl/mapping.py",
+        "        if not 0 <= lpa < self.logical_pages:\n"
+        "            self._check(lpa)\n"
+        "        if self._cache is not None:\n"
+        "            self._touch(lpa, writing=True)\n"
+        "        old = self._table[lpa]\n"
+        "        self._table[lpa] = ppa\n",
+        "        if self._cache is not None:\n"
+        "            self._touch(lpa, writing=True)\n"
+        "        old = self._table[lpa]\n"
+        "        self._table[lpa] = ppa\n"
+        "        if not 0 <= lpa < self.logical_pages:\n"
+        "            self._check(lpa)\n",
+        "tests/ftl/test_mapping.py::test_bounds_checked",
     ),
     # --- what the hand-written trace audits targeted: the fsck on the cut ------
     (

@@ -2,41 +2,21 @@
 
 The catalog lives *outside* the analyzed tree, so these tests build it
 next to the synthetic package (``find_catalog`` walks up from the
-analyzed files).
+registry module).
 """
 
+import os
+
+from repro.analysis.core import analyze_paths, rules_by_id
 from repro.analysis.rules.observability import _covers, _template
 
-from tests.analysis.conftest import rule_ids
+from tests.analysis.conftest import REGISTRY, rule_ids, write_catalog
 
 OBS_RULE = "obs-uncataloged-metric"
 
-REGISTRY = """
-    class MetricsRegistry:
-        pass
 
-    metrics = MetricsRegistry()
-"""
-
-
-def _catalog(tmp_path, rows):
-    docs = tmp_path / "docs"
-    docs.mkdir(exist_ok=True)
-    lines = [
-        "# Observability",
-        "",
-        "## Metric catalog",
-        "",
-        "| metric | kind | meaning |",
-        "| --- | --- | --- |",
-    ]
-    lines += ["| `%s` | gauge | something |" % name for name in rows]
-    lines += ["", "## Something else", "", "| `not.a.metric` | x | y |"]
-    (docs / "OBSERVABILITY.md").write_text("\n".join(lines) + "\n")
-
-
-def test_uncataloged_emission_is_flagged(tmp_path, lint_package):
-    _catalog(tmp_path, ["ftl.gc.moves"])
+def test_uncataloged_emission_is_flagged(tmp_path, lint_package, package_tree):
+    write_catalog(tmp_path, ["ftl.gc.moves"])
     violations = lint_package({
         "repro.obs.metrics": REGISTRY,
         "repro.ftl.gc": """
@@ -50,10 +30,20 @@ def test_uncataloged_emission_is_flagged(tmp_path, lint_package):
     assert rule_ids(violations) == [OBS_RULE]
     assert "ftl.gc.backlog" in violations[0].message
     assert violations[0].path.endswith("gc.py")
+    # The same catalog over a tree without the registry, as CI's lint of
+    # tests/ is: a test's synthetic counter is not judged.
+    root = package_tree({
+        "tests.obs.test_tracer": """
+            def test_bundles_metrics_and_trace(scope):
+                scope.metrics.counter("c").inc(2)
+        """,
+    })
+    tests_only = os.path.join(root, "tests")
+    assert analyze_paths([tests_only], rules_by_id([OBS_RULE])) == []
 
 
 def test_cataloged_literal_is_clean(tmp_path, lint_package):
-    _catalog(tmp_path, ["ftl.gc.moves", "ftl.gc.backlog"])
+    write_catalog(tmp_path, ["ftl.gc.moves", "ftl.gc.backlog"])
     violations = lint_package({
         "repro.obs.metrics": REGISTRY,
         "repro.ftl.gc": """
@@ -68,7 +58,7 @@ def test_cataloged_literal_is_clean(tmp_path, lint_package):
 
 
 def test_percent_format_matches_placeholder_row(tmp_path, lint_package):
-    _catalog(tmp_path, ["nvme.op.<OPCODE>", "flash.chip_qdepth_max.N"])
+    write_catalog(tmp_path, ["nvme.op.<OPCODE>", "flash.chip_qdepth_max.N"])
     violations = lint_package({
         "repro.obs.metrics": REGISTRY,
         "repro.nvme.engine": """
@@ -83,7 +73,7 @@ def test_percent_format_matches_placeholder_row(tmp_path, lint_package):
 
 
 def test_fstring_emission_matches_placeholder_row(tmp_path, lint_package):
-    _catalog(tmp_path, ["nvme.op.<OPCODE>"])
+    write_catalog(tmp_path, ["nvme.op.<OPCODE>"])
     violations = lint_package({
         "repro.obs.metrics": REGISTRY,
         "repro.nvme.engine": """
@@ -97,7 +87,7 @@ def test_fstring_emission_matches_placeholder_row(tmp_path, lint_package):
 
 
 def test_unreadable_name_expression_is_skipped(tmp_path, lint_package):
-    _catalog(tmp_path, ["ftl.gc.moves"])
+    write_catalog(tmp_path, ["ftl.gc.moves"])
     violations = lint_package({
         "repro.obs.metrics": REGISTRY,
         "repro.ftl.gc": """
@@ -112,7 +102,7 @@ def test_unreadable_name_expression_is_skipped(tmp_path, lint_package):
 
 
 def test_rotted_catalog_row_is_flagged_at_registry(tmp_path, lint_package):
-    _catalog(tmp_path, ["ftl.gc.moves", "ftl.gc.retired_in_pr3"])
+    write_catalog(tmp_path, ["ftl.gc.moves", "ftl.gc.retired_in_pr3"])
     violations = lint_package({
         "repro.obs.metrics": REGISTRY,
         "repro.ftl.gc": """

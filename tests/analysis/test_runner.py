@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from repro.analysis.core import analyze_paths
 from repro.analysis.runner import main as lint_main
 from repro.cli import main as cli_main
@@ -67,16 +69,9 @@ def test_unknown_rule_is_usage_error(tmp_path, capsys):
 def test_list_rules_shows_every_pack(capsys):
     assert lint_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for pack in (
-        "determinism",
-        "layering",
-        "hygiene",
-        "callgraph",
-        "concurrency",
-        "obs",
-    ):
+    for pack in ("determinism", "layering", "hygiene", "obs"):
         assert pack in out
-    assert "[deep]" in out
+    assert "layering-private-cross-package" in out
 
 
 def test_repro_lint_subcommand(tmp_path, capsys):
@@ -136,6 +131,8 @@ def test_ignore_drops_whole_pack(tmp_path, capsys):
 
 
 def test_deep_flag_runs_whole_program_passes(tmp_path, capsys):
+    # There is one tier: the private call that needed ``--deep`` and the
+    # call graph is caught by a default run, and ``--deep`` is gone.
     for name in ("ftl", "nvme"):
         (tmp_path / "repro" / name).mkdir(parents=True)
         (tmp_path / "repro" / name / "__init__.py").write_text("")
@@ -144,16 +141,18 @@ def test_deep_flag_runs_whole_program_passes(tmp_path, capsys):
     (tmp_path / "repro" / "nvme" / "ctl.py").write_text(
         "from repro.ftl.gc import _collect\n\ndef submit():\n    _collect()\n"
     )
-    assert lint_main([str(tmp_path / "repro")]) == 0
-    capsys.readouterr()
-    assert lint_main([str(tmp_path / "repro"), "--deep"]) == 1
-    assert "callgraph-private-cross-package" in capsys.readouterr().out
+    assert lint_main([str(tmp_path / "repro")]) == 1
+    assert "layering-private-cross-package" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as usage:
+        lint_main([str(tmp_path / "repro"), "--deep"])
+    assert usage.value.code == 2
+    assert "--deep" in capsys.readouterr().err
 
 
 def test_syntax_error_is_reported_not_raised(tmp_path, capsys):
     path = tmp_path / "broken.py"
     path.write_text("def broken(:\n    pass\n")
-    assert lint_main([str(path), "--deep"]) == 1
+    assert lint_main([str(path)]) == 1
     out = capsys.readouterr().out
     assert "[parse-error]" in out
 
@@ -161,14 +160,14 @@ def test_syntax_error_is_reported_not_raised(tmp_path, capsys):
 def test_undecodable_file_is_reported_not_raised(tmp_path, capsys):
     path = tmp_path / "binary.py"
     path.write_bytes(b"\xff\xfe\x00junk\x80\x81")
-    assert lint_main([str(path), "--deep"]) == 1
+    assert lint_main([str(path)]) == 1
     out = capsys.readouterr().out
     assert "[parse-error]" in out
 
 
 def test_whole_tree_is_clean():
-    # The acceptance gate: the shipped tree has zero violations,
-    # including the whole-program passes (rules=None selects them all).
+    # The acceptance gate: the shipped tree has zero violations under
+    # every rule (rules=None selects them all).
     assert analyze_paths([SRC_REPRO]) == []
 
 

@@ -33,11 +33,16 @@ def test_invalidate():
 
 
 def test_bounds_checked():
-    amt = AddressMappingTable(16)
-    with pytest.raises(AddressError):
-        amt.lookup(16)
-    with pytest.raises(AddressError):
-        amt.update(-1, 0)
+    # A rejected update leaves nothing behind: no entry (``-1`` would
+    # index the last one) and, on a demand-cached table, no cache traffic.
+    for amt in (AddressMappingTable(16), AddressMappingTable(16, 4)):
+        with pytest.raises(AddressError):
+            amt.lookup(16)
+        for lpa in (16, -1):
+            with pytest.raises(AddressError):
+                amt.update(lpa, 0)
+        assert not any(amt.is_mapped(lpa) for lpa in range(16))
+        assert amt.translation_reads == 0
 
 
 def test_mapped_lpas_iteration():
