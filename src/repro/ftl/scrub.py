@@ -298,13 +298,7 @@ class PatrolScrubber:
         sees the ``failed`` column and retires it for good.
         """
         ssd = self._ssd
-        geo = ssd.device.geometry
-        timing = ssd.device.timing
-        block_bound = (
-            geo.pages_per_block
-            * (timing.read_us + timing.program_us + timing.delta_compress_us)
-            + timing.erase_us
-        )
+        block_bound = ssd.gc_round_cost_bound()
         t = now_us
         for pba in self._failed_data_blocks():
             if t + block_bound > deadline_us:

@@ -114,6 +114,20 @@ class SSDConfig:
         return int(self.geometry.total_pages / (1.0 + self.op_ratio))
 
 
+@dataclass
+class ReclaimOutcome:
+    """What one block reclamation did (for tests and ablation benches)."""
+
+    victim_pba: int
+    migrated_valid: int = 0
+    discarded_reclaimable: int = 0
+    discarded_expired: int = 0
+    #: Torn/burned pages (mismatched OOB seq tag): no committed version.
+    discarded_garbage: int = 0
+    compressed: int = 0
+    complete_us: int = 0
+
+
 class BaseSSD:
     """Common machinery of a page-mapped SSD."""
 
@@ -739,6 +753,13 @@ class BaseSSD:
         """Per-block firmware state to drop as ``pba`` is erased (TimeSSD:
         its PRT bits and retained-page census)."""
 
+    def _settle_stale_page(self, ppa, now_us, outcome):
+        """What becomes of the stale page at ``ppa`` before its block is
+        erased, counted into ``outcome``; returns the cursor after any
+        media work.  The baseline retains nothing, so the erase simply
+        discards it (TimeSSD: Algorithm 1's retention rule)."""
+        return now_us
+
     def _after_host_request(self, complete_us, wrote):
         """Called as every admitted host page completes.  Idle means no
         admitted page still in service: queued commands complete out of
@@ -771,45 +792,64 @@ class BaseSSD:
     # --- Shared mechanics ----------------------------------------------------
 
     @atomic_section(
-        "migrate + erase + release is one reclaim step: suspending "
-        "between migration and erase would expose two valid copies of "
-        "each page to a competing victim selection",
-        # A program failure mid-migration escapes with every
-        # already-migrated page individually remapped and the victim
-        # still intact — consistent, merely unreclaimed.
+        "Algorithm 1 reclaims a block as one step: migrate/compress/"
+        "discard every page, then erase and release — a foreground write "
+        "interleaved mid-reclaim could allocate into the half-emptied "
+        "victim or read a version whose delta head is being relinked",
+        # Each per-page iteration commits a self-consistent unit (a
+        # migrated page is remapped before the next page is touched; a
+        # compressed chain is linked before its sources are marked
+        # reclaimable), so a mid-loop failure loses no version.
     )
     def relocate_block(self, pba, now_us):
-        """Migrate every valid page out of ``pba``, erase and free it.
+        """Reclaim ``pba`` (the paper's Algorithm 1, lines 5-26); returns
+        a :class:`ReclaimOutcome`.
 
-        Used both by GC and by wear leveling.  Migrated pages keep their
-        OOB metadata (same version: same timestamp and back-pointer).
+        The one per-block loop of GC, wear leveling and scrub's bad-block
+        repair, on every device.  One cursor threads the block: a valid
+        page is read, its copy programmed once the read completes (OOB
+        carried over: same timestamp and back-pointer), then the next
+        page; a stale page goes to :meth:`_settle_stale_page`; the erase
+        is issued once the last copy is durable.
         """
-        migrated = self._migrate_valid_pages(pba, now_us)
-        self.erase_and_release(pba, now_us)
-        tr = self.obs.trace
-        if tr.enabled:
-            tr.emit("gc", "reclaim", now_us, pba=pba, migrated=migrated)
-
-    def _migrate_valid_pages(self, pba, now_us):
-        geo = self.device.geometry
-        migrated = 0
-        base = geo.first_page_of_block(pba)
+        core = self.device.core
+        outcome = ReclaimOutcome(pba)
+        t = now_us
+        base = self.device.geometry.first_page_of_block(pba)
+        state = core.state
         valid = self.block_manager.valid_bits(pba)
-        for offset in range(geo.pages_per_block):
-            if not valid[offset]:
-                continue
+        for offset in range(core.pages_per_block):
             ppa = base + offset
+            if not state[ppa]:
+                continue
+            if not valid[offset]:
+                t = self._settle_stale_page(ppa, t, outcome)
+                continue
+            # A valid page is always intact: a torn or burned program
+            # fails before its PVT bit is set, and recovery marks only
+            # sealed pages valid.
             try:
-                result = self.read_page_with_retry(ppa, now_us)
+                result = self.read_page_with_retry(ppa, t)
             except UncorrectableReadError:
                 self.note_lost_valid_page(ppa)
                 continue
-            # Every read and program of a victim is issued at the round's
-            # start (Algorithm 1's loop threads a cursor instead).
-            self.migrate_page(ppa, result, now_us)
-            migrated += 1
-        self._m_gc_migrated.inc(migrated)
-        return migrated
+            t = self.migrate_page(ppa, result, result.complete_us)
+            outcome.migrated_valid += 1
+        t = self.erase_and_release(pba, t)
+        outcome.complete_us = t
+        self._m_gc_migrated.inc(outcome.migrated_valid)
+        tr = self.obs.trace
+        if tr.enabled:
+            tr.emit(
+                "gc",
+                "reclaim",
+                t,
+                pba=pba,
+                migrated=outcome.migrated_valid,
+                expired=outcome.discarded_expired,
+                compressed=outcome.compressed,
+            )
+        return outcome
 
     def note_lost_valid_page(self, ppa):
         """A migration found a valid page unreadable through the full
@@ -854,8 +894,8 @@ class BaseSSD:
 
         The one migration step GC, wear leveling, scrub refresh and the
         FlashGuard comparator share.  The copy is programmed at
-        ``now_us`` — the caller decides whether that is the round's start
-        or the read's completion — with the OOB carried over unchanged
+        ``now_us`` — the reclaim loop and scrub pass the read's
+        completion — with the OOB carried over unchanged
         (same version: same timestamp and back-pointer), and the mapping
         follows only if it still names ``ppa`` (no invalidation hook).
         """
@@ -899,8 +939,8 @@ class BaseSSD:
         self._forget_block(pba)
         self.block_manager.release_block(pba)
         if erased:
-            # The leveler is told when the erase was issued, not when it
-            # ends: a swap it starts is booked from the same instant.
+            # Issue time: a swap reads other blocks, and a program into
+            # this one queues behind the erase on its chip lane anyway.
             self.wear_leveler.on_erase(now_us)
         return complete
 

@@ -11,7 +11,6 @@ Figure 10), but arbitrary history queries are impossible.
 from collections import deque
 from dataclasses import dataclass
 
-from repro.common.atomic import atomic_section
 from repro.common.errors import DeviceFullError
 from repro.flash.page import NULL_PPA
 from repro.ftl.block_manager import BlockKind, StreamId
@@ -64,35 +63,25 @@ class FlashGuardSSD(BaseSSD):
             if not self._evict_oldest_retained(fraction=0.1):
                 raise DeviceFullError("FlashGuard: device full of live data")
             return
-        self._reclaim(victim, now_us)
+        self.relocate_block(victim, now_us)
 
-    @atomic_section(
-        "FlashGuard reclaims a victim as one step: live and retained "
-        "pages migrate and the block is erased before anyone else can "
-        "allocate from it",
-        # Per-page migration is self-consistent: a page is remapped (or
-        # its retained-version record re-pointed) before the next page
-        # is touched, so a mid-reclaim failure loses nothing.
-    )
-    def _reclaim(self, victim, now_us):
-        bm = self.block_manager
-        state = self.device.core.state
-        for ppa in self.device.geometry.pages_of_block(victim):
-            if not state[ppa]:
-                continue
-            if bm.is_valid(ppa):
-                self.migrate_page(ppa, self.device.read_page(ppa, now_us), now_us)
-            elif ppa in self._retained_by_ppa:
-                version = self._retained_by_ppa.pop(ppa)
-                result = self.device.read_page(ppa, now_us)
-                new_ppa = bm.allocate_page(StreamId.GC)
-                # FlashGuard is itself an FTL (the CCS'17 comparator), so
-                # its GC owns the raw copy of a retained page: it re-points
-                # a version record, not the mapping.
-                self.device.program_page(new_ppa, result.data, result.oob, now_us)  # almanac: ignore[layering-flash-api]
-                version.ppa = new_ppa
-                self._retained_by_ppa[new_ppa] = version
-        self.erase_and_release(victim, now_us)
+    def _settle_stale_page(self, ppa, now_us, outcome):
+        """A retained page moves like a valid one — read at the cursor,
+        programmed once the read completes — and its version record
+        follows; any other stale page is discarded with the block."""
+        version = self._retained_by_ppa.get(ppa)
+        if version is None:
+            return now_us
+        result = self.device.read_page(ppa, now_us)
+        new_ppa = self.block_manager.allocate_page(StreamId.GC)
+        # FlashGuard is itself an FTL (the CCS'17 comparator), so its GC
+        # owns the raw copy of a retained page: it re-points a version
+        # record, not the mapping.
+        t = self.device.program_page(new_ppa, result.data, result.oob, result.complete_us)  # almanac: ignore[layering-flash-api]
+        del self._retained_by_ppa[ppa]
+        version.ppa = new_ppa
+        self._retained_by_ppa[new_ppa] = version
+        return t
 
     def _on_gc_stall(self, stalled_rounds, now_us):
         self._evict_oldest_retained(fraction=0.1)

@@ -1,120 +1,24 @@
-"""TimeSSD garbage collection — the paper's Algorithm 1 (§3.8).
+"""TimeSSD's retained-version compression — Algorithm 1, lines 19-25 (§3.8).
 
-Differences from regular GC:
-
-* expired delta blocks are reclaimed first (erase only, no migration) —
-  in this model that happens eagerly when a bloom segment is dropped;
-* invalid pages are *not* reclaimed blindly: a page marked reclaimable in
-  the PRT (already compressed, or known expired) is discarded; a page
-  missing every bloom filter is expired and discarded; anything else is
-  retained — it is delta-compressed together with the not-yet-compressed
-  older versions reachable through its back-pointer chain, the deltas are
-  appended to the head of the LPA's delta chain, and the source pages are
-  marked reclaimable.
-
-The same reclamation routine serves wear-leveling relocations, as §3.8
-prescribes.
+GC reclaims a TimeSSD block with the loop every device uses,
+``BaseSSD.relocate_block``; only the stale-page rule differs
+(``TimeSSD._settle_stale_page``).  A retained page is delta-compressed
+here together with the not-yet-compressed older versions reachable
+through its back-pointer chain; the deltas join the head of the LPA's
+delta chain and the source pages are marked reclaimable.  Background
+compression and scrub refresh call the same routine.
 """
 
-from dataclasses import dataclass
-
 from repro.common.atomic import atomic_section
-from repro.common.errors import UncorrectableReadError
 from repro.flash.page import NULL_PPA
 from repro.timessd.delta import NO_REF_TS, DeltaRecord
 
 
-@dataclass
-class ReclaimOutcome:
-    """What one block reclamation did (for tests and ablation benches)."""
-
-    victim_pba: int
-    migrated_valid: int = 0
-    discarded_reclaimable: int = 0
-    discarded_expired: int = 0
-    #: Torn/burned pages (mismatched OOB seq tag): no committed version.
-    discarded_garbage: int = 0
-    compressed: int = 0
-    complete_us: int = 0
-
-
 class TimeSSDGarbageCollector:
-    """Block reclamation with version retention."""
+    """Retained-version compression for GC and the idle-time compressor."""
 
     def __init__(self, ssd):
         self._ssd = ssd
-
-    # --- Block reclamation (Algorithm 1, lines 5-26) --------------------------
-
-    @atomic_section(
-        "Algorithm 1 reclaims a block as one step: migrate/compress/"
-        "discard every page, then erase and release — a foreground write "
-        "interleaved mid-reclaim could allocate into the half-emptied "
-        "victim or read a version whose delta head is being relinked",
-        # Each per-page iteration commits a self-consistent unit (a
-        # migrated page is remapped before the next page is touched; a
-        # compressed chain is linked before its sources are marked
-        # reclaimable), so a mid-loop failure loses no version.
-    )
-    def reclaim_block(self, victim_pba, now_us):
-        """Reclaim one data block; returns a :class:`ReclaimOutcome`."""
-        ssd = self._ssd
-        core = ssd.device.core
-        outcome = ReclaimOutcome(victim_pba)
-        t = now_us
-        base = ssd.device.geometry.first_page_of_block(victim_pba)
-        state = core.state
-        valid = ssd.block_manager.valid_bits(victim_pba)
-        reclaimable = ssd.index.reclaimable_ppas
-        for offset in range(core.pages_per_block):
-            ppa = base + offset
-            if not state[ppa]:
-                continue
-            is_valid = valid[offset]
-            if not is_valid and ppa in reclaimable:
-                # Already compressed or expired (only committed pages
-                # ever enter the PRT): discard without a seal check.
-                outcome.discarded_reclaimable += 1
-                continue
-            if not core.intact_at(ppa):
-                # Torn or burned program: nothing committed lives here,
-                # so there is no version to retain or compress.
-                outcome.discarded_garbage += 1
-                continue
-            if is_valid:
-                try:
-                    result = ssd.read_page_with_retry(ppa, t)
-                except UncorrectableReadError:
-                    ssd.note_lost_valid_page(ppa)
-                    continue
-                # A cursor threads read -> program -> next page (the
-                # baseline loop issues them all at the round's start).
-                t = ssd.migrate_page(ppa, result, result.complete_us)
-                outcome.migrated_valid += 1
-            elif ssd.blooms.find_segment(ppa) is None:
-                # Expired: invalidated before the retention window opened.
-                ssd.expire_page(ppa)
-                outcome.discarded_expired += 1
-            else:
-                # A chain unreadable through the full ladder loses the
-                # version; the block is reclaimed all the same.
-                t, compressed = ssd.compress_or_lose(ppa, t)
-                outcome.compressed += compressed
-        t = ssd.erase_and_release(victim_pba, t)
-        outcome.complete_us = t
-        ssd._m_gc_migrated.inc(outcome.migrated_valid)
-        tr = ssd.obs.trace
-        if tr.enabled:
-            tr.emit(
-                "gc",
-                "reclaim",
-                t,
-                pba=victim_pba,
-                migrated=outcome.migrated_valid,
-                expired=outcome.discarded_expired,
-                compressed=outcome.compressed,
-            )
-        return outcome
 
     # --- Retained-version compression (Algorithm 1, lines 19-25) --------------
 

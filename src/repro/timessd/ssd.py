@@ -20,7 +20,7 @@ from repro.common.errors import (
 from repro.common.units import format_duration
 from repro.flash.page import NULL_PPA
 from repro.ftl.block_manager import BlockKind
-from repro.ftl.ssd import BaseSSD
+from repro.ftl.ssd import BaseSSD, ReclaimOutcome
 from repro.timessd.bloom import TimeSegmentedBlooms
 from repro.timessd.config import ContentMode, TimeSSDConfig
 from repro.timessd.delta import DeltaManager, ModeledDeltaCodec, RealDeltaCodec
@@ -188,7 +188,7 @@ class TimeSSD(BaseSSD):
                 self._raise_retention_violation()
             return
         before = self.device.counters.snapshot()
-        self.collector.reclaim_block(victim, now_us)
+        self.relocate_block(victim, now_us)
         after = self.device.counters
         # Equation 1 counts every GC operation — background rounds never
         # delay a request, but they still consume lifetime (the paper's
@@ -213,10 +213,6 @@ class TimeSSD(BaseSSD):
             and self.block_manager.free_block_count <= 2
         ):
             self._raise_retention_violation()
-
-    def relocate_block(self, pba, now_us):
-        """Wear-leveling relocation uses the retention-aware reclaimer."""
-        self.collector.reclaim_block(pba, now_us)
 
     def _raise_retention_violation(self):
         oldest = self.blooms.window_start_us()
@@ -345,36 +341,51 @@ class TimeSSD(BaseSSD):
         t = start_us
         if t + step_bound > deadline_us:
             return t
-        core = self.device.core
-        state = core.state
-        pages_per_block = core.pages_per_block
-        reclaimable = self.index.reclaimable_ppas
-        for pba in self._background_victims():
-            valid = self.block_manager.valid_bits(pba)
-            base = pba * pages_per_block
-            for offset in range(pages_per_block):
-                ppa = base + offset
-                # Column filters first: erased, valid and already
-                # compressed/expired pages are not candidates, so an
-                # exhausted block costs no seal check and no bloom lookup.
-                if not state[ppa] or valid[offset] or ppa in reclaimable:
-                    continue
-                if not core.intact_at(ppa):
-                    # Torn or burned residue of a crash-interrupted
-                    # program: no committed version lives here, and the
-                    # conservative recovery bloom answers "retained" for
-                    # it — compressing it would forge a version from a
-                    # timestamp that never committed.
-                    continue
-                if self.blooms.find_segment(ppa) is None:
-                    self.expire_page(ppa)
-                    continue
-                t, compressed = self.compress_or_lose(ppa, t)
-                self.background_compressed += compressed
-                # Only a compression advances ``t``: re-check the budget
-                # here, before the next page could be marked expired.
-                if t + step_bound > deadline_us:
-                    return t
+        state = self.device.core.state
+        pages_per_block = self.device.core.pages_per_block
+        tally = ReclaimOutcome(None)
+        try:
+            for pba in self._background_victims():
+                valid = self.block_manager.valid_bits(pba)
+                base = pba * pages_per_block
+                for offset in range(pages_per_block):
+                    ppa = base + offset
+                    if not state[ppa] or valid[offset]:
+                        continue
+                    t = self._settle_stale_page(ppa, t, tally)
+                    # Only a compression advances ``t``: stop before the
+                    # next page could even be marked expired.
+                    if t + step_bound > deadline_us:
+                        return t
+        finally:
+            # Counted even when a power cut ends the window mid-block.
+            self.background_compressed += tally.compressed
+        return t
+
+    def _settle_stale_page(self, ppa, now_us, outcome):
+        """Algorithm 1, lines 13-25, for the stale page at ``ppa``, shared
+        by GC's :meth:`relocate_block` and :meth:`background_compress`."""
+        if ppa in self.index.reclaimable_ppas:
+            # Already compressed or expired (only committed pages ever
+            # enter the PRT): discard without a seal check.
+            outcome.discarded_reclaimable += 1
+            return now_us
+        if not self.device.core.intact_at(ppa):
+            # Torn or burned residue of a crash-interrupted program: no
+            # committed version lives here, and the conservative recovery
+            # bloom answers "retained" for it — compressing it would forge
+            # a version from a timestamp that never committed.
+            outcome.discarded_garbage += 1
+            return now_us
+        if self.blooms.find_segment(ppa) is None:
+            # Expired: invalidated before the retention window opened.
+            self.expire_page(ppa)
+            outcome.discarded_expired += 1
+            return now_us
+        # A chain unreadable through the full ladder loses the version;
+        # a block under reclaim is erased all the same.
+        t, compressed = self.compress_or_lose(ppa, now_us)
+        outcome.compressed += compressed
         return t
 
     def compress_or_lose(self, ppa, now_us):
@@ -397,7 +408,7 @@ class TimeSSD(BaseSSD):
     @atomic_section(
         "expiry marking or chain compression of a retained page must "
         "commit as one step with the census it updates — the same unit "
-        "GC's per-page dispatch commits in reclaim_block",
+        "GC's per-page dispatch commits in relocate_block",
         # compress_version_chain links deltas before marking sources
         # reclaimable; a mid-step failure leaves every version
         # retrievable from its original flash page.

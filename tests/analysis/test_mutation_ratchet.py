@@ -109,9 +109,9 @@ MUTATIONS = (
     seed(
         "hygiene-print",  # debug print left in the reclaim path
         "ftl/ssd.py",
-        '            tr.emit("gc", "reclaim", now_us, pba=pba, '
-        "migrated=migrated)\n",
-        '            print("reclaim", now_us, pba, migrated)\n',
+        "        self._m_gc_migrated.inc(outcome.migrated_valid)\n",
+        "        self._m_gc_migrated.inc(outcome.migrated_valid)\n"
+        '        print("reclaim", t, pba, outcome.migrated_valid)\n',
     ),
     seed(
         "hygiene-unit-mix",  # a millisecond dwell taken off a us clock
@@ -122,12 +122,10 @@ MUTATIONS = (
     seed(
         "unused-suppression",  # the violation fixed, its waiver left behind
         "security/flashguard.py",
-        "                self.device.program_page(new_ppa, result.data, "
-        "result.oob, now_us)  # almanac: ignore[layering-flash-api]\n"
-        "                version.ppa",
-        "                self.program_with_retry(lambda: new_ppa, result.data, "
-        "result.oob, now_us)  # almanac: ignore[layering-flash-api]\n"
-        "                version.ppa",
+        "        t = self.device.program_page(new_ppa, result.data, "
+        "result.oob, result.complete_us)  # almanac: ignore[layering-flash-api]\n",
+        "        _, t = self.program_with_retry(lambda: new_ppa, result.data, "
+        "result.oob, result.complete_us)  # almanac: ignore[layering-flash-api]\n",
         select="unused-suppression,layering-flash-api",
     ),
     # --- layering -------------------------------------------------------------
@@ -383,10 +381,10 @@ FIRMWARE_MUTATIONS = (
     ),
     (
         "ftl/ssd.py",  # swapped positional arguments
-        "                result = self.read_page_with_retry(ppa, now_us)\n"
+        "                result = self.read_page_with_retry(ppa, t)\n"
         "            except UncorrectableReadError:\n"
         "                self.note_lost_valid_page(ppa)\n",
-        "                result = self.read_page_with_retry(now_us, ppa)\n"
+        "                result = self.read_page_with_retry(t, ppa)\n"
         "            except UncorrectableReadError:\n"
         "                self.note_lost_valid_page(ppa)\n",
         "tests/ftl/test_ssd.py::test_gc_preserves_all_current_data",
@@ -413,6 +411,12 @@ FIRMWARE_MUTATIONS = (
         "            self._collect_garbage(now_us)\n",
         "tests/obs/test_device_metrics.py"
         "::TestGCAccounting::test_gc_run_counters_match_properties",
+    ),
+    (
+        "ftl/ssd.py",  # the baseline's old timing: copies programmed at round start
+        "            t = self.migrate_page(ppa, result, result.complete_us)\n",
+        "            t = self.migrate_page(ppa, result, now_us)\n",
+        "tests/ftl/test_ssd.py::test_reclaim_programs_each_copy_after_its_read",
     ),
     # --- the TimeKits walk: stamp-only (PR 20), one read per delta page --------
     (

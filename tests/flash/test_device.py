@@ -157,7 +157,7 @@ def test_firmware_never_builds_a_page_view(monkeypatch):
     victim = bm.select_victim("greedy", ssd.clock.now_us, BlockKind.DATA)
     lost = next(ppa for ppa in geo.pages_of_block(victim) if bm.is_valid(ppa))
     plan.add_read_error(address={lost}, every=1, max_fires=None)
-    ssd.collector.reclaim_block(victim, ssd.clock.now_us)
+    ssd.relocate_block(victim, ssd.clock.now_us)
     assert list(ssd.lost_lpas.values()) == [lost]
     simulate_power_loss(ssd)
     assert rebuild_from_flash(ssd)["checkpoint_seq"] is not None

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from repro.bench.config import make_bench_regular, make_bench_timessd, prefill
 from repro.common.errors import AddressError
 from repro.flash.page import NULL_PPA
+from repro.ftl.block_manager import BlockKind
 from repro.ftl.ssd import RegularSSD, SSDConfig
 
 from tests.conftest import fill_and_churn, make_regular_ssd, small_geometry
@@ -105,6 +107,38 @@ def test_gc_preserves_all_current_data():
         ssd.clock.advance(100)
     for lpa, payload in expected.items():
         assert ssd.read(lpa)[0] == payload
+
+
+@pytest.mark.parametrize("make", [make_bench_regular, make_bench_timessd])
+def test_reclaim_programs_each_copy_after_its_read(make):
+    # Algorithm 1's cursor on every device: a copy is programmed once its
+    # source read has completed, and the victim is erased once its last
+    # copy is durable.
+    ssd = make(tracing=True, background_gc=False)
+    working = ssd.logical_pages * 8 // 10
+    prefill(ssd, working)
+    rng = random.Random(3)
+    for _ in range(working // 2):
+        ssd.write(rng.randrange(working))
+        ssd.clock.advance(200)
+    victim = ssd.block_manager.select_greedy_victim(BlockKind.DATA)
+    migrated = ssd.obs.metrics.counter("gc.pages_migrated")
+    before = migrated.value
+    ssd.obs.trace.clear()
+    ssd.relocate_block(victim, ssd.clock.now_us)
+    assert migrated.value > before
+    ops = ssd.obs.trace.events("flash-op")
+    erase = next(
+        i for i, e in enumerate(ops) if e["name"] == "erase" and e["pba"] == victim
+    )
+    read = program = None
+    for event in ops[:erase]:
+        if event["name"] == "read":
+            read = event
+        elif event["name"] == "program":
+            program = event
+            assert program["start_us"] >= read["t_us"], (read, program)
+    assert ops[erase]["start_us"] >= program["t_us"], (program, ops[erase])
 
 
 def test_latency_reflects_gc_pressure():

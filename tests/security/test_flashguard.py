@@ -85,6 +85,23 @@ class TestRecovery:
         restored, _ = ssd.recover_lpas([5], t_clean)
         assert restored.get(5) == b"plaintext"
 
+    def test_recover_survives_relocation(self):
+        # Wear leveling relocates a block through ``relocate_block``, the
+        # same loop as GC: the retained page must move, not be erased.
+        ssd = make_flashguard()
+        ssd.write(5, b"plaintext")
+        t_clean = ssd.clock.now_us
+        ssd.clock.advance(10)
+        ssd.read(5)
+        ssd.write(5, b"cipher")
+        (old_ppa,) = ssd._retained_by_ppa
+        pba = ssd.device.geometry.block_of_page(old_ppa)
+        ssd.relocate_block(pba, ssd.clock.now_us)
+        assert ssd.device.core.write_pointer[pba] == 0
+        assert ssd.read(5)[0] == b"cipher"
+        restored, _ = ssd.recover_lpas([5], t_clean)
+        assert restored[5] == b"plaintext"
+
     def test_unretained_lpa_not_restored(self):
         ssd = make_flashguard()
         ssd.write(5, b"v1")

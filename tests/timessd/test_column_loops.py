@@ -1,6 +1,6 @@
 """The firmware's per-page loops, pinned page by page.
 
-``TimeSSD.background_compress``, ``TimeSSDGarbageCollector.reclaim_block``
+``TimeSSD.background_compress``, ``BaseSSD.relocate_block``
 and ``TimeTravelIndex._page_holds_version`` read the flash columns, the
 PVT bytes and the PRT set directly.  The view-walking code they replaced
 — one ``peek_page`` view per page, the idle budget gate evaluated before
@@ -227,7 +227,7 @@ def test_reclaim_dispatches_every_page_of_the_torn_block():
     programmed = ssd.device.core.write_pointer[pba]
     valid = ssd.block_manager.valid_count(pba)
     assert 0 < valid < programmed - 1
-    outcome = ssd.collector.reclaim_block(pba, ssd.clock.now_us)
+    outcome = ssd.relocate_block(pba, ssd.clock.now_us)
     assert outcome.discarded_garbage == 1
     assert outcome.migrated_valid == valid
     assert outcome.discarded_reclaimable == programmed - valid - 1

@@ -16,7 +16,7 @@ def build_history(ssd, lpa=0):
         ssd.clock.advance(800)
     victim = ssd.block_manager.select_greedy_victim(BlockKind.DATA)
     assert victim is not None
-    ssd.collector.reclaim_block(victim, ssd.clock.now_us)
+    ssd.relocate_block(victim, ssd.clock.now_us)
     # Force the RAM buffers out so delta blocks exist on flash.
     for segment_id in list(ssd.deltas.live_segment_ids()):
         ssd.deltas.flush_segment(segment_id, ssd.clock.now_us)

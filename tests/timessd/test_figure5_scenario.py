@@ -52,7 +52,7 @@ def test_figure5_after_reclaiming_y(scenario):
 
     # Reclaim the block that holds Y (the paper's GC victim).
     victim = geo.block_of_page(ppas["Y"])
-    ssd.collector.reclaim_block(victim, ssd.clock.now_us)
+    ssd.relocate_block(victim, ssd.clock.now_us)
 
     versions, _ = ssd.version_chain(L)
     by_ts = {v.timestamp_us: v for v in versions}
@@ -85,7 +85,7 @@ def test_figure5_after_reclaiming_y(scenario):
 def test_invariant_deltas_older_than_data_pages(scenario):
     ssd, L, stamps, ppas = scenario
     geo = ssd.device.geometry
-    ssd.collector.reclaim_block(geo.block_of_page(ppas["Y"]), ssd.clock.now_us)
+    ssd.relocate_block(geo.block_of_page(ppas["Y"]), ssd.clock.now_us)
     versions, _ = ssd.version_chain(L)
     data_ts = [v.timestamp_us for v in versions if not v.source.startswith("delta")]
     delta_ts = [v.timestamp_us for v in versions if v.source.startswith("delta")]
@@ -97,9 +97,9 @@ def test_second_gc_extends_the_delta_chain(scenario):
     head, keeping newest-first order (the §3.7 time-order argument)."""
     ssd, L, stamps, ppas = scenario
     geo = ssd.device.geometry
-    ssd.collector.reclaim_block(geo.block_of_page(ppas["Y"]), ssd.clock.now_us)
+    ssd.relocate_block(geo.block_of_page(ppas["Y"]), ssd.clock.now_us)
     if geo.block_of_page(ppas["X"]) != geo.block_of_page(ppas["W"]):
-        ssd.collector.reclaim_block(
+        ssd.relocate_block(
             geo.block_of_page(ppas["X"]), ssd.clock.now_us
         )
         head = ssd.index.delta_head(L)

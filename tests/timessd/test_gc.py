@@ -34,7 +34,7 @@ class TestReclaimBlock:
         victim = ssd.block_manager.select_greedy_victim(BlockKind.DATA)
         assert victim is not None
         before = versions_at(ssd, 0)
-        outcome = ssd.collector.reclaim_block(victim, ssd.clock.now_us)
+        outcome = ssd.relocate_block(victim, ssd.clock.now_us)
         assert outcome.compressed > 0
         after = versions_at(ssd, 0)
         # All versions (notably those on the reclaimed block) survive.
@@ -46,7 +46,7 @@ class TestReclaimBlock:
         fill_one_victim(ssd)
         victim = ssd.block_manager.select_greedy_victim(BlockKind.DATA)
         free_before = ssd.block_manager.free_block_count
-        ssd.collector.reclaim_block(victim, ssd.clock.now_us)
+        ssd.relocate_block(victim, ssd.clock.now_us)
         assert ssd.block_manager.kind(victim) is BlockKind.FREE
         # The erased victim returns to the pool; the reclaim may have
         # opened fresh GC/delta append blocks (transient, they amortize).
@@ -62,7 +62,7 @@ class TestReclaimBlock:
         while ssd.blooms.drop_oldest() is not None:
             pass
         victim = ssd.block_manager.select_greedy_victim(BlockKind.DATA)
-        outcome = ssd.collector.reclaim_block(victim, ssd.clock.now_us)
+        outcome = ssd.relocate_block(victim, ssd.clock.now_us)
         assert outcome.discarded_expired > 0
         # Only what the (undroppable) active segment still covers may be
         # retained — a handful at most.
@@ -79,7 +79,7 @@ class TestReclaimBlock:
             if not ssd.block_manager.is_valid(ppa) and not ssd.index.is_reclaimable(ppa):
                 ssd.collector.compress_version_chain(ppa, ssd.clock.now_us)
                 break  # one chain covers the whole single-LPA history
-        outcome = ssd.collector.reclaim_block(victim, ssd.clock.now_us)
+        outcome = ssd.relocate_block(victim, ssd.clock.now_us)
         assert outcome.discarded_reclaimable > 0
 
     def test_migrated_valid_pages_keep_mapping(self):
@@ -89,7 +89,7 @@ class TestReclaimBlock:
             ssd.write(lpa, None)
             ssd.clock.advance(100)
         victim = ssd.device.geometry.block_of_page(ssd.mapping.lookup(0))
-        ssd.collector.reclaim_block(victim, ssd.clock.now_us)
+        ssd.relocate_block(victim, ssd.clock.now_us)
         for lpa in range(ppb):
             assert ssd.mapping.is_mapped(lpa)
 

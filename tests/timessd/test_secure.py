@@ -109,7 +109,7 @@ class TestEncryptedDevice:
 
         victim = ssd.block_manager.select_greedy_victim(BlockKind.DATA)
         assert victim is not None
-        ssd.collector.reclaim_block(victim, ssd.clock.now_us)
+        ssd.relocate_block(victim, ssd.clock.now_us)
         return contents
 
     def test_current_data_is_never_gated(self):
