@@ -49,7 +49,6 @@ def make_bench_timessd(**overrides):
         # floor.  1.0 reproduces the published retention bands.
         gc_overhead_threshold=1.0,
         content_mode=ContentMode.MODELED,
-        modeled_ratio_mean=0.20,
     )
     params.update(overrides)
     return TimeSSD(TimeSSDConfig(**params))

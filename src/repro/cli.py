@@ -146,7 +146,7 @@ def _cmd_experiment(args):
 
 def _cmd_info(args):
     from repro.bench.config import bench_geometry
-    from repro.timessd import TimeSSDConfig
+    from repro.timessd import BloomFilter, TimeSSDConfig
 
     geometry = bench_geometry()
     config = TimeSSDConfig()
@@ -160,7 +160,7 @@ def _cmd_info(args):
     print("retention floor: %s" % format_duration(config.retention_floor_us))
     print("bloom: capacity %d, fp %.2f%%, group size %d" % (
         config.bloom_capacity,
-        config.bloom_fp_rate * 100,
+        BloomFilter(config.bloom_capacity).fp_rate * 100,
         config.bloom_group_size,
     ))
     print("Equation-1: TH=%.2f over %d-write periods" % (

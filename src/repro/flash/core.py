@@ -4,7 +4,7 @@ The first seven PRs modelled every flash page as a ``Page`` object
 holding a frozen ``OOBMetadata`` dataclass — an object graph that costs
 hundreds of bytes and a pointer chase per page, which is why recovery,
 GC accounting and patrol scrub topped out around 48 MiB devices
-(ROADMAP item 2).  Real NAND simulators at scale (Copycat, SimpleSSD)
+(docs/PERFORMANCE.md).  Real NAND simulators at scale (Copycat, SimpleSSD)
 store per-page state as flat arrays instead; this module does the same:
 
 * one ``array('q')`` int64 column per OOB field — ``lpa``,

@@ -18,8 +18,7 @@ class FlashGeometry:
 
     The default is a deliberately small device (256 MiB of raw flash) so
     that month-long trace replays complete quickly; every experiment can
-    scale it up.  ``oob_size`` is informational (the paper's board has 12
-    bytes per 4 KiB page) — the model stores OOB metadata structurally.
+    scale it up.  OOB metadata is stored structurally, not in bytes.
     """
 
     channels: int = 8
@@ -28,7 +27,6 @@ class FlashGeometry:
     blocks_per_plane: int = 128
     pages_per_block: int = 64
     page_size: int = 4096
-    oob_size: int = 12
 
     def __post_init__(self):
         for name in (

@@ -38,13 +38,14 @@ class SSDConfig:
 
     ``op_ratio`` is the over-provisioning fraction (the paper's board has
     1 TB plus 15% OP).  ``gc_low_watermark`` (blocks) triggers GC when the
-    free pool falls to it; ``None`` derives a default from geometry.
+    free pool falls to it.  It is derived from geometry, as a plain
+    attribute rather than a field, so ``dataclasses.replace`` derives it
+    again for the new geometry.
     """
 
     geometry: FlashGeometry = field(default_factory=FlashGeometry)
     timing: FlashTiming = field(default_factory=FlashTiming)
     op_ratio: float = 0.15
-    gc_low_watermark: int = None
     #: Run GC opportunistically during predicted-idle windows.
     background_gc: bool = True
     #: Rated program/erase cycles per block (None = unlimited).  When a
@@ -57,14 +58,9 @@ class SSDConfig:
     #: (None = error-free flash).
     reliability: object = None
     mapping_cache_entries: int = None
-    wear_check_interval: int = 64
-    wear_gap_threshold: int = 16
     #: Optional fault-injection hooks (see :mod:`repro.faults`); installed
     #: into the flash device.  None keeps the happy path untouched.
     faults: object = None
-    #: Extra program attempts (remap to a fresh page) before a media
-    #: program failure escapes to the host.
-    program_retry_limit: int = 3
     #: Read-retry ladder depth: extra sense attempts (shifted reference
     #: voltages, lower effective BER, longer sense) before an
     #: uncorrectable read escapes to the host.
@@ -79,10 +75,6 @@ class SSDConfig:
     #: Upper bound on pages the scrubber touches per idle window (the
     #: window's time budget also applies, whichever is tighter).
     scrub_pages_per_run: int = 64
-    #: Sim-time the device must dwell in degraded mode with no new
-    #: media failures before the scrubber may heal it back to writable
-    #: (the anti-flap hysteresis).
-    heal_dwell_us: int = 2 * SECOND_US
     #: Checkpointed recovery: every this-many blocks' worth of page
     #: programs, persist per-block recovery summaries to dedicated
     #: translation blocks so ``rebuild_from_flash`` scans only blocks
@@ -94,19 +86,17 @@ class SSDConfig:
     #: :mod:`repro.obs`).  Off by default: metrics are always on, the
     #: event ring costs one branch per candidate event when disabled.
     tracing: bool = False
-    trace_capacity: int = 4096
 
     def __post_init__(self):
         if not 0 < self.op_ratio < 1:
             raise ValueError("op_ratio must be in (0, 1)")
-        if self.gc_low_watermark is None:
-            # Striped streams open one append block per channel, so the
-            # pool must comfortably cover that plus GC's own appetite.
-            self.gc_low_watermark = max(
-                4,
-                self.geometry.channels + 2,
-                self.geometry.total_blocks // 100,
-            )
+        # Striped streams open one append block per channel, so the
+        # pool must comfortably cover that plus GC's own appetite.
+        self.gc_low_watermark = max(
+            4,
+            self.geometry.channels + 2,
+            self.geometry.total_blocks // 100,
+        )
 
     @property
     def logical_pages(self):
@@ -131,15 +121,20 @@ class ReclaimOutcome:
 class BaseSSD:
     """Common machinery of a page-mapped SSD."""
 
+    #: Extra program attempts (remap to a fresh page) before a media
+    #: program failure escapes to the host.
+    PROGRAM_RETRY_LIMIT = 3
+    #: Sim-time the device must dwell in degraded mode with no new
+    #: media failures before the scrubber may heal it back to writable
+    #: (the anti-flap hysteresis).
+    HEAL_DWELL_US = 2 * SECOND_US
+
     def __init__(self, config=None, clock=None):
         self.config = config or SSDConfig()
         self.clock = clock or SimClock()
         #: Per-device observability scope — metrics registry plus trace
         #: ring, shared with the flash device and the NVMe controller.
-        self.obs = Scope(
-            tracing=self.config.tracing,
-            trace_capacity=self.config.trace_capacity,
-        )
+        self.obs = Scope(tracing=self.config.tracing)
         self.device = FlashDevice(
             self.config.geometry,
             self.config.timing,
@@ -153,11 +148,7 @@ class BaseSSD:
         self.mapping = AddressMappingTable(
             self.config.logical_pages, self.config.mapping_cache_entries
         )
-        self.wear_leveler = WearLeveler(
-            self,
-            self.config.wear_check_interval,
-            self.config.wear_gap_threshold,
-        )
+        self.wear_leveler = WearLeveler(self)
         metrics = self.obs.metrics
         # Host response-time histograms double as the legacy
         # write_latency/read_latency attributes (same record/mean_us/
@@ -472,7 +463,7 @@ class BaseSSD:
         """Exit degraded mode once the media has proven stable.
 
         Called by the patrol scrubber at the end of each run.  Healing
-        requires a full ``heal_dwell_us`` with no new program/erase
+        requires a full ``HEAL_DWELL_US`` with no new program/erase
         failures, a pool that retirement has not shrunk below logical
         capacity (that condition is permanent — the ``failed`` column
         is media truth), and a free pool above the GC watermark.  New
@@ -486,7 +477,7 @@ class BaseSSD:
             self._degraded_failure_mark = failures
             self._degraded_since_us = now_us
             return False
-        if now_us - self._degraded_since_us < self.config.heal_dwell_us:
+        if now_us - self._degraded_since_us < self.HEAL_DWELL_US:
             return False
         if self._pool_health_reason() is not None:
             return False
@@ -522,7 +513,7 @@ class BaseSSD:
         back = self._back_pointer_for(lpa, old)
         oob = OOBMetadata(lpa=lpa, back_pointer=back, timestamp_us=now_us)
         last_failure = None
-        for _attempt in range(self.config.program_retry_limit + 1):
+        for _attempt in range(self.PROGRAM_RETRY_LIMIT + 1):
             try:
                 complete = self.device.program_page(ppa, data, oob, now_us)
                 break
@@ -562,7 +553,7 @@ class BaseSSD:
         budget is exhausted.
         """
         last_failure = None
-        for _attempt in range(self.config.program_retry_limit + 1):
+        for _attempt in range(self.PROGRAM_RETRY_LIMIT + 1):
             ppa = allocate()
             try:
                 return ppa, self.device.program_page(ppa, data, oob, now_us)
@@ -962,9 +953,7 @@ class BaseSSD:
         self.mapping = AddressMappingTable(
             config.logical_pages, config.mapping_cache_entries
         )
-        self.wear_leveler = WearLeveler(
-            self, config.wear_check_interval, config.wear_gap_threshold
-        )
+        self.wear_leveler = WearLeveler(self)
         self.degraded_reason = None
         self._degraded_since_us = self.clock.now_us
         self._degraded_failure_mark = (

@@ -16,12 +16,13 @@ from repro.ftl.block_manager import BlockKind
 class WearLeveler:
     """Cold-block swapping driven by erase-count imbalance."""
 
-    def __init__(self, ssd, check_interval_erases=64, gap_threshold=16):
-        if check_interval_erases <= 0 or gap_threshold <= 0:
-            raise ValueError("wear-leveling parameters must be positive")
+    #: Erases between two checks of the erase-count spread.
+    CHECK_INTERVAL_ERASES = 64
+    #: Hottest-minus-coldest erase count above which a check swaps.
+    GAP_THRESHOLD = 16
+
+    def __init__(self, ssd):
         self._ssd = ssd
-        self._interval = check_interval_erases
-        self._gap = gap_threshold
         self._erases_since_check = 0
         self._leveling = False
         self.swaps = 0
@@ -29,7 +30,7 @@ class WearLeveler:
     def on_erase(self, now_us):
         """Called by the FTL after every block erase."""
         self._erases_since_check += 1
-        if self._leveling or self._erases_since_check < self._interval:
+        if self._leveling or self._erases_since_check < self.CHECK_INTERVAL_ERASES:
             return
         self._erases_since_check = 0
         self._leveling = True
@@ -64,7 +65,7 @@ class WearLeveler:
                 coldest = pba
         if coldest is None:
             return False
-        if hottest_erases - coldest_erases <= self._gap:
+        if hottest_erases - coldest_erases <= self.GAP_THRESHOLD:
             return False
         # Migration needs at least one free block to land in.
         if bm.free_block_count < 1:

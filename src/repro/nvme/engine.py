@@ -1,7 +1,8 @@
 """Event-driven NVMe engine: multi-queue submission with real overlap.
 
-This is the async device core of ISSUE 9: queue depth is modelled by
-running the per-command executor under the deterministic event loop.
+This is the async device core (docs/SCHEDULER.md): queue depth is
+modelled by running the per-command executor under the deterministic
+event loop.
 
 * The host enqueues commands onto one or more :class:`QueuePair` rings.
 * ``queue_depth`` *slot workers* per pair — cooperative tasks labelled

@@ -18,9 +18,9 @@ class Scope:
 
     __slots__ = ("metrics", "trace")
 
-    def __init__(self, tracing=False, trace_capacity=4096):
+    def __init__(self, tracing=False):
         self.metrics = MetricsRegistry()
-        self.trace = EventTracer(capacity=trace_capacity, enabled=tracing)
+        self.trace = EventTracer(enabled=tracing)
 
     def snapshot(self):
         """JSON-stable metrics snapshot (trace events are not included —

@@ -9,7 +9,8 @@ long run costs O(capacity) memory.
 
 Tracing is off by default and the hot paths guard every emit with
 ``if tracer.enabled:`` so a disabled tracer costs one attribute check
-per candidate event — the "near-zero when disabled" budget in ISSUE 4.
+per candidate event — the "near-zero when disabled" budget in
+docs/OBSERVABILITY.md.
 """
 
 from collections import deque
@@ -18,9 +19,7 @@ from repro.common.errors import ReproError
 
 __all__ = ["CATEGORIES", "EventTracer"]
 
-#: The closed set of event categories (ISSUE 4 tentpole; "scrub" added
-#: with the patrol scrubber in ISSUE 7, "sched" with the event-driven
-#: core in ISSUE 9).
+#: The closed set of event categories (docs/OBSERVABILITY.md).
 CATEGORIES = ("flash-op", "gc", "delta", "expire", "fault", "nvme", "scrub", "sched")
 
 _CATEGORY_SET = frozenset(CATEGORIES)

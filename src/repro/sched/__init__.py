@@ -1,7 +1,7 @@
 """Deterministic discrete-event scheduler and the async device tasks.
 
 ``repro.sched`` is the concurrency substrate of the event-driven device
-core (ISSUE 9): a generator-based cooperative event loop on
+core: a generator-based cooperative event loop on
 :class:`~repro.common.clock.SimClock` (:mod:`repro.sched.core`) plus the
 catalog of device tasks that run on it (:mod:`repro.sched.tasks`) —
 NVMe slot workers and the background firmware work (GC, delta

@@ -1,7 +1,7 @@
 """Deterministic discrete-event scheduler on :class:`SimClock`.
 
 The event loop is the concurrency substrate the async device core runs
-on (ROADMAP item 1): an event heap keyed by ``(t_us, tie, seq)`` and
+on (docs/SCHEDULER.md): an event heap keyed by ``(t_us, tie, seq)`` and
 cooperative tasks written as plain generators.  A task yields *wait
 instructions* — :class:`Delay` or :class:`At` — and the loop resumes it
 when the wait is satisfied, advancing the shared clock to each event's

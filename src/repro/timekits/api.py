@@ -43,6 +43,13 @@ def pick_as_of(versions, t):
     return versions[-1] if versions else None
 
 
+def _check_threads(threads):
+    """``threads`` arrives from the host (the NVMe command's hint): an
+    ``int`` >= 1, or :class:`QueryError`."""
+    if not isinstance(threads, int) or threads < 1:
+        raise QueryError("threads must be an int >= 1, got %r" % (threads,))
+
+
 def _already_current(ssd, lpa, versions, target):
     """True when ``target`` is the version the device would read now.
 
@@ -87,9 +94,11 @@ class TimeKits:
         packed into the same pages, so every walk of the call is handed
         the same ``delta_pages`` set and each page is read at most once.
         The set dies with the call.
+
+        A thread beyond the ``len(lpas)``-th gets no LPA and its cursor
+        never leaves the start, so only that many cursors exist.
         """
-        if threads < 1:
-            raise QueryError("threads must be >= 1")
+        _check_threads(threads)
         ssd = self.ssd
         counters = ssd.device.counters
         start = ssd.clock.now_us
@@ -97,10 +106,10 @@ class TimeKits:
         decompressed_before = counters.delta_decompressions
         passed_before = ssd.deltas_passed
         delta_pages = set()
-        cursors = [start] * threads
+        cursors = [start] * min(threads, len(lpas))
         chains = {}
         for i, lpa in enumerate(lpas):
-            k = i % threads
+            k = i % len(cursors)
             versions, complete = ssd.version_chain(
                 lpa,
                 cursors[k],
@@ -133,13 +142,14 @@ class TimeKits:
         stays retained), issued concurrently by the recovery threads so
         the write-back phase overlaps across channels like the walk phase.
         """
+        _check_threads(threads)
         ssd = self.ssd
         start = ssd.clock.now_us
-        cursors = [start] * max(1, threads)
+        cursors = [start] * min(threads, len(pairs))
         for i, (lpa, data) in enumerate(pairs):
             k = i % len(cursors)
             cursors[k] = ssd.serve_write_at(lpa, data, cursors[k])
-        ssd.clock.advance_to(max(cursors))
+        ssd.clock.advance_to(max(cursors, default=start))
         return ssd.clock.now_us - start
 
     def _range(self, addr, cnt):

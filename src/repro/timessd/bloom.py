@@ -140,7 +140,6 @@ class TimeSegmentedBlooms:
         self,
         clock,
         capacity_per_filter=4096,
-        fp_rate=0.01,
         group_size=16,
         seed=0,
         max_segment_age_us=None,
@@ -149,7 +148,6 @@ class TimeSegmentedBlooms:
             raise ValueError("group_size must be positive")
         self._clock = clock
         self._capacity = capacity_per_filter
-        self._fp_rate = fp_rate
         self.group_size = group_size
         self._seed = seed
         self._max_age_us = max_segment_age_us
@@ -159,7 +157,7 @@ class TimeSegmentedBlooms:
 
     def _new_segment(self):
         bloom = BloomFilter(
-            self._capacity, self._fp_rate, seed=_splitmix64(self._seed + self._next_id)
+            self._capacity, seed=_splitmix64(self._seed + self._next_id)
         )
         segment = BloomSegment(self._next_id, bloom, self._clock.now_us)
         self._next_id += 1

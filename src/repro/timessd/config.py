@@ -3,7 +3,7 @@
 import enum
 from dataclasses import dataclass, field
 
-from repro.common.units import DAY_US, HOUR_US, MS_US
+from repro.common.units import DAY_US, HOUR_US
 from repro.ftl.ssd import SSDConfig
 
 
@@ -32,7 +32,6 @@ class TimeSSDConfig(SSDConfig):
     # §3.5: invalidation-tracking group size N (16) and BF sizing.
     bloom_group_size: int = 16
     bloom_capacity: int = 4096
-    bloom_fp_rate: float = 0.01
     # Segments also seal after this long, keeping the adaptive window's
     # shrink granularity bounded even when grouping dedupes most adds.
     bloom_segment_max_age_us: int = 6 * HOUR_US
@@ -40,23 +39,12 @@ class TimeSSDConfig(SSDConfig):
     # cost) estimated over periods of N_fixed user page writes.
     gc_overhead_threshold: float = 0.20
     gc_overhead_period_writes: int = 1024
-    # §3.6: idle-time prediction (exponential smoothing, alpha = 0.5;
-    # compress in background when predicted idle exceeds 10 ms).
-    idle_alpha: float = 0.5
-    idle_threshold_us: int = 10 * MS_US
+    # §3.6: compress in background when the idle predictor
+    # (repro.common.idle) forecasts a long enough gap.
     background_compression: bool = True
     # §3.6: delta compression of retained versions.
     delta_compression: bool = True
     content_mode: ContentMode = ContentMode.MODELED
-    # Modeled compressibility: Gaussian ratio, as characterized in the
-    # I-CASH study the paper cites (mean 0.05-0.25 across applications).
-    modeled_ratio_mean: float = 0.20
-    modeled_ratio_sd: float = 0.05
-    # Delta page layout: per-page header plus per-delta metadata bytes.
-    delta_page_header_bytes: int = 16
-    delta_metadata_bytes: int = 24
-    # Background compression victim scan: blocks examined per idle window.
-    idle_scan_blocks: int = 4
     # §3.10: optional user key; when set, retained versions are stored
     # encrypted and queries require unlocking with the key.
     retention_key: bytes = None
@@ -76,7 +64,3 @@ class TimeSSDConfig(SSDConfig):
             raise ValueError("retention_floor_us must be non-negative")
         if not 0 < self.gc_overhead_threshold:
             raise ValueError("gc_overhead_threshold must be positive")
-        if not 0 < self.idle_alpha <= 1:
-            raise ValueError("idle_alpha must be in (0, 1]")
-        if not 0 < self.modeled_ratio_mean < 1:
-            raise ValueError("modeled_ratio_mean must be in (0, 1)")

@@ -25,7 +25,6 @@ from repro.timessd.bloom import TimeSegmentedBlooms
 from repro.timessd.config import ContentMode, TimeSSDConfig
 from repro.timessd.delta import DeltaManager, ModeledDeltaCodec, RealDeltaCodec
 from repro.timessd.gc import TimeSSDGarbageCollector
-from repro.common.idle import IdlePredictor
 from repro.timessd.index import TimeTravelIndex, Version
 from repro.timessd.retention import GCOverheadEstimator, RetentionManager
 from repro.timessd.secure import RetentionCipher, RetentionLock
@@ -33,6 +32,9 @@ from repro.timessd.secure import RetentionCipher, RetentionLock
 
 class TimeSSD(BaseSSD):
     """An SSD that retains past storage states in firmware."""
+
+    #: Background compression victim scan: blocks examined per idle window.
+    IDLE_SCAN_BLOCKS = 4
 
     def __init__(self, config=None, clock=None):
         config = config or TimeSSDConfig()
@@ -43,7 +45,6 @@ class TimeSSD(BaseSSD):
         self.blooms = TimeSegmentedBlooms(
             self.clock,
             capacity_per_filter=config.bloom_capacity,
-            fp_rate=config.bloom_fp_rate,
             group_size=config.bloom_group_size,
             seed=config.seed,
             max_segment_age_us=config.bloom_segment_max_age_us,
@@ -53,19 +54,8 @@ class TimeSSD(BaseSSD):
         if config.content_mode is ContentMode.REAL:
             codec = RealDeltaCodec(page_size)
         else:
-            codec = ModeledDeltaCodec(
-                page_size,
-                config.modeled_ratio_mean,
-                config.modeled_ratio_sd,
-                self._rng,
-            )
-        self.deltas = DeltaManager(
-            self,
-            codec,
-            page_size,
-            config.delta_page_header_bytes,
-            config.delta_metadata_bytes,
-        )
+            codec = ModeledDeltaCodec(page_size, rng=self._rng)
+        self.deltas = DeltaManager(self, codec, page_size)
         self.estimator = GCOverheadEstimator(
             config.timing,
             config.gc_overhead_threshold,
@@ -73,10 +63,6 @@ class TimeSSD(BaseSSD):
         )
         self.retention = RetentionManager(self.blooms, config.retention_floor_us)
         self.collector = TimeSSDGarbageCollector(self)
-        # Replace the base predictor with one on the paper's §3.6 knobs;
-        # keep the public alias the tooling and tests use.
-        self._idle = IdlePredictor(config.idle_alpha, config.idle_threshold_us)
-        self.idle_predictor = self._idle
         self._retained_per_block = defaultdict(int)
         self._trim_tombstones = {}
         if config.retention_key is not None:
@@ -280,10 +266,6 @@ class TimeSSD(BaseSSD):
             self.config.gc_overhead_threshold,
             self.config.gc_overhead_period_writes,
         )
-        self._idle = IdlePredictor(
-            self.config.idle_alpha, self.config.idle_threshold_us
-        )
-        self.idle_predictor = self._idle
         self._retained_per_block.clear()
         self._trim_tombstones.clear()
         self.retained_pages = 0
@@ -432,9 +414,8 @@ class TimeSSD(BaseSSD):
         t, compressed = self.collector.compress_version_chain(ppa, now_us)
         return t, compressed > 0
 
-    def _background_victims(self, limit=None):
+    def _background_victims(self):
         """Sealed data blocks richest in retained, uncompressed pages."""
-        limit = limit or self.config.idle_scan_blocks
         kind = self.block_manager.kind
         active = self.block_manager.active_blocks()
         candidates = [
@@ -443,7 +424,7 @@ class TimeSSD(BaseSSD):
             if count > 0 and pba not in active and kind(pba) is BlockKind.DATA
         ]
         candidates.sort(reverse=True)
-        return [pba for _count, pba in candidates[:limit]]
+        return [pba for _count, pba in candidates[: self.IDLE_SCAN_BLOCKS]]
 
     # --- Version retrieval (the substrate TimeKits queries ride on) -------------
 

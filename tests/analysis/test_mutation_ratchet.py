@@ -116,8 +116,8 @@ MUTATIONS = (
     seed(
         "hygiene-unit-mix",  # a millisecond dwell taken off a us clock
         "ftl/ssd.py",
-        "        if now_us - self._degraded_since_us < self.config.heal_dwell_us:\n",
-        "        if now_us - self.config.heal_dwell_ms < self._degraded_since_us:\n",
+        "        if now_us - self._degraded_since_us < self.HEAL_DWELL_US:\n",
+        "        if now_us - self.HEAL_DWELL_MS < self._degraded_since_us:\n",
     ),
     seed(
         "unused-suppression",  # the violation fixed, its waiver left behind
@@ -439,6 +439,13 @@ FIRMWARE_MUTATIONS = (
         "",
         "tests/timekits/test_api.py"
         "::TestTimeQueries::test_time_queries_list_writes_to_since_trimmed_lpas",
+    ),
+    (
+        "timekits/api.py",  # one cursor per requested thread: 10**12 of them
+        "        cursors = [start] * min(threads, len(lpas))\n",
+        "        cursors = [start] * threads\n",
+        "tests/nvme/test_nvme.py::TestVendorCommands"
+        "::test_huge_thread_count_is_served_as_one_thread_per_lba",
     ),
     # --- the one-pass recovery (PR 21) -----------------------------------------
     (

@@ -2,24 +2,24 @@
 
 Degraded mode used to be exit-only-by-hand (``clear_degraded``).  With
 the patrol scrubber the firmware heals itself: retire the grown-bad
-blocks, dwell ``heal_dwell_us`` with no new program/erase failures, and
+blocks, dwell ``HEAL_DWELL_US`` with no new program/erase failures, and
 re-admit writes — without flapping under sustained faults.
 """
 
 import pytest
 
 from repro.common.errors import DegradedModeError, ProgramFailureError
-from repro.common.units import SECOND_US
 from repro.faults.hooks import FaultHooks
 from repro.faults.plan import FaultPlan
 from repro.ftl.block_manager import BlockKind
+from repro.ftl.ssd import BaseSSD
 from repro.nvme.commands import NVMeCommand, Opcode, StatusCode
 from repro.nvme.controller import NVMeController
 
 from tests.conftest import make_regular_ssd
 
 PAGE = b"payload".ljust(512, b"\0")
-DWELL = 2 * SECOND_US
+DWELL = BaseSSD.HEAL_DWELL_US
 
 
 def make_healing_ssd(**overrides):
@@ -27,7 +27,6 @@ def make_healing_ssd(**overrides):
     params = dict(
         faults=FaultHooks(plan),
         patrol_scrub=True,
-        heal_dwell_us=DWELL,
     )
     params.update(overrides)
     ssd = make_regular_ssd(**params)

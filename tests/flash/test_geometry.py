@@ -110,7 +110,7 @@ def test_cached_totals_are_derived_not_fields():
     assert bigger != geo
     assert {f.name for f in dataclasses.fields(geo)} == {
         "channels", "chips_per_channel", "planes_per_chip",
-        "blocks_per_plane", "pages_per_block", "page_size", "oob_size",
+        "blocks_per_plane", "pages_per_block", "page_size",
     }
     assert "total" not in repr(geo)
     with pytest.raises(dataclasses.FrozenInstanceError):

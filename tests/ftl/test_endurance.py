@@ -73,12 +73,11 @@ def test_wear_leveling_extends_lifetime():
             writes += 1
         return writes
 
-    leveled = make_regular_ssd(
-        block_endurance_cycles=40, wear_check_interval=8, wear_gap_threshold=4
-    )
-    unleveled = make_regular_ssd(
-        block_endurance_cycles=40, wear_check_interval=10**9
-    )
+    leveled = make_regular_ssd(block_endurance_cycles=40)
+    leveled.wear_leveler.CHECK_INTERVAL_ERASES = 8
+    leveled.wear_leveler.GAP_THRESHOLD = 4
+    unleveled = make_regular_ssd(block_endurance_cycles=40)
+    unleveled.wear_leveler.CHECK_INTERVAL_ERASES = 10**9
     survived_leveled = writes_until_first_retirement(leveled)
     survived_unleveled = writes_until_first_retirement(unleveled)
     assert survived_leveled > survived_unleveled

@@ -175,14 +175,17 @@ def _erase_spread_after_hot_churn(ssd):
 
 def test_wear_leveling_bounds_spread():
     # Hammer a tiny hot set so unleveled wear concentrates on few blocks.
-    leveled = make_regular_ssd(wear_check_interval=8, wear_gap_threshold=4)
-    unleveled = make_regular_ssd(wear_check_interval=10**9)
+    leveled = make_regular_ssd()
+    leveled.wear_leveler.CHECK_INTERVAL_ERASES = 8
+    leveled.wear_leveler.GAP_THRESHOLD = 4
+    unleveled = make_regular_ssd()
+    unleveled.wear_leveler.CHECK_INTERVAL_ERASES = 10**9
     leveled_spread = _erase_spread_after_hot_churn(leveled)
     unleveled_spread = _erase_spread_after_hot_churn(unleveled)
     assert leveled.wear_leveler.swaps > 0
     assert unleveled.wear_leveler.swaps == 0
     assert leveled_spread < unleveled_spread
-    assert leveled_spread <= 8 * leveled.config.wear_gap_threshold
+    assert leveled_spread <= 8 * leveled.wear_leveler.GAP_THRESHOLD
 
 
 def test_free_page_estimate_decreases_with_writes(regular_ssd):

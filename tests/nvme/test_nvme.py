@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from repro.common.units import SECOND_US
@@ -147,6 +149,39 @@ class TestVendorCommands:
     )
     def test_hostile_thread_count_is_a_status_not_a_traceback(self, driver, command):
         assert driver.controller.submit(command).status is StatusCode.INVALID_FIELD
+
+    @pytest.mark.parametrize(
+        "command, method, args",
+        [
+            (NVMeCommand(Opcode.ADDR_QUERY_ALL, nlb=3), "addr_query_all", (0, 3)),
+            (NVMeCommand(Opcode.ROLLBACK, nlb=3, t=1), "rollback", (0, 3, 1)),
+            (NVMeCommand(Opcode.TIME_QUERY), "time_query", (0,)),
+        ],
+        ids=["ADDR_QUERY_ALL", "ROLLBACK", "TIME_QUERY"],
+    )
+    def test_huge_thread_count_is_served_as_one_thread_per_lba(
+        self, command, method, args
+    ):
+        # Threads beyond the work idle at the start, so 10**12 of them
+        # answer and cost exactly what one per LBA does.
+        huge, fitted = (make_timessd(content_mode=ContentMode.REAL) for _ in range(2))
+        for ssd in (huge, fitted):
+            for version in ("v1", "v2"):
+                for lba in range(3):
+                    ssd.write(lba, page(ssd, "%s-%d" % (version, lba)))
+                ssd.clock.advance(1000)
+        completions = [
+            NVMeController(ssd).submit(dataclasses.replace(command, threads=n))
+            for ssd, n in ((huge, 10**12), (fitted, 3))
+        ]
+        assert completions[0].ok
+        assert completions[0] == completions[1]
+        # A thread count that is not an int >= 1 is a status on the
+        # driver route too.
+        for threads in (2.5, "4", None):
+            with pytest.raises(NVMeError) as excinfo:
+                getattr(HostNVMeDriver(huge), method)(*args, threads=threads)
+            assert excinfo.value.status is StatusCode.INVALID_FIELD
 
     def test_locked_history_is_a_status_not_a_traceback(self):
         locked = HostNVMeDriver(

@@ -81,7 +81,7 @@ class TestEventTracer:
 
 class TestScope:
     def test_bundles_metrics_and_trace(self):
-        scope = Scope(tracing=True, trace_capacity=8)
+        scope = Scope(tracing=True)
         scope.metrics.counter("c").inc(2)
         scope.trace.emit("gc", "reclaim", 1)
         snap = scope.snapshot()

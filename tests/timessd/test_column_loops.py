@@ -43,8 +43,8 @@ def build_device():
         faults=FaultHooks(plan),
         background_compression=False,
         background_gc=False,
-        idle_scan_blocks=32,
     )
+    ssd.IDLE_SCAN_BLOCKS = 32
     rng = random.Random(11)
     for lpa in range(WORKING_SET):
         ssd.write(lpa)
