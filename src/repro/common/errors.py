@@ -9,6 +9,15 @@ class AddressError(ReproError):
     """A logical or physical address is out of range or malformed."""
 
 
+class InvalidPageError(ReproError):
+    """A host write carried page data the device cannot store.
+
+    A REAL-content TimeSSD stores bytes and delta-compresses them, so
+    every host page must be exactly one flash page of bytes; anything
+    else is refused before the write is admitted.
+    """
+
+
 class FlashStateError(ReproError):
     """A flash operation violated NAND constraints.
 

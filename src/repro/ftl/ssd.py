@@ -16,6 +16,7 @@ from repro.common.errors import (
     DegradedModeError,
     DeviceFullError,
     EraseFailureError,
+    InvalidPageError,
     ProgramFailureError,
     UncorrectableReadError,
 )
@@ -128,6 +129,9 @@ class BaseSSD:
     #: media failures before the scrubber may heal it back to writable
     #: (the anti-flap hysteresis).
     HEAL_DWELL_US = 2 * SECOND_US
+    #: Bytes every host page must carry, or None when host pages are
+    #: opaque tokens (a REAL-content TimeSSD sets its page size).
+    host_page_bytes = None
 
     def __init__(self, config=None, clock=None):
         self.config = config or SSDConfig()
@@ -253,6 +257,8 @@ class BaseSSD:
         """Admit and program one host page arriving at ``arrival_us``;
         returns its completion time."""
         self.ensure_writable()
+        if self.host_page_bytes is not None:
+            self.check_host_page(lpa, data)
         self._before_host_request(arrival_us)
         try:
             self._ensure_free_space(arrival_us)
@@ -267,6 +273,19 @@ class BaseSSD:
         self.write_latency.record(complete - arrival_us)
         self._after_host_request(complete, wrote=True)
         return complete
+
+    def check_host_page(self, lpa, data):
+        """Raise :class:`InvalidPageError` unless ``data`` is exactly
+        :attr:`host_page_bytes` bytes — checked before admission, or a
+        wrong-sized page would only fail deep inside a later GC pass."""
+        if (
+            not isinstance(data, (bytes, bytearray))
+            or len(data) != self.host_page_bytes
+        ):
+            raise InvalidPageError(
+                "LPA %d: a host page must be exactly %d bytes"
+                % (lpa, self.host_page_bytes)
+            )
 
     def serve_trim_at(self, lpa, arrival_us):
         """Admit one TRIM arriving at ``arrival_us`` (it completes there:

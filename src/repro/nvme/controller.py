@@ -12,6 +12,7 @@ from repro.common.errors import (
     AddressError,
     DegradedModeError,
     DeviceFullError,
+    InvalidPageError,
     ProgramFailureError,
     QueryError,
     RetentionViolationError,
@@ -105,6 +106,7 @@ class NVMeController:
             if command.admin:
                 result = self._admin(command)
             else:
+                _check_vendor_fields(command)
                 result = self._HANDLERS[command.opcode](self, command)
         except _COMMAND_ERRORS as exc:
             completion = NVMeCompletion(_status_for(exc))
@@ -158,6 +160,7 @@ class NVMeController:
             raise _InvalidOpcode()
         self._check_range(command)
         if opcode == Opcode.WRITE:
+            self._check_payload(command)
             for i in range(command.nlb):
                 data = command.data[i] if command.data is not None else None
                 t = ssd.serve_write_at(command.slba + i, data, t)
@@ -192,10 +195,26 @@ class NVMeController:
     # --- Vendor commands ---------------------------------------------------------
 
     def _check_range(self, command):
-        if command.nlb < 1:
+        slba = command.slba
+        nlb = command.nlb
+        # ``type(...) is int`` refuses bools and non-integers alike.
+        if type(slba) is not int or type(nlb) is not int or nlb < 1:
             raise _InvalidField()
-        if command.slba < 0 or command.slba + command.nlb > self.ssd.logical_pages:
+        if slba < 0 or slba + nlb > self.ssd.logical_pages:
             raise AddressError("LBA range out of bounds")
+
+    def _check_payload(self, command):
+        """Refuse a WRITE payload before any of its pages is admitted:
+        one page per LBA, each one the device can store."""
+        data = command.data
+        if data is None:
+            return  # token pages; a REAL device refuses the first one
+        if not isinstance(data, (list, tuple)) or len(data) != command.nlb:
+            raise _InvalidField()
+        ssd = self.ssd
+        if ssd.host_page_bytes is not None:
+            for i, page in enumerate(data):
+                ssd.check_host_page(command.slba + i, page)
 
     def _require_kits(self):
         if self._kits is None:
@@ -276,6 +295,13 @@ class _InvalidField(Exception):
     pass
 
 
+def _check_vendor_fields(command):
+    """A vendor command's timestamps are plain ints (TimeKits checks
+    ``threads`` itself)."""
+    if type(command.t) is not int or type(command.t2) is not int:
+        raise _InvalidField()
+
+
 #: Error to NVMe-status mapping shared by every submission path.
 #: ``_status_for`` takes the first ``isinstance`` match, so order
 #: matters: DegradedModeError and RetentionViolationError are sibling
@@ -291,6 +317,7 @@ _STATUS_BY_ERROR = (
     (ProgramFailureError, StatusCode.MEDIA_WRITE_FAULT),
     (_InvalidOpcode, StatusCode.INVALID_OPCODE),
     (_InvalidField, StatusCode.INVALID_FIELD),
+    (InvalidPageError, StatusCode.INVALID_FIELD),
 )
 _COMMAND_ERRORS = tuple(error_cls for error_cls, _status in _STATUS_BY_ERROR)
 

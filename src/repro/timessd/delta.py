@@ -79,6 +79,9 @@ class DeltaCodec:
         """Return the original old version's data."""
         raise NotImplementedError
 
+    def drop_memos(self):
+        """Forget every cached page (a codec without caches has none)."""
+
 
 def _xor_bytes(a, b):
     """Bytewise XOR of two equal-length byte strings.
@@ -93,6 +96,22 @@ def _xor_bytes(a, b):
     ).to_bytes(n, "little")
 
 
+def _lru_get(memo, key):
+    """``memo[key]``, now the most recently used entry; None on a miss."""
+    value = memo.pop(key, None)
+    if value is not None:
+        memo[key] = value
+    return value
+
+
+def _lru_put(memo, key, value, entries):
+    """Store ``key -> value``, evicting least recently used entries so
+    no more than ``entries`` remain (a dict iterates oldest first)."""
+    while memo and len(memo) >= entries:
+        del memo[next(iter(memo))]
+    memo[key] = value
+
+
 class RealDeltaCodec(DeltaCodec):
     """XOR-with-reference then LZF over real page contents.
 
@@ -101,23 +120,38 @@ class RealDeltaCodec(DeltaCodec):
     the old page is LZF'd directly; when compression does not pay, the
     raw page is stored (mode ``raw``), mirroring real firmware.
 
-    The compression *cost model* is memoized: synthetic workloads and
-    refresh migrations recompress identical ``(old, reference)`` pairs,
-    and the result is a pure function of the two pages, so an LRU cache
-    keyed on their bytes returns the previous ``(payload, size)``
-    verbatim.  Payloads are immutable tuples of bytes, safe to share;
-    the cache changes no observable result, only the wall-clock cost.
+    Both directions are memoized, each with an LRU keyed on content.
+    ``compress`` is a pure function of ``(old, reference)``: synthetic
+    workloads and refresh migrations recompress identical pairs, and a
+    hit returns the previous ``(payload, size)`` verbatim.
+    ``decompress`` is a pure function of ``(blob, reference)`` (the
+    reference is None for an ``lzf`` blob): TimeKits walks decode the
+    same retained versions again and again, and a hit returns the bytes
+    the first decode produced after its length check.  ``raw`` payloads
+    need no decode and are never cached; neither are errors.  Payloads
+    and pages are immutable bytes, safe to share; the memos change no
+    observable result, only the wall-clock cost.
     """
 
-    #: LRU entries kept (pairs of pages; bounded so a big device cannot
-    #: grow the cache past a few MiB of references).
+    #: Compress LRU entries kept (pairs of pages; bounded so a big
+    #: device cannot grow the cache past a few MiB of references).
     MEMO_ENTRIES = 512
+
+    #: Decoded bytes the decompress LRU keeps: 4 MiB of pages (4 096 at
+    #: 1 KiB, enough for every repeat a TimeKits command mix makes).
+    #: Each entry also pins its key — a blob of at most one page and,
+    #: for ``xor``, the reference page — so a full memo holds at most
+    #: ~12 MiB.
+    DECODE_MEMO_BYTES = 4 << 20
 
     def __init__(self, page_size):
         self.page_size = page_size
         self._memo = {}
         self.memo_hits = 0
         self.memo_misses = 0
+        self._decode_memo = {}
+        self.decode_hits = 0
+        self.decode_misses = 0
 
     def _check(self, name, data):
         if not isinstance(data, (bytes, bytearray)):
@@ -128,17 +162,20 @@ class RealDeltaCodec(DeltaCodec):
                 % (name, self.page_size, len(data))
             )
 
+    def drop_memos(self):
+        # Both memos hold plaintext pages: compress keys are old and
+        # reference versions, decompress values are past versions.
+        self._memo.clear()
+        self._decode_memo.clear()
+
     def compress(self, old_data, ref_data):
         self._check("old_data", old_data)
         if ref_data is not None:
             self._check("ref_data", ref_data)
         key = (bytes(old_data), None if ref_data is None else bytes(ref_data))
-        cached = self._memo.get(key)
+        cached = _lru_get(self._memo, key)
         if cached is not None:
             self.memo_hits += 1
-            # Reinsert to keep true LRU eviction order.
-            del self._memo[key]
-            self._memo[key] = cached
             return cached
         self.memo_misses += 1
         if ref_data is not None:
@@ -151,9 +188,7 @@ class RealDeltaCodec(DeltaCodec):
             result = ("raw", bytes(old_data)), self.page_size
         else:
             result = (mode, blob), len(blob)
-        if len(self._memo) >= self.MEMO_ENTRIES:
-            self._memo.pop(next(iter(self._memo)))
-        self._memo[key] = result
+        _lru_put(self._memo, key, result, self.MEMO_ENTRIES)
         return result
 
     def decompress(self, payload, ref_data):
@@ -161,13 +196,30 @@ class RealDeltaCodec(DeltaCodec):
         if mode == "raw":
             return blob
         if mode == "lzf":
-            return lzf.decompress(blob, self.page_size)
-        if mode == "xor":
+            ref = None
+        elif mode == "xor":
             if ref_data is None:
                 raise ReproError("xor delta needs its reference version")
-            diff = lzf.decompress(blob, self.page_size)
-            return _xor_bytes(diff, bytes(ref_data))
-        raise ReproError("unknown delta payload mode %r" % (mode,))
+            ref = bytes(ref_data)
+        else:
+            raise ReproError("unknown delta payload mode %r" % (mode,))
+        blob = bytes(blob)
+        key = (blob, ref)
+        data = _lru_get(self._decode_memo, key)
+        if data is not None:
+            self.decode_hits += 1
+            return data
+        self.decode_misses += 1
+        data = lzf.decompress(blob, self.page_size)
+        if ref is not None:
+            data = _xor_bytes(data, ref)
+        _lru_put(
+            self._decode_memo,
+            key,
+            data,
+            self.DECODE_MEMO_BYTES // self.page_size,
+        )
+        return data
 
 
 class ModeledDeltaCodec(DeltaCodec):

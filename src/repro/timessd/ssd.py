@@ -13,7 +13,6 @@ from collections import defaultdict
 from repro.common.atomic import atomic_section
 from repro.common.errors import (
     QueryError,
-    ReproError,
     RetentionViolationError,
     UncorrectableReadError,
 )
@@ -52,6 +51,7 @@ class TimeSSD(BaseSSD):
         self.index = TimeTravelIndex(self.device, reader=self.read_page_with_retry)
         page_size = config.geometry.page_size
         if config.content_mode is ContentMode.REAL:
+            self.host_page_bytes = page_size
             codec = RealDeltaCodec(page_size)
         else:
             codec = ModeledDeltaCodec(page_size, rng=self._rng)
@@ -112,19 +112,6 @@ class TimeSSD(BaseSSD):
         if old_ppa != NULL_PPA:
             return old_ppa
         return self._trim_tombstones.pop(lpa, old_ppa)
-
-    def _program_user_page(self, lpa, data, now_us):
-        # Fail fast: in REAL content mode every write must carry one full
-        # page of bytes, or delta compression would blow up much later,
-        # deep inside a GC pass.
-        if self.config.content_mode is ContentMode.REAL and not isinstance(
-            data, (bytes, bytearray)
-        ):
-            raise ReproError(
-                "REAL content mode requires bytes page data for LPA %d "
-                "(got %s)" % (lpa, type(data).__name__)
-            )
-        return super()._program_user_page(lpa, data, now_us)
 
     def note_page_no_longer_retained(self, ppa):
         """A retained page expired or was compressed into the delta chain."""
@@ -280,7 +267,13 @@ class TimeSSD(BaseSSD):
         self.retention_lock.unlock(key)
 
     def lock_retention(self):
-        """Re-seal encrypted history (e.g. before handing the drive over)."""
+        """Re-seal encrypted history (e.g. before handing the drive over).
+
+        The delta codec's memos hold plaintext versions, so they are
+        dropped too: no decoded history outlives a re-seal (or, through
+        :meth:`reset_volatile`, a power cut) in controller RAM.
+        """
+        self.deltas.codec.drop_memos()
         if self.retention_lock is not None:
             self.retention_lock.lock()
 

@@ -447,6 +447,14 @@ FIRMWARE_MUTATIONS = (
         "tests/nvme/test_nvme.py::TestVendorCommands"
         "::test_huge_thread_count_is_served_as_one_thread_per_lba",
     ),
+    # --- the delta codec's decode memo ----------------------------------------
+    (
+        "timessd/delta.py",  # decode memo keyed on the blob alone
+        "        key = (blob, ref)\n",
+        "        key = blob\n",
+        "tests/timessd/test_delta.py::TestDecodeMemo"
+        "::test_same_blob_under_two_references_decodes_twice",
+    ),
     # --- the one-pass recovery (PR 21) -----------------------------------------
     (
         "timessd/recovery.py",  # the sweep's seal cache promoted to an authority

@@ -73,6 +73,44 @@ class TestStandardIO:
         assert completion.status is StatusCode.INVALID_OPCODE
 
 
+class TestMalformedFields:
+    @pytest.mark.parametrize("route", ["submit", "submit_async"])
+    def test_malformed_fields_complete_invalid_field(self, driver, route):
+        # Each of these used to raise out of the controller (TypeError,
+        # IndexError) or store a page no GC could later compress.
+        original = [page(driver, "keep-%d" % i) for i in range(3)]
+        driver.write(0, original)
+        ssd = driver.controller.ssd
+        written = ssd.host_pages_written
+        malformed = [
+            NVMeCommand(Opcode.READ, slba=0, nlb=2.5),
+            NVMeCommand(Opcode.READ, slba=None, nlb=1),
+            NVMeCommand(Opcode.READ, slba=1.5, nlb=1),
+            NVMeCommand(Opcode.DSM, slba=0, nlb=True),
+            NVMeCommand(Opcode.WRITE, slba=0, nlb=3, data=[page(driver, "x")]),
+            NVMeCommand(
+                Opcode.WRITE, slba=0, nlb=2, data=[page(driver, "x"), b"short"]
+            ),
+            NVMeCommand(Opcode.WRITE, slba=0, nlb=1, data=None),
+        ]
+        if route == "submit":  # vendor opcodes are host-serial
+            malformed += [
+                NVMeCommand(Opcode.ADDR_QUERY, slba=0, nlb=1, t=1.5),
+                NVMeCommand(Opcode.TIME_QUERY, t=None),
+                NVMeCommand(Opcode.ROLLBACK, slba=0, nlb=1, t="0"),
+            ]
+        for command in malformed:
+            if route == "submit":
+                completion = driver.controller.submit(command)
+            else:
+                sibling = NVMeCommand(Opcode.READ, slba=0, nlb=3)
+                (completion, read), _ = driver.submit_async([command, sibling])
+                assert read.ok and read.result == original
+            assert completion.status is StatusCode.INVALID_FIELD, command
+            assert driver.read(0, 3) == original
+        assert ssd.host_pages_written == written
+
+
 class TestAdmin:
     def test_identify_reports_time_travel(self, driver):
         info = driver.identify()

@@ -136,3 +136,66 @@ class TestCompressionMemo:
         cached = warm.compress(old, ref)
         fresh = RealDeltaCodec(PAGE).compress(old, ref)
         assert cached == fresh
+
+
+class TestDecodeMemo:
+    """Decompression is memoized on ``(blob, reference)`` content."""
+
+    def _xor_pair(self, seed=3):
+        rng = random.Random(seed)
+        ref = bytes(rng.randrange(256) for _ in range(PAGE))
+        old = bytearray(ref)
+        old[17] ^= 0x5A
+        return bytes(old), ref
+
+    def test_repeat_decode_hits_and_matches_fresh_codec(self):
+        old, ref = self._xor_pair()
+        codec = RealDeltaCodec(PAGE)
+        payload, _ = codec.compress(old, ref)
+        assert payload[0] == "xor"
+        first = codec.decompress(payload, ref)
+        again = codec.decompress(payload, bytearray(ref))
+        assert again == first == old
+        assert again == RealDeltaCodec(PAGE).decompress(payload, ref)
+        assert (codec.decode_hits, codec.decode_misses) == (1, 1)
+        # Raw payloads need no decode and bypass the memo.
+        assert codec.decompress(("raw", old), None) == old
+        assert (codec.decode_hits, codec.decode_misses) == (1, 1)
+
+    def test_same_blob_under_two_references_decodes_twice(self):
+        old, ref = self._xor_pair()
+        codec = RealDeltaCodec(PAGE)
+        payload, _ = codec.compress(old, ref)
+        other_ref = bytes(b ^ 0xFF for b in ref)
+        assert codec.decompress(payload, ref) == old
+        other = codec.decompress(payload, other_ref)
+        assert other != old
+        assert other == RealDeltaCodec(PAGE).decompress(payload, other_ref)
+        assert (codec.decode_hits, codec.decode_misses) == (0, 2)
+
+    def test_byte_bound_holds_and_eviction_is_lru(self):
+        codec = RealDeltaCodec(PAGE)
+        codec.DECODE_MEMO_BYTES = 4 * PAGE
+        payloads = [codec.compress(bytes([i]) * PAGE, None)[0] for i in range(6)]
+        for payload in payloads[:4]:
+            codec.decompress(payload, None)
+        codec.decompress(payloads[0], None)  # now the most recently used
+        for payload in payloads[4:]:
+            codec.decompress(payload, None)
+        assert len(codec._decode_memo) * PAGE <= codec.DECODE_MEMO_BYTES
+        hits = codec.decode_hits
+        codec.decompress(payloads[0], None)  # survived: it was touched
+        assert codec.decode_hits == hits + 1
+        codec.decompress(payloads[1], None)  # evicted: least recently used
+        assert codec.decode_hits == hits + 1
+
+    def test_failures_are_never_cached(self):
+        codec = RealDeltaCodec(PAGE)
+        corrupt = ("lzf", b"\x05ab")  # a literal run past the end
+        short = ("lzf", b"\x02abc")  # a valid stream of 3 bytes, not a page
+        for payload in (corrupt, short):
+            for _ in range(2):
+                with pytest.raises(ReproError):
+                    codec.decompress(payload, None)
+        assert codec._decode_memo == {}
+        assert (codec.decode_hits, codec.decode_misses) == (0, 4)

@@ -153,6 +153,25 @@ class TestEncryptedDevice:
         answer = TimeKits(ssd).time_query_all().value
         assert answer == {4: [ts for ts, _payload in contents]}
 
+    def test_relock_drops_the_codec_plaintext_memos(self):
+        ssd = self.make_device()
+        self.churn_history(ssd)
+        codec = ssd.deltas.codec
+        ssd.unlock_retention(KEY)
+        versions, _ = ssd.version_chain(4)
+        assert any(v.source.startswith("delta") for v in versions)
+        assert codec._memo and codec._decode_memo
+        ssd.lock_retention()
+        assert codec._memo == {} and codec._decode_memo == {}
+        with pytest.raises(QueryError):
+            ssd.version_chain(4)
+        # A power cut re-seals the same way.
+        ssd.unlock_retention(KEY)
+        ssd.version_chain(4)
+        assert codec._decode_memo
+        ssd.reset_volatile()
+        assert codec._decode_memo == {}
+
     def test_wrong_key_fails_loudly(self):
         ssd = self.make_device()
         with pytest.raises(QueryError):

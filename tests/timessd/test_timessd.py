@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from repro.common.errors import RetentionViolationError
+from repro.common.errors import InvalidPageError, RetentionViolationError
 from repro.common.units import SECOND_US
 from repro.flash.page import NULL_PPA
 from repro.ftl.block_manager import BlockKind
@@ -26,6 +26,20 @@ def test_behaves_like_regular_ssd_for_current_data():
     assert ssd.read(3)[0] == page
     ssd.trim(3)
     assert ssd.read(3)[0] is None
+
+
+def test_real_content_refuses_a_wrong_sized_page_before_admission():
+    # A short page used to be programmed and only failed later, inside
+    # the GC pass that tried to delta-compress it.
+    ssd = make_timessd(content_mode=ContentMode.REAL)
+    for bad in (b"ab", bytes(513), None, "x" * 512):
+        with pytest.raises(InvalidPageError):
+            ssd.write(0, bad)
+    assert ssd.mapping.lookup(0) == NULL_PPA
+    assert ssd.host_pages_written == 0
+    assert ssd.device.counters.page_programs == 0
+    ssd.write(0, bytearray(512))
+    assert ssd.read(0)[0] == bytes(512)
 
 
 def test_version_chain_without_gc():
