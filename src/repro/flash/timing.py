@@ -72,11 +72,6 @@ class ChannelTimelines:
         self._check(channel)
         return self._busy_until[channel]
 
-    def busy_time_us(self, channel):
-        """Total microseconds ``channel`` has been occupied so far."""
-        self._check(channel)
-        return self._busy_us[channel]
-
     def total_busy_us(self):
         """Occupied time summed over all channels."""
         return sum(self._busy_us)

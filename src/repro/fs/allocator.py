@@ -39,9 +39,6 @@ class BlockAllocator:
                 return self.start_lpa + index
         raise FileSystemError("allocator free count out of sync")
 
-    def allocate_many(self, n):
-        return [self.allocate() for _ in range(n)]
-
     def release(self, lpa):
         index = lpa - self.start_lpa
         if not 0 <= index < self.count:
@@ -50,7 +47,3 @@ class BlockAllocator:
             raise FileSystemError("double free of LPA %d" % lpa)
         self._used[index] = 0
         self._free += 1
-
-    def is_allocated(self, lpa):
-        index = lpa - self.start_lpa
-        return 0 <= index < self.count and bool(self._used[index])

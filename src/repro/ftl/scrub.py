@@ -17,12 +17,15 @@ Refresh dispatch:
 * a **valid** page is migrated exactly like a GC migration — through
   :meth:`~repro.ftl.ssd.BaseSSD.migrate_page`, OOB (timestamp,
   back-pointer) carried over unchanged;
-* an **invalid** page is handed to the device's
-  :meth:`~repro.ftl.ssd.BaseSSD._refresh_retained_page` hook — a no-op
-  on the base SSD (stale pages are garbage), while TimeSSD compresses
-  the retained version into its delta chain, which preserves the
-  version timestamp and chain linkage; retention-expired pages are
-  marked reclaimable and *skipped*, not refreshed.
+* an **invalid** page goes through the device's one stale-page rule,
+  :meth:`~repro.ftl.ssd.BaseSSD._settle_stale_page` — the same call GC
+  makes before an erase.  The base SSD retains nothing (the page is
+  *skipped*); TimeSSD compresses a retained version into its delta
+  chain, which preserves the version timestamp and chain linkage, and
+  marks an expired one reclaimable (*skipped*); FlashGuard copies a
+  retained page to a fresh one.  A page the rule could not rescue
+  through the full read-retry ladder is given up by the device and
+  counted as *skipped*.
 
 The scrubber is also the device's path out of read-only degraded mode:
 each run finishes by retiring grown-bad blocks still holding data and
@@ -249,22 +252,20 @@ class PatrolScrubber:
                 # pass retries after the failed block is condemned.
                 pass
             return t
-        try:
-            t, refreshed = ssd._refresh_retained_page(ppa, t)
-        except UncorrectableReadError:
-            # The chain walk behind the refresh hit a page even the full
-            # ladder could not read.  Leave it: GC's reclaim accounts
-            # the loss when the block goes; scrub only moves on.
-            self._m_uncorrectable.inc()
-            self._unqueue(ppa)
-            return t
+        # ftl.ssd imports this module, so its outcome type is fetched here.
+        from repro.ftl.ssd import ReclaimOutcome
+
+        # Media work past the patrol read means the stale-page rule moved
+        # the page to fresh flash; none means nothing was worth rescuing,
+        # or the device gave the version up and accounted the loss.
+        settled = ssd._settle_stale_page(ppa, t, ReclaimOutcome(None))
         self._unqueue(ppa)
-        if refreshed:
+        if settled > t:
             self._m_refreshed_retained.inc()
-            self._trace_refresh(ppa, t, kind="retained")
+            self._trace_refresh(ppa, settled, kind="retained")
         else:
             self._m_skipped_expired.inc()
-        return t
+        return settled
 
     def _unqueue(self, ppa):
         """Drop a just-handled page from the at-risk queue (its own

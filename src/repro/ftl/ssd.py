@@ -879,18 +879,6 @@ class BaseSSD:
             self.lost_lpas[lpa] = ppa
         self._m_lost_pages.inc()
 
-    def _refresh_retained_page(self, ppa, now_us):
-        """Refresh hook for invalid-but-meaningful pages.
-
-        The base device retains nothing — a stale page is garbage and
-        ages out with its block — so this is a no-op.  TimeSSD overrides
-        it: a retained old version is compressed into the delta chain
-        (which preserves its timestamp and version chain), and a
-        retention-expired page is marked reclaimable instead of
-        refreshed.  Returns ``(complete_us, refreshed)``.
-        """
-        return now_us, False
-
     @atomic_section(
         "a page migration is program + validity flip + remap committed "
         "together, or a competing read could land on a mapping that "

@@ -11,7 +11,7 @@ Figure 10), but arbitrary history queries are impossible.
 from collections import deque
 from dataclasses import dataclass
 
-from repro.common.errors import DeviceFullError
+from repro.common.errors import DeviceFullError, UncorrectableReadError
 from repro.flash.page import NULL_PPA
 from repro.ftl.block_manager import BlockKind, StreamId
 from repro.ftl.ssd import BaseSSD
@@ -68,11 +68,18 @@ class FlashGuardSSD(BaseSSD):
     def _settle_stale_page(self, ppa, now_us, outcome):
         """A retained page moves like a valid one — read at the cursor,
         programmed once the read completes — and its version record
-        follows; any other stale page is discarded with the block."""
+        follows; any other stale page is discarded with the block.  GC
+        and scrub refresh both move a retained page this way."""
         version = self._retained_by_ppa.get(ppa)
         if version is None:
             return now_us
-        result = self.device.read_page(ppa, now_us)
+        try:
+            result = self.read_page_with_retry(ppa, now_us)
+        except UncorrectableReadError:
+            # Gone despite the full ladder: the version cannot be kept,
+            # and the block under reclaim is erased all the same.
+            self._drop_version(version)
+            return now_us
         new_ppa = self.block_manager.allocate_page(StreamId.GC)
         # FlashGuard is itself an FTL (the CCS'17 comparator), so its GC
         # owns the raw copy of a retained page: it re-points a version
@@ -94,16 +101,21 @@ class FlashGuardSSD(BaseSSD):
             version = self._retention_queue.popleft()
             if version.evicted:
                 continue
-            version.evicted = True
-            self._retained_by_ppa.pop(version.ppa, None)
-            versions = self._versions_by_lpa.get(version.lpa)
-            if versions:
-                self._versions_by_lpa[version.lpa] = [
-                    v for v in versions if v is not version
-                ]
-            self.retained_count -= 1
+            self._drop_version(version)
             evicted += 1
         return evicted > 0
+
+    def _drop_version(self, version):
+        """Give one retained version up: no recovery finds it again, and
+        the retention queue skips it when eviction gets there."""
+        version.evicted = True
+        self._retained_by_ppa.pop(version.ppa, None)
+        versions = self._versions_by_lpa.get(version.lpa)
+        if versions:
+            self._versions_by_lpa[version.lpa] = [
+                v for v in versions if v is not version
+            ]
+        self.retained_count -= 1
 
     # --- Recovery -----------------------------------------------------------------
 

@@ -235,23 +235,7 @@ class TimeKits:
         (paper §3.9): the pre-rollback state is itself retained, so a
         rollback can be rolled back.  Returns per-LPA restored versions.
         """
-        start = self.ssd.clock.now_us
-        chains, _elapsed = self.walk_many(
-            self._range(addr, cnt), threads, until_ts=t
-        )
-        restored = {}
-        writes = []
-        for lpa, versions in chains.items():
-            target = pick_as_of(versions, t)
-            if target is None:
-                continue
-            restored[lpa] = target
-            if _already_current(self.ssd, lpa, versions, target):
-                continue
-            writes.append((lpa, target.data))
-        self.restore_many(writes, threads)
-        elapsed = self.ssd.clock.now_us - start
-        return QueryResult(restored, elapsed)
+        return self._rollback(self._range(addr, cnt), t, threads)
 
     def rollback_all(self, t, threads=1):
         """Revert every valid LPA to its state as of ``t``.
@@ -260,8 +244,10 @@ class TimeKits:
         of data, shortening retention, and can trip the retention-floor
         alarm.  The caller sees that as :class:`RetentionViolationError`.
         """
+        return self._rollback(list(self.ssd.mapping.mapped_lpas()), t, threads)
+
+    def _rollback(self, lpas, t, threads):
         start = self.ssd.clock.now_us
-        lpas = list(self.ssd.mapping.mapped_lpas())
         chains, _elapsed = self.walk_many(lpas, threads, until_ts=t)
         restored = {}
         writes = []

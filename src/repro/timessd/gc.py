@@ -2,11 +2,12 @@
 
 GC reclaims a TimeSSD block with the loop every device uses,
 ``BaseSSD.relocate_block``; only the stale-page rule differs
-(``TimeSSD._settle_stale_page``).  A retained page is delta-compressed
-here together with the not-yet-compressed older versions reachable
-through its back-pointer chain; the deltas join the head of the LPA's
-delta chain and the source pages are marked reclaimable.  Background
-compression and scrub refresh call the same routine.
+(``TimeSSD._settle_stale_page``, which GC, background compression and
+scrub refresh all call).  A retained page is delta-compressed here
+together with the not-yet-compressed older versions below it, found by
+the index's one chain-hop rule (``TimeTravelIndex.older_versions``);
+the deltas join the head of the LPA's delta chain and the source pages
+are marked reclaimable.
 """
 
 from repro.common.atomic import atomic_section
@@ -48,8 +49,18 @@ class TimeSSDGarbageCollector:
         t = head.complete_us
         lpa = head.oob.lpa
 
+        # The not-yet-compressed older versions join the chain; an expired
+        # one is marked reclaimable and ends it (invalidation times
+        # decrease down the chain, so everything older is expired too).
         chain = [(ppa, head.oob, head.data)]
-        t = self._collect_older_versions(lpa, head.oob, chain, t)
+        older = index.older_versions(lpa, head.oob.back_pointer, head.oob.timestamp_us)
+        for back in older:
+            result = ssd.read_page_with_retry(back, t)
+            t = result.complete_us
+            if ssd.blooms.find_segment(back) is None:
+                ssd.expire_page(back)
+                break
+            chain.append((back, result.oob, result.data))
 
         compressing = ssd.config.delta_compression
         if compressing:
@@ -103,11 +114,8 @@ class TimeSSDGarbageCollector:
         # old head, but orphaned chain fragments (back-pointers broken by
         # GC page reuse) can be compressed after younger versions were —
         # the merge keeps the chain strictly newest-first regardless.
-        previous = []
-        tail = previous_head
-        while tail is not None and not tail.dropped:
-            previous.append(tail)
-            tail = tail.back
+        previous = list(index.live_deltas(previous_head))
+        tail = previous[-1].back if previous else previous_head
         merged = []
         i = j = 0
         while i < len(records) and j < len(previous):
@@ -131,31 +139,6 @@ class TimeSSDGarbageCollector:
                 ssd.note_page_no_longer_retained(src_ppa)
         ssd._h_compressed_chain.record(len(records))
         return t, len(records)
-
-    def _collect_older_versions(self, lpa, head_oob, chain, now_us):
-        """Walk the back-pointer chain below the page being compressed.
-
-        Unexpired, not-yet-compressed versions join ``chain``; expired
-        ones are marked reclaimable and end the walk (invalidation times
-        decrease down the chain, so everything older is expired too).
-        """
-        ssd = self._ssd
-        index = ssd.index
-        t = now_us
-        prev_ts = head_oob.timestamp_us
-        back = head_oob.back_pointer
-        while back != NULL_PPA and index._page_holds_version(back, lpa, prev_ts):
-            if index.is_reclaimable(back):
-                break  # older suffix already lives in the delta chain
-            result = ssd.read_page_with_retry(back, t)
-            t = result.complete_us
-            if ssd.blooms.find_segment(back) is None:
-                ssd.expire_page(back)
-                break
-            chain.append((back, result.oob, result.data))
-            prev_ts = result.oob.timestamp_us
-            back = result.oob.back_pointer
-        return t
 
     def _read_reference(self, lpa, now_us):
         """Read the latest (valid) version as the compression reference."""

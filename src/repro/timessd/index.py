@@ -103,40 +103,61 @@ class TimeTravelIndex:
         else:
             self._imt[lpa] = record
 
-    def imt_size(self):
-        return len(self._imt)
-
     def delta_head_lpas(self):
         """The LPAs that own a delta chain (the IMT's keys, a live view)."""
         return self._imt.keys()
 
     # --- Data-page chain ------------------------------------------------------
 
-    def _page_holds_version(self, ppa, lpa, newer_ts):
-        """Verify a chain hop: the page must still hold ``lpa`` data older
-        than ``newer_ts`` (paper: "correct LPA and a decreasing timestamp").
-        """
-        if ppa in self._reclaimable:
-            # Compressed or expired: the version lives on (if at all) in
-            # the delta chain, and the physical page may be a stale copy
-            # at a reused address — not a trustworthy chain hop.
-            return False
-        self._geo.check_ppa(ppa)
-        core = self._core
-        if not core.state[ppa]:
-            return False
-        if core.lpa[ppa] != lpa or core.timestamp_us[ppa] >= newer_ts:
-            return False
-        return core.intact_at(ppa)  # torn/burned residue: never a chain hop
+    def older_versions(self, lpa, back, newer_ts, committed=None):
+        """Yield the PPAs of the data-page versions below one version of
+        ``lpa``, newest first; untimed (the caller reads what it needs).
 
-    def walk_data_chain(self, lpa, head_ppa, now_us, include_head=True, until_ts=None):
+        ``back`` is that version's back-pointer and ``newer_ts`` its write
+        stamp.  This is the one chain-hop rule (paper §3.7: "correct LPA
+        and a decreasing timestamp"): a hop is taken only into a page
+        that is not in the PRT — compressed or expired, its version lives
+        on (if at all) in the delta chain, and the physical page may be a
+        stale copy at a reused address — that is programmed, holds
+        ``lpa`` with a stamp older than the version above it, and whose
+        seal is intact (torn or burned residue is never a hop).
+        ``committed`` is an optional column of pages whose seal is
+        already verified (recovery's sweep): a positive hint only, so a
+        page it does not vouch for takes the full check.
+        """
+        core = self._core
+        total_pages = core.total_pages
+        state = core.state
+        lpas = core.lpa
+        timestamp_us = core.timestamp_us
+        back_pointer = core.back_pointer
+        reclaimable = self._reclaimable
+        while back != NULL_PPA and back not in reclaimable:
+            if not 0 <= back < total_pages:
+                self._geo.check_ppa(back)
+            if (
+                not state[back]
+                or lpas[back] != lpa
+                or timestamp_us[back] >= newer_ts
+                or not (
+                    (committed is not None and committed[back])
+                    or core.intact_at(back)
+                )
+            ):
+                return
+            yield back
+            newer_ts = timestamp_us[back]
+            back = back_pointer[back]
+
+    def walk_data_chain(self, lpa, head_ppa, now_us, until_ts=None):
         """Follow back-pointers from ``head_ppa``; returns a ChainWalk.
 
-        Entries are ``(ppa, oob, data)`` newest first.  Each hop costs a
-        flash page read, sequenced on the page's channel (dependent reads
-        cannot overlap).  The walk stops at a NULL pointer, an erased or
-        recycled page, or a timestamp-order violation — exactly the
-        "chain broken by GC" condition of the paper's Figure 5.
+        Entries are ``(ppa, oob, data)`` newest first, the head included.
+        Each hop (:meth:`older_versions`) costs a flash page read,
+        sequenced on the page's channel (dependent reads cannot overlap).
+        The walk stops at a NULL pointer, an erased or recycled page, or
+        a timestamp-order violation — exactly the "chain broken by GC"
+        condition of the paper's Figure 5.
 
         ``until_ts`` implements the paper's AddrQuery early stop:
         "retrieval stops when a version's writing time reaches the target
@@ -152,22 +173,18 @@ class TimeTravelIndex:
             return ChainWalk(entries, t)
         result = self._read(head_ppa, t)
         t = result.complete_us
-        if result.oob.lpa != lpa or not self._core.intact_at(head_ppa):
+        oob = result.oob
+        if oob.lpa != lpa or not self._core.intact_at(head_ppa):
             return ChainWalk(entries, t)
-        if include_head:
-            entries.append((head_ppa, result.oob, result.data))
-        if until_ts is not None and result.oob.timestamp_us <= until_ts:
+        entries.append((head_ppa, oob, result.data))
+        if until_ts is not None and oob.timestamp_us <= until_ts:
             return ChainWalk(entries, t)
-        prev_ts = result.oob.timestamp_us
-        ppa = result.oob.back_pointer
-        while ppa != NULL_PPA and self._page_holds_version(ppa, lpa, prev_ts):
+        for ppa in self.older_versions(lpa, oob.back_pointer, oob.timestamp_us):
             result = self._read(ppa, t)
             t = result.complete_us
             entries.append((ppa, result.oob, result.data))
-            prev_ts = result.oob.timestamp_us
-            if until_ts is not None and prev_ts <= until_ts:
+            if until_ts is not None and result.oob.timestamp_us <= until_ts:
                 break
-            ppa = result.oob.back_pointer
         return ChainWalk(entries, t)
 
     # --- Delta chain ------------------------------------------------------------
@@ -189,10 +206,7 @@ class TimeTravelIndex:
         t = now_us
         if delta_pages is None:
             delta_pages = set()
-        record = self._imt.get(lpa)
-        while record is not None:
-            if record.dropped:
-                break
+        for record in self.live_deltas(self._imt.get(lpa)):
             if record.flash_ppa is not None and record.flash_ppa not in delta_pages:
                 result = self._read(record.flash_ppa, t)
                 t = result.complete_us
@@ -200,8 +214,15 @@ class TimeTravelIndex:
             entries.append(record)
             if until_ts is not None and record.version_ts <= until_ts:
                 break
-            record = record.back
         return ChainWalk(entries, t)
+
+    @staticmethod
+    def live_deltas(record):
+        """Yield ``record`` and the records behind it, newest first, up to
+        the first one that died with its bloom segment."""
+        while record is not None and not record.dropped:
+            yield record
+            record = record.back
 
     def prune_dropped_head(self, lpa):
         """Drop IMT heads whose records died with their bloom segment."""

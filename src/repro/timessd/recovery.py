@@ -39,7 +39,7 @@ from operator import attrgetter
 
 from repro.ftl.block_manager import BlockKind, StreamId
 from repro.ftl.recovery_scan import sweep_oob
-from repro.flash.page import NULL_PPA, OOBMetadata
+from repro.flash.page import OOBMetadata
 from repro.timessd.delta import DeltaPage
 
 
@@ -199,43 +199,26 @@ def rebuild_from_flash(ssd):
 def _reachable_data_ts(ssd, lpa, head, committed):
     """Timestamps of the data-page versions a chain walk can reach.
 
-    Mirrors :meth:`TimeTravelIndex.walk_data_chain` hop for hop (the
-    checks of ``_page_holds_version``, no timing), read off the columns:
-    these are the versions available as delta references.  ``committed``
-    is the sweep's column of pages whose seal is already verified; a hop
-    it does not vouch for (torn, or in a retired block the sweep skipped
-    but the timed walk still enters) takes ``core.intact_at``.
+    The head, then every hop :meth:`TimeTravelIndex.older_versions`
+    takes below it — the walk of ``walk_data_chain`` without its reads:
+    these are the versions available as delta references.
+    ``committed`` is the sweep's column of pages whose seal is already
+    verified; a hop it does not vouch for (torn, or in a retired block
+    the sweep skipped but the timed walk still enters) takes
+    ``core.intact_at``.
     """
-    out = set()
     if head is None:
-        return out
+        return set()
     core = ssd.device.core
-    geo = ssd.device.geometry
-    total_pages = core.total_pages
     _ts, ppa = head
-    if not 0 <= ppa < total_pages:
-        geo.check_ppa(ppa)
-    state = core.state
-    if not state[ppa]:
-        return out
-    lpas = core.lpa
+    if not 0 <= ppa < core.total_pages:
+        ssd.device.geometry.check_ppa(ppa)
+    if not core.state[ppa]:
+        return set()
     timestamp_us = core.timestamp_us
-    back_pointer = core.back_pointer
-    reclaimable = ssd.index.reclaimable_ppas
-    prev_ts = timestamp_us[ppa]
-    out.add(prev_ts)
-    back = back_pointer[ppa]
-    while back != NULL_PPA and back not in reclaimable:
-        if not 0 <= back < total_pages:
-            geo.check_ppa(back)
-        if (
-            not state[back]
-            or lpas[back] != lpa
-            or timestamp_us[back] >= prev_ts
-            or not (committed[back] or core.intact_at(back))
-        ):
-            break
-        prev_ts = timestamp_us[back]
-        out.add(prev_ts)
-        back = back_pointer[back]
+    older = ssd.index.older_versions(
+        lpa, core.back_pointer[ppa], timestamp_us[ppa], committed
+    )
+    out = {timestamp_us[back] for back in older}
+    out.add(timestamp_us[ppa])
     return out

@@ -337,9 +337,20 @@ class TimeSSD(BaseSSD):
             self.background_compressed += tally.compressed
         return t
 
+    @atomic_section(
+        "expiry marking or chain compression of a retained page must "
+        "commit as one step with the census it updates — the same unit "
+        "whether GC's relocate_block, the idle compressor or scrub asks",
+        # compress_version_chain links deltas before marking sources
+        # reclaimable; a mid-step failure leaves every version
+        # retrievable from its original flash page.
+    )
     def _settle_stale_page(self, ppa, now_us, outcome):
-        """Algorithm 1, lines 13-25, for the stale page at ``ppa``, shared
-        by GC's :meth:`relocate_block` and :meth:`background_compress`."""
+        """Algorithm 1, lines 13-25, for the stale page at ``ppa``: the one
+        stale-page rule, shared by GC's :meth:`relocate_block`,
+        :meth:`background_compress` and scrub's refresh of an at-risk
+        retained page (compressing it moves the payload onto fresh delta
+        pages and keeps its timestamp and chain linkage)."""
         if ppa in self.index.reclaimable_ppas:
             # Already compressed or expired (only committed pages ever
             # enter the PRT): discard without a seal check.
@@ -379,33 +390,6 @@ class TimeSSD(BaseSSD):
             self.note_page_no_longer_retained(ppa)
             self._m_compress_lost.inc()
             return now_us, 0
-
-    @atomic_section(
-        "expiry marking or chain compression of a retained page must "
-        "commit as one step with the census it updates — the same unit "
-        "GC's per-page dispatch commits in relocate_block",
-        # compress_version_chain links deltas before marking sources
-        # reclaimable; a mid-step failure leaves every version
-        # retrievable from its original flash page.
-    )
-    def _refresh_retained_page(self, ppa, now_us):
-        """Scrub refresh of an invalid-but-retained page.
-
-        A retained old version cannot simply be copied: its back-pointer
-        chain would still reference the aging flash page.  Instead it is
-        compressed into the LPA's delta chain — the same path GC uses —
-        which preserves the version timestamp and chain linkage while
-        moving the payload onto freshly-programmed delta pages.
-        Retention-expired pages are not worth rescuing: they are marked
-        reclaimable so GC discards them without another read.
-        """
-        if self.index.is_reclaimable(ppa):
-            return now_us, False  # already lives in the delta chain
-        if self.blooms.find_segment(ppa) is None:
-            self.expire_page(ppa)
-            return now_us, False
-        t, compressed = self.collector.compress_version_chain(ppa, now_us)
-        return t, compressed > 0
 
     def _background_victims(self):
         """Sealed data blocks richest in retained, uncompressed pages."""

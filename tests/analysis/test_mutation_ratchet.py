@@ -447,6 +447,21 @@ FIRMWARE_MUTATIONS = (
         "tests/nvme/test_nvme.py::TestVendorCommands"
         "::test_huge_thread_count_is_served_as_one_thread_per_lba",
     ),
+    # --- one hop rule, one stale-page rule (PR 32) -----------------------------
+    (
+        "timessd/index.py",  # a hop into a page as old as the version above it
+        "                or timestamp_us[back] >= newer_ts\n",
+        "                or timestamp_us[back] > newer_ts\n",
+        "tests/timessd/test_column_loops.py"
+        "::test_chain_hop_check_matches_the_page_view",
+    ),
+    (
+        "security/flashguard.py",  # GC's copy of a retained page read raw again
+        "            result = self.read_page_with_retry(ppa, now_us)\n",
+        "            result = self.device.read_page(ppa, now_us)\n",
+        "tests/security/test_flashguard.py::TestRecovery"
+        "::test_gc_reads_a_retained_page_through_the_ladder[rescued]",
+    ),
     # --- the delta codec's decode memo ----------------------------------------
     (
         "timessd/delta.py",  # decode memo keyed on the blob alone
@@ -457,9 +472,11 @@ FIRMWARE_MUTATIONS = (
     ),
     # --- the one-pass recovery (PR 21) -----------------------------------------
     (
-        "timessd/recovery.py",  # the sweep's seal cache promoted to an authority
-        "committed[back] or core.intact_at(back)",
-        "True",
+        "timessd/index.py",  # the sweep's seal cache promoted to an authority
+        "(committed is not None and committed[back])\n"
+        "                    or core.intact_at(back)\n",
+        "committed[back] if committed is not None\n"
+        "                    else core.intact_at(back)\n",
         "tests/timessd/test_power_loss.py"
         "::test_reachable_reference_timestamps_mirror_the_chain_walk",
     ),

@@ -46,22 +46,36 @@ class TestScrubSweep:
 def _discover_refresh_ops(config, attr):
     """Flash-op indices at which the clean run enters a refresh step.
 
-    Spies on the scrubber hook named ``attr`` and records the fault
-    plan's op counter at entry: the next flash op is the refresh's first
-    media operation, so ``index + 1`` is a mid-refresh crash point.
+    Spies on the refresh step named ``attr`` — the scrubber's own
+    ``_refresh_valid``, or the device's ``_settle_stale_page``, counted
+    only when a scrub window called it (GC and idle compression settle
+    stale pages too) — and records the fault plan's op counter at entry:
+    the next flash op is the refresh's first media operation, so
+    ``index + 1`` is a mid-refresh crash point.
     """
     workload = build_workload(config)
     plan = FaultPlan(seed=config.seed)
     ssd = _build_ssd(config, plan)
     marks = []
+    scrubbing = []
     target = ssd.scrubber if attr == "_refresh_valid" else ssd
     original = getattr(target, attr)
+    run_window = ssd.scrubber.run_window
 
     def spy(*args, **kwargs):
-        marks.append(plan.ops_seen)
+        if target is ssd.scrubber or scrubbing:
+            marks.append(plan.ops_seen)
         return original(*args, **kwargs)
 
+    def scrub_window(*args, **kwargs):
+        scrubbing.append(True)
+        try:
+            return run_window(*args, **kwargs)
+        finally:
+            scrubbing.pop()
+
     setattr(target, attr, spy)
+    ssd.scrubber.run_window = scrub_window
     _replay(ssd, workload, config.gap_us)
     return marks
 
@@ -81,7 +95,7 @@ class TestCutInsideRefresh:
 
     def test_cut_inside_retained_version_refresh(self):
         self._check_cuts(
-            _discover_refresh_ops(self.CONFIG, "_refresh_retained_page")
+            _discover_refresh_ops(self.CONFIG, "_settle_stale_page")
         )
 
 

@@ -13,9 +13,11 @@ from repro.common.units import SECOND_US
 from repro.faults.hooks import FaultHooks
 from repro.faults.plan import FaultPlan
 from repro.flash.reliability import FlashReliability, UncorrectableReadError
+from repro.ftl.ssd import SSDConfig
+from repro.security import FlashGuardSSD
 from repro.timessd.config import ContentMode
 
-from tests.conftest import make_regular_ssd, make_timessd
+from tests.conftest import make_regular_ssd, make_timessd, small_geometry
 
 PAGE_SIZE = 512
 PAGE = b"scrub-me".ljust(PAGE_SIZE, b"\0")
@@ -224,6 +226,60 @@ class TestRefreshDispositions:
         assert metrics.counter("scrub.skipped_expired").value == 1
         assert metrics.counter("scrub.refreshed_retained").value == 0
         assert ssd.index.is_reclaimable(old_ppa)
+
+
+    def test_retained_page_whose_chain_is_lost_is_given_up(self):
+        # The at-risk page reads fine, but the version below it is gone
+        # through the full ladder: compressing the chain cannot finish,
+        # so the page's version is dropped and the loss accounted, just
+        # as GC's reclaim would — not left on the aging page for later.
+        plan = FaultPlan()
+        ssd = make_timessd(
+            patrol_scrub=True,
+            reliability=tame_reliability(),
+            faults=FaultHooks(plan),
+        )
+        for version in (b"v0", b"v1", b"v2"):
+            ssd.write(5, version.ljust(PAGE_SIZE, b"\x11"))
+            ssd.clock.advance(2000)
+        _head, at_risk, lost = ssd.index.older_versions(
+            5, ssd.mapping.lookup(5), ssd.clock.now_us
+        )
+        plan.add_read_error(every=1, address={lost}, max_fires=None)
+        ssd.scrubber._scrub_page(at_risk, ssd.clock.now_us, force_refresh=True)
+        counters = ssd.obs.metrics.snapshot()["counters"]
+        assert counters["timessd.compress.lost_versions"] == 1
+        assert counters["scrub.skipped_expired"] == 1
+        assert counters.get("scrub.uncorrectable", 0) == 0
+        assert counters.get("scrub.refreshed_retained", 0) == 0
+        assert ssd.index.is_reclaimable(at_risk)
+
+    def test_flashguard_retained_page_is_copied(self):
+        # FlashGuard settles a stale page as its GC does: a retained
+        # page at risk is copied to a fresh page, its version following.
+        ssd = FlashGuardSSD(
+            SSDConfig(
+                geometry=small_geometry(),
+                patrol_scrub=True,
+                reliability=tame_reliability(),
+            )
+        )
+        ssd.write(5, b"plaintext")
+        t_clean = ssd.clock.now_us
+        ssd.clock.advance(10)
+        ssd.read(5)
+        ssd.write(5, b"cipher")
+        (old_ppa,) = ssd._retained_by_ppa
+        ssd.scrubber.observe_read(old_ppa, corrected_bits=40)
+        programs = ssd.device.counters.page_programs
+        now = ssd.clock.now_us
+        ssd.scrubber.run_window(now, now + 10 * SECOND_US)
+        metrics = ssd.obs.metrics
+        assert metrics.counter("scrub.refreshed_retained").value == 1
+        assert ssd.device.counters.page_programs == programs + 1
+        assert old_ppa not in ssd._retained_by_ppa
+        restored, _ = ssd.recover_lpas([5], t_clean, write_back=False)
+        assert restored == {5: b"plaintext"}
 
 
 class TestScrubTouchesOnlyWhatItRefreshes:

@@ -1,6 +1,11 @@
+import random
+
 import pytest
 
 from repro.common.units import SECOND_US
+from repro.faults.hooks import FaultHooks
+from repro.faults.plan import FaultPlan
+from repro.flash.reliability import FlashReliability
 from repro.fs import PlainFS
 from repro.ftl.ssd import SSDConfig
 from repro.nvme import HostNVMeDriver, NVMeCommand, Opcode
@@ -101,6 +106,46 @@ class TestRecovery:
         assert ssd.read(5)[0] == b"cipher"
         restored, _ = ssd.recover_lpas([5], t_clean)
         assert restored[5] == b"plaintext"
+
+    @pytest.mark.parametrize("lost", [False, True], ids=["rescued", "lost"])
+    def test_gc_reads_a_retained_page_through_the_ladder(self, lost):
+        # A retained page GC moves is read through the read-retry ladder:
+        # one failed sense is retried, and a page the whole ladder cannot
+        # read gives its version up.  Neither raises out of the host
+        # write whose GC round reached the page.
+        plan = FaultPlan()
+        ssd = FlashGuardSSD(
+            SSDConfig(
+                geometry=small_geometry(),
+                faults=FaultHooks(plan),
+                reliability=FlashReliability(
+                    raw_bit_error_rate=1e-12, ecc_correctable_bits=40
+                ),
+            )
+        )
+        ssd.write(5, b"plaintext")
+        t_clean = ssd.clock.now_us
+        ssd.clock.advance(10)
+        ssd.read(5)
+        ssd.write(5, b"cipher")
+        (old_ppa,) = ssd._retained_by_ppa
+        unreadable = plan.add_read_error(
+            every=1, address={old_ppa}, max_fires=None if lost else 1
+        )
+        rng = random.Random(1)
+        working = ssd.logical_pages // 2
+        for _ in range(working * 4):
+            ssd.write(rng.randrange(6, working))
+            ssd.clock.advance(50)
+        assert unreadable.fires >= 1  # GC did reach the page
+        assert ssd.read(5)[0] == b"cipher"
+        restored, _ = ssd.recover_lpas([5], t_clean, write_back=False)
+        if lost:
+            assert ssd.retained_count == 0
+            assert restored == {}
+        else:
+            assert ssd.retained_count == 1
+            assert restored == {5: b"plaintext"}
 
     def test_unretained_lpa_not_restored(self):
         ssd = make_flashguard()

@@ -1,7 +1,7 @@
 """The firmware's per-page loops, pinned page by page.
 
 ``TimeSSD.background_compress``, ``BaseSSD.relocate_block``
-and ``TimeTravelIndex._page_holds_version`` read the flash columns, the
+and ``TimeTravelIndex.older_versions`` read the flash columns, the
 PVT bytes and the PRT set directly.  The view-walking code they replaced
 — one ``peek_page`` view per page, the idle budget gate evaluated before
 every page — is kept here as the reference: on a seeded device with a
@@ -253,12 +253,13 @@ def test_chain_hop_check_matches_the_page_view():
     for ppa in range(core.total_pages):
         lpa, ts = core.lpa[ppa], core.timestamp_us[ppa]
         for ask_lpa, newer_ts in ((lpa, ts + 1), (lpa, ts), (lpa + 1, ts + 1)):
-            got = index._page_holds_version(ppa, ask_lpa, newer_ts)
+            hop = next(index.older_versions(ask_lpa, ppa, newer_ts), None)
+            got = hop == ppa
             assert got is by_view(ppa, ask_lpa, newer_ts)
             hops += got
     assert hops > 100
     for ppa in (-2, core.total_pages):
         with pytest.raises(AddressError):
-            index._page_holds_version(ppa, 0, 1)
+            next(index.older_versions(0, ppa, 1))
         with pytest.raises(AddressError):
             index.walk_data_chain(0, ppa, 0)
