@@ -3,14 +3,17 @@
 Commands:
 
 * ``demo``        — sixty-second tour of the time-travel property;
-* ``experiment``  — regenerate one paper table/figure by id;
-* ``list``        — list available experiment ids;
 * ``info``        — system inventory and default configuration;
+* ``selftest``    — stress a device and audit every invariant;
 * ``lint``        — almanac-lint static checks (see docs/ANALYSIS.md);
 * ``metrics``     — observability snapshots as schema-stable JSON
   (see docs/OBSERVABILITY.md);
 * ``torture``     — crash-point sweep: cut power at every k-th flash op,
   rebuild, and audit (see docs/FAULTS.md).
+
+The paper's tables and figures are regenerated by their benchmarks, one
+runner per table: ``pytest benchmarks/<file> -k <id> -s`` (see
+EXPERIMENTS.md).
 """
 
 import argparse
@@ -48,99 +51,6 @@ def _cmd_demo(args):
         )
     kits.rollback(0, t=0)
     print("after rollback to t=0:", ssd.read(0)[0].rstrip(b"\0").decode())
-    return 0
-
-
-EXPERIMENTS = {
-    "fig6a": ("avg I/O response time @ 50% usage", "response"),
-    "fig6b": ("avg I/O response time @ 80% usage", "response"),
-    "fig7a": ("write amplification @ 50% usage", "wa"),
-    "fig7b": ("write amplification @ 80% usage", "wa"),
-    "fig9a": ("IOZone file-system comparison", "iozone"),
-    "fig9b": ("PostMark + OLTP comparison", "oltp"),
-    "table3": ("storage-state query latency", "table3"),
-    "fig10": ("ransomware recovery time", "fig10"),
-    "fig11": ("file reversal with 1/2/4 threads", "fig11"),
-}
-
-
-def _cmd_list(args):
-    print("experiment ids (see EXPERIMENTS.md for expectations):")
-    for key, (title, _kind) in EXPERIMENTS.items():
-        print("  %-8s %s" % (key, title))
-    print("  fig8*    retention duration (run via pytest benchmarks/)")
-    return 0
-
-
-def _cmd_experiment(args):
-    from repro.bench.tables import format_table
-
-    key = args.id
-    if key not in EXPERIMENTS:
-        print("unknown experiment %r; try: python -m repro list" % key)
-        return 2
-    title, kind = EXPERIMENTS[key]
-    days = args.days
-    print("running %s (%s)..." % (key, title))
-    if kind == "response":
-        from repro.bench.trace_experiments import response_time_rows
-
-        usage = 0.5 if key.endswith("a") else 0.8
-        rows = response_time_rows(usage=usage, days=days)
-        print(format_table(("volume", "regular (ms)", "TimeSSD (ms)", "overhead (%)"), rows))
-    elif kind == "wa":
-        from repro.bench.trace_experiments import write_amplification_rows
-
-        usage = 0.5 if key.endswith("a") else 0.8
-        rows = write_amplification_rows(usage=usage, days=days)
-        print(format_table(("volume", "regular WA", "TimeSSD WA", "increase (%)"), rows))
-    elif kind == "iozone":
-        from repro.bench.fs_experiments import normalized, run_iozone
-
-        results = run_iozone()
-        rows = []
-        for phase in ("SeqRead", "SeqWrite", "RandomRead", "RandomWrite"):
-            norm = normalized({s: results[s][phase] for s in results})
-            rows.append((phase, norm["Ext4"], norm["F2FS"], norm["TimeSSD"]))
-        print(format_table(("phase", "Ext4", "F2FS", "TimeSSD"), rows))
-    elif kind == "oltp":
-        from repro.bench.fs_experiments import normalized, run_oltp, run_postmark
-
-        postmark = normalized(run_postmark())
-        rows = [("PostMark", postmark["Ext4"], postmark["F2FS"], postmark["TimeSSD"])]
-        oltp = run_oltp()
-        for bench in ("TPCC", "TPCB", "TATP"):
-            norm = normalized({s: oltp[s][bench] for s in oltp})
-            rows.append((bench, norm["Ext4"], norm["F2FS"], norm["TimeSSD"]))
-        print(format_table(("workload", "Ext4", "F2FS", "TimeSSD"), rows))
-    elif kind == "table3":
-        from repro.bench.query_experiments import run_table3
-
-        rows = [
-            (r.volume, r.time_query_s, r.addr_query_all_ms, r.rollback_ms)
-            for r in run_table3()
-        ]
-        print(
-            format_table(
-                ("volume", "TimeQuery (s)", "AddrQueryAll (ms)", "RollBack (ms)"), rows
-            )
-        )
-    elif kind == "fig10":
-        from repro.bench.security_experiments import run_fig10
-
-        rows = [
-            (r.family, r.flashguard_recovery_s, r.timessd_recovery_s)
-            for r in run_fig10()
-        ]
-        print(format_table(("family", "FlashGuard (s)", "TimeSSD (s)"), rows))
-    elif kind == "fig11":
-        from repro.bench.revert_experiments import run_fig11
-
-        rows = [
-            (r.name, r.per_thread_ms[1], r.per_thread_ms[2], r.per_thread_ms[4])
-            for r in run_fig11(commits=args.commits)
-        ]
-        print(format_table(("file", "1 thr (ms)", "2 thr (ms)", "4 thr (ms)"), rows))
     return 0
 
 
@@ -298,7 +208,6 @@ def build_parser():
     sub.add_parser("demo", help="sixty-second time-travel demo").set_defaults(
         fn=_cmd_demo
     )
-    sub.add_parser("list", help="list experiment ids").set_defaults(fn=_cmd_list)
     sub.add_parser("info", help="inventory and defaults").set_defaults(fn=_cmd_info)
     sub.add_parser(
         "selftest", help="stress a device and audit every invariant"
@@ -402,13 +311,6 @@ def build_parser():
     metrics.add_argument("--out", help="write JSON to a file instead of stdout")
     metrics.set_defaults(fn=_cmd_metrics)
 
-    exp = sub.add_parser("experiment", help="regenerate a paper table/figure")
-    exp.add_argument("id", help="experiment id (see `repro list`)")
-    exp.add_argument("--days", type=int, default=7, help="trace length (default 7)")
-    exp.add_argument(
-        "--commits", type=int, default=300, help="fig11 commit count (default 300)"
-    )
-    exp.set_defaults(fn=_cmd_experiment)
     return parser
 
 

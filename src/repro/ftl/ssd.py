@@ -229,29 +229,90 @@ class BaseSSD:
         self.serve_trim_at(lpa, self.clock.now_us)
 
     def write_range(self, start_lpa, npages, pages=None):
-        """Write ``npages`` consecutive pages; returns total response us."""
-        total = 0
-        for i in range(npages):
-            data = pages[i] if pages is not None else None
-            total += self.write(start_lpa + i, data)
-        return total
+        """Write ``npages`` consecutive pages as one request; returns its
+        response time in us.
+
+        The clock moves once, to the request's completion.  A request
+        that raises part-way moves it to the idle mark its admitted
+        pages raised ``_last_io_end_us`` to — its last page's
+        completion — and leaves it where it was when they raised
+        nothing (no page completed, or a failed command before it left
+        the mark beyond their completions).
+        """
+        arrival, mark = self.clock.now_us, self._last_io_end_us
+        complete = None
+        try:
+            complete = self.serve_writes_at(
+                range(start_lpa, start_lpa + npages), pages, arrival
+            )
+        finally:
+            self._end_range(complete, mark)
+        return complete - arrival
 
     def read_range(self, start_lpa, npages):
-        """Read consecutive pages; returns ``(list_of_data, total_us)``."""
-        total = 0
-        out = []
-        for i in range(npages):
-            data, response = self.read(start_lpa + i)
-            out.append(data)
-            total += response
-        return out, total
+        """Read consecutive pages as one request; returns
+        ``(list_of_data, response_us)``.  The clock moves as for
+        :meth:`write_range`."""
+        arrival, mark = self.clock.now_us, self._last_io_end_us
+        complete = None
+        try:
+            data, complete = self.serve_reads_at(start_lpa, npages, arrival)
+        finally:
+            self._end_range(complete, mark)
+        return data, complete - arrival
+
+    def _end_range(self, complete, mark):
+        """Move the clock at the end of a range request: to ``complete``,
+        or, when the request raised, to the idle mark if its pages moved
+        it from ``mark``."""
+        if complete is None and self._last_io_end_us != mark:
+            complete = self._last_io_end_us
+        if complete is not None:
+            self.clock.advance_to(complete)
 
     # --- Admitted host pages ------------------------------------------------
     # Every route into the FTL (the device-clock API above, the NVMe
     # executor's slot cursors, TimeKits' restore threads) comes through
     # these three, so admission — writable gate, checkpoint and idle-gap
     # detection, ``ftl.host_*`` and latency accounting, the Equation-1
-    # hook — runs exactly once per host page whatever its route.
+    # hook — runs exactly once per host page whatever its route.  A
+    # multi-page request reaches them through the three loops below,
+    # the one place its pages are put in order.
+
+    def serve_writes_at(self, lpas, pages, arrival_us, threads=1):
+        """Admit one request's write pages, arriving at ``arrival_us``;
+        returns the latest completion.
+
+        Page ``i`` (data ``pages[i]``; token pages when ``pages`` is
+        None) goes to cursor ``i % threads``, which admits it at the
+        completion of that cursor's previous page.  Only
+        ``min(threads, len(lpas))`` cursors exist: a further one would
+        get no page.  Host requests have one cursor; TimeKits' restore
+        threads pass more.
+        """
+        cursors = [arrival_us] * min(threads, len(lpas))
+        for i, lpa in enumerate(lpas):
+            k = i % threads
+            data = pages[i] if pages is not None else None
+            cursors[k] = self.serve_write_at(lpa, data, cursors[k])
+        return max(cursors, default=arrival_us)
+
+    def serve_reads_at(self, start_lpa, npages, arrival_us):
+        """Admit one request's ``npages`` reads from ``start_lpa`` in
+        order, each at the previous page's completion; returns
+        ``(list_of_data, complete_us)``."""
+        out = []
+        t = arrival_us
+        for lpa in range(start_lpa, start_lpa + npages):
+            data, t = self.serve_read_at(lpa, t)
+            out.append(data)
+        return out, t
+
+    def serve_trims_at(self, start_lpa, npages, arrival_us):
+        """Admit one request's ``npages`` TRIMs from ``start_lpa``, all at
+        ``arrival_us`` (TRIM costs no media time)."""
+        for lpa in range(start_lpa, start_lpa + npages):
+            self.serve_trim_at(lpa, arrival_us)
 
     def serve_write_at(self, lpa, data, arrival_us):
         """Admit and program one host page arriving at ``arrival_us``;

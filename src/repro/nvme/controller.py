@@ -146,28 +146,20 @@ class NVMeController:
         ``(result, complete_us)``."""
         ssd = self.ssd
         opcode = command.opcode
-        t = start_us
         if opcode == Opcode.READ:  # tested first: the common case
             self._check_range(command)
-            pages = []
-            for i in range(command.nlb):
-                data, t = ssd.serve_read_at(command.slba + i, t)
-                pages.append(data)
-            return pages, t
+            return ssd.serve_reads_at(command.slba, command.nlb, start_us)
         if opcode == Opcode.FLUSH:
-            return 0, t  # writes are durable on completion in this model
+            return 0, start_us  # writes are durable on completion in this model
         if opcode != Opcode.WRITE and opcode != Opcode.DSM:
             raise _InvalidOpcode()
         self._check_range(command)
         if opcode == Opcode.WRITE:
             self._check_payload(command)
-            for i in range(command.nlb):
-                data = command.data[i] if command.data is not None else None
-                t = ssd.serve_write_at(command.slba + i, data, t)
-            return command.nlb, t
-        for i in range(command.nlb):
-            ssd.serve_trim_at(command.slba + i, t)
-        return command.nlb, t
+            lbas = range(command.slba, command.slba + command.nlb)
+            return command.nlb, ssd.serve_writes_at(lbas, command.data, start_us)
+        ssd.serve_trims_at(command.slba, command.nlb, start_us)
+        return command.nlb, start_us
 
     # --- Admin commands ---------------------------------------------------------
 

@@ -12,9 +12,9 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.common.errors import DeviceFullError, UncorrectableReadError
-from repro.flash.page import NULL_PPA
 from repro.ftl.block_manager import BlockKind, StreamId
 from repro.ftl.ssd import BaseSSD
+from repro.timekits.api import check_threads, pick_as_of
 
 
 @dataclass
@@ -80,11 +80,15 @@ class FlashGuardSSD(BaseSSD):
             # and the block under reclaim is erased all the same.
             self._drop_version(version)
             return now_us
-        new_ppa = self.block_manager.allocate_page(StreamId.GC)
-        # FlashGuard is itself an FTL (the CCS'17 comparator), so its GC
-        # owns the raw copy of a retained page: it re-points a version
-        # record, not the mapping.
-        t = self.device.program_page(new_ppa, result.data, result.oob, result.complete_us)  # almanac: ignore[layering-flash-api]
+        # The copy re-points a version record, not the mapping, and is
+        # programmed with the remap-on-failure retry every GC copy gets.
+        bm = self.block_manager
+        new_ppa, t = self.program_with_retry(
+            lambda: bm.allocate_page(StreamId.GC),
+            result.data,
+            result.oob,
+            result.complete_us,
+        )
         del self._retained_by_ppa[ppa]
         version.ppa = new_ppa
         self._retained_by_ppa[new_ppa] = version
@@ -125,40 +129,38 @@ class FlashGuardSSD(BaseSSD):
         Returns ``(restored, elapsed_us)`` where ``restored`` maps LPA to
         the recovered page data.  Thread-level parallelism matches the
         TimeKits model: each simulated thread works its share of LPAs
-        serially, overlapping across channels.  With ``write_back=False``
-        the versions are only read (the caller restores them through a
-        file system).
+        serially, overlapping across channels, and ``threads`` is checked
+        as TimeKits checks it.  A version is read through the read-retry
+        ladder like a host page; one the whole ladder cannot read is
+        given up and its LPA left out of ``restored``.  With
+        ``write_back=False`` the versions are only read (the caller
+        restores them through a file system).
         """
+        check_threads(threads)
         start = self.clock.now_us
-        cursors = [start] * max(1, threads)
+        cursors = [start] * min(threads, len(lpas))
         restored = {}
-        pending = []
         for i, lpa in enumerate(lpas):
             k = i % len(cursors)
-            version = self._pick_version(lpa, t)
+            # ``_drop_version`` takes a version off this list, so every
+            # version on it is live.
+            versions = sorted(
+                self._versions_by_lpa.get(lpa, ()),
+                key=lambda v: v.timestamp_us,
+                reverse=True,
+            )
+            version = pick_as_of(versions, t)
             if version is None:
                 continue
-            result = self.device.read_page(version.ppa, cursors[k])
+            try:
+                result = self.read_page_with_retry(version.ppa, cursors[k])
+            except UncorrectableReadError:
+                self._drop_version(version)
+                continue
             cursors[k] = result.complete_us
             restored[lpa] = result.data
-            pending.append((lpa, result.data))
-        self.clock.advance_to(max(cursors))
+        self.clock.advance_to(max(cursors, default=start))
         if write_back:
-            for lpa, data in pending:
+            for lpa, data in restored.items():
                 self.write(lpa, data)
         return restored, self.clock.now_us - start
-
-    def _pick_version(self, lpa, t):
-        best = None
-        for version in self._versions_by_lpa.get(lpa, ()):
-            if version.evicted:
-                continue
-            if version.timestamp_us <= t and (
-                best is None or version.timestamp_us > best.timestamp_us
-            ):
-                best = version
-        if best is None:
-            # Fall back to the oldest retained version (best effort).
-            candidates = [v for v in self._versions_by_lpa.get(lpa, ()) if not v.evicted]
-            best = min(candidates, key=lambda v: v.timestamp_us) if candidates else None
-        return best

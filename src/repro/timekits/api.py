@@ -43,7 +43,7 @@ def pick_as_of(versions, t):
     return versions[-1] if versions else None
 
 
-def _check_threads(threads):
+def check_threads(threads):
     """``threads`` arrives from the host (the NVMe command's hint): an
     ``int`` >= 1, or :class:`QueryError`."""
     if not isinstance(threads, int) or threads < 1:
@@ -98,7 +98,7 @@ class TimeKits:
         A thread beyond the ``len(lpas)``-th gets no LPA and its cursor
         never leaves the start, so only that many cursors exist.
         """
-        _check_threads(threads)
+        check_threads(threads)
         ssd = self.ssd
         counters = ssd.device.counters
         start = ssd.clock.now_us
@@ -142,14 +142,12 @@ class TimeKits:
         stays retained), issued concurrently by the recovery threads so
         the write-back phase overlaps across channels like the walk phase.
         """
-        _check_threads(threads)
+        check_threads(threads)
         ssd = self.ssd
         start = ssd.clock.now_us
-        cursors = [start] * min(threads, len(pairs))
-        for i, (lpa, data) in enumerate(pairs):
-            k = i % len(cursors)
-            cursors[k] = ssd.serve_write_at(lpa, data, cursors[k])
-        ssd.clock.advance_to(max(cursors, default=start))
+        lpas = [lpa for lpa, _data in pairs]
+        pages = [data for _lpa, data in pairs]
+        ssd.clock.advance_to(ssd.serve_writes_at(lpas, pages, start, threads))
         return ssd.clock.now_us - start
 
     def _range(self, addr, cnt):

@@ -74,8 +74,7 @@ class TraceReplayer:
                     stats.read_requests += 1
                     stats.pages_read += record.npages
                 else:
-                    for i in range(record.npages):
-                        ssd.trim(record.lpa + i)
+                    ssd.serve_trims_at(record.lpa, record.npages, arrival)
             except DeviceFullError:
                 if not stop_on_device_full:
                     raise

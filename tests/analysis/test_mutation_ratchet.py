@@ -120,12 +120,11 @@ MUTATIONS = (
         "        if now_us - self.HEAL_DWELL_MS < self._degraded_since_us:\n",
     ),
     seed(
-        "unused-suppression",  # the violation fixed, its waiver left behind
+        "unused-suppression",  # a waiver on a line with nothing to waive
         "security/flashguard.py",
-        "        t = self.device.program_page(new_ppa, result.data, "
-        "result.oob, result.complete_us)  # almanac: ignore[layering-flash-api]\n",
-        "        _, t = self.program_with_retry(lambda: new_ppa, result.data, "
-        "result.oob, result.complete_us)  # almanac: ignore[layering-flash-api]\n",
+        "            lambda: bm.allocate_page(StreamId.GC),\n",
+        "            lambda: bm.allocate_page(StreamId.GC),"
+        "  # almanac: ignore[layering-flash-api]\n",
         select="unused-suppression,layering-flash-api",
     ),
     # --- layering -------------------------------------------------------------
@@ -141,9 +140,9 @@ MUTATIONS = (
     seed(
         "layering-flash-api",  # the NVMe layer erasing raw flash on TRIM
         "nvme/controller.py",
-        "            ssd.serve_trim_at(command.slba + i, t)\n",
-        "            ssd.serve_trim_at(command.slba + i, t)\n"
-        "            self.ssd.device.erase_block(command.slba + i, 0)\n",
+        "        ssd.serve_trims_at(command.slba, command.nlb, start_us)\n",
+        "        ssd.serve_trims_at(command.slba, command.nlb, start_us)\n"
+        "        self.ssd.device.erase_block(command.slba, 0)\n",
     ),
     seed(
         "layering-obs-isolated",  # the observer reaching up into flash
@@ -162,9 +161,9 @@ MUTATIONS = (
     seed(
         "layering-private-cross-package",  # NVMe kicking FTL-private GC
         "nvme/controller.py",
-        "                data, t = ssd.serve_read_at(command.slba + i, t)\n",
-        "                self.ssd._collect_garbage(t)\n"
-        "                data, t = ssd.serve_read_at(command.slba + i, t)\n",
+        "            return ssd.serve_reads_at(command.slba, command.nlb, start_us)\n",
+        "            self.ssd._collect_garbage(start_us)\n"
+        "            return ssd.serve_reads_at(command.slba, command.nlb, start_us)\n",
     ),
     # --- obs ------------------------------------------------------------------
     seed(
@@ -447,6 +446,13 @@ FIRMWARE_MUTATIONS = (
         "tests/nvme/test_nvme.py::TestVendorCommands"
         "::test_huge_thread_count_is_served_as_one_thread_per_lba",
     ),
+    (
+        "ftl/ssd.py",  # ...and per restore thread, in the one write loop
+        "        cursors = [arrival_us] * min(threads, len(lpas))\n",
+        "        cursors = [arrival_us] * threads\n",
+        "tests/nvme/test_nvme.py::TestVendorCommands"
+        "::test_huge_thread_count_is_served_as_one_thread_per_lba[ROLLBACK]",
+    ),
     # --- one hop rule, one stale-page rule (PR 32) -----------------------------
     (
         "timessd/index.py",  # a hop into a page as old as the version above it
@@ -461,6 +467,21 @@ FIRMWARE_MUTATIONS = (
         "            result = self.device.read_page(ppa, now_us)\n",
         "tests/security/test_flashguard.py::TestRecovery"
         "::test_gc_reads_a_retained_page_through_the_ladder[rescued]",
+    ),
+    (
+        "security/flashguard.py",  # GC's copy of a retained page programmed raw again
+        "        new_ppa, t = self.program_with_retry(\n"
+        "            lambda: bm.allocate_page(StreamId.GC),\n"
+        "            result.data,\n"
+        "            result.oob,\n"
+        "            result.complete_us,\n"
+        "        )\n",
+        "        new_ppa = bm.allocate_page(StreamId.GC)\n"
+        "        t = self.device.program_page(\n"
+        "            new_ppa, result.data, result.oob, result.complete_us\n"
+        "        )\n",
+        "tests/security/test_flashguard.py::TestRecovery"
+        "::test_gc_copy_of_a_retained_page_survives_a_program_failure",
     ),
     # --- the delta codec's decode memo ----------------------------------------
     (

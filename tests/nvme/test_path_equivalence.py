@@ -1,12 +1,14 @@
 """Every host route admits its pages through the same ``serve_*_at``.
 
-One op list is driven down the three routes a host op can take —
-``ssd.write/read/trim`` (the device-clock API), ``controller.submit``
-(synchronous NVMe) and ``submit_async(queue_depth=1)`` (the event loop
-over ``execute_io``) — and the routes must agree on what the host sees
-(status, data, latency) and on everything the firmware holds afterwards:
-L2P, ``lost_lpas``, ``degraded_reason``, every non-``nvme.*`` metric,
-the checkpoints written and the Equation-1 periods evaluated.
+One op list is driven down the four routes a host op can take —
+``ssd.write/read/trim`` (the device-clock API, one page per call),
+``ssd.write_range/read_range`` (the same API, one request per call),
+``controller.submit`` (synchronous NVMe) and
+``submit_async(queue_depth=1)`` (the event loop over ``execute_io``) —
+and the routes must agree on what the host sees (status, data, latency)
+and on everything the firmware holds afterwards: L2P, ``lost_lpas``,
+``degraded_reason``, every non-``nvme.*`` metric, the checkpoints
+written and the Equation-1 periods evaluated.
 """
 
 import random
@@ -15,6 +17,7 @@ import pytest
 
 from repro.common.errors import (
     DegradedModeError,
+    InvalidPageError,
     ProgramFailureError,
     UncorrectableReadError,
 )
@@ -22,10 +25,11 @@ from repro.faults.hooks import FaultHooks
 from repro.faults.plan import FaultPlan
 from repro.nvme.commands import NVMeCommand, Opcode, StatusCode
 from repro.nvme.driver import HostNVMeDriver
+from repro.timessd import ContentMode
 
 from tests.conftest import make_regular_ssd, make_timessd
 
-ROUTES = ("ssd", "submit", "async")
+ROUTES = ("ssd", "range", "submit", "async")
 LBAS = 24
 
 _STATUS_OF = {
@@ -63,11 +67,25 @@ def _direct(ssd, op, lba, arg):
     return StatusCode.SUCCESS, result, ssd.clock.now_us - start
 
 
+def _ranged(ssd, op, lba, arg):
+    try:
+        if op == "W":
+            return StatusCode.SUCCESS, len(arg), ssd.write_range(lba, len(arg), arg)
+        if op == "R":
+            data, latency = ssd.read_range(lba, arg)
+            return StatusCode.SUCCESS, data, latency
+    except tuple(_STATUS_OF) as exc:
+        return _STATUS_OF[type(exc)], None, 0
+    return _direct(ssd, op, lba, arg)  # the range API has no TRIM or flush
+
+
 def drive(route, ssd, ops):
     """Run ``(op, lba, arg)`` triples down one route; returns one
     ``(status, result, latency_us)`` per op."""
     if route == "ssd":
         return [_direct(ssd, *op) for op in ops]
+    if route == "range":
+        return [_ranged(ssd, *op) for op in ops]
     driver = HostNVMeDriver(ssd)
     commands = [_command(*op) for op in ops]
     if route == "submit":
@@ -134,8 +152,8 @@ def test_seeded_ops_agree_on_every_route(maker):
     if maker is make_checkpointing_timessd:
         state = outcomes["ssd"][1]
         assert state["checkpoints"] >= 3 and state["periods_evaluated"] >= 3
-    assert outcomes["submit"] == outcomes["ssd"]
-    assert outcomes["async"] == outcomes["ssd"]
+    for route in ROUTES[1:]:
+        assert outcomes[route] == outcomes["ssd"], route
 
 
 def _queued_churn(ssd, writes=400, queue_depth=4):
@@ -255,3 +273,82 @@ def test_retry_exhausted_write_degrades_the_device(route):
     ]
     assert results[3][1] == [None]
     assert ssd.degraded_reason is not None
+
+
+def test_a_range_request_moves_the_clock_once():
+    # Every page of the request is admitted at its own cursor while the
+    # device clock stays at the arrival; the clock moves at the end.
+    ssd = make_timessd()
+    admitted_at = []
+    serve = ssd.serve_write_at
+
+    def spy(lpa, data, arrival_us):
+        admitted_at.append((arrival_us, ssd.clock.now_us))
+        return serve(lpa, data, arrival_us)
+
+    ssd.serve_write_at = spy
+    ssd.clock.advance(1_000)
+    latency = ssd.write_range(3, 4, [b"a", b"b", b"c", b"d"])
+    program_us = ssd.device.timing.program_us
+    assert [clock for _arrival, clock in admitted_at] == [1_000] * 4
+    assert [arrival for arrival, _clock in admitted_at] == [
+        1_000 + k * program_us for k in range(4)
+    ]
+    assert latency == 4 * program_us
+    assert ssd.clock.now_us == 1_000 + latency
+
+
+def _faulty_regular_ssd():
+    return make_regular_ssd(faults=FaultHooks(FaultPlan()))
+
+
+def _real_content_timessd():
+    return make_timessd(content_mode=ContentMode.REAL)
+
+
+def _fail_third_page_program(ssd):
+    """Arm program failures on the third page's program and on every
+    retry of it: the first two pages complete, the third escapes."""
+    plan = ssd.device.faults.plan
+    for k in range(3, 4 + ssd.PROGRAM_RETRY_LIMIT):
+        plan.add_program_failure(at_op=plan.ops_seen + k)
+    return [b"x", b"y", b"z"], ProgramFailureError, 2
+
+
+def _short_third_page(ssd):
+    size = ssd.device.geometry.page_size
+    return [b"x" * size, b"y" * size, b"z"], InvalidPageError, 2
+
+
+def _degraded_by_a_failed_nvme_write(ssd):
+    """A three-page NVMe WRITE fails at its third page: the device goes
+    read-only and the clock stays at the command's start, behind the
+    completion of the two pages it admitted.  The range write that
+    follows is refused at its first page."""
+    pages, _error, _admitted = _fail_third_page_program(ssd)
+    completion = HostNVMeDriver(ssd).controller.submit(_command("W", 0, pages))
+    assert completion.status == StatusCode.MEDIA_WRITE_FAULT
+    return pages, DegradedModeError, 0
+
+
+@pytest.mark.parametrize(
+    "maker, fail",
+    [
+        (_faulty_regular_ssd, _fail_third_page_program),
+        (_real_content_timessd, _short_third_page),
+        (_faulty_regular_ssd, _degraded_by_a_failed_nvme_write),
+    ],
+    ids=["program-failure", "wrong-size-page", "degraded-first-page"],
+)
+def test_a_range_write_failing_part_way_leaves_the_clock_at_its_last_page(maker, fail):
+    # The clock stands at the completion of the last page the request
+    # admitted, where page-by-page writes leave it: page 2's when page 3
+    # fails, the arrival when page 1 is refused.
+    ssd = maker()
+    ssd.clock.advance(1_000)
+    pages, error, admitted = fail(ssd)
+    arrival, written = ssd.clock.now_us, ssd.host_pages_written
+    with pytest.raises(error):
+        ssd.write_range(4, 3, pages)
+    assert ssd.host_pages_written == written + admitted
+    assert ssd.clock.now_us == arrival + admitted * ssd.device.timing.program_us

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from repro.common.errors import QueryError
 from repro.common.units import SECOND_US
 from repro.faults.hooks import FaultHooks
 from repro.faults.plan import FaultPlan
@@ -16,6 +17,17 @@ from tests.conftest import small_geometry
 
 def make_flashguard():
     return FlashGuardSSD(SSDConfig(geometry=small_geometry(blocks_per_plane=96)))
+
+
+def _retain_plaintext(ssd):
+    """LPA 5 written, read, then overwritten: its first version is
+    retained.  Returns a time at which LPA 5 still held it."""
+    ssd.write(5, b"plaintext")
+    t_clean = ssd.clock.now_us
+    ssd.clock.advance(10)
+    ssd.read(5)
+    ssd.write(5, b"cipher")
+    return t_clean
 
 
 class TestRetentionRule:
@@ -146,6 +158,64 @@ class TestRecovery:
         else:
             assert ssd.retained_count == 1
             assert restored == {5: b"plaintext"}
+
+    def test_gc_copy_of_a_retained_page_survives_a_program_failure(self):
+        # The copy of a retained page is programmed with the same
+        # remap-on-failure retry as every other GC copy: one transient
+        # program failure neither escapes the reclaim (which, under a
+        # host write, would turn the device read-only) nor loses the
+        # version.
+        plan = FaultPlan()
+        ssd = FlashGuardSSD(
+            SSDConfig(geometry=small_geometry(), faults=FaultHooks(plan))
+        )
+        t_clean = _retain_plaintext(ssd)
+        (old_ppa,) = ssd._retained_by_ppa
+        pba = ssd.device.geometry.block_of_page(old_ppa)
+        plan.add_program_failure(every=1, max_fires=1)
+        ssd.relocate_block(pba, ssd.clock.now_us)
+        assert ssd.program_failures == 1
+        assert ssd.degraded_reason is None
+        restored, _ = ssd.recover_lpas([5], t_clean, write_back=False)
+        assert restored == {5: b"plaintext"}
+
+    @pytest.mark.parametrize("lost", [False, True], ids=["rescued", "lost"])
+    def test_recovery_reads_a_retained_page_through_the_ladder(self, lost):
+        # Recovery reads a version as a host read would: one failed
+        # sense is retried, and a version the whole ladder cannot read
+        # is given up and left out of the answer instead of raising.
+        plan = FaultPlan()
+        ssd = FlashGuardSSD(
+            SSDConfig(
+                geometry=small_geometry(),
+                faults=FaultHooks(plan),
+                reliability=FlashReliability(
+                    raw_bit_error_rate=1e-12, ecc_correctable_bits=40
+                ),
+            )
+        )
+        t_clean = _retain_plaintext(ssd)
+        (old_ppa,) = ssd._retained_by_ppa
+        plan.add_read_error(
+            every=1, address={old_ppa}, max_fires=None if lost else 1
+        )
+        restored, _ = ssd.recover_lpas([5], t_clean, write_back=False)
+        if lost:
+            assert restored == {}
+            assert ssd.retained_count == 0
+        else:
+            assert restored == {5: b"plaintext"}
+            assert ssd.retained_count == 1
+
+    def test_recovery_checks_threads_as_timekits_does(self):
+        ssd = make_flashguard()
+        t_clean = _retain_plaintext(ssd)
+        # A huge hint costs one cursor per LPA, not one per thread.
+        restored, _ = ssd.recover_lpas([5], t_clean, threads=10**12, write_back=False)
+        assert restored == {5: b"plaintext"}
+        for threads in (0, -1, 1.5, "2"):
+            with pytest.raises(QueryError):
+                ssd.recover_lpas([5], t_clean, threads=threads)
 
     def test_unretained_lpa_not_restored(self):
         ssd = make_flashguard()

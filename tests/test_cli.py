@@ -1,6 +1,6 @@
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.cli import build_parser, main
 
 
 def test_demo_runs(capsys):
@@ -10,29 +10,11 @@ def test_demo_runs(capsys):
     assert "after rollback to t=0: first draft" in out
 
 
-def test_list_shows_all_ids(capsys):
-    assert main(["list"]) == 0
-    out = capsys.readouterr().out
-    for key in EXPERIMENTS:
-        assert key in out
-
-
 def test_info_shows_defaults(capsys):
     assert main(["info"]) == 0
     out = capsys.readouterr().out
     assert "retention floor: 3.00 days" in out
     assert "bloom" in out
-
-
-def test_unknown_experiment_id(capsys):
-    assert main(["experiment", "fig99"]) == 2
-
-
-def test_experiment_runs_small(capsys):
-    assert main(["experiment", "fig7a", "--days", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "TimeSSD WA" in out
-    assert "webusers" in out
 
 
 def test_parser_requires_command():
