@@ -19,7 +19,7 @@ from repro.bench.config import bench_geometry
 from repro.flash.timing import FlashTiming
 from repro.fs import CowFS, PlainFS
 from repro.ftl.ssd import RegularSSD, SSDConfig
-from repro.timekits import FileRecovery, TimeKits
+from repro.timekits import TimeKits
 from repro.timessd.config import ContentMode, TimeSSDConfig
 from repro.timessd.ssd import TimeSSD
 from repro.workloads.content import ContentFactory
@@ -128,20 +128,17 @@ def run_timessd_stack():
     mid_mark = marks[len(marks) // 2]
     # The golden snapshot was taken at the *start* of round rounds//2;
     # the state as of just after that mark matches it.
-    pages, _ = FileRecovery(kits).peek_file(
-        "doc00", fs.file_lpas("doc00"), mid_mark
-    )
-    recovered_ok = pages[fs.file_lpas("doc00")[0]] == goldens["doc00"][0]
+    lpas = fs.file_lpas("doc00")
+    as_of = kits.as_of(lpas, mid_mark).value
+    recovered_ok = as_of[lpas[0]].data == goldens["doc00"][0]
 
     # Privileged wipe attempt: the host has no interface to erase
     # firmware history; TRIMming files still leaves versions retained.
     for name in list(fs.list_files()):
         fs.delete(name)
-    pages_after, _ = FileRecovery(kits).peek_file(
-        "doc00", [lpa for lpa in pages], mid_mark
-    )
-    survives = bool(pages_after) and any(
-        data == goldens["doc00"][0] for data in pages_after.values()
+    survives = any(
+        version is not None and version.data == goldens["doc00"][0]
+        for version in kits.as_of(lpas, mid_mark).value.values()
     )
     return VersioningResult(
         "PlainFS+TimeSSD",

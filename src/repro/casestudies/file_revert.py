@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass, field
 
 from repro.common.units import MINUTE_US
-from repro.timekits.api import TimeKits, pick_as_of
+from repro.timekits.api import TimeKits
 from repro.workloads.content import ContentFactory
 
 # The ten kernel source files of Figure 11.
@@ -108,25 +108,15 @@ class FileRevertStudy:
     def revert_file(self, name, t, threads=1, verify=True):
         """Roll one file back to its state at ``t``; returns RevertOutcome.
 
-        Uses TimeKits chain walks with ``threads`` simulated recovery
-        threads, then writes the recovered pages back through the file
-        system — the same procedure as the paper's revert tool.
+        One TimeKits rollback over the file's extents with ``threads``
+        simulated recovery threads — the paper's revert tool.  PlainFS
+        places pages in-place, so the restore writes land exactly where
+        the file system expects the content.
         """
         ssd = self.fs.ssd
-        kits = TimeKits(ssd)
         lpas = self.fs.file_lpas(name)
         start = ssd.clock.now_us
-        chains, _elapsed = kits.walk_many(lpas, threads, until_ts=t)
-        recovered = []
-        writes = []
-        for page_index, lpa in enumerate(lpas):
-            version = pick_as_of(chains.get(lpa, []), t)
-            recovered.append(version.data if version else None)
-            if version is not None:
-                writes.append((lpa, version.data))
-        # PlainFS places pages in-place, so device-level restore writes
-        # land exactly where the file system expects the content.
-        kits.restore_many(writes, threads)
+        TimeKits(ssd).rollback_lpas(lpas, t, threads)
         elapsed = ssd.clock.now_us - start
         verified = True
         if verify:

@@ -221,8 +221,6 @@ class NVMeController:
 
     def _op_addr_query_range(self, command):
         self._check_range(command)
-        if command.t > command.t2:
-            raise _InvalidField()
         return self._require_kits().addr_query_range(
             command.slba, command.nlb, command.t, command.t2, threads=command.threads
         ).value
@@ -237,8 +235,6 @@ class NVMeController:
         return self._require_kits().time_query(command.t, threads=command.threads).value
 
     def _op_time_query_range(self, command):
-        if command.t > command.t2:
-            raise _InvalidField()
         return self._require_kits().time_query_range(
             command.t, command.t2, threads=command.threads
         ).value

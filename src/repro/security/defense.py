@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 from repro.common.errors import QueryError
 from repro.security.flashguard import FlashGuardSSD
-from repro.timekits.api import TimeKits, pick_as_of
+from repro.timekits.api import TimeKits
 
 
 @dataclass
@@ -43,49 +43,39 @@ class RansomwareDefense:
 
     def recover_with_timekits(self, attack_report, threads=1):
         """TimeSSD path: query pre-attack versions, write them back."""
-        ssd = self.fs.ssd
-        kits = TimeKits(ssd)
-        t_clean = attack_report.started_us - 1
-        report = RecoveryReport(defender="TimeSSD")
-        start = ssd.clock.now_us
-        for name in attack_report.encrypted_files:
-            lpas = attack_report.victim_extents[name]
-            chains, _ = kits.walk_many(lpas, threads)
-            page_datas = []
-            ok = True
-            for lpa in lpas:
-                version = pick_as_of(chains.get(lpa, []), t_clean)
-                if version is None:
-                    ok = False
-                    break
-                page_datas.append(version.data)
-            if not ok:
-                report.files_failed += 1
-                continue
-            self._restore_into_fs(name, page_datas)
-            report.files_recovered += 1
-            report.pages_restored += len(page_datas)
-            report.recovered_content[name] = dict(enumerate(page_datas))
-        report.elapsed_us = ssd.clock.now_us - start
-        return report
+        kits = TimeKits(self.fs.ssd)
+
+        def pages_as_of(lpas, t):
+            picked = kits.as_of(lpas, t, threads).value
+            return {lpa: v.data for lpa, v in picked.items() if v is not None}
+
+        return self._recover(attack_report, "TimeSSD", pages_as_of)
 
     def recover_with_flashguard(self, attack_report, threads=1):
         """FlashGuard path: restore read-then-overwritten pages."""
         ssd = self.fs.ssd
         if not isinstance(ssd, FlashGuardSSD):
             raise QueryError("FlashGuard recovery needs a FlashGuardSSD device")
+        return self._recover(
+            attack_report,
+            "FlashGuard",
+            lambda lpas, t: ssd.recover_lpas(lpas, t, threads)[0],
+        )
+
+    def _recover(self, attack_report, defender, pages_as_of):
+        """Restore every encrypted file that ``pages_as_of(lpas, t)``, a
+        ``{lpa: data}`` read of the pre-attack state, answers in full."""
+        ssd = self.fs.ssd
         t_clean = attack_report.started_us - 1
-        report = RecoveryReport(defender="FlashGuard")
+        report = RecoveryReport(defender=defender)
         start = ssd.clock.now_us
         for name in attack_report.encrypted_files:
             lpas = attack_report.victim_extents[name]
-            restored, _elapsed = ssd.recover_lpas(
-                lpas, t_clean, threads, write_back=False
-            )
-            if len(restored) < len(lpas):
+            pages = pages_as_of(lpas, t_clean)
+            if any(lpa not in pages for lpa in lpas):
                 report.files_failed += 1
                 continue
-            page_datas = [restored[lpa] for lpa in lpas]
+            page_datas = [pages[lpa] for lpa in lpas]
             self._restore_into_fs(name, page_datas)
             report.files_recovered += 1
             report.pages_restored += len(page_datas)

@@ -123,18 +123,18 @@ class FlashGuardSSD(BaseSSD):
 
     # --- Recovery -----------------------------------------------------------------
 
-    def recover_lpas(self, lpas, t, threads=1, write_back=True):
-        """Restore each LPA to its newest retained version at/before ``t``.
+    def recover_lpas(self, lpas, t, threads=1):
+        """Read each LPA's newest retained version at/before ``t``.
 
         Returns ``(restored, elapsed_us)`` where ``restored`` maps LPA to
-        the recovered page data.  Thread-level parallelism matches the
+        the recovered page data; like :meth:`TimeKits.as_of` it only
+        reads, and the caller writes the pages back (Figure 10 does so
+        through the file system).  Thread-level parallelism matches the
         TimeKits model: each simulated thread works its share of LPAs
         serially, overlapping across channels, and ``threads`` is checked
         as TimeKits checks it.  A version is read through the read-retry
         ladder like a host page; one the whole ladder cannot read is
-        given up and its LPA left out of ``restored``.  With
-        ``write_back=False`` the versions are only read (the caller
-        restores them through a file system).
+        given up and its LPA left out of ``restored``.
         """
         check_threads(threads)
         start = self.clock.now_us
@@ -160,7 +160,4 @@ class FlashGuardSSD(BaseSSD):
             cursors[k] = result.complete_us
             restored[lpa] = result.data
         self.clock.advance_to(max(cursors, default=start))
-        if write_back:
-            for lpa, data in restored.items():
-                self.write(lpa, data)
         return restored, self.clock.now_us - start

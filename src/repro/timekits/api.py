@@ -161,14 +161,19 @@ class TimeKits:
 
     # --- Address-based state queries (Table 1, rows 1-3) ----------------------
 
+    def as_of(self, lpas, t, threads=1):
+        """:meth:`addr_query` over any list of LPAs, e.g. a file's extents.
+
+        The one as-of rule: the walk stops at the first version written
+        at or before ``t`` and :func:`pick_as_of` answers from it.
+        """
+        chains, elapsed = self.walk_many(lpas, threads, until_ts=t)
+        picked = {lpa: pick_as_of(versions, t) for lpa, versions in chains.items()}
+        return QueryResult(picked, elapsed, self._last_pages_touched)
+
     def addr_query(self, addr, cnt=1, t=0, threads=1):
         """State of each LPA as of time ``t`` (one version per LPA)."""
-        chains, elapsed = self.walk_many(self._range(addr, cnt), threads, until_ts=t)
-        picked = {
-            lpa: pick_as_of(versions, t)
-            for lpa, versions in chains.items()
-        }
-        return QueryResult(picked, elapsed, self._last_pages_touched)
+        return self.as_of(self._range(addr, cnt), t, threads)
 
     def addr_query_range(self, addr, cnt, t1, t2, threads=1):
         """All versions written within ``[t1, t2]`` for each LPA."""
@@ -233,7 +238,7 @@ class TimeKits:
         (paper §3.9): the pre-rollback state is itself retained, so a
         rollback can be rolled back.  Returns per-LPA restored versions.
         """
-        return self._rollback(self._range(addr, cnt), t, threads)
+        return self.rollback_lpas(self._range(addr, cnt), t, threads)
 
     def rollback_all(self, t, threads=1):
         """Revert every valid LPA to its state as of ``t``.
@@ -242,9 +247,15 @@ class TimeKits:
         of data, shortening retention, and can trip the retention-floor
         alarm.  The caller sees that as :class:`RetentionViolationError`.
         """
-        return self._rollback(list(self.ssd.mapping.mapped_lpas()), t, threads)
+        return self.rollback_lpas(list(self.ssd.mapping.mapped_lpas()), t, threads)
 
-    def _rollback(self, lpas, t, threads):
+    def rollback_lpas(self, lpas, t, threads=1):
+        """:meth:`rollback` over any list of LPAs, e.g. a file's extents.
+
+        An LPA with no retained version is left out of the answer; one
+        whose as-of version is already the one the device reads now is
+        answered but not rewritten.
+        """
         start = self.ssd.clock.now_us
         chains, _elapsed = self.walk_many(lpas, threads, until_ts=t)
         restored = {}

@@ -440,6 +440,13 @@ FIRMWARE_MUTATIONS = (
         "::TestTimeQueries::test_time_queries_list_writes_to_since_trimmed_lpas",
     ),
     (
+        "timekits/api.py",  # a trimmed LPA's newest version taken as current
+        "    if not versions or not ssd.mapping.is_mapped(lpa):\n",
+        "    if not versions:\n",
+        "tests/timekits/test_api.py::TestRollback"
+        "::test_rollback_restores_an_lpa_trimmed_after_t",
+    ),
+    (
         "timekits/api.py",  # one cursor per requested thread: 10**12 of them
         "        cursors = [start] * min(threads, len(lpas))\n",
         "        cursors = [start] * threads\n",

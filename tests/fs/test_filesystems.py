@@ -155,7 +155,7 @@ class TestWriteTrafficShape:
 class TestOnTimeSSD:
     def test_plainfs_history_recoverable(self):
         from repro.common.units import SECOND_US
-        from repro.timekits import FileRecovery, TimeKits
+        from repro.timekits import TimeKits
         from repro.timessd.config import ContentMode
 
         ssd = make_timessd(
@@ -169,8 +169,7 @@ class TestOnTimeSSD:
         t_good = ssd.clock.now_us
         ssd.clock.advance(1000)
         fs.write("doc", 0, b"EVIL" * (fs.page_size // 4))
-        kits = TimeKits(ssd)
-        recovery = FileRecovery(kits)
-        outcome = recovery.recover_file("doc", fs.file_lpas("doc"), t_good)
-        assert outcome.complete
+        lpas = fs.file_lpas("doc")
+        outcome = TimeKits(ssd).rollback_lpas(lpas, t_good)
+        assert set(outcome.value) == set(lpas)
         assert fs.read("doc", 0, 4) == b"GOOD"

@@ -278,7 +278,7 @@ class TestRefreshDispositions:
         assert metrics.counter("scrub.refreshed_retained").value == 1
         assert ssd.device.counters.page_programs == programs + 1
         assert old_ppa not in ssd._retained_by_ppa
-        restored, _ = ssd.recover_lpas([5], t_clean, write_back=False)
+        restored, _ = ssd.recover_lpas([5], t_clean)
         assert restored == {5: b"plaintext"}
 
 

@@ -10,7 +10,7 @@ from repro.flash.page import PageState
 from repro.fs import PlainFS
 from repro.ftl.block_manager import BlockKind
 from repro.nvme import HostNVMeDriver
-from repro.timekits import FileRecovery, TimeKits
+from repro.timekits import TimeKits
 from repro.timessd.config import ContentMode
 from repro.timessd.verify import DeviceAuditor
 from repro.workloads.msr import msr_trace
@@ -179,9 +179,7 @@ class TestFullStackRecovery:
                 noise = bytes([rng.randrange(256)]) * fs.page_size
                 ssd.write(fs_lpa, noise)
                 ssd.clock.advance(20_000)
-        kits = TimeKits(ssd)
-        recovery = FileRecovery(kits)
         # Restore to the third snapshot and verify byte-exactness.
         target_ts = sorted(snapshots)[2]
-        recovery.recover_file("db.bin", fs.file_lpas("db.bin"), target_ts, threads=4)
+        TimeKits(ssd).rollback_lpas(fs.file_lpas("db.bin"), target_ts, threads=4)
         assert fs.read("db.bin", 0, 6 * fs.page_size) == snapshots[target_ts]

@@ -163,11 +163,16 @@ class TestVendorCommands:
         updated = driver.time_query(mark)
         assert 2 in updated and 1 not in updated
 
-    def test_time_query_range_validates_order(self, driver):
-        completion = driver.controller.submit(
-            NVMeCommand(Opcode.TIME_QUERY_RANGE, t=10, t2=5)
-        )
-        assert completion.status is StatusCode.INVALID_FIELD
+    @pytest.mark.parametrize(
+        "command",
+        [
+            NVMeCommand(Opcode.TIME_QUERY_RANGE, t=10, t2=5),
+            NVMeCommand(Opcode.ADDR_QUERY_RANGE, slba=0, nlb=1, t=10, t2=5),
+        ],
+        ids=lambda command: command.opcode.name,
+    )
+    def test_time_query_range_validates_order(self, driver, command):
+        assert driver.controller.submit(command).status is StatusCode.INVALID_FIELD
 
     def test_retention_info(self, driver):
         driver.write(0, [page(driver, "a")])

@@ -80,8 +80,9 @@ class TestRecovery:
         ssd.write(5, b"ciphertext")
         restored, elapsed = ssd.recover_lpas([5], t_clean)
         assert restored[5] == b"plaintext"
-        assert ssd.read(5)[0] == b"plaintext"
         assert elapsed > 0
+        ssd.write(5, restored[5])
+        assert ssd.read(5)[0] == b"plaintext"
 
     def test_recover_survives_gc(self):
         import random
@@ -151,7 +152,7 @@ class TestRecovery:
             ssd.clock.advance(50)
         assert unreadable.fires >= 1  # GC did reach the page
         assert ssd.read(5)[0] == b"cipher"
-        restored, _ = ssd.recover_lpas([5], t_clean, write_back=False)
+        restored, _ = ssd.recover_lpas([5], t_clean)
         if lost:
             assert ssd.retained_count == 0
             assert restored == {}
@@ -176,7 +177,7 @@ class TestRecovery:
         ssd.relocate_block(pba, ssd.clock.now_us)
         assert ssd.program_failures == 1
         assert ssd.degraded_reason is None
-        restored, _ = ssd.recover_lpas([5], t_clean, write_back=False)
+        restored, _ = ssd.recover_lpas([5], t_clean)
         assert restored == {5: b"plaintext"}
 
     @pytest.mark.parametrize("lost", [False, True], ids=["rescued", "lost"])
@@ -199,7 +200,7 @@ class TestRecovery:
         plan.add_read_error(
             every=1, address={old_ppa}, max_fires=None if lost else 1
         )
-        restored, _ = ssd.recover_lpas([5], t_clean, write_back=False)
+        restored, _ = ssd.recover_lpas([5], t_clean)
         if lost:
             assert restored == {}
             assert ssd.retained_count == 0
@@ -211,7 +212,7 @@ class TestRecovery:
         ssd = make_flashguard()
         t_clean = _retain_plaintext(ssd)
         # A huge hint costs one cursor per LPA, not one per thread.
-        restored, _ = ssd.recover_lpas([5], t_clean, threads=10**12, write_back=False)
+        restored, _ = ssd.recover_lpas([5], t_clean, threads=10**12)
         assert restored == {5: b"plaintext"}
         for threads in (0, -1, 1.5, "2"):
             with pytest.raises(QueryError):
@@ -225,12 +226,13 @@ class TestRecovery:
         assert 5 not in restored
 
     def test_write_back_false_reads_only(self):
+        # Recovery only reads; the caller writes the pages back.
         ssd = make_flashguard()
         ssd.write(5, b"old")
         t = ssd.clock.now_us
         ssd.read(5)
         ssd.write(5, b"new")
-        restored, _ = ssd.recover_lpas([5], t, write_back=False)
+        restored, _ = ssd.recover_lpas([5], t)
         assert restored[5] == b"old"
         assert ssd.read(5)[0] == b"new"
 

@@ -52,7 +52,7 @@ def test_eviction_drops_oldest_first():
     ]
     assert len(remaining) == 1
     # The older version went first.
-    restored, _ = ssd.recover_lpas([1], ssd.clock.now_us, write_back=False)
+    restored, _ = ssd.recover_lpas([1], ssd.clock.now_us)
     assert restored[1] == b"newer"
 
 
@@ -73,7 +73,7 @@ def test_retained_version_survives_many_migrations():
     for _ in range(working * 6):
         ssd.write(rng.randrange(3, working), b"noise")
         ssd.clock.advance(200)
-    restored, _ = ssd.recover_lpas([2], t_clean, write_back=False)
+    restored, _ = ssd.recover_lpas([2], t_clean)
     # Either still retained (and byte-exact) or honestly evicted.
     if 2 in restored:
         assert restored[2] == b"keep-me"

@@ -28,6 +28,20 @@ def kit():
     return TimeKits(ssd)
 
 
+@pytest.fixture
+def real_kit():
+    """A kit over a device that stores page bytes, so a read shows what
+    a rollback restored."""
+    ssd = make_timessd(
+        retention_floor_us=3600 * SECOND_US, content_mode=ContentMode.REAL
+    )
+    return TimeKits(ssd)
+
+
+def real_page(text):
+    return text.ljust(512, b"\0")
+
+
 def write_history(ssd, lpa, n, gap_us=1000):
     stamps = []
     for _ in range(n):
@@ -314,6 +328,49 @@ class TestRollback:
             # ...via a fresh write, so the chain grew to three versions.
             assert versions[0].timestamp_us > t
             assert len(versions) == 3
+
+    def test_rollback_restores_an_lpa_trimmed_after_t(self, real_kit):
+        """A trimmed LPA's newest retained version is not current: the
+        device reads nothing there, so the rollback must write it."""
+        ssd = real_kit.ssd
+        ssd.write(3, real_page(b"v1"))
+        t = ssd.clock.now_us
+        ssd.clock.advance(1000)
+        ssd.trim(3)
+        ssd.clock.advance(1000)
+        real_kit.rollback(3, 1, t)
+        assert ssd.read(3)[0] == real_page(b"v1")
+
+    # TRIM time is not in the version history (ROADMAP item 5), so the
+    # as-of rule cannot tell "deleted at t" from "never written after".
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason="TRIM time not in the history"
+    )
+    def test_rollback_leaves_an_lpa_trimmed_at_t_deleted(self, real_kit):
+        ssd = real_kit.ssd
+        ssd.write(3, real_page(b"v1"))
+        ssd.clock.advance(1000)
+        ssd.trim(3)
+        ssd.clock.advance(1000)
+        t = ssd.clock.now_us
+        ssd.clock.advance(1000)
+        ssd.write(3, real_page(b"v2"))
+        ssd.clock.advance(1000)
+        real_kit.rollback(3, 1, t)
+        assert not ssd.mapping.is_mapped(3)
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason="TRIM time not in the history"
+    )
+    def test_rollback_all_restores_an_lpa_trimmed_after_t(self, real_kit):
+        ssd = real_kit.ssd
+        ssd.write(3, real_page(b"v1"))
+        t = ssd.clock.now_us
+        ssd.clock.advance(1000)
+        ssd.trim(3)
+        ssd.clock.advance(1000)
+        real_kit.rollback_all(t)
+        assert ssd.read(3)[0] == real_page(b"v1")
 
     @pytest.mark.parametrize(
         "opcode", [Opcode.ROLLBACK, Opcode.ROLLBACK_ALL], ids=lambda op: op.name

@@ -2,7 +2,7 @@ import pytest
 
 from repro.common.errors import QueryError
 from repro.common.units import SECOND_US
-from repro.timekits import FileRecovery, ForensicTimeline, TimeKits
+from repro.timekits import ForensicTimeline, TimeKits
 from repro.timessd.config import ContentMode, TimeSSDConfig
 from repro.timessd.ssd import TimeSSD
 
@@ -26,9 +26,7 @@ def page(text):
 
 
 class TestFileRecovery:
-    def test_requires_timekits(self):
-        with pytest.raises(QueryError):
-            FileRecovery(object())
+    """A file's extents need not be contiguous: TimeKits' LPA-list calls."""
 
     def test_recover_file_restores_all_pages(self, kit):
         ssd = kit.ssd
@@ -40,10 +38,10 @@ class TestFileRecovery:
         for lpa in lpas:
             ssd.write(lpa, page("ENCRYPTED"))
         ssd.clock.advance(1000)
-        recovery = FileRecovery(kit)
-        outcome = recovery.recover_file("doc.txt", lpas, t_good, threads=2)
-        assert outcome.complete
-        assert outcome.elapsed_us > 0
+        start = ssd.clock.now_us
+        outcome = kit.rollback_lpas(lpas, t_good, threads=2)
+        assert set(outcome.value) == set(lpas)
+        assert outcome.elapsed_us == ssd.clock.now_us - start > 0
         for lpa in lpas:
             assert ssd.read(lpa)[0].startswith(b"good-")
 
@@ -53,9 +51,8 @@ class TestFileRecovery:
         t1 = ssd.clock.now_us
         ssd.clock.advance(1000)
         ssd.write(5, page("v2"))
-        recovery = FileRecovery(kit)
-        pages, _elapsed = recovery.peek_file("f", [5], t1)
-        assert pages[5].startswith(b"v1")
+        picked = kit.as_of([5], t1).value
+        assert picked[5].data.startswith(b"v1")
         assert ssd.read(5)[0].startswith(b"v2")  # unchanged
 
 
