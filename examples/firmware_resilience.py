@@ -19,10 +19,10 @@ Run:  python examples/firmware_resilience.py
 
 import random
 
-from repro.common.errors import QueryError
+from repro.common.errors import QueryError, UncorrectableReadError
 from repro.common.units import HOUR_US, SECOND_US
 from repro.flash import FlashGeometry
-from repro.flash.reliability import FlashReliability, UncorrectableReadError
+from repro.flash.reliability import FlashReliability
 from repro.timessd import ContentMode, TimeSSD, TimeSSDConfig
 from repro.timessd.recovery import rebuild_from_flash, simulate_power_loss
 from repro.timessd.verify import DeviceAuditor

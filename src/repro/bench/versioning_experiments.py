@@ -122,7 +122,7 @@ def run_timessd_stack():
     elapsed = ssd.clock.now_us - start
     # Firmware history footprint: retained pages still uncompressed plus
     # flushed delta pages (page-equivalents).
-    history_pages = ssd.retained_pages + ssd.deltas.flushed_pages
+    history_pages = ssd.retained_pages + ssd.deltas.flushed_pages.value
 
     kits = TimeKits(ssd)
     mid_mark = marks[len(marks) // 2]

@@ -7,8 +7,9 @@ model, and per-channel occupancy timelines that expose the internal
 parallelism TimeSSD exploits for state queries.
 """
 
-from repro.flash.device import FlashDevice, OpCounters
-from repro.flash.reliability import FlashReliability, UncorrectableReadError
+from repro.common.errors import UncorrectableReadError
+from repro.flash.device import FlashDevice
+from repro.flash.reliability import FlashReliability
 from repro.flash.geometry import FlashGeometry
 from repro.flash.page import OOBMetadata, PageState, NULL_PPA
 from repro.flash.timing import ChannelTimelines, FlashTiming
@@ -21,7 +22,6 @@ __all__ = [
     "OOBMetadata",
     "PageState",
     "NULL_PPA",
-    "OpCounters",
     "FlashReliability",
     "UncorrectableReadError",
 ]

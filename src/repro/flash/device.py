@@ -8,7 +8,6 @@ are kept in one place so a single call site cannot forget either.
 
 from array import array
 from collections import namedtuple
-from dataclasses import dataclass
 
 from repro.common.errors import EraseFailureError, ProgramFailureError
 from repro.flash.core import ColumnarFlashArray, verify_seq_tags
@@ -17,30 +16,6 @@ from repro.flash.page import Page, _tuple_new
 from repro.flash.reliability import ReliabilityEngine
 from repro.flash.timing import ChannelTimelines, FlashTiming
 from repro.obs import Scope
-
-
-@dataclass
-class OpCounters:
-    """Lifetime operation counts, used for write-amplification metrics."""
-
-    page_reads: int = 0
-    page_programs: int = 0
-    block_erases: int = 0
-    delta_compressions: int = 0
-    delta_decompressions: int = 0
-    translation_reads: int = 0
-    translation_writes: int = 0
-
-    def snapshot(self):
-        return OpCounters(
-            self.page_reads,
-            self.page_programs,
-            self.block_erases,
-            self.delta_compressions,
-            self.delta_decompressions,
-            self.translation_reads,
-            self.translation_writes,
-        )
 
 
 class BlockOOBScan:
@@ -161,11 +136,12 @@ class FlashDevice:
             channel * geo.chips_per_channel + chip
             for channel, chip in map(geo.chip_of_block, blocks)
         ]
-        self.counters = OpCounters()
         metrics = self.obs.metrics
-        self._m_reads = metrics.counter("flash.reads")
-        self._m_programs = metrics.counter("flash.programs")
-        self._m_erases = metrics.counter("flash.erases")
+        #: Lifetime op counts: the registry's ``flash.*`` counters, the
+        #: inputs to write amplification and Equation 1 (read ``.value``).
+        self.page_reads = metrics.counter("flash.reads")
+        self.page_programs = metrics.counter("flash.programs")
+        self.block_erases = metrics.counter("flash.erases")
         self._m_scan_blocks = metrics.counter("flash.scan.blocks")
         self._m_scan_pages = metrics.counter("flash.scan.pages")
         self._h_read_us = metrics.histogram("flash.read_us")
@@ -196,7 +172,6 @@ class FlashDevice:
             self.last_op_start_us = now_us
             self.faults.on_read(self, ppa)
         data, oob = core.read(pba, ppa % pages_per_block)
-        self.counters.page_reads += 1
         # Disturb from *prior* senses degrades this read; this read's own
         # stress lands on the next one.  Count before the ECC check so
         # retry attempts see the same disturb term as the failed read.
@@ -222,7 +197,7 @@ class FlashDevice:
         complete = self.timelines.schedule(
             self._channel_of[pba], cell_done, timing.bus_transfer_us
         )
-        self._m_reads.inc()
+        self.page_reads.inc()
         self._h_read_us.record(complete - now_us)
         tr = self.obs.trace
         if tr.enabled:
@@ -252,14 +227,13 @@ class FlashDevice:
         core.last_program_us[pba] = now_us
         # Retention clock: charge leakage is measured from this moment.
         core.programmed_us[ppa] = now_us
-        self.counters.page_programs += 1
         transferred = self.timelines.schedule(
             self._channel_of[pba], now_us, self.timing.bus_transfer_us
         )
         complete = self.chip_timelines.schedule(
             self._chip_lane_of[pba], transferred, self.timing.program_us
         )
-        self._m_programs.inc()
+        self.page_programs.inc()
         self._h_program_us.record(complete - now_us)
         tr = self.obs.trace
         if tr.enabled:
@@ -280,11 +254,10 @@ class FlashDevice:
             self.last_op_start_us = now_us
             self.faults.on_erase(self, pba)
         self.core.erase(pba)
-        self.counters.block_erases += 1
         complete = self.chip_timelines.schedule(
             self._chip_lane_of[pba], now_us, self.timing.erase_us
         )
-        self._m_erases.inc()
+        self.block_erases.inc()
         self._h_erase_us.record(complete - now_us)
         tr = self.obs.trace
         if tr.enabled:

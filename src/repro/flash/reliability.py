@@ -33,13 +33,11 @@ import math
 import random
 from dataclasses import dataclass
 
-# Historical home of the class; it moved to the shared error taxonomy so
-# the fault-injection hooks (repro.faults) can raise it too.  Re-exported
-# here for compatibility.
 from repro.common.errors import UncorrectableReadError
 from repro.common.units import HOUR_US
+from repro.obs import MetricsRegistry
 
-__all__ = ["FlashReliability", "ReliabilityEngine", "UncorrectableReadError"]
+__all__ = ["FlashReliability", "ReliabilityEngine"]
 
 
 @dataclass(frozen=True)
@@ -94,20 +92,12 @@ class ReliabilityEngine:
         self.model = model
         self._bits_per_page = page_size * 8
         self._rng = random.Random(model.seed)
-        self.corrected_bits = 0
-        self.corrected_reads = 0
-        self.uncorrectable_reads = 0
-        # Mirror the counters into the device's metrics scope when one
-        # is attached, so they show up in metrics_snapshot() alongside
-        # the rest of the flash tier.
-        if metrics is not None:
-            self._m_corrected_bits = metrics.counter("flash.ecc.corrected_bits")
-            self._m_corrected_reads = metrics.counter("flash.ecc.corrected_reads")
-            self._m_uncorrectable = metrics.counter("flash.ecc.uncorrectable_reads")
-        else:
-            self._m_corrected_bits = None
-            self._m_corrected_reads = None
-            self._m_uncorrectable = None
+        if metrics is None:
+            metrics = MetricsRegistry()  # a standalone engine counts privately
+        #: ECC outcomes: the registry's ``flash.ecc.*`` counters.
+        self.corrected_bits = metrics.counter("flash.ecc.corrected_bits")
+        self.corrected_reads = metrics.counter("flash.ecc.corrected_reads")
+        self.uncorrectable_reads = metrics.counter("flash.ecc.uncorrectable_reads")
 
     @property
     def enabled(self):
@@ -161,13 +151,8 @@ class ReliabilityEngine:
         if errors == 0:
             return 0
         if errors <= self.model.ecc_correctable_bits:
-            self.corrected_bits += errors
-            self.corrected_reads += 1
-            if self._m_corrected_bits is not None:
-                self._m_corrected_bits.inc(errors)
-                self._m_corrected_reads.inc()
+            self.corrected_bits.inc(errors)
+            self.corrected_reads.inc()
             return errors
-        self.uncorrectable_reads += 1
-        if self._m_uncorrectable is not None:
-            self._m_uncorrectable.inc()
+        self.uncorrectable_reads.inc()
         raise UncorrectableReadError(ppa, errors, self.model.ecc_correctable_bits)

@@ -24,15 +24,16 @@ class BlockKind(enum.Enum):
 
 
 class StreamId(enum.Enum):
-    """Independent append points.
+    """Independent append points for data blocks.
 
-    Host writes, GC migrations and delta writes each get their own active
-    block so GC does not mix retained history into fresh user blocks.
+    Host writes and GC migrations each get their own active block so GC
+    does not mix retained history into fresh user blocks.  (Delta pages
+    and checkpoints append through :meth:`BlockManager.allocate_page_keyed`
+    under keys of their own.)
     """
 
     USER = "user"
     GC = "gc"
-    DELTA = "delta"
 
     # Members are singletons compared by identity, so the identity hash
     # is exact — and, unlike ``Enum.__hash__``, not a Python-level call
@@ -198,7 +199,6 @@ class BlockManager:
     _STREAM_LAYOUT = {
         StreamId.USER: (BlockKind.DATA, True),
         StreamId.GC: (BlockKind.DATA, True),
-        StreamId.DELTA: (BlockKind.DELTA, False),
     }
 
     def allocate_page(self, stream):

@@ -132,7 +132,7 @@ class CheckpointWriter:
         self._blocks.update(translation_blocks)
         if seq is not None:
             self.seq = max(self.seq, seq)
-        self._programs_mark = self._ssd.device.counters.page_programs
+        self._programs_mark = self._ssd.device.page_programs.value
 
     def maybe_checkpoint(self, now_us):
         """Write a checkpoint if enough writes happened since the last."""
@@ -141,7 +141,7 @@ class CheckpointWriter:
             return now_us  # read-only mode: no housekeeping writes
         interval = ssd.config.checkpoint_interval_blocks
         threshold = interval * ssd.device.geometry.pages_per_block
-        if ssd.device.counters.page_programs - self._programs_mark < threshold:
+        if ssd.device.page_programs.value - self._programs_mark < threshold:
             return now_us
         return self.write_checkpoint(now_us)
 
@@ -165,7 +165,7 @@ class CheckpointWriter:
         geo = device.geometry
         # Re-arm the trigger first: an aborted attempt must not retry on
         # every subsequent host write while the pool is exhausted.
-        self._programs_mark = device.counters.page_programs
+        self._programs_mark = device.page_programs.value
         self.seq += 1
         summaries, reused = self._build_summaries()
         size = _ROOT_HEADER_BYTES + sum(
@@ -199,7 +199,6 @@ class CheckpointWriter:
             self._m_aborted.inc()
             return t
         self._blocks.update(written_blocks)
-        device.counters.translation_writes += image.parts + 1
         self._m_written.inc()
         self._m_pages.inc(image.parts + 1)
         self._m_blocks.inc(len(summaries))

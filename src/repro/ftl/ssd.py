@@ -13,6 +13,7 @@ from repro.common.atomic import atomic_section
 from repro.common.clock import SimClock
 from repro.common.idle import IdlePredictor
 from repro.common.errors import (
+    AddressError,
     DegradedModeError,
     DeviceFullError,
     EraseFailureError,
@@ -239,6 +240,7 @@ class BaseSSD:
         nothing (no page completed, or a failed command before it left
         the mark beyond their completions).
         """
+        self.check_lpa_range(start_lpa, npages)
         arrival, mark = self.clock.now_us, self._last_io_end_us
         complete = None
         try:
@@ -253,6 +255,7 @@ class BaseSSD:
         """Read consecutive pages as one request; returns
         ``(list_of_data, response_us)``.  The clock moves as for
         :meth:`write_range`."""
+        self.check_lpa_range(start_lpa, npages)
         arrival, mark = self.clock.now_us, self._last_io_end_us
         complete = None
         try:
@@ -317,6 +320,7 @@ class BaseSSD:
     def serve_write_at(self, lpa, data, arrival_us):
         """Admit and program one host page arriving at ``arrival_us``;
         returns its completion time."""
+        self.check_lpa_range(lpa)
         self.ensure_writable()
         if self.host_page_bytes is not None:
             self.check_host_page(lpa, data)
@@ -335,6 +339,16 @@ class BaseSSD:
         self._after_host_request(complete, wrote=True)
         return complete
 
+    def check_lpa_range(self, start, npages=1):
+        """Raise :class:`AddressError` unless LPAs ``[start, start +
+        npages)`` all lie on the device — checked before admission, so a
+        refused request changes nothing."""
+        if start < 0 or start + npages > self.mapping.logical_pages:
+            raise AddressError(
+                "LPA range [%d, %d) out of bounds [0, %d)"
+                % (start, start + npages, self.mapping.logical_pages)
+            )
+
     def check_host_page(self, lpa, data):
         """Raise :class:`InvalidPageError` unless ``data`` is exactly
         :attr:`host_page_bytes` bytes — checked before admission, or a
@@ -352,6 +366,7 @@ class BaseSSD:
         """Admit one TRIM arriving at ``arrival_us`` (it completes there:
         TRIM costs no media time); returns True when a mapping was
         dropped."""
+        self.check_lpa_range(lpa)
         self.ensure_writable()
         self._before_host_request(arrival_us)
         old = self.mapping.invalidate(lpa)
@@ -368,6 +383,7 @@ class BaseSSD:
         the mapping table with no media time; so does a lost one, whose
         request completes — with the media error — at zero latency.
         """
+        self.check_lpa_range(lpa)
         self._before_host_request(arrival_us)
         self._m_host_reads.inc()
         ppa = self.mapping.lookup(lpa)
@@ -410,13 +426,12 @@ class BaseSSD:
         """Flash page programs divided by host page writes."""
         if self.host_pages_written == 0:
             return 0.0
-        return self.device.counters.page_programs / self.host_pages_written
+        return self.device.page_programs.value / self.host_pages_written
 
     def _refresh_gauges(self):
         """Update point-in-time gauges just before a snapshot."""
         metrics = self.obs.metrics
-        counters = self.device.counters
-        metrics.gauge("ftl.wa.flash_programs").set(counters.page_programs)
+        metrics.gauge("ftl.wa.flash_programs").set(self.device.page_programs.value)
         metrics.gauge("ftl.wa.host_writes").set(self.host_pages_written)
         metrics.gauge("ftl.write_amplification").set(
             round(self.write_amplification, 6)
@@ -721,8 +736,6 @@ class BaseSSD:
         self._translation_reads_seen = mapping.translation_reads
         self._translation_writes_seen = mapping.translation_writes
         timing = self.device.timing
-        self.device.counters.translation_reads += delta_r
-        self.device.counters.translation_writes += delta_w
         latency = delta_r * timing.read_us + delta_w * timing.program_us
         channel, _free = self.device.timelines.earliest_free(now_us)
         return self.device.timelines.schedule(channel, now_us, latency)

@@ -46,7 +46,6 @@ class NVMeController:
     def __init__(self, ssd):
         self.ssd = ssd
         self._kits = TimeKits(ssd) if isinstance(ssd, TimeSSD) else None
-        self.commands_processed = 0
         #: Shared with the SSD: per-opcode counts/latencies and
         #: per-status counts land in the device's metrics registry.
         self.obs = ssd.obs
@@ -101,7 +100,6 @@ class NVMeController:
             completion, end = self.execute_io(command, start)
             clock.advance_to(end)
             return completion
-        self.commands_processed += 1
         try:
             if command.admin:
                 result = self._admin(command)
@@ -129,7 +127,6 @@ class NVMeController:
         does not lose its cursor.  Vendor commands are refused
         ``INVALID_OPCODE`` (they are host-serial by nature).
         """
-        self.commands_processed += 1
         end = start_us
         try:
             result, end = self._apply_io(command, start_us)
@@ -192,8 +189,7 @@ class NVMeController:
         # ``type(...) is int`` refuses bools and non-integers alike.
         if type(slba) is not int or type(nlb) is not int or nlb < 1:
             raise _InvalidField()
-        if slba < 0 or slba + nlb > self.ssd.logical_pages:
-            raise AddressError("LBA range out of bounds")
+        self.ssd.check_lpa_range(slba, nlb)
 
     def _check_payload(self, command):
         """Refuse a WRITE payload before any of its pages is admitted:

@@ -100,10 +100,10 @@ class TimeKits:
         """
         check_threads(threads)
         ssd = self.ssd
-        counters = ssd.device.counters
+        page_reads = ssd.device.page_reads
         start = ssd.clock.now_us
-        reads_before = counters.page_reads
-        decompressed_before = counters.delta_decompressions
+        reads_before = page_reads.value
+        decompressed_before = ssd.deltas_decompressed
         passed_before = ssd.deltas_passed
         delta_pages = set()
         cursors = [start] * min(threads, len(lpas))
@@ -121,13 +121,13 @@ class TimeKits:
             chains[lpa] = versions
         end = max(cursors) if cursors else start
         ssd.clock.advance_to(end)
-        self._last_pages_touched = counters.page_reads - reads_before
+        self._last_pages_touched = page_reads.value - reads_before
         metrics = ssd.obs.metrics
         metrics.counter("timekits.walk.deltas_passed").inc(
             ssd.deltas_passed - passed_before
         )
         metrics.counter("timekits.walk.deltas_decompressed").inc(
-            counters.delta_decompressions - decompressed_before
+            ssd.deltas_decompressed - decompressed_before
         )
         metrics.counter("timekits.walk.delta_pages_read").inc(len(delta_pages))
         buffered = metrics.gauge("timekits.walk.delta_pages_buffered")

@@ -283,8 +283,9 @@ class DeltaManager:
         self.codec = codec
         self._page_size = page_size
         self._segments = {}
-        self.flushed_pages = 0
-        self.deferred_flushes = 0
+        #: Delta pages programmed: the ``timessd.delta.flushed_pages``
+        #: counter (read ``.value``).
+        self.flushed_pages = ssd.obs.metrics.counter("timessd.delta.flushed_pages")
         self.records_created = 0
 
     def _segment_state(self, segment_id):
@@ -358,7 +359,6 @@ class DeltaManager:
         except (DeviceFullError, ProgramFailureError):
             # Records stay in the RAM buffer — still retained and
             # queryable — and the next add_record retries the flush.
-            self.deferred_flushes += 1
             return now_us
         packed = len(state.buffer)
         for record in state.buffer:
@@ -366,8 +366,7 @@ class DeltaManager:
         state.blocks.add(self._ssd.device.geometry.block_of_page(ppa))
         state.buffer = []
         state.buffered_bytes = 0
-        self.flushed_pages += 1
-        self._ssd._m_delta_flushed.inc()
+        self.flushed_pages.inc()
         tr = self._ssd.obs.trace
         if tr.enabled:
             tr.emit(

@@ -81,7 +81,6 @@ class TimeSSDGarbageCollector:
                 continue
             if compressing:
                 payload, size = ssd.deltas.codec.compress(data, ref_data)
-                device.counters.delta_compressions += 1
                 ssd._m_delta_compressions.inc()
                 t = device.timelines.schedule(
                     device.geometry.channel_of_page(src_ppa),

@@ -91,8 +91,6 @@ class RetentionManager:
     def __init__(self, blooms, floor_us):
         self.blooms = blooms
         self.floor_us = floor_us
-        self.shrinks = 0
-        self.shrink_denied = 0
 
     def can_shrink(self):
         return self.blooms.can_drop_oldest(self.floor_us)
@@ -105,12 +103,8 @@ class RetentionManager:
     def shrink(self):
         """Drop the oldest segment if the floor allows; returns it or None."""
         if not self.can_shrink():
-            self.shrink_denied += 1
             return None
-        segment = self.blooms.drop_oldest()
-        if segment is not None:
-            self.shrinks += 1
-        return segment
+        return self.blooms.drop_oldest()
 
     def retention_us(self):
         return self.blooms.retention_us()

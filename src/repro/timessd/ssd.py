@@ -72,14 +72,15 @@ class TimeSSD(BaseSSD):
         self.retained_pages = 0
         self.background_compressed = 0
         self.background_windows = 0
-        #: Delta records every :meth:`version_chain` walk has stepped over.
+        #: Delta records every :meth:`version_chain` walk has stepped
+        #: over / run the decompressor on.
         self.deltas_passed = 0
+        self.deltas_decompressed = 0
         metrics = self.obs.metrics
         self._m_shrinks = metrics.counter("timessd.retention.shrinks")
         self._m_expired = metrics.counter("timessd.expire.pages")
         self._m_compress_lost = metrics.counter("timessd.compress.lost_versions")
         self._m_delta_compressions = metrics.counter("timessd.delta.compressions")
-        self._m_delta_flushed = metrics.counter("timessd.delta.flushed_pages")
         self._h_query_chain = metrics.histogram("timessd.chain.length")
         self._h_compressed_chain = metrics.histogram("timessd.gc.compressed_chain")
 
@@ -160,18 +161,19 @@ class TimeSSD(BaseSSD):
             if self._shrink_retention(now_us) is None:
                 self._raise_retention_violation()
             return
-        before = self.device.counters.snapshot()
+        device = self.device
+        reads, writes = device.page_reads.value, device.page_programs.value
+        erases, deltas = device.block_erases.value, self._m_delta_compressions.value
         self.relocate_block(victim, now_us)
-        after = self.device.counters
         # Equation 1 counts every GC operation — background rounds never
         # delay a request, but they still consume lifetime (the paper's
         # estimator is a proxy for total GC burden, and write
         # amplification is what Figure 7 holds TimeSSD accountable for).
         self.estimator.note_gc_ops(
-            reads=after.page_reads - before.page_reads,
-            writes=after.page_programs - before.page_programs,
-            erases=after.block_erases - before.block_erases,
-            deltas=after.delta_compressions - before.delta_compressions,
+            reads=device.page_reads.value - reads,
+            writes=device.page_programs.value - writes,
+            erases=device.block_erases.value - erases,
+            deltas=self._m_delta_compressions.value - deltas,
         )
 
     def _on_gc_stall(self, stalled_rounds, now_us):
@@ -506,7 +508,7 @@ class TimeSSD(BaseSSD):
             if record.compressed and payloads:
                 # Only a walk that hands out bytes runs the decompressor;
                 # a stamp-only walk has the timestamp from the page read.
-                self.device.counters.delta_decompressions += 1
+                self.deltas_decompressed += 1
                 channel = (
                     self.device.geometry.channel_of_page(record.flash_ppa)
                     if record.flash_ppa is not None

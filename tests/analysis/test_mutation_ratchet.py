@@ -196,8 +196,12 @@ FIRMWARE_MUTATIONS = (
     # --- the host path: PR 14's disagreements and PR 16's gate -----------------
     (
         "ftl/ssd.py",  # a read-only device accepting TRIM, on any route
-        '        dropped."""\n        self.ensure_writable()\n',
-        '        dropped."""\n',
+        "        self.check_lpa_range(lpa)\n        self.ensure_writable()\n"
+        "        self._before_host_request(arrival_us)\n"
+        "        old = self.mapping.invalidate(lpa)\n",
+        "        self.check_lpa_range(lpa)\n"
+        "        self._before_host_request(arrival_us)\n"
+        "        old = self.mapping.invalidate(lpa)\n",
         _PATHS + "test_retry_exhausted_write_degrades_the_device",
     ),
     (
@@ -562,6 +566,13 @@ FIRMWARE_MUTATIONS = (
         "            complete = self.device.erase_block(pba, now_us)\n",
         "            pass\n",
         _REPLAY,
+    ),
+    (
+        "ftl/ssd.py",  # a range crossing the device end programs its first page
+        '        the mark beyond their completions).\n        """\n'
+        "        self.check_lpa_range(start_lpa, npages)\n",
+        '        the mark beyond their completions).\n        """\n',
+        _PATHS + "test_a_request_past_the_device_end_changes_nothing[make_timessd]",
     ),
 )
 

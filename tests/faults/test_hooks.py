@@ -39,7 +39,7 @@ class TestTornProgram:
         assert not page.oob.intact
         assert page.data == b"AAAABBBB" + b"\x00" * 8
         # The op never committed as far as accounting is concerned...
-        assert device.counters.page_programs == 0
+        assert device.page_programs.value == 0
         # ...but the page itself is consumed: the write pointer advanced.
         assert device.core.write_pointer[0] == 1
 

@@ -73,9 +73,9 @@ class TestNoOpPlanParity:
                 ssd.host_pages_written,
                 ssd.gc_runs,
                 ssd.background_gc_runs,
-                ssd.device.counters.page_programs,
-                ssd.device.counters.page_reads,
-                ssd.device.counters.block_erases,
+                ssd.device.page_programs.value,
+                ssd.device.page_reads.value,
+                ssd.device.block_erases.value,
                 ssd.retained_pages,
             )
 

@@ -40,8 +40,8 @@ class TestECC:
         for _ in range(2000):
             assert device.read_page(0).data == b"x"
         engine = device.reliability
-        assert engine.corrected_reads > 0
-        assert engine.uncorrectable_reads == 0
+        assert engine.corrected_reads.value > 0
+        assert engine.uncorrectable_reads.value == 0
 
     def test_extreme_ber_fails_reads(self):
         device = make_device(raw_bit_error_rate=1e-2, ecc_correctable_bits=8)
@@ -50,7 +50,7 @@ class TestECC:
             for _ in range(50):
                 device.read_page(0)
         assert excinfo.value.bit_errors > 8
-        assert device.reliability.uncorrectable_reads >= 1
+        assert device.reliability.uncorrectable_reads.value >= 1
 
     def test_wear_raises_error_rate(self):
         model = FlashReliability(

@@ -10,15 +10,12 @@ relies on.
 
 import pytest
 
+from repro.common.errors import UncorrectableReadError
 from repro.common.units import HOUR_US
 from repro.flash.device import FlashDevice
 from repro.flash.geometry import FlashGeometry
 from repro.flash.page import NULL_PPA, OOBMetadata
-from repro.flash.reliability import (
-    FlashReliability,
-    ReliabilityEngine,
-    UncorrectableReadError,
-)
+from repro.flash.reliability import FlashReliability, ReliabilityEngine
 
 GEO = FlashGeometry(
     channels=1,
@@ -170,13 +167,19 @@ class TestMetricsMirroring:
         device = make_device(raw_bit_error_rate=2e-3, ecc_correctable_bits=64)
         data = bytes(GEO.page_size)
         device.program_page(0, data, OOBMetadata(lpa=0, back_pointer=NULL_PPA, timestamp_us=0), 0)
-        for _ in range(20):
-            device.read_page(0, 0)
+        corrected = [device.read_page(0, 0).corrected_bits for _ in range(20)]
         counters = device.obs.metrics.snapshot()["counters"]
-        assert counters["flash.ecc.corrected_reads"] > 0
-        assert counters["flash.ecc.corrected_bits"] > 0
+        # The reads' own corrected-bit reports are the witness.
+        assert counters["flash.ecc.corrected_reads"] == sum(map(bool, corrected)) > 0
+        assert counters["flash.ecc.corrected_bits"] == sum(corrected)
         assert counters["flash.ecc.uncorrectable_reads"] == 0
-        # The engine's instance counters stay in lockstep with the scope.
+        # The engine counts into the device's scope, not a copy of it; a
+        # standalone engine counts into a private registry.
         engine = device.reliability
-        assert engine.corrected_reads == counters["flash.ecc.corrected_reads"]
-        assert engine.corrected_bits == counters["flash.ecc.corrected_bits"]
+        assert engine.corrected_reads is device.obs.metrics.get(
+            "flash.ecc.corrected_reads"
+        )
+        standalone = ReliabilityEngine(engine.model, GEO.page_size)
+        bits = sum(standalone.check_read(0, erase_count=0) for _ in range(5))
+        assert standalone.corrected_bits.value == bits > 0
+        assert engine.corrected_bits.value == sum(corrected)

@@ -19,9 +19,9 @@ class TestZeroBER:
         assert not e.enabled
         for erase_count in (0, 10**6, 10**9):
             assert e.check_read(0, erase_count) == 0
-        assert e.corrected_reads == 0
-        assert e.corrected_bits == 0
-        assert e.uncorrectable_reads == 0
+        assert e.corrected_reads.value == 0
+        assert e.corrected_bits.value == 0
+        assert e.uncorrectable_reads.value == 0
 
 
 class TestPastRatedEndurance:
@@ -34,14 +34,14 @@ class TestPastRatedEndurance:
         # Fresh block: ~0.003 expected errors per read; nothing escapes ECC.
         for _ in range(100):
             e.check_read(0, 0)
-        assert e.uncorrectable_reads == 0
+        assert e.uncorrectable_reads.value == 0
         # A million P/E cycles inflates the BER by 1e6: thousands of bit
         # errors per read, far beyond any ECC budget.
         with pytest.raises(UncorrectableReadError) as excinfo:
             e.check_read(7, 10**6)
         assert excinfo.value.ppa == 7
         assert excinfo.value.bit_errors > 40
-        assert e.uncorrectable_reads == 1
+        assert e.uncorrectable_reads.value == 1
 
 
 class TestDeterminism:
@@ -54,7 +54,7 @@ class TestDeterminism:
                 seed=0xBEEF,
             )
             counts = [e.check_read(ppa, ppa % 50) for ppa in range(500)]
-            return counts, e.corrected_bits, e.corrected_reads
+            return counts, e.corrected_bits.value, e.corrected_reads.value
 
         assert trace() == trace()
 

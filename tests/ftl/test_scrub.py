@@ -9,10 +9,11 @@ retained chain compression, retention-expired skip).
 
 import pytest
 
+from repro.common.errors import UncorrectableReadError
 from repro.common.units import SECOND_US
 from repro.faults.hooks import FaultHooks
 from repro.faults.plan import FaultPlan
-from repro.flash.reliability import FlashReliability, UncorrectableReadError
+from repro.flash.reliability import FlashReliability
 from repro.ftl.ssd import SSDConfig
 from repro.security import FlashGuardSSD
 from repro.timessd.config import ContentMode
@@ -271,12 +272,12 @@ class TestRefreshDispositions:
         ssd.write(5, b"cipher")
         (old_ppa,) = ssd._retained_by_ppa
         ssd.scrubber.observe_read(old_ppa, corrected_bits=40)
-        programs = ssd.device.counters.page_programs
+        programs = ssd.device.page_programs.value
         now = ssd.clock.now_us
         ssd.scrubber.run_window(now, now + 10 * SECOND_US)
         metrics = ssd.obs.metrics
         assert metrics.counter("scrub.refreshed_retained").value == 1
-        assert ssd.device.counters.page_programs == programs + 1
+        assert ssd.device.page_programs.value == programs + 1
         assert old_ppa not in ssd._retained_by_ppa
         restored, _ = ssd.recover_lpas([5], t_clean)
         assert restored == {5: b"plaintext"}
@@ -297,15 +298,15 @@ class TestScrubTouchesOnlyWhatItRefreshes:
         plan.add_read_error(
             every=1, address={ssd.mapping.lookup(0)}, max_fires=None
         )
-        before = ssd.device.counters.snapshot()
+        device = ssd.device
+        erases, programs = device.block_erases.value, device.page_programs.value
         now = ssd.clock.now_us
         ssd.scrubber.run_window(now, now + 10 * SECOND_US)
         assert ssd.obs.metrics.counter("scrub.uncorrectable").value >= 1
         # Scrub accounts the loss and moves on: the lost page's block
         # still holds its neighbours, so nothing is erased or rewritten.
-        after = ssd.device.counters
-        assert after.block_erases == before.block_erases
-        assert after.page_programs == before.page_programs
+        assert device.block_erases.value == erases
+        assert device.page_programs.value == programs
         for lpa in lpas[1:]:
             assert ssd.read(lpa)[0] == PAGE
 

@@ -15,8 +15,8 @@ def test_fully_cached_mapping_charges_nothing():
     for lpa in range(64):
         ssd.write(lpa)
         ssd.read(lpa)
-    assert ssd.device.counters.translation_reads == 0
-    assert ssd.device.counters.translation_writes == 0
+    assert ssd.mapping.translation_reads == 0
+    assert ssd.mapping.translation_writes == 0
 
 
 def test_cache_misses_cost_device_time():
@@ -29,7 +29,7 @@ def test_cache_misses_cost_device_time():
         for lpa in lpas:
             ssd.write(lpa)
             ssd.clock.advance(100)
-    assert demand.device.counters.translation_reads > 0
+    assert demand.mapping.translation_reads > 0
     assert demand.write_latency.mean_us > cached.write_latency.mean_us
 
 
@@ -37,7 +37,7 @@ def test_dirty_evictions_write_translation_pages():
     ssd = make_regular_ssd(mapping_cache_entries=4)
     for lpa in range(64):
         ssd.write(lpa)  # every entry is dirtied, then evicted
-    assert ssd.device.counters.translation_writes > 0
+    assert ssd.mapping.translation_writes > 0
 
 
 def test_hot_working_set_hits_cache():
@@ -46,19 +46,19 @@ def test_hot_working_set_hits_cache():
         for lpa in range(8):  # fits comfortably in the cache
             ssd.write(lpa)
     # Only compulsory misses, no steady-state translation traffic.
-    assert ssd.device.counters.translation_reads <= 16
+    assert ssd.mapping.translation_reads <= 16
 
 
 def test_reads_also_charge_misses():
     ssd = make_regular_ssd(mapping_cache_entries=4)
     for lpa in range(32):
         ssd.write(lpa)
-    before = ssd.device.counters.translation_reads
+    before = ssd.mapping.translation_reads
     latencies = []
     for lpa in range(32):
         _data, response = ssd.read(lpa)
         latencies.append(response)
-    assert ssd.device.counters.translation_reads > before
+    assert ssd.mapping.translation_reads > before
     # Some reads paid a translation fetch on top of the data read.
     assert max(latencies) >= 2 * ssd.device.timing.read_us
 

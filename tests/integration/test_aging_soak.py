@@ -11,8 +11,9 @@ import random
 
 import pytest
 
+from repro.common.errors import UncorrectableReadError
 from repro.common.units import HOUR_US
-from repro.flash.reliability import FlashReliability, UncorrectableReadError
+from repro.flash.reliability import FlashReliability
 
 from tests.conftest import make_timessd
 

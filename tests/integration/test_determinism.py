@@ -39,8 +39,8 @@ def _replay_fingerprint():
         ssd.background_gc_runs,
         ssd.retained_pages,
         ssd.deltas.records_created,
-        ssd.device.counters.page_programs,
-        ssd.device.counters.block_erases,
+        ssd.device.page_programs.value,
+        ssd.device.block_erases.value,
         ssd.clock.now_us,
     )
 
@@ -65,8 +65,8 @@ def test_regular_ssd_churn_is_deterministic():
             ssd.write(rng.randrange(ssd.logical_pages // 2))
             ssd.clock.advance(300)
         return (
-            ssd.device.counters.page_programs,
-            ssd.device.counters.block_erases,
+            ssd.device.page_programs.value,
+            ssd.device.block_erases.value,
             tuple(ssd.device.block_erase_counts()),
             round(ssd.write_latency.mean_us, 9),
         )

@@ -16,11 +16,13 @@ import random
 import pytest
 
 from repro.common.errors import (
+    AddressError,
     DegradedModeError,
     InvalidPageError,
     ProgramFailureError,
     UncorrectableReadError,
 )
+from repro.common.units import SECOND_US
 from repro.faults.hooks import FaultHooks
 from repro.faults.plan import FaultPlan
 from repro.nvme.commands import NVMeCommand, Opcode, StatusCode
@@ -33,6 +35,7 @@ ROUTES = ("ssd", "range", "submit", "async")
 LBAS = 24
 
 _STATUS_OF = {
+    AddressError: StatusCode.LBA_OUT_OF_RANGE,
     DegradedModeError: StatusCode.DEGRADED_READ_ONLY,
     UncorrectableReadError: StatusCode.MEDIA_UNRECOVERED_READ,
     ProgramFailureError: StatusCode.MEDIA_WRITE_FAULT,
@@ -192,6 +195,30 @@ def test_queued_pages_count_in_ftl_host_metrics():
     assert snapshot["histograms"]["ftl.write_us"]["count"] == writes
     assert snapshot["histograms"]["ftl.read_us"]["count"] == reads
     assert (ssd.host_pages_written, ssd.host_pages_read) == (writes, reads)
+
+
+@pytest.mark.parametrize("maker", [make_regular_ssd, make_timessd])
+def test_a_request_past_the_device_end_changes_nothing(maker):
+    # Refused before admission on every route: a one-page op past either
+    # end leaves the firmware as it was (no host counter, no idle-window
+    # housekeeping, no free-space GC), and a range crossing the last LBA
+    # writes none of its pages.  The device-clock API sends a range page
+    # by page, so only the other three routes send one whole.
+    n = maker().logical_pages
+    past_end = [("W", n, [b"x"]), ("R", n, 1), ("T", n, 1)]
+    past_end += [("W", -1, [b"x"]), ("R", -1, 1), ("T", -1, 1)]
+    crossing = [("W", n - 1, [b"x", b"y"]), ("R", n - 1, 2)]
+    for route in ROUTES:
+        ssd = maker()
+        drive(route, ssd, seeded_ops(seed=3, count=40))
+        ssd.clock.advance(SECOND_US)  # an idle gap the next request would end
+        before = firmware_state(ssd), ssd.mapping.lookup(n - 1)
+        ops = past_end + (crossing if route != "ssd" else [])
+        results = drive(route, ssd, ops)
+        assert [status for status, _r, _l in results] == (
+            [StatusCode.LBA_OUT_OF_RANGE] * len(ops)
+        ), route
+        assert (firmware_state(ssd), ssd.mapping.lookup(n - 1)) == before, route
 
 
 @pytest.mark.parametrize("route", ROUTES)

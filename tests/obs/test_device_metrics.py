@@ -4,7 +4,9 @@ import random
 
 import pytest
 
-from repro.common.units import SECOND_US
+from repro.common.errors import UncorrectableReadError
+from repro.common.units import HOUR_US, SECOND_US
+from repro.flash.reliability import FlashReliability
 from repro.ftl.ssd import SSDConfig
 from repro.nvme import HostNVMeDriver, NVMeCommand, Opcode, StatusCode
 from repro.security.flashguard import FlashGuardSSD
@@ -22,24 +24,86 @@ def counter(ssd, name):
     return metric.value if metric is not None else 0
 
 
+#: Fault-free, every flash program is one of these (the last only on a
+#: TimeSSD; the others count zero on a device without the feature).
+PROGRAM_SOURCES = (
+    "ftl.host_writes",
+    "gc.pages_migrated",
+    "recovery.checkpoint.pages",
+    "scrub.refreshed_valid",
+    "timessd.delta.flushed_pages",
+)
+
+
+def assert_program_identity(ssd, label):
+    assert counter(ssd, "flash.programs") == sum(
+        counter(ssd, name) for name in PROGRAM_SOURCES
+    ), label
+
+
+#: Media aging strong enough on 512-byte pages for the patrol scrubber
+#: to refresh pages after a few ten-hour retention jumps.
+AGING = FlashReliability(
+    raw_bit_error_rate=2e-4,
+    wear_ber_multiplier=0.002,
+    retention_ber_per_hour=1.0,
+    read_disturb_ber_per_read=5e-4,
+    ecc_correctable_bits=24,
+    seed=1,
+)
+
+
+def age(ssd, working_set=128, epochs=4, ops=100, seed=7):
+    """A sequential fill, then ``epochs`` ten-hour retention jumps, each
+    followed by ``ops`` reads (75 %) and overwrites 15 ms apart."""
+    rng = random.Random(seed)
+    for lpa in range(working_set):
+        ssd.write(lpa)
+        ssd.clock.advance(1500)
+    for _ in range(epochs):
+        ssd.clock.advance(10 * HOUR_US)
+        for _ in range(ops):
+            lpa = rng.randrange(working_set)
+            if rng.random() < 0.75:
+                try:
+                    ssd.read(lpa)
+                except UncorrectableReadError:
+                    pass
+            else:
+                ssd.write(lpa)
+            ssd.clock.advance(15_000)
+    return ssd
+
+
 class TestFlashCounters:
     @pytest.mark.parametrize("factory", [make_regular_ssd, make_timessd])
     def test_match_legacy_op_counters(self, factory):
-        ssd = fill_and_churn(factory(), working_set=400, churn_writes=1200)
-        legacy = ssd.device.counters
-        assert counter(ssd, "flash.reads") == legacy.page_reads
-        assert counter(ssd, "flash.programs") == legacy.page_programs
-        assert counter(ssd, "flash.erases") == legacy.block_erases
+        # The device counts into the registry itself, and the counts
+        # close the books on a checkpointing device and on an aging one
+        # under patrol scrub: each source below is one kind of program.
+        checkpointing = fill_and_churn(
+            factory(checkpoint_interval_blocks=2), working_set=400, churn_writes=1200
+        )
+        scrubbing = age(factory(reliability=AGING, patrol_scrub=True))
+        for ssd in (checkpointing, scrubbing):
+            device, metrics = ssd.device, ssd.obs.metrics
+            assert device.page_reads is metrics.get("flash.reads")
+            assert device.page_programs is metrics.get("flash.programs")
+            assert device.block_erases is metrics.get("flash.erases")
+            assert_program_identity(ssd, factory.__name__)
+        assert counter(checkpointing, "recovery.checkpoint.pages") > 0
+        assert counter(checkpointing, "gc.pages_migrated") > 0
+        assert counter(scrubbing, "scrub.refreshed_valid") > 0
 
     @pytest.mark.parametrize("factory", [make_regular_ssd, make_timessd])
     def test_histogram_counts_match_op_counts(self, factory):
         ssd = fill_and_churn(factory(), working_set=300, churn_writes=800)
         metrics = ssd.obs.metrics
-        legacy = ssd.device.counters
-        assert metrics.get("flash.program_us").count == legacy.page_programs
-        assert metrics.get("flash.erase_us").count == legacy.block_erases
-        if legacy.page_reads:
-            assert metrics.get("flash.read_us").count == legacy.page_reads
+        device = ssd.device
+        assert metrics.get("flash.program_us").count == device.page_programs.value
+        assert metrics.get("flash.erase_us").count == device.block_erases.value
+        if device.page_reads.value:
+            assert metrics.get("flash.read_us").count == device.page_reads.value
 
 
 class TestHostCounters:
@@ -89,11 +153,8 @@ class TestGCAccounting:
         for route in ("ssd", "async"):
             ssd = churn(make_regular_ssd(), route)
             assert ssd.gc_runs > 0
-            migrated = counter(ssd, "gc.pages_migrated")
-            assert migrated > 0
-            assert counter(ssd, "flash.programs") == (
-                counter(ssd, "ftl.host_writes") + migrated
-            ), route
+            assert counter(ssd, "gc.pages_migrated") > 0
+            assert_program_identity(ssd, route)
 
     def test_timessd_program_identity(self):
         # TimeSSD adds one more program source: packed delta segments.
@@ -108,11 +169,8 @@ class TestGCAccounting:
                 ),
                 route,
             )
-            migrated = counter(ssd, "gc.pages_migrated")
-            flushed = counter(ssd, "timessd.delta.flushed_pages")
-            assert counter(ssd, "flash.programs") == (
-                counter(ssd, "ftl.host_writes") + migrated + flushed
-            ), route
+            assert counter(ssd, "timessd.delta.flushed_pages") > 0
+            assert_program_identity(ssd, route)
 
     def test_gc_run_counters_match_properties(self):
         # The properties read the counters, so the witness is a third
@@ -139,11 +197,25 @@ class TestGCAccounting:
 
 class TestTimeSSDCounters:
     def test_delta_compressions_match_legacy(self):
-        ssd = fill_and_churn(make_timessd(), working_set=600, churn_writes=4000)
-        assert (
-            counter(ssd, "timessd.delta.compressions")
-            == ssd.device.counters.delta_compressions
-        )
+        # The codec's calls are the witness; Equation 1 reads its GC
+        # share of them off the same counter.
+        ssd = make_timessd()
+        codec, estimator = ssd.deltas.codec, ssd.estimator
+        calls, eq1_deltas = [], []
+
+        def compress(old_data, ref_data, real=codec.compress):
+            calls.append(1)
+            return real(old_data, ref_data)
+
+        def note_gc_ops(deltas=0, real=estimator.note_gc_ops, **ops):
+            eq1_deltas.append(deltas)
+            return real(deltas=deltas, **ops)
+
+        codec.compress = compress
+        estimator.note_gc_ops = note_gc_ops
+        fill_and_churn(ssd, working_set=600, churn_writes=4000)
+        assert counter(ssd, "timessd.delta.compressions") == len(calls) > 0
+        assert 0 < sum(eq1_deltas) <= len(calls)
 
     def test_chain_length_histogram_records_queries(self):
         ssd = make_timessd()

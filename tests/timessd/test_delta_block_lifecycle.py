@@ -66,8 +66,8 @@ def test_segment_drop_erases_delta_blocks_wholesale():
     )
     build_history(ssd)
     blocks_before = delta_blocks(ssd)
-    erases_before = ssd.device.counters.block_erases
-    reads_before = ssd.device.counters.page_reads
+    erases_before = ssd.device.block_erases.value
+    reads_before = ssd.device.page_reads.value
     dropped = 0
     while True:
         segment = ssd.retention.shrink()
@@ -77,8 +77,8 @@ def test_segment_drop_erases_delta_blocks_wholesale():
         dropped += 1
     assert dropped > 0
     # Wholesale: erases happened with no migration reads.
-    assert ssd.device.counters.block_erases > erases_before
-    assert ssd.device.counters.page_reads == reads_before
+    assert ssd.device.block_erases.value > erases_before
+    assert ssd.device.page_reads.value == reads_before
     assert len(delta_blocks(ssd)) < max(1, len(blocks_before))
 
 

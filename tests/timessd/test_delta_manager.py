@@ -26,7 +26,7 @@ def test_records_buffer_in_ram(ssd):
     mgr = ssd.deltas
     mgr.add_record(make_record(size=50), now_us=0)
     assert mgr.ram_bytes() > 0
-    assert mgr.flushed_pages == 0
+    assert mgr.flushed_pages.value == 0
 
 
 def test_buffer_overflow_flushes_a_delta_page(ssd):
@@ -35,7 +35,7 @@ def test_buffer_overflow_flushes_a_delta_page(ssd):
     size = usable // 2
     mgr.add_record(make_record(ts=1, size=size), now_us=0)
     mgr.add_record(make_record(ts=2, size=size), now_us=0)  # would overflow
-    assert mgr.flushed_pages == 1
+    assert mgr.flushed_pages.value == 1
 
 
 def test_flush_assigns_flash_ppa_and_delta_block(ssd):
@@ -91,4 +91,4 @@ def test_oversized_record_still_stored_one_per_page(ssd):
     big = make_record(size=10 * mgr.usable_page_bytes())
     mgr.add_record(big, 0)
     mgr.add_record(make_record(ts=2), 0)  # forces flush of the big one
-    assert mgr.flushed_pages == 1
+    assert mgr.flushed_pages.value == 1

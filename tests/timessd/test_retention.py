@@ -70,7 +70,7 @@ class TestRetentionManager:
         clock.advance(10)
         blooms.record_invalidation(2)
         assert mgr.shrink() is None
-        assert mgr.shrink_denied == 1
+        assert len(blooms) == 2  # the window did not move
 
     def test_shrink_after_floor_elapsed(self):
         clock, blooms, mgr = self.make(floor_us=1000)
@@ -79,8 +79,8 @@ class TestRetentionManager:
         blooms.record_invalidation(2)
         clock.advance(5000)
         segment = mgr.shrink()
-        assert segment is not None
-        assert mgr.shrinks == 1
+        assert segment is not None and segment.dropped
+        assert len(blooms) == 1
 
     def test_retention_metric_delegates(self):
         clock, blooms, mgr = self.make()
