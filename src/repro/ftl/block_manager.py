@@ -1,9 +1,15 @@
-"""Block lifecycle management: free pool, active blocks, BST and PVT.
+"""Block lifecycle management: free pool, active blocks, BST and page marks.
 
 Implements the paper's block status table (BST, per-block status and
-invalid-page counts — extended by TimeSSD to mark delta blocks) and page
-validity table (PVT, per-page valid bits).  Free blocks are handed out
-round-robin across channels so sequential allocation stripes the device.
+invalid-page counts — extended by TimeSSD to mark delta blocks) and the
+per-page firmware marks, each a byte column indexed by PPA: ``valid``
+(the PVT), ``reclaimable`` (§3.7's PRT: an invalid page whose version was
+compressed or expired, discarded by GC without a read) and ``at_risk``
+(queued for scrub refresh).  Only :meth:`BlockManager.release_block`,
+:meth:`BlockManager.retire_failed_block` and a power cut (a fresh
+manager) clear a block's marks, so no mark outlives its page.  Free
+blocks are handed out round-robin across channels so sequential
+allocation stripes the device.
 """
 
 import enum
@@ -42,11 +48,10 @@ class StreamId(enum.Enum):
 
 
 class _BlockInfo:
-    __slots__ = ("kind", "valid", "valid_count", "sealed")
+    __slots__ = ("kind", "valid_count", "sealed")
 
-    def __init__(self, pages_per_block):
+    def __init__(self):
         self.kind = BlockKind.FREE
-        self.valid = bytearray(pages_per_block)
         self.valid_count = 0
         # Force-sealed: treated as full for victim selection even though
         # pages remain (orphaned partial blocks after crash recovery).
@@ -63,7 +68,12 @@ class BlockManager:
         self.retired_blocks = 0
         geo = device.geometry
         self._geo = geo
-        self._info = [_BlockInfo(geo.pages_per_block) for _ in range(geo.total_blocks)]
+        self._info = [_BlockInfo() for _ in range(geo.total_blocks)]
+        # The per-page marks (module docstring), indexed directly by
+        # firmware loops; each keeps its identity for the manager's life.
+        self.valid = bytearray(geo.total_pages)
+        self.reclaimable = bytearray(geo.total_pages)
+        self.at_risk = bytearray(geo.total_pages)
         self._free = [deque() for _ in range(geo.channels)]
         for pba in range(geo.total_blocks):
             self._free[geo.channel_of_block(pba)].append(pba)
@@ -96,11 +106,17 @@ class BlockManager:
                 return self._free[channel].popleft()
         raise DeviceFullError("free count out of sync with pools")
 
+    def _forget_page_marks(self, pba):
+        """Clear ``pba``'s slice of every per-page column (its erase)."""
+        ppb = self._geo.pages_per_block
+        for column in (self.valid, self.reclaimable, self.at_risk):
+            column[pba * ppb:(pba + 1) * ppb] = bytes(ppb)
+
     @atomic_section(
-        "clearing validity, forgetting the append point and returning "
-        "the block to the free pool (or retiring it) must be one step: "
-        "in between, the block belongs to nobody (valid-page guard "
-        "raises before any mutation)"
+        "clearing the page marks, forgetting the append point and "
+        "returning the block to the free pool (or retiring it) must be "
+        "one step: in between, the block belongs to nobody (valid-page "
+        "guard raises before any mutation)"
     )
     def release_block(self, pba):
         """Return an erased block to the free pool — or retire it.
@@ -115,7 +131,7 @@ class BlockManager:
         # Resolve the channel (which validates pba) before the first
         # mutation, keeping the section's fallible work up front.
         channel = self._geo.channel_of_block(pba)
-        info.valid[:] = bytes(len(info.valid))
+        self._forget_page_marks(pba)
         info.sealed = False
         self._forget_active(pba)
         if self._core.failed[pba] or (
@@ -153,7 +169,7 @@ class BlockManager:
         self._forget_active(pba)
 
     @atomic_section(
-        "pool removal, validity clear and RETIRED marking commit "
+        "pool removal, page-mark clear and RETIRED marking commit "
         "together; a half-retired block could be re-allocated"
     )
     def retire_failed_block(self, pba):
@@ -172,7 +188,7 @@ class BlockManager:
                 self._free_count -= 1
             except ValueError:
                 pass
-        info.valid[:] = bytes(len(info.valid))
+        self._forget_page_marks(pba)
         info.valid_count = 0
         info.sealed = False
         self._forget_active(pba)
@@ -290,54 +306,51 @@ class BlockManager:
         out.discard(None)
         return out
 
-    # --- Validity tracking (PVT) ---------------------------------------------
+    # --- Per-page marks (PVT, PRT) -------------------------------------------
 
     def mark_valid(self, ppa):
         if not 0 <= ppa < self._core.total_pages:
             self._geo.check_ppa(ppa)
-        pages_per_block = self._core.pages_per_block
-        info = self._info[ppa // pages_per_block]
-        offset = ppa % pages_per_block
-        if not info.valid[offset]:
-            info.valid[offset] = 1
-            info.valid_count += 1
+        valid = self.valid
+        if not valid[ppa]:
+            valid[ppa] = 1
+            self._info[ppa // self._core.pages_per_block].valid_count += 1
 
     def mark_valid_many(self, ppas):
         """:meth:`mark_valid` over an iterable of PPAs, in order (the
         recovery load: one call per rebuild instead of one per head)."""
-        core = self._core
-        total_pages = core.total_pages
-        pages_per_block = core.pages_per_block
+        total_pages = self._core.total_pages
+        pages_per_block = self._core.pages_per_block
         blocks = self._info
+        valid = self.valid
         for ppa in ppas:
             if not 0 <= ppa < total_pages:
                 self._geo.check_ppa(ppa)
-            info = blocks[ppa // pages_per_block]
-            offset = ppa % pages_per_block
-            if not info.valid[offset]:
-                info.valid[offset] = 1
-                info.valid_count += 1
+            if not valid[ppa]:
+                valid[ppa] = 1
+                blocks[ppa // pages_per_block].valid_count += 1
 
     def invalidate_page(self, ppa):
         """Clear the PVT bit for ``ppa`` (update/delete made it stale)."""
         if not 0 <= ppa < self._core.total_pages:
             self._geo.check_ppa(ppa)
-        pages_per_block = self._core.pages_per_block
-        info = self._info[ppa // pages_per_block]
-        offset = ppa % pages_per_block
-        if info.valid[offset]:
-            info.valid[offset] = 0
-            info.valid_count -= 1
+        valid = self.valid
+        if valid[ppa]:
+            valid[ppa] = 0
+            self._info[ppa // self._core.pages_per_block].valid_count -= 1
 
     def is_valid(self, ppa):
-        pba, offset = self._geo.locate(ppa)
-        return bool(self._info[pba].valid[offset])
+        self._geo.check_ppa(ppa)
+        return bool(self.valid[ppa])
 
-    def valid_bits(self, pba):
-        """The block's PVT column (one byte per page offset), read-only
-        by convention: per-block loops index it instead of calling
-        :meth:`is_valid` once per page."""
-        return self._info[pba].valid
+    def mark_reclaimable(self, ppa):
+        """Set the PRT bit of an invalid page; True if newly marked."""
+        if not 0 <= ppa < self._core.total_pages:
+            self._geo.check_ppa(ppa)
+        if self.reclaimable[ppa]:
+            return False
+        self.reclaimable[ppa] = 1
+        return True
 
     def valid_count(self, pba):
         return self._info[pba].valid_count

@@ -40,6 +40,8 @@ stream — scrub never touches the foreground RNG (pinned by
 ``tests/ftl/test_scrub.py``).
 """
 
+from collections import deque
+
 from repro.common.errors import ProgramFailureError, UncorrectableReadError
 from repro.ftl.block_manager import BlockKind
 
@@ -51,9 +53,11 @@ class PatrolScrubber:
 
     def __init__(self, ssd):
         self._ssd = ssd
-        #: FIFO of pages a foreground/ladder read flagged as at-risk.
-        self._at_risk = []
-        self._at_risk_set = set()
+        #: FIFO of pages a foreground/ladder read flagged as at-risk.  A
+        #: page is queued while its ``BlockManager.at_risk`` bit is set;
+        #: an entry whose bit is clear (refreshed already, or its block
+        #: erased since) is dropped when it reaches the front.
+        self._at_risk = deque()
         #: Rotating position in the oldest-first patrol order, so
         #: successive windows continue the sweep instead of re-reading
         #: the same oldest block forever.
@@ -92,14 +96,15 @@ class PatrolScrubber:
             return
         if corrected_bits < risk and retry_step == 0:
             return
-        if ppa in self._at_risk_set:
+        at_risk = self._ssd.block_manager.at_risk
+        if at_risk[ppa]:
             return
-        self._at_risk_set.add(ppa)
+        at_risk[ppa] = 1
         self._at_risk.append(ppa)
         self._m_at_risk_queued.inc()
 
     def at_risk_backlog(self):
-        return len(self._at_risk)
+        return self._ssd.block_manager.at_risk.count(1)
 
     # --- The idle-window entry point -----------------------------------------
 
@@ -117,14 +122,19 @@ class PatrolScrubber:
         refresh_bound = self._step_bound()
         started = False
         # -- 1. at-risk queue (cheapest wins first: already localized) --
-        while self._at_risk and budget_pages > 0:
+        queue, at_risk = self._at_risk, ssd.block_manager.at_risk
+        while queue and budget_pages > 0:
+            ppa = queue[0]
+            if not at_risk[ppa]:
+                queue.popleft()  # no longer at risk: costs no budget
+                continue
             if t + refresh_bound > deadline_us:
                 break
             if not started:
                 started = True
                 self._m_runs.inc()
-            ppa = self._at_risk.pop(0)
-            self._at_risk_set.discard(ppa)
+            queue.popleft()
+            at_risk[ppa] = 0
             t = self._scrub_page(ppa, t, force_refresh=True)
             budget_pages -= 1
         # -- 2. patrol sweep, oldest-programmed-first -------------------
@@ -135,9 +145,7 @@ class PatrolScrubber:
             for ppa in self._patrol_candidates(pba):
                 if budget_pages <= 0 or t + refresh_bound > deadline_us:
                     break
-                if not ssd.block_manager.is_valid(ppa) and self._is_reclaimable(
-                    ppa
-                ):
+                if ssd.block_manager.reclaimable[ppa]:
                     # An earlier refresh in this very walk compressed the
                     # page's version into the delta chain: nothing left
                     # for a patrol read to protect.
@@ -211,10 +219,6 @@ class PatrolScrubber:
             if scan.intact[offset]
         ]
 
-    def _is_reclaimable(self, ppa):
-        index = getattr(self._ssd, "index", None)
-        return index.is_reclaimable(ppa) if index is not None else False
-
     # --- Per-page scrub ------------------------------------------------------
 
     def _scrub_page(self, ppa, now_us, force_refresh=False):
@@ -240,11 +244,12 @@ class PatrolScrubber:
         )
         if not at_risk:
             return t
-        if ssd.block_manager.is_valid(ppa):
+        if ssd.block_manager.valid[ppa]:
             try:
                 t = self._refresh_valid(ppa, result, t)
                 self._m_refreshed_valid.inc()
-                self._unqueue(ppa)
+                # Its own ladder read may have re-queued it a moment ago.
+                ssd.block_manager.at_risk[ppa] = 0
                 self._trace_refresh(ppa, t, kind="valid")
             except ProgramFailureError:
                 # Media refused every copy attempt; the source page is
@@ -259,7 +264,7 @@ class PatrolScrubber:
         # the page to fresh flash; none means nothing was worth rescuing,
         # or the device gave the version up and accounted the loss.
         settled = ssd._settle_stale_page(ppa, t, ReclaimOutcome(None))
-        self._unqueue(ppa)
+        ssd.block_manager.at_risk[ppa] = 0
         if settled > t:
             self._m_refreshed_retained.inc()
             self._trace_refresh(ppa, settled, kind="retained")
@@ -267,25 +272,16 @@ class PatrolScrubber:
             self._m_skipped_expired.inc()
         return settled
 
-    def _unqueue(self, ppa):
-        """Drop a just-handled page from the at-risk queue (its own
-        ladder read may have re-queued it a moment ago)."""
-        if ppa in self._at_risk_set:
-            self._at_risk_set.discard(ppa)
-            self._at_risk.remove(ppa)
-
     def _refresh_valid(self, ppa, result, now_us):
         """Migrate one valid page to a fresh location (same OOB)."""
         ssd = self._ssd
         t = ssd.migrate_page(ppa, result, now_us)
-        index = getattr(ssd, "index", None)
-        if index is not None:
-            # The stale copy is a byte-identical duplicate of the
-            # migrated head — the same version, not an older one.  PRT-
-            # mark it so patrol and delta compression never mistake it
-            # for retained history (a delta record of it would be
-            # self-referential: version_ts == ref_ts).
-            index.mark_reclaimable(ppa)
+        # The stale copy is a byte-identical duplicate of the migrated
+        # head — the same version, not an older one.  PRT-mark it so
+        # patrol and delta compression never mistake it for retained
+        # history (a delta record of it would be self-referential:
+        # version_ts == ref_ts).
+        ssd.block_manager.mark_reclaimable(ppa)
         return t
 
     # --- Pool repair ---------------------------------------------------------

@@ -834,8 +834,8 @@ class BaseSSD:
         devices that retain history shed some of it here."""
 
     def _forget_block(self, pba):
-        """Per-block firmware state to drop as ``pba`` is erased (TimeSSD:
-        its PRT bits and retained-page census)."""
+        """Per-block firmware state beyond the block manager's page marks
+        to drop as ``pba`` is erased (TimeSSD: its retained-page census)."""
 
     def _settle_stale_page(self, ppa, now_us, outcome):
         """What becomes of the stale page at ``ppa`` before its block is
@@ -901,12 +901,11 @@ class BaseSSD:
         t = now_us
         base = self.device.geometry.first_page_of_block(pba)
         state = core.state
-        valid = self.block_manager.valid_bits(pba)
-        for offset in range(core.pages_per_block):
-            ppa = base + offset
+        valid = self.block_manager.valid
+        for ppa in range(base, base + core.pages_per_block):
             if not state[ppa]:
                 continue
-            if not valid[offset]:
+            if not valid[ppa]:
                 t = self._settle_stale_page(ppa, t, outcome)
                 continue
             # A valid page is always intact: a torn or burned program
@@ -983,11 +982,11 @@ class BaseSSD:
         return complete
 
     @atomic_section(
-        "erase + per-block forget (TimeSSD: index clear and retention "
-        "census) + release/retire + wear accounting commit together: in "
-        "between, the block is erased flash that the index still claims "
-        "holds versions, and a half-released block would be visible to a "
-        "competing allocator",
+        "erase + per-block forget (TimeSSD: retention census) + release/"
+        "retire (page marks) + wear accounting commit together: in "
+        "between, the block is erased flash that the PRT still claims "
+        "holds compressed versions, and a half-released block would be "
+        "visible to a competing allocator",
         # A completed erase is durable media truth; release_block either
         # frees or retires the block, and the wear-leveler accounting is
         # monotonic counters that recovery rebuilds from flash anyway.

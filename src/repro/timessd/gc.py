@@ -134,7 +134,7 @@ class TimeSSDGarbageCollector:
         for record in records:
             t = ssd.deltas.add_record(record, t)
         for src_ppa, _oob, _data in chain:
-            if index.mark_reclaimable(src_ppa):
+            if ssd.block_manager.mark_reclaimable(src_ppa):
                 ssd.note_page_no_longer_retained(src_ppa)
         ssd._h_compressed_chain.record(len(records))
         return t, len(records)

@@ -13,12 +13,13 @@ Invariant (established by GC, checked by tests): every delta-chain
 version is older than every surviving data-page version of the same LPA.
 
 The page reclamation table (PRT) marks invalid pages whose content has
-been compressed (or has expired) so GC can discard them without reading.
+been compressed (or has expired) so GC can discard them without reading;
+it is the block manager's ``reclaimable`` column, which an erase clears,
+and the chain hop below never enters a page it marks.
 """
 
 from dataclasses import dataclass
 
-from repro.common.atomic import atomic_section
 from repro.flash.page import NULL_PPA
 
 
@@ -44,53 +45,19 @@ class ChainWalk:
 
 
 class TimeTravelIndex:
-    """IMT + PRT + chain-walking over a flash device."""
+    """IMT + chain-walking over a flash device and its PRT column."""
 
-    def __init__(self, device, reader=None):
+    def __init__(self, device, reclaimable, reader=None):
         self._core = device.core
         self._geo = device.geometry
+        #: The PRT (``BlockManager.reclaimable``), read-only here.
+        self._prt = reclaimable
         #: Page-read entry point for chain walks.  The owning SSD passes
         #: its read-retry ladder so time-travel queries get the same
         #: media defenses as host reads; standalone/recovery use of the
         #: index reads the device directly.
         self._read = reader if reader is not None else device.read_page
         self._imt = {}
-        self._reclaimable = set()
-
-    # --- PRT ----------------------------------------------------------------
-
-    def mark_reclaimable(self, ppa):
-        """Mark an invalid page reclaimable; True if newly marked."""
-        if ppa in self._reclaimable:
-            return False
-        self._reclaimable.add(ppa)
-        return True
-
-    def is_reclaimable(self, ppa):
-        return ppa in self._reclaimable
-
-    @property
-    def reclaimable_ppas(self):
-        """The PRT itself (live set, read-only by convention): per-block
-        firmware loops test membership on it instead of calling
-        :meth:`is_reclaimable` once per page."""
-        return self._reclaimable
-
-    @atomic_section(
-        "the PRT bits of an erased block vanish as one unit: a GC pass "
-        "interleaved over a half-cleared block would treat its surviving "
-        "reclaimable bits as live compression state"
-    )
-    def clear_block(self, pba):
-        """Forget PRT bits of an erased block."""
-        # Resolve the page range (which validates pba) before touching
-        # the PRT, so a bad block id leaves the set untouched.
-        ppas = list(self._geo.pages_of_block(pba))
-        for ppa in ppas:
-            self._reclaimable.discard(ppa)
-
-    def reclaimable_count(self):
-        return len(self._reclaimable)
 
     # --- IMT ----------------------------------------------------------------
 
@@ -131,12 +98,13 @@ class TimeTravelIndex:
         lpas = core.lpa
         timestamp_us = core.timestamp_us
         back_pointer = core.back_pointer
-        reclaimable = self._reclaimable
-        while back != NULL_PPA and back not in reclaimable:
+        reclaimable = self._prt
+        while back != NULL_PPA:
             if not 0 <= back < total_pages:
                 self._geo.check_ppa(back)
             if (
-                not state[back]
+                reclaimable[back]
+                or not state[back]
                 or lpas[back] != lpa
                 or timestamp_us[back] >= newer_ts
                 or not (

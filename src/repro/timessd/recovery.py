@@ -123,10 +123,14 @@ def rebuild_from_flash(ssd):
         # only in a lost RAM delta buffer, the record is garbage — prune
         # it so queries cannot hit an unresolvable delta.  Walking
         # newest-first, a kept record's own version can serve as a later
-        # record's reference, exactly as in version_chain.
-        resolvable = _reachable_data_ts(ssd, lpa, head, committed)
+        # record's reference, exactly as in version_chain.  Data pages no
+        # newer than the newest kept record are PRT-marked below, out of
+        # the walk's reach: only newer reachable versions are references.
+        reachable = _reachable_data_ts(ssd, lpa, head, committed)
         kept = []
         for record in records:
+            if not kept:
+                resolvable = {ts for ts in reachable if ts > record.version_ts}
             if (
                 record.compressed
                 and record.ref_ts >= 0
@@ -148,7 +152,7 @@ def rebuild_from_flash(ssd):
     ssd.load_mapping(heads)
 
     # Retained invalid pages: everything programmed but not a head.
-    mark_reclaimable = ssd.index.mark_reclaimable
+    reclaimable = bm.reclaimable
     retained = []
     for ppa, lpa, ts in sweep.user_pages:
         head_ts, head_ppa = heads.get(lpa, (None, None))
@@ -160,7 +164,7 @@ def rebuild_from_flash(ssd):
             # the new copy's program and the (volatile) PRT mark.  It is
             # the *same* version, not an older one — retaining it would
             # later compress into a self-referential delta record.
-            mark_reclaimable(ppa)
+            reclaimable[ppa] = 1
         elif ts <= newest_delta_ts.get(lpa, -1):
             # Not newer than the LPA's recovered delta chain.  Either the
             # version is already preserved as one of its records (the
@@ -168,7 +172,7 @@ def rebuild_from_flash(ssd):
             # GC compression prepend an out-of-order record (deltas link
             # newest-first): the chain invariant wins and the stale
             # version is given up.
-            mark_reclaimable(ppa)
+            reclaimable[ppa] = 1
         else:
             retained.append(ppa)
     ssd.blooms.record_invalidations(retained)
@@ -183,7 +187,7 @@ def rebuild_from_flash(ssd):
     return {
         "mapped_lpas": len(heads),
         "retained_pages": len(retained),
-        "reclaimable_pages": ssd.index.reclaimable_count(),
+        "reclaimable_pages": reclaimable.count(1),
         "delta_records": len(delta_records),
         "delta_blocks": len(delta_blocks),
         "free_blocks": bm.free_block_count,

@@ -48,7 +48,9 @@ class TimeSSD(BaseSSD):
             seed=config.seed,
             max_segment_age_us=config.bloom_segment_max_age_us,
         )
-        self.index = TimeTravelIndex(self.device, reader=self.read_page_with_retry)
+        self.index = TimeTravelIndex(
+            self.device, self.block_manager.reclaimable, self.read_page_with_retry
+        )
         page_size = config.geometry.page_size
         if config.content_mode is ContentMode.REAL:
             self.host_page_bytes = page_size
@@ -127,7 +129,6 @@ class TimeSSD(BaseSSD):
         self.retained_pages -= count
 
     def _forget_block(self, pba):
-        self.index.clear_block(pba)
         self.forget_block_retention(pba)
 
     def expire_page(self, ppa):
@@ -135,7 +136,7 @@ class TimeSSD(BaseSSD):
         invalidated before the retention window opened.  PRT-mark it so
         GC discards it without another read, and (once per page) count it
         and drop it from the retained census."""
-        if self.index.mark_reclaimable(ppa):
+        if self.block_manager.mark_reclaimable(ppa):
             self._m_expired.inc()
             self.note_page_no_longer_retained(ppa)
 
@@ -247,7 +248,9 @@ class TimeSSD(BaseSSD):
         :func:`repro.timessd.recovery.rebuild_from_flash`.
         """
         super().reset_volatile()
-        self.index = TimeTravelIndex(self.device, reader=self.read_page_with_retry)
+        self.index = TimeTravelIndex(
+            self.device, self.block_manager.reclaimable, self.read_page_with_retry
+        )
         self.blooms.reset()
         self.deltas.reset()
         self.estimator = GCOverheadEstimator(
@@ -320,14 +323,13 @@ class TimeSSD(BaseSSD):
             return t
         state = self.device.core.state
         pages_per_block = self.device.core.pages_per_block
+        valid = self.block_manager.valid
         tally = ReclaimOutcome(None)
         try:
             for pba in self._background_victims():
-                valid = self.block_manager.valid_bits(pba)
                 base = pba * pages_per_block
-                for offset in range(pages_per_block):
-                    ppa = base + offset
-                    if not state[ppa] or valid[offset]:
+                for ppa in range(base, base + pages_per_block):
+                    if not state[ppa] or valid[ppa]:
                         continue
                     t = self._settle_stale_page(ppa, t, tally)
                     # Only a compression advances ``t``: stop before the
@@ -353,7 +355,7 @@ class TimeSSD(BaseSSD):
         :meth:`background_compress` and scrub's refresh of an at-risk
         retained page (compressing it moves the payload onto fresh delta
         pages and keeps its timestamp and chain linkage)."""
-        if ppa in self.index.reclaimable_ppas:
+        if self.block_manager.reclaimable[ppa]:
             # Already compressed or expired (only committed pages ever
             # enter the PRT): discard without a seal check.
             outcome.discarded_reclaimable += 1
@@ -388,7 +390,7 @@ class TimeSSD(BaseSSD):
         try:
             return self.collector.compress_version_chain(ppa, now_us)
         except UncorrectableReadError:
-            self.index.mark_reclaimable(ppa)
+            self.block_manager.mark_reclaimable(ppa)
             self.note_page_no_longer_retained(ppa)
             self._m_compress_lost.inc()
             return now_us, 0

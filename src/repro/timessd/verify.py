@@ -9,8 +9,9 @@ Checked invariants:
 
 * **mapping/PVT agreement** — every mapped LPA's head page is valid and
   holds that LPA; every valid page is some LPA's head;
-* **chain soundness** — version chains are strictly newest-first and
-  every hop passes the OOB verification rule;
+* **chain soundness** — every version chain can be walked (a walk that
+  raises, e.g. on an undecodable delta, is reported with its LPA), is
+  strictly newest-first, and every hop passes the OOB verification rule;
 * **delta-chain order** — every delta version is older than every
   surviving data-page version of its LPA (§3.7 invariant);
 * **PRT consistency** — reclaimable pages are never valid;
@@ -27,6 +28,7 @@ ones to the mapped ones.
 
 from dataclasses import dataclass, field
 
+from repro.common.errors import ReproError
 from repro.ftl.block_manager import BlockKind
 
 
@@ -98,11 +100,9 @@ class DeviceAuditor:
                 report.problem(
                     "mapped LPA %d head PPA %d has a torn OOB tag" % (lpa, ppa)
                 )
-        geo = ssd.device.geometry
-        for pba in range(geo.total_blocks):
-            for ppa in geo.pages_of_block(pba):
-                if ssd.block_manager.is_valid(ppa) and ppa not in heads:
-                    report.problem("valid page %d is not any LPA's head" % ppa)
+        for ppa, valid in enumerate(ssd.block_manager.valid):
+            if valid and ppa not in heads:
+                report.problem("valid page %d is not any LPA's head" % ppa)
 
     def _check_chains(self, report, stride):
         report.checks_run += 1
@@ -113,7 +113,11 @@ class DeviceAuditor:
         if locked:
             return  # encrypted history cannot be walked while locked
         for lpa in self._lpas_with_history()[::stride]:
-            versions, _ = ssd.version_chain(lpa)
+            try:
+                versions, _ = ssd.version_chain(lpa)
+            except ReproError as exc:
+                report.problem("LPA %d chain cannot be walked: %s" % (lpa, exc))
+                continue
             stamps = [v.timestamp_us for v in versions]
             if stamps != sorted(stamps, reverse=True):
                 report.problem("LPA %d chain not newest-first: %s" % (lpa, stamps))
@@ -135,8 +139,9 @@ class DeviceAuditor:
     def _check_prt(self, report):
         report.checks_run += 1
         ssd = self.ssd
-        for ppa in list(ssd.index._reclaimable):
-            if ssd.block_manager.is_valid(ppa):
+        bm = ssd.block_manager
+        for ppa, (reclaimable, valid) in enumerate(zip(bm.reclaimable, bm.valid)):
+            if reclaimable and valid:
                 report.problem("reclaimable page %d is marked valid" % ppa)
 
     def _check_free_pool(self, report):

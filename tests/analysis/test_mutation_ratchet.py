@@ -274,14 +274,16 @@ FIRMWARE_MUTATIONS = (
         "::test_differential_oracle_across_schedules",
     ),
     (
-        "timessd/index.py",  # a bare decorator: ValueError at import
+        "ftl/block_manager.py",  # a bare decorator: ValueError at import
         "    @atomic_section(\n"
-        '        "the PRT bits of an erased block vanish as one unit: a GC pass "\n'
-        '        "interleaved over a half-cleared block would treat its surviving "\n'
-        '        "reclaimable bits as live compression state"\n'
+        '        "clearing the page marks, forgetting the append point and "\n'
+        '        "returning the block to the free pool (or retiring it) must be "\n'
+        '        "one step: in between, the block belongs to nobody (valid-page "\n'
+        '        "guard raises before any mutation)"\n'
         "    )\n",
         "    @atomic_section\n",
-        "tests/timessd/test_index.py::TestPRT::test_clear_block_forgets",
+        "tests/ftl/test_block_lifecycle.py"
+        "::test_retiring_a_block_in_service_forgets_its_marks",
     ),
     (
         "timessd/retention.py",  # a class renamed under its importer
@@ -394,12 +396,20 @@ FIRMWARE_MUTATIONS = (
     ),
     # --- the one-of-each GC steps (PR 19) --------------------------------------
     (
-        "timessd/ssd.py",  # an erased block whose PRT bits outlive it
-        "        self.index.clear_block(pba)\n"
-        "        self.forget_block_retention(pba)\n",
-        "        self.forget_block_retention(pba)\n",
+        "ftl/block_manager.py",  # an erased block whose PRT bits outlive it
+        "        for column in (self.valid, self.reclaimable, self.at_risk):\n",
+        "        for column in (self.valid, self.at_risk):\n",
         "tests/timessd/test_column_loops.py"
         "::test_reclaim_dispatches_every_page_of_the_torn_block",
+    ),
+    (
+        "ftl/scrub.py",  # scrub refreshes a popped PPA without checking its at-risk bit
+        "            if not at_risk[ppa]:\n"
+        "                queue.popleft()  # no longer at risk: costs no budget\n"
+        "                continue\n",
+        "",
+        "tests/ftl/test_scrub.py::TestAnEraseForgetsTheQueue"
+        "::test_a_page_erased_before_its_turn_costs_no_budget",
     ),
     (
         "ftl/ssd.py",  # a migrated page left valid in the victim
@@ -555,7 +565,7 @@ FIRMWARE_MUTATIONS = (
     (
         "timessd/gc.py",  # the compression reference marked reclaimable
         _REFERENCE,
-        _REFERENCE + "        ssd.index.mark_reclaimable(head_ppa)\n",
+        _REFERENCE + "        ssd.block_manager.mark_reclaimable(head_ppa)\n",
         _REPLAY,
     ),
     (

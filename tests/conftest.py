@@ -4,8 +4,10 @@ import random
 
 import pytest
 
-from repro.common.units import SECOND_US
+from repro.common.errors import UncorrectableReadError
+from repro.common.units import HOUR_US, SECOND_US
 from repro.flash.geometry import FlashGeometry
+from repro.flash.reliability import FlashReliability
 from repro.flash.timing import FlashTiming
 from repro.ftl.ssd import RegularSSD, SSDConfig
 from repro.timessd.config import ContentMode, TimeSSDConfig
@@ -52,6 +54,40 @@ def fill_and_churn(ssd, working_set, churn_writes, seed=7, gap_us=1500):
     for _ in range(churn_writes):
         ssd.write(rng.randrange(working_set))
         ssd.clock.advance(gap_us)
+    return ssd
+
+
+#: Media aging strong enough on 512-byte pages for the patrol scrubber
+#: to refresh pages after a few ten-hour retention jumps.
+AGING = FlashReliability(
+    raw_bit_error_rate=2e-4,
+    wear_ber_multiplier=0.002,
+    retention_ber_per_hour=1.0,
+    read_disturb_ber_per_read=5e-4,
+    ecc_correctable_bits=24,
+    seed=1,
+)
+
+
+def age(ssd, working_set=128, epochs=4, ops=100, seed=7):
+    """A sequential fill, then ``epochs`` ten-hour retention jumps, each
+    followed by ``ops`` reads (75 %) and overwrites 15 ms apart."""
+    rng = random.Random(seed)
+    for lpa in range(working_set):
+        ssd.write(lpa)
+        ssd.clock.advance(1500)
+    for _ in range(epochs):
+        ssd.clock.advance(10 * HOUR_US)
+        for _ in range(ops):
+            lpa = rng.randrange(working_set)
+            if rng.random() < 0.75:
+                try:
+                    ssd.read(lpa)
+                except UncorrectableReadError:
+                    pass
+            else:
+                ssd.write(lpa)
+            ssd.clock.advance(15_000)
     return ssd
 
 

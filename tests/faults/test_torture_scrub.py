@@ -130,7 +130,7 @@ class TestRefreshDuplicateRecovery:
         assert mapped in copies
         other = copies[0] if mapped == copies[1] else copies[1]
         # The losing copy is the same version, not retained history.
-        assert ssd.index.is_reclaimable(other)
+        assert ssd.block_manager.reclaimable[other]
         assert ssd.read(5)[0] == payload
         versions, _ = ssd.version_chain(5)
         assert [v.timestamp_us for v in versions] == [ts]
@@ -144,3 +144,24 @@ class TestRefreshDuplicateRecovery:
             rebuild_from_flash(ssd)
             first.append(ssd.mapping.lookup(5))
         assert first[0] == first[1]
+
+
+class TestScrubWithCheckpoints:
+    """Pinned crash points of the scrub preset with checkpoints on: the
+    combined sweep (``repro torture --scrub --checkpoint-every 2``)."""
+
+    CONFIG = scrub_preset(checkpoint_interval_blocks=2)
+
+    def test_recovery_keeps_no_delta_whose_reference_it_hides(self):
+        # Recovery once kept LPA 29's compressed delta against a data
+        # version it then PRT-marked (no newer than the kept chain):
+        # the reference vanished from the walk and fsck could not decode
+        # the delta.
+        outcome = run_crash_point(self.CONFIG, cut_at=445)
+        assert outcome.ok, outcome.problems
+
+    def test_a_page_queued_before_a_checkpoint_reuses_its_block(self):
+        # After recovery, a page queued at risk whose block was erased
+        # and reopened as a checkpoint block was refreshed as LPA -2.
+        outcome = run_crash_point(self.CONFIG, cut_at=593)
+        assert outcome.ok, outcome.problems

@@ -286,7 +286,7 @@ def test_mark_valid_many_is_mark_valid():
 
     def pvt(bm):
         return [
-            (bytes(bm.valid_bits(pba)), bm.valid_count(pba))
+            (bytes(bm.valid[pba * ppb:(pba + 1) * ppb]), bm.valid_count(pba))
             for pba in range(geo.total_blocks)
         ]
 

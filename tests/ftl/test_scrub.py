@@ -14,11 +14,20 @@ from repro.common.units import SECOND_US
 from repro.faults.hooks import FaultHooks
 from repro.faults.plan import FaultPlan
 from repro.flash.reliability import FlashReliability
+from repro.ftl.block_manager import BlockKind
 from repro.ftl.ssd import SSDConfig
 from repro.security import FlashGuardSSD
 from repro.timessd.config import ContentMode
+from repro.timessd.verify import DeviceAuditor
 
-from tests.conftest import make_regular_ssd, make_timessd, small_geometry
+from tests.conftest import (
+    AGING,
+    age,
+    fill_and_churn,
+    make_regular_ssd,
+    make_timessd,
+    small_geometry,
+)
 
 PAGE_SIZE = 512
 PAGE = b"scrub-me".ljust(PAGE_SIZE, b"\0")
@@ -113,6 +122,53 @@ class TestObserveRead:
         )
 
 
+class TestAnEraseForgetsTheQueue:
+    """The at-risk mark is a block-manager column an erase clears: a page
+    queued before its block was reclaimed is dropped from the FIFO when
+    it reaches the front, at no cost to the window's page budget."""
+
+    def test_a_page_erased_before_its_turn_costs_no_budget(self):
+        ssd = make_timessd(
+            reliability=tame_reliability(),
+            patrol_scrub=True,
+            scrub_pages_per_run=1,
+        )
+        for lpa in range(160):
+            ssd.write(lpa, PAGE)
+        first, second = ssd.block_manager.sealed_blocks(BlockKind.DATA)[:2]
+        geo = ssd.device.geometry
+        erased = geo.first_page_of_block(first)
+        queued = geo.first_page_of_block(second)
+        scrubber = ssd.scrubber
+        scrubber.observe_read(erased, corrected_bits=25)
+        scrubber.observe_read(queued, corrected_bits=25)
+        assert scrubber.at_risk_backlog() == 2
+        ssd.relocate_block(first, ssd.clock.now_us)
+        assert not ssd.block_manager.at_risk[erased]
+        assert scrubber.at_risk_backlog() == 1
+        now = ssd.clock.now_us
+        scrubber.run_window(now, now + SECOND_US)
+        # The one-page budget went to the page still at risk.
+        assert ssd.obs.metrics.counter("scrub.refreshed_valid").value == 1
+        assert not ssd.block_manager.valid[queued]
+        assert scrubber.at_risk_backlog() == 0
+
+    def test_a_checkpoint_block_reusing_a_queued_page_is_never_refreshed(self):
+        # Aging + patrol scrub + checkpoints together: a PPA queued at
+        # risk whose block was erased and reopened as a checkpoint block
+        # was force-refreshed as a data page (LPA -2), raising
+        # AddressError out of the idle window.
+        ssd = make_timessd(
+            reliability=AGING, patrol_scrub=True, checkpoint_interval_blocks=2
+        )
+        fill_and_churn(ssd, 400, 1200)
+        age(ssd, working_set=400)
+        metrics = ssd.obs.metrics
+        assert metrics.counter("recovery.checkpoint.pages").value > 0
+        assert metrics.counter("scrub.refreshed_valid").value > 0
+        assert DeviceAuditor(ssd).audit().clean
+
+
 class TestPatrolOrder:
     def _sealed_ssd(self):
         ssd = make_timessd(reliability=tame_reliability(), patrol_scrub=True)
@@ -166,7 +222,7 @@ class TestRefreshDispositions:
         assert not ssd.block_manager.is_valid(head)
         # Same version, not retained history: the stale copy is
         # PRT-marked so it can never grow a self-referential delta.
-        assert ssd.index.is_reclaimable(head)
+        assert ssd.block_manager.reclaimable[head]
         # OOB (and hence the version timestamp) carries over unchanged.
         assert ssd.device.peek_page(new_head).oob.timestamp_us == ts
         assert ssd.read(5)[0] == PAGE
@@ -189,7 +245,7 @@ class TestRefreshDispositions:
             ssd.obs.metrics.counter("scrub.refreshed_retained").value == 1
         )
         # The aged flash page is now redundant with the delta chain...
-        assert ssd.index.is_reclaimable(old_ppa)
+        assert ssd.block_manager.reclaimable[old_ppa]
         # ...and the chain still serves the same timestamps and bytes.
         after, _ = ssd.version_chain(5)
         assert [v.timestamp_us for v in after] == stamps
@@ -226,7 +282,7 @@ class TestRefreshDispositions:
         metrics = ssd.obs.metrics
         assert metrics.counter("scrub.skipped_expired").value == 1
         assert metrics.counter("scrub.refreshed_retained").value == 0
-        assert ssd.index.is_reclaimable(old_ppa)
+        assert ssd.block_manager.reclaimable[old_ppa]
 
 
     def test_retained_page_whose_chain_is_lost_is_given_up(self):
@@ -253,7 +309,7 @@ class TestRefreshDispositions:
         assert counters["scrub.skipped_expired"] == 1
         assert counters.get("scrub.uncorrectable", 0) == 0
         assert counters.get("scrub.refreshed_retained", 0) == 0
-        assert ssd.index.is_reclaimable(at_risk)
+        assert ssd.block_manager.reclaimable[at_risk]
 
     def test_flashguard_retained_page_is_copied(self):
         # FlashGuard settles a stale page as its GC does: a retained

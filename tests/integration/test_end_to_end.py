@@ -84,8 +84,10 @@ class TestTraceDrivenConsistency:
 
     def test_prt_only_marks_invalid_pages(self, replayed):
         ssd, _ = replayed
-        for ppa in list(ssd.index._reclaimable):
-            assert not ssd.block_manager.is_valid(ppa)
+        bm = ssd.block_manager
+        assert any(bm.reclaimable)
+        for ppa, reclaimable in enumerate(bm.reclaimable):
+            assert not (reclaimable and bm.valid[ppa]), ppa
 
     def test_chains_timestamp_ordered_everywhere(self, replayed):
         ssd, _ = replayed

@@ -4,14 +4,14 @@ import random
 
 import pytest
 
-from repro.common.errors import UncorrectableReadError
-from repro.common.units import HOUR_US, SECOND_US
-from repro.flash.reliability import FlashReliability
+from repro.common.units import SECOND_US
 from repro.ftl.ssd import SSDConfig
 from repro.nvme import HostNVMeDriver, NVMeCommand, Opcode, StatusCode
 from repro.security.flashguard import FlashGuardSSD
 
 from tests.conftest import (
+    AGING,
+    age,
     fill_and_churn,
     make_regular_ssd,
     make_timessd,
@@ -39,40 +39,6 @@ def assert_program_identity(ssd, label):
     assert counter(ssd, "flash.programs") == sum(
         counter(ssd, name) for name in PROGRAM_SOURCES
     ), label
-
-
-#: Media aging strong enough on 512-byte pages for the patrol scrubber
-#: to refresh pages after a few ten-hour retention jumps.
-AGING = FlashReliability(
-    raw_bit_error_rate=2e-4,
-    wear_ber_multiplier=0.002,
-    retention_ber_per_hour=1.0,
-    read_disturb_ber_per_read=5e-4,
-    ecc_correctable_bits=24,
-    seed=1,
-)
-
-
-def age(ssd, working_set=128, epochs=4, ops=100, seed=7):
-    """A sequential fill, then ``epochs`` ten-hour retention jumps, each
-    followed by ``ops`` reads (75 %) and overwrites 15 ms apart."""
-    rng = random.Random(seed)
-    for lpa in range(working_set):
-        ssd.write(lpa)
-        ssd.clock.advance(1500)
-    for _ in range(epochs):
-        ssd.clock.advance(10 * HOUR_US)
-        for _ in range(ops):
-            lpa = rng.randrange(working_set)
-            if rng.random() < 0.75:
-                try:
-                    ssd.read(lpa)
-                except UncorrectableReadError:
-                    pass
-            else:
-                ssd.write(lpa)
-            ssd.clock.advance(15_000)
-    return ssd
 
 
 class TestFlashCounters:

@@ -94,22 +94,27 @@ def reference_window(ssd, start_us, deadline_us):
                 continue
             if page.oob is None or not page.oob.intact:
                 continue
-            if ssd.block_manager.is_valid(ppa) or ssd.index.is_reclaimable(ppa):
+            if ssd.block_manager.is_valid(ppa) or ssd.block_manager.reclaimable[ppa]:
                 continue
             if ssd.blooms.find_segment(ppa) is None:
-                if ssd.index.mark_reclaimable(ppa):
+                if ssd.block_manager.mark_reclaimable(ppa):
                     ssd._m_expired.inc()
                     ssd.note_page_no_longer_retained(ppa)
                 continue
             try:
                 t, compressed = ssd.collector.compress_version_chain(ppa, t)
             except UncorrectableReadError:
-                ssd.index.mark_reclaimable(ppa)
+                ssd.block_manager.mark_reclaimable(ppa)
                 ssd.note_page_no_longer_retained(ppa)
                 ssd._m_compress_lost.inc()
                 continue
             ssd.background_compressed += compressed
     return t
+
+
+def prt(ssd):
+    """The PPAs the PRT column marks."""
+    return {ppa for ppa, bit in enumerate(ssd.block_manager.reclaimable) if bit}
 
 
 def run_window(ssd, window, budget_us):
@@ -123,7 +128,7 @@ def run_window(ssd, window, budget_us):
 
     ssd.collector.compress_version_chain = spy
     start = ssd.clock.now_us
-    before = set(ssd.index.reclaimable_ppas)
+    before = prt(ssd)
     try:
         end = window(ssd, start, start + budget_us)
     finally:
@@ -131,7 +136,7 @@ def run_window(ssd, window, budget_us):
     return {
         "consumed_us": end - start,
         "compressed": compressed,
-        "newly_reclaimable": sorted(set(ssd.index.reclaimable_ppas) - before),
+        "newly_reclaimable": sorted(prt(ssd) - before),
         "expired": ssd.obs.metrics.counter("timessd.expire.pages").value,
         "retained_pages": ssd.retained_pages,
         "metrics": ssd.metrics_snapshot(),
@@ -171,7 +176,7 @@ def test_one_window_outcome_is_pinned_exactly():
     rest = run_window(ssd, column_window, 10_000_000)
     assert rest["consumed_us"] < 10_000_000
     assert torn not in got["compressed"] + rest["compressed"]
-    assert not ssd.index.is_reclaimable(torn)
+    assert not ssd.block_manager.reclaimable[torn]
     assert ssd._background_victims() == []
 
 
@@ -233,7 +238,8 @@ def test_reclaim_dispatches_every_page_of_the_torn_block():
     assert outcome.discarded_reclaimable == programmed - valid - 1
     assert outcome.discarded_expired == outcome.compressed == 0
     assert ssd.device.core.write_pointer[pba] == 0
-    assert not any(ssd.index.is_reclaimable(ppa) for ppa in geo.pages_of_block(pba))
+    reclaimable = ssd.block_manager.reclaimable
+    assert not any(reclaimable[ppa] for ppa in geo.pages_of_block(pba))
 
 
 def test_chain_hop_check_matches_the_page_view():
@@ -242,7 +248,7 @@ def test_chain_hop_check_matches_the_page_view():
     core, index = ssd.device.core, ssd.index
 
     def by_view(ppa, lpa, newer_ts):
-        if index.is_reclaimable(ppa):
+        if ssd.block_manager.reclaimable[ppa]:
             return False
         page = ssd.device.peek_page(ppa)
         if page.state is not PageState.PROGRAMMED or not page.oob.intact:

@@ -76,7 +76,7 @@ class TestReclaimBlock:
         # Background compression first: marks pages reclaimable.
         geo = ssd.device.geometry
         for ppa in geo.pages_of_block(victim):
-            if not ssd.block_manager.is_valid(ppa) and not ssd.index.is_reclaimable(ppa):
+            if not ssd.block_manager.is_valid(ppa) and not ssd.block_manager.reclaimable[ppa]:
                 ssd.collector.compress_version_chain(ppa, ssd.clock.now_us)
                 break  # one chain covers the whole single-LPA history
         outcome = ssd.relocate_block(victim, ssd.clock.now_us)

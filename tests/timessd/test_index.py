@@ -3,6 +3,7 @@ import pytest
 from repro.flash.page import NULL_PPA
 from repro.timessd.delta import DeltaRecord
 from repro.timessd.index import TimeTravelIndex
+from repro.timessd.recovery import rebuild_from_flash, simulate_power_loss
 
 from tests.conftest import make_timessd
 
@@ -24,20 +25,31 @@ def write_versions(ssd, lpa, n, gap_us=100):
 
 class TestPRT:
     def test_mark_and_check(self, ssd):
-        index = ssd.index
-        assert not index.is_reclaimable(5)
-        assert index.mark_reclaimable(5)
-        assert index.is_reclaimable(5)
-        assert not index.mark_reclaimable(5)  # second mark is a no-op
+        bm = ssd.block_manager
+        assert not bm.reclaimable[5]
+        assert bm.mark_reclaimable(5)
+        assert bm.reclaimable[5]
+        assert not bm.mark_reclaimable(5)  # second mark is a no-op
 
-    def test_clear_block_forgets(self, ssd):
-        index = ssd.index
-        geo = ssd.device.geometry
-        ppa = geo.first_page_of_block(3)
-        index.mark_reclaimable(ppa)
-        index.clear_block(3)
-        assert not index.is_reclaimable(ppa)
-        assert index.reclaimable_count() == 0
+    def test_hop_never_enters_a_marked_page_across_a_power_cut(self, ssd):
+        # The index reads the block manager's PRT column, including the
+        # fresh one a power cut builds.
+        ppas = write_versions(ssd, 7, 3)
+        simulate_power_loss(ssd)
+        rebuild_from_flash(ssd)
+        core = ssd.device.core
+        head = ppas[-1]
+
+        def below_head():
+            return list(
+                ssd.index.older_versions(
+                    7, core.back_pointer[head], core.timestamp_us[head]
+                )
+            )
+
+        assert below_head() == [ppas[1], ppas[0]]
+        ssd.block_manager.mark_reclaimable(ppas[1])
+        assert below_head() == []
 
 
 class TestDataChain:

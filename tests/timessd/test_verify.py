@@ -88,7 +88,7 @@ class TestAuditorDetectsCorruption:
     def test_detects_reclaimable_valid_page(self):
         ssd = make_timessd()
         ssd.write(3)
-        ssd.index.mark_reclaimable(ssd.mapping.lookup(3))
+        ssd.block_manager.mark_reclaimable(ssd.mapping.lookup(3))
         report = DeviceAuditor(ssd).audit()
         assert any("marked valid" in v for v in report.violations)
 

@@ -1,7 +1,7 @@
 """Fault-injection matrix for the fsck (`timessd/verify.py`).
 
 Each parametrized case corrupts exactly one audited structure —
-mapping/PVT agreement, version-chain order, the PRT, the free pool,
+mapping/PVT agreement, version-chain order and walkability, the PRT, the free pool,
 the retention census, segment/delta agreement — and asserts the
 auditor reports *that* violation class and nothing else.  The
 ``trimmed-*`` cases damage the history of an LPA that is no longer
@@ -92,8 +92,14 @@ def corrupt_chain_order(ssd):
     live_delta_record(ssd).version_ts = ssd.clock.now_us + 10_000_000
 
 
+def corrupt_delta_address(ssd):
+    # A delta record pointing past the device: the walk itself raises,
+    # and the audit reports it against the LPA instead of crashing.
+    live_delta_record(ssd).flash_ppa = ssd.device.geometry.total_pages
+
+
 def corrupt_prt(ssd):
-    ssd.index.mark_reclaimable(ssd.mapping.lookup(3))
+    ssd.block_manager.mark_reclaimable(ssd.mapping.lookup(3))
 
 
 def corrupt_free_pool_count(ssd):
@@ -126,6 +132,7 @@ CASES = [
     pytest.param(quiet_ssd, corrupt_orphan_valid_page, r"not any LPA's head", id="mapping-pvt-orphan"),
     pytest.param(churned_ssd, corrupt_chain_order, r"chain", id="chain-order"),
     pytest.param(trimmed_ssd, corrupt_chain_order, r"chain", id="trimmed-chain-order"),
+    pytest.param(churned_ssd, corrupt_delta_address, r"LPA \d+ chain cannot be walked", id="chain-unwalkable"),
     pytest.param(quiet_ssd, corrupt_prt, r"reclaimable page \d+ is marked valid", id="prt"),
     pytest.param(quiet_ssd, corrupt_free_pool_count, r"free-block count", id="free-pool-count"),
     pytest.param(quiet_ssd, corrupt_free_pool_unerased, r"FREE block \d+ is not erased", id="free-pool-unerased"),
