@@ -145,17 +145,7 @@ class ColumnarFlashArray:
     )
     def program(self, pba, offset, data, oob):
         """Program one page (must be the block's write pointer)."""
-        wp = self.write_pointer[pba]
-        if offset != wp:
-            raise FlashStateError(
-                "block %d: out-of-order program at offset %d (expected %d)"
-                % (pba, offset, wp)
-            )
-        gidx = pba * self.pages_per_block + offset
-        if self.state[gidx]:
-            raise FlashStateError(
-                "block %d: program to non-erased page %d" % (pba, offset)
-            )
+        gidx = self._next_erased(pba, offset)
         self.data[gidx] = data
         try:
             self.lpa[gidx] = oob.lpa
@@ -167,7 +157,40 @@ class ColumnarFlashArray:
             self.timestamp_us[gidx] = _to_i64(oob.timestamp_us)
         self.seq_tag[gidx] = _to_i64(oob.seq_tag)  # uint64: always wraps
         self.state[gidx] = 1
-        self.write_pointer[pba] = wp + 1
+        self.write_pointer[pba] = offset + 1
+
+    @atomic_section(
+        "a page copy commits data, the four OOB columns, the state byte "
+        "and the block write pointer as one step, as a program does"
+    )
+    def copy(self, src, pba, offset):
+        """Program one page (the block's write pointer) with the data and
+        OOB columns of the programmed page ``src``, seal included (the
+        caller has read ``src``, so it is programmed)."""
+        gidx = self._next_erased(pba, offset)
+        self.data[gidx] = self.data[src]
+        self.lpa[gidx] = self.lpa[src]
+        self.back_pointer[gidx] = self.back_pointer[src]
+        self.timestamp_us[gidx] = self.timestamp_us[src]
+        self.seq_tag[gidx] = self.seq_tag[src]
+        self.state[gidx] = 1
+        self.write_pointer[pba] = offset + 1
+
+    def _next_erased(self, pba, offset):
+        """The page index a program of ``pba`` at ``offset`` writes, once
+        the NAND rules allow it: the block's write pointer, erased."""
+        wp = self.write_pointer[pba]
+        if offset != wp:
+            raise FlashStateError(
+                "block %d: out-of-order program at offset %d (expected %d)"
+                % (pba, offset, wp)
+            )
+        gidx = pba * self.pages_per_block + offset
+        if self.state[gidx]:
+            raise FlashStateError(
+                "block %d: program to non-erased page %d" % (pba, offset)
+            )
+        return gidx
 
     @atomic_section(
         "erase resets every page-state byte, the data column and the "

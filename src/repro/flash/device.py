@@ -14,8 +14,9 @@ from repro.flash.core import ColumnarFlashArray, verify_seq_tags
 from repro.flash.geometry import FlashGeometry
 from repro.flash.page import Page, _tuple_new
 from repro.flash.reliability import ReliabilityEngine
-from repro.flash.timing import ChannelTimelines, FlashTiming
+from repro.flash.timing import ChannelTimelines, FlashTiming, book, book_then
 from repro.obs import Scope
+from repro.obs.metrics import RunTally
 
 
 class BlockOOBScan:
@@ -89,6 +90,23 @@ class ReadResult(
     __slots__ = ()
 
 
+class CopyTally:
+    """The read and program latencies of a run of page copies, recorded
+    by count: a GC round copies its pages back to back on one lane, so
+    most copies repeat the previous one's latencies.  :meth:`close`
+    records what is still held; until then the histograms lag."""
+
+    __slots__ = ("read", "program")
+
+    def __init__(self, read_histogram, program_histogram):
+        self.read = RunTally(read_histogram)
+        self.program = RunTally(program_histogram)
+
+    def close(self):
+        self.read.close()
+        self.program.close()
+
+
 class FlashDevice:
     """A multi-channel NAND flash array with latency accounting."""
 
@@ -127,14 +145,15 @@ class FlashDevice:
         # One timeline per die: cell operations (sense/program/erase)
         # occupy the chip while bus transfers occupy the channel.
         self.chip_timelines = ChannelTimelines(geo.channels * geo.chips_per_channel)
-        # Each block's lane on either timeline.  The geometry is
+        # Each block's ``(chip lane, channel lane)``.  The geometry is
         # immutable, so the lanes are tabulated here, once, and every
         # flash op indexes them instead of re-deriving them.
-        blocks = range(geo.total_blocks)
-        self._channel_of = [geo.channel_of_block(pba) for pba in blocks]
-        self._chip_lane_of = [
-            channel * geo.chips_per_channel + chip
-            for channel, chip in map(geo.chip_of_block, blocks)
+        self._lanes_of = [
+            (
+                self.chip_timelines.lane(channel * geo.chips_per_channel + chip),
+                self.timelines.lane(channel),
+            )
+            for channel, chip in map(geo.chip_of_block, range(geo.total_blocks))
         ]
         metrics = self.obs.metrics
         #: Lifetime op counts: the registry's ``flash.*`` counters, the
@@ -163,6 +182,18 @@ class FlashDevice:
         attempt (retries included) stresses the block's neighbours, so
         each one advances the read-disturb accumulator.
         """
+        complete, corrected = self._sense(ppa, now_us, retry_step)
+        self._h_read_us.record(complete - now_us)
+        core = self.core
+        return _tuple_new(
+            ReadResult, (core.data[ppa], core.oob_at(ppa), complete, corrected)
+        )
+
+    def _sense(self, ppa, now_us, retry_step):
+        """A page read's media work — checks, fault hook, read disturb, ECC,
+        the chip-then-bus booking, the count and the trace event; returns
+        ``(complete_us, corrected_bits)``.  The latency histogram is the
+        caller's (a page copy may record it by count)."""
         core = self.core
         pages_per_block = core.pages_per_block
         if not 0 <= ppa < core.total_pages:
@@ -171,7 +202,8 @@ class FlashDevice:
         if self.faults is not None:
             self.last_op_start_us = now_us
             self.faults.on_read(self, ppa)
-        data, oob = core.read(pba, ppa % pages_per_block)
+        if not core.state[ppa]:  # erased: the core's read refuses it
+            core.read(pba, ppa % pages_per_block)
         # Disturb from *prior* senses degrades this read; this read's own
         # stress lands on the next one.  Count before the ECC check so
         # retry attempts see the same disturb term as the failed read.
@@ -190,19 +222,20 @@ class FlashDevice:
                 block_reads=disturb_reads,
                 retry_step=retry_step,
             )
+        chip, channel = self._lanes_of[pba]
         timing = self.timing
-        cell_done = self.chip_timelines.schedule(
-            self._chip_lane_of[pba], now_us, timing.read_us * (1 + retry_step)
-        )
-        complete = self.timelines.schedule(
-            self._channel_of[pba], cell_done, timing.bus_transfer_us
+        complete = book_then(
+            chip,
+            timing.read_us * (1 + retry_step),
+            channel,
+            timing.bus_transfer_us,
+            now_us,
         )
         self.page_reads.inc()
-        self._h_read_us.record(complete - now_us)
         tr = self.obs.trace
         if tr.enabled:
             tr.emit("flash-op", "read", complete, ppa=ppa, start_us=int(now_us))
-        return _tuple_new(ReadResult, (data, oob, complete, corrected))
+        return complete, corrected
 
     def program_page(self, ppa, data, oob, now_us=0):
         """Program an erased page; returns the completion time.
@@ -224,21 +257,85 @@ class FlashDevice:
             self.last_op_start_us = now_us
             self.faults.on_program(self, ppa, data, oob)
         core.program(pba, ppa % pages_per_block, data, oob)
+        return self._book_program(pba, ppa, now_us, self._h_program_us.record)
+
+    def _book_program(self, pba, ppa, now_us, record):
+        """The tail of a program of ``ppa`` at ``now_us`` whose columns are
+        written: the retention clock, the bus-then-cell booking, the count,
+        ``record(latency)`` and the trace event; returns the completion."""
+        core = self.core
         core.last_program_us[pba] = now_us
         # Retention clock: charge leakage is measured from this moment.
         core.programmed_us[ppa] = now_us
-        transferred = self.timelines.schedule(
-            self._channel_of[pba], now_us, self.timing.bus_transfer_us
-        )
-        complete = self.chip_timelines.schedule(
-            self._chip_lane_of[pba], transferred, self.timing.program_us
+        chip, channel = self._lanes_of[pba]
+        timing = self.timing
+        complete = book_then(
+            channel, timing.bus_transfer_us, chip, timing.program_us, now_us
         )
         self.page_programs.inc()
-        self._h_program_us.record(complete - now_us)
+        record(complete - now_us)
         tr = self.obs.trace
         if tr.enabled:
             tr.emit("flash-op", "program", complete, ppa=ppa, start_us=int(now_us))
         return complete
+
+    def copy_page(self, src, now_us, allocate, retry_step=0, tally=None):
+        """Copy the programmed page ``src`` to the erased page that
+        ``allocate()`` names; returns ``(dst, complete_us, corrected_bits)``.
+
+        The GC copy as one device op: a read of ``src`` at ``now_us``,
+        checked, counted and booked exactly as :meth:`read_page` does it
+        (``retry_step`` included), then — only once the read has passed
+        ECC, so a failed read leaves the allocator untouched — ``dst =
+        allocate()`` programmed at the read's completion as
+        :meth:`program_page` does it, with the data and the OOB columns
+        (LPA, back-pointer, timestamp, seal) carried column to column.
+        No :class:`OOBMetadata` or :class:`ReadResult` is built; the fault
+        hooks, which take one, get it behind their guard.
+
+        ``retry_step=None`` skips the read: the caller has just read
+        ``src`` and ``now_us`` is that read's completion.  A
+        :class:`ProgramFailureError` leaves the read booked and carries
+        ``sensed_us`` (the read's completion) and ``corrected_bits``, so
+        the caller can retry the program alone.  With a
+        :class:`CopyTally` the two latencies are held in it, by count,
+        instead of recorded one by one.
+        """
+        corrected = 0
+        if retry_step is None:
+            sensed = now_us
+        else:
+            sensed, corrected = self._sense(src, now_us, retry_step)
+            if tally is None:
+                self._h_read_us.record(sensed - now_us)
+            else:
+                tally.read.add(sensed - now_us)
+        core = self.core
+        dst = allocate()
+        if not 0 <= dst < core.total_pages:
+            self.geometry.check_ppa(dst)
+        pba = dst // core.pages_per_block
+        failure = None
+        if core.failed[pba]:
+            failure = ProgramFailureError(dst, permanent=True)
+        elif self.faults is not None:
+            self.last_op_start_us = sensed
+            try:
+                self.faults.on_program(self, dst, core.data[src], core.oob_at(src))
+            except ProgramFailureError as exc:
+                failure = exc
+        if failure is not None:
+            failure.sensed_us = sensed
+            failure.corrected_bits = corrected
+            raise failure
+        core.copy(src, pba, dst % core.pages_per_block)
+        record = self._h_program_us.record if tally is None else tally.program.add
+        return dst, self._book_program(pba, dst, sensed, record), corrected
+
+    def copy_tally(self):
+        """A :class:`CopyTally` over this device's read and program
+        latency histograms, for a run of :meth:`copy_page` calls."""
+        return CopyTally(self._h_read_us, self._h_program_us)
 
     def erase_block(self, pba, now_us=0):
         """Erase a block; returns the completion time.
@@ -254,9 +351,7 @@ class FlashDevice:
             self.last_op_start_us = now_us
             self.faults.on_erase(self, pba)
         self.core.erase(pba)
-        complete = self.chip_timelines.schedule(
-            self._chip_lane_of[pba], now_us, self.timing.erase_us
-        )
+        complete = book(self._lanes_of[pba][0], now_us, self.timing.erase_us)
         self.block_erases.inc()
         self._h_erase_us.record(complete - now_us)
         tr = self.obs.trace

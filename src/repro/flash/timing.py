@@ -49,86 +49,166 @@ class FlashTiming:
                 raise ValueError("%s must be non-negative" % name)
 
 
+class Lane:
+    """One channel's or chip's occupancy.
+
+    ``pending`` holds the completion times of operations still
+    outstanding relative to the latest arrival — the lane's command
+    queue, which the async core's depth gauges read.  Entries are pruned
+    lazily on the next arrival, so memory stays bounded by the burst
+    size.  A booking starts no earlier than the lane's last completion,
+    so the deque ascends and its last entry is when the lane frees up
+    (0 for a lane never booked).
+    """
+
+    __slots__ = ("pending", "busy_us", "max_depth")
+
+    def __init__(self):
+        self.pending = deque()
+        self.busy_us = 0
+        self.max_depth = 0
+
+    @property
+    def free_at(self):
+        return self.pending[-1] if self.pending else 0
+
+
 class ChannelTimelines:
     """Tracks when each flash channel becomes free."""
 
     def __init__(self, channels):
         if channels <= 0:
             raise ValueError("need at least one channel")
-        self._busy_until = [0] * channels
-        self._busy_us = [0] * channels
-        #: Completion times of operations still outstanding relative to
-        #: the latest arrival — the per-lane command queue the async
-        #: core's depth gauges read.  Entries are pruned lazily on the
-        #: next arrival, so memory stays bounded by the burst size.
-        self._pending = [deque() for _ in range(channels)]
-        self._max_depth = [0] * channels
+        self._lanes = [Lane() for _ in range(channels)]
 
     @property
     def channels(self):
-        return len(self._busy_until)
+        return len(self._lanes)
+
+    def lane(self, channel):
+        """The :class:`Lane` of ``channel`` (what the flash ops book)."""
+        self._check(channel)
+        return self._lanes[channel]
 
     def busy_until(self, channel):
         self._check(channel)
-        return self._busy_until[channel]
+        return self._lanes[channel].free_at
 
     def total_busy_us(self):
         """Occupied time summed over all channels."""
-        return sum(self._busy_us)
+        return sum(lane.busy_us for lane in self._lanes)
 
     def busy_times(self):
         """Per-channel occupied time, as a list indexed by channel."""
-        return list(self._busy_us)
+        return [lane.busy_us for lane in self._lanes]
 
     def schedule(self, channel, now_us, latency_us):
         """Occupy ``channel`` for ``latency_us`` starting no earlier than now.
 
         Returns the completion time.
         """
-        if not 0 <= channel < len(self._busy_until):
+        if not 0 <= channel < len(self._lanes):
             self._check(channel)
         if latency_us < 0:
             raise ValueError("latency must be non-negative")
-        start = self._busy_until[channel]
-        if not start > now_us:  # max(now_us, busy): ties keep now_us
-            start = now_us
-        end = start + latency_us
-        self._busy_until[channel] = end
-        self._busy_us[channel] += latency_us
-        pending = self._pending[channel]
-        while pending and pending[0] <= now_us:
-            pending.popleft()
-        pending.append(end)
-        depth = len(pending)
-        if depth > self._max_depth[channel]:
-            self._max_depth[channel] = depth
-        return end
+        return book(self._lanes[channel], now_us, latency_us)
 
     def depth_at(self, channel, now_us):
         """Operations still queued or in flight on ``channel`` at
         ``now_us`` (arrival-time view: completions at exactly ``now_us``
         no longer count)."""
         self._check(channel)
-        return sum(1 for end in self._pending[channel] if end > now_us)
+        return sum(1 for end in self._lanes[channel].pending if end > now_us)
 
     def max_depth(self, channel):
         """Deepest the channel's command queue has ever been."""
         self._check(channel)
-        return self._max_depth[channel]
+        return self._lanes[channel].max_depth
 
     def max_depths(self):
         """Per-channel high-water queue depth, indexed by channel."""
-        return list(self._max_depth)
+        return [lane.max_depth for lane in self._lanes]
 
     def earliest_free(self, now_us):
         """(channel, free_at) pair for the channel that frees up first."""
-        channel = min(range(self.channels), key=lambda c: self._busy_until[c])
-        return channel, max(now_us, self._busy_until[channel])
+        free_at = [lane.free_at for lane in self._lanes]
+        channel = min(range(self.channels), key=free_at.__getitem__)
+        return channel, max(now_us, free_at[channel])
 
     def all_idle_at(self, now_us):
         """True when no channel is occupied past ``now_us``."""
-        return all(t <= now_us for t in self._busy_until)
+        return all(lane.free_at <= now_us for lane in self._lanes)
 
     def _check(self, channel):
-        if not 0 <= channel < len(self._busy_until):
+        if not 0 <= channel < len(self._lanes):
             raise AddressError("channel %r out of range" % channel)
+
+
+# --- The flash ops' bookings ---------------------------------------------------
+#
+# A flash op occupies a chip lane and a channel lane, one after the other.
+# These functions are :meth:`ChannelTimelines.schedule` on a :class:`Lane`
+# without its argument checks (the device tabulates each block's lanes
+# from the geometry, and its latencies come from a validated
+# :class:`FlashTiming`), and :func:`book_then` makes an op's two bookings
+# in one call.  Each booking is exactly one ``schedule``: the same start
+# (``max(now, free_at)``, ties keep ``now``), ``busy_us``, pending
+# completions and ``max_depth`` — a zero-latency booking still queues.
+
+
+def book(lane, now_us, latency_us):
+    """Occupy ``lane`` for ``latency_us`` from no earlier than ``now_us``;
+    returns the completion time."""
+    pending = lane.pending
+    if pending and pending[-1] > now_us:
+        end = pending[-1] + latency_us
+        while pending[0] <= now_us:
+            pending.popleft()
+        pending.append(end)
+        if len(pending) > lane.max_depth:
+            lane.max_depth = len(pending)
+    else:  # idle at now_us: nothing is outstanding, the queue is this op
+        end = now_us + latency_us
+        pending.clear()
+        pending.append(end)
+        if not lane.max_depth:
+            lane.max_depth = 1
+    lane.busy_us += latency_us
+    return end
+
+
+def book_then(first, first_us, second, second_us, now_us):
+    """:func:`book` on lane ``first`` at ``now_us``, then on lane
+    ``second`` at the first booking's completion; returns the second's
+    completion."""
+    pending = first.pending
+    if pending and pending[-1] > now_us:
+        mid = pending[-1] + first_us
+        while pending[0] <= now_us:
+            pending.popleft()
+        pending.append(mid)
+        if len(pending) > first.max_depth:
+            first.max_depth = len(pending)
+    else:
+        mid = now_us + first_us
+        pending.clear()
+        pending.append(mid)
+        if not first.max_depth:
+            first.max_depth = 1
+    first.busy_us += first_us
+    pending = second.pending
+    if pending and pending[-1] > mid:
+        end = pending[-1] + second_us
+        while pending[0] <= mid:
+            pending.popleft()
+        pending.append(end)
+        if len(pending) > second.max_depth:
+            second.max_depth = len(pending)
+    else:
+        end = mid + second_us
+        pending.clear()
+        pending.append(end)
+        if not second.max_depth:
+            second.max_depth = 1
+    second.busy_us += second_us
+    return end

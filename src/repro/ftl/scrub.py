@@ -246,7 +246,7 @@ class PatrolScrubber:
             return t
         if ssd.block_manager.valid[ppa]:
             try:
-                t = self._refresh_valid(ppa, result, t)
+                t = self._refresh_valid(ppa, t)
                 self._m_refreshed_valid.inc()
                 # Its own ladder read may have re-queued it a moment ago.
                 ssd.block_manager.at_risk[ppa] = 0
@@ -272,10 +272,11 @@ class PatrolScrubber:
             self._m_skipped_expired.inc()
         return settled
 
-    def _refresh_valid(self, ppa, result, now_us):
-        """Migrate one valid page to a fresh location (same OOB)."""
+    def _refresh_valid(self, ppa, now_us):
+        """Migrate one valid page, read by the patrol at ``now_us``, to a
+        fresh location (same OOB)."""
         ssd = self._ssd
-        t = ssd.migrate_page(ppa, result, now_us)
+        t = ssd.migrate_page(ppa, now_us, sensed=True)
         # The stale copy is a byte-identical duplicate of the migrated
         # head — the same version, not an older one.  PRT-mark it so
         # patrol and delta compression never mistake it for retained

@@ -672,11 +672,22 @@ class BaseSSD:
         engine = self.device.reliability
         if engine is None or not engine.enabled:
             return self.device.read_page(ppa, now_us)
+        return self._climb_ladder(self.device.read_page, ppa, now_us)
+
+    def _climb_ladder(self, read_op, ppa, now_us, **kwargs):
+        """``read_op(ppa, now_us, retry_step=step, **kwargs)`` up the
+        read-retry ladder; returns its result, whose last item is the
+        read's corrected-bit count (``device.read_page``'s
+        :class:`ReadResult` and ``device.copy_page``'s triple alike).
+
+        A copy whose read passed but whose program failed still counts
+        its read here before the :class:`ProgramFailureError` escapes.
+        """
         step = 0
         limit = self.config.read_retry_limit
         while True:
             try:
-                result = self.device.read_page(ppa, now_us, retry_step=step)
+                result = read_op(ppa, now_us, retry_step=step, **kwargs)
                 break
             except UncorrectableReadError:
                 if step >= limit:
@@ -685,12 +696,18 @@ class BaseSSD:
                     raise
                 step += 1
                 self._m_retry_reads.inc()
-        self._h_retry_depth.record(step)
-        if result.corrected_bits:
-            self._h_corrected_bits.record(result.corrected_bits)
-        if self.scrubber is not None:
-            self.scrubber.observe_read(ppa, result.corrected_bits, step)
+            except ProgramFailureError as exc:
+                self._note_ladder_read(ppa, step, exc.corrected_bits)
+                raise
+        self._note_ladder_read(ppa, step, result[-1])
         return result
+
+    def _note_ladder_read(self, ppa, step, corrected_bits):
+        self._h_retry_depth.record(step)
+        if corrected_bits:
+            self._h_corrected_bits.record(corrected_bits)
+        if self.scrubber is not None:
+            self.scrubber.observe_read(ppa, corrected_bits, step)
 
     def _note_program_failure(self, exc):
         """Account a media program failure; condemn the block if grown bad."""
@@ -899,25 +916,32 @@ class BaseSSD:
         core = self.device.core
         outcome = ReclaimOutcome(pba)
         t = now_us
-        base = self.device.geometry.first_page_of_block(pba)
-        state = core.state
-        valid = self.block_manager.valid
-        for ppa in range(base, base + core.pages_per_block):
-            if not state[ppa]:
-                continue
-            if not valid[ppa]:
-                t = self._settle_stale_page(ppa, t, outcome)
-                continue
-            # A valid page is always intact: a torn or burned program
-            # fails before its PVT bit is set, and recovery marks only
-            # sealed pages valid.
-            try:
-                result = self.read_page_with_retry(ppa, t)
-            except UncorrectableReadError:
-                self.note_lost_valid_page(ppa)
-                continue
-            t = self.migrate_page(ppa, result, result.complete_us)
-            outcome.migrated_valid += 1
+        base = pba * core.pages_per_block
+        stop = base + core.write_pointer[pba]
+        # One walk from the block's column slices: nothing in the round
+        # programs into the victim or flips another of its valid bits.
+        state = core.state[base:stop]
+        valid = self.block_manager.valid[base:stop]
+        tally = self.device.copy_tally()
+        try:
+            for offset, is_valid in enumerate(valid):
+                if not state[offset]:
+                    continue
+                ppa = base + offset
+                if not is_valid:
+                    t = self._settle_stale_page(ppa, t, outcome)
+                    continue
+                # A valid page is always intact: a torn or burned program
+                # fails before its PVT bit is set, and recovery marks only
+                # sealed pages valid.
+                try:
+                    t = self.migrate_page(ppa, t, tally=tally)
+                except UncorrectableReadError:
+                    self.note_lost_valid_page(ppa)
+                    continue
+                outcome.migrated_valid += 1
+        finally:
+            tally.close()
         t = self.erase_and_release(pba, t)
         outcome.complete_us = t
         self._m_gc_migrated.inc(outcome.migrated_valid)
@@ -956,30 +980,66 @@ class BaseSSD:
         "a page migration is program + validity flip + remap committed "
         "together, or a competing read could land on a mapping that "
         "moved before its copy was durable",
-        # program_with_retry leaves firmware state untouched on failure;
-        # the source page stays valid and mapped.
+        # A failed copy (its read given up, or every program attempt
+        # failed) leaves firmware state untouched; the source page stays
+        # valid and mapped.
     )
-    def migrate_page(self, ppa, result, now_us):
-        """Move the valid page at ``ppa``, already read as ``result``, to
-        the GC stream; returns the copy's completion time.
+    def migrate_page(self, ppa, now_us, sensed=False, tally=None):
+        """Copy the valid page at ``ppa`` to the GC stream; returns the
+        copy's completion time.
 
-        The one migration step GC, wear leveling, scrub refresh and the
-        FlashGuard comparator share.  The copy is programmed at
-        ``now_us`` — the reclaim loop and scrub pass the read's
-        completion — with the OOB carried over unchanged
-        (same version: same timestamp and back-pointer), and the mapping
-        follows only if it still names ``ppa`` (no invalidation hook).
+        The one migration step GC, wear leveling and scrub refresh share:
+        :meth:`copy_to_gc_stream` reads ``ppa`` at ``now_us`` and programs
+        the copy once the read completes (``sensed``: the caller has just
+        read it and ``now_us`` is that read's completion), with the OOB
+        carried over unchanged (same version: same timestamp and
+        back-pointer), and the mapping follows only if it still names
+        ``ppa`` (no invalidation hook).  :class:`UncorrectableReadError`
+        escapes when the read-retry ladder gives up; nothing is copied.
         """
+        new_ppa, complete = self.copy_to_gc_stream(ppa, now_us, sensed, tally)
         bm = self.block_manager
-        new_ppa, complete = self.program_with_retry(
-            lambda: bm.allocate_page(StreamId.GC), result.data, result.oob, now_us
-        )
         bm.mark_valid(new_ppa)
         bm.invalidate_page(ppa)
-        lpa = result.oob.lpa
+        lpa = self.device.core.lpa[ppa]
         if self.mapping.lookup(lpa) == ppa:
             self.mapping.update(lpa, new_ppa)
         return complete
+
+    def copy_to_gc_stream(self, ppa, now_us, sensed=False, tally=None):
+        """One ``device.copy_page`` of ``ppa`` into the GC stream; returns
+        ``(new_ppa, complete_us)``.
+
+        The read climbs the read-retry ladder as
+        :meth:`read_page_with_retry`'s does, and a failed program is
+        remapped and retried from the read's completion as
+        :meth:`program_with_retry` does.  FlashGuard's copy of a
+        retained page calls this directly: it re-points a version record,
+        not the mapping.
+        """
+        device = self.device
+        bm = self.block_manager
+
+        def allocate():
+            return bm.allocate_page(StreamId.GC)
+
+        engine = device.reliability
+        ladder = not sensed and engine is not None and engine.enabled
+        step = None if sensed else 0
+        for _attempt in range(self.PROGRAM_RETRY_LIMIT + 1):
+            try:
+                if ladder:
+                    result = self._climb_ladder(
+                        device.copy_page, ppa, now_us, allocate=allocate, tally=tally
+                    )
+                else:
+                    result = device.copy_page(ppa, now_us, allocate, step, tally)
+                return result[0], result[1]
+            except ProgramFailureError as exc:
+                last_failure = exc
+                self._note_program_failure(exc)
+                now_us, step, ladder = exc.sensed_us, None, False
+        raise last_failure
 
     @atomic_section(
         "erase + per-block forget (TimeSSD: retention census) + release/"

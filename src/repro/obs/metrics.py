@@ -16,7 +16,7 @@ enough to sit on the flash-op hot path, deterministic by construction
 
 from repro.common.errors import ReproError
 
-__all__ = ["Counter", "Gauge", "LatencyHistogram", "MetricsRegistry"]
+__all__ = ["Counter", "Gauge", "LatencyHistogram", "MetricsRegistry", "RunTally"]
 
 
 class Counter:
@@ -101,13 +101,14 @@ class LatencyHistogram:
         high = ((top + 1) << shift) - 1
         return low, high
 
-    def record(self, latency_us):
+    def record(self, latency_us, count=1):
+        """Record ``latency_us`` (``count`` times over)."""
         if latency_us.__class__ is not int:
             latency_us = int(latency_us)
         if latency_us < 0:
             raise ReproError("latency cannot be negative")
-        self.count += 1
-        self.total_us += latency_us
+        self.count += count
+        self.total_us += latency_us * count
         if self.min_us is None or latency_us < self.min_us:
             self.min_us = latency_us
         if latency_us > self.max_us:
@@ -118,9 +119,9 @@ class LatencyHistogram:
             shift = latency_us.bit_length() - _SUB_BITS - 1
             index = (shift << _SUB_BITS) + (latency_us >> shift)
         try:
-            self._buckets[index] += 1
+            self._buckets[index] += count
         except KeyError:
-            self._buckets[index] = 1
+            self._buckets[index] = count
 
     @property
     def mean_us(self):
@@ -175,6 +176,32 @@ class LatencyHistogram:
             self.mean_us,
             self.percentile(99),
         )
+
+
+class RunTally:
+    """Values bound for one histogram, held as a run of equal values and
+    recorded by count when the value changes or the tally closes."""
+
+    __slots__ = ("histogram", "value", "count")
+
+    def __init__(self, histogram):
+        self.histogram = histogram
+        self.value = None
+        self.count = 0
+
+    def add(self, value):
+        if value == self.value:
+            self.count += 1
+            return
+        if self.count:
+            self.histogram.record(self.value, self.count)
+        self.value = value
+        self.count = 1
+
+    def close(self):
+        if self.count:
+            self.histogram.record(self.value, self.count)
+            self.count = 0
 
 
 class MetricsRegistry:

@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.common.errors import DeviceFullError, UncorrectableReadError
-from repro.ftl.block_manager import BlockKind, StreamId
+from repro.ftl.block_manager import BlockKind
 from repro.ftl.ssd import BaseSSD
 from repro.timekits.api import check_threads, pick_as_of
 
@@ -73,22 +73,15 @@ class FlashGuardSSD(BaseSSD):
         version = self._retained_by_ppa.get(ppa)
         if version is None:
             return now_us
+        # The copy re-points a version record, not the mapping; it is the
+        # GC copy every migration makes (ladder read, remap-on-failure).
         try:
-            result = self.read_page_with_retry(ppa, now_us)
+            new_ppa, t = self.copy_to_gc_stream(ppa, now_us)
         except UncorrectableReadError:
             # Gone despite the full ladder: the version cannot be kept,
             # and the block under reclaim is erased all the same.
             self._drop_version(version)
             return now_us
-        # The copy re-points a version record, not the mapping, and is
-        # programmed with the remap-on-failure retry every GC copy gets.
-        bm = self.block_manager
-        new_ppa, t = self.program_with_retry(
-            lambda: bm.allocate_page(StreamId.GC),
-            result.data,
-            result.oob,
-            result.complete_us,
-        )
         del self._retained_by_ppa[ppa]
         version.ppa = new_ppa
         self._retained_by_ppa[new_ppa] = version

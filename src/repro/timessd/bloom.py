@@ -152,6 +152,12 @@ class TimeSegmentedBlooms:
         self._seed = seed
         self._max_age_us = max_segment_age_us
         self._segments = []
+        #: ``find_segment``'s answers by group, valid until the next
+        #: filter mutation (see :meth:`find_segment`).
+        self._found = {}
+        #: Groups known to be in the active filter (added or probed since
+        #: it opened): bits are only ever set, so the probe would say yes.
+        self._in_active = set()
         self._next_id = 0
         self._new_segment()
 
@@ -162,6 +168,8 @@ class TimeSegmentedBlooms:
         segment = BloomSegment(self._next_id, bloom, self._clock.now_us)
         self._next_id += 1
         self._segments.append(segment)
+        self._found.clear()
+        self._in_active.clear()
         return segment
 
     def reset(self):
@@ -171,7 +179,7 @@ class TimeSegmentedBlooms:
         after a crash can never collide with pre-crash segment ids.
         """
         self._segments = []
-        return self._new_segment()
+        return self._new_segment()  # empties the memo and the known groups
 
     def group_of(self, ppa):
         return ppa // self.group_size
@@ -187,41 +195,30 @@ class TimeSegmentedBlooms:
         the active filter the invalidation costs nothing, each filter
         covers more pages, and fewer filters are needed.
         """
-        active = self._segments[-1]
-        group = self.group_of(ppa)
-        # Segments also seal by age: a filter represents one time slice,
-        # and the adaptive window needs slices fine enough to drop.
-        if (
-            self._max_age_us is not None
-            and active.bloom.count > 0
-            and self._clock.now_us - active.created_us >= self._max_age_us
-        ):
-            active.sealed_us = self._clock.now_us
-            active = self._new_segment()
-        if group in active.bloom:
-            return active
-        if active.bloom.is_full:
-            active.sealed_us = self._clock.now_us
-            active = self._new_segment()
-        active.bloom.add(group)
-        return active
+        self._record((ppa,))
+        return self._segments[-1]
 
     def record_invalidations(self, ppas):
-        """:meth:`record_invalidation` for each of ``ppas``, in order.
+        """:meth:`record_invalidation` for each of ``ppas``, in order."""
+        self._record(ppas)
 
-        The per-page sequence exactly — same segments, same ``count``s,
-        same filter bits, same full-filter and age roll-overs — minus the
-        probes whose answer this call already holds: a group it has
-        added to (or found in) the *current* active filter is in it, as
-        bits are only ever set.  Every other group takes the real probe,
-        because a false positive skips an ``add`` and so decides
-        ``count`` and when the filter rolls over.
+    def _record(self, ppas):
+        """Register each of ``ppas``, in order, in the active segment.
+
+        A group already in the active filter costs nothing.  Segments
+        also seal by age: a filter represents one time slice, and the
+        adaptive window needs slices fine enough to drop.  A group added
+        to (or found in) the active filter since it opened skips the
+        probe — bits are only ever set, so the answer is known; every
+        other group takes the real probe, because a false positive skips
+        an ``add`` and so decides ``count`` and when the filter rolls
+        over.
         """
         active = self._segments[-1]
         group_size = self.group_size
         max_age_us = self._max_age_us
         clock = self._clock
-        in_active = set()
+        in_active = self._in_active
         for ppa in ppas:
             if (
                 max_age_us is not None
@@ -230,7 +227,6 @@ class TimeSegmentedBlooms:
             ):
                 active.sealed_us = clock.now_us
                 active = self._new_segment()
-                in_active.clear()
             group = ppa // group_size
             if group in in_active:
                 continue
@@ -238,8 +234,8 @@ class TimeSegmentedBlooms:
                 if active.bloom.is_full:
                     active.sealed_us = clock.now_us
                     active = self._new_segment()
-                    in_active.clear()
                 active.bloom.add(group)
+                self._found.clear()
             in_active.add(group)
 
     # --- Lookup --------------------------------------------------------------
@@ -250,14 +246,25 @@ class TimeSegmentedBlooms:
         Checked in reverse time order as the paper prescribes: a false
         positive then at worst delays expiration, never causes premature
         reclamation.
+
+        The answer is memoized per group until the filters next change:
+        every ``add`` (which may turn *another* group's probe into a false
+        positive), every new segment and every drop or reset empties the
+        memo, so a memoized answer is always the walk's.
         """
         group = self.group_of(ppa)
+        found = self._found
+        if group in found:
+            return found[group]
+        answer = None
         for segment in reversed(self._segments):
             if segment.dropped:
                 continue
             if group in segment.bloom:
-                return segment
-        return None
+                answer = segment
+                break
+        found[group] = answer
+        return answer
 
     def is_retained(self, ppa):
         return self.find_segment(ppa) is not None
@@ -294,6 +301,7 @@ class TimeSegmentedBlooms:
             return None
         oldest = live[0]
         oldest.dropped = True
+        self._found.clear()
         # Trim fully dropped prefix so scans stay short over long runs.
         while self._segments and self._segments[0].dropped:
             self._segments.pop(0)

@@ -109,24 +109,33 @@ class TimeSSDGarbageCollector:
                 )
             )
         # Newest-first linking, merged with the pre-existing delta chain.
-        # A plain prepend would assume every new record is newer than the
-        # old head, but orphaned chain fragments (back-pointers broken by
-        # GC page reuse) can be compressed after younger versions were —
-        # the merge keeps the chain strictly newest-first regardless.
-        previous = list(index.live_deltas(previous_head))
-        tail = previous[-1].back if previous else previous_head
-        merged = []
-        i = j = 0
-        while i < len(records) and j < len(previous):
-            if records[i].version_ts > previous[j].version_ts:
-                merged.append(records[i])
-                i += 1
-            else:
-                merged.append(previous[j])
-                j += 1
-        merged.extend(records[i:])
-        merged.extend(previous[j:])
-        if merged:  # empty when the whole chain was head duplicates
+        # The records are newest first; when the oldest is newer than the
+        # old head (the usual case) they are simply prepended.  But
+        # orphaned chain fragments (back-pointers broken by GC page reuse)
+        # can be compressed after younger versions were — the merge keeps
+        # the chain strictly newest-first regardless.
+        if records and (
+            previous_head is None
+            or records[-1].version_ts > previous_head.version_ts
+        ):
+            for newer, older in zip(records, records[1:]):
+                newer.back = older
+            records[-1].back = previous_head
+            index.set_delta_head(lpa, records[0])
+        elif records:  # none when the whole chain was head duplicates
+            previous = list(index.live_deltas(previous_head))
+            tail = previous[-1].back
+            merged = []
+            i = j = 0
+            while i < len(records) and j < len(previous):
+                if records[i].version_ts > previous[j].version_ts:
+                    merged.append(records[i])
+                    i += 1
+                else:
+                    merged.append(previous[j])
+                    j += 1
+            merged.extend(records[i:])
+            merged.extend(previous[j:])
             for newer, older in zip(merged, merged[1:]):
                 newer.back = older
             merged[-1].back = tail

@@ -101,10 +101,10 @@ MUTATIONS = (
     seed(
         "hygiene-bare-except",  # GC migration swallowing everything
         "ftl/ssd.py",
-        "            except UncorrectableReadError:\n"
-        "                self.note_lost_valid_page(ppa)\n",
-        "            except:\n"
-        "                self.note_lost_valid_page(ppa)\n",
+        "                except UncorrectableReadError:\n"
+        "                    self.note_lost_valid_page(ppa)\n",
+        "                except:\n"
+        "                    self.note_lost_valid_page(ppa)\n",
     ),
     seed(
         "hygiene-print",  # debug print left in the reclaim path
@@ -121,9 +121,9 @@ MUTATIONS = (
     ),
     seed(
         "unused-suppression",  # a waiver on a line with nothing to waive
-        "security/flashguard.py",
-        "            lambda: bm.allocate_page(StreamId.GC),\n",
-        "            lambda: bm.allocate_page(StreamId.GC),"
+        "ftl/ssd.py",
+        "            return bm.allocate_page(StreamId.GC)\n",
+        "            return bm.allocate_page(StreamId.GC)"
         "  # almanac: ignore[layering-flash-api]\n",
         select="unused-suppression,layering-flash-api",
     ),
@@ -192,6 +192,10 @@ _REPLAY = (
     "::test_trace_replay_leaves_a_clean_device[cut]"
 )
 _REFERENCE = "        result = ssd.read_page_with_retry(head_ppa, now_us)\n"
+_BLOOM_MODEL = (
+    "tests/timessd/test_bloom.py"
+    "::test_memoized_lookup_is_the_newest_first_scan[1-1-1-None]"
+)
 FIRMWARE_MUTATIONS = (
     # --- the host path: PR 14's disagreements and PR 16's gate -----------------
     (
@@ -386,12 +390,8 @@ FIRMWARE_MUTATIONS = (
     ),
     (
         "ftl/ssd.py",  # swapped positional arguments
-        "                result = self.read_page_with_retry(ppa, t)\n"
-        "            except UncorrectableReadError:\n"
-        "                self.note_lost_valid_page(ppa)\n",
-        "                result = self.read_page_with_retry(t, ppa)\n"
-        "            except UncorrectableReadError:\n"
-        "                self.note_lost_valid_page(ppa)\n",
+        "                    t = self.migrate_page(ppa, t, tally=tally)\n",
+        "                    t = self.migrate_page(t, ppa, tally=tally)\n",
         "tests/ftl/test_ssd.py::test_gc_preserves_all_current_data",
     ),
     # --- the one-of-each GC steps (PR 19) --------------------------------------
@@ -426,9 +426,13 @@ FIRMWARE_MUTATIONS = (
         "::TestGCAccounting::test_gc_run_counters_match_properties",
     ),
     (
-        "ftl/ssd.py",  # the baseline's old timing: copies programmed at round start
-        "            t = self.migrate_page(ppa, result, result.complete_us)\n",
-        "            t = self.migrate_page(ppa, result, now_us)\n",
+        # The baseline's old timing: copies programmed at round start.  The
+        # copy's program is issued inside the device copy now, so the bug
+        # is seeded there: a program issued when its read is, not once
+        # the read completes (ROADMAP item 1's cursor row).
+        "flash/device.py",
+        "        return dst, self._book_program(pba, dst, sensed, record), corrected\n",
+        "        return dst, self._book_program(pba, dst, now_us, record), corrected\n",
         "tests/ftl/test_ssd.py::test_reclaim_programs_each_copy_after_its_read",
     ),
     # --- the TimeKits walk: stamp-only (PR 20), one read per delta page --------
@@ -483,24 +487,22 @@ FIRMWARE_MUTATIONS = (
         "::test_chain_hop_check_matches_the_page_view",
     ),
     (
-        "security/flashguard.py",  # GC's copy of a retained page read raw again
-        "            result = self.read_page_with_retry(ppa, now_us)\n",
-        "            result = self.device.read_page(ppa, now_us)\n",
+        # GC's copy of a retained page read raw again: FlashGuard's copy is
+        # the one GC copy, which decides whether its read climbs the ladder.
+        "ftl/ssd.py",
+        "        ladder = not sensed and engine is not None and engine.enabled\n",
+        "        ladder = False\n",
         "tests/security/test_flashguard.py::TestRecovery"
         "::test_gc_reads_a_retained_page_through_the_ladder[rescued]",
     ),
     (
-        "security/flashguard.py",  # GC's copy of a retained page programmed raw again
-        "        new_ppa, t = self.program_with_retry(\n"
-        "            lambda: bm.allocate_page(StreamId.GC),\n"
-        "            result.data,\n"
-        "            result.oob,\n"
-        "            result.complete_us,\n"
-        "        )\n",
-        "        new_ppa = bm.allocate_page(StreamId.GC)\n"
-        "        t = self.device.program_page(\n"
-        "            new_ppa, result.data, result.oob, result.complete_us\n"
-        "        )\n",
+        "ftl/ssd.py",  # GC's copy of a retained page programmed raw again
+        "        for _attempt in range(self.PROGRAM_RETRY_LIMIT + 1):\n"
+        "            try:\n"
+        "                if ladder:\n",
+        "        for _attempt in range(1):\n"
+        "            try:\n"
+        "                if ladder:\n",
         "tests/security/test_flashguard.py::TestRecovery"
         "::test_gc_copy_of_a_retained_page_survives_a_program_failure",
     ),
@@ -524,10 +526,33 @@ FIRMWARE_MUTATIONS = (
     ),
     (
         "timessd/bloom.py",  # a group "known" to be in a filter that rolled over
-        "                    in_active.clear()\n",
-        "",
-        "tests/timessd/test_bloom_properties.py"
-        "::test_batch_recording_is_the_per_page_sequence",
+        "        self._found.clear()\n        self._in_active.clear()\n",
+        "        self._found.clear()\n",
+        _BLOOM_MODEL,
+    ),
+    (
+        "timessd/bloom.py",  # find_segment's memo surviving an add
+        "                active.bloom.add(group)\n                self._found.clear()\n",
+        "                active.bloom.add(group)\n",
+        _BLOOM_MODEL,
+    ),
+    (
+        # A copy's program (the tail it shares with every program) skipping
+        # its zero-latency channel booking: busy_until is the same, the
+        # lane's queue depth is not.
+        "flash/device.py",
+        "        complete = book_then(\n"
+        "            channel, timing.bus_transfer_us, chip, timing.program_us, now_us\n"
+        "        )\n",
+        "        complete = (\n"
+        "            book_then(\n"
+        "                channel, timing.bus_transfer_us, chip, timing.program_us, now_us\n"
+        "            )\n"
+        "            if timing.bus_transfer_us\n"
+        "            else book(chip, now_us, timing.program_us)\n"
+        "        )\n",
+        "tests/flash/test_timing.py"
+        "::test_fused_bookings_match_two_schedules_per_op[1-1-0]",
     ),
     (
         "ftl/mapping.py",  # a mount billed as host traffic (PRs 8-20)

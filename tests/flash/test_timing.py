@@ -1,7 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import AddressError
+from repro.flash.device import FlashDevice
+from repro.flash.geometry import FlashGeometry
+from repro.flash.page import OOBMetadata
 from repro.flash.timing import ChannelTimelines, FlashTiming
 
 
@@ -126,3 +131,123 @@ def test_schedule_matches_reference_model(ops):
         assert tl.busy_times() == ref.busy_us
         assert tl.max_depths() == ref.max_depth
     assert tl.total_busy_us() == sum(ref.busy_us)
+
+
+# --- The flash ops' fused bookings against two ``schedule`` calls per op -----
+
+
+def _device_ops(device, rng, count):
+    """A seeded mix of reads (retry steps included), programs, erases and
+    page copies on ``device``, with arrivals that sometimes step back (a
+    GC cursor and a host request do not arrive in one order).  Yields
+    ``(kind, args)`` after performing each op."""
+    geo = device.geometry
+    core = device.core
+    ppb = geo.pages_per_block
+    now = 0
+
+    def open_blocks(exclude=None):
+        return [
+            pba for pba in range(geo.total_blocks)
+            if core.write_pointer[pba] < ppb and pba != exclude
+        ]
+
+    def next_page(exclude=None):
+        pba = rng.choice(open_blocks(exclude))
+        return pba * ppb + core.write_pointer[pba]
+
+    for _ in range(count):
+        now = max(0, now + rng.randint(-200, 900))
+        kind = rng.choice(("read", "read", "program", "program", "copy", "erase"))
+        written = [p for p in range(core.total_pages) if core.state[p]]
+        if kind in ("read", "copy") and not written:
+            kind = "program"
+        if kind == "program" and not open_blocks():
+            kind = "erase"
+        if kind == "copy":
+            src = rng.choice(written)
+            if not open_blocks(exclude=src // ppb):
+                kind = "read"
+        if kind == "read":
+            ppa, step = rng.choice(written), rng.choice((0, 0, 1, 3))
+            device.read_page(ppa, now, retry_step=step)
+            yield kind, (ppa, now, step)
+        elif kind == "program":
+            ppa = next_page()
+            device.program_page(ppa, b"x", OOBMetadata(lpa=ppa, back_pointer=-1,
+                                                       timestamp_us=now), now)
+            yield kind, (ppa, now)
+        elif kind == "copy":
+            step = rng.choice((0, 2, None))
+            dst = next_page(exclude=src // ppb)
+            device.copy_page(src, now, lambda: dst, step)
+            yield kind, (src, dst, now, step)
+        else:
+            pba = rng.randrange(geo.total_blocks)
+            device.erase_block(pba, now)
+            yield kind, (pba, now)
+
+
+def _book_reference(ref_channels, ref_chips, geo, timing, kind, args):
+    """The same op as two ``schedule`` calls (one for an erase) on the
+    reference model: the booking before the fused kernel."""
+    def lanes(ppa):
+        pba = ppa // geo.pages_per_block
+        channel, chip = geo.chip_of_block(pba)
+        return channel, channel * geo.chips_per_channel + chip
+
+    def read(ppa, now, step):
+        channel, chip = lanes(ppa)
+        cell = ref_chips.schedule(chip, now, timing.read_us * (1 + step))
+        return ref_channels.schedule(channel, cell, timing.bus_transfer_us)
+
+    def program(ppa, now):
+        channel, chip = lanes(ppa)
+        bus = ref_channels.schedule(channel, now, timing.bus_transfer_us)
+        return ref_chips.schedule(chip, bus, timing.program_us)
+
+    if kind == "read":
+        read(*args)
+    elif kind == "program":
+        program(*args)
+    elif kind == "copy":
+        src, dst, now, step = args
+        program(dst, now if step is None else read(src, now, step))
+    else:
+        pba, now = args
+        channel, chip = geo.chip_of_block(pba)
+        ref_chips.schedule(
+            channel * geo.chips_per_channel + chip, now, timing.erase_us
+        )
+
+
+@pytest.mark.parametrize(
+    "chips_per_channel, bus_transfer_us",
+    [(1, 0), (2, 0), (1, 35), (2, 35)],
+)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_fused_bookings_match_two_schedules_per_op(
+    chips_per_channel, bus_transfer_us, seed
+):
+    timing = FlashTiming(bus_transfer_us=bus_transfer_us)
+    geo = FlashGeometry(
+        channels=2,
+        chips_per_channel=chips_per_channel,
+        planes_per_chip=1,
+        blocks_per_plane=3,
+        pages_per_block=4,
+        page_size=512,
+    )
+    device = FlashDevice(geo, timing)
+    ref_channels = ReferenceTimelines(geo.channels)
+    ref_chips = ReferenceTimelines(geo.channels * chips_per_channel)
+    rng = random.Random(seed)
+    for kind, args in _device_ops(device, rng, 300):
+        _book_reference(ref_channels, ref_chips, geo, timing, kind, args)
+        for tl, ref in ((device.timelines, ref_channels),
+                        (device.chip_timelines, ref_chips)):
+            for lane in range(tl.channels):
+                assert tl.busy_until(lane) == ref.busy_until[lane], (kind, args)
+                assert list(tl.lane(lane).pending) == ref.ends[lane], (kind, args)
+            assert tl.busy_times() == ref.busy_us
+            assert tl.max_depths() == ref.max_depth

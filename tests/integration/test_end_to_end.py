@@ -1,6 +1,8 @@
 """End-to-end integration: the whole stack working together."""
 
 import functools
+import hashlib
+import json
 import random
 
 import pytest
@@ -24,11 +26,29 @@ from tests.conftest import make_timessd, small_geometry
 #: flushes and retention shrinks each fire at least three times.
 CUT = (1, 26)
 
+#: sha256 of the cut replay's final ``metrics_snapshot()`` plus its L2P
+#: table, as canonical JSON: the GC-heavy simulated result, pinned.  A
+#: change that only makes the simulator faster leaves it as it is.
+CUT_DIGEST = "8ee07997fb7de95603e1755b63d5fd738081cc9e68386b5d82873acf8eb3d79e"
+
+
+def _digest(ssd):
+    """The perf ledger's ``sim_digest`` payload, hashed the same way."""
+    mapping = ssd.mapping
+    payload = {
+        "metrics": ssd.metrics_snapshot(),
+        "l2p": [[lpa, mapping.lookup(lpa)] for lpa in mapping.mapped_lpas()],
+    }
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
 
 @functools.lru_cache(maxsize=1)
 def _replay(days, intensity):
-    """Replay the msr ``src`` trace on a small TimeSSD.  Cached, so the
-    hand-written audits and the fsck share one run of the cut."""
+    """Replay the msr ``src`` trace on a small TimeSSD; returns the
+    device, the replay's stats and the device's digest taken before any
+    audit reads it.  Cached, so the hand-written audits, the fsck and
+    the golden share one run of the cut."""
     ssd = make_timessd(
         geometry=small_geometry(blocks_per_plane=64, pages_per_block=32),
         retention_floor_us=2 * SECOND_US,
@@ -42,7 +62,8 @@ def _replay(days, intensity):
         intensity_scale=intensity,
         working_pages=ssd.logical_pages // 2,
     )
-    return ssd, TraceReplayer(ssd).replay(trace)
+    stats = TraceReplayer(ssd).replay(trace)
+    return ssd, stats, _digest(ssd)
 
 
 class TestTraceDrivenConsistency:
@@ -50,7 +71,7 @@ class TestTraceDrivenConsistency:
 
     @pytest.fixture(scope="class")
     def replayed(self):
-        ssd, stats = _replay(*CUT)
+        ssd, stats, _digest = _replay(*CUT)
         assert stats.aborted_at is None
         assert stats.requests > 2000
         return ssd, stats
@@ -117,7 +138,7 @@ def test_trace_replay_leaves_a_clean_device(days, intensity):
 
     ``full`` (101 k requests, 4 M GC page migrations) is the same audit
     at scale."""
-    ssd, stats = _replay(days, intensity)
+    ssd, stats, _digest = _replay(days, intensity)
     assert stats.aborted_at is None
     assert ssd.block_manager.free_block_count > 0
     report = DeviceAuditor(ssd).audit(sample_lpa_stride=1)
@@ -128,6 +149,13 @@ def test_trace_replay_leaves_a_clean_device(days, intensity):
     assert ssd.background_gc_runs >= 1
     assert counters["timessd.delta.flushed_pages"] >= 1
     assert counters["timessd.retention.shrinks"] >= 1
+
+
+def test_cut_replay_matches_its_committed_digest():
+    """Every simulated number of a replay that runs foreground and
+    background GC, delta flushes and retention shrinks, to the bit."""
+    _ssd, _stats, digest = _replay(*CUT)
+    assert digest == CUT_DIGEST
 
 
 class TestFullStackRecovery:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -168,3 +170,137 @@ class TestTimeSegmentedBlooms:
         blooms.record_invalidation(1)
         clock.advance(500)
         assert blooms.retention_us() == 500
+
+
+# --- The memoized lookup and the known-group skip against a plain model -------
+
+
+class ReferenceBlooms:
+    """The segment chain with nothing remembered: every recording probes
+    the active filter, every lookup scans the live filters newest first."""
+
+    def __init__(self, clock, capacity, group_size, seed, max_age_us):
+        self.clock = clock
+        self.capacity = capacity
+        self.group_size = group_size
+        self.seed = seed
+        self.max_age_us = max_age_us
+        self.segments = []
+        self.next_id = 0
+        self.rollovers = {"full": 0, "age": 0}
+        self.false_positive_skips = 0
+        self.new_segment()
+
+    def new_segment(self):
+        bloom = BloomFilter(self.capacity, seed=_splitmix64(self.seed + self.next_id))
+        self.segments.append(
+            {"id": self.next_id, "bloom": bloom, "added": set(),
+             "created": self.clock.now_us, "sealed": None, "dropped": False}
+        )
+        self.next_id += 1
+
+    def seal_and_open(self, why):
+        self.segments[-1]["sealed"] = self.clock.now_us
+        self.rollovers[why] += 1
+        self.new_segment()
+
+    def record(self, ppa):
+        active = self.segments[-1]
+        if (
+            self.max_age_us is not None
+            and active["bloom"].count > 0
+            and self.clock.now_us - active["created"] >= self.max_age_us
+        ):
+            self.seal_and_open("age")
+        group = ppa // self.group_size
+        active = self.segments[-1]
+        if group in active["bloom"]:
+            self.false_positive_skips += group not in active["added"]
+            return
+        if active["bloom"].is_full:
+            self.seal_and_open("full")
+            active = self.segments[-1]
+        active["bloom"].add(group)
+        active["added"].add(group)
+
+    def find(self, ppa):
+        group = ppa // self.group_size
+        for segment in reversed(self.segments):
+            if not segment["dropped"] and group in segment["bloom"]:
+                return segment["id"]
+        return None
+
+    def drop_oldest(self):
+        live = [s for s in self.segments if not s["dropped"]]
+        if len(live) > 1:
+            live[0]["dropped"] = True
+
+    def reset(self):
+        self.segments = []
+        self.new_segment()
+
+    def live_state(self):
+        return [
+            (s["id"], s["created"], s["sealed"], s["bloom"].count,
+             bytes(s["bloom"]._bits))
+            for s in self.segments if not s["dropped"]
+        ]
+
+
+def _live_state(blooms):
+    return [
+        (s.segment_id, s.created_us, s.sealed_us, s.bloom.count, bytes(s.bloom._bits))
+        for s in blooms.live_segments()
+    ]
+
+
+@pytest.mark.parametrize(
+    "capacity, group_size, max_age_us",
+    [(1, 1, None), (3, 4, None), (3, 1, 2500), (8, 2, 1200)],
+)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_memoized_lookup_is_the_newest_first_scan(capacity, group_size, max_age_us, seed):
+    """After every step of a seeded mix of per-page and batched recording,
+    drops, resets and clock advances, ``find_segment`` answers what a scan
+    with no memo answers, for every probed page — and the filters hold
+    the bits and counts a recorder that probes every page would set."""
+    rng = random.Random(seed)
+    clock = SimClock()
+    blooms = TimeSegmentedBlooms(
+        clock,
+        capacity_per_filter=capacity,
+        group_size=group_size,
+        seed=seed,
+        max_segment_age_us=max_age_us,
+    )
+    ref = ReferenceBlooms(clock, capacity, group_size, seed, max_age_us)
+    probes = range(0, 160, 3)
+    for _step in range(400):
+        roll = rng.random()
+        if roll < 0.45:
+            ppa = rng.randrange(160)
+            blooms.record_invalidation(ppa)
+            ref.record(ppa)
+        elif roll < 0.75:
+            ppas = [rng.randrange(160) for _ in range(rng.randrange(1, 6))]
+            blooms.record_invalidations(ppas)
+            for ppa in ppas:
+                ref.record(ppa)
+        elif roll < 0.88:
+            blooms.drop_oldest()
+            ref.drop_oldest()
+        elif roll < 0.9:
+            blooms.reset()
+            ref.reset()
+        else:
+            clock.advance(rng.randrange(1, 1500))
+        for ppa in probes:
+            found = blooms.find_segment(ppa)
+            assert (found and found.segment_id) == ref.find(ppa), ppa
+        assert _live_state(blooms) == ref.live_state()
+    # The run covered what the memo and the known-group set must survive.
+    assert ref.rollovers["full"] > 0
+    if max_age_us is not None:
+        assert ref.rollovers["age"] > 0
+    if capacity == 1:
+        assert ref.false_positive_skips > 0

@@ -140,3 +140,61 @@ class TestCompressionChainInvariant:
         ssd.relocate_block(pba, ssd.clock.now_us)
         after = set(versions_at(ssd, 0))
         assert before <= after
+
+
+class TestIdleWindowBound:
+    """``background_compress`` admits a page when ``t + step_bound`` fits
+    the window, ``step_bound`` being three reads, one compression and one
+    program.  A retained page heading k uncompressed older versions costs
+    k + 2 reads and k + 1 compressions, so a long enough chain overruns
+    the window the docstring promises foreground I/O never waits on."""
+
+    @staticmethod
+    def chain_head_first():
+        """One LPA with seven retained versions: the newest of them heads
+        the richest sealed block, the six older ones fill another."""
+        ssd = make_timessd(
+            geometry=small_geometry(channels=1, blocks_per_plane=32),
+            retention_floor_us=3600 * SECOND_US,
+            bloom_segment_max_age_us=None,
+        )
+        ppb = ssd.device.geometry.pages_per_block
+        for _ in range(6):
+            ssd.write(0)  # block A: versions 0-5 of LPA 0 ...
+        for lpa in range(100, 100 + ppb - 6):
+            ssd.write(lpa)  # ... filled with data that stays current
+        ssd.write(0)  # block B, offset 0: version 6 heads the chain ...
+        head = ssd.mapping.lookup(0)
+        for lpa in range(200, 200 + ppb - 1):
+            ssd.write(lpa)  # ... then pages overwritten below
+        ssd.write(0)  # version 7 is current
+        for lpa in range(200, 200 + ppb - 1):
+            ssd.write(lpa)
+        return ssd, head
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="idle compressor admits a chain costing more than step_bound",
+    )
+    def test_a_window_never_ends_past_its_deadline(self):
+        ssd, head = self.chain_head_first()
+        device = ssd.device
+        assert ssd._background_victims()[0] == device.geometry.block_of_page(head)
+        assert len(list(ssd.index.older_versions(
+            0, device.core.back_pointer[head], device.core.timestamp_us[head]
+        ))) == 6
+        timing = device.timing
+        step_bound = (
+            3 * timing.read_us + timing.delta_compress_us + timing.program_us
+        )
+        timelines = (device.timelines, device.chip_timelines)
+        start = max(
+            max(tl.busy_until(lane) for lane in range(tl.channels))
+            for tl in timelines
+        )
+        deadline = start + step_bound
+        end = ssd.background_compress(start, deadline)
+        assert ssd.block_manager.reclaimable[head]  # the chain was compressed
+        assert end <= deadline
+        for tl in timelines:
+            assert all(tl.busy_until(lane) <= deadline for lane in range(tl.channels))
