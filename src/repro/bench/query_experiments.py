@@ -55,7 +55,7 @@ def run_volume_queries(source, volume, usage=0.5, days=7, seed=1, threads=8):
     rng = random.Random(seed)
     day_ago = max(0, ssd.clock.now_us - DAY_US)
 
-    scanned = ssd.mapping.mapped_count() + len(ssd.unmapped_lpas_with_history())
+    scanned = len(ssd.lpas_with_history())
     tq = kits.time_query(day_ago, threads=threads)
 
     # Pick an LPA that actually has history (hot region).

@@ -394,7 +394,7 @@ class FlashDevice:
 
         ``pbas`` defaults to every block.  Erased, non-failed blocks are
         skipped (nothing to report); failed blocks are yielded (with
-        ``failed=True``) so recovery can retire them on sight.
+        ``failed=True``) whatever their fill: media truth.
 
         Every scan equals :meth:`scan_block_oob`'s and is counted the
         same way; what differs is that the seals of all requested blocks

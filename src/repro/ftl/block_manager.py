@@ -5,11 +5,12 @@ invalid-page counts — extended by TimeSSD to mark delta blocks) and the
 per-page firmware marks, each a byte column indexed by PPA: ``valid``
 (the PVT), ``reclaimable`` (§3.7's PRT: an invalid page whose version was
 compressed or expired, discarded by GC without a read) and ``at_risk``
-(queued for scrub refresh).  Only :meth:`BlockManager.release_block`,
-:meth:`BlockManager.retire_failed_block` and a power cut (a fresh
-manager) clear a block's marks, so no mark outlives its page.  Free
-blocks are handed out round-robin across channels so sequential
-allocation stripes the device.
+(queued for scrub refresh).  Only :meth:`BlockManager.release_block`
+and a power cut (a fresh manager) clear a block's marks, so no mark
+outlives its page.  Whether a block stays in service is one rule,
+:meth:`BlockManager.in_service`, applied by ``release_block`` — after an
+erase, and at mount.  Free blocks are handed out round-robin across
+channels so sequential allocation stripes the device.
 """
 
 import enum
@@ -26,7 +27,7 @@ class BlockKind(enum.Enum):
     DATA = "data"
     DELTA = "delta"  # TimeSSD: blocks holding compressed version deltas
     TRANSLATION = "translation"
-    RETIRED = "retired"  # wore out its P/E budget; never used again
+    RETIRED = "retired"  # grew bad or wore out its P/E budget; never used again
 
 
 class StreamId(enum.Enum):
@@ -112,6 +113,16 @@ class BlockManager:
         for column in (self.valid, self.reclaimable, self.at_risk):
             column[pba * ppb:(pba + 1) * ppb] = bytes(ppb)
 
+    def in_service(self, pba):
+        """The one retirement rule, over media truth: a block serves until
+        it grows bad (the ``failed`` column) or its erase count reaches
+        the configured endurance budget."""
+        core = self._core
+        return not core.failed[pba] and (
+            self.block_endurance_cycles is None
+            or core.erase_count[pba] < self.block_endurance_cycles
+        )
+
     @atomic_section(
         "clearing the page marks, forgetting the append point and "
         "returning the block to the free pool (or retiring it) must be "
@@ -119,11 +130,13 @@ class BlockManager:
         "guard raises before any mutation)"
     )
     def release_block(self, pba):
-        """Return an erased block to the free pool — or retire it.
+        """Return a block that holds no valid page to the free pool — or
+        retire it, when :meth:`in_service` says it has left service.
 
-        With a configured endurance budget, a block that has used up its
-        program/erase cycles is retired instead of reused (bad-block
-        management); the device shrinks until the pool runs dry.
+        Called after every erase, and at mount for a block out of
+        service that holds no mapped page (claimed first).  With a
+        configured endurance budget the device shrinks until the pool
+        runs dry.
         """
         info = self._info[pba]
         if info.valid_count:
@@ -134,10 +147,7 @@ class BlockManager:
         self._forget_page_marks(pba)
         info.sealed = False
         self._forget_active(pba)
-        if self._core.failed[pba] or (
-            self.block_endurance_cycles is not None
-            and self._core.erase_count[pba] >= self.block_endurance_cycles
-        ):
+        if not self.in_service(pba):
             info.kind = BlockKind.RETIRED
             self.retired_blocks += 1
             return
@@ -165,35 +175,10 @@ class BlockManager:
         The block keeps its kind and valid pages; GC will migrate them
         out and :meth:`release_block` retires it (the ``failed`` column
         makes it a victim via :meth:`sealed_blocks` despite being partial).
+        A power cut in between changes nothing: the mount keeps a block
+        that still holds a mapped page.
         """
         self._forget_active(pba)
-
-    @atomic_section(
-        "pool removal, page-mark clear and RETIRED marking commit "
-        "together; a half-retired block could be re-allocated"
-    )
-    def retire_failed_block(self, pba):
-        """Take a known-bad block out of service immediately.
-
-        Used by crash recovery when the media says ``failed`` but the
-        rebuilt firmware tables have no record of the block: it must not
-        re-enter the free pool.  No-op if already retired.
-        """
-        info = self._info[pba]
-        if info.kind is BlockKind.RETIRED:
-            return
-        if info.kind is BlockKind.FREE:
-            try:
-                self._free[self._geo.channel_of_block(pba)].remove(pba)
-                self._free_count -= 1
-            except ValueError:
-                pass
-        self._forget_page_marks(pba)
-        info.valid_count = 0
-        info.sealed = False
-        self._forget_active(pba)
-        info.kind = BlockKind.RETIRED
-        self.retired_blocks += 1
 
     def seal_block(self, pba):
         """Mark a partial block as never-to-be-appended (GC may claim it)."""

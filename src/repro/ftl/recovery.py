@@ -8,8 +8,10 @@ power cut it reconstructs them from the shared OOB sweep
 * AMT + PVT — the newest *intact* OOB timestamp per LPA wins the
   mapping; pages whose OOB sequence tag mismatches (torn or burned
   programs) are discarded, never mapped;
-* block states and the free pool — from device write pointers; grown
-  bad blocks (the ``failed`` column, media truth) are retired on sight;
+* block states and the free pool — from device write pointers; a block
+  out of service (grown bad or worn out: ``BlockManager.in_service``)
+  that holds no mapped page is retired, one that still does stays for
+  GC to empty;
 * append points — partially-programmed blocks are re-adopted as the
   user stream's active blocks (one per channel); orphans are
   force-sealed so GC can reclaim, not append to, them.
@@ -57,7 +59,7 @@ def rebuild_from_flash(ssd):
         "scanned_pages": len(sweep.user_pages),
         "free_blocks": bm.free_block_count,
         "torn_pages": sweep.torn_pages,
-        "failed_blocks": sweep.failed_blocks,
+        "retired_blocks": bm.retired_blocks,
         "scanned_blocks": sweep.scanned_blocks,
         "summarized_blocks": sweep.summarized_blocks,
         "checkpoint_seq": sweep.checkpoint_seq,

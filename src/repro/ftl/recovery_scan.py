@@ -1,20 +1,19 @@
-"""The shared OOB recovery sweep used by both rebuild paths.
-
-``repro.ftl.recovery`` and ``repro.timessd.recovery`` used to carry
-copy-pasted block/page scan loops (torn-page discard, failed-block
-retirement, partial-block collection) that could — and did — drift.
-This module is the single implementation, rewritten against the
-columnar :meth:`~repro.flash.device.FlashDevice.scan_oob` sweep instead
-of per-page ``Page`` objects, and extended with checkpoint summaries
-(:mod:`repro.ftl.checkpoint`): a block whose checkpointed summary still
-matches the media (same erase count, still full, not failed) is adopted
-from the summary without scanning its pages, which is what makes
-recovery sublinear in device size.
+"""The one OOB recovery sweep under both rebuild paths
+(``repro.ftl.recovery`` and ``repro.timessd.recovery``), over the
+columnar :meth:`~repro.flash.device.FlashDevice.scan_oob` sweep and
+checkpoint summaries (:mod:`repro.ftl.checkpoint`): a block whose
+checkpointed summary still matches the media (same erase count, still
+full, not failed) is adopted from the summary without scanning its
+pages, which is what makes recovery sublinear in device size.
 
 The sweep owns exactly the semantics the two recoveries share:
 
-* grown-bad blocks (``failed`` — media truth) are retired on sight;
 * erased blocks stay in the free pool;
+* a block out of service (``BlockManager.in_service``, the one
+  retirement rule: grown bad or worn out) is swept like any other once
+  the rest are; if it holds a head it stays, for GC to empty, and if
+  not it is retired through ``release_block`` and its pages go
+  unreported;
 * occupied blocks are claimed; translation (checkpoint) blocks are
   claimed under their own kind and sealed when partial, never adopted
   as user append points;
@@ -25,8 +24,8 @@ The sweep owns exactly the semantics the two recoveries share:
 * intact housekeeping pages (negative LPA tags: delta pages,
   translation pages in unrecognized blocks) are collected with their
   tag for the caller to classify;
-* partially-programmed non-translation blocks are collected for the
-  caller's append-point adoption.
+* partially-programmed non-translation blocks in service are collected
+  for the caller's append-point adoption.
 
 What the sweep deliberately does *not* do: adopt append points, set
 delta-block kinds, or touch the mapping — those differ between the
@@ -48,7 +47,6 @@ class OOBSweep:
         "partial_blocks",
         "translation_blocks",
         "torn_pages",
-        "failed_blocks",
         "scanned_blocks",
         "summarized_blocks",
         "checkpoint_seq",
@@ -63,17 +61,17 @@ class OOBSweep:
         #: their seal was verified by this sweep (scanned blocks) or is
         #: vouched for by a still-matching checkpoint summary.  A positive
         #: cache for the caller's chain walks, never an authority — a page
-        #: reading 0 here (torn, housekeeping, or in a retired block the
-        #: sweep skipped) still needs ``core.intact_at``.
+        #: reading 0 here (torn, housekeeping, or in a block the mount
+        #: retired) still needs ``core.intact_at``.
         self.committed = bytearray(total_pages)
         #: Intact housekeeping pages: ``(pba, ppa, lpa_tag, timestamp_us)``.
         self.housekeeping = []
-        #: Partially-programmed non-translation blocks, scan order.
+        #: Partially-programmed non-translation blocks in service, scan
+        #: order.
         self.partial_blocks = []
         #: Blocks recognized as checkpoint storage.
         self.translation_blocks = set()
         self.torn_pages = 0
-        self.failed_blocks = 0
         #: Blocks whose pages were actually swept.
         self.scanned_blocks = 0
         #: Blocks adopted from the checkpoint without a page sweep.
@@ -108,19 +106,18 @@ def sweep_oob(ssd, collect_housekeeping=False):
 
     # Pass 1, block order: settle every block's place in the (fresh)
     # block manager and decide who vouches for its pages — a checkpoint
-    # summary, or a scan.  The scans are then taken in one batch.
-    occupied = []  # (pba, summary or None), block order
-    to_scan = []
-    failed = core.failed
+    # summary, or a scan.  The scans are then taken in one batch.  A
+    # block out of service (``BlockManager.in_service``: grown bad or
+    # worn out) is never an append point and is always scanned, after
+    # the rest: a GC copy on healthy media then wins the head over its
+    # same-stamp original in a victim whose erase failed.
+    occupied = []  # (pba, summary or None): block order, condemned last
+    condemned = []
     write_pointer = core.write_pointer
     for pba in range(geo.total_blocks):
-        if failed[pba]:
-            # Grown bad block: the media remembers even though the fresh
-            # BST does not.  Take it out of service; any versions it held
-            # are gone (matching a real drive's data loss on bad blocks).
-            bm.retire_failed_block(pba)
-            sweep.failed_blocks += 1
-            continue
+        in_service = bm.in_service(pba)
+        if not in_service:
+            condemned.append(pba)
         wp = write_pointer[pba]
         if wp == 0:
             continue
@@ -133,17 +130,20 @@ def sweep_oob(ssd, collect_housekeeping=False):
             bm.set_kind(pba, BlockKind.TRANSLATION)
             if wp < ppb:
                 bm.seal_block(pba)
-            continue
-        if wp < ppb:
-            sweep.partial_blocks.append(pba)
-        summary = checkpointing.summary_for(image, core, pba, ppb)
-        occupied.append((pba, summary))
-        if summary is None:
-            to_scan.append(pba)
+        elif in_service:
+            if wp < ppb:
+                sweep.partial_blocks.append(pba)
+            occupied.append((pba, checkpointing.summary_for(image, core, pba, ppb)))
+    occupied += [
+        (pba, None)
+        for pba in condemned
+        if write_pointer[pba] and pba not in translation_blocks
+    ]
+    to_scan = [pba for pba, summary in occupied if summary is None]
     sweep.scanned_blocks = len(to_scan)
     sweep.summarized_blocks = len(occupied) - len(to_scan)
 
-    # Pass 2, the same block order (so ``heads``, ``user_pages`` and
+    # Pass 2, the same order (so ``heads``, ``user_pages`` and
     # ``housekeeping`` fill exactly as a block-at-a-time sweep fills
     # them): reduce every vouched-for page into the result.
     scans = device.scan_oob(to_scan)
@@ -184,4 +184,20 @@ def sweep_oob(ssd, collect_housekeeping=False):
             best = heads.get(lpa)
             if best is None or ts > best[0]:
                 heads[lpa] = (ts, ppa)
+    if not condemned:
+        return sweep
+
+    # Once the heads are known: a block out of service that holds one
+    # stays a DATA block, for GC (or scrub) to empty and retire as on
+    # the live device; one that holds none leaves service now, through
+    # ``release_block`` as after an erase, and its pages go unreported —
+    # its stale history is lost, as a reclaim would lose it.
+    gone = set(condemned) - {ppa // ppb for _ts, ppa in heads.values()}
+    for pba in sorted(gone):
+        bm.claim_block(pba)  # an erased block is still in the fresh pool
+        bm.release_block(pba)
+        committed[pba * ppb:(pba + 1) * ppb] = bytes(ppb)
+    sweep.translation_blocks -= gone
+    sweep.user_pages = [page for page in user_pages if page[0] // ppb not in gone]
+    sweep.housekeeping = [page for page in housekeeping if page[0] not in gone]
     return sweep

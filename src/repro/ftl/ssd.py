@@ -255,7 +255,6 @@ class BaseSSD:
         """Read consecutive pages as one request; returns
         ``(list_of_data, response_us)``.  The clock moves as for
         :meth:`write_range`."""
-        self.check_lpa_range(start_lpa, npages)
         arrival, mark = self.clock.now_us, self._last_io_end_us
         complete = None
         try:
@@ -303,7 +302,9 @@ class BaseSSD:
     def serve_reads_at(self, start_lpa, npages, arrival_us):
         """Admit one request's ``npages`` reads from ``start_lpa`` in
         order, each at the previous page's completion; returns
-        ``(list_of_data, complete_us)``."""
+        ``(list_of_data, complete_us)``.  A range crossing the device
+        end is refused before its first page."""
+        self.check_lpa_range(start_lpa, npages)
         out = []
         t = arrival_us
         for lpa in range(start_lpa, start_lpa + npages):
@@ -313,7 +314,9 @@ class BaseSSD:
 
     def serve_trims_at(self, start_lpa, npages, arrival_us):
         """Admit one request's ``npages`` TRIMs from ``start_lpa``, all at
-        ``arrival_us`` (TRIM costs no media time)."""
+        ``arrival_us`` (TRIM costs no media time).  A range crossing the
+        device end is refused before its first page."""
+        self.check_lpa_range(start_lpa, npages)
         for lpa in range(start_lpa, start_lpa + npages):
             self.serve_trim_at(lpa, arrival_us)
 

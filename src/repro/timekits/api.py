@@ -205,9 +205,9 @@ class TimeKits:
         after the mapped ones, so the mapped walk's thread assignment and
         booked times do not depend on them, and answered in LPA order.
         """
-        lpas = list(self.ssd.mapping.mapped_lpas())
-        lpas += self.ssd.unmapped_lpas_with_history()
-        chains, elapsed = self.walk_many(lpas, threads, payloads=False)
+        chains, elapsed = self.walk_many(
+            self.ssd.lpas_with_history(), threads, payloads=False
+        )
         out = {}
         for lpa in sorted(chains):
             stamps = [v.timestamp_us for v in chains[lpa] if predicate(v.timestamp_us)]
@@ -241,13 +241,14 @@ class TimeKits:
         return self.rollback_lpas(self._range(addr, cnt), t, threads)
 
     def rollback_all(self, t, threads=1):
-        """Revert every valid LPA to its state as of ``t``.
+        """Revert every LPA with history to its state as of ``t`` — a
+        trimmed one included, which is rewritten with its as-of version.
 
         The paper warns this is aggressive: it writes back a large volume
         of data, shortening retention, and can trip the retention-floor
         alarm.  The caller sees that as :class:`RetentionViolationError`.
         """
-        return self.rollback_lpas(list(self.ssd.mapping.mapped_lpas()), t, threads)
+        return self.rollback_lpas(self.ssd.lpas_with_history(), t, threads)
 
     def rollback_lpas(self, lpas, t, threads=1):
         """:meth:`rollback` over any list of LPAs, e.g. a file's extents.

@@ -18,6 +18,7 @@ it is the block manager's ``reclaimable`` column, which an erase clears,
 and the chain hop below never enters a page it marks.
 """
 
+import math
 from dataclasses import dataclass
 
 from repro.flash.page import NULL_PPA
@@ -76,21 +77,23 @@ class TimeTravelIndex:
 
     # --- Data-page chain ------------------------------------------------------
 
-    def older_versions(self, lpa, back, newer_ts, committed=None):
-        """Yield the PPAs of the data-page versions below one version of
-        ``lpa``, newest first; untimed (the caller reads what it needs).
+    def older_versions(self, lpa, back, newer_ts=math.inf, committed=None):
+        """Yield the PPAs of the data-page versions of ``lpa`` from
+        ``back`` down, newest first; untimed (the caller reads what it
+        needs).
 
-        ``back`` is that version's back-pointer and ``newer_ts`` its write
-        stamp.  This is the one chain-hop rule (paper §3.7: "correct LPA
-        and a decreasing timestamp"): a hop is taken only into a page
-        that is not in the PRT — compressed or expired, its version lives
-        on (if at all) in the delta chain, and the physical page may be a
-        stale copy at a reused address — that is programmed, holds
-        ``lpa`` with a stamp older than the version above it, and whose
-        seal is intact (torn or burned residue is never a hop).
-        ``committed`` is an optional column of pages whose seal is
-        already verified (recovery's sweep): a positive hint only, so a
-        page it does not vouch for takes the full check.
+        ``back`` is a version's back-pointer and ``newer_ts`` that
+        version's write stamp; with no newer stamp, ``back`` is a chain
+        head and the first hop.  This is the one chain-hop rule (paper
+        §3.7: "correct LPA and a decreasing timestamp"): a hop is taken
+        only into a page that is not in the PRT — compressed or expired,
+        its version lives on (if at all) in the delta chain, and the
+        physical page may be a stale copy at a reused address — that is
+        programmed, holds ``lpa`` with a stamp older than the version
+        above it, and whose seal is intact (torn or burned residue is
+        never a hop).  ``committed`` is an optional column of pages
+        whose seal is already verified (recovery's sweep): a positive
+        hint only, so a page it does not vouch for takes the full check.
         """
         core = self._core
         total_pages = core.total_pages
@@ -121,11 +124,12 @@ class TimeTravelIndex:
         """Follow back-pointers from ``head_ppa``; returns a ChainWalk.
 
         Entries are ``(ppa, oob, data)`` newest first, the head included.
-        Each hop (:meth:`older_versions`) costs a flash page read,
-        sequenced on the page's channel (dependent reads cannot overlap).
-        The walk stops at a NULL pointer, an erased or recycled page, or
-        a timestamp-order violation — exactly the "chain broken by GC"
-        condition of the paper's Figure 5.
+        Each hop (:meth:`older_versions`, the head its first) costs a
+        flash page read, sequenced on the page's channel (dependent reads
+        cannot overlap).  The walk stops at a NULL pointer, an erased,
+        recycled or PRT-marked page, or a timestamp-order violation —
+        exactly the "chain broken by GC" condition of the paper's
+        Figure 5.
 
         ``until_ts`` implements the paper's AddrQuery early stop:
         "retrieval stops when a version's writing time reaches the target
@@ -134,20 +138,7 @@ class TimeTravelIndex:
         """
         entries = []
         t = now_us
-        if head_ppa == NULL_PPA:
-            return ChainWalk(entries, t)
-        self._geo.check_ppa(head_ppa)
-        if not self._core.state[head_ppa]:
-            return ChainWalk(entries, t)
-        result = self._read(head_ppa, t)
-        t = result.complete_us
-        oob = result.oob
-        if oob.lpa != lpa or not self._core.intact_at(head_ppa):
-            return ChainWalk(entries, t)
-        entries.append((head_ppa, oob, result.data))
-        if until_ts is not None and oob.timestamp_us <= until_ts:
-            return ChainWalk(entries, t)
-        for ppa in self.older_versions(lpa, oob.back_pointer, oob.timestamp_us):
+        for ppa in self.older_versions(lpa, head_ppa):
             result = self._read(ppa, t)
             t = result.complete_us
             entries.append((ppa, result.oob, result.data))

@@ -10,14 +10,17 @@ is exactly why TimeSSD stores (LPA, back-pointer, timestamp) in OOB.
 firmware would flush those with capacitor-backed power; we model the
 conservative worst case where they are lost);
 :func:`rebuild_from_flash` reconstructs, on top of the shared OOB sweep
-(:mod:`repro.ftl.recovery_scan`: torn-page discard, failed-block
-retirement, partial/translation-block handling, checkpoint summaries):
+(:mod:`repro.ftl.recovery_scan`: torn-page discard, the mount's half
+of the retirement rule, partial/translation-block handling, checkpoint
+summaries):
 
 * AMT + PVT — the newest *intact* OOB timestamp per LPA wins the
   mapping; pages whose OOB sequence tag mismatches (torn or failed
   programs the cut interrupted) are discarded, never mapped;
-* block states and the free pool — from device write pointers; grown
-  bad blocks (the ``failed`` column, media truth) are retired on sight;
+* block states and the free pool — from device write pointers; a block
+  out of service (grown bad or worn out: ``BlockManager.in_service``)
+  that holds no mapped page is retired, one that still does stays for
+  GC to empty;
 * the append points — partially-programmed data blocks are re-adopted
   as the user stream's active blocks (one per channel); orphans are
   force-sealed so GC can reclaim them;
@@ -192,7 +195,7 @@ def rebuild_from_flash(ssd):
         "delta_blocks": len(delta_blocks),
         "free_blocks": bm.free_block_count,
         "torn_pages": sweep.torn_pages,
-        "failed_blocks": sweep.failed_blocks,
+        "retired_blocks": bm.retired_blocks,
         "unresolvable_deltas": unresolvable,
         "scanned_blocks": sweep.scanned_blocks,
         "summarized_blocks": sweep.summarized_blocks,
@@ -203,26 +206,16 @@ def rebuild_from_flash(ssd):
 def _reachable_data_ts(ssd, lpa, head, committed):
     """Timestamps of the data-page versions a chain walk can reach.
 
-    The head, then every hop :meth:`TimeTravelIndex.older_versions`
-    takes below it — the walk of ``walk_data_chain`` without its reads:
-    these are the versions available as delta references.
-    ``committed`` is the sweep's column of pages whose seal is already
-    verified; a hop it does not vouch for (torn, or in a retired block
-    the sweep skipped but the timed walk still enters) takes
-    ``core.intact_at``.
+    Every hop :meth:`TimeTravelIndex.older_versions` takes from the head
+    down — the walk of ``walk_data_chain`` without its reads: these are
+    the versions available as delta references.  ``committed`` is the
+    sweep's column of pages whose seal is already verified; a hop it
+    does not vouch for takes ``core.intact_at``.
     """
     if head is None:
         return set()
-    core = ssd.device.core
-    _ts, ppa = head
-    if not 0 <= ppa < core.total_pages:
-        ssd.device.geometry.check_ppa(ppa)
-    if not core.state[ppa]:
-        return set()
-    timestamp_us = core.timestamp_us
-    older = ssd.index.older_versions(
-        lpa, core.back_pointer[ppa], timestamp_us[ppa], committed
-    )
-    out = {timestamp_us[back] for back in older}
-    out.add(timestamp_us[ppa])
-    return out
+    timestamp_us = ssd.device.core.timestamp_us
+    return {
+        timestamp_us[ppa]
+        for ppa in ssd.index.older_versions(lpa, head[1], committed=committed)
+    }

@@ -424,14 +424,16 @@ class TimeSSD(BaseSSD):
 
     # --- Version retrieval (the substrate TimeKits queries ride on) -------------
 
-    def unmapped_lpas_with_history(self):
-        """Ascending LPAs that have no current version but a chain
-        :meth:`version_chain` can still reach: trimmed and not rewritten
+    def lpas_with_history(self):
+        """Every LPA :meth:`version_chain` can answer for: the mapped
+        ones in mapping order, then, ascending, those with no current
+        version but a chain still reachable — trimmed and not rewritten
         (the tombstone), or left unmapped with a delta head by recovery
         (a stale pre-trim page is never mapped as current)."""
         is_mapped = self.mapping.is_mapped
         candidates = self._trim_tombstones.keys() | self.index.delta_head_lpas()
-        return sorted(lpa for lpa in candidates if not is_mapped(lpa))
+        unmapped = sorted(lpa for lpa in candidates if not is_mapped(lpa))
+        return list(self.mapping.mapped_lpas()) + unmapped
 
     def version_chain(
         self,

@@ -22,8 +22,8 @@ Checked invariants:
   segments; dropped segments own no reachable records.
 
 The chain and segment checks walk every LPA a time query or rollback
-can reach: :meth:`TimeSSD.unmapped_lpas_with_history` adds the trimmed
-ones to the mapped ones.
+can reach: :meth:`TimeSSD.lpas_with_history`, the mapped ones and the
+trimmed ones.
 """
 
 from dataclasses import dataclass, field
@@ -72,11 +72,6 @@ class DeviceAuditor:
         self._check_segments(report)
         return report
 
-    def _lpas_with_history(self):
-        """The mapped LPAs, then the trimmed ones with reachable history."""
-        ssd = self.ssd
-        return list(ssd.mapping.mapped_lpas()) + ssd.unmapped_lpas_with_history()
-
     # --- Individual checks ------------------------------------------------------
 
     def _check_mapping_pvt(self, report):
@@ -112,7 +107,7 @@ class DeviceAuditor:
         )
         if locked:
             return  # encrypted history cannot be walked while locked
-        for lpa in self._lpas_with_history()[::stride]:
+        for lpa in ssd.lpas_with_history()[::stride]:
             try:
                 versions, _ = ssd.version_chain(lpa)
             except ReproError as exc:
@@ -180,7 +175,7 @@ class DeviceAuditor:
         ssd = self.ssd
         live_ids = {s.segment_id for s in ssd.blooms.live_segments()}
         # Every reachable delta record must belong to a live segment.
-        for lpa in self._lpas_with_history():
+        for lpa in ssd.lpas_with_history():
             record = ssd.index.delta_head(lpa)
             while record is not None and not record.dropped:
                 if record.segment_id not in live_ids:

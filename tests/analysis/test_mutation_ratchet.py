@@ -192,6 +192,7 @@ _REPLAY = (
     "::test_trace_replay_leaves_a_clean_device[cut]"
 )
 _REFERENCE = "        result = ssd.read_page_with_retry(head_ppa, now_us)\n"
+_CUTS = "tests/faults/test_fault_then_cut.py::"
 _BLOOM_MODEL = (
     "tests/timessd/test_bloom.py"
     "::test_memoized_lookup_is_the_newest_first_scan[1-1-1-None]"
@@ -452,8 +453,8 @@ FIRMWARE_MUTATIONS = (
     ),
     (
         "timekits/api.py",  # a trimmed LPA's writes missing from the chronology
-        "        lpas += self.ssd.unmapped_lpas_with_history()\n",
-        "",
+        "            self.ssd.lpas_with_history(), threads, payloads=False\n",
+        "            list(self.ssd.mapping.mapped_lpas()), threads, payloads=False\n",
         "tests/timekits/test_api.py"
         "::TestTimeQueries::test_time_queries_list_writes_to_since_trimmed_lpas",
     ),
@@ -608,6 +609,30 @@ FIRMWARE_MUTATIONS = (
         "        self.check_lpa_range(start_lpa, npages)\n",
         '        the mark beyond their completions).\n        """\n',
         _PATHS + "test_a_request_past_the_device_end_changes_nothing[make_timessd]",
+    ),
+    # --- one retirement rule, on erase and on mount ----------------------------
+    (
+        "ftl/recovery_scan.py",  # the mount retiring a grown-bad block on sight
+        "    gone = set(condemned) - {ppa // ppb for _ts, ppa in heads.values()}\n",
+        "    gone = set(condemned)\n",
+        _CUTS
+        + "test_a_grown_bad_block_keeps_its_acked_pages_across_a_cut[make_timessd]",
+    ),
+    (
+        "ftl/recovery_scan.py",  # the mount never reading the erase counter
+        "        in_service = bm.in_service(pba)\n",
+        "        in_service = not core.failed[pba]\n",
+        _CUTS
+        + "test_worn_out_blocks_stay_retired_and_the_device_read_only[make_regular_ssd]",
+    ),
+    (
+        "timekits/api.py",  # rollback_all walking the mapped LPAs only
+        "        return self.rollback_lpas(self.ssd.lpas_with_history(), t, threads)\n",
+        "        return self.rollback_lpas(\n"
+        "            list(self.ssd.mapping.mapped_lpas()), t, threads\n"
+        "        )\n",
+        "tests/timekits/test_api.py::TestRollback"
+        "::test_rollback_all_restores_an_lpa_trimmed_after_t",
     ),
 )
 

@@ -138,7 +138,8 @@ class TestScrubDrivenHeal:
         ]
         for pba in free[:to_retire]:
             ssd.device.core.failed[pba] = 1
-            bm.retire_failed_block(pba)
+            bm.claim_block(pba)  # out of the pool, then out of service
+            bm.release_block(pba)
         with pytest.raises(DegradedModeError):
             ssd.write(1, PAGE)
         ssd.clock.advance(10 * DWELL)

@@ -3,25 +3,25 @@
 leaves no mark set on the pages it covers.
 
 The reference model is the rule itself: after every
-``release_block`` (the tail of every erase, which also retires a block
-that failed or wore out), every ``retire_failed_block`` and every power
-cut, the covered slice of ``valid``, ``reclaimable`` and ``at_risk`` is
-all zero.  The op sequence is random but seeded, and runs on a device
-where every mark is in use: aging media under patrol scrub (at-risk
-marks), TimeSSD retention (PRT marks), checkpoints (blocks reused as
-translation blocks), erase failures (retirements) and power cuts.
+``release_block`` (the tail of every erase, and the mount's retirement
+of a block that failed or wore out) and every power cut, the covered
+slice of ``valid``, ``reclaimable`` and ``at_risk`` is all zero.  The
+op sequence is random but seeded, and runs on a device where every mark
+is in use: aging media under patrol scrub (at-risk marks), TimeSSD
+retention (PRT marks), checkpoints (blocks reused as translation
+blocks), erase failures (retirements) and power cuts.
 """
 
 import random
 
 import pytest
 
-from repro.common.errors import UncorrectableReadError
+from repro.common.errors import AddressError, UncorrectableReadError
 from repro.common.units import HOUR_US
 from repro.faults.hooks import FaultHooks
 from repro.faults.plan import FaultPlan
 from repro.flash.device import FlashDevice
-from repro.ftl.block_manager import BlockManager
+from repro.ftl.block_manager import BlockKind, BlockManager
 from repro.timessd.recovery import rebuild_from_flash, simulate_power_loss
 from repro.timessd.verify import DeviceAuditor
 
@@ -38,24 +38,20 @@ def marks_of_block(bm, pba):
 
 
 def spy_on_the_lifecycle(monkeypatch):
-    """Check every release and retirement as it happens; returns the
-    per-call log of which columns held a mark just before it."""
+    """Check every release (and so every retirement) as it happens;
+    returns the per-call log of which columns held a mark just before
+    it."""
     log = []
+    original = BlockManager.release_block
 
-    def checked(name):
-        original = getattr(BlockManager, name)
+    def checked(bm, pba):
+        before = marks_of_block(bm, pba)
+        original(bm, pba)
+        after = marks_of_block(bm, pba)
+        assert not any(any(column) for column in after.values()), (pba, after)
+        log.append({c for c, column in before.items() if any(column)})
 
-        def wrapper(bm, pba):
-            before = marks_of_block(bm, pba)
-            original(bm, pba)
-            after = marks_of_block(bm, pba)
-            assert not any(any(column) for column in after.values()), (name, pba, after)
-            log.append((name, {c for c, column in before.items() if any(column)}))
-
-        monkeypatch.setattr(BlockManager, name, wrapper)
-
-    checked("release_block")
-    checked("retire_failed_block")
+    monkeypatch.setattr(BlockManager, "release_block", checked)
     return log
 
 
@@ -75,7 +71,7 @@ def test_every_erase_retirement_and_power_cut_forgets_the_marks(monkeypatch):
     for lpa in range(working_set):
         ssd.write(lpa)
         ssd.clock.advance(1500)
-    power_cuts = 0
+    power_cuts = retired_at_mount = 0
     for step in range(1, 1201):
         lpa = rng.randrange(working_set)
         roll = rng.random()
@@ -95,16 +91,15 @@ def test_every_erase_retirement_and_power_cut_forgets_the_marks(monkeypatch):
             simulate_power_loss(ssd)
             bm = ssd.block_manager
             assert not any(any(getattr(bm, name)) for name in COLUMNS)
-            rebuild_from_flash(ssd)
+            retired_at_mount += rebuild_from_flash(ssd)["retired_blocks"]
             power_cuts += 1
     assert DeviceAuditor(ssd).audit().clean
     # Not vacuous: releases found PRT and at-risk marks to clear (never
     # a valid one: a block is released only once it holds no valid
-    # page), and the lifecycle retired blocks at release and at recovery.
-    cleared = set().union(*(held for name, held in log if name == "release_block"))
-    assert cleared == {"reclaimable", "at_risk"}
+    # page), and the lifecycle retired blocks at release and at mount.
+    assert set().union(*log) == {"reclaimable", "at_risk"}
     assert ssd.block_manager.retired_blocks > 0
-    assert any(name == "retire_failed_block" for name, _held in log)
+    assert retired_at_mount > 0
     assert power_cuts == 3
 
 
@@ -115,9 +110,13 @@ def test_retiring_a_block_in_service_forgets_its_marks():
     bm.mark_valid(ppa)
     bm.mark_reclaimable(ppa + 1)
     bm.at_risk[ppa + 2] = 1
-    bm.retire_failed_block(pba)
+    bm.device.core.failed[pba] = 1
+    with pytest.raises(AddressError):  # a valid page: not releasable yet
+        bm.release_block(pba)
+    bm.invalidate_page(ppa)
+    bm.release_block(pba)
+    assert bm.kind(pba) is BlockKind.RETIRED and bm.retired_blocks == 1
     assert marks_of_block(bm, pba) == dict.fromkeys(COLUMNS, bytes(16))
-    assert bm.valid_count(pba) == 0
 
 
 @pytest.mark.parametrize("column", COLUMNS)

@@ -8,7 +8,9 @@ One op list is driven down the four routes a host op can take —
 and the routes must agree on what the host sees (status, data, latency)
 and on everything the firmware holds afterwards: L2P, ``lost_lpas``,
 ``degraded_reason``, every non-``nvme.*`` metric, the checkpoints
-written and the Equation-1 periods evaluated.
+written and the Equation-1 periods evaluated.  A fifth route, the trace
+replayer's (``replay``: token pages, a TRIM range sent whole), joins
+them where only the outcome's status matters.
 """
 
 import random
@@ -28,6 +30,7 @@ from repro.faults.plan import FaultPlan
 from repro.nvme.commands import NVMeCommand, Opcode, StatusCode
 from repro.nvme.driver import HostNVMeDriver
 from repro.timessd import ContentMode
+from repro.workloads.trace import TraceRecord, TraceReplayer
 
 from tests.conftest import make_regular_ssd, make_timessd
 
@@ -82,6 +85,21 @@ def _ranged(ssd, op, lba, arg):
     return _direct(ssd, op, lba, arg)  # the range API has no TRIM or flush
 
 
+def _replayed(ssd, op, lba, arg):
+    """One op as a trace record through :class:`TraceReplayer`, which
+    writes token pages and sends a TRIM range straight to
+    ``serve_trims_at``."""
+    if op == "F":
+        return _direct(ssd, op, lba, arg)  # a trace has no flush
+    npages = len(arg) if op == "W" else arg
+    start = ssd.clock.now_us
+    try:
+        TraceReplayer(ssd).replay([TraceRecord(start, op, lba, npages)])
+    except tuple(_STATUS_OF) as exc:
+        return _STATUS_OF[type(exc)], None, 0
+    return StatusCode.SUCCESS, npages, ssd.clock.now_us - start
+
+
 def drive(route, ssd, ops):
     """Run ``(op, lba, arg)`` triples down one route; returns one
     ``(status, result, latency_us)`` per op."""
@@ -89,6 +107,8 @@ def drive(route, ssd, ops):
         return [_direct(ssd, *op) for op in ops]
     if route == "range":
         return [_ranged(ssd, *op) for op in ops]
+    if route == "replay":
+        return [_replayed(ssd, *op) for op in ops]
     driver = HostNVMeDriver(ssd)
     commands = [_command(*op) for op in ops]
     if route == "submit":
@@ -199,26 +219,33 @@ def test_queued_pages_count_in_ftl_host_metrics():
 
 @pytest.mark.parametrize("maker", [make_regular_ssd, make_timessd])
 def test_a_request_past_the_device_end_changes_nothing(maker):
-    # Refused before admission on every route: a one-page op past either
-    # end leaves the firmware as it was (no host counter, no idle-window
-    # housekeeping, no free-space GC), and a range crossing the last LBA
-    # writes none of its pages.  The device-clock API sends a range page
-    # by page, so only the other three routes send one whole.
+    # Refused before admission on every route, the trace replayer's too:
+    # a one-page op past either end leaves the firmware as it was (no
+    # host counter, no idle-window housekeeping, no free-space GC), and
+    # a range crossing the last LBA touches none of its pages.  The
+    # device-clock API sends a range page by page, and the range API a
+    # TRIM, so those crossings go only down the routes that send them
+    # whole.
     n = maker().logical_pages
     past_end = [("W", n, [b"x"]), ("R", n, 1), ("T", n, 1)]
     past_end += [("W", -1, [b"x"]), ("R", -1, 1), ("T", -1, 1)]
-    crossing = [("W", n - 1, [b"x", b"y"]), ("R", n - 1, 2)]
-    for route in ROUTES:
+    crossing = [("W", n - 1, [b"x", b"y"]), ("R", n - 1, 3), ("T", n - 2, 4)]
+    whole = {"ssd": [], "range": crossing[:2]}
+    for route in ROUTES + ("replay",):
         ssd = maker()
         drive(route, ssd, seeded_ops(seed=3, count=40))
+        last = (n - 2, n - 1)  # mapped, so a crossing TRIM would show
+        for lpa in last:
+            ssd.write(lpa, b"kept")
         ssd.clock.advance(SECOND_US)  # an idle gap the next request would end
-        before = firmware_state(ssd), ssd.mapping.lookup(n - 1)
-        ops = past_end + (crossing if route != "ssd" else [])
+        before = firmware_state(ssd), [ssd.mapping.lookup(lpa) for lpa in last]
+        ops = past_end + whole.get(route, crossing)
         results = drive(route, ssd, ops)
         assert [status for status, _r, _l in results] == (
             [StatusCode.LBA_OUT_OF_RANGE] * len(ops)
         ), route
-        assert (firmware_state(ssd), ssd.mapping.lookup(n - 1)) == before, route
+        after = firmware_state(ssd), [ssd.mapping.lookup(lpa) for lpa in last]
+        assert after == before, route
 
 
 @pytest.mark.parametrize("route", ROUTES)

@@ -195,14 +195,14 @@ class TestTimeQueries:
         kept = write_history(ssd, 6, 1)
         ssd.trim(5)
         ssd.clock.advance(1000)
-        assert ssd.unmapped_lpas_with_history() == [5]
+        assert ssd.lpas_with_history() == [6, 5]  # mapped first
         assert kit.time_query(t0).value == {5: new, 6: kept}
         assert kit.time_query_range(0, t0 - 1).value == {5: old}
         everything = kit.time_query_all().value
         assert everything == {5: old + new, 6: kept}
         assert list(everything) == [5, 6]  # answered in LPA order
         ssd.write(5)
-        assert ssd.unmapped_lpas_with_history() == []
+        assert ssd.lpas_with_history() == [5, 6]
 
     def test_time_queries_reach_a_delta_chain_left_unmapped_by_recovery(self):
         """Recovery leaves an LPA unmapped when its surviving head is
@@ -215,7 +215,7 @@ class TestTimeQueries:
         fill_and_churn(ssd, ssd.logical_pages // 3, 2000)
         demoted, mapped = sorted(ssd.index.delta_head_lpas())[:2]
         ssd.mapping.invalidate(demoted)  # no _on_invalidate: no tombstone
-        assert ssd.unmapped_lpas_with_history() == [demoted]
+        assert ssd.lpas_with_history() == [*ssd.mapping.mapped_lpas(), demoted]
         stamps = sorted(v.timestamp_us for v in ssd.version_chain(demoted)[0])
         assert stamps
         everything = TimeKits(ssd).time_query_all(threads=4).value
@@ -359,9 +359,6 @@ class TestRollback:
         real_kit.rollback(3, 1, t)
         assert not ssd.mapping.is_mapped(3)
 
-    @pytest.mark.xfail(
-        strict=True, raises=AssertionError, reason="TRIM time not in the history"
-    )
     def test_rollback_all_restores_an_lpa_trimmed_after_t(self, real_kit):
         ssd = real_kit.ssd
         ssd.write(3, real_page(b"v1"))

@@ -109,6 +109,28 @@ class TestDataChain:
         assert walk.entries == []
 
 
+    @pytest.mark.parametrize("mark", ["compressed", "expired"])
+    def test_a_trimmed_lpas_marked_head_is_no_data_page_version(self, ssd, mark):
+        # The head is the chain's first hop, so the rule that refuses a
+        # PRT-marked page one hop down refuses it as the head too: the
+        # page is neither read nor answered.
+        ppas = write_versions(ssd, 7, 3)
+        ssd.trim(7)
+        head = ppas[-1]
+        if mark == "compressed":
+            ssd.compress_or_lose(head, ssd.clock.now_us)
+        else:
+            ssd.expire_page(head)
+        assert ssd.block_manager.reclaimable[head]
+        reads = ssd.device.page_reads.value
+        assert ssd.index.walk_data_chain(7, head, ssd.clock.now_us).entries == []
+        assert ssd.device.page_reads.value == reads
+        versions, _t = ssd.version_chain(7)
+        assert "data-page" not in {v.source for v in versions}
+        if mark == "compressed":  # the version lives on as a delta
+            assert len(versions) == 3
+
+
 class TestDeltaChain:
     def make_record(self, lpa, ts, back=None, flash_ppa=None, dropped=False):
         record = DeltaRecord(

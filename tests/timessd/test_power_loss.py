@@ -6,6 +6,7 @@ import pytest
 
 from repro.common.errors import AddressError
 from repro.common.units import SECOND_US
+from repro.ftl.block_manager import BlockKind
 from repro.timessd.config import ContentMode
 from repro.timessd.recovery import rebuild_from_flash, simulate_power_loss
 from repro.timessd.verify import DeviceAuditor
@@ -219,19 +220,36 @@ def test_reachable_reference_timestamps_mirror_the_chain_walk(monkeypatch):
     assert _reachable_data_ts(
         ssd, torn_lpa, (core.timestamp_us[torn_head], torn_head), nobody
     ) == {core.timestamp_us[torn_head]}
-    # A hop into a grown-bad block is still followed — the sweep retires
-    # the block without reporting its pages, the timed walk enters it.
-    retired_lpa, retired_chain = next(
-        (lpa, chain)
-        for lpa, chain in long_chains[1:]
-        if geo.block_of_page(chain[1])
-        not in {geo.block_of_page(ppa) for ppa in [chain[0]] + torn_chain[:2]}
-    )
-    retired_hop = retired_chain[1]
-    core.failed[geo.block_of_page(retired_hop)] = 1
+    # A grown-bad block is swept like any other.  One that holds a
+    # mapped page stays in service, its pages reported; one that holds
+    # none is retired at mount and reports nothing, yet its intact pages
+    # stay hops for both walks — nothing erased them.
+    bm = ssd.block_manager
+    spoken_for = {geo.block_of_page(ppa) for ppa in torn_chain[:2]}
+
+    def chain_into(holding):
+        return next(
+            (lpa, chain)
+            for lpa, chain in long_chains[1:]
+            if geo.block_of_page(chain[1]) not in spoken_for
+            and geo.block_of_page(chain[0]) != geo.block_of_page(chain[1])
+            and (bm.valid_count(geo.block_of_page(chain[1])) > 0) is holding
+        )
+
+    kept_lpa, kept_chain = chain_into(True)
+    spoken_for.add(geo.block_of_page(kept_chain[1]))
+    gone_lpa, gone_chain = chain_into(False)
+    kept_hop, gone_hop = kept_chain[1], gone_chain[1]
+    for hop in (kept_hop, gone_hop):
+        core.failed[geo.block_of_page(hop)] = 1
     sweep = _power_cycle_keeping_the_sweep(ssd, monkeypatch)
-    assert not sweep.committed[torn_hop] and not sweep.committed[retired_hop]
-    assert sweep.failed_blocks == 1 and sweep.torn_pages >= 1
+    assert sweep.torn_pages >= 1 and not sweep.committed[torn_hop]
+    assert sweep.committed[kept_hop] and not sweep.committed[gone_hop]
+    bm = ssd.block_manager
+    assert bm.kind(geo.block_of_page(kept_hop)) is BlockKind.DATA
+    assert bm.kind(geo.block_of_page(gone_hop)) is BlockKind.RETIRED
+    assert bm.retired_blocks == 1
     chains = _assert_reachable_mirrors_walk(ssd, [nobody, sweep.committed])
     assert chains[torn_lpa] == torn_chain[:1]
-    assert chains[retired_lpa][:2] == retired_chain[:2]
+    assert chains[kept_lpa][:2] == kept_chain[:2]
+    assert chains[gone_lpa][:2] == gone_chain[:2]

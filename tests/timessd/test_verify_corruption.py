@@ -65,7 +65,7 @@ def trimmed_ssd():
     ssd = churned_ssd()
     lpa = live_delta_record(ssd).lpa
     ssd.trim(lpa)
-    assert lpa in ssd.unmapped_lpas_with_history()
+    assert lpa in ssd.lpas_with_history()
     assert live_delta_record(ssd).lpa == lpa
     return ssd
 
