@@ -16,9 +16,11 @@ from flash and asserts the recovery contract:
 * the device accepts and serves new writes afterwards, and a second
   audit stays clean.
 
-Acked *trims* are exempt: the trim tombstone is volatile RAM state, so a
-crash may resurrect the pre-trim data — the same contract as a real
-SSD's DSM deallocate, which is advisory across power loss.
+Acked *trims* are exempt from the read-back check.  A TRIM is a
+tombstone record in the LPA's delta chain: it survives a cut once its
+delta page is programmed, and is advisory before that — a crash may
+resurrect the pre-trim data, the contract of a real SSD's DSM
+deallocate across power loss.
 
 This module is a library (no printing); the ``repro torture`` CLI
 formats the :class:`TortureReport`.
@@ -288,7 +290,7 @@ def run_crash_point(config, cut_at, workload=None):
     # Durability: every acked write must read back byte-identical.
     for lpa, (op, payload) in sorted(acked.items()):
         if op != "write":
-            continue  # trim tombstones are volatile (documented above)
+            continue  # a trim is advisory until flushed (documented above)
         try:
             data = ssd.read(lpa)[0]
         except ReproError as exc:

@@ -128,7 +128,7 @@ class PatrolScrubber:
             if not at_risk[ppa]:
                 queue.popleft()  # no longer at risk: costs no budget
                 continue
-            if t + refresh_bound > deadline_us:
+            if t + self._step_bound(ppa) > deadline_us:
                 break
             if not started:
                 started = True
@@ -143,7 +143,7 @@ class PatrolScrubber:
             if budget_pages <= 0 or t + refresh_bound > deadline_us:
                 break
             for ppa in self._patrol_candidates(pba):
-                if budget_pages <= 0 or t + refresh_bound > deadline_us:
+                if budget_pages <= 0 or t + self._step_bound(ppa) > deadline_us:
                     break
                 if ssd.block_manager.reclaimable[ppa]:
                     # An earlier refresh in this very walk compressed the
@@ -165,23 +165,23 @@ class PatrolScrubber:
         ssd._maybe_heal(t)
         return t
 
-    def _step_bound(self):
-        """Conservative per-page cost bound used for window admission.
+    def _step_bound(self, ppa=None):
+        """Conservative cost bound of one page's step, for window
+        admission (``ppa`` None: of any page's, at the least).
 
         Worst case is a full-ladder read plus a refresh: valid-page
-        migration costs a program; a retained refresh on TimeSSD
-        additionally walks and compresses a short chain.
+        migration costs a program; a stale page costs what the device's
+        stale-page rule may spend on it (``settle_cost_bound``: on
+        TimeSSD the compression of a retained page's whole chain), and
+        never less than a chain of one.
         """
         ssd = self._ssd
         timing = ssd.device.timing
         ladder = timing.read_us * (1 + ssd.config.read_retry_limit)
-        return (
-            ladder
-            + 2 * timing.read_us
-            + timing.delta_compress_us
-            + timing.program_us
-            + 2 * timing.bus_transfer_us
-        )
+        refresh = 2 * timing.read_us + timing.delta_compress_us + timing.program_us
+        if ppa is not None:
+            refresh = max(refresh, ssd.settle_cost_bound(ppa))
+        return ladder + refresh + 2 * timing.bus_transfer_us
 
     def _patrol_order(self):
         """Sealed data blocks, oldest-programmed-first (ties by PBA)."""

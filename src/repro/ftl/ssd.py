@@ -314,8 +314,9 @@ class BaseSSD:
 
     def serve_trims_at(self, start_lpa, npages, arrival_us):
         """Admit one request's ``npages`` TRIMs from ``start_lpa``, all at
-        ``arrival_us`` (TRIM costs no media time).  A range crossing the
-        device end is refused before its first page."""
+        ``arrival_us`` (each completes there, see :meth:`serve_trim_at`).
+        A range crossing the device end is refused before its first
+        page."""
         self.check_lpa_range(start_lpa, npages)
         for lpa in range(start_lpa, start_lpa + npages):
             self.serve_trim_at(lpa, arrival_us)
@@ -366,9 +367,11 @@ class BaseSSD:
             )
 
     def serve_trim_at(self, lpa, arrival_us):
-        """Admit one TRIM arriving at ``arrival_us`` (it completes there:
-        TRIM costs no media time); returns True when a mapping was
-        dropped."""
+        """Admit one TRIM arriving at ``arrival_us``; returns True when a
+        mapping was dropped.  It completes at its arrival: a TRIM waits
+        for no media operation (TimeSSD's tombstone record is buffered,
+        and a delta page it makes full is programmed on its channel
+        without the TRIM waiting for it)."""
         self.check_lpa_range(lpa)
         self.ensure_writable()
         self._before_host_request(arrival_us)
@@ -608,8 +611,7 @@ class BaseSSD:
         ppa = self.block_manager.allocate_page(StreamId.USER)
         old = self.mapping.update(lpa, ppa)
         now_us = self._translation_delay(now_us)
-        back = self._back_pointer_for(lpa, old)
-        oob = OOBMetadata(lpa=lpa, back_pointer=back, timestamp_us=now_us)
+        oob = OOBMetadata(lpa=lpa, back_pointer=old, timestamp_us=now_us)
         last_failure = None
         for _attempt in range(self.PROGRAM_RETRY_LIMIT + 1):
             try:
@@ -838,11 +840,6 @@ class BaseSSD:
 
     # --- Hooks overridden by TimeSSD ----------------------------------------
 
-    def _back_pointer_for(self, lpa, old_ppa):
-        """Back-pointer for a fresh write of ``lpa`` whose previous PPA
-        was ``old_ppa`` (TimeSSD: consults TRIM tombstones)."""
-        return old_ppa
-
     def background_compress(self, start_us, deadline_us):
         """Idle-window stage between GC and scrub (TimeSSD: background
         delta compression); returns the cursor where it stopped."""
@@ -863,6 +860,12 @@ class BaseSSD:
         media work.  The baseline retains nothing, so the erase simply
         discards it (TimeSSD: Algorithm 1's retention rule)."""
         return now_us
+
+    def settle_cost_bound(self, ppa):
+        """Upper bound on the media time :meth:`_settle_stale_page` spends
+        on ``ppa``, for idle-window admission (TimeSSD: a retained page's
+        chain compression).  The baseline's rule does no media work."""
+        return 0
 
     def _after_host_request(self, complete_us, wrote):
         """Called as every admitted host page completes.  Idle means no

@@ -9,7 +9,9 @@ Semantics notes:
   current at time ``t`` — the newest retained version written at or
   before ``t`` (the natural recovery target).  When every retained
   version is newer than ``t`` the oldest retained version is returned,
-  which is the best the device can do once the window has moved.
+  which is the best the device can do once the window has moved.  A
+  TRIM is a version too: an LPA deleted as of ``t`` answers with a
+  ``Version`` whose ``source`` is ``"deleted"`` (``data`` None).
 * Multi-LPA queries accept ``threads``: the paper's Figure 11 shows
   recovery speeding up with threads because independent chains ride
   different flash channels.  Each simulated thread walks its share of
@@ -51,14 +53,12 @@ def check_threads(threads):
 
 
 def _already_current(ssd, lpa, versions, target):
-    """True when ``target`` is the version the device would read now.
-
-    A trimmed LPA has retained versions but no current one, so the
-    newest chain entry is *not* current and a restore write is needed.
-    """
-    if not versions or not ssd.mapping.is_mapped(lpa):
-        return False
-    return target.timestamp_us == versions[0].timestamp_us
+    """True when ``target`` is the state the device reads now: a
+    deletion while the LPA is unmapped, or the current version."""
+    if target.source == "deleted":
+        return not ssd.mapping.is_mapped(lpa)
+    current = versions[0].timestamp_us
+    return ssd.mapping.is_mapped(lpa) and target.timestamp_us == current
 
 
 class TimeKits:
@@ -204,6 +204,7 @@ class TimeKits:
         not rewritten) belong in the chronology too; they are walked
         after the mapped ones, so the mapped walk's thread assignment and
         booked times do not depend on them, and answered in LPA order.
+        A deletion is an update: its TRIM's time is listed like a write's.
         """
         chains, elapsed = self.walk_many(
             self.ssd.lpas_with_history(), threads, payloads=False
@@ -242,7 +243,8 @@ class TimeKits:
 
     def rollback_all(self, t, threads=1):
         """Revert every LPA with history to its state as of ``t`` — a
-        trimmed one included, which is rewritten with its as-of version.
+        trimmed one included, which is rewritten with its as-of version
+        unless it was deleted as of ``t`` too.
 
         The paper warns this is aggressive: it writes back a large volume
         of data, shortening retention, and can trip the retention-floor
@@ -255,9 +257,10 @@ class TimeKits:
 
         An LPA with no retained version is left out of the answer; one
         whose as-of version is already the one the device reads now is
-        answered but not rewritten.
+        answered but not rewritten; one deleted as of ``t`` is TRIMmed.
         """
-        start = self.ssd.clock.now_us
+        ssd = self.ssd
+        start = ssd.clock.now_us
         chains, _elapsed = self.walk_many(lpas, threads, until_ts=t)
         restored = {}
         writes = []
@@ -266,8 +269,11 @@ class TimeKits:
             if target is None:
                 continue
             restored[lpa] = target
-            if _already_current(self.ssd, lpa, versions, target):
+            if _already_current(ssd, lpa, versions, target):
                 continue
-            writes.append((lpa, target.data))
+            if target.source == "deleted":
+                ssd.serve_trim_at(lpa, ssd.clock.now_us)
+            else:
+                writes.append((lpa, target.data))
         self.restore_many(writes, threads)
-        return QueryResult(restored, self.ssd.clock.now_us - start)
+        return QueryResult(restored, ssd.clock.now_us - start)

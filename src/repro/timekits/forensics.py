@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class UpdateEvent:
-    """One write observed in the retained history."""
+    """One write, or one TRIM, observed in the retained history."""
 
     timestamp_us: int
     lpa: int

@@ -44,6 +44,11 @@ class DeltaRecord:
     paper stores a back-pointer PPA inside the delta page, and the model
     charges a flash-page read whenever a chain hop crosses into a flushed
     (``flash_ppa`` set) delta page.
+
+    A TRIM is a record too, a *tombstone*: no payload, ``version_ts`` the
+    deletion's time, and ``data_back`` the PPA of the version it deleted
+    — the head of the deleted data-page chain, which the chain walk
+    enters right after the tombstone (DESIGN.md, "One history per LPA").
     """
 
     lpa: int
@@ -57,13 +62,17 @@ class DeltaRecord:
     dropped: bool = False
     #: False when stored uncompressed (delta-compression ablation mode).
     compressed: bool = True
+    #: A tombstone's deleted data-page chain head; None on every payload
+    #: record.
+    data_back: int = None
 
     def __repr__(self):
         where = "ram" if self.flash_ppa is None else "ppa=%d" % self.flash_ppa
-        return "DeltaRecord(lpa=%d, ts=%d, %dB, %s)" % (
+        kind = "deleted" if self.data_back is not None else "%dB" % self.size_bytes
+        return "DeltaRecord(lpa=%d, ts=%d, %s, %s)" % (
             self.lpa,
             self.version_ts,
-            self.size_bytes,
+            kind,
             where,
         )
 

@@ -9,8 +9,15 @@ Each LPA's version history is split into two chains:
   linked by delta back-pointers; its head lives in the index mapping
   table (IMT).
 
-Invariant (established by GC, checked by tests): every delta-chain
-version is older than every surviving data-page version of the same LPA.
+A TRIM enters the delta chain as a tombstone record (no payload, the
+deletion's time) that hands the walk to the deleted version's data-page
+chain — its *branch* — before the records behind it, so one newest-first
+walk covers every generation of the LPA, deletions included.
+
+Invariant (established by GC, checked by tests): within each generation
+— the mapped chain and its deltas down to the newest tombstone, each
+tombstone's branch and its deltas down to the next — every delta-chain
+version is older than every surviving data-page version.
 
 The page reclamation table (PRT) marks invalid pages whose content has
 been compressed (or has expired) so GC can discard them without reading;
@@ -31,7 +38,9 @@ class Version:
     lpa: int
     timestamp_us: int
     data: object
-    source: str  # "current", "data-page", "delta", "delta-ram"
+    #: "current", "data-page", "delta", "delta-ram", or "deleted": a TRIM
+    #: at ``timestamp_us`` (``data`` None).
+    source: str
 
     def __repr__(self):
         return "Version(lpa=%d, ts=%d, %s)" % (self.lpa, self.timestamp_us, self.source)
@@ -120,7 +129,7 @@ class TimeTravelIndex:
             newer_ts = timestamp_us[back]
             back = back_pointer[back]
 
-    def walk_data_chain(self, lpa, head_ppa, now_us, until_ts=None):
+    def walk_data_chain(self, lpa, head_ppa, now_us, until_ts=None, newer_ts=math.inf):
         """Follow back-pointers from ``head_ppa``; returns a ChainWalk.
 
         Entries are ``(ppa, oob, data)`` newest first, the head included.
@@ -129,7 +138,8 @@ class TimeTravelIndex:
         cannot overlap).  The walk stops at a NULL pointer, an erased,
         recycled or PRT-marked page, or a timestamp-order violation —
         exactly the "chain broken by GC" condition of the paper's
-        Figure 5.
+        Figure 5.  ``newer_ts`` is the stamp the head must be older than
+        (a tombstone's, for its branch).
 
         ``until_ts`` implements the paper's AddrQuery early stop:
         "retrieval stops when a version's writing time reaches the target
@@ -138,7 +148,7 @@ class TimeTravelIndex:
         """
         entries = []
         t = now_us
-        for ppa in self.older_versions(lpa, head_ppa):
+        for ppa in self.older_versions(lpa, head_ppa, newer_ts):
             result = self._read(ppa, t)
             t = result.complete_us
             entries.append((ppa, result.oob, result.data))
@@ -151,14 +161,19 @@ class TimeTravelIndex:
     def walk_delta_chain(self, lpa, now_us, until_ts=None, delta_pages=None):
         """Follow the delta chain from the IMT head; returns a ChainWalk.
 
-        Entries are live :class:`DeltaRecord` objects, newest first.
+        Entries are live :class:`DeltaRecord` objects, newest first.  A
+        tombstone (``data_back`` set) is followed by its branch: the
+        ``(ppa, oob, data)`` entries of the deleted data-page chain, read
+        as :meth:`walk_data_chain` reads them, before the records behind
+        it — every branch version is older than the tombstone and newer
+        than those records.
         Hopping into a flushed delta page costs one flash read unless the
         page is already in ``delta_pages``, the set of delta pages the
         controller holds buffered, which every fetched page joins —
         several deltas of one LPA, and of neighbouring LPAs, often share
         a page.  The caller that owns the set decides how long the buffer
         lives; ``None`` means this walk alone.  RAM-buffered records cost
-        nothing.  ``until_ts`` stops the walk at the first record written
+        nothing.  ``until_ts`` stops the walk at the first entry written
         at or before it.
         """
         entries = []
@@ -173,6 +188,18 @@ class TimeTravelIndex:
             entries.append(record)
             if until_ts is not None and record.version_ts <= until_ts:
                 break
+            if record.data_back is not None:
+                branch = self.walk_data_chain(
+                    lpa, record.data_back, t, until_ts, record.version_ts
+                )
+                t = branch.complete_us
+                entries += branch.entries
+                if (
+                    until_ts is not None
+                    and branch.entries
+                    and branch.entries[-1][1].timestamp_us <= until_ts
+                ):
+                    break
         return ChainWalk(entries, t)
 
     @staticmethod

@@ -27,7 +27,9 @@ summaries):
 * the PRT — invalid pages whose (LPA, timestamp) already exist as a
   delta record are reclaimable;
 * the IMT — delta chains relinked from the records found in delta
-  pages, newest-first;
+  pages, newest-first; a flushed TRIM tombstone newer than the LPA's
+  newest data page leaves the LPA unmapped (an acked TRIM survives the
+  cut once its delta page is programmed; before that it is advisory);
 * the bloom chain — conservative recovery segments, all created at
   rebuild time, retaining every surviving invalid page (nothing expires
   before the floor re-elapses, which errs on the safe side).  The pages
@@ -37,6 +39,7 @@ summaries):
   their wholesale erase still happens when it expires.
 """
 
+import math
 from collections import defaultdict
 from operator import attrgetter
 
@@ -95,10 +98,13 @@ def rebuild_from_flash(ssd):
     # Append points: partially-programmed data blocks become the user
     # stream's active blocks again (one per channel); leftovers are
     # sealed so GC treats them as reclaimable victims, not free space.
+    # The recovery segment's delta stream resumes in one partial delta
+    # block, so the history recovered with it fills that block first.
+    delta_key = ("delta", recovery_segment.segment_id)
     for pba in sweep.partial_blocks:
         if pba in delta_blocks:
-            continue  # delta appends reopen lazily via their stream key
-        if not bm.adopt_active(StreamId.USER, pba):
+            bm.adopt_active(delta_key, pba, striped=False)
+        elif not bm.adopt_active(StreamId.USER, pba):
             bm.seal_block(pba)
 
     by_lpa = defaultdict(list)
@@ -107,18 +113,20 @@ def rebuild_from_flash(ssd):
         by_lpa[record.lpa].append(record)
 
     committed = sweep.committed
-    newest_delta_ts = {}
+    newest_delta_ts = {}  # an LPA with no kept tombstone: one generation
+    generations_by_lpa = {}
     unresolvable = 0
     for lpa, records in by_lpa.items():
         records.sort(key=attrgetter("version_ts"), reverse=True)
-        # A head older than the LPA's delta history means the LPA was
-        # trimmed before the crash and its whole live chain was compressed
-        # and erased: the surviving data page is a stale pre-trim version.
-        # Mapping it would resurrect old data *as current* and corrupt the
-        # chain order; leave the LPA unmapped (trim durability across power
-        # loss is advisory, as on real drives).
+        # A flushed tombstone newer than the LPA's newest data page: the
+        # TRIM was the LPA's last event, and that page is the version it
+        # deleted (or an older one) — leave the LPA unmapped.
         head = heads.get(lpa)
-        if head is not None and head[0] <= records[0].version_ts:
+        if (
+            head is not None
+            and records[0].data_back is not None
+            and records[0].version_ts > head[0]
+        ):
             del heads[lpa]
             head = None
         # A compressed delta decompresses against its reference version
@@ -126,14 +134,22 @@ def rebuild_from_flash(ssd):
         # only in a lost RAM delta buffer, the record is garbage — prune
         # it so queries cannot hit an unresolvable delta.  Walking
         # newest-first, a kept record's own version can serve as a later
-        # record's reference, exactly as in version_chain.  Data pages no
-        # newer than the newest kept record are PRT-marked below, out of
-        # the walk's reach: only newer reachable versions are references.
-        reachable = _reachable_data_ts(ssd, lpa, head, committed)
+        # record's reference, and so can a kept tombstone's deleted
+        # data-page versions, exactly as in version_chain.  Data pages no
+        # newer than the newest kept payload record of their generation
+        # are PRT-marked below, out of the walk's reach: only newer
+        # reachable versions are references.
+        resolvable = _reachable_data_ts(
+            ssd, lpa, None if head is None else head[1], committed
+        )
+        # One [stamp above, newest payload ts] pair per generation, newest
+        # first: the mapped one under no tombstone, then one per kept
+        # tombstone, whose payload records lie between it and the next.
+        generations = [[math.inf, -1]]
         kept = []
         for record in records:
             if not kept:
-                resolvable = {ts for ts in reachable if ts > record.version_ts}
+                resolvable = {ts for ts in resolvable if ts > record.version_ts}
             if (
                 record.compressed
                 and record.ref_ts >= 0
@@ -142,14 +158,25 @@ def rebuild_from_flash(ssd):
                 unresolvable += 1
                 continue
             kept.append(record)
-            resolvable.add(record.version_ts)
+            if record.data_back is None:
+                resolvable.add(record.version_ts)
+                if generations[-1][1] < 0:
+                    generations[-1][1] = record.version_ts
+            else:
+                generations.append([record.version_ts, -1])
+                resolvable |= _reachable_data_ts(
+                    ssd, lpa, record.data_back, committed, record.version_ts
+                )
         if not kept:
             continue
         for newer, older in zip(kept, kept[1:]):
             newer.back = older
         kept[-1].back = None
         ssd.index.set_delta_head(lpa, kept[0])
-        newest_delta_ts[lpa] = kept[0].version_ts
+        if len(generations) == 1:
+            newest_delta_ts[lpa] = generations[0][1]
+        else:
+            generations_by_lpa[lpa] = generations
 
     # AMT + PVT: the newest version of each LPA is the live mapping.
     ssd.load_mapping(heads)
@@ -168,13 +195,19 @@ def rebuild_from_flash(ssd):
             # the *same* version, not an older one — retaining it would
             # later compress into a self-referential delta record.
             reclaimable[ppa] = 1
-        elif ts <= newest_delta_ts.get(lpa, -1):
-            # Not newer than the LPA's recovered delta chain.  Either the
-            # version is already preserved as one of its records (the
-            # data page is redundant), or retaining it would make a later
-            # GC compression prepend an out-of-order record (deltas link
-            # newest-first): the chain invariant wins and the stale
-            # version is given up.
+        elif ts <= newest_delta_ts.get(lpa, -1) or (
+            lpa in generations_by_lpa
+            and ts <= _newest_payload_ts(generations_by_lpa[lpa], ts)
+        ):
+            # Not newer than the newest recovered payload record of its
+            # generation.  Either the version is already preserved as one
+            # of its records (the data page is redundant), or retaining it
+            # would make a later GC compression prepend an out-of-order
+            # record (deltas link newest-first): the chain invariant wins
+            # and the stale version is given up.  A tombstone bounds the
+            # comparison: the deleted versions it hands the walk to are
+            # older than every record of a later generation, and stay
+            # retained.
             reclaimable[ppa] = 1
         else:
             retained.append(ppa)
@@ -203,19 +236,34 @@ def rebuild_from_flash(ssd):
     }
 
 
-def _reachable_data_ts(ssd, lpa, head, committed):
-    """Timestamps of the data-page versions a chain walk can reach.
+def _newest_payload_ts(generations, ts):
+    """The newest payload record stamp (-1: none) of the generation a
+    data page stamped ``ts`` belongs to: the innermost one whose
+    tombstone above is newer than the page.  ``generations`` holds
+    ``[stamp above, newest payload ts]`` pairs, newest first."""
+    newest = -1
+    for above, payload_ts in generations:
+        if above <= ts:
+            break
+        newest = payload_ts
+    return newest
 
-    Every hop :meth:`TimeTravelIndex.older_versions` takes from the head
+
+def _reachable_data_ts(ssd, lpa, back, committed, newer_ts=math.inf):
+    """Timestamps of the data-page versions a chain walk can reach from
+    ``back`` (a head, or a tombstone's ``data_back`` below its stamp
+    ``newer_ts``; None reaches nothing).
+
+    Every hop :meth:`TimeTravelIndex.older_versions` takes from there
     down — the walk of ``walk_data_chain`` without its reads: these are
     the versions available as delta references.  ``committed`` is the
     sweep's column of pages whose seal is already verified; a hop it
     does not vouch for takes ``core.intact_at``.
     """
-    if head is None:
+    if back is None:
         return set()
     timestamp_us = ssd.device.core.timestamp_us
     return {
         timestamp_us[ppa]
-        for ppa in ssd.index.older_versions(lpa, head[1], committed=committed)
+        for ppa in ssd.index.older_versions(lpa, back, newer_ts, committed)
     }

@@ -17,12 +17,17 @@ from repro.common.errors import (
     UncorrectableReadError,
 )
 from repro.common.units import format_duration
-from repro.flash.page import NULL_PPA
 from repro.ftl.block_manager import BlockKind
 from repro.ftl.ssd import BaseSSD, ReclaimOutcome
 from repro.timessd.bloom import TimeSegmentedBlooms
 from repro.timessd.config import ContentMode, TimeSSDConfig
-from repro.timessd.delta import DeltaManager, ModeledDeltaCodec, RealDeltaCodec
+from repro.timessd.delta import (
+    NO_REF_TS,
+    DeltaManager,
+    DeltaRecord,
+    ModeledDeltaCodec,
+    RealDeltaCodec,
+)
 from repro.timessd.gc import TimeSSDGarbageCollector
 from repro.timessd.index import TimeTravelIndex, Version
 from repro.timessd.retention import GCOverheadEstimator, RetentionManager
@@ -66,7 +71,6 @@ class TimeSSD(BaseSSD):
         self.retention = RetentionManager(self.blooms, config.retention_floor_us)
         self.collector = TimeSSDGarbageCollector(self)
         self._retained_per_block = defaultdict(int)
-        self._trim_tombstones = {}
         if config.retention_key is not None:
             self.retention_lock = RetentionLock(RetentionCipher(config.retention_key))
         else:
@@ -89,10 +93,10 @@ class TimeSSD(BaseSSD):
     # --- Retention bookkeeping -------------------------------------------------
 
     @atomic_section(
-        "the retention census (blooms, per-block retained counts, TRIM "
-        "tombstones) must move with the validity flip it describes: a "
-        "suspension in between would let GC see a stale page the census "
-        "does not yet count as retained",
+        "the retention census (blooms, per-block retained counts, a "
+        "TRIM's tombstone record) must move with the validity flip it "
+        "describes: a suspension in between would let GC see a stale "
+        "page the census does not yet count as retained",
         # The PVT flip, bloom insert and census increment are each
         # independently consistent sub-updates; recovery rebuilds the
         # census from flash, so a geometry/bloom failure mid-way (which
@@ -100,21 +104,38 @@ class TimeSSD(BaseSSD):
     )
     def _on_invalidate(self, lpa, old_ppa, now_us):
         super()._on_invalidate(lpa, old_ppa, now_us)
-        self.blooms.record_invalidation(old_ppa)
+        segment = self.blooms.record_invalidation(old_ppa)
         pba = self.device.geometry.block_of_page(old_ppa)
         self._retained_per_block[pba] += 1
         self.retained_pages += 1
         if not self.mapping.is_mapped(lpa):
-            # TRIM: keep a tombstone so the next write of this LPA links
-            # its back-pointer to the deleted version — deleted files
-            # stay on the reverse chain (real firmware keeps the stale
-            # mapping entry until GC the same way).
-            self._trim_tombstones[lpa] = old_ppa
+            self._append_tombstone(lpa, old_ppa, segment, now_us)
 
-    def _back_pointer_for(self, lpa, old_ppa):
-        if old_ppa != NULL_PPA:
-            return old_ppa
-        return self._trim_tombstones.pop(lpa, old_ppa)
+    def _append_tombstone(self, lpa, old_ppa, segment, now_us):
+        """A TRIM of ``lpa``, whose head was ``old_ppa``, enters its
+        history: a zero-payload record, stamped with the deletion's time,
+        heads the delta chain and hands the walk to the deleted chain.
+        It joins the active segment's delta buffer (the segment its
+        deleted head was just recorded in) and is durable once that
+        buffer's delta page is programmed, like every other record.
+        When it does not fit, ``add_record`` first programs the records
+        already buffered; the TRIM does not wait for that program, which
+        holds no record of its own (the channel's later operations do)."""
+        record = DeltaRecord(
+            lpa=lpa,
+            # Newer than the version it deletes, even when both land in
+            # the same microsecond (the chain hop needs a strict order).
+            version_ts=max(now_us, self.device.core.timestamp_us[old_ppa] + 1),
+            ref_ts=NO_REF_TS,
+            payload=None,
+            size_bytes=0,
+            segment_id=segment.segment_id,
+            back=self.index.prune_dropped_head(lpa),
+            compressed=False,
+            data_back=old_ppa,
+        )
+        self.index.set_delta_head(lpa, record)
+        self.deltas.add_record(record, now_us)
 
     def note_page_no_longer_retained(self, ppa):
         """A retained page expired or was compressed into the delta chain."""
@@ -249,9 +270,10 @@ class TimeSSD(BaseSSD):
 
         Extends :meth:`BaseSSD.reset_volatile` with TimeSSD's volatile
         state: the time-travel index, bloom-filter chain (segment ids
-        stay monotonic), RAM delta buffers, retained-page census and TRIM
-        tombstones.  A configured retention lock re-seals — after a
-        reboot, history retrieval requires the key again.  Follow up with
+        stay monotonic), RAM delta buffers (unflushed tombstones among
+        them) and retained-page census.  A configured retention lock
+        re-seals — after a reboot, history retrieval requires the key
+        again.  Follow up with
         :func:`repro.timessd.recovery.rebuild_from_flash`.
         """
         super().reset_volatile()
@@ -266,7 +288,6 @@ class TimeSSD(BaseSSD):
             self.config.gc_overhead_period_writes,
         )
         self._retained_per_block.clear()
-        self._trim_tombstones.clear()
         self.retained_pages = 0
         self.lock_retention()
 
@@ -322,8 +343,8 @@ class TimeSSD(BaseSSD):
             return start_us
         self.background_windows += 1
         timing = self.device.timing
-        # Conservative per-page cost bound used to decide whether the next
-        # compression still fits in the window.
+        # The window's floor: no page is settled, not even marked expired,
+        # once less than three reads, a compression and a program remain.
         step_bound = 3 * timing.read_us + timing.delta_compress_us + timing.program_us
         t = start_us
         if t + step_bound > deadline_us:
@@ -341,15 +362,38 @@ class TimeSSD(BaseSSD):
                     # the stale-page rule would only discard it.
                     if not state[ppa] or valid[ppa] or reclaimable[ppa]:
                         continue
+                    # A retained page is admitted against its own chain's
+                    # cost, which the floor need not cover; one that does
+                    # not fit is left whole for a longer window, and the
+                    # pages behind it still get this one.
+                    if t + self.settle_cost_bound(ppa) > deadline_us:
+                        continue
                     t = self._settle_stale_page(ppa, t, tally)
-                    # Only a compression advances ``t``: stop before the
-                    # next page could even be marked expired.
                     if t + step_bound > deadline_us:
                         return t
         finally:
             # Counted even when a power cut ends the window mid-block.
             self.background_compressed += tally.compressed
         return t
+
+    def settle_cost_bound(self, ppa):
+        """Upper bound on the media time :meth:`_settle_stale_page` spends
+        on ``ppa``: nothing for a page it only marks or discards (valid,
+        PRT-marked, expired); for a retained page heading k uncompressed
+        older versions (the untimed hop rule counts them), k + 2 reads —
+        the chain and the reference — and k + 1 compressions, each of
+        whose records may flush a delta page."""
+        bm = self.block_manager
+        if bm.valid[ppa] or bm.reclaimable[ppa] or not self.blooms.is_retained(ppa):
+            return 0
+        core, timing = self.device.core, self.device.timing
+        older = self.index.older_versions(
+            core.lpa[ppa], core.back_pointer[ppa], core.timestamp_us[ppa]
+        )
+        k = sum(1 for _ in older)
+        return (k + 2) * timing.read_us + (k + 1) * (
+            timing.delta_compress_us + timing.program_us
+        )
 
     @atomic_section(
         "expiry marking or chain compression of a retained page must "
@@ -427,12 +471,12 @@ class TimeSSD(BaseSSD):
     def lpas_with_history(self):
         """Every LPA :meth:`version_chain` can answer for: the mapped
         ones in mapping order, then, ascending, those with no current
-        version but a chain still reachable — trimmed and not rewritten
-        (the tombstone), or left unmapped with a delta head by recovery
-        (a stale pre-trim page is never mapped as current)."""
+        version but a delta chain — trimmed and not rewritten (a
+        tombstone heads it), or left unmapped by recovery."""
         is_mapped = self.mapping.is_mapped
-        candidates = self._trim_tombstones.keys() | self.index.delta_head_lpas()
-        unmapped = sorted(lpa for lpa in candidates if not is_mapped(lpa))
+        unmapped = sorted(
+            lpa for lpa in self.index.delta_head_lpas() if not is_mapped(lpa)
+        )
         return list(self.mapping.mapped_lpas()) + unmapped
 
     def version_chain(
@@ -448,8 +492,12 @@ class TimeSSD(BaseSSD):
         Returns ``(versions, complete_us)`` where ``versions`` includes
         the current (valid) version first, then retained older versions
         from the data-page chain and the delta chain, deduplicated by
-        write timestamp.  Costs are charged like real firmware: dependent
-        page reads sequenced per channel plus decompression time.
+        write timestamp.  A TRIM is a ``"deleted"`` version (no data) at
+        its time, followed by the versions it deleted: the delta chain's
+        tombstone hands the walk to the deleted data-page chain before
+        its older records.  Costs are charged like real firmware:
+        dependent page reads sequenced per channel plus decompression
+        time.
 
         ``until_ts`` enables the paper's AddrQuery early stop: the walk
         ends at the first version written at or before ``until_ts``, and
@@ -479,23 +527,20 @@ class TimeSSD(BaseSSD):
                 "retained history is locked; call unlock_retention(key)"
             )
         t = self.clock.now_us if start_us is None else start_us
-        head_ppa = self.mapping.lookup(lpa)
-        has_current = head_ppa != NULL_PPA
-        if not has_current:
-            # TRIMmed and never rewritten: the deleted version chain is
-            # still reachable through the tombstone.
-            head_ppa = self._trim_tombstones.get(lpa, NULL_PPA)
         versions = []
         by_ts = {}  # write timestamp -> page bytes, for every version seen
 
-        walk = self.index.walk_data_chain(lpa, head_ppa, t, until_ts=until_ts)
-        t = walk.complete_us
-        for i, (_ppa, oob, data) in enumerate(walk.entries):
-            source = "current" if (i == 0 and has_current) else "data-page"
-            if not payloads:
-                data = None
+        def take_page(oob, data, source):
+            data = data if payloads else None
             versions.append(Version(lpa, oob.timestamp_us, data, source))
             by_ts[oob.timestamp_us] = data
+
+        walk = self.index.walk_data_chain(
+            lpa, self.mapping.lookup(lpa), t, until_ts=until_ts
+        )
+        t = walk.complete_us
+        for i, (_ppa, oob, data) in enumerate(walk.entries):
+            take_page(oob, data, "data-page" if i else "current")
 
         if (
             until_ts is not None
@@ -510,9 +555,16 @@ class TimeSSD(BaseSSD):
             lpa, t, until_ts=until_ts, delta_pages=delta_pages
         )
         t = delta_walk.complete_us
-        self.deltas_passed += len(delta_walk.entries)
         timing = self.device.timing
         for record in delta_walk.entries:
+            if type(record) is tuple:  # a tombstone's deleted data page
+                _ppa, oob, data = record
+                take_page(oob, data, "data-page")
+                continue
+            self.deltas_passed += 1
+            if record.data_back is not None:
+                versions.append(Version(lpa, record.version_ts, None, "deleted"))
+                continue
             if record.version_ts in by_ts:
                 continue  # still on an un-erased data page; prefer that copy
             data = None
@@ -539,8 +591,6 @@ class TimeSSD(BaseSSD):
             source = "delta" if record.flash_ppa is not None else "delta-ram"
             versions.append(Version(lpa, record.version_ts, data, source))
             by_ts[record.version_ts] = data
-            if until_ts is not None and record.version_ts <= until_ts:
-                break
         self._h_query_chain.record(len(versions))
         return versions, t
 

@@ -12,8 +12,10 @@ Checked invariants:
 * **chain soundness** — every version chain can be walked (a walk that
   raises, e.g. on an undecodable delta, is reported with its LPA), is
   strictly newest-first, and every hop passes the OOB verification rule;
-* **delta-chain order** — every delta version is older than every
-  surviving data-page version of its LPA (§3.7 invariant);
+* **delta-chain order** — within each generation of an LPA (the
+  versions above its newest deletion, then those between one deletion
+  and the next) every delta version is older than every surviving
+  data-page version (§3.7 invariant);
 * **PRT consistency** — reclaimable pages are never valid;
 * **free-pool hygiene** — FREE blocks are erased; counts agree;
 * **retention accounting** — the retained-page census never goes
@@ -118,18 +120,20 @@ class DeviceAuditor:
                 report.problem("LPA %d chain not newest-first: %s" % (lpa, stamps))
             if len(set(stamps)) != len(stamps):
                 report.problem("LPA %d chain has duplicate timestamps" % lpa)
-            data_ts = [
-                v.timestamp_us
-                for v in versions
-                if v.source in ("current", "data-page")
-            ]
-            delta_ts = [
-                v.timestamp_us for v in versions if v.source.startswith("delta")
-            ]
-            if data_ts and delta_ts and max(delta_ts) >= min(data_ts):
-                report.problem(
-                    "LPA %d delta chain overlaps data chain in time" % lpa
-                )
+            # A deletion closes a generation: the walk then enters the
+            # deleted data-page chain, which is older than the deltas above.
+            data_ts, delta_ts = [], []
+            for v in versions + [None]:
+                if v is None or v.source == "deleted":
+                    if data_ts and delta_ts and max(delta_ts) >= min(data_ts):
+                        report.problem(
+                            "LPA %d delta chain overlaps data chain in time" % lpa
+                        )
+                    data_ts, delta_ts = [], []
+                elif v.source.startswith("delta"):
+                    delta_ts.append(v.timestamp_us)
+                else:
+                    data_ts.append(v.timestamp_us)
 
     def _check_prt(self, report):
         report.checks_run += 1

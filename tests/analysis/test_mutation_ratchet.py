@@ -384,8 +384,8 @@ FIRMWARE_MUTATIONS = (
     ),
     (
         "timessd/ssd.py",  # the bloom filter keyed by the wrong domain
-        "        self.blooms.record_invalidation(old_ppa)\n",
-        "        self.blooms.record_invalidation(lpa)\n",
+        "        segment = self.blooms.record_invalidation(old_ppa)\n",
+        "        segment = self.blooms.record_invalidation(lpa)\n",
         "tests/timessd/test_timessd.py"
         "::TestRetentionUnderGC::test_versions_survive_gc_as_deltas",
     ),
@@ -459,11 +459,20 @@ FIRMWARE_MUTATIONS = (
         "::TestTimeQueries::test_time_queries_list_writes_to_since_trimmed_lpas",
     ),
     (
-        "timekits/api.py",  # a trimmed LPA's newest version taken as current
-        "    if not versions or not ssd.mapping.is_mapped(lpa):\n",
-        "    if not versions:\n",
+        "timessd/index.py",  # a tombstone hiding the versions it deleted
+        "            if record.data_back is not None:\n"
+        "                branch = self.walk_data_chain(\n",
+        "            if False:\n"
+        "                branch = self.walk_data_chain(\n",
         "tests/timekits/test_api.py::TestRollback"
         "::test_rollback_restores_an_lpa_trimmed_after_t",
+    ),
+    (
+        "timekits/api.py",  # a mapped LPA deleted as of t left alone
+        "                ssd.serve_trim_at(lpa, ssd.clock.now_us)\n",
+        "                pass\n",
+        "tests/timekits/test_api.py::TestRollback"
+        "::test_rollback_leaves_an_lpa_trimmed_at_t_deleted",
     ),
     (
         "timekits/api.py",  # one cursor per requested thread: 10**12 of them
@@ -625,6 +634,36 @@ FIRMWARE_MUTATIONS = (
         _CUTS
         + "test_worn_out_blocks_stay_retired_and_the_device_read_only[make_regular_ssd]",
     ),
+    # --- one history per LPA -----------------------------------------------------
+    (
+        "timessd/ssd.py",  # a TRIM that appends no tombstone
+        "            self._append_tombstone(lpa, old_ppa, segment, now_us)\n",
+        "            pass\n",
+        "tests/timessd/test_power_loss.py::TestTrimTombstone"
+        "::test_a_flushed_tombstone_keeps_the_lpa_deleted_across_a_cut",
+    ),
+    (
+        "timessd/ssd.py",  # the idle compressor admitting against one fixed step
+        "                    if t + self.settle_cost_bound(ppa) > deadline_us:\n",
+        "                    if t + step_bound > deadline_us:\n",
+        "tests/timessd/test_gc.py::TestIdleWindowBound"
+        "::test_a_window_never_ends_past_its_deadline",
+    ),
+    (
+        "timessd/ssd.py",  # a chain that does not fit ending the idle window
+        "                    if t + self.settle_cost_bound(ppa) > deadline_us:\n"
+        "                        continue\n",
+        "                    if t + self.settle_cost_bound(ppa) > deadline_us:\n"
+        "                        return t\n",
+        "tests/timessd/test_column_loops.py::test_one_window_outcome_is_pinned_exactly",
+    ),
+    (
+        "timessd/recovery.py",  # a deleted branch's pages judged by later records
+        "                generations.append([record.version_ts, -1])\n",
+        "                pass\n",
+        "tests/timessd/test_power_loss.py::TestTrimTombstone"
+        "::test_a_compressed_rewrite_leaves_the_deleted_branch_retained",
+    ),
     (
         "timekits/api.py",  # rollback_all walking the mapped LPAs only
         "        return self.rollback_lpas(self.ssd.lpas_with_history(), t, threads)\n",
@@ -739,8 +778,13 @@ def test_seeded_firmware_bug_fails_its_named_test(tree, relpath, old, new, test_
     assert original.count(old) == 1, (relpath, original.count(old), old)
 
     def run():
+        # Without the hypothesis plugin a run starts in half the time; a
+        # named test that uses hypothesis imports it itself.
         return subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test_id],
+            [
+                sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                "-p", "no:hypothesispytest", test_id,
+            ],
             capture_output=True, text=True, cwd=REPO_ROOT,
             env=dict(os.environ, PYTHONPATH=str(tree / "src")),
         )

@@ -8,6 +8,8 @@ intact copy — either the old copy is still committed, or the new copy
 is, and recovery finds whichever one is.
 """
 
+import pytest
+
 from repro.common.errors import PowerCutError
 from repro.faults.plan import FaultPlan
 from repro.faults.torture import (
@@ -164,4 +166,15 @@ class TestScrubWithCheckpoints:
         # After recovery, a page queued at risk whose block was erased
         # and reopened as a checkpoint block was refreshed as LPA -2.
         outcome = run_crash_point(self.CONFIG, cut_at=593)
+        assert outcome.ok, outcome.problems
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 12: recovered history cannot expire for a "
+        "floor, so the 24-block device runs dry on its first writes",
+    )
+    def test_the_device_serves_writes_after_a_cut_late_in_the_sweep(self):
+        # The first of the sweep's 21 failing cuts (578-620): a
+        # post-recovery write raises RetentionViolationError.
+        outcome = run_crash_point(self.CONFIG, cut_at=578)
         assert outcome.ok, outcome.problems

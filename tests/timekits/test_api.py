@@ -187,19 +187,21 @@ class TestTimeQueries:
 
     def test_time_queries_list_writes_to_since_trimmed_lpas(self, kit):
         """Delete-then-rewrite elsewhere is the ransomware footprint: the
-        deleted LPA's writes stay in the chronology."""
+        deleted LPA's writes stay in the chronology, and so does the
+        deletion."""
         ssd = kit.ssd
         old = write_history(ssd, 5, 1)
         t0 = ssd.clock.now_us
         new = write_history(ssd, 5, 1)
         kept = write_history(ssd, 6, 1)
+        deleted = [ssd.clock.now_us]
         ssd.trim(5)
         ssd.clock.advance(1000)
         assert ssd.lpas_with_history() == [6, 5]  # mapped first
-        assert kit.time_query(t0).value == {5: new, 6: kept}
+        assert kit.time_query(t0).value == {5: new + deleted, 6: kept}
         assert kit.time_query_range(0, t0 - 1).value == {5: old}
         everything = kit.time_query_all().value
-        assert everything == {5: old + new, 6: kept}
+        assert everything == {5: old + new + deleted, 6: kept}
         assert list(everything) == [5, 6]  # answered in LPA order
         ssd.write(5)
         assert ssd.lpas_with_history() == [5, 6]
@@ -330,8 +332,8 @@ class TestRollback:
             assert len(versions) == 3
 
     def test_rollback_restores_an_lpa_trimmed_after_t(self, real_kit):
-        """A trimmed LPA's newest retained version is not current: the
-        device reads nothing there, so the rollback must write it."""
+        """The as-of version predates the deletion: the device reads
+        nothing there, so the rollback must write it."""
         ssd = real_kit.ssd
         ssd.write(3, real_page(b"v1"))
         t = ssd.clock.now_us
@@ -341,11 +343,6 @@ class TestRollback:
         real_kit.rollback(3, 1, t)
         assert ssd.read(3)[0] == real_page(b"v1")
 
-    # TRIM time is not in the version history (ROADMAP item 5), so the
-    # as-of rule cannot tell "deleted at t" from "never written after".
-    @pytest.mark.xfail(
-        strict=True, raises=AssertionError, reason="TRIM time not in the history"
-    )
     def test_rollback_leaves_an_lpa_trimmed_at_t_deleted(self, real_kit):
         ssd = real_kit.ssd
         ssd.write(3, real_page(b"v1"))
@@ -356,8 +353,17 @@ class TestRollback:
         ssd.clock.advance(1000)
         ssd.write(3, real_page(b"v2"))
         ssd.clock.advance(1000)
-        real_kit.rollback(3, 1, t)
+        result = real_kit.rollback(3, 1, t)
+        assert result.value[3].source == "deleted"
         assert not ssd.mapping.is_mapped(3)
+        # The rollback's TRIM is itself history: v2 stays retained.
+        sources = [v.source for v in ssd.version_chain(3)[0]]
+        assert sources == ["deleted", "data-page", "deleted", "data-page"]
+        # Rolling back to a time the LPA was deleted at changes nothing.
+        programs = ssd.device.page_programs.value
+        real_kit.rollback(3, 1, t)
+        assert ssd.device.page_programs.value == programs
+        assert ssd.version_chain(3)[0][0].source == "deleted"
 
     def test_rollback_all_restores_an_lpa_trimmed_after_t(self, real_kit):
         ssd = real_kit.ssd

@@ -114,4 +114,5 @@ class TestForensicTimeline:
         touched, _ = timeline.touched_lpas_between(t1, ssd.clock.now_us)
         assert touched == {5, 6}
         events, _ = timeline.events_since(0)
-        assert [e.lpa for e in events] == [5, 5, 6]
+        # The deletion is an event too, the newest.
+        assert [e.lpa for e in events] == [5, 5, 6, 5]

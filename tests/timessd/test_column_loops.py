@@ -20,7 +20,7 @@ from repro.faults.hooks import FaultHooks
 from repro.faults.plan import FaultPlan
 from repro.flash.core import ColumnarFlashArray
 from repro.flash.device import FlashDevice
-from repro.flash.page import PageState
+from repro.flash.page import NULL_PPA, PageState
 from repro.ftl.block_manager import BlockKind
 from repro.timessd.recovery import rebuild_from_flash, simulate_power_loss
 
@@ -80,8 +80,35 @@ def torn_ppas(ssd):
     ]
 
 
+def chain_bound(ssd, page):
+    """What compressing ``page``'s chain may cost, counted over page
+    views: k older versions are k + 2 reads and k + 1 compressions, each
+    of which may flush a delta page."""
+    lpa, back, newer_ts = page.oob.lpa, page.oob.back_pointer, page.oob.timestamp_us
+    k = 0
+    while back != NULL_PPA:
+        older = ssd.device.peek_page(back)
+        if (
+            ssd.block_manager.reclaimable[back]
+            or older.state is not PageState.PROGRAMMED
+            or older.oob is None
+            or not older.oob.intact
+            or older.oob.lpa != lpa
+            or older.oob.timestamp_us >= newer_ts
+        ):
+            break
+        k += 1
+        back, newer_ts = older.oob.back_pointer, older.oob.timestamp_us
+    timing = ssd.device.timing
+    return (k + 2) * timing.read_us + (k + 1) * (
+        timing.delta_compress_us + timing.program_us
+    )
+
+
 def reference_window(ssd, start_us, deadline_us):
-    """The view-walking loop ``background_compress`` replaced, verbatim."""
+    """The view-walking loop ``background_compress`` replaced, with the
+    same admission: a floor of one step for every page, and for a
+    retained one its chain's bound."""
     ssd.background_windows += 1
     bound = step_bound(ssd)
     t = start_us
@@ -100,6 +127,8 @@ def reference_window(ssd, start_us, deadline_us):
                 if ssd.block_manager.mark_reclaimable(ppa):
                     ssd._m_expired.inc()
                     ssd.note_page_no_longer_retained(ppa)
+                continue
+            if t + chain_bound(ssd, page) > deadline_us:
                 continue
             try:
                 t, compressed = ssd.collector.compress_version_chain(ppa, t)
@@ -163,14 +192,17 @@ def test_one_window_outcome_is_pinned_exactly():
     assert ssd.device.geometry.block_of_page(torn) in ssd._background_victims()
     assert ssd.blooms.find_segment(torn) is not None  # the forgery hazard
     got = run_window(ssd, column_window, 10_000)
+    # 202 and 203 head chains whose bound (3 855 µs each) exceeds the
+    # 3 205 µs left: the window leaves them whole and spends the rest on
+    # 204 (2 910 µs), on the next block's 80 and 81, and on expiries.
     assert got["consumed_us"] == 9495
-    assert got["compressed"] == list(range(192, 204))
+    assert got["compressed"] == [*range(192, 202), 204, 80, 81]
     # Each compression also retires the older versions on its chain.
     assert got["newly_reclaimable"] == [
-        54, 75, 82, 88, 89, 100, 113, 114, 126, 129, 130, 134, 141, 155,
-        172, 178, *range(192, 204), 211, 214, 244,
+        18, 75, 80, 81, 82, 88, 89, 100, 113, 114, *range(128, 144), 157,
+        172, 178, *range(192, 202), 204, 211, 244,
     ]
-    assert got["expired"] == 10
+    assert got["expired"] == 21
     # The rest of the work fits one long window; the torn page is never
     # compressed, expired or marked, however long the window.
     rest = run_window(ssd, column_window, 10_000_000)

@@ -143,10 +143,11 @@ class TestCompressionChainInvariant:
 
 
 class TestIdleWindowBound:
-    """``background_compress`` admits a page when ``t + step_bound`` fits
-    the window, ``step_bound`` being three reads, one compression and one
-    program.  A retained page heading k uncompressed older versions costs
-    k + 2 reads and k + 1 compressions, so a long enough chain overruns
+    """``background_compress`` admits a retained page against its own
+    chain: heading k uncompressed older versions, it costs k + 2 reads
+    and k + 1 compressions, each of whose records may flush a delta page.
+    One fixed step (three reads, one compression, one program) is only
+    the window's floor — a long chain admitted against it would overrun
     the window the docstring promises foreground I/O never waits on."""
 
     @staticmethod
@@ -172,17 +173,14 @@ class TestIdleWindowBound:
             ssd.write(lpa)
         return ssd, head
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="idle compressor admits a chain costing more than step_bound",
-    )
     def test_a_window_never_ends_past_its_deadline(self):
         ssd, head = self.chain_head_first()
         device = ssd.device
         assert ssd._background_victims()[0] == device.geometry.block_of_page(head)
-        assert len(list(ssd.index.older_versions(
+        chain = [head] + list(ssd.index.older_versions(
             0, device.core.back_pointer[head], device.core.timestamp_us[head]
-        ))) == 6
+        ))
+        assert len(chain) == 7
         timing = device.timing
         step_bound = (
             3 * timing.read_us + timing.delta_compress_us + timing.program_us
@@ -192,9 +190,25 @@ class TestIdleWindowBound:
             max(tl.busy_until(lane) for lane in range(tl.channels))
             for tl in timelines
         )
+
+        def lanes_end_by(deadline):
+            return all(
+                tl.busy_until(lane) <= deadline
+                for tl in timelines
+                for lane in range(tl.channels)
+            )
+
+        # One step: the head's chain does not fit, and is left whole.
         deadline = start + step_bound
-        end = ssd.background_compress(start, deadline)
-        assert ssd.block_manager.reclaimable[head]  # the chain was compressed
-        assert end <= deadline
-        for tl in timelines:
-            assert all(tl.busy_until(lane) <= deadline for lane in range(tl.channels))
+        assert ssd.background_compress(start, deadline) <= deadline
+        assert lanes_end_by(deadline)
+        assert not any(ssd.block_manager.reclaimable[ppa] for ppa in chain)
+        # The chain's own bound: 8 reads, 7 compressions, 7 programs.
+        chain_bound = 8 * timing.read_us + 7 * (
+            timing.delta_compress_us + timing.program_us
+        )
+        assert ssd.settle_cost_bound(head) == chain_bound
+        deadline = start + chain_bound
+        assert ssd.background_compress(start, deadline) <= deadline
+        assert lanes_end_by(deadline)
+        assert all(ssd.block_manager.reclaimable[ppa] for ppa in chain)

@@ -127,8 +127,9 @@ class TestDataChain:
         assert ssd.device.page_reads.value == reads
         versions, _t = ssd.version_chain(7)
         assert "data-page" not in {v.source for v in versions}
+        assert versions[0].source == "deleted"
         if mark == "compressed":  # the version lives on as a delta
-            assert len(versions) == 3
+            assert len(versions) == 4
 
 
 class TestDeltaChain:

@@ -112,3 +112,27 @@ def test_report_repr():
     assert "clean" in repr(report)
     report.problem("x")
     assert "1 violations" in repr(report)
+
+
+def test_delta_order_is_checked_one_generation_at_a_time():
+    """[v2, delta v1, deleted, data-page v0]: the rewritten generation's
+    delta is newer than the deleted branch's page, which is no overlap;
+    the same delta stamped past the current version is."""
+    ssd = make_timessd(retention_floor_us=3600 * SECOND_US)
+    ppas = []
+    for step in ("write", "trim", "write", "write"):
+        if step == "trim":
+            ssd.trim(7)
+        else:
+            ssd.write(7)
+            ppas.append(ssd.mapping.lookup(7))
+        ssd.clock.advance(1000)
+    assert ssd.compress_or_lose(ppas[1], ssd.clock.now_us)[1] == 1
+    versions, _ = ssd.version_chain(7)
+    assert [v.source for v in versions] == [
+        "current", "delta-ram", "deleted", "data-page",
+    ]
+    assert DeviceAuditor(ssd).audit().clean
+    ssd.index.delta_head(7).version_ts = ssd.clock.now_us + 1
+    report = DeviceAuditor(ssd).audit()
+    assert any("overlaps data chain" in v for v in report.violations)

@@ -88,8 +88,12 @@ def corrupt_orphan_valid_page(ssd):
 
 def corrupt_chain_order(ssd):
     # A delta version stamped *after* the head breaks newest-first order
-    # and the §3.7 delta-older-than-data invariant.
-    live_delta_record(ssd).version_ts = ssd.clock.now_us + 10_000_000
+    # and the §3.7 delta-older-than-data invariant.  A trimmed LPA's
+    # chain is headed by its tombstone: the version behind it is damaged.
+    record = live_delta_record(ssd)
+    if record.data_back is not None:
+        record = record.back
+    record.version_ts = ssd.clock.now_us + 10_000_000
 
 
 def corrupt_delta_address(ssd):
