@@ -86,19 +86,20 @@ class AddressMappingTable:
         self._table[lpa] = ppa
         return old
 
-    def load(self, heads):
-        """Fill the table from a recovery sweep's ``{lpa: (timestamp_us,
-        ppa)}`` heads — a mount, not host traffic: the entries are written
-        and nothing else moves, so the demand cache starts cold and clean
-        and no translation I/O is counted.  Every LPA is range-checked
-        before the first entry is written.
+    def load(self, head_ppa):
+        """Fill the table from a recovery sweep's LPA-indexed ``head_ppa``
+        column (``NULL_PPA``: unmapped) — a mount, not host traffic: the
+        entries are copied and nothing else moves, so the demand cache
+        starts cold and clean and no translation I/O is counted.  The
+        sweep range-checked every LPA it indexed; a column of the wrong
+        length is refused before anything is written.
         """
-        if heads and not 0 <= min(heads) <= max(heads) < self.logical_pages:
-            for lpa in heads:
-                self._check(lpa)
-        table = self._table
-        for lpa, (_ts, ppa) in heads.items():
-            table[lpa] = ppa
+        if len(head_ppa) != self.logical_pages:
+            raise ValueError(
+                "a %d-entry head column for %d logical pages"
+                % (len(head_ppa), self.logical_pages)
+            )
+        self._table[:] = head_ppa
 
     def invalidate(self, lpa):
         """Drop the mapping (TRIM/delete); returns the previous PPA."""
@@ -115,7 +116,7 @@ class AddressMappingTable:
                 yield lpa
 
     def mapped_count(self):
-        return sum(1 for ppa in self._table if ppa != NULL_PPA)
+        return self.logical_pages - self._table.count(NULL_PPA)
 
     def __len__(self):
         return self.logical_pages

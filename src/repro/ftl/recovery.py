@@ -49,14 +49,14 @@ def rebuild_from_flash(ssd):
         if not bm.adopt_active(StreamId.USER, pba):
             bm.seal_block(pba)
 
-    ssd.load_mapping(sweep.heads)
+    ssd.load_mapping(sweep.head_ppa)
 
     if ssd.checkpointer is not None:
         ssd.checkpointer.adopt(sweep.translation_blocks, sweep.checkpoint_seq)
 
     return {
-        "mapped_lpas": len(sweep.heads),
-        "scanned_pages": len(sweep.user_pages),
+        "mapped_lpas": ssd.mapping.mapped_count(),
+        "user_pages": len(sweep.user_pages),
         "free_blocks": bm.free_block_count,
         "torn_pages": sweep.torn_pages,
         "retired_blocks": bm.retired_blocks,

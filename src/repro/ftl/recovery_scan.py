@@ -19,8 +19,14 @@ The sweep owns exactly the semantics the two recoveries share:
   as user append points;
 * torn/burned pages (sequence-tag mismatch) are discarded, never
   reported;
-* intact user pages feed the newest-timestamp-wins ``heads`` map, the
-  flat ``user_pages`` list and the ``committed`` column;
+* intact user pages feed the two LPA-indexed head columns,
+  ``head_ts`` and ``head_ppa`` (the newest stamp wins; of two versions
+  with one stamp, the first swept — so a GC copy on healthy media beats
+  its original in a block out of service, which is swept last), the
+  flat ``user_pages`` list and the ``committed`` column.  ``head_ppa``
+  *is* the L2P the mount loads; an intact user page naming an LPA past
+  the device's logical space raises :class:`AddressError` before any
+  table is loaded;
 * intact housekeeping pages (negative LPA tags: delta pages,
   translation pages in unrecognized blocks) are collected with their
   tag for the caller to classify;
@@ -32,6 +38,8 @@ delta-block kinds, or touch the mapping — those differ between the
 regular FTL and TimeSSD and stay in their respective recovery modules.
 """
 
+from repro.common.errors import AddressError
+from repro.flash.page import NULL_PPA
 from repro.ftl import checkpoint as checkpointing
 from repro.ftl.block_manager import BlockKind
 
@@ -40,7 +48,8 @@ class OOBSweep:
     """Result of one :func:`sweep_oob` pass."""
 
     __slots__ = (
-        "heads",
+        "head_ts",
+        "head_ppa",
         "user_pages",
         "committed",
         "housekeeping",
@@ -52,9 +61,12 @@ class OOBSweep:
         "checkpoint_seq",
     )
 
-    def __init__(self, total_pages):
-        #: ``{lpa: (timestamp_us, ppa)}`` — newest intact version wins.
-        self.heads = {}
+    def __init__(self, total_pages, logical_pages):
+        #: Per LPA, the newest intact version's stamp (-1: none) and PPA
+        #: (``NULL_PPA``: none) — the newest stamp wins, and of two
+        #: versions with one stamp the first swept.
+        self.head_ts = [-1] * logical_pages
+        self.head_ppa = [NULL_PPA] * logical_pages
         #: Every intact user page: ``(ppa, lpa, timestamp_us)``.
         self.user_pages = []
         #: One byte per PPA, 1 for exactly the pages in ``user_pages``:
@@ -92,7 +104,8 @@ def sweep_oob(ssd, collect_housekeeping=False):
     core = device.core
     bm = ssd.block_manager
     ppb = geo.pages_per_block
-    sweep = OOBSweep(geo.total_pages)
+    logical_pages = ssd.logical_pages
+    sweep = OOBSweep(geo.total_pages, logical_pages)
 
     translation_blocks = checkpointing.find_translation_blocks(device)
     image = (
@@ -143,47 +156,56 @@ def sweep_oob(ssd, collect_housekeeping=False):
     sweep.scanned_blocks = len(to_scan)
     sweep.summarized_blocks = len(occupied) - len(to_scan)
 
-    # Pass 2, the same order (so ``heads``, ``user_pages`` and
+    # Pass 2, the same order (so the heads, ``user_pages`` and
     # ``housekeeping`` fill exactly as a block-at-a-time sweep fills
-    # them): reduce every vouched-for page into the result.
+    # them): reduce every vouched-for page into the result.  A head
+    # column indexed past its end is a page naming an LPA the device
+    # does not have.
     scans = device.scan_oob(to_scan)
-    heads = sweep.heads
+    head_ts = sweep.head_ts
+    head_ppa = sweep.head_ppa
     user_pages = sweep.user_pages
     committed = sweep.committed
     housekeeping = sweep.housekeeping
-    for pba, summary in occupied:
-        first = pba * ppb
-        if summary is not None:
-            sweep.torn_pages += summary.torn_pages
-            for offset, lpa, ts in summary.entries:
-                ppa = first + offset
+    try:
+        for pba, summary in occupied:
+            first = pba * ppb
+            if summary is not None:
+                sweep.torn_pages += summary.torn_pages
+                for offset, lpa, ts in summary.entries:
+                    ppa = first + offset
+                    user_pages.append((ppa, lpa, ts))
+                    committed[ppa] = 1
+                    if ts > head_ts[lpa]:
+                        head_ts[lpa] = ts
+                        head_ppa[lpa] = ppa
+                continue
+            scan = next(scans)
+            states = scan.state
+            columns = zip(scan.intact, scan.lpa, scan.timestamp_us)
+            for ppa, (ok, lpa, ts) in enumerate(columns, first):
+                if not ok:
+                    # Torn tail of the interrupted program (or a burned
+                    # page): the sequence tag mismatch proves it never
+                    # committed, so it must not corrupt the rebuilt
+                    # tables.  (An erased hole below the write pointer
+                    # is not torn.)
+                    if states[ppa - first]:
+                        sweep.torn_pages += 1
+                    continue
+                if lpa < 0:
+                    if collect_housekeeping:
+                        housekeeping.append((pba, ppa, lpa, ts))
+                    continue
                 user_pages.append((ppa, lpa, ts))
                 committed[ppa] = 1
-                best = heads.get(lpa)
-                if best is None or ts > best[0]:
-                    heads[lpa] = (ts, ppa)
-            continue
-        scan = next(scans)
-        states = scan.state
-        columns = zip(scan.intact, scan.lpa, scan.timestamp_us)
-        for ppa, (ok, lpa, ts) in enumerate(columns, first):
-            if not ok:
-                # Torn tail of the interrupted program (or a burned
-                # page): the sequence tag mismatch proves it never
-                # committed, so it must not corrupt the rebuilt tables.
-                # (An erased hole below the write pointer is not torn.)
-                if states[ppa - first]:
-                    sweep.torn_pages += 1
-                continue
-            if lpa < 0:
-                if collect_housekeeping:
-                    housekeeping.append((pba, ppa, lpa, ts))
-                continue
-            user_pages.append((ppa, lpa, ts))
-            committed[ppa] = 1
-            best = heads.get(lpa)
-            if best is None or ts > best[0]:
-                heads[lpa] = (ts, ppa)
+                if ts > head_ts[lpa]:
+                    head_ts[lpa] = ts
+                    head_ppa[lpa] = ppa
+    except IndexError:
+        raise AddressError(
+            "page %d maps LPA %r, out of range [0, %d)" % (ppa, lpa, logical_pages)
+        ) from None
     if not condemned:
         return sweep
 
@@ -192,7 +214,7 @@ def sweep_oob(ssd, collect_housekeeping=False):
     # the live device; one that holds none leaves service now, through
     # ``release_block`` as after an erase, and its pages go unreported —
     # its stale history is lost, as a reclaim would lose it.
-    gone = set(condemned) - {ppa // ppb for _ts, ppa in heads.values()}
+    gone = set(condemned) - {ppa // ppb for ppa in head_ppa if ppa != NULL_PPA}
     for pba in sorted(gone):
         bm.claim_block(pba)  # an erased block is still in the fresh pool
         bm.release_block(pba)

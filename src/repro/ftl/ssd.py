@@ -1119,11 +1119,11 @@ class BaseSSD:
         self._translation_reads_seen = 0
         self._translation_writes_seen = 0
 
-    def load_mapping(self, heads):
+    def load_mapping(self, head_ppa):
         """Mount the L2P a recovery sweep found: AMT entries and PVT bits
-        for ``{lpa: (timestamp_us, ppa)}``, each table in one pass."""
-        self.mapping.load(heads)
-        self.block_manager.mark_valid_many([ppa for _ts, ppa in heads.values()])
+        from its LPA-indexed ``head_ppa`` column, each table in one pass."""
+        self.mapping.load(head_ppa)
+        self.block_manager.mark_valid_many(filter(NULL_PPA.__ne__, head_ppa))
 
 
 class RegularSSD(BaseSSD):

@@ -15,8 +15,9 @@ of the retirement rule, partial/translation-block handling, checkpoint
 summaries):
 
 * AMT + PVT — the newest *intact* OOB timestamp per LPA wins the
-  mapping; pages whose OOB sequence tag mismatches (torn or failed
-  programs the cut interrupted) are discarded, never mapped;
+  mapping (the sweep's LPA-indexed ``head_ppa`` column is the L2P);
+  pages whose OOB sequence tag mismatches (torn or failed programs the
+  cut interrupted) are discarded, never mapped;
 * block states and the free pool — from device write pointers; a block
   out of service (grown bad or worn out: ``BlockManager.in_service``)
   that holds no mapped page is retired, one that still does stays for
@@ -29,7 +30,12 @@ summaries):
 * the IMT — delta chains relinked from the records found in delta
   pages, newest-first; a flushed TRIM tombstone newer than the LPA's
   newest data page leaves the LPA unmapped (an acked TRIM survives the
-  cut once its delta page is programmed; before that it is advisory);
+  cut once its delta page is programmed; before that it is advisory).
+  A compressed record is kept only if its reference version is
+  reachable: a kept record's version, a kept tombstone's deleted
+  data-page branch, or the head's data chain above the newest record —
+  the head's own stamp answers that last case, and the chain is walked
+  (once per LPA) only for a reference nothing else answers;
 * the bloom chain — conservative recovery segments, all created at
   rebuild time, retaining every surviving invalid page (nothing expires
   before the floor re-elapses, which errs on the safe side).  The pages
@@ -45,7 +51,7 @@ from operator import attrgetter
 
 from repro.ftl.block_manager import BlockKind, StreamId
 from repro.ftl.recovery_scan import sweep_oob
-from repro.flash.page import OOBMetadata
+from repro.flash.page import NULL_PPA, OOBMetadata
 from repro.timessd.delta import DeltaPage
 
 
@@ -71,7 +77,8 @@ def rebuild_from_flash(ssd):
     bm = ssd.block_manager
 
     sweep = sweep_oob(ssd, collect_housekeeping=True)
-    heads = sweep.heads
+    head_ts = sweep.head_ts
+    head_ppa = sweep.head_ppa
 
     # Delta pages announce themselves with the DELTA_TAG housekeeping
     # OOB tag; their page data objects hold the records.
@@ -118,53 +125,55 @@ def rebuild_from_flash(ssd):
     unresolvable = 0
     for lpa, records in by_lpa.items():
         records.sort(key=attrgetter("version_ts"), reverse=True)
+        floor = records[0].version_ts
         # A flushed tombstone newer than the LPA's newest data page: the
         # TRIM was the LPA's last event, and that page is the version it
         # deleted (or an older one) — leave the LPA unmapped.
-        head = heads.get(lpa)
-        if (
-            head is not None
-            and records[0].data_back is not None
-            and records[0].version_ts > head[0]
-        ):
-            del heads[lpa]
-            head = None
+        if records[0].data_back is not None and floor > head_ts[lpa]:
+            head_ts[lpa] = -1
+            head_ppa[lpa] = NULL_PPA
         # A compressed delta decompresses against its reference version
         # (the head at compression time).  If that reference survives
         # only in a lost RAM delta buffer, the record is garbage — prune
         # it so queries cannot hit an unresolvable delta.  Walking
         # newest-first, a kept record's own version can serve as a later
         # record's reference, and so can a kept tombstone's deleted
-        # data-page versions, exactly as in version_chain.  Data pages no
-        # newer than the newest kept payload record of their generation
-        # are PRT-marked below, out of the walk's reach: only newer
-        # reachable versions are references.
-        resolvable = _reachable_data_ts(
-            ssd, lpa, None if head is None else head[1], committed
-        )
+        # data-page versions, exactly as in version_chain: together they
+        # are ``refs``.  So can the versions on the head's data chain
+        # newer than the newest record (the ``floor``); older ones are
+        # PRT-marked below, out of the walk's reach.  The head is the
+        # chain's first hop (committed, programmed, its own LPA, and the
+        # PRT still empty), so the chain is walked only for a reference
+        # neither ``refs`` nor the head's own stamp answers.
+        head_ref = head_ts[lpa] if head_ts[lpa] > floor else -1
+        chain = None
+        refs = set()
         # One [stamp above, newest payload ts] pair per generation, newest
         # first: the mapped one under no tombstone, then one per kept
         # tombstone, whose payload records lie between it and the next.
         generations = [[math.inf, -1]]
         kept = []
         for record in records:
-            if not kept:
-                resolvable = {ts for ts in resolvable if ts > record.version_ts}
+            ref_ts = record.ref_ts
             if (
                 record.compressed
-                and record.ref_ts >= 0
-                and record.ref_ts not in resolvable
+                and ref_ts >= 0
+                and ref_ts != head_ref
+                and ref_ts not in refs
             ):
-                unresolvable += 1
-                continue
+                if chain is None:
+                    chain = _reachable_data_ts(ssd, lpa, head_ppa[lpa], committed)
+                if ref_ts <= floor or ref_ts not in chain:
+                    unresolvable += 1
+                    continue
             kept.append(record)
             if record.data_back is None:
-                resolvable.add(record.version_ts)
+                refs.add(record.version_ts)
                 if generations[-1][1] < 0:
                     generations[-1][1] = record.version_ts
             else:
                 generations.append([record.version_ts, -1])
-                resolvable |= _reachable_data_ts(
+                refs |= _reachable_data_ts(
                     ssd, lpa, record.data_back, committed, record.version_ts
                 )
         if not kept:
@@ -179,16 +188,15 @@ def rebuild_from_flash(ssd):
             generations_by_lpa[lpa] = generations
 
     # AMT + PVT: the newest version of each LPA is the live mapping.
-    ssd.load_mapping(heads)
+    ssd.load_mapping(head_ppa)
 
     # Retained invalid pages: everything programmed but not a head.
     reclaimable = bm.reclaimable
     retained = []
     for ppa, lpa, ts in sweep.user_pages:
-        head_ts, head_ppa = heads.get(lpa, (None, None))
-        if ppa == head_ppa:
+        if ppa == head_ppa[lpa]:
             continue
-        if ts == head_ts:
+        if ts == head_ts[lpa]:
             # Byte-identical duplicate of the mapped head, left behind by
             # a scrub/GC refresh migration the cut interrupted between
             # the new copy's program and the (volatile) PRT mark.  It is
@@ -221,7 +229,7 @@ def rebuild_from_flash(ssd):
         ssd.checkpointer.adopt(sweep.translation_blocks, sweep.checkpoint_seq)
 
     return {
-        "mapped_lpas": len(heads),
+        "mapped_lpas": ssd.mapping.mapped_count(),
         "retained_pages": len(retained),
         "reclaimable_pages": reclaimable.count(1),
         "delta_records": len(delta_records),

@@ -566,8 +566,10 @@ FIRMWARE_MUTATIONS = (
     ),
     (
         "ftl/mapping.py",  # a mount billed as host traffic (PRs 8-20)
-        "            table[lpa] = ppa\n",
-        "            self.update(lpa, ppa)\n",
+        "        self._table[:] = head_ppa\n",
+        "        for lpa, ppa in enumerate(head_ppa):\n"
+        "            if ppa != NULL_PPA:\n"
+        "                self.update(lpa, ppa)\n",
         "tests/ftl/test_translation_timing.py"
         "::test_recovery_bills_no_translation_io",
     ),
@@ -622,10 +624,20 @@ FIRMWARE_MUTATIONS = (
     # --- one retirement rule, on erase and on mount ----------------------------
     (
         "ftl/recovery_scan.py",  # the mount retiring a grown-bad block on sight
-        "    gone = set(condemned) - {ppa // ppb for _ts, ppa in heads.values()}\n",
+        "    gone = set(condemned) - {ppa // ppb for ppa in head_ppa if ppa != NULL_PPA}\n",
         "    gone = set(condemned)\n",
         _CUTS
         + "test_a_grown_bad_block_keeps_its_acked_pages_across_a_cut[make_timessd]",
+    ),
+    (
+        "ftl/recovery_scan.py",  # the last of two same-stamp versions winning the head
+        "                committed[ppa] = 1\n"
+        "                if ts > head_ts[lpa]:\n",
+        "                committed[ppa] = 1\n"
+        "                if ts >= head_ts[lpa]:\n",
+        _CUTS
+        + "test_a_copy_outranks_its_original_in_a_victim_whose_erase_failed"
+        "[make_regular_ssd]",
     ),
     (
         "ftl/recovery_scan.py",  # the mount never reading the erase counter
@@ -663,6 +675,12 @@ FIRMWARE_MUTATIONS = (
         "                pass\n",
         "tests/timessd/test_power_loss.py::TestTrimTombstone"
         "::test_a_compressed_rewrite_leaves_the_deleted_branch_retained",
+    ),
+    (
+        "timessd/recovery.py",  # the head's stamp a reference without the floor
+        "        head_ref = head_ts[lpa] if head_ts[lpa] > floor else -1\n",
+        "        head_ref = head_ts[lpa]\n",
+        "tests/timessd/test_power_loss.py::test_a_head_stamp_reference_needs_the_floor",
     ),
     (
         "timekits/api.py",  # rollback_all walking the mapped LPAs only

@@ -11,11 +11,12 @@ to empty, one that holds none is retired.
 
 import pytest
 
-from repro.common.errors import DegradedModeError, DeviceFullError
+from repro.common.errors import AddressError, DegradedModeError, DeviceFullError
 from repro.faults.hooks import FaultHooks
 from repro.faults.plan import FaultPlan
+from repro.flash.page import NULL_PPA, OOBMetadata
 from repro.ftl import recovery as ftl_recovery
-from repro.ftl.block_manager import BlockKind
+from repro.ftl.block_manager import BlockKind, StreamId
 from repro.timessd import recovery as timessd_recovery
 from repro.timessd.ssd import TimeSSD
 
@@ -78,6 +79,27 @@ def test_a_grown_bad_block_keeps_its_acked_pages_across_a_cut(maker):
 
 
 @pytest.mark.parametrize("maker", MAKERS)
+def test_a_page_naming_an_lpa_past_the_device_stops_the_mount(maker):
+    """An intact user page whose OOB names an LPA the device does not
+    have is refused at mount with ``AddressError`` before any L2P entry
+    is written: the sweep's head columns are indexed by LPA, so the
+    check is theirs."""
+    ssd = maker()
+    for lpa in range(WORKING_SET):
+        ssd.write(lpa)
+        ssd.clock.advance(300)
+    stray = ssd.block_manager.allocate_page(StreamId.USER)
+    oob = OOBMetadata(ssd.logical_pages, NULL_PPA, ssd.clock.now_us)
+    ssd.device.program_page(stray, None, oob)
+    assert ssd.device.core.intact_at(stray)
+
+    with pytest.raises(AddressError, match="LPA %d," % ssd.logical_pages):
+        power_cycle(ssd)
+    assert ssd.mapping.mapped_count() == 0
+    assert not any(ssd.block_manager.valid)
+
+
+@pytest.mark.parametrize("maker", MAKERS)
 def test_a_victim_whose_erase_failed_stays_retired_across_a_cut(maker):
     plan = FaultPlan()
     ssd = maker(faults=FaultHooks(plan))
@@ -93,6 +115,35 @@ def test_a_victim_whose_erase_failed_stays_retired_across_a_cut(maker):
     bm = ssd.block_manager
     assert bm.kind(victim) is BlockKind.RETIRED
     assert bm.retired_blocks == stats["retired_blocks"] == 1
+    assert victim not in mapped_blocks(ssd)
+    assert {lpa: ssd.read(lpa)[0] for lpa in acked} == acked
+
+
+@pytest.mark.parametrize("maker", MAKERS)
+def test_a_copy_outranks_its_original_in_a_victim_whose_erase_failed(maker):
+    """A reclaim copies the victim's valid pages, then its erase fails:
+    each copy carries its original's stamp.  The mount sweeps a block out
+    of service last and keeps the first of two equal stamps, so the copy
+    on healthy media is the head and the victim, holding none, is
+    retired."""
+    plan = FaultPlan()
+    ssd = maker(faults=FaultHooks(plan))
+    geo = ssd.device.geometry
+    acked = {}
+    for lpa in range(2 * WORKING_SET):
+        ssd.write(lpa, b"v%d" % lpa)
+        acked[lpa] = b"v%d" % lpa
+        ssd.clock.advance(300)
+    victim = geo.block_of_page(ssd.mapping.lookup(0))
+    bm = ssd.block_manager
+    assert bm.valid_count(victim) == geo.pages_per_block
+    plan.add_erase_failure(every=1, address={victim})
+    ssd.relocate_block(victim, ssd.clock.now_us)
+    assert plan.fired and bm.kind(victim) is BlockKind.RETIRED
+
+    power_cycle(ssd)
+    bm = ssd.block_manager
+    assert bm.kind(victim) is BlockKind.RETIRED and bm.retired_blocks == 1
     assert victim not in mapped_blocks(ssd)
     assert {lpa: ssd.read(lpa)[0] for lpa in acked} == acked
 

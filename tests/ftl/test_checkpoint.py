@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.flash.page import NULL_PPA
 from repro.ftl import checkpoint
 from repro.ftl.checkpoint import (
     CHECKPOINT_STREAM,
@@ -39,7 +40,7 @@ def mapping_snapshot(ssd):
     return {
         lpa: ssd.mapping.lookup(lpa)
         for lpa in range(ssd.logical_pages)
-        if ssd.mapping.lookup(lpa) is not None
+        if ssd.mapping.lookup(lpa) != NULL_PPA
     }
 
 
@@ -67,7 +68,8 @@ def test_checkpointed_recovery_matches_full_scan_exactly(monkeypatch):
         full = sweep_oob(simulate_power_loss(ssd))
     assert full.summarized_blocks == 0 < checkpointed.summarized_blocks
     assert checkpointed.user_pages == full.user_pages
-    assert checkpointed.heads == full.heads
+    assert checkpointed.head_ts == full.head_ts
+    assert checkpointed.head_ppa == full.head_ppa
     assert checkpointed.committed == full.committed
     assert sum(full.committed) == len(full.user_pages) > 0
     simulate_power_loss(ssd)

@@ -103,31 +103,33 @@ def test_load_is_update_without_cache_traffic(cache_entries):
     """``load`` leaves the table ``update`` would leave and nothing else:
     a mount is not host traffic, so the demand cache stays cold and clean
     and no translation I/O is counted."""
-    heads = {lpa: (1000 + lpa, 7 * lpa + 1) for lpa in (0, 3, 9, 15, 4)}
+    mapped = {lpa: 7 * lpa + 1 for lpa in (0, 3, 9, 15, 4)}
+    head_ppa = [mapped.get(lpa, NULL_PPA) for lpa in range(16)]
     updated = AddressMappingTable(16, cache_entries)
-    for lpa, (_ts, ppa) in heads.items():
+    for lpa, ppa in mapped.items():
         updated.update(lpa, ppa)
     # What going through ``update`` bills: a miss per entry, and a
     # write-back for the one a four-entry cache had to evict.
-    billed = (len(heads), 1) if cache_entries else (0, 0)
+    billed = (len(mapped), 1) if cache_entries else (0, 0)
     assert (updated.translation_reads, updated.translation_writes) == billed
     loaded = AddressMappingTable(16, cache_entries)
-    loaded.update(5, 99)  # an entry load does not name stays put
-    loaded.load(heads)
-    assert [loaded.lookup(lpa) for lpa in heads] == [
-        updated.lookup(lpa) for lpa in heads
+    loaded.update(5, 99)  # the column is the whole table: NULL unmaps
+    loaded.load(head_ppa)
+    assert [loaded.lookup(lpa) for lpa in range(16)] == [
+        updated.lookup(lpa) for lpa in range(16)
     ]
-    assert loaded.mapped_count() == len(heads) + 1
+    assert loaded.mapped_count() == len(mapped)
 
     fresh = AddressMappingTable(16, cache_entries)
-    fresh.load(heads)
+    fresh.load(head_ppa)
     assert (fresh.translation_reads, fresh.translation_writes) == (0, 0)
     assert not fresh._dirty and not fresh._cache
+    head_ppa[1] = 50  # a copy: the caller's column is not the table
+    assert not fresh.is_mapped(1)
 
-    # Out of range anywhere in the batch: nothing is written.
-    for bad in (16, -1):
-        with pytest.raises(AddressError):
-            fresh.load({1: (5, 50), bad: (6, 60), 2: (7, 70)})
+    # A column of the wrong length: nothing is written.
+    for bad in ([60] * 15, [60] * 17):
+        with pytest.raises(ValueError):
+            fresh.load(bad)
         assert not fresh.is_mapped(1) and not fresh.is_mapped(2)
-    fresh.load({})
-    assert fresh.mapped_count() == len(heads)
+    assert fresh.mapped_count() == len(mapped)

@@ -1,13 +1,19 @@
 """Power-loss recovery: RAM tables rebuilt from flash OOB metadata."""
 
+import math
 import random
+from collections import defaultdict
+from operator import attrgetter
 
 import pytest
 
 from repro.common.errors import AddressError
 from repro.common.units import SECOND_US
+from repro.flash.page import NULL_PPA, OOBMetadata
 from repro.ftl.block_manager import BlockKind
+from repro.timessd import recovery
 from repro.timessd.config import ContentMode
+from repro.timessd.delta import DeltaPage, DeltaRecord
 from repro.timessd.recovery import rebuild_from_flash, simulate_power_loss
 from repro.timessd.verify import DeviceAuditor
 
@@ -34,6 +40,124 @@ def churned_device(seed=5, real=False, **config):
         history.setdefault(lpa, []).append(ts)
         ssd.clock.advance(1500)
     return ssd, state, history
+
+
+def _eager_relink(ssd, sweep):
+    """The reference: recovery's relink and PRT classification as they
+    were before the head chain was walked lazily — every LPA with delta
+    records walks its head's data chain up front, and the chain's stamps
+    newer than the newest record seed the reference set.  Reads ``sweep``
+    and the device, changes neither; run where recovery's own relink
+    runs, right after the sweep, while the PRT is still empty.  Returns
+    ``({lpa: [kept records, newest first]}, unresolvable, PRT column)``.
+    """
+    _reachable_data_ts = recovery._reachable_data_ts
+    heads = {
+        lpa: (ts, ppa)
+        for lpa, (ts, ppa) in enumerate(zip(sweep.head_ts, sweep.head_ppa))
+        if ppa != NULL_PPA
+    }
+    by_lpa = defaultdict(list)
+    data = ssd.device.core.data
+    for _pba, ppa, lpa_tag, _ts in sweep.housekeeping:
+        page = data[ppa]
+        if lpa_tag == OOBMetadata.DELTA_TAG and isinstance(page, DeltaPage):
+            for record in page.records:
+                if not record.dropped:
+                    by_lpa[record.lpa].append(record)
+
+    committed = sweep.committed
+    chains = {}
+    newest_delta_ts = {}
+    generations_by_lpa = {}
+    unresolvable = 0
+    for lpa, records in by_lpa.items():
+        records = sorted(records, key=attrgetter("version_ts"), reverse=True)
+        head = heads.get(lpa)
+        if (
+            head is not None
+            and records[0].data_back is not None
+            and records[0].version_ts > head[0]
+        ):
+            del heads[lpa]
+            head = None
+        resolvable = _reachable_data_ts(
+            ssd, lpa, None if head is None else head[1], committed
+        )
+        generations = [[math.inf, -1]]
+        kept = []
+        for record in records:
+            if not kept:
+                resolvable = {ts for ts in resolvable if ts > record.version_ts}
+            if (
+                record.compressed
+                and record.ref_ts >= 0
+                and record.ref_ts not in resolvable
+            ):
+                unresolvable += 1
+                continue
+            kept.append(record)
+            if record.data_back is None:
+                resolvable.add(record.version_ts)
+                if generations[-1][1] < 0:
+                    generations[-1][1] = record.version_ts
+            else:
+                generations.append([record.version_ts, -1])
+                resolvable |= _reachable_data_ts(
+                    ssd, lpa, record.data_back, committed, record.version_ts
+                )
+        if not kept:
+            continue
+        chains[lpa] = kept
+        if len(generations) == 1:
+            newest_delta_ts[lpa] = generations[0][1]
+        else:
+            generations_by_lpa[lpa] = generations
+
+    prt = bytearray(ssd.device.geometry.total_pages)
+    for ppa, lpa, ts in sweep.user_pages:
+        head_ts, head_ppa = heads.get(lpa, (None, None))
+        if ppa == head_ppa:
+            continue
+        if ts == head_ts or ts <= newest_delta_ts.get(lpa, -1) or (
+            lpa in generations_by_lpa
+            and ts <= recovery._newest_payload_ts(generations_by_lpa[lpa], ts)
+        ):
+            prt[ppa] = 1
+    return chains, unresolvable, prt
+
+
+def power_cycle_against_the_eager_relink(ssd):
+    """Power-cycle ``ssd`` with :func:`_eager_relink` run over the
+    rebuild's own sweep; the rebuilt IMT chains (record identity and
+    order), ``unresolvable_deltas`` and PRT column must be the
+    reference's.  Returns the rebuild's stats."""
+    references = []
+    sweep_oob = recovery.sweep_oob
+
+    def sweep_then_reference(*args, **kwargs):
+        sweep = sweep_oob(*args, **kwargs)
+        references.append(_eager_relink(ssd, sweep))
+        return sweep
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(recovery, "sweep_oob", sweep_then_reference)
+        simulate_power_loss(ssd)
+        stats = rebuild_from_flash(ssd)
+    ((chains, unresolvable, prt),) = references
+    rebuilt = {}
+    for lpa in ssd.index.delta_head_lpas():
+        record, chain = ssd.index.delta_head(lpa), []
+        while record is not None:
+            chain.append(id(record))
+            record = record.back
+        rebuilt[lpa] = chain
+    assert rebuilt == {
+        lpa: [id(record) for record in kept] for lpa, kept in chains.items()
+    }
+    assert stats["unresolvable_deltas"] == unresolvable
+    assert ssd.block_manager.reclaimable == prt
+    return stats
 
 
 def test_current_data_survives_power_loss():
@@ -138,6 +262,71 @@ def test_gc_still_works_after_recovery():
         ssd.clock.advance(800)
     assert ssd.gc_runs + ssd.background_gc_runs > before
     report = DeviceAuditor(ssd).audit(sample_lpa_stride=11)
+    assert report.clean, report.violations
+
+
+@pytest.mark.parametrize(
+    "config, cuts",
+    [({}, 4), ({"real": True}, 4), ({"seed": 9, "checkpoint_interval_blocks": 2}, 2)],
+    ids=["modeled", "real", "checkpointed"],
+)
+def test_the_lazy_relink_is_the_eager_one(config, cuts):
+    """Recovery walks a head's data chain only for a reference its kept
+    records and its head's own stamp do not answer; the rebuilt tables
+    are the ones the eager walk of every head builds, cut after cut, each
+    over what the last one recovered and 400 more writes."""
+    ssd, _state, _history = churned_device(**config)
+    real = config.get("real", False)
+    rng = random.Random(3)
+    records = unresolvable = 0
+    for cut in range(cuts):
+        for _ in range(400 if cut else 0):
+            lpa = rng.randrange(ssd.logical_pages // 3)
+            data = (b"%d@%d" % (lpa, ssd.clock.now_us)).ljust(512, b"\x04")
+            ssd.write(lpa, data if real else None)
+            ssd.clock.advance(1500)
+        stats = power_cycle_against_the_eager_relink(ssd)
+        records += stats["delta_records"]
+        unresolvable += stats["unresolvable_deltas"]
+    assert records > 1000 and unresolvable > 0
+    report = DeviceAuditor(ssd).audit(sample_lpa_stride=5)
+    assert report.clean, report.violations
+
+def test_a_head_stamp_reference_needs_the_floor():
+    """The head's own stamp answers a reference only when it is newer
+    than the LPA's newest record (the floor), as the eager walk's set
+    held only chain stamps above it.  No workload leaves a record newer
+    than the head, so one is built by hand: a compressed record of a
+    version stamped after the head whose reference nobody holds.  Both
+    it and v0's delta against the head are pruned, and v0's data page,
+    which no kept record preserves, is retained again."""
+    ssd = TestTrimTombstone.real_ssd()
+    write = TestTrimTombstone.write
+    (t0, v0), (t1, v1) = write(ssd, 7, b"v0"), write(ssd, 7, b"v1")
+    v0_ppa = ssd.device.core.back_pointer[ssd.mapping.lookup(7)]
+    assert ssd.compress_or_lose(v0_ppa, ssd.clock.now_us)[1] == 1
+    delta = ssd.index.delta_head(7)
+    assert delta.ref_ts == t1
+    forged = DeltaRecord(
+        lpa=7,
+        version_ts=ssd.clock.now_us,
+        ref_ts=t1 + 1,
+        payload=delta.payload,
+        size_bytes=delta.size_bytes,
+        segment_id=delta.segment_id,
+    )
+    assert forged.version_ts > t1
+    ssd.deltas.add_record(forged, ssd.clock.now_us)
+    TestTrimTombstone.flush_deltas(ssd)
+    assert forged.flash_ppa is not None and delta.flash_ppa is not None
+
+    stats = power_cycle_against_the_eager_relink(ssd)
+    assert stats["unresolvable_deltas"] == 2
+    assert ssd.index.delta_head(7) is None
+    assert TestTrimTombstone.history(ssd, 7) == [
+        (t1, "current", v1), (t0, "data-page", v0),
+    ]
+    report = DeviceAuditor(ssd).audit()
     assert report.clean, report.violations
 
 
@@ -288,8 +477,7 @@ class TestTrimTombstone:
 
     @staticmethod
     def power_cycle(ssd):
-        simulate_power_loss(ssd)
-        rebuild_from_flash(ssd)
+        power_cycle_against_the_eager_relink(ssd)
         report = DeviceAuditor(ssd).audit()
         assert report.clean, report.violations
 
