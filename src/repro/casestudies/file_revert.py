@@ -99,11 +99,10 @@ class FileRevertStudy:
         return self.history[name][stamps[-1]]
 
     def snapshot_as_of(self, name, t):
-        """Ground-truth file content at time ``t`` (for verification)."""
+        """Ground-truth file content at time ``t`` (for verification):
+        ``{}`` when the file did not exist yet."""
         stamps = [s for s in sorted(self.history[name]) if s <= t]
-        if not stamps:
-            stamps = sorted(self.history[name])[:1]
-        return self.history[name][stamps[-1]]
+        return self.history[name][stamps[-1]] if stamps else {}
 
     def revert_file(self, name, t, threads=1, verify=True):
         """Roll one file back to its state at ``t``; returns RevertOutcome.
@@ -120,11 +119,10 @@ class FileRevertStudy:
         elapsed = ssd.clock.now_us - start
         verified = True
         if verify:
+            # A page absent at t must read None; PlainFS shows zeros.
             expected = self.snapshot_as_of(name, t)
-            for page_index in range(self.pages_per_file):
-                want = expected.get(page_index)
-                got = self.fs.read_pages(name, page_index, 1)[0]
-                if want is not None and got != want:
+            for page_index, lpa in enumerate(lpas):
+                if ssd.read(lpa)[0] != expected.get(page_index):
                     verified = False
                     break
         return RevertOutcome(name, threads, elapsed, len(lpas), verified)

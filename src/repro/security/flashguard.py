@@ -117,7 +117,7 @@ class FlashGuardSSD(BaseSSD):
     # --- Recovery -----------------------------------------------------------------
 
     def recover_lpas(self, lpas, t, threads=1):
-        """Read each LPA's newest retained version at/before ``t``.
+        """Read each LPA's newest retained version at/before ``t``, if any.
 
         Returns ``(restored, elapsed_us)`` where ``restored`` maps LPA to
         the recovered page data; like :meth:`TimeKits.as_of` it only

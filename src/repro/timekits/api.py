@@ -6,12 +6,15 @@ Semantics notes:
   paper phrases them as "some time ago"; callers can compute
   ``ssd.clock.now_us - ago``.
 * ``addr_query(addr, cnt, t)`` returns, per LPA, the version that was
-  current at time ``t`` — the newest retained version written at or
-  before ``t`` (the natural recovery target).  When every retained
-  version is newer than ``t`` the oldest retained version is returned,
-  which is the best the device can do once the window has moved.  A
+  current at time ``t``: the newest version written at or before ``t``,
+  or ``None`` when there is none — the LPA held nothing at ``t``.  A
   TRIM is a version too: an LPA deleted as of ``t`` answers with a
-  ``Version`` whose ``source`` is ``"deleted"`` (``data`` None).
+  ``Version`` whose ``source`` is ``"deleted"`` (``data`` None).  A
+  rollback restores that answer, so an LPA absent at ``t`` is TRIMmed.
+* "No version at or before ``t``" means absent only where the device
+  still holds everything invalidated since ``t``: from the guaranteed
+  start (:meth:`RetentionManager.window_start_us`) on.  An earlier ``t``
+  is refused with :class:`QueryError` before any page is read.
 * Multi-LPA queries accept ``threads``: the paper's Figure 11 shows
   recovery speeding up with threads because independent chains ride
   different flash channels.  Each simulated thread walks its share of
@@ -42,7 +45,7 @@ def pick_as_of(versions, t):
     for version in versions:
         if version.timestamp_us <= t:
             return version
-    return versions[-1] if versions else None
+    return None
 
 
 def check_threads(threads):
@@ -50,15 +53,6 @@ def check_threads(threads):
     ``int`` >= 1, or :class:`QueryError`."""
     if not isinstance(threads, int) or threads < 1:
         raise QueryError("threads must be an int >= 1, got %r" % (threads,))
-
-
-def _already_current(ssd, lpa, versions, target):
-    """True when ``target`` is the state the device reads now: a
-    deletion while the LPA is unmapped, or the current version."""
-    if target.source == "deleted":
-        return not ssd.mapping.is_mapped(lpa)
-    current = versions[0].timestamp_us
-    return ssd.mapping.is_mapped(lpa) and target.timestamp_us == current
 
 
 class TimeKits:
@@ -165,8 +159,13 @@ class TimeKits:
         """:meth:`addr_query` over any list of LPAs, e.g. a file's extents.
 
         The one as-of rule: the walk stops at the first version written
-        at or before ``t`` and :func:`pick_as_of` answers from it.
+        at or before ``t`` and :func:`pick_as_of` answers from it; every
+        requested LPA is answered, ``None`` when it was absent at ``t``.
+        A ``t`` before the guaranteed start is refused before the walk.
         """
+        start = self.ssd.retention.window_start_us()
+        if t < start:
+            raise QueryError("t=%d before guaranteed start %d" % (t, start))
         chains, elapsed = self.walk_many(lpas, threads, until_ts=t)
         picked = {lpa: pick_as_of(versions, t) for lpa, versions in chains.items()}
         return QueryResult(picked, elapsed, self._last_pages_touched)
@@ -237,14 +236,14 @@ class TimeKits:
 
         A rollback is a regular write of the old version's content
         (paper §3.9): the pre-rollback state is itself retained, so a
-        rollback can be rolled back.  Returns per-LPA restored versions.
+        rollback can be rolled back.  Returns the per-LPA as-of answer.
         """
         return self.rollback_lpas(self._range(addr, cnt), t, threads)
 
     def rollback_all(self, t, threads=1):
-        """Revert every LPA with history to its state as of ``t`` — a
-        trimmed one included, which is rewritten with its as-of version
-        unless it was deleted as of ``t`` too.
+        """Revert every LPA with history to its state as of ``t``: a
+        trimmed one is rewritten with its as-of version, and one first
+        written after ``t`` is TRIMmed.
 
         The paper warns this is aggressive: it writes back a large volume
         of data, shortening retention, and can trip the retention-floor
@@ -255,25 +254,20 @@ class TimeKits:
     def rollback_lpas(self, lpas, t, threads=1):
         """:meth:`rollback` over any list of LPAs, e.g. a file's extents.
 
-        An LPA with no retained version is left out of the answer; one
-        whose as-of version is already the one the device reads now is
-        answered but not rewritten; one deleted as of ``t`` is TRIMmed.
+        :meth:`as_of` plus a write-back, answered with its answer: an LPA
+        absent or deleted as of ``t`` is TRIMmed if it is mapped, one
+        whose as-of version is the one the device reads now is left
+        alone, and any other is rewritten with its as-of version.
         """
         ssd = self.ssd
         start = ssd.clock.now_us
-        chains, _elapsed = self.walk_many(lpas, threads, until_ts=t)
-        restored = {}
+        answer = self.as_of(lpas, t, threads).value
         writes = []
-        for lpa, versions in chains.items():
-            target = pick_as_of(versions, t)
-            if target is None:
-                continue
-            restored[lpa] = target
-            if _already_current(ssd, lpa, versions, target):
-                continue
-            if target.source == "deleted":
-                ssd.serve_trim_at(lpa, ssd.clock.now_us)
-            else:
+        for lpa, target in answer.items():
+            if target is None or target.source == "deleted":
+                if ssd.mapping.is_mapped(lpa):
+                    ssd.serve_trim_at(lpa, ssd.clock.now_us)
+            elif target.source != "current":
                 writes.append((lpa, target.data))
         self.restore_many(writes, threads)
-        return QueryResult(restored, ssd.clock.now_us - start)
+        return QueryResult(answer, ssd.clock.now_us - start)

@@ -110,4 +110,7 @@ class RetentionManager:
         return self.blooms.retention_us()
 
     def window_start_us(self):
-        return self.blooms.window_start_us()
+        """The guaranteed start, ``min(window start, now - floor)``: every
+        version invalidated after it is still on flash (DESIGN.md)."""
+        start = self.blooms.window_start_us()
+        return min(start, start + self.blooms.retention_us() - self.floor_us)

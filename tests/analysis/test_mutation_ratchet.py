@@ -469,8 +469,8 @@ FIRMWARE_MUTATIONS = (
     ),
     (
         "timekits/api.py",  # a mapped LPA deleted as of t left alone
-        "                ssd.serve_trim_at(lpa, ssd.clock.now_us)\n",
-        "                pass\n",
+        "                    ssd.serve_trim_at(lpa, ssd.clock.now_us)\n",
+        "                    pass\n",
         "tests/timekits/test_api.py::TestRollback"
         "::test_rollback_leaves_an_lpa_trimmed_at_t_deleted",
     ),
@@ -690,6 +690,21 @@ FIRMWARE_MUTATIONS = (
         "        )\n",
         "tests/timekits/test_api.py::TestRollback"
         "::test_rollback_all_restores_an_lpa_trimmed_after_t",
+    ),
+    # --- one as-of rule ---------------------------------------------------------
+    (
+        "timekits/api.py",  # an LPA absent at t answered with its oldest version
+        "            return version\n    return None\n",
+        "            return version\n    return versions[-1] if versions else None\n",
+        "tests/timekits/test_api.py::TestAsOfContract"
+        "::test_an_lpa_first_written_after_t_was_absent",
+    ),
+    (
+        "timekits/api.py",  # a t the device cannot vouch for answered anyway
+        "        if t < start:\n",
+        "        if False:\n",
+        "tests/timekits/test_api.py::TestAsOfContract"
+        "::test_a_t_before_the_guaranteed_start_is_refused",
     ),
 )
 

@@ -89,12 +89,27 @@ class TestExperimentRunnersSmall:
         assert row.time_query_s > 0
         assert row.addr_query_all_ms > 0
 
-    def test_revert_runner_small(self):
+    def test_revert_runner_small(self, monkeypatch):
         from repro.bench.revert_experiments import run_fig11
+        from repro.casestudies import FileRevertStudy
 
+        reverted = []  # each revert's file, read from the device after it
+        revert_file = FileRevertStudy.revert_file
+
+        def spy(study, name, t, threads=1, verify=True):
+            outcome = revert_file(study, name, t, threads, verify)
+            ssd = study.fs.ssd
+            reverted.append([ssd.read(lpa)[0] for lpa in study.fs.file_lpas(name)])
+            return outcome
+
+        monkeypatch.setattr(FileRevertStudy, "revert_file", spy)
         rows = run_fig11(commits=40, threads=(1, 2))
         assert len(rows) == 10
         assert all(r.verified for r in rows)
+        # 40 commits at 100 a minute are 24 s of history, so a minute
+        # back no file existed yet: every revert empties its file.
+        assert len(reverted) == 20
+        assert all(pages == [None] * 10 for pages in reverted)
 
     def test_ablation_runner_small(self):
         from repro.bench.ablations import ablate_gc_threshold

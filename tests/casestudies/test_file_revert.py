@@ -67,3 +67,4 @@ def test_snapshot_as_of_picks_correct_epoch(study):
     mid = stamps[len(stamps) // 2]
     snap = study.snapshot_as_of(name, mid)
     assert snap == study.history[name][mid]
+    assert study.snapshot_as_of(name, stamps[0] - 1) == {}  # not yet created

@@ -3,13 +3,16 @@
 The timing model is analytic (``flash/timing.py``), so on an idle device
 a simple scenario has an exact answer in :class:`FlashTiming` terms.
 Each row names the scenario, its formula and the measured value, and
-runs on both bench devices; equality is exact.
+runs on every bench device that has the feature (a TimeKits row on the
+TimeSSD one); equality is exact.
 """
 
 import pytest
 
 from repro.bench.config import make_bench_regular, make_bench_timessd
+from repro.common.errors import QueryError
 from repro.ftl.block_manager import BlockKind
+from repro.timekits.api import TimeKits
 
 BENCH_DEVICES = [
     pytest.param(make_bench_regular, id="regular"),
@@ -64,3 +67,59 @@ def test_gc_round_is_one_cursor_of_reads_and_programs_then_the_erase(
     assert outcome.complete_us == (
         now + valid * (timing.read_us + timing.program_us) + timing.erase_us
     )
+
+
+def lpa_with_data_page_versions(k):
+    """A TimeSSD bench device whose LPA 5 holds ``k`` versions, all on
+    data pages (no GC has run), and a clock at which every lane is idle.
+    Returns the device and the versions' stamps, oldest first."""
+    ssd = make_bench_timessd()
+    stamps = []
+    for _ in range(k):
+        stamps.append(ssd.clock.now_us)
+        ssd.write(5)
+        ssd.clock.advance(1000)
+    ssd.clock.advance_to(idle_now(ssd))
+    return ssd, stamps
+
+
+@pytest.mark.parametrize("k, j", [(1, 0), (2, 1), (4, 0), (4, 2), (4, 3)])
+def test_as_of_reads_one_page_per_hop_to_its_answer(k, j):
+    """A walk down ``k`` data-page versions to the ``j``-th newest is
+    ``j + 1`` dependent reads; an answer of "absent" reads all ``k``.
+
+    ``as_of(j-th newest) = (j + 1) * read_us``, ``as_of(absent) = k * read_us``
+    """
+    ssd, stamps = lpa_with_data_page_versions(k)
+    kits, read_us = TimeKits(ssd), ssd.device.timing.read_us
+    result = kits.as_of([5], stamps[k - 1 - j])
+    assert result.value[5].timestamp_us == stamps[k - 1 - j]
+    assert result.elapsed_us == (j + 1) * read_us
+    result = kits.as_of([5], stamps[0] - 1)
+    assert result.value[5] is None
+    assert result.elapsed_us == k * read_us
+
+
+@pytest.mark.parametrize("k, j", [(2, 1), (4, 1), (4, 3)])
+def test_rollback_is_its_as_of_walk_then_one_program(k, j):
+    """A rollback to an older version bills its ``as_of`` walk, then the
+    write-back of one page.
+
+    ``rollback_lpas(j-th newest) = (j + 1) * read_us + program_us``
+    """
+    ssd, stamps = lpa_with_data_page_versions(k)
+    timing = ssd.device.timing
+    result = TimeKits(ssd).rollback_lpas([5], stamps[k - 1 - j])
+    assert result.elapsed_us == (j + 1) * timing.read_us + timing.program_us
+
+
+def test_a_refused_query_costs_nothing():
+    """``t`` before the guaranteed start is refused before the walk.
+
+    ``as_of(t < window start) = 0``
+    """
+    ssd, _stamps = lpa_with_data_page_versions(4)
+    now, reads = ssd.clock.now_us, ssd.device.page_reads.value
+    with pytest.raises(QueryError):
+        TimeKits(ssd).as_of([5], ssd.retention.window_start_us() - 1)
+    assert (ssd.clock.now_us, ssd.device.page_reads.value) == (now, reads)

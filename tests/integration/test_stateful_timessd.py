@@ -9,8 +9,10 @@ keeps perfect history.  Invariants checked continuously:
   that was actually written, and every deletion it reports a trim;
 * the version chain is strictly newest-first;
 * rollback restores exactly the model's state at the target time —
-  content, or deleted — when that version is still retained, and the
-  device's newest retained version at or before it otherwise;
+  content, deleted, or absent (``None``: nothing written yet) — unless
+  a power cut lost that version, and then an older one or absent;
+* with no power cut since ``t``, ``rollback_all(t)`` leaves every LPA
+  ever written reading the model's state at ``t``;
 * a power cut (``simulate_power_loss`` + ``rebuild_from_flash``) leaves
   a device fsck calls clean and costs only what it legally may: every
   acked write keeps its bytes, a trim may be forgotten (then the LPA
@@ -54,6 +56,7 @@ class TimeSSDMachine(RuleBasedStateMachine):
         # lpa -> list of (timestamp, content); None content means trimmed.
         self.history = {}
         self.full = False
+        self.last_cut_us = None  # clock at the last power cut's mount
 
     def _payload(self, lpa, seed):
         body = b"%03d:%03d:%012d" % (lpa, seed, self.ssd.clock.now_us)
@@ -117,17 +120,21 @@ class TimeSSDMachine(RuleBasedStateMachine):
         t = max(0, self.ssd.clock.now_us - back_ms * 1000)
         versions, _ = self.ssd.version_chain(lpa)
         target = pick_as_of(versions, t)
-        if target is None:
-            return  # no retained version: nothing to restore
         # The model's state as of t is its newest entry at or before t
-        # (None content: deleted).  Retained, it is the one restored;
-        # lost (with a RAM delta buffer at a cut, or t before the
-        # LPA's first write) the device falls back to its newest
-        # retained version at or before t, else its oldest.
+        # (None content: deleted), or absent when there is none.  Only a
+        # power cut may lose it (an unflushed tombstone, a version in a
+        # RAM delta buffer); then the device answers an older version,
+        # or absent.
         past = [ts for ts, _content in self.history[lpa] if ts <= t]
-        if past and any(v.timestamp_us == past[-1] for v in versions):
-            assert target.timestamp_us == past[-1]
-        assert (target.timestamp_us, target.data) in self.history[lpa]
+        want = past[-1] if past else None
+        got = None if target is None else target.timestamp_us
+        if want is not None and all(v.timestamp_us != want for v in versions):
+            assert self.last_cut_us is not None, "a version lost without a cut"
+            assert got is None or got < want
+        else:
+            assert got == want
+        if target is not None:
+            assert (target.timestamp_us, target.data) in self.history[lpa]
         was = self._current(lpa)
         try:
             self.kits.rollback(lpa, cnt=1, t=t)
@@ -135,7 +142,31 @@ class TimeSSDMachine(RuleBasedStateMachine):
             self.full = True
             return
         data, _ = self.ssd.read(lpa)
-        assert data == target.data
+        assert data == (None if target is None else target.data)
+        self._note_rollback(lpa, was, data)
+
+    @rule(back_ms=st.integers(min_value=0, max_value=100_000))
+    def rollback_all_restores_past(self, back_ms):
+        if self.full:
+            return
+        t = max(0, self.ssd.clock.now_us - back_ms * 1000)
+        if self.last_cut_us is not None and t < self.last_cut_us:
+            return  # a cut since t may have lost the state at t
+        was = {lpa: self._current(lpa) for lpa in self.history}
+        try:
+            self.kits.rollback_all(t)
+        except RetentionViolationError:
+            self.full = True
+            return
+        for lpa, entries in self.history.items():
+            past = [content for ts, content in entries if ts <= t]
+            data, _ = self.ssd.read(lpa)
+            assert data == (past[-1] if past else None), "LPA %d not as of t" % lpa
+            self._note_rollback(lpa, was[lpa], data)
+
+    def _note_rollback(self, lpa, was, data):
+        """Mirror in the model what a rollback did to ``lpa``, which
+        read ``was`` before it and reads ``data`` after it."""
         if data is None:
             if was is not None:  # the rollback TRIMmed it: a new deletion
                 stamp = self.ssd.index.delta_head(lpa).version_ts
@@ -156,6 +187,7 @@ class TimeSSDMachine(RuleBasedStateMachine):
         kept = {lpa: self._on_data_pages(lpa) for lpa in self.history}
         simulate_power_loss(self.ssd)
         rebuild_from_flash(self.ssd)
+        self.last_cut_us = self.ssd.clock.now_us
         report = DeviceAuditor(self.ssd).audit()
         assert report.clean, report.violations
         for lpa, entries in self.history.items():

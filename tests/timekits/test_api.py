@@ -11,6 +11,7 @@ from repro.timekits.forensics import ForensicTimeline
 from repro.timessd.config import ContentMode
 from repro.timessd.delta import RealDeltaCodec
 from repro.timessd.index import Version
+from repro.timessd.recovery import rebuild_from_flash, simulate_power_loss
 from repro.timessd.secure import RetentionLock
 
 from tests.conftest import (
@@ -60,7 +61,7 @@ def testpick_as_of_picks_newest_at_or_before():
     versions = [Version(0, ts, None, "x") for ts in (30, 20, 10)]
     assert pick_as_of(versions, 25).timestamp_us == 20
     assert pick_as_of(versions, 30).timestamp_us == 30
-    assert pick_as_of(versions, 5).timestamp_us == 10  # oldest fallback
+    assert pick_as_of(versions, 5) is None  # nothing written by t
     assert pick_as_of([], 5) is None
 
 
@@ -412,6 +413,120 @@ class TestRollback:
         assert after["histograms"]["ftl.write_us"]["count"] == (
             before["histograms"]["ftl.write_us"]["count"] + 3
         )
+
+
+def absent_probe(ssd):
+    """Write LPA 1, take ``t``, then write LPA 2 for the first time and
+    rewrite LPA 1: as of ``t`` LPA 1 held its first bytes and LPA 2
+    nothing.  Returns ``t``."""
+    ssd.write(1, real_page(b"1 before t"))
+    ssd.clock.advance(1000)
+    t = ssd.clock.now_us
+    ssd.clock.advance(1000)
+    ssd.write(2, real_page(b"2 after t"))
+    ssd.write(1, real_page(b"1 after t"))
+    ssd.clock.advance(1000)
+    return t
+
+
+def as_of_through(route, kit, t):
+    """The ``{1, 2}`` as-of answer by ``route``; a rollback route also
+    restores it."""
+    if route in ("ADDR_QUERY", "ROLLBACK"):
+        completion = NVMeController(kit.ssd).submit(
+            NVMeCommand(Opcode[route], slba=1, nlb=2, t=t)
+        )
+        assert completion.ok
+        return completion.result
+    if route == "rollback_all":
+        return kit.rollback_all(t).value
+    return getattr(kit, route)([1, 2], t).value
+
+
+AS_OF_ROUTES = ["as_of", "ADDR_QUERY", "rollback_lpas", "rollback_all", "ROLLBACK"]
+
+
+class TestAsOfContract:
+    """The state as of ``t`` is exact: an LPA that held nothing at ``t``
+    answers ``None`` and a rollback leaves it unmapped, and a ``t``
+    before the guaranteed start is refused, not answered."""
+
+    @pytest.mark.parametrize("route", AS_OF_ROUTES)
+    def test_an_lpa_first_written_after_t_was_absent(self, real_kit, route):
+        ssd = real_kit.ssd
+        t = absent_probe(ssd)
+        answer = as_of_through(route, real_kit, t)
+        assert set(answer) == {1, 2}
+        assert answer[1].data == real_page(b"1 before t")
+        assert answer[2] is None
+        restored = route.lower().startswith("rollback")
+        assert ssd.read(1)[0] == real_page(b"1 before t" if restored else b"1 after t")
+        assert ssd.read(2)[0] == (None if restored else real_page(b"2 after t"))
+        if restored:
+            # The rollback's TRIM is history: LPA 2's bytes stay retained.
+            assert [v.source for v in ssd.version_chain(2)[0]] == ["deleted", "data-page"]
+
+    @staticmethod
+    def churned():
+        """A device whose achieved window has moved off 0 under GC."""
+        floor_us = 100 * 1000
+        ssd = make_timessd(retention_floor_us=floor_us, bloom_capacity=64)
+        fill_and_churn(ssd, ssd.logical_pages // 2, 3000, gap_us=100)
+        start = ssd.blooms.window_start_us()
+        assert 0 < start <= ssd.clock.now_us - floor_us
+        assert ssd.retention.window_start_us() == start
+        return ssd
+
+    @staticmethod
+    def state(ssd):
+        counters = ssd.metrics_snapshot()["counters"]
+        return (
+            ssd.clock.now_us,
+            [ssd.mapping.lookup(lpa) for lpa in range(ssd.logical_pages)],
+            [counters["flash." + op] for op in ("reads", "programs", "erases")],
+        )
+
+    @pytest.mark.parametrize("route", AS_OF_ROUTES)
+    def test_a_t_before_the_guaranteed_start_is_refused(self, route):
+        ssd = self.churned()
+        kit = TimeKits(ssd)
+        start = ssd.retention.window_start_us()
+        before = self.state(ssd)
+        if route in ("ADDR_QUERY", "ROLLBACK"):
+            completion = NVMeController(ssd).submit(
+                NVMeCommand(Opcode[route], slba=1, nlb=2, t=start - 1)
+            )
+            assert completion.status is StatusCode.INVALID_FIELD
+        else:
+            with pytest.raises(QueryError):
+                as_of_through(route, kit, start - 1)
+        assert self.state(ssd) == before
+        assert set(kit.as_of([1, 2], start).value) == {1, 2}
+
+    def test_after_a_power_cut_the_floor_vouches_for_the_window(self, real_kit):
+        """The mount restarts the bloom chain, so the achieved window's
+        start is forgotten: ``now - floor`` is what the device vouches
+        for, answered exactly, and anything earlier is refused."""
+        ssd = real_kit.ssd
+        floor = ssd.config.retention_floor_us
+        ssd.write(1, real_page(b"v1"))
+        ssd.clock.advance(2 * floor)
+        t_v1 = ssd.clock.now_us
+        ssd.clock.advance(1000)
+        ssd.write(1, real_page(b"v2"))
+        ssd.write(2, real_page(b"new"))
+        ssd.clock.advance(1000)
+        assert real_kit.as_of([1], 0).value[1].data == real_page(b"v1")
+        simulate_power_loss(ssd)
+        rebuild_from_flash(ssd)
+        start = ssd.clock.now_us - floor
+        assert ssd.retention.window_start_us() == start <= t_v1
+        answer = real_kit.as_of([1, 2], start).value
+        assert answer[1].data == real_page(b"v1")
+        assert answer[2] is None
+        for t in (0, start - 1):
+            with pytest.raises(QueryError):
+                real_kit.as_of([1, 2], t)
 
 
 class TestQueryResult:
