@@ -181,6 +181,10 @@ class FlashDevice:
         BER at the cost of ``retry_step`` extra sense times.  Every
         attempt (retries included) stresses the block's neighbours, so
         each one advances the read-disturb accumulator.
+
+        This is :meth:`read_oob` plus the view of what was read; its two
+        lines are repeated rather than called, so a host read stays one
+        device call.
         """
         complete, corrected = self._sense(ppa, now_us, retry_step)
         self._h_read_us.record(complete - now_us)
@@ -188,6 +192,19 @@ class FlashDevice:
         return _tuple_new(
             ReadResult, (core.data[ppa], core.oob_at(ppa), complete, corrected)
         )
+
+    def read_oob(self, ppa, now_us=0, retry_step: int = 0):
+        """:meth:`read_page` without building its view; returns
+        ``(complete_us, corrected_bits)``.
+
+        The same media work, count, trace event and ``flash.read_us``
+        record as :meth:`read_page`, for a reader that takes what it
+        needs from the ``core`` columns (a version-chain hop reads the
+        stamp and, when it hands out bytes, the data).
+        """
+        complete, corrected = self._sense(ppa, now_us, retry_step)
+        self._h_read_us.record(complete - now_us)
+        return complete, corrected
 
     def _sense(self, ppa, now_us, retry_step):
         """A page read's media work — checks, fault hook, read disturb, ECC,

@@ -63,6 +63,10 @@ class TimeKits:
             raise QueryError("TimeKits requires a TimeSSD device")
         self.ssd = ssd
         self._last_pages_touched = 0
+        #: The ``timekits.walk.*`` metrics, resolved by the first
+        #: :meth:`walk_many` (so they appear in a device's snapshot with
+        #: its first walk, not with its first toolkit).
+        self._walk_metrics = None
 
     # --- Multi-LPA fan-out primitives (public: case studies build on them) ----
 
@@ -116,15 +120,18 @@ class TimeKits:
         end = max(cursors) if cursors else start
         ssd.clock.advance_to(end)
         self._last_pages_touched = page_reads.value - reads_before
-        metrics = ssd.obs.metrics
-        metrics.counter("timekits.walk.deltas_passed").inc(
-            ssd.deltas_passed - passed_before
-        )
-        metrics.counter("timekits.walk.deltas_decompressed").inc(
-            ssd.deltas_decompressed - decompressed_before
-        )
-        metrics.counter("timekits.walk.delta_pages_read").inc(len(delta_pages))
-        buffered = metrics.gauge("timekits.walk.delta_pages_buffered")
+        if self._walk_metrics is None:
+            metrics = ssd.obs.metrics
+            self._walk_metrics = (
+                metrics.counter("timekits.walk.deltas_passed"),
+                metrics.counter("timekits.walk.deltas_decompressed"),
+                metrics.counter("timekits.walk.delta_pages_read"),
+                metrics.gauge("timekits.walk.delta_pages_buffered"),
+            )
+        passed, decompressed, pages_read, buffered = self._walk_metrics
+        passed.inc(ssd.deltas_passed - passed_before)
+        decompressed.inc(ssd.deltas_decompressed - decompressed_before)
+        pages_read.inc(len(delta_pages))
         buffered.set(max(buffered.value, len(delta_pages)))
         return chains, end - start
 

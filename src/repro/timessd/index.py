@@ -26,47 +26,36 @@ and the chain hop below never enters a page it marks.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from repro.flash.page import NULL_PPA
 
 
-@dataclass(frozen=True)
-class Version:
-    """One retrievable version of a logical page."""
+class Version(namedtuple("_VersionFields", "lpa timestamp_us data source")):
+    """One retrievable version of a logical page.
 
-    lpa: int
-    timestamp_us: int
-    data: object
-    #: "current", "data-page", "delta", "delta-ram", or "deleted": a TRIM
-    #: at ``timestamp_us`` (``data`` None).
-    source: str
+    ``source`` is "current", "data-page", "delta", "delta-ram", or
+    "deleted": a TRIM at ``timestamp_us`` (``data`` None).
+
+    An immutable four-field value, tuple-backed like
+    :class:`OOBMetadata`: a chain walk builds one per version it reaches.
+    """
+
+    __slots__ = ()
 
     def __repr__(self):
         return "Version(lpa=%d, ts=%d, %s)" % (self.lpa, self.timestamp_us, self.source)
 
 
-@dataclass
-class ChainWalk:
-    """Result of walking a version chain: entries plus the finish time."""
-
-    entries: list
-    complete_us: int
-
-
 class TimeTravelIndex:
-    """IMT + chain-walking over a flash device and its PRT column."""
+    """The IMT, plus the hop rules over a flash device and its PRT column;
+    :meth:`TimeSSD.version_chain` is the one timed walker."""
 
-    def __init__(self, device, reclaimable, reader=None):
+    def __init__(self, device, reclaimable):
         self._core = device.core
         self._geo = device.geometry
         #: The PRT (``BlockManager.reclaimable``), read-only here.
         self._prt = reclaimable
-        #: Page-read entry point for chain walks.  The owning SSD passes
-        #: its read-retry ladder so time-travel queries get the same
-        #: media defenses as host reads; standalone/recovery use of the
-        #: index reads the device directly.
-        self._read = reader if reader is not None else device.read_page
         self._imt = {}
 
     # --- IMT ----------------------------------------------------------------
@@ -129,78 +118,7 @@ class TimeTravelIndex:
             newer_ts = timestamp_us[back]
             back = back_pointer[back]
 
-    def walk_data_chain(self, lpa, head_ppa, now_us, until_ts=None, newer_ts=math.inf):
-        """Follow back-pointers from ``head_ppa``; returns a ChainWalk.
-
-        Entries are ``(ppa, oob, data)`` newest first, the head included.
-        Each hop (:meth:`older_versions`, the head its first) costs a
-        flash page read, sequenced on the page's channel (dependent reads
-        cannot overlap).  The walk stops at a NULL pointer, an erased,
-        recycled or PRT-marked page, or a timestamp-order violation —
-        exactly the "chain broken by GC" condition of the paper's
-        Figure 5.  ``newer_ts`` is the stamp the head must be older than
-        (a tombstone's, for its branch).
-
-        ``until_ts`` implements the paper's AddrQuery early stop:
-        "retrieval stops when a version's writing time reaches the target
-        time" — the first entry written at or before ``until_ts`` ends
-        the walk.
-        """
-        entries = []
-        t = now_us
-        for ppa in self.older_versions(lpa, head_ppa, newer_ts):
-            result = self._read(ppa, t)
-            t = result.complete_us
-            entries.append((ppa, result.oob, result.data))
-            if until_ts is not None and result.oob.timestamp_us <= until_ts:
-                break
-        return ChainWalk(entries, t)
-
     # --- Delta chain ------------------------------------------------------------
-
-    def walk_delta_chain(self, lpa, now_us, until_ts=None, delta_pages=None):
-        """Follow the delta chain from the IMT head; returns a ChainWalk.
-
-        Entries are live :class:`DeltaRecord` objects, newest first.  A
-        tombstone (``data_back`` set) is followed by its branch: the
-        ``(ppa, oob, data)`` entries of the deleted data-page chain, read
-        as :meth:`walk_data_chain` reads them, before the records behind
-        it — every branch version is older than the tombstone and newer
-        than those records.
-        Hopping into a flushed delta page costs one flash read unless the
-        page is already in ``delta_pages``, the set of delta pages the
-        controller holds buffered, which every fetched page joins —
-        several deltas of one LPA, and of neighbouring LPAs, often share
-        a page.  The caller that owns the set decides how long the buffer
-        lives; ``None`` means this walk alone.  RAM-buffered records cost
-        nothing.  ``until_ts`` stops the walk at the first entry written
-        at or before it.
-        """
-        entries = []
-        t = now_us
-        if delta_pages is None:
-            delta_pages = set()
-        for record in self.live_deltas(self._imt.get(lpa)):
-            if record.flash_ppa is not None and record.flash_ppa not in delta_pages:
-                result = self._read(record.flash_ppa, t)
-                t = result.complete_us
-                delta_pages.add(record.flash_ppa)
-            entries.append(record)
-            if until_ts is not None and record.version_ts <= until_ts:
-                break
-            if record.data_back is not None:
-                branch = self.walk_data_chain(
-                    lpa, record.data_back, t, until_ts, record.version_ts
-                )
-                t = branch.complete_us
-                entries += branch.entries
-                if (
-                    until_ts is not None
-                    and branch.entries
-                    and branch.entries[-1][1].timestamp_us <= until_ts
-                ):
-                    break
-        return ChainWalk(entries, t)
 
     @staticmethod
     def live_deltas(record):

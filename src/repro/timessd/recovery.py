@@ -263,10 +263,10 @@ def _reachable_data_ts(ssd, lpa, back, committed, newer_ts=math.inf):
     ``newer_ts``; None reaches nothing).
 
     Every hop :meth:`TimeTravelIndex.older_versions` takes from there
-    down — the walk of ``walk_data_chain`` without its reads: these are
-    the versions available as delta references.  ``committed`` is the
-    sweep's column of pages whose seal is already verified; a hop it
-    does not vouch for takes ``core.intact_at``.
+    down — the data-page hops of :meth:`TimeSSD.version_chain` without
+    its reads: these are the versions available as delta references.
+    ``committed`` is the sweep's column of pages whose seal is already
+    verified; a hop it does not vouch for takes ``core.intact_at``.
     """
     if back is None:
         return set()

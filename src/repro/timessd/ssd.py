@@ -9,6 +9,7 @@ time-travel index.  :mod:`repro.timekits` provides the query surface.
 
 import random
 from collections import defaultdict
+from functools import partial
 
 from repro.common.atomic import atomic_section
 from repro.common.errors import (
@@ -53,9 +54,7 @@ class TimeSSD(BaseSSD):
             seed=config.seed,
             max_segment_age_us=config.bloom_segment_max_age_us,
         )
-        self.index = TimeTravelIndex(
-            self.device, self.block_manager.reclaimable, self.read_page_with_retry
-        )
+        self.index = TimeTravelIndex(self.device, self.block_manager.reclaimable)
         page_size = config.geometry.page_size
         if config.content_mode is ContentMode.REAL:
             self.host_page_bytes = page_size
@@ -277,9 +276,7 @@ class TimeSSD(BaseSSD):
         :func:`repro.timessd.recovery.rebuild_from_flash`.
         """
         super().reset_volatile()
-        self.index = TimeTravelIndex(
-            self.device, self.block_manager.reclaimable, self.read_page_with_retry
-        )
+        self.index = TimeTravelIndex(self.device, self.block_manager.reclaimable)
         self.blooms.reset()
         self.deltas.reset()
         self.estimator = GCOverheadEstimator(
@@ -496,8 +493,12 @@ class TimeSSD(BaseSSD):
         its time, followed by the versions it deleted: the delta chain's
         tombstone hands the walk to the deleted data-page chain before
         its older records.  Costs are charged like real firmware:
-        dependent page reads sequenced per channel plus decompression
-        time.
+        dependent page reads sequenced per channel, then decompression
+        time.  This is the one timed chain walk: each hop is the one
+        taken by :meth:`TimeTravelIndex.older_versions` (the hop rule)
+        and costs one ``device.read_oob`` — through the read-retry
+        ladder when the reliability model is on — after which the stamp
+        and bytes are read from the flash core's columns.
 
         ``until_ts`` enables the paper's AddrQuery early stop: the walk
         ends at the first version written at or before ``until_ts``, and
@@ -519,59 +520,85 @@ class TimeSSD(BaseSSD):
         every walk of a vendor command; left ``None`` the buffer lives
         for this walk alone.
         """
-        if self.retention_lock is not None and not self.retention_lock.unlocked:
+        lock = self.retention_lock
+        if lock is not None and not lock.unlocked:
             # §3.10: with a retention key configured, history retrieval
             # is firmware-gated — current data stays readable via read(),
             # but no past version leaves the device until unlock.
             raise QueryError(
                 "retained history is locked; call unlock_retention(key)"
             )
+        device = self.device
+        core = device.core
+        stamps = core.timestamp_us
+        pages = core.data
+        engine = device.reliability
+        if engine is None or not engine.enabled:
+            read = device.read_oob
+        else:
+            read = partial(self._climb_ladder, device.read_oob)
+        hops = self.index.older_versions
         t = self.clock.now_us if start_us is None else start_us
+
+        # The reads, newest first: the data-page chain, then (unless it
+        # reached ``until_ts``) the delta chain with each tombstone's
+        # branch after it.  Every one is booked before any decompression.
+        entries = []  # data-page PPAs and live delta records
+        reached = False
+        for ppa in hops(lpa, self.mapping.lookup(lpa)):
+            t = read(ppa, t)[0]
+            entries.append(ppa)
+            if until_ts is not None and stamps[ppa] <= until_ts:
+                reached = True
+                break
+        if not reached:
+            if delta_pages is None:
+                delta_pages = set()
+            for record in self.index.live_deltas(self.index.delta_head(lpa)):
+                flash_ppa = record.flash_ppa
+                if flash_ppa is not None and flash_ppa not in delta_pages:
+                    t = read(flash_ppa, t)[0]
+                    delta_pages.add(flash_ppa)
+                entries.append(record)
+                if until_ts is not None and record.version_ts <= until_ts:
+                    break
+                if record.data_back is not None:
+                    for ppa in hops(lpa, record.data_back, record.version_ts):
+                        t = read(ppa, t)[0]
+                        entries.append(ppa)
+                        if until_ts is not None and stamps[ppa] <= until_ts:
+                            reached = True
+                            break
+                    if reached:
+                        break
+
         versions = []
         by_ts = {}  # write timestamp -> page bytes, for every version seen
-
-        def take_page(oob, data, source):
-            data = data if payloads else None
-            versions.append(Version(lpa, oob.timestamp_us, data, source))
-            by_ts[oob.timestamp_us] = data
-
-        walk = self.index.walk_data_chain(
-            lpa, self.mapping.lookup(lpa), t, until_ts=until_ts
-        )
-        t = walk.complete_us
-        for i, (_ppa, oob, data) in enumerate(walk.entries):
-            take_page(oob, data, "data-page" if i else "current")
-
-        if (
-            until_ts is not None
-            and versions
-            and versions[-1].timestamp_us <= until_ts
-        ):
-            # The data-page chain already reached the target time.
-            self._h_query_chain.record(len(versions))
-            return versions, t
-
-        delta_walk = self.index.walk_delta_chain(
-            lpa, t, until_ts=until_ts, delta_pages=delta_pages
-        )
-        t = delta_walk.complete_us
-        timing = self.device.timing
-        for record in delta_walk.entries:
-            if type(record) is tuple:  # a tombstone's deleted data page
-                _ppa, oob, data = record
-                take_page(oob, data, "data-page")
+        new = tuple.__new__  # a Version without its constructor's call
+        timelines = device.timelines
+        decompress_us = device.timing.delta_decompress_us
+        for i, entry in enumerate(entries):
+            if type(entry) is int:  # a data page; the first entry is the head
+                ts = stamps[entry]
+                data = pages[entry] if payloads else None
+                source = "data-page" if i else "current"
+                versions.append(new(Version, (lpa, ts, data, source)))
+                by_ts[ts] = data
                 continue
+            record = entry
             self.deltas_passed += 1
             if record.data_back is not None:
-                versions.append(Version(lpa, record.version_ts, None, "deleted"))
+                versions.append(
+                    new(Version, (lpa, record.version_ts, None, "deleted"))
+                )
                 continue
             if record.version_ts in by_ts:
                 continue  # still on an un-erased data page; prefer that copy
             data = None
             if payloads:
                 data = record.payload
-                if self.retention_lock is not None:
-                    data = self.retention_lock.open_payload(data)
+                if lock is not None:
+                    data = lock.open_payload(data)
                 if record.compressed:
                     data = self.deltas.codec.decompress(
                         data, by_ts.get(record.ref_ts)
@@ -581,15 +608,13 @@ class TimeSSD(BaseSSD):
                 # a stamp-only walk has the timestamp from the page read.
                 self.deltas_decompressed += 1
                 channel = (
-                    self.device.geometry.channel_of_page(record.flash_ppa)
+                    device.geometry.channel_of_page(record.flash_ppa)
                     if record.flash_ppa is not None
                     else 0
                 )
-                t = self.device.timelines.schedule(
-                    channel, t, timing.delta_decompress_us
-                )
+                t = timelines.schedule(channel, t, decompress_us)
             source = "delta" if record.flash_ppa is not None else "delta-ram"
-            versions.append(Version(lpa, record.version_ts, data, source))
+            versions.append(new(Version, (lpa, record.version_ts, data, source)))
             by_ts[record.version_ts] = data
         self._h_query_chain.record(len(versions))
         return versions, t

@@ -459,13 +459,39 @@ FIRMWARE_MUTATIONS = (
         "::TestTimeQueries::test_time_queries_list_writes_to_since_trimmed_lpas",
     ),
     (
-        "timessd/index.py",  # a tombstone hiding the versions it deleted
-        "            if record.data_back is not None:\n"
-        "                branch = self.walk_data_chain(\n",
-        "            if False:\n"
-        "                branch = self.walk_data_chain(\n",
+        "timessd/ssd.py",  # a tombstone hiding the versions it deleted
+        "                if record.data_back is not None:\n"
+        "                    for ppa in hops(lpa, record.data_back, record.version_ts):\n",
+        "                if False:\n"
+        "                    for ppa in hops(lpa, record.data_back, record.version_ts):\n",
         "tests/timekits/test_api.py::TestRollback"
         "::test_rollback_restores_an_lpa_trimmed_after_t",
+    ),
+    # --- the TimeKits walk from the OOB columns ---------------------------------
+    (
+        "timessd/ssd.py",  # a chain hop read raw with the reliability model on
+        "        if engine is None or not engine.enabled:\n"
+        "            read = device.read_oob\n",
+        "        if True:\n"
+        "            read = device.read_oob\n",
+        "tests/timekits/test_api.py::TestMarginalMedia"
+        "::test_a_retained_version_is_read_through_the_retry_ladder",
+    ),
+    (
+        # A decompression booked inside the read pass, as a walk that
+        # decodes each delta as it reaches it books it: every read
+        # behind it starts later on its lane.
+        "timessd/ssd.py",
+        "                entries.append(record)\n"
+        "                if until_ts is not None and record.version_ts <= until_ts:\n",
+        "                if record.compressed and payloads:\n"
+        "                    t = device.timelines.schedule(\n"
+        "                        0, t, device.timing.delta_decompress_us\n"
+        "                    )\n"
+        "                entries.append(record)\n"
+        "                if until_ts is not None and record.version_ts <= until_ts:\n",
+        "tests/timessd/test_column_loops.py"
+        "::test_version_chain_matches_the_read_result_walk[clean-media]",
     ),
     (
         "timekits/api.py",  # a mapped LPA deleted as of t left alone

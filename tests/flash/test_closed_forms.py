@@ -123,3 +123,52 @@ def test_a_refused_query_costs_nothing():
     with pytest.raises(QueryError):
         TimeKits(ssd).as_of([5], ssd.retention.window_start_us() - 1)
     assert (ssd.clock.now_us, ssd.device.page_reads.value) == (now, reads)
+
+
+def lpa_with_compressed_history(rounds, k):
+    """A TimeSSD bench device after ``rounds`` of: write ``k`` versions of
+    LPA 5, compress the retained ones into deltas, flush them to a delta
+    page.  Then ``k`` more versions stay on data pages, and the clock is
+    moved to where every lane is idle."""
+    ssd = make_bench_timessd()
+
+    def write_versions():
+        for _ in range(k):
+            ssd.write(5)
+            ssd.clock.advance(1000)
+
+    for _ in range(rounds):
+        write_versions()
+        retained = ssd.device.core.back_pointer[ssd.mapping.lookup(5)]
+        assert ssd.compress_or_lose(retained, ssd.clock.now_us)[1] >= 1
+        for segment_id in sorted(ssd.deltas.live_segment_ids()):
+            ssd.deltas.flush_segment(segment_id, ssd.clock.now_us)
+    write_versions()
+    ssd.clock.advance_to(idle_now(ssd))
+    return ssd
+
+
+@pytest.mark.parametrize("rounds, k", [(1, 2), (1, 4), (2, 3)])
+def test_a_chain_walk_reads_each_page_once_then_decompresses(rounds, k):
+    """A walk over ``h`` data pages and ``d`` compressed deltas packed in
+    ``p`` flushed delta pages reads each page once, then runs the
+    decompressor once per delta; a stamp-only walk only reads.
+
+    ``walk(bytes) = (h + p) * read_us + d * delta_decompress_us``,
+    ``walk(stamps) = (h + p) * read_us``
+    """
+    ssd = lpa_with_compressed_history(rounds, k)
+    h = len(list(ssd.index.older_versions(5, ssd.mapping.lookup(5))))
+    records = list(ssd.index.live_deltas(ssd.index.delta_head(5)))
+    assert all(r.compressed and r.flash_ppa is not None for r in records)
+    d, p = len(records), len({r.flash_ppa for r in records})
+    assert (h, d, p) == (k + 1, rounds * k - 1, rounds)
+    timing = ssd.device.timing
+    now = ssd.clock.now_us
+    versions, complete = ssd.version_chain(5, now)
+    assert len(versions) == h + d
+    assert complete == now + (h + p) * timing.read_us + d * timing.delta_decompress_us
+    now = idle_now(ssd)
+    versions, complete = ssd.version_chain(5, now, payloads=False)
+    assert len(versions) == h + d
+    assert complete == now + (h + p) * timing.read_us

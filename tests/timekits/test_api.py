@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.errors import DegradedModeError, QueryError
 from repro.common.units import SECOND_US
+from repro.flash.reliability import FlashReliability
 from repro.nvme.commands import NVMeCommand, Opcode, StatusCode
 from repro.nvme.controller import NVMeController
 from repro.timekits.api import QueryResult, TimeKits, pick_as_of
@@ -130,13 +131,13 @@ class TestAddrQueries:
         addr, cnt = min(lpas), max(lpas) - min(lpas) + 1
 
         reads = []
-        read = ssd.index._read
+        read_oob = ssd.device.read_oob
 
-        def counting_read(ppa, t):
+        def counting_read(ppa, t, **kwargs):
             reads.append(ppa)
-            return read(ppa, t)
+            return read_oob(ppa, t, **kwargs)
 
-        ssd.index._read = counting_read
+        ssd.device.read_oob = counting_read
         alone = {lpa: ssd.version_chain(lpa)[0] for lpa in range(addr, addr + cnt)}
         assert reads.count(shared) == len(lpas)
 
@@ -155,6 +156,35 @@ class TestAddrQueries:
             assert snapshot["gauges"]["timekits.walk.delta_pages_buffered"] == len(
                 delta_reads
             )
+
+
+class TestMarginalMedia:
+    def test_a_retained_version_is_read_through_the_retry_ladder(self):
+        """A chain hop is a firmware read like a host read: on media
+        where every first sense fails ECC, the walk climbs the retry
+        ladder and still returns each version's exact bytes."""
+        ssd = make_timessd(
+            content_mode=ContentMode.REAL,
+            retention_floor_us=3600 * SECOND_US,
+            reliability=FlashReliability(
+                raw_bit_error_rate=8e-3,
+                ecc_correctable_bits=8,
+                retry_ber_factor=0.1,
+                seed=0xA11,
+            ),
+        )
+        page_size = ssd.device.geometry.page_size
+        old, new = b"v0".ljust(page_size, b"\x01"), b"v1".ljust(page_size, b"\x02")
+        ssd.write(3, old)
+        ssd.clock.advance(1000)
+        ssd.write(3, new)
+        retries = ssd.obs.metrics.counter("reliability.retry_reads")
+        assert retries.value == 0  # nothing has been read yet
+        versions = TimeKits(ssd).addr_query_all(3).value[3]
+        assert [(v.source, v.data) for v in versions] == [
+            ("current", new), ("data-page", old),
+        ]
+        assert retries.value >= 2  # the head and the retained version
 
 
 class TestTimeQueries:

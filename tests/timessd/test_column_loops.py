@@ -11,20 +11,27 @@ same pages and stop at the same cursor, for budgets that end the window
 early, mid-block and never.
 """
 
+import functools
+import math
 import random
 
 import pytest
 
 from repro.common.errors import AddressError, PowerCutError, UncorrectableReadError
+from repro.common.units import SECOND_US
 from repro.faults.hooks import FaultHooks
 from repro.faults.plan import FaultPlan
 from repro.flash.core import ColumnarFlashArray
 from repro.flash.device import FlashDevice
 from repro.flash.page import NULL_PPA, PageState
+from repro.flash.reliability import FlashReliability
 from repro.ftl.block_manager import BlockKind
+from repro.timekits.api import TimeKits
+from repro.timessd.config import ContentMode
+from repro.timessd.index import Version
 from repro.timessd.recovery import rebuild_from_flash, simulate_power_loss
 
-from tests.conftest import make_timessd
+from tests.conftest import churn_real_content, make_timessd, small_geometry
 
 WORKING_SET = 96
 
@@ -299,5 +306,180 @@ def test_chain_hop_check_matches_the_page_view():
     for ppa in (-2, core.total_pages):
         with pytest.raises(AddressError):
             next(index.older_versions(0, ppa, 1))
-        with pytest.raises(AddressError):
-            index.walk_data_chain(0, ppa, 0)
+        with pytest.raises(AddressError):  # the timed walk's hop read
+            ssd.device.read_oob(ppa, 0)
+
+
+# --- the timed chain walk ------------------------------------------------------
+
+
+def _reference_data_chain(ssd, lpa, head, t, until_ts, newer_ts=math.inf):
+    """``walk_data_chain`` as it was: one :class:`ReadResult` per hop,
+    read through ``read_page_with_retry``; returns ``(entries, t)`` with
+    ``(ppa, oob, data)`` entries, newest first."""
+    entries = []
+    for ppa in ssd.index.older_versions(lpa, head, newer_ts):
+        result = ssd.read_page_with_retry(ppa, t)
+        t = result.complete_us
+        entries.append((ppa, result.oob, result.data))
+        if until_ts is not None and result.oob.timestamp_us <= until_ts:
+            break
+    return entries, t
+
+
+def reference_version_chain(
+    ssd, lpa, start_us, until_ts=None, payloads=True, delta_pages=None
+):
+    """The view-building walk ``version_chain`` replaced (no retention
+    key): the data-page chain, then ``walk_delta_chain`` — every delta
+    page and tombstone branch read first — then the decompressions."""
+    versions, by_ts = [], {}
+
+    def take_page(oob, data, source):
+        data = data if payloads else None
+        versions.append(Version(lpa, oob.timestamp_us, data, source))
+        by_ts[oob.timestamp_us] = data
+
+    entries, t = _reference_data_chain(
+        ssd, lpa, ssd.mapping.lookup(lpa), start_us, until_ts
+    )
+    for i, (_ppa, oob, data) in enumerate(entries):
+        take_page(oob, data, "data-page" if i else "current")
+    if until_ts is not None and versions and versions[-1].timestamp_us <= until_ts:
+        ssd._h_query_chain.record(len(versions))
+        return versions, t
+
+    entries = []
+    if delta_pages is None:
+        delta_pages = set()
+    for record in ssd.index.live_deltas(ssd.index.delta_head(lpa)):
+        if record.flash_ppa is not None and record.flash_ppa not in delta_pages:
+            t = ssd.read_page_with_retry(record.flash_ppa, t).complete_us
+            delta_pages.add(record.flash_ppa)
+        entries.append(record)
+        if until_ts is not None and record.version_ts <= until_ts:
+            break
+        if record.data_back is not None:
+            branch, t = _reference_data_chain(
+                ssd, lpa, record.data_back, t, until_ts, record.version_ts
+            )
+            entries += branch
+            if until_ts is not None and branch and branch[-1][1].timestamp_us <= until_ts:
+                break
+
+    device = ssd.device
+    for record in entries:
+        if type(record) is tuple:  # a tombstone's deleted data page
+            _ppa, oob, data = record
+            take_page(oob, data, "data-page")
+            continue
+        ssd.deltas_passed += 1
+        if record.data_back is not None:
+            versions.append(Version(lpa, record.version_ts, None, "deleted"))
+            continue
+        if record.version_ts in by_ts:
+            continue
+        data = None
+        if payloads:
+            data = record.payload
+            if record.compressed:
+                data = ssd.deltas.codec.decompress(data, by_ts.get(record.ref_ts))
+        if record.compressed and payloads:
+            ssd.deltas_decompressed += 1
+            channel = (
+                device.geometry.channel_of_page(record.flash_ppa)
+                if record.flash_ppa is not None
+                else 0
+            )
+            t = device.timelines.schedule(channel, t, device.timing.delta_decompress_us)
+        source = "delta" if record.flash_ppa is not None else "delta-ram"
+        versions.append(Version(lpa, record.version_ts, data, source))
+        by_ts[record.version_ts] = data
+    ssd._h_query_chain.record(len(versions))
+    return versions, t
+
+
+def build_history_device(reliability=None):
+    """A churned REAL-content device whose histories hold every kind of
+    hop: data-page chains, flushed and RAM deltas, and tombstones (some
+    followed by a rewrite); returns ``(ssd, stamps)`` where ``stamps``
+    are query times spread over the history."""
+    ssd = make_timessd(
+        geometry=small_geometry(blocks_per_plane=32),
+        content_mode=ContentMode.REAL,
+        retention_floor_us=3600 * SECOND_US,
+        reliability=reliability,
+    )
+    start = ssd.clock.now_us
+    churn_real_content(ssd, ssd.logical_pages // 3, 1500)
+    rng = random.Random(5)
+    page_size = ssd.device.geometry.page_size
+    for lpa in rng.sample(range(ssd.logical_pages // 3), 24):
+        ssd.trim(lpa)
+        ssd.clock.advance(1500)
+        if lpa % 2:
+            ssd.write(lpa, rng.randbytes(page_size))
+            ssd.clock.advance(1500)
+    end = ssd.clock.now_us
+    return ssd, [start + (end - start) * k // 4 for k in range(1, 4)]
+
+
+def walk_state(ssd):
+    """Everything a walk may move, observed from outside."""
+    device = ssd.device
+    lanes = [
+        (tuple(lane.pending), lane.busy_us, lane.max_depth)
+        for timelines in (device.timelines, device.chip_timelines)
+        for lane in map(timelines.lane, range(timelines.channels))
+    ]
+    return {
+        "lanes": lanes,
+        "metrics": ssd.metrics_snapshot(),
+        "deltas": (ssd.deltas_passed, ssd.deltas_decompressed),
+        "now_us": ssd.clock.now_us,
+    }
+
+
+@pytest.mark.parametrize(
+    "reliability",
+    [
+        None,
+        # Every read needs one rung of the retry ladder.
+        FlashReliability(
+            raw_bit_error_rate=8e-3,
+            ecc_correctable_bits=8,
+            retry_ber_factor=0.1,
+            seed=0xA11,
+        ),
+    ],
+    ids=["clean-media", "marginal-media"],
+)
+def test_version_chain_matches_the_read_result_walk(reliability):
+    got, _ = build_history_device(reliability)
+    want, stamps = build_history_device(reliability)
+    want.version_chain = functools.partial(reference_version_chain, want)
+    lpas = got.lpas_with_history()
+    assert lpas == want.lpas_with_history()
+    records = [
+        record
+        for lpa in lpas
+        for record in got.index.live_deltas(got.index.delta_head(lpa))
+    ]
+    assert any(record.data_back is not None for record in records)
+    assert any(record.flash_ppa is not None for record in records)
+    assert any(record.flash_ppa is None for record in records)
+    for until_ts in [None] + stamps:
+        for payloads in (True, False):
+            answers = [
+                TimeKits(ssd).walk_many(lpas, 3, until_ts, payloads)
+                for ssd in (got, want)
+            ]
+            assert answers[0] == answers[1], (until_ts, payloads)
+            assert walk_state(got) == walk_state(want)
+    # Bare walks, each with its own delta-page buffer.
+    for lpa in lpas[::7]:
+        start = got.clock.now_us
+        assert got.version_chain(lpa, start) == want.version_chain(lpa, start)
+    assert walk_state(got) == walk_state(want)
+    if reliability is not None:
+        assert walk_state(got)["metrics"]["counters"]["reliability.retry_reads"]

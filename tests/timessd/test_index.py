@@ -2,7 +2,6 @@ import pytest
 
 from repro.flash.page import NULL_PPA
 from repro.timessd.delta import DeltaRecord
-from repro.timessd.index import TimeTravelIndex
 from repro.timessd.recovery import rebuild_from_flash, simulate_power_loss
 
 from tests.conftest import make_timessd
@@ -53,22 +52,25 @@ class TestPRT:
 
 
 class TestDataChain:
+    """The hop rule (:meth:`TimeTravelIndex.older_versions`, a chain head
+    its first hop) and what the timed walk, ``version_chain``, bills."""
+
     def test_walk_links_all_versions(self, ssd):
         ppas = write_versions(ssd, 7, 4)
-        walk = ssd.index.walk_data_chain(7, ppas[-1], ssd.clock.now_us)
-        assert [e[0] for e in walk.entries] == list(reversed(ppas))
-        stamps = [e[1].timestamp_us for e in walk.entries]
+        hops = list(ssd.index.older_versions(7, ppas[-1]))
+        assert hops == list(reversed(ppas))
+        stamps = [ssd.device.core.timestamp_us[ppa] for ppa in hops]
         assert stamps == sorted(stamps, reverse=True)
 
     def test_walk_null_head_is_empty(self, ssd):
-        walk = ssd.index.walk_data_chain(7, NULL_PPA, 0)
-        assert walk.entries == []
+        assert list(ssd.index.older_versions(7, NULL_PPA)) == []
 
     def test_walk_charges_read_time(self, ssd):
-        ppas = write_versions(ssd, 7, 3)
+        write_versions(ssd, 7, 3)
         t0 = ssd.clock.now_us
-        walk = ssd.index.walk_data_chain(7, ppas[-1], t0)
-        assert walk.complete_us >= t0 + 3 * ssd.device.timing.read_us
+        versions, complete = ssd.version_chain(7, t0)
+        assert len(versions) == 3
+        assert complete >= t0 + 3 * ssd.device.timing.read_us
 
     def test_walk_stops_at_recycled_page(self, ssd):
         # Write versions spanning several blocks, then erase the block
@@ -80,7 +82,7 @@ class TestDataChain:
         for ppa in geo.pages_of_block(old_block):
             ssd.block_manager.invalidate_page(ppa)
         ssd.device.erase_block(old_block)
-        walk = ssd.index.walk_data_chain(7, ppas[-1], ssd.clock.now_us)
+        hops = list(ssd.index.older_versions(7, ppas[-1]))
         # Reachable prefix: newest versions up to (excluding) the first
         # hop that lands in the erased block.
         expected = []
@@ -88,7 +90,7 @@ class TestDataChain:
             if geo.block_of_page(ppa) == old_block:
                 break
             expected.append(ppa)
-        assert [e[0] for e in walk.entries] == expected
+        assert hops == expected
 
     def test_walk_with_erased_head_is_empty(self, ssd):
         ppas = write_versions(ssd, 7, 2)
@@ -97,16 +99,13 @@ class TestDataChain:
         for ppa in geo.pages_of_block(pba):
             ssd.block_manager.invalidate_page(ppa)
         ssd.device.erase_block(pba)
-        walk = ssd.index.walk_data_chain(7, ppas[-1], ssd.clock.now_us)
-        assert walk.entries == []
+        assert list(ssd.index.older_versions(7, ppas[-1])) == []
 
     def test_walk_rejects_mismatched_head(self, ssd):
         write_versions(ssd, 7, 1)
-        other_ppa = None
         ssd.write(8)
         other_ppa = ssd.mapping.lookup(8)
-        walk = ssd.index.walk_data_chain(7, other_ppa, ssd.clock.now_us)
-        assert walk.entries == []
+        assert list(ssd.index.older_versions(7, other_ppa)) == []
 
 
     @pytest.mark.parametrize("mark", ["compressed", "expired"])
@@ -122,10 +121,15 @@ class TestDataChain:
         else:
             ssd.expire_page(head)
         assert ssd.block_manager.reclaimable[head]
+        assert list(ssd.index.older_versions(7, head)) == []
+        delta_pages = {
+            record.flash_ppa
+            for record in ssd.index.live_deltas(ssd.index.delta_head(7))
+            if record.flash_ppa is not None
+        }
         reads = ssd.device.page_reads.value
-        assert ssd.index.walk_data_chain(7, head, ssd.clock.now_us).entries == []
-        assert ssd.device.page_reads.value == reads
         versions, _t = ssd.version_chain(7)
+        assert ssd.device.page_reads.value == reads + len(delta_pages)
         assert "data-page" not in {v.source for v in versions}
         assert versions[0].source == "deleted"
         if mark == "compressed":  # the version lives on as a delta
@@ -133,6 +137,9 @@ class TestDataChain:
 
 
 class TestDeltaChain:
+    """The delta-chain half of ``version_chain``, on hand-made records
+    (stamp-only walks: the modelled payloads are never opened)."""
+
     def make_record(self, lpa, ts, back=None, flash_ppa=None, dropped=False):
         record = DeltaRecord(
             lpa=lpa,
@@ -147,24 +154,26 @@ class TestDeltaChain:
         record.dropped = dropped
         return record
 
+    @staticmethod
+    def walk(ssd, start_us):
+        versions, complete = ssd.version_chain(1, start_us, payloads=False)
+        return [v.timestamp_us for v in versions], complete
+
     def test_walk_follows_back_links(self, ssd):
         oldest = self.make_record(1, 10)
         newest = self.make_record(1, 20, back=oldest)
         ssd.index.set_delta_head(1, newest)
-        walk = ssd.index.walk_delta_chain(1, 0)
-        assert [r.version_ts for r in walk.entries] == [20, 10]
+        assert self.walk(ssd, 0)[0] == [20, 10]
 
     def test_walk_stops_at_dropped_record(self, ssd):
         dead = self.make_record(1, 10, dropped=True)
         live = self.make_record(1, 20, back=dead)
         ssd.index.set_delta_head(1, live)
-        walk = ssd.index.walk_delta_chain(1, 0)
-        assert [r.version_ts for r in walk.entries] == [20]
+        assert self.walk(ssd, 0)[0] == [20]
 
     def test_ram_records_cost_nothing(self, ssd):
         ssd.index.set_delta_head(1, self.make_record(1, 10))
-        walk = ssd.index.walk_delta_chain(1, 1000)
-        assert walk.complete_us == 1000
+        assert self.walk(ssd, 1000) == ([10], 1000)
 
     def test_flushed_records_cost_one_read_per_page(self, ssd):
         # Two records on the same delta page: one read total.
@@ -174,8 +183,7 @@ class TestDeltaChain:
         newest = self.make_record(1, 20, back=oldest, flash_ppa=ppa)
         ssd.index.set_delta_head(1, newest)
         t0 = ssd.clock.now_us
-        walk = ssd.index.walk_delta_chain(1, t0)
-        assert walk.complete_us == t0 + ssd.device.timing.read_us
+        assert self.walk(ssd, t0) == ([20, 10], t0 + ssd.device.timing.read_us)
 
     def test_prune_dropped_head(self, ssd):
         dead_new = self.make_record(1, 30, dropped=True)

@@ -330,21 +330,35 @@ def test_a_head_stamp_reference_needs_the_floor():
     assert report.clean, report.violations
 
 
+def _timed_data_page_ts(ssd, lpa):
+    """The stamps of the data-page versions the timed walk,
+    ``version_chain``, reaches from ``lpa``'s head: the leading run of
+    its answer, up to the first version from the delta chain."""
+    stamps = []
+    for version in ssd.version_chain(lpa, payloads=False)[0]:
+        if version.source not in ("current", "data-page"):
+            break
+        stamps.append(version.timestamp_us)
+    return stamps
+
+
 def _assert_reachable_mirrors_walk(ssd, committed_columns):
     """Recovery's column walk reaches what the timed walk reaches, for
     every mapped LPA and under every ``committed`` given; returns
     ``{lpa: [chain ppas, head first]}``."""
     from repro.timessd.recovery import _reachable_data_ts
 
+    core = ssd.device.core
     chains = {}
     for lpa in ssd.mapping.mapped_lpas():
         head = ssd.mapping.lookup(lpa)
-        walk = ssd.index.walk_data_chain(lpa, head, ssd.clock.now_us)
-        expected = {oob.timestamp_us for _ppa, oob, _data in walk.entries}
+        chain = list(ssd.index.older_versions(lpa, head))
+        stamps = _timed_data_page_ts(ssd, lpa)
+        assert [core.timestamp_us[ppa] for ppa in chain] == stamps, lpa
         for committed in committed_columns:
             got = _reachable_data_ts(ssd, lpa, head, committed)
-            assert got == expected, lpa
-        chains[lpa] = [ppa for ppa, _oob, _data in walk.entries]
+            assert got == set(stamps), lpa
+        chains[lpa] = chain
     return chains
 
 
@@ -369,8 +383,8 @@ def _power_cycle_keeping_the_sweep(ssd, monkeypatch):
 
 def test_reachable_reference_timestamps_mirror_the_chain_walk(monkeypatch):
     """Recovery's untimed reference-chain walk reads the OOB columns
-    directly; it must reach exactly the versions the timed
-    ``walk_data_chain`` reaches from the same head — on a churned device
+    directly; it must reach exactly the data-page versions the timed
+    ``version_chain`` reaches from the same head — on a churned device
     where GC has broken some chains and compression has marked others —
     whether a hop's seal is vouched for by the sweep's ``committed``
     column or checked on the spot."""
