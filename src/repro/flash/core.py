@@ -210,15 +210,6 @@ class ColumnarFlashArray:
         self.write_pointer[pba] = 0
         self.reads_since_erase[pba] = 0
 
-    def read(self, pba, offset):
-        """Read one programmed page: ``(data, oob)``."""
-        gidx = pba * self.pages_per_block + offset
-        if not self.state[gidx]:
-            raise FlashStateError(
-                "block %d: read of erased page %d" % (pba, offset)
-            )
-        return self.data[gidx], self.oob_at(gidx)
-
     # --- Column accessors -------------------------------------------------
 
     def oob_at(self, gidx):

@@ -7,12 +7,11 @@ are kept in one place so a single call site cannot forget either.
 """
 
 from array import array
-from collections import namedtuple
 
-from repro.common.errors import EraseFailureError, ProgramFailureError
+from repro.common.errors import EraseFailureError, FlashStateError, ProgramFailureError
 from repro.flash.core import ColumnarFlashArray, verify_seq_tags
 from repro.flash.geometry import FlashGeometry
-from repro.flash.page import Page, _tuple_new
+from repro.flash.page import Page
 from repro.flash.reliability import ReliabilityEngine
 from repro.flash.timing import ChannelTimelines, FlashTiming, book, book_then
 from repro.obs import Scope
@@ -72,22 +71,6 @@ class BlockOOBScan:
                 if not programmed_flag:
                     intact[i] = 0
         self.intact = intact
-
-
-class ReadResult(
-    namedtuple(
-        "_ReadResultFields", "data oob complete_us corrected_bits", defaults=(0, 0)
-    )
-):
-    """What one page read returns (an immutable value, one per read).
-
-    ``corrected_bits`` is the number of bits ECC corrected on this read
-    (0 when reliability is disabled).  Firmware watches this drift
-    toward the ECC budget to refresh at-risk pages before they become
-    uncorrectable.
-    """
-
-    __slots__ = ()
 
 
 class CopyTally:
@@ -170,7 +153,7 @@ class FlashDevice:
     # --- Functional + timed operations --------------------------------------
 
     def read_page(self, ppa, now_us=0, retry_step: int = 0):
-        """Read a page; returns :class:`ReadResult` with completion time.
+        """Read a page; returns ``(complete_us, corrected_bits)``.
 
         Timing: the cell sense occupies the chip, then the data transfer
         occupies the channel bus — so with multiple chips per channel,
@@ -182,25 +165,9 @@ class FlashDevice:
         attempt (retries included) stresses the block's neighbours, so
         each one advances the read-disturb accumulator.
 
-        This is :meth:`read_oob` plus the view of what was read; its two
-        lines are repeated rather than called, so a host read stays one
-        device call.
-        """
-        complete, corrected = self._sense(ppa, now_us, retry_step)
-        self._h_read_us.record(complete - now_us)
-        core = self.core
-        return _tuple_new(
-            ReadResult, (core.data[ppa], core.oob_at(ppa), complete, corrected)
-        )
-
-    def read_oob(self, ppa, now_us=0, retry_step: int = 0):
-        """:meth:`read_page` without building its view; returns
-        ``(complete_us, corrected_bits)``.
-
-        The same media work, count, trace event and ``flash.read_us``
-        record as :meth:`read_page`, for a reader that takes what it
-        needs from the ``core`` columns (a version-chain hop reads the
-        stamp and, when it hands out bytes, the data).
+        ``corrected_bits`` (0 with reliability off) is what firmware
+        watches drift toward the ECC budget.  No copy of the page comes
+        back: a reader takes what it needs from the ``core`` columns.
         """
         complete, corrected = self._sense(ppa, now_us, retry_step)
         self._h_read_us.record(complete - now_us)
@@ -212,15 +179,14 @@ class FlashDevice:
         ``(complete_us, corrected_bits)``.  The latency histogram is the
         caller's (a page copy may record it by count)."""
         core = self.core
-        pages_per_block = core.pages_per_block
         if not 0 <= ppa < core.total_pages:
             self.geometry.check_ppa(ppa)
-        pba = ppa // pages_per_block
+        pba = ppa // core.pages_per_block
         if self.faults is not None:
             self.last_op_start_us = now_us
             self.faults.on_read(self, ppa)
-        if not core.state[ppa]:  # erased: the core's read refuses it
-            core.read(pba, ppa % pages_per_block)
+        if not core.state[ppa]:
+            raise FlashStateError("read of erased page %d" % ppa)
         # Disturb from *prior* senses degrades this read; this read's own
         # stress lands on the next one.  Count before the ECC check so
         # retry attempts see the same disturb term as the failed read.
@@ -307,8 +273,8 @@ class FlashDevice:
         allocate()`` programmed at the read's completion as
         :meth:`program_page` does it, with the data and the OOB columns
         (LPA, back-pointer, timestamp, seal) carried column to column.
-        No :class:`OOBMetadata` or :class:`ReadResult` is built; the fault
-        hooks, which take one, get it behind their guard.
+        No :class:`OOBMetadata` is built; the fault hooks, which take
+        one, get it behind their guard.
 
         ``retry_step=None`` skips the read: the caller has just read
         ``src`` and ``now_us`` is that read's completion.  A

@@ -54,9 +54,9 @@ class OOBMetadata(namedtuple("_OOBFields", "lpa back_pointer timestamp_us seq_ta
     as the last step of a page program; it defaults to the consistent
     value, so only deliberately torn pages carry a mismatched tag.
 
-    An immutable four-field value (tuple-backed: one is built per flash
-    read, so construction has to be cheap); ``==`` and ``hash`` cover
-    exactly the four fields.
+    An immutable four-field value (tuple-backed: a ``Page`` view or a
+    fault hook builds one per page, so construction has to be cheap);
+    ``==`` and ``hash`` cover exactly the four fields.
     """
 
     __slots__ = ()

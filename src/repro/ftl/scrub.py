@@ -231,17 +231,14 @@ class PatrolScrubber:
         if not ssd.device.core.intact_at(ppa):
             return now_us  # erased, torn or burned: nothing to protect
         try:
-            result = ssd.read_page_with_retry(ppa, now_us)
+            t, corrected_bits = ssd.read_page_with_retry(ppa, now_us)
         except UncorrectableReadError:
             # Lost despite the full ladder: nothing left to refresh.
             # The host sees the same error if it asks; scrub only
             # accounts it (and the patrol moves on).
             self._m_uncorrectable.inc()
             return now_us
-        t = result.complete_us
-        at_risk = force_refresh or (
-            result.corrected_bits >= (self._risk_bits or 1)
-        )
+        at_risk = force_refresh or corrected_bits >= (self._risk_bits or 1)
         if not at_risk:
             return t
         if ssd.block_manager.valid[ppa]:

@@ -397,8 +397,8 @@ class BaseSSD:
         if ppa == NULL_PPA:
             data, complete = None, arrival_us
         else:
-            result = self.read_page_with_retry(ppa, start)
-            data, complete = result.data, result.complete_us
+            complete = self.read_page_with_retry(ppa, start)[0]
+            data = self.device.core.data[ppa]
         self.read_latency.record(complete - arrival_us)
         self._after_host_request(complete, wrote=False)
         if ppa == NULL_PPA and lpa in self.lost_lpas:
@@ -663,7 +663,8 @@ class BaseSSD:
         raise last_failure
 
     def read_page_with_retry(self, ppa, now_us):
-        """Read one page through the read-retry ladder.
+        """Read one page through the read-retry ladder; returns
+        ``(complete_us, corrected_bits)`` as ``device.read_page`` does.
 
         Step 0 is the normal read; each further step re-senses with
         shifted reference voltages, multiplying the effective BER by the
@@ -674,16 +675,20 @@ class BaseSSD:
         refresh.  With reliability disabled this is exactly
         ``device.read_page`` — no extra metrics, no extra branches.
         """
-        engine = self.device.reliability
-        if engine is None or not engine.enabled:
+        if not self._ladder_on():
             return self.device.read_page(ppa, now_us)
         return self._climb_ladder(self.device.read_page, ppa, now_us)
+
+    def _ladder_on(self):
+        """Whether a read climbs the read-retry ladder: the one test."""
+        engine = self.device.reliability
+        return engine is not None and engine.enabled
 
     def _climb_ladder(self, read_op, ppa, now_us, **kwargs):
         """``read_op(ppa, now_us, retry_step=step, **kwargs)`` up the
         read-retry ladder; returns its result, whose last item is the
-        read's corrected-bit count (``device.read_page``'s
-        :class:`ReadResult` and ``device.copy_page``'s triple alike).
+        read's corrected-bit count (``device.read_page``'s pair and
+        ``device.copy_page``'s triple alike).
 
         A copy whose read passed but whose program failed still counts
         its read here before the :class:`ProgramFailureError` escapes.
@@ -1029,8 +1034,7 @@ class BaseSSD:
         def allocate():
             return bm.allocate_page(StreamId.GC)
 
-        engine = device.reliability
-        ladder = not sensed and engine is not None and engine.enabled
+        ladder = not sensed and self._ladder_on()
         step = None if sensed else 0
         for _attempt in range(self.PROGRAM_RETRY_LIMIT + 1):
             try:

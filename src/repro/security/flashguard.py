@@ -146,11 +146,10 @@ class FlashGuardSSD(BaseSSD):
             if version is None:
                 continue
             try:
-                result = self.read_page_with_retry(version.ppa, cursors[k])
+                cursors[k] = self.read_page_with_retry(version.ppa, cursors[k])[0]
             except UncorrectableReadError:
                 self._drop_version(version)
                 continue
-            cursors[k] = result.complete_us
-            restored[lpa] = result.data
+            restored[lpa] = self.device.core.data[version.ppa]
         self.clock.advance_to(max(cursors, default=start))
         return restored, self.clock.now_us - start

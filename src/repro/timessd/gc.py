@@ -42,25 +42,24 @@ class TimeSSDGarbageCollector:
         """
         ssd = self._ssd
         device = ssd.device
+        core = device.core
         index = ssd.index
-        t = now_us
+        read = ssd.read_page_with_retry
 
-        head = ssd.read_page_with_retry(ppa, t)
-        t = head.complete_us
-        lpa = head.oob.lpa
+        t = read(ppa, now_us)[0]
+        lpa = core.lpa[ppa]
 
         # The not-yet-compressed older versions join the chain; an expired
         # one is marked reclaimable and ends it (invalidation times
         # decrease down the chain, so everything older is expired too).
-        chain = [(ppa, head.oob, head.data)]
-        older = index.older_versions(lpa, head.oob.back_pointer, head.oob.timestamp_us)
-        for back in older:
-            result = ssd.read_page_with_retry(back, t)
-            t = result.complete_us
+        chain = [ppa]
+        newer_ts = core.timestamp_us[ppa]
+        for back in index.older_versions(lpa, core.back_pointer[ppa], newer_ts):
+            t = read(back, t)[0]
             if ssd.blooms.find_segment(back) is None:
                 ssd.expire_page(back)
                 break
-            chain.append((back, result.oob, result.data))
+            chain.append(back)
 
         compressing = ssd.config.delta_compression
         if compressing:
@@ -70,8 +69,9 @@ class TimeSSDGarbageCollector:
 
         previous_head = index.prune_dropped_head(lpa)
         records = []
-        for src_ppa, oob, data in chain:
-            if oob.timestamp_us == ref_ts:
+        for src_ppa in chain:
+            version_ts = core.timestamp_us[src_ppa]
+            if version_ts == ref_ts:
                 # A refresh-migration duplicate of the reference head:
                 # the same version, already retrievable as the current
                 # data page.  A delta record for it would reference
@@ -79,6 +79,7 @@ class TimeSSDGarbageCollector:
                 # once the data pages are reclaimed — drop the page,
                 # keep no record.
                 continue
+            data = core.data[src_ppa]
             if compressing:
                 payload, size = ssd.deltas.codec.compress(data, ref_data)
                 ssd._m_delta_compressions.inc()
@@ -90,7 +91,7 @@ class TimeSSDGarbageCollector:
             else:
                 # Ablation mode: retained versions move uncompressed.
                 payload, size = data, device.geometry.page_size
-            payload = ssd.seal_retained_payload(payload, lpa, oob.timestamp_us)
+            payload = ssd.seal_retained_payload(payload, lpa, version_ts)
             segment = ssd.blooms.find_segment(src_ppa)
             if segment is None:
                 # BF false negative cannot happen; this is the rare case of
@@ -100,7 +101,7 @@ class TimeSSDGarbageCollector:
             records.append(
                 DeltaRecord(
                     lpa=lpa,
-                    version_ts=oob.timestamp_us,
+                    version_ts=version_ts,
                     ref_ts=ref_ts,
                     payload=payload,
                     size_bytes=size,
@@ -142,7 +143,7 @@ class TimeSSDGarbageCollector:
             index.set_delta_head(lpa, merged[0])
         for record in records:
             t = ssd.deltas.add_record(record, t)
-        for src_ppa, _oob, _data in chain:
+        for src_ppa in chain:
             if ssd.block_manager.mark_reclaimable(src_ppa):
                 ssd.note_page_no_longer_retained(src_ppa)
         ssd._h_compressed_chain.record(len(records))
@@ -154,5 +155,6 @@ class TimeSSDGarbageCollector:
         head_ppa = ssd.mapping.lookup(lpa)
         if head_ppa == NULL_PPA:
             return None, NO_REF_TS, now_us
-        result = ssd.read_page_with_retry(head_ppa, now_us)
-        return result.data, result.oob.timestamp_us, result.complete_us
+        t = ssd.read_page_with_retry(head_ppa, now_us)[0]
+        core = ssd.device.core
+        return core.data[head_ppa], core.timestamp_us[head_ppa], t

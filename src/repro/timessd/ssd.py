@@ -9,7 +9,6 @@ time-travel index.  :mod:`repro.timekits` provides the query surface.
 
 import random
 from collections import defaultdict
-from functools import partial
 
 from repro.common.atomic import atomic_section
 from repro.common.errors import (
@@ -496,7 +495,7 @@ class TimeSSD(BaseSSD):
         dependent page reads sequenced per channel, then decompression
         time.  This is the one timed chain walk: each hop is the one
         taken by :meth:`TimeTravelIndex.older_versions` (the hop rule)
-        and costs one ``device.read_oob`` — through the read-retry
+        and costs one :meth:`read_page_with_retry` — the read-retry
         ladder when the reliability model is on — after which the stamp
         and bytes are read from the flash core's columns.
 
@@ -532,11 +531,7 @@ class TimeSSD(BaseSSD):
         core = device.core
         stamps = core.timestamp_us
         pages = core.data
-        engine = device.reliability
-        if engine is None or not engine.enabled:
-            read = device.read_oob
-        else:
-            read = partial(self._climb_ladder, device.read_oob)
+        read = self.read_page_with_retry
         hops = self.index.older_versions
         t = self.clock.now_us if start_us is None else start_us
 
@@ -576,6 +571,7 @@ class TimeSSD(BaseSSD):
         by_ts = {}  # write timestamp -> page bytes, for every version seen
         new = tuple.__new__  # a Version without its constructor's call
         timelines = device.timelines
+        channel_of_page = device.geometry.channel_of_page
         decompress_us = device.timing.delta_decompress_us
         for i, entry in enumerate(entries):
             if type(entry) is int:  # a data page; the first entry is the head
@@ -606,13 +602,13 @@ class TimeSSD(BaseSSD):
             if record.compressed and payloads:
                 # Only a walk that hands out bytes runs the decompressor;
                 # a stamp-only walk has the timestamp from the page read.
+                # A RAM delta crosses no flash channel: it holds the walk only.
                 self.deltas_decompressed += 1
-                channel = (
-                    device.geometry.channel_of_page(record.flash_ppa)
-                    if record.flash_ppa is not None
-                    else 0
-                )
-                t = timelines.schedule(channel, t, decompress_us)
+                if record.flash_ppa is None:
+                    t += decompress_us
+                else:
+                    channel = channel_of_page(record.flash_ppa)
+                    t = timelines.schedule(channel, t, decompress_us)
             source = "delta" if record.flash_ppa is not None else "delta-ram"
             versions.append(new(Version, (lpa, record.version_ts, data, source)))
             by_ts[record.version_ts] = data

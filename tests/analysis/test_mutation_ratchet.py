@@ -185,13 +185,13 @@ _RANDOM_ORDER = (
     "        sweep.partial_blocks, len(sweep.partial_blocks)\n"
     "    ):\n"
 )
-_SENSE = "            result = self.read_page_with_retry(ppa, start)\n"
-_UNPACK = "            data, complete = result.data, result.complete_us\n"
+_SENSE = "            complete = self.read_page_with_retry(ppa, start)[0]\n"
+_UNPACK = "            data = self.device.core.data[ppa]\n"
 _REPLAY = (
     "tests/integration/test_end_to_end.py"
     "::test_trace_replay_leaves_a_clean_device[cut]"
 )
-_REFERENCE = "        result = ssd.read_page_with_retry(head_ppa, now_us)\n"
+_REFERENCE = "        t = ssd.read_page_with_retry(head_ppa, now_us)[0]\n"
 _CUTS = "tests/faults/test_fault_then_cut.py::"
 _BLOOM_MODEL = (
     "tests/timessd/test_bloom.py"
@@ -326,7 +326,9 @@ FIRMWARE_MUTATIONS = (
         "ftl/ssd.py",  # a program in the read path
         _SENSE + _UNPACK,
         _SENSE
-        + "            self.device.program_page(ppa, result.data, result.oob, start)\n"
+        + "            self.device.program_page(\n"
+        "                ppa, self.device.core.data[ppa], self.device.core.oob_at(ppa), start\n"
+        "            )\n"
         + _UNPACK,
         "tests/ftl/test_ssd.py::test_host_reads_mutate_no_flash",
     ),
@@ -369,8 +371,8 @@ FIRMWARE_MUTATIONS = (
     # --- what the deleted address-domain rules' rows seeded --------------------
     (
         "timessd/gc.py",  # the chain head's LBA read from the wrong OOB field
-        "        lpa = head.oob.lpa\n",
-        "        lpa = head.oob.back_pointer\n",
+        "        lpa = core.lpa[ppa]\n",
+        "        lpa = core.back_pointer[ppa]\n",
         "tests/timessd/test_gc.py"
         "::TestReclaimBlock::test_reclaim_compresses_retained_history",
     ),
@@ -469,11 +471,14 @@ FIRMWARE_MUTATIONS = (
     ),
     # --- the TimeKits walk from the OOB columns ---------------------------------
     (
-        "timessd/ssd.py",  # a chain hop read raw with the reliability model on
-        "        if engine is None or not engine.enabled:\n"
-        "            read = device.read_oob\n",
+        # A chain hop read raw with the reliability model on: the walk reads
+        # through ``read_page_with_retry``, whose use of the one ladder
+        # predicate is the only thing between a hop and the ladder.
+        "ftl/ssd.py",
+        "        if not self._ladder_on():\n"
+        "            return self.device.read_page(ppa, now_us)\n",
         "        if True:\n"
-        "            read = device.read_oob\n",
+        "            return self.device.read_page(ppa, now_us)\n",
         "tests/timekits/test_api.py::TestMarginalMedia"
         "::test_a_retained_version_is_read_through_the_retry_ladder",
     ),
@@ -492,6 +497,13 @@ FIRMWARE_MUTATIONS = (
         "                if until_ts is not None and record.version_ts <= until_ts:\n",
         "tests/timessd/test_column_loops.py"
         "::test_version_chain_matches_the_read_result_walk[clean-media]",
+    ),
+    (
+        "timessd/ssd.py",  # a RAM decode booked on channel 0
+        "                    t += decompress_us\n",
+        "                    t = timelines.schedule(0, t, decompress_us)\n",
+        "tests/timessd/test_column_loops.py"
+        "::test_a_ram_delta_decode_books_no_flash_channel",
     ),
     (
         "timekits/api.py",  # a mapped LPA deleted as of t left alone
@@ -526,7 +538,7 @@ FIRMWARE_MUTATIONS = (
         # GC's copy of a retained page read raw again: FlashGuard's copy is
         # the one GC copy, which decides whether its read climbs the ladder.
         "ftl/ssd.py",
-        "        ladder = not sensed and engine is not None and engine.enabled\n",
+        "        ladder = not sensed and self._ladder_on()\n",
         "        ladder = False\n",
         "tests/security/test_flashguard.py::TestRecovery"
         "::test_gc_reads_a_retained_page_through_the_ladder[rescued]",

@@ -1,10 +1,14 @@
 """NAND block invariants, driven on the layer that enforces them: a
-one-block :class:`~repro.flash.core.ColumnarFlashArray`."""
+one-block :class:`~repro.flash.core.ColumnarFlashArray`, and for the
+read of an erased page, which the device's read refuses, a one-block
+:class:`~repro.flash.device.FlashDevice`."""
 
 import pytest
 
 from repro.common.errors import FlashStateError
 from repro.flash.core import ColumnarFlashArray
+from repro.flash.device import FlashDevice
+from repro.flash.geometry import FlashGeometry
 from repro.flash.page import NULL_PPA, OOBMetadata
 
 
@@ -23,9 +27,8 @@ def test_sequential_program_and_read():
     for i in range(4):
         core.program(0, i, b"data%d" % i, oob(lpa=i))
     assert core.write_pointer[0] == 4  # full
-    data, meta = core.read(0, 2)
-    assert data == b"data2"
-    assert meta.lpa == 2
+    assert core.data[2] == b"data2"
+    assert core.oob_at(2).lpa == 2
 
 
 def test_out_of_order_program_rejected():
@@ -43,8 +46,12 @@ def test_double_program_rejected():
 
 def test_read_of_erased_page_rejected():
     core = ColumnarFlashArray(1, 4)
+    assert core.oob_at(0) is None and core.data[0] is None
+    device = FlashDevice(
+        FlashGeometry(channels=1, blocks_per_plane=1, pages_per_block=4)
+    )
     with pytest.raises(FlashStateError):
-        core.read(0, 0)
+        device.read_page(0)
 
 
 def test_erase_resets_everything_and_counts_wear():
@@ -58,7 +65,7 @@ def test_erase_resets_everything_and_counts_wear():
     assert all(data is None for data in core.data)
     # Programmable again from offset 0.
     core.program(0, 0, b"again", oob())
-    assert core.read(0, 0)[0] == b"again"
+    assert core.data[0] == b"again"
 
 
 def test_multiple_erases_accumulate():

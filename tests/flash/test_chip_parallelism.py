@@ -35,8 +35,8 @@ def test_default_model_unchanged():
     )
     t1 = device.program_page(0, b"a", oob(), now_us=0)
     assert t1 == device.timing.program_us
-    result = device.read_page(0, now_us=t1)
-    assert result.complete_us == t1 + device.timing.read_us
+    complete, _corrected = device.read_page(0, now_us=t1)
+    assert complete == t1 + device.timing.read_us
 
 
 def test_programs_on_sibling_chips_overlap():
@@ -74,8 +74,10 @@ def test_erase_leaves_channel_free():
     erase_done = device.erase_block(block_a, now_us=10_000)
     # While chip 0 erases, chip 1 on the same channel reads freely.
     device.program_page(geo.first_page_of_block(block_b), b"b", oob(), 0)
-    result = device.read_page(geo.first_page_of_block(block_b), now_us=10_000)
-    assert result.complete_us < erase_done
+    complete, _corrected = device.read_page(
+        geo.first_page_of_block(block_b), now_us=10_000
+    )
+    assert complete < erase_done
 
 
 def test_reads_pipeline_across_chips():
@@ -89,8 +91,8 @@ def test_reads_pipeline_across_chips():
         device.program_page(ppa, b"x", oob(), 0)
         pages.append(ppa)
     start = 100_000
-    t1 = device.read_page(pages[0], start).complete_us
-    t2 = device.read_page(pages[1], start).complete_us
+    t1 = device.read_page(pages[0], start)[0]
+    t2 = device.read_page(pages[1], start)[0]
     serialized = start + 2 * (timing.read_us + timing.bus_transfer_us)
     assert max(t1, t2) < serialized  # cell sense overlapped
 
@@ -122,14 +124,12 @@ def test_every_block_occupies_the_lanes_geometry_says(chips):
 
 
 def test_read_result_is_a_named_value():
-    from repro.flash.device import ReadResult
-
+    """A read returns ``(complete_us, corrected_bits)`` and no copy of the
+    page: the reader takes the bytes and OOB fields from the columns."""
     device = multi_chip_device()
     device.program_page(0, b"a", oob(3), now_us=0)
+    timing = device.timing
     result = device.read_page(0, now_us=5_000)
-    assert result == ReadResult(
-        data=b"a", oob=oob(3), complete_us=result.complete_us, corrected_bits=0
-    )
-    assert ReadResult(b"a", None) == ReadResult(b"a", None, 0, 0)  # defaults
-    with pytest.raises(AttributeError):
-        result.complete_us = 0
+    assert result == (5_000 + timing.read_us + timing.bus_transfer_us, 0)
+    assert type(result) is tuple
+    assert (device.core.data[0], device.core.oob_at(0)) == (b"a", oob(3))

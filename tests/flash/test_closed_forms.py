@@ -12,7 +12,10 @@ import pytest
 from repro.bench.config import make_bench_regular, make_bench_timessd
 from repro.common.errors import QueryError
 from repro.ftl.block_manager import BlockKind
+from repro.nvme.commands import StatusCode
 from repro.timekits.api import TimeKits
+
+from tests.nvme.test_path_equivalence import drive
 
 BENCH_DEVICES = [
     pytest.param(make_bench_regular, id="regular"),
@@ -67,6 +70,24 @@ def test_gc_round_is_one_cursor_of_reads_and_programs_then_the_erase(
     assert outcome.complete_us == (
         now + valid * (timing.read_us + timing.program_us) + timing.erase_us
     )
+
+
+@pytest.mark.parametrize("make_device", BENCH_DEVICES)
+@pytest.mark.parametrize("route", ["ssd", "submit", "async"])
+def test_an_idle_host_read_is_one_sense_and_one_transfer(make_device, route):
+    """A host read of a mapped page on idle lanes, at queue depth 1: the
+    cell sense on its chip, then the data transfer on its channel.
+
+    ``read = read_us + bus_transfer_us``
+    """
+    ssd = make_device()
+    page = bytes(ssd.device.geometry.page_size)
+    ssd.write(3, page)
+    ssd.clock.advance_to(idle_now(ssd))
+    timing = ssd.device.timing
+    assert drive(route, ssd, [("R", 3, 1)]) == [
+        (StatusCode.SUCCESS, [page], timing.read_us + timing.bus_transfer_us)
+    ]
 
 
 def lpa_with_data_page_versions(k):
@@ -172,3 +193,26 @@ def test_a_chain_walk_reads_each_page_once_then_decompresses(rounds, k):
     versions, complete = ssd.version_chain(5, now, payloads=False)
     assert len(versions) == h + d
     assert complete == now + (h + p) * timing.read_us
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_compressing_a_retained_chain_reads_it_then_compresses_it(k):
+    """Algorithm 1's compression of a retained page with ``k`` older
+    uncompressed versions below it: the retained page and each older
+    one are read down the chain, then the current version (the
+    reference), then each of the ``k + 1`` versions is delta-compressed;
+    no delta page fills, so nothing is programmed.
+
+    ``compress_or_lose = (k + 2) * read_us + (k + 1) * delta_compress_us``
+    """
+    ssd, _stamps = lpa_with_data_page_versions(k + 2)
+    core, timing = ssd.device.core, ssd.device.timing
+    retained = core.back_pointer[ssd.mapping.lookup(5)]
+    programs = ssd.device.page_programs.value
+    now = ssd.clock.now_us
+    complete, compressed = ssd.compress_or_lose(retained, now)
+    assert compressed == k + 1
+    assert ssd.device.page_programs.value == programs
+    assert complete == (
+        now + (k + 2) * timing.read_us + (k + 1) * timing.delta_compress_us
+    )

@@ -1,7 +1,9 @@
-"""Every example script runs once, end to end, and tells its story."""
+"""Every example script runs once, end to end, and tells its story; so
+does the tutorial, whose python blocks run in order as one script."""
 
 import contextlib
 import io
+import re
 import runpy
 
 import pytest
@@ -14,9 +16,19 @@ EXAMPLES = [
     "examples/nvme_tour.py",
     "examples/firmware_resilience.py",
     "examples/fault_drill.py",
+    "docs/TUTORIAL.md",
 ]
 
 _OUTPUT = {}
+
+
+def _run_markdown(path):
+    """Run a document's fenced python blocks, in order, in one namespace
+    (a later block uses the names an earlier one made)."""
+    with open(path, encoding="utf-8") as handle:
+        blocks = re.findall(r"^```python\n(.*?)^```$", handle.read(), re.M | re.S)
+    assert blocks, "%s has no python block" % path
+    exec(compile("\n".join(blocks), path, "exec"), {"__name__": "__main__"})
 
 
 def run_example(path):
@@ -26,7 +38,10 @@ def run_example(path):
     if path not in _OUTPUT:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            runpy.run_path(path, run_name="__main__")
+            if path.endswith(".md"):
+                _run_markdown(path)
+            else:
+                runpy.run_path(path, run_name="__main__")
         _OUTPUT[path] = out.getvalue()
     return _OUTPUT[path]
 
@@ -67,3 +82,10 @@ def test_firmware_resilience_example():
     assert "clean" in out
     assert "history while locked" in out
     assert "ERROR" not in out
+
+
+def test_tutorial_reads_back_what_it_wrote():
+    out = run_example("docs/TUTORIAL.md")
+    assert "b'hello' 42" in out  # the bare-flash read, from the columns
+    assert "b'v2'" in out  # the regular SSD's read
+    assert out.splitlines()[-1].startswith("b'beta")  # the rollback's read-back

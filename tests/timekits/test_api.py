@@ -131,13 +131,13 @@ class TestAddrQueries:
         addr, cnt = min(lpas), max(lpas) - min(lpas) + 1
 
         reads = []
-        read_oob = ssd.device.read_oob
+        read_page = ssd.device.read_page
 
         def counting_read(ppa, t, **kwargs):
             reads.append(ppa)
-            return read_oob(ppa, t, **kwargs)
+            return read_page(ppa, t, **kwargs)
 
-        ssd.device.read_oob = counting_read
+        ssd.device.read_page = counting_read
         alone = {lpa: ssd.version_chain(lpa)[0] for lpa in range(addr, addr + cnt)}
         assert reads.count(shared) == len(lpas)
 

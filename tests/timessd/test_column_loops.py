@@ -229,7 +229,26 @@ def test_window_shorter_than_one_step_marks_nothing():
     assert got["metrics"] == before["metrics"]
 
 
-def test_exhausted_blocks_cost_no_seal_check_and_no_flash_read(monkeypatch):
+@pytest.fixture
+def counted(monkeypatch):
+    """``(calls, count)``: ``count(cls, name)`` counts the calls of
+    ``cls.name`` in ``calls[name]``."""
+    calls = {}
+
+    def count(cls, name):
+        original = getattr(cls, name)
+        calls[name] = 0
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    return calls, count
+
+
+def test_exhausted_blocks_cost_no_seal_check_and_no_flash_read(counted):
     ssd = build_device()
     run_window(ssd, column_window, 10_000_000)
     (torn,) = torn_ppas(ssd)
@@ -244,19 +263,9 @@ def test_exhausted_blocks_cost_no_seal_check_and_no_flash_read(monkeypatch):
     for pba in exhausted:
         ssd._retained_per_block[pba] = 1
     assert set(ssd._background_victims()) == set(exhausted)
-    calls = {"intact_at": 0, "read_page": 0}
-
-    def counting(cls, name):
-        original = getattr(cls, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(cls, name, wrapper)
-
-    counting(ColumnarFlashArray, "intact_at")
-    counting(FlashDevice, "read_page")
+    calls, count = counted
+    count(ColumnarFlashArray, "intact_at")
+    count(FlashDevice, "read_page")
     got = run_window(ssd, column_window, 10_000_000)
     assert calls == {"intact_at": 0, "read_page": 0}
     assert got["consumed_us"] == 0 and got["newly_reclaimable"] == []
@@ -307,22 +316,23 @@ def test_chain_hop_check_matches_the_page_view():
         with pytest.raises(AddressError):
             next(index.older_versions(0, ppa, 1))
         with pytest.raises(AddressError):  # the timed walk's hop read
-            ssd.device.read_oob(ppa, 0)
+            ssd.device.read_page(ppa, 0)
 
 
 # --- the timed chain walk ------------------------------------------------------
 
 
 def _reference_data_chain(ssd, lpa, head, t, until_ts, newer_ts=math.inf):
-    """``walk_data_chain`` as it was: one :class:`ReadResult` per hop,
-    read through ``read_page_with_retry``; returns ``(entries, t)`` with
-    ``(ppa, oob, data)`` entries, newest first."""
+    """``walk_data_chain`` as it was: one billed read per hop through
+    ``read_page_with_retry``, then the page taken from its ``peek_page``
+    view (not from the columns the walk reads); returns ``(entries, t)``
+    with ``(ppa, oob, data)`` entries, newest first."""
     entries = []
     for ppa in ssd.index.older_versions(lpa, head, newer_ts):
-        result = ssd.read_page_with_retry(ppa, t)
-        t = result.complete_us
-        entries.append((ppa, result.oob, result.data))
-        if until_ts is not None and result.oob.timestamp_us <= until_ts:
+        t = ssd.read_page_with_retry(ppa, t)[0]
+        page = ssd.device.peek_page(ppa)
+        entries.append((ppa, page.oob, page.data))
+        if until_ts is not None and page.oob.timestamp_us <= until_ts:
             break
     return entries, t
 
@@ -354,7 +364,7 @@ def reference_version_chain(
         delta_pages = set()
     for record in ssd.index.live_deltas(ssd.index.delta_head(lpa)):
         if record.flash_ppa is not None and record.flash_ppa not in delta_pages:
-            t = ssd.read_page_with_retry(record.flash_ppa, t).complete_us
+            t = ssd.read_page_with_retry(record.flash_ppa, t)[0]
             delta_pages.add(record.flash_ppa)
         entries.append(record)
         if until_ts is not None and record.version_ts <= until_ts:
@@ -386,12 +396,12 @@ def reference_version_chain(
                 data = ssd.deltas.codec.decompress(data, by_ts.get(record.ref_ts))
         if record.compressed and payloads:
             ssd.deltas_decompressed += 1
-            channel = (
-                device.geometry.channel_of_page(record.flash_ppa)
-                if record.flash_ppa is not None
-                else 0
-            )
-            t = device.timelines.schedule(channel, t, device.timing.delta_decompress_us)
+            decompress_us = device.timing.delta_decompress_us
+            if record.flash_ppa is None:  # a RAM delta: no flash channel
+                t += decompress_us
+            else:
+                channel = device.geometry.channel_of_page(record.flash_ppa)
+                t = device.timelines.schedule(channel, t, decompress_us)
         source = "delta" if record.flash_ppa is not None else "delta-ram"
         versions.append(Version(lpa, record.version_ts, data, source))
         by_ts[record.version_ts] = data
@@ -483,3 +493,77 @@ def test_version_chain_matches_the_read_result_walk(reliability):
     assert walk_state(got) == walk_state(want)
     if reliability is not None:
         assert walk_state(got)["metrics"]["counters"]["reliability.retry_reads"]
+
+
+def channel_busy(ssd):
+    timelines = ssd.device.timelines
+    return [timelines.lane(c).busy_us for c in range(timelines.channels)]
+
+
+def test_a_ram_delta_decode_books_no_flash_channel():
+    """A RAM-buffered delta never crosses a flash channel: decoding it
+    advances the walk's cursor by ``delta_decompress_us`` and leaves
+    every channel's lane as the walk's page reads left it."""
+    ssd = make_timessd(content_mode=ContentMode.REAL)
+    page = bytearray(ssd.device.geometry.page_size)
+    for version in range(4):  # one byte apart: small deltas, kept in RAM
+        page[version] = 1
+        ssd.write(5, bytes(page))
+        ssd.clock.advance(1000)
+    retained = ssd.device.core.back_pointer[ssd.mapping.lookup(5)]
+    assert ssd.compress_or_lose(retained, ssd.clock.now_us)[1] == 3
+    records = list(ssd.index.live_deltas(ssd.index.delta_head(5)))
+    assert records and all(r.compressed and r.flash_ppa is None for r in records)
+
+    def walk(payloads):
+        device = ssd.device
+        start = 1 + max(  # every lane idle
+            timelines.busy_until(lane)
+            for timelines in (device.timelines, device.chip_timelines)
+            for lane in range(timelines.channels)
+        )
+        before = channel_busy(ssd)
+        versions, complete = ssd.version_chain(5, start, payloads=payloads)
+        moved = [b - a for a, b in zip(before, channel_busy(ssd))]
+        return versions, complete - start, moved
+
+    _stamps, read_us, read_moved = walk(payloads=False)
+    versions, walk_us, moved = walk(payloads=True)
+    assert [v.source for v in versions].count("delta-ram") == len(records)
+    assert moved == read_moved
+    decode_us = len(records) * ssd.device.timing.delta_decompress_us
+    assert walk_us == read_us + decode_us
+
+
+def test_no_firmware_read_builds_a_view(counted):
+    """A host read, a GC chain compression, a timed chain walk and a
+    scrub read each take what they read from the columns: every one
+    reads flash, and none builds an ``OOBMetadata`` view."""
+    ssd = make_timessd(
+        content_mode=ContentMode.REAL,
+        patrol_scrub=True,
+        reliability=FlashReliability(raw_bit_error_rate=1e-12),
+    )
+    rng = random.Random(4)
+    page_size = ssd.device.geometry.page_size
+    for _ in range(4):
+        ssd.write(5, rng.randbytes(page_size))
+        ssd.clock.advance(1000)
+    head = ssd.mapping.lookup(5)
+    retained = ssd.device.core.back_pointer[head]
+    calls, count = counted
+    count(ColumnarFlashArray, "oob_at")
+    count(FlashDevice, "read_page")
+    readers = {
+        "host read": lambda: ssd.read(5),
+        "version_chain": lambda: ssd.version_chain(5),
+        "GC chain compression": lambda: ssd.compress_or_lose(
+            retained, ssd.clock.now_us
+        ),
+        "scrub read": lambda: ssd.scrubber._scrub_page(head, ssd.clock.now_us),
+    }
+    for name, read in readers.items():
+        calls.update(oob_at=0, read_page=0)
+        read()
+        assert calls["read_page"] >= 1, name
+        assert calls["oob_at"] == 0, name
