@@ -155,7 +155,8 @@ class ColumnarFlashArray:
             self.lpa[gidx] = _to_i64(oob.lpa)
             self.back_pointer[gidx] = _to_i64(oob.back_pointer)
             self.timestamp_us[gidx] = _to_i64(oob.timestamp_us)
-        self.seq_tag[gidx] = _to_i64(oob.seq_tag)  # uint64: always wraps
+        tag = oob.seq_tag & _MASK64  # _to_i64, inline: tags are uint64
+        self.seq_tag[gidx] = tag - (1 << 64) if tag >> 63 else tag
         self.state[gidx] = 1
         self.write_pointer[pba] = offset + 1
 

@@ -15,7 +15,6 @@ from repro.flash.page import Page
 from repro.flash.reliability import ReliabilityEngine
 from repro.flash.timing import ChannelTimelines, FlashTiming, book, book_then
 from repro.obs import Scope
-from repro.obs.metrics import RunTally
 
 
 class BlockOOBScan:
@@ -71,23 +70,6 @@ class BlockOOBScan:
                 if not programmed_flag:
                     intact[i] = 0
         self.intact = intact
-
-
-class CopyTally:
-    """The read and program latencies of a run of page copies, recorded
-    by count: a GC round copies its pages back to back on one lane, so
-    most copies repeat the previous one's latencies.  :meth:`close`
-    records what is still held; until then the histograms lag."""
-
-    __slots__ = ("read", "program")
-
-    def __init__(self, read_histogram, program_histogram):
-        self.read = RunTally(read_histogram)
-        self.program = RunTally(program_histogram)
-
-    def close(self):
-        self.read.close()
-        self.program.close()
 
 
 class FlashDevice:
@@ -169,15 +151,6 @@ class FlashDevice:
         watches drift toward the ECC budget.  No copy of the page comes
         back: a reader takes what it needs from the ``core`` columns.
         """
-        complete, corrected = self._sense(ppa, now_us, retry_step)
-        self._h_read_us.record(complete - now_us)
-        return complete, corrected
-
-    def _sense(self, ppa, now_us, retry_step):
-        """A page read's media work — checks, fault hook, read disturb, ECC,
-        the chip-then-bus booking, the count and the trace event; returns
-        ``(complete_us, corrected_bits)``.  The latency histogram is the
-        caller's (a page copy may record it by count)."""
         core = self.core
         if not 0 <= ppa < core.total_pages:
             self.geometry.check_ppa(ppa)
@@ -214,11 +187,14 @@ class FlashDevice:
             timing.bus_transfer_us,
             now_us,
         )
-        self.page_reads.inc()
+        self.page_reads.value += 1
+        self._h_read_us.record(complete - now_us)
         tr = self.obs.trace
         if tr.enabled:
             tr.emit("flash-op", "read", complete, ppa=ppa, start_us=int(now_us))
         return complete, corrected
+
+    _sense = read_page  # the read half of copy_page, under its own name
 
     def program_page(self, ppa, data, oob, now_us=0):
         """Program an erased page; returns the completion time.
@@ -240,12 +216,12 @@ class FlashDevice:
             self.last_op_start_us = now_us
             self.faults.on_program(self, ppa, data, oob)
         core.program(pba, ppa % pages_per_block, data, oob)
-        return self._book_program(pba, ppa, now_us, self._h_program_us.record)
+        return self._book_program(pba, ppa, now_us)
 
-    def _book_program(self, pba, ppa, now_us, record):
+    def _book_program(self, pba, ppa, now_us):
         """The tail of a program of ``ppa`` at ``now_us`` whose columns are
         written: the retention clock, the bus-then-cell booking, the count,
-        ``record(latency)`` and the trace event; returns the completion."""
+        the latency and the trace event; returns the completion."""
         core = self.core
         core.last_program_us[pba] = now_us
         # Retention clock: charge leakage is measured from this moment.
@@ -255,14 +231,14 @@ class FlashDevice:
         complete = book_then(
             channel, timing.bus_transfer_us, chip, timing.program_us, now_us
         )
-        self.page_programs.inc()
-        record(complete - now_us)
+        self.page_programs.value += 1
+        self._h_program_us.record(complete - now_us)
         tr = self.obs.trace
         if tr.enabled:
             tr.emit("flash-op", "program", complete, ppa=ppa, start_us=int(now_us))
         return complete
 
-    def copy_page(self, src, now_us, allocate, retry_step=0, tally=None):
+    def copy_page(self, src, now_us, allocate, retry_step=0):
         """Copy the programmed page ``src`` to the erased page that
         ``allocate()`` names; returns ``(dst, complete_us, corrected_bits)``.
 
@@ -280,19 +256,13 @@ class FlashDevice:
         ``src`` and ``now_us`` is that read's completion.  A
         :class:`ProgramFailureError` leaves the read booked and carries
         ``sensed_us`` (the read's completion) and ``corrected_bits``, so
-        the caller can retry the program alone.  With a
-        :class:`CopyTally` the two latencies are held in it, by count,
-        instead of recorded one by one.
+        the caller can retry the program alone.
         """
         corrected = 0
         if retry_step is None:
             sensed = now_us
         else:
             sensed, corrected = self._sense(src, now_us, retry_step)
-            if tally is None:
-                self._h_read_us.record(sensed - now_us)
-            else:
-                tally.read.add(sensed - now_us)
         core = self.core
         dst = allocate()
         if not 0 <= dst < core.total_pages:
@@ -312,13 +282,7 @@ class FlashDevice:
             failure.corrected_bits = corrected
             raise failure
         core.copy(src, pba, dst % core.pages_per_block)
-        record = self._h_program_us.record if tally is None else tally.program.add
-        return dst, self._book_program(pba, dst, sensed, record), corrected
-
-    def copy_tally(self):
-        """A :class:`CopyTally` over this device's read and program
-        latency histograms, for a run of :meth:`copy_page` calls."""
-        return CopyTally(self._h_read_us, self._h_program_us)
+        return dst, self._book_program(pba, dst, sensed), corrected
 
     def erase_block(self, pba, now_us=0):
         """Erase a block; returns the completion time.

@@ -15,21 +15,25 @@ NULL_PPA = -1
 _MASK64 = (1 << 64) - 1
 
 
-def _mix64(x):
-    """splitmix64 finalizer: cheap, well-distributed 64-bit mixer."""
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK64
-    return x ^ (x >> 31)
-
-
 def seq_tag_of(lpa, back_pointer, timestamp_us):
     """The OOB sequence tag real firmware writes as a per-page CRC/seal.
 
     A program that completes writes a tag consistent with its OOB fields;
     a torn program (power cut mid-page) leaves an inconsistent tag, which
     is how ``rebuild_from_flash`` tells a committed page from a torn tail.
+    It is ``mix(lpa ^ mix(back ^ mix(timestamp)))`` over uint64 views,
+    ``mix`` the splitmix64 finalizer, written out three times.
     """
-    return _mix64((lpa & _MASK64) ^ _mix64((back_pointer & _MASK64) ^ _mix64(timestamp_us & _MASK64)))
+    x = timestamp_us & _MASK64
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK64
+    x = x ^ (x >> 31) ^ (back_pointer & _MASK64)
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK64
+    x = x ^ (x >> 31) ^ (lpa & _MASK64)
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK64
+    return x ^ (x >> 31)
 
 
 class PageState(enum.Enum):

@@ -14,7 +14,10 @@ channels so sequential allocation stripes the device.
 """
 
 import enum
+import operator
+from array import array
 from collections import deque
+from functools import partial
 
 from repro.common.atomic import atomic_section
 from repro.common.errors import AddressError, DeviceFullError
@@ -48,17 +51,6 @@ class StreamId(enum.Enum):
     __hash__ = object.__hash__
 
 
-class _BlockInfo:
-    __slots__ = ("kind", "valid_count", "sealed")
-
-    def __init__(self):
-        self.kind = BlockKind.FREE
-        self.valid_count = 0
-        # Force-sealed: treated as full for victim selection even though
-        # pages remain (orphaned partial blocks after crash recovery).
-        self.sealed = False
-
-
 class BlockManager:
     """Free-space accounting and page allocation over a flash device."""
 
@@ -69,10 +61,16 @@ class BlockManager:
         self.retired_blocks = 0
         geo = device.geometry
         self._geo = geo
-        self._info = [_BlockInfo() for _ in range(geo.total_blocks)]
+        # The BST, by PBA: each block's kind, and whether it is
+        # force-sealed — treated as full for victim selection though pages
+        # remain (orphaned partial blocks after crash recovery).
+        self._kinds = [BlockKind.FREE] * geo.total_blocks
+        self._sealed = bytearray(geo.total_blocks)
         # The per-page marks (module docstring), indexed directly by
         # firmware loops; each keeps its identity for the manager's life.
         self.valid = bytearray(geo.total_pages)
+        #: ``valid`` pages per block (PBA); a loop flipping PVT bits moves it.
+        self.valid_per_block = array("q", bytes(8 * geo.total_blocks))
         self.reclaimable = bytearray(geo.total_pages)
         self.at_risk = bytearray(geo.total_pages)
         self._free = [deque() for _ in range(geo.channels)]
@@ -138,20 +136,19 @@ class BlockManager:
         configured endurance budget the device shrinks until the pool
         runs dry.
         """
-        info = self._info[pba]
-        if info.valid_count:
+        if self.valid_per_block[pba]:
             raise AddressError("releasing block %d with valid pages" % pba)
         # Resolve the channel (which validates pba) before the first
         # mutation, keeping the section's fallible work up front.
         channel = self._geo.channel_of_block(pba)
         self._forget_page_marks(pba)
-        info.sealed = False
+        self._sealed[pba] = 0
         self._forget_active(pba)
         if not self.in_service(pba):
-            info.kind = BlockKind.RETIRED
+            self._kinds[pba] = BlockKind.RETIRED
             self.retired_blocks += 1
             return
-        info.kind = BlockKind.FREE
+        self._kinds[pba] = BlockKind.FREE
         self._free[channel].append(pba)
         self._free_count += 1
 
@@ -182,7 +179,7 @@ class BlockManager:
 
     def seal_block(self, pba):
         """Mark a partial block as never-to-be-appended (GC may claim it)."""
-        self._info[pba].sealed = True
+        self._sealed[pba] = 1
         self._forget_active(pba)
 
     def _forget_active(self, pba):
@@ -206,6 +203,11 @@ class BlockManager:
         """Next writable PPA for ``stream``, opening a new block if needed."""
         kind, striped = self._STREAM_LAYOUT[stream]
         return self.allocate_page_keyed(stream, kind, striped)
+
+    def allocator(self, stream):
+        """:meth:`allocate_page` for ``stream``, as a zero-argument callable."""
+        kind, striped = self._STREAM_LAYOUT[stream]
+        return partial(self.allocate_page_keyed, stream, kind, striped)
 
     @atomic_section(
         "append-point rotation, free-block pop and kind tagging are one "
@@ -237,7 +239,7 @@ class BlockManager:
         if pba is None:
             preferred = slot if striped else None
             pba = self._pop_free_block(preferred_channel=preferred)
-            self._info[pba].kind = kind
+            self._kinds[pba] = kind
             state["blocks"][slot] = pba
         return pba * self._geo.pages_per_block + write_pointer[pba]
 
@@ -258,7 +260,7 @@ class BlockManager:
         if state["blocks"][slot] is not None:
             return False
         state["blocks"][slot] = pba
-        self._info[pba].sealed = False
+        self._sealed[pba] = 0
         return True
 
     def close_stream(self, key):
@@ -281,9 +283,6 @@ class BlockManager:
         blocks = [pba for pba in state["blocks"] if pba is not None]
         return blocks[0] if blocks else None
 
-    def active_block(self, stream):
-        return self.stream_blocks(stream)
-
     def active_blocks(self):
         out = set()
         for state in self._active.values():
@@ -299,21 +298,21 @@ class BlockManager:
         valid = self.valid
         if not valid[ppa]:
             valid[ppa] = 1
-            self._info[ppa // self._core.pages_per_block].valid_count += 1
+            self.valid_per_block[ppa // self._core.pages_per_block] += 1
 
     def mark_valid_many(self, ppas):
         """:meth:`mark_valid` over an iterable of PPAs, in order (the
         recovery load: one call per rebuild instead of one per head)."""
         total_pages = self._core.total_pages
         pages_per_block = self._core.pages_per_block
-        blocks = self._info
+        counts = self.valid_per_block
         valid = self.valid
         for ppa in ppas:
             if not 0 <= ppa < total_pages:
                 self._geo.check_ppa(ppa)
             if not valid[ppa]:
                 valid[ppa] = 1
-                blocks[ppa // pages_per_block].valid_count += 1
+                counts[ppa // pages_per_block] += 1
 
     def invalidate_page(self, ppa):
         """Clear the PVT bit for ``ppa`` (update/delete made it stale)."""
@@ -322,7 +321,7 @@ class BlockManager:
         valid = self.valid
         if valid[ppa]:
             valid[ppa] = 0
-            self._info[ppa // self._core.pages_per_block].valid_count -= 1
+            self.valid_per_block[ppa // self._core.pages_per_block] -= 1
 
     def is_valid(self, ppa):
         self._geo.check_ppa(ppa)
@@ -338,17 +337,17 @@ class BlockManager:
         return True
 
     def valid_count(self, pba):
-        return self._info[pba].valid_count
+        return self.valid_per_block[pba]
 
     def invalid_count(self, pba):
         """Programmed-but-stale page count (the BST invalid counter)."""
-        return self._core.write_pointer[pba] - self._info[pba].valid_count
+        return self._core.write_pointer[pba] - self.valid_per_block[pba]
 
     def kind(self, pba):
-        return self._info[pba].kind
+        return self._kinds[pba]
 
     def set_kind(self, pba, kind):
-        self._info[pba].kind = kind
+        self._kinds[pba] = kind
 
     # --- Victim selection ----------------------------------------------------
 
@@ -367,15 +366,16 @@ class BlockManager:
         """
         write_pointer = self._core.write_pointer
         failed = self._core.failed
+        sealed = self._sealed
         full = self._geo.pages_per_block
         free, retired = BlockKind.FREE, BlockKind.RETIRED
         return [
             pba
-            for pba, info in enumerate(self._info)
-            if info.kind is not free
-            and info.kind is not retired
-            and (kind is None or info.kind is kind)
-            and (write_pointer[pba] >= full or info.sealed or failed[pba])
+            for pba, block_kind in enumerate(self._kinds)
+            if block_kind is not free
+            and block_kind is not retired
+            and (kind is None or block_kind is kind)
+            and (write_pointer[pba] >= full or sealed[pba] or failed[pba])
         ]
 
     def select_greedy_victim(self, kind=BlockKind.DATA):
@@ -387,17 +387,18 @@ class BlockManager:
         failed = self._core.failed
         full = self._geo.pages_per_block
         free, retired = BlockKind.FREE, BlockKind.RETIRED
-        for pba, info in enumerate(self._info):
-            programmed = write_pointer[pba]
-            invalid = programmed - info.valid_count
+        kinds, sealed = self._kinds, self._sealed
+        # Each block's invalid count, in one C-level pass over the columns.
+        invalid_counts = map(operator.sub, write_pointer, self.valid_per_block)
+        for pba, invalid in enumerate(invalid_counts):
             if invalid <= best_invalid:
                 continue  # cannot win: skip the sealed test altogether
-            block_kind = info.kind
+            block_kind = kinds[pba]
             if block_kind is free or block_kind is retired:
                 continue
             if kind is not None and block_kind is not kind:
                 continue
-            if programmed >= full or info.sealed or failed[pba]:
+            if write_pointer[pba] >= full or sealed[pba] or failed[pba]:
                 best_invalid = invalid
                 best_pba = pba
         return best_pba
@@ -414,20 +415,21 @@ class BlockManager:
         best_score = 0.0
         write_pointer = self._core.write_pointer
         last_program_us = self._core.last_program_us
+        valid_per_block = self.valid_per_block
         failed = self._core.failed
+        sealed = self._sealed
         full = self._geo.pages_per_block
         free, retired = BlockKind.FREE, BlockKind.RETIRED
-        for pba, info in enumerate(self._info):
+        for pba, block_kind in enumerate(self._kinds):
             programmed = write_pointer[pba]
-            valid = info.valid_count
+            valid = valid_per_block[pba]
             if programmed == 0 or programmed == valid:
                 continue  # nothing programmed, or nothing stale to gain
-            block_kind = info.kind
             if block_kind is free or block_kind is retired:
                 continue
             if kind is not None and block_kind is not kind:
                 continue
-            if not (programmed >= full or info.sealed or failed[pba]):
+            if not (programmed >= full or sealed[pba] or failed[pba]):
                 continue
             u = valid / programmed
             age = max(1, now_us - last_program_us[pba])

@@ -270,7 +270,7 @@ class CheckpointWriter:
         """Erase translation blocks the new checkpoint made obsolete."""
         ssd = self._ssd
         bm = ssd.block_manager
-        active = bm.active_block(CHECKPOINT_STREAM)
+        active = bm.stream_blocks(CHECKPOINT_STREAM)
         t = now_us
         for pba in sorted(self._blocks):
             if pba in written_blocks or pba == active:

@@ -106,7 +106,8 @@ class AddressMappingTable:
         return self.update(lpa, NULL_PPA)
 
     def is_mapped(self, lpa):
-        self._check(lpa)
+        if not 0 <= lpa < self.logical_pages:
+            self._check(lpa)
         return self._table[lpa] != NULL_PPA
 
     def mapped_lpas(self):

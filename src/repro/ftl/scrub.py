@@ -15,7 +15,7 @@ request that ends the window never waits on scrub work.
 Refresh dispatch:
 
 * a **valid** page is migrated exactly like a GC migration — through
-  :meth:`~repro.ftl.ssd.BaseSSD.migrate_page`, OOB (timestamp,
+  :meth:`~repro.ftl.ssd.BaseSSD.gc_copier`, OOB (timestamp,
   back-pointer) carried over unchanged;
 * an **invalid** page goes through the device's one stale-page rule,
   :meth:`~repro.ftl.ssd.BaseSSD._settle_stale_page` — the same call GC
@@ -273,7 +273,7 @@ class PatrolScrubber:
         """Migrate one valid page, read by the patrol at ``now_us``, to a
         fresh location (same OOB)."""
         ssd = self._ssd
-        t = ssd.migrate_page(ppa, now_us, sensed=True)
+        t = ssd.gc_copier()(ppa, now_us, sensed=True)[1]
         # The stale copy is a byte-identical duplicate of the migrated
         # head — the same version, not an older one.  PRT-mark it so
         # patrol and delta compression never mistake it for retained

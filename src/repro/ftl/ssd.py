@@ -338,7 +338,7 @@ class BaseSSD:
             self._enter_degraded(exc)
             raise
         self.lost_lpas.pop(lpa, None)  # a rewrite clears the media error
-        self._m_host_writes.inc()
+        self._m_host_writes.value += 1
         self.write_latency.record(complete - arrival_us)
         self._after_host_request(complete, wrote=True)
         return complete
@@ -391,7 +391,7 @@ class BaseSSD:
         """
         self.check_lpa_range(lpa)
         self._before_host_request(arrival_us)
-        self._m_host_reads.inc()
+        self._m_host_reads.value += 1
         ppa = self.mapping.lookup(lpa)
         start = self._translation_delay(arrival_us)
         if ppa == NULL_PPA:
@@ -679,6 +679,14 @@ class BaseSSD:
             return self.device.read_page(ppa, now_us)
         return self._climb_ladder(self.device.read_page, ppa, now_us)
 
+    def page_reader(self):
+        """:meth:`read_page_with_retry`, bound once for a loop of reads: the
+        device's read itself while the ladder is off (the two are then
+        the same call), the ladder otherwise."""
+        if not self._ladder_on():
+            return self.device.read_page
+        return self.read_page_with_retry
+
     def _ladder_on(self):
         """Whether a read climbs the read-retry ladder: the one test."""
         engine = self.device.reliability
@@ -920,9 +928,9 @@ class BaseSSD:
         The one per-block loop of GC, wear leveling and scrub's bad-block
         repair, on every device.  One cursor threads the block: a valid
         page is read, its copy programmed once the read completes (OOB
-        carried over: same timestamp and back-pointer), then the next
-        page; a stale page goes to :meth:`_settle_stale_page`; the erase
-        is issued once the last copy is durable.
+        carried over: same timestamp and back-pointer; :meth:`gc_copier`),
+        then the next page; a stale page goes to :meth:`_settle_stale_page`;
+        the erase is issued once the last copy is durable.
         """
         core = self.device.core
         outcome = ReclaimOutcome(pba)
@@ -933,26 +941,23 @@ class BaseSSD:
         # programs into the victim or flips another of its valid bits.
         state = core.state[base:stop]
         valid = self.block_manager.valid[base:stop]
-        tally = self.device.copy_tally()
-        try:
-            for offset, is_valid in enumerate(valid):
-                if not state[offset]:
-                    continue
-                ppa = base + offset
-                if not is_valid:
-                    t = self._settle_stale_page(ppa, t, outcome)
-                    continue
-                # A valid page is always intact: a torn or burned program
-                # fails before its PVT bit is set, and recovery marks only
-                # sealed pages valid.
-                try:
-                    t = self.migrate_page(ppa, t, tally=tally)
-                except UncorrectableReadError:
-                    self.note_lost_valid_page(ppa)
-                    continue
-                outcome.migrated_valid += 1
-        finally:
-            tally.close()
+        migrate = self.gc_copier()
+        for offset, is_valid in enumerate(valid):
+            if not state[offset]:
+                continue
+            ppa = base + offset
+            if not is_valid:
+                t = self._settle_stale_page(ppa, t, outcome)
+                continue
+            # A valid page is always intact: a torn or burned program
+            # fails before its PVT bit is set, and recovery marks only
+            # sealed pages valid.
+            try:
+                t = migrate(ppa, t)[1]
+            except UncorrectableReadError:
+                self.note_lost_valid_page(ppa)
+                continue
+            outcome.migrated_valid += 1
         t = self.erase_and_release(pba, t)
         outcome.complete_us = t
         self._m_gc_migrated.inc(outcome.migrated_valid)
@@ -995,61 +1000,63 @@ class BaseSSD:
         # failed) leaves firmware state untouched; the source page stays
         # valid and mapped.
     )
-    def migrate_page(self, ppa, now_us, sensed=False, tally=None):
-        """Copy the valid page at ``ppa`` to the GC stream; returns the
-        copy's completion time.
-
-        The one migration step GC, wear leveling and scrub refresh share:
-        :meth:`copy_to_gc_stream` reads ``ppa`` at ``now_us`` and programs
-        the copy once the read completes (``sensed``: the caller has just
-        read it and ``now_us`` is that read's completion), with the OOB
-        carried over unchanged (same version: same timestamp and
-        back-pointer), and the mapping follows only if it still names
-        ``ppa`` (no invalidation hook).  :class:`UncorrectableReadError`
-        escapes when the read-retry ladder gives up; nothing is copied.
+    def gc_copier(self, remap=True):
+        """The one GC copy step, its handles bound once (per victim, in
+        :meth:`relocate_block`): ``copy(ppa, now_us, sensed=False) ->
+        (new_ppa, complete_us)`` is one ``device.copy_page`` into the GC
+        stream — the read at ``now_us`` (``sensed``: the caller's read
+        just ended there) up the retry ladder, the program at its
+        completion, OOB carried over, a failed program retried from it.
+        With ``remap`` the PVT bits flip on the columns and the mapping
+        follows if it still names ``ppa``; without, FlashGuard re-points
+        a version record.  A read the ladder gave up on, or the last
+        program failure, escapes with nothing copied or remapped.
         """
-        new_ppa, complete = self.copy_to_gc_stream(ppa, now_us, sensed, tally)
+        core = self.device.core
+        copy_page = self.device.copy_page
+        lpas = core.lpa
+        pages_per_block = core.pages_per_block
         bm = self.block_manager
-        bm.mark_valid(new_ppa)
-        bm.invalidate_page(ppa)
-        lpa = self.device.core.lpa[ppa]
-        if self.mapping.lookup(lpa) == ppa:
-            self.mapping.update(lpa, new_ppa)
-        return complete
+        allocate = bm.allocator(StreamId.GC)
+        valid = bm.valid
+        valid_per_block = bm.valid_per_block
+        lookup = self.mapping.lookup
+        update = self.mapping.update
+        ladder_on = self._ladder_on()
+        attempts = range(self.PROGRAM_RETRY_LIMIT + 1)
 
-    def copy_to_gc_stream(self, ppa, now_us, sensed=False, tally=None):
-        """One ``device.copy_page`` of ``ppa`` into the GC stream; returns
-        ``(new_ppa, complete_us)``.
+        def copy(ppa, now_us, sensed=False):
+            ladder = ladder_on and not sensed
+            step = None if sensed else 0
+            for _attempt in attempts:
+                try:
+                    if ladder:
+                        new_ppa, complete, _bits = self._climb_ladder(
+                            copy_page, ppa, now_us, allocate=allocate
+                        )
+                    else:
+                        new_ppa, complete, _bits = copy_page(
+                            ppa, now_us, allocate, step
+                        )
+                    break
+                except ProgramFailureError as exc:
+                    last_failure = exc
+                    self._note_program_failure(exc)
+                    now_us, step, ladder = exc.sensed_us, None, False
+            else:
+                raise last_failure
+            if remap:
+                valid[new_ppa] = 1
+                valid_per_block[new_ppa // pages_per_block] += 1
+                if valid[ppa]:
+                    valid[ppa] = 0
+                    valid_per_block[ppa // pages_per_block] -= 1
+                lpa = lpas[ppa]
+                if lookup(lpa) == ppa:
+                    update(lpa, new_ppa)
+            return new_ppa, complete
 
-        The read climbs the read-retry ladder as
-        :meth:`read_page_with_retry`'s does, and a failed program is
-        remapped and retried from the read's completion as
-        :meth:`program_with_retry` does.  FlashGuard's copy of a
-        retained page calls this directly: it re-points a version record,
-        not the mapping.
-        """
-        device = self.device
-        bm = self.block_manager
-
-        def allocate():
-            return bm.allocate_page(StreamId.GC)
-
-        ladder = not sensed and self._ladder_on()
-        step = None if sensed else 0
-        for _attempt in range(self.PROGRAM_RETRY_LIMIT + 1):
-            try:
-                if ladder:
-                    result = self._climb_ladder(
-                        device.copy_page, ppa, now_us, allocate=allocate, tally=tally
-                    )
-                else:
-                    result = device.copy_page(ppa, now_us, allocate, step, tally)
-                return result[0], result[1]
-            except ProgramFailureError as exc:
-                last_failure = exc
-                self._note_program_failure(exc)
-                now_us, step, ladder = exc.sensed_us, None, False
-        raise last_failure
+        return copy
 
     @atomic_section(
         "erase + per-block forget (TimeSSD: retention census) + release/"

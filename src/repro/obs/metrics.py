@@ -9,18 +9,22 @@ output, which is what the golden determinism tests pin.
 
 The histogram is HDR-style: log2 major buckets split into 16 linear
 sub-buckets, so relative quantile error is bounded (~6%) at any scale
-from one microsecond to days, with O(1) integer-only recording — cheap
-enough to sit on the flash-op hot path, deterministic by construction
-(no sampling, no RNG).
+from one microsecond to days.  Recording checks a sample and buffers it;
+the buffer is folded by value in bulk — cheap enough to sit on the
+flash-op hot path, exact and deterministic by construction (no
+sampling, no RNG).
 """
+
+import collections
 
 from repro.common.errors import ReproError
 
-__all__ = ["Counter", "Gauge", "LatencyHistogram", "MetricsRegistry", "RunTally"]
+__all__ = ["Counter", "Gauge", "LatencyHistogram", "MetricsRegistry"]
 
 
 class Counter:
-    """A monotonically increasing named count."""
+    """A monotonically increasing named count (a per-flash-op path adds
+    1 to ``value`` itself: ``inc()`` without the call)."""
 
     __slots__ = ("name", "value")
 
@@ -69,17 +73,28 @@ class LatencyHistogram:
     ``count`` / ``total_us`` / ``min_us`` / ``max_us`` are tracked on
     the side; ``percentile(0)`` and ``percentile(100)`` return the exact
     extremes.
+
+    :meth:`record` checks a sample and buffers it; the buffer is folded
+    into the totals and buckets by value, in bulk, once it holds
+    ``FOLD_AT`` samples and before any read.  The totals are order-free
+    sums, so the fold is exact whenever it runs.
     """
 
-    __slots__ = ("name", "count", "total_us", "min_us", "max_us", "_buckets")
+    __slots__ = (
+        "name", "_count", "_total_us", "_min_us", "_max_us", "_buckets", "_samples"
+    )
+
+    #: Samples buffered before :meth:`record` folds them.
+    FOLD_AT = 1024
 
     def __init__(self, name):
         self.name = name
-        self.count = 0
-        self.total_us = 0
-        self.min_us = None
-        self.max_us = 0
+        self._count = 0
+        self._total_us = 0
+        self._min_us = None
+        self._max_us = 0
         self._buckets = {}  # bucket index -> count (sparse)
+        self._samples = []
 
     @staticmethod
     def _bucket_index(value):
@@ -101,27 +116,42 @@ class LatencyHistogram:
         high = ((top + 1) << shift) - 1
         return low, high
 
-    def record(self, latency_us, count=1):
-        """Record ``latency_us`` (``count`` times over)."""
+    def record(self, latency_us):
+        """Record one sample (coerced to ``int``; negative is refused)."""
         if latency_us.__class__ is not int:
             latency_us = int(latency_us)
         if latency_us < 0:
             raise ReproError("latency cannot be negative")
-        self.count += count
-        self.total_us += latency_us * count
-        if self.min_us is None or latency_us < self.min_us:
-            self.min_us = latency_us
-        if latency_us > self.max_us:
-            self.max_us = latency_us
-        if latency_us < _SUB_BUCKETS:
-            index = latency_us
-        else:  # _bucket_index, inline: (shift + 1) * 16 + (top - 16)
-            shift = latency_us.bit_length() - _SUB_BITS - 1
-            index = (shift << _SUB_BITS) + (latency_us >> shift)
-        try:
-            self._buckets[index] += count
-        except KeyError:
-            self._buckets[index] = count
+        samples = self._samples
+        samples.append(latency_us)
+        if len(samples) >= self.FOLD_AT:
+            self._fold()
+
+    def _fold(self):
+        """Move the buffered samples into the totals and buckets; returns
+        the histogram (every read of a total folds first)."""
+        samples = self._samples
+        if not samples:
+            return self
+        by_value = collections.Counter(samples)
+        samples.clear()
+        buckets = self._buckets
+        bucket_index = self._bucket_index
+        for value, n in by_value.items():
+            self._count += n
+            self._total_us += value * n
+            index = bucket_index(value)
+            buckets[index] = buckets.get(index, 0) + n
+        low = min(by_value)
+        if self._min_us is None or low < self._min_us:
+            self._min_us = low
+        self._max_us = max(self._max_us, max(by_value))
+        return self
+
+    count = property(lambda self: self._fold()._count)
+    total_us = property(lambda self: self._fold()._total_us)
+    min_us = property(lambda self: self._fold()._min_us)  # None before a sample
+    max_us = property(lambda self: self._fold()._max_us)
 
     @property
     def mean_us(self):
@@ -131,7 +161,7 @@ class LatencyHistogram:
         """p-th percentile (0..100); exact at both extremes, ~6% inside."""
         if not 0 <= p <= 100:
             raise ReproError("percentile must be in [0, 100]")
-        if self.count == 0:
+        if self.count == 0:  # folds the buffer
             return 0.0
         if p == 0:
             return float(self.min_us)
@@ -151,9 +181,10 @@ class LatencyHistogram:
 
     def bucket_counts(self):
         """Sorted ``[(bucket_low_us, count), ...]`` (invariant: counts sum to count)."""
+        buckets = self._fold()._buckets
         return [
-            (self._bucket_bounds(index)[0], self._buckets[index])
-            for index in sorted(self._buckets)
+            (self._bucket_bounds(index)[0], buckets[index])
+            for index in sorted(buckets)
         ]
 
     def snapshot(self):
@@ -176,32 +207,6 @@ class LatencyHistogram:
             self.mean_us,
             self.percentile(99),
         )
-
-
-class RunTally:
-    """Values bound for one histogram, held as a run of equal values and
-    recorded by count when the value changes or the tally closes."""
-
-    __slots__ = ("histogram", "value", "count")
-
-    def __init__(self, histogram):
-        self.histogram = histogram
-        self.value = None
-        self.count = 0
-
-    def add(self, value):
-        if value == self.value:
-            self.count += 1
-            return
-        if self.count:
-            self.histogram.record(self.value, self.count)
-        self.value = value
-        self.count = 1
-
-    def close(self):
-        if self.count:
-            self.histogram.record(self.value, self.count)
-            self.count = 0
 
 
 class MetricsRegistry:

@@ -76,7 +76,7 @@ class FlashGuardSSD(BaseSSD):
         # The copy re-points a version record, not the mapping; it is the
         # GC copy every migration makes (ladder read, remap-on-failure).
         try:
-            new_ppa, t = self.copy_to_gc_stream(ppa, now_us)
+            new_ppa, t = self.gc_copier(remap=False)(ppa, now_us)
         except UncorrectableReadError:
             # Gone despite the full ladder: the version cannot be kept,
             # and the block under reclaim is erased all the same.

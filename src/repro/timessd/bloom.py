@@ -56,32 +56,51 @@ class BloomFilter:
     def nhashes(self):
         return self._hashes
 
-    # Double hashing: position i is ``(h1 + i * h2) % nbits``, walked by
-    # adding ``h2`` so a probe can stop at the first clear bit.
+    def _walk(self, item):
+        """The double hash: ``(first position, step)``.  Position i is
+        ``(h1 + i * h2) % nbits`` for two SplitMix64 mixes (written out)
+        h1 and h2, walked in small-int steps of ``h2 % nbits`` so a probe
+        can stop at the first clear bit."""
+        h = (item ^ self._seed) + 0x9E3779B97F4A7C15 & 0xFFFFFFFFFFFFFFFF
+        h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
+        h = (h ^ (h >> 27)) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
+        h ^= h >> 31
+        h2 = h + 0x9E3779B97F4A7C15 & 0xFFFFFFFFFFFFFFFF
+        h2 = (h2 ^ (h2 >> 30)) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
+        h2 = (h2 ^ (h2 >> 27)) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
+        return h % self._nbits, (h2 ^ (h2 >> 31) | 1) % self._nbits
 
     def add(self, item):
+        """Set ``item``'s bits and count it, whether or not it was in."""
+        if not self.insert(item):
+            self.count += 1
+
+    def insert(self, item):
+        """Add ``item`` unless the probe would find it: set its bits and
+        count it, in one pass; returns whether it was added."""
         if item < 0:
             raise ReproError("bloom filter items must be non-negative")
-        bits = self._bits
-        nbits = self._nbits
-        h = _splitmix64(item ^ self._seed)
-        h2 = _splitmix64(h) | 1
-        for _ in range(self._hashes):
-            pos = h % nbits
+        bits, nbits, hashes = self._bits, self._nbits, self._hashes
+        pos, step = self._walk(item)
+        for first_clear in range(hashes):  # the probe, up to a clear bit
+            if not bits[pos >> 3] >> (pos & 7) & 1:
+                break
+            pos = (pos + step) % nbits
+        else:
+            return False
+        for _ in range(first_clear, hashes):  # the add, from that bit on
             bits[pos >> 3] |= 1 << (pos & 7)
-            h += h2
+            pos = (pos + step) % nbits
         self.count += 1
+        return True
 
     def __contains__(self, item):
-        bits = self._bits
-        nbits = self._nbits
-        h = _splitmix64(item ^ self._seed)
-        h2 = _splitmix64(h) | 1
+        bits, nbits = self._bits, self._nbits
+        pos, step = self._walk(item)
         for _ in range(self._hashes):
-            pos = h % nbits
             if not bits[pos >> 3] >> (pos & 7) & 1:
                 return False
-            h += h2
+            pos = (pos + step) % nbits
         return True
 
     @property
@@ -152,10 +171,10 @@ class TimeSegmentedBlooms:
         self._seed = seed
         self._max_age_us = max_segment_age_us
         self._segments = []
-        #: ``find_segment``'s answers by group, valid until the next
-        #: filter mutation (see :meth:`find_segment`).
+        #: ``find_segment``'s answers among the sealed filters, by group,
+        #: until the segment list next changes.
         self._found = {}
-        #: Groups known to be in the active filter (added or probed since
+        #: Groups known to be in the active filter (added or found since
         #: it opened): bits are only ever set, so the probe would say yes.
         self._in_active = set()
         self._next_id = 0
@@ -210,9 +229,9 @@ class TimeSegmentedBlooms:
         adaptive window needs slices fine enough to drop.  A group added
         to (or found in) the active filter since it opened skips the
         probe — bits are only ever set, so the answer is known; every
-        other group takes the real probe, because a false positive skips
-        an ``add`` and so decides ``count`` and when the filter rolls
-        over.
+        other group takes the real probe (fused with the add while the
+        filter has room), because a false positive skips an ``add`` and
+        so decides ``count`` and when the filter rolls over.
         """
         active = self._segments[-1]
         group_size = self.group_size
@@ -230,12 +249,13 @@ class TimeSegmentedBlooms:
             group = ppa // group_size
             if group in in_active:
                 continue
-            if group not in active.bloom:
-                if active.bloom.is_full:
-                    active.sealed_us = clock.now_us
-                    active = self._new_segment()
+            bloom = active.bloom
+            if bloom.count < bloom.capacity:
+                bloom.insert(group)  # the probe and the add, one pass
+            elif group not in bloom:
+                active.sealed_us = clock.now_us
+                active = self._new_segment()
                 active.bloom.add(group)
-                self._found.clear()
             in_active.add(group)
 
     # --- Lookup --------------------------------------------------------------
@@ -247,18 +267,25 @@ class TimeSegmentedBlooms:
         positive then at worst delays expiration, never causes premature
         reclamation.
 
-        The answer is memoized per group until the filters next change:
-        every ``add`` (which may turn *another* group's probe into a false
-        positive), every new segment and every drop or reset empties the
-        memo, so a memoized answer is always the walk's.
+        Only the active filter takes adds, so it is probed first (a group
+        known to be in it skips even that), and the walk over the sealed
+        filters behind it is memoized per group until the segment list
+        next changes: every new segment and every drop or reset empties
+        the memo, so a memoized answer is always the walk's.
         """
-        group = self.group_of(ppa)
+        group = ppa // self.group_size
+        active = self._segments[-1]
+        if group in self._in_active:
+            return active
+        if group in active.bloom:
+            self._in_active.add(group)
+            return active
         found = self._found
         if group in found:
             return found[group]
         answer = None
         for segment in reversed(self._segments):
-            if segment.dropped:
+            if segment is active or segment.dropped:
                 continue
             if group in segment.bloom:
                 answer = segment

@@ -36,7 +36,7 @@ DELTA_PAGE_HEADER_BYTES = 16
 DELTA_METADATA_BYTES = 24
 
 
-@dataclass
+@dataclass(slots=True)
 class DeltaRecord:
     """One compressed obsolete version plus its chain metadata (§3.7).
 
@@ -281,7 +281,6 @@ class _SegmentDeltas:
     buffer: list = field(default_factory=list)
     buffered_bytes: int = 0
     blocks: set = field(default_factory=set)
-    records: int = 0
 
 
 class DeltaManager:
@@ -304,29 +303,27 @@ class DeltaManager:
             self._segments[segment_id] = state
         return state
 
-    def _record_footprint(self, record):
-        return record.size_bytes + DELTA_METADATA_BYTES
-
     def usable_page_bytes(self):
         return self._page_size - DELTA_PAGE_HEADER_BYTES
 
-    def add_record(self, record, now_us):
-        """Buffer a new delta; flush a delta page when the buffer fills.
+    def add_records(self, records, now_us):
+        """Buffer new deltas, in order, each in its segment's buffer; a
+        record that does not fit first flushes that buffer as a delta
+        page, issued at the previous flush's completion.
 
-        Returns the flash program completion time if a flush happened,
-        else ``now_us``.
+        Returns the last flush's completion time, else ``now_us``.
         """
-        state = self._segment_state(record.segment_id)
-        footprint = self._record_footprint(record)
         usable = self.usable_page_bytes()
-        complete = now_us
-        if state.buffer and state.buffered_bytes + footprint > usable:
-            complete = self.flush_segment(record.segment_id, now_us)
-        state.buffer.append(record)
-        state.buffered_bytes += min(footprint, usable)
-        state.records += 1
-        self.records_created += 1
-        return complete
+        t = now_us
+        for record in records:
+            state = self._segment_state(record.segment_id)
+            footprint = record.size_bytes + DELTA_METADATA_BYTES
+            if state.buffer and state.buffered_bytes + footprint > usable:
+                t = self.flush_segment(record.segment_id, t)
+            state.buffer.append(record)
+            state.buffered_bytes += min(footprint, usable)
+            self.records_created += 1
+        return t
 
     @atomic_section(
         "the RAM buffer empties, the records learn their flash PPA and "
@@ -345,7 +342,7 @@ class DeltaManager:
         When the free pool is momentarily empty (GC mid-flight can touch
         many segments at once) the flush is deferred: the records stay in
         the RAM buffer — still retained and queryable — and the next
-        ``add_record`` retries.  Real firmware holds them in the reserved
+        ``add_records`` retries.  Real firmware holds them in the reserved
         controller RAM the same way.
         """
         state = self._segment_state(segment_id)
@@ -367,7 +364,7 @@ class DeltaManager:
             )
         except (DeviceFullError, ProgramFailureError):
             # Records stay in the RAM buffer — still retained and
-            # queryable — and the next add_record retries the flush.
+            # queryable — and the next add_records retries the flush.
             return now_us
         packed = len(state.buffer)
         for record in state.buffer:

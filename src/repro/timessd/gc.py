@@ -32,45 +32,63 @@ class TimeSSDGarbageCollector:
         # linked and buffered, so a mid-step failure leaves every
         # version still retrievable from its original flash page.
     )
-    def compress_version_chain(self, ppa, now_us):
+    def compress_version_chain(self, ppa, now_us, segment=None, deadline_us=None):
         """Compress the retained page at ``ppa`` plus its older chain.
 
         Returns ``(complete_us, versions_compressed)``.  Also used by the
         background (idle-time) compressor, which is why it never erases
         anything — it only converts data-page versions into deltas and
-        marks the sources reclaimable in the PRT.
+        marks the sources reclaimable in the PRT.  ``segment`` is the
+        bloom segment the caller found ``ppa`` in (None: looked up here).
+        With a ``deadline_us`` a chain whose :meth:`chain_cost_bound` (from
+        the one walk below) does not fit is left whole: ``(now_us, 0)``.
         """
         ssd = self._ssd
         device = ssd.device
         core = device.core
-        index = ssd.index
-        read = ssd.read_page_with_retry
+        stamps = core.timestamp_us
 
-        t = read(ppa, now_us)[0]
         lpa = core.lpa[ppa]
+        backs = list(ssd.index.older_versions(lpa, core.back_pointer[ppa], stamps[ppa]))
+        if (
+            deadline_us is not None
+            and now_us + self.chain_cost_bound(len(backs), device.timing) > deadline_us
+        ):
+            return now_us, 0
+        blooms = ssd.blooms
+        if segment is None:
+            # Outside the stale-page rule (tests, tooling) the head may be
+            # in no segment; it is retained with the newest one then.
+            segment = blooms.find_segment(ppa) or blooms.live_segments()[-1]
 
-        # The not-yet-compressed older versions join the chain; an expired
-        # one is marked reclaimable and ends it (invalidation times
-        # decrease down the chain, so everything older is expired too).
-        chain = [ppa]
-        newer_ts = core.timestamp_us[ppa]
-        for back in index.older_versions(lpa, core.back_pointer[ppa], newer_ts):
+        # The not-yet-compressed older versions join the chain, each with
+        # the segment its page was found in; an expired one is marked
+        # reclaimable and ends it (invalidation times decrease down the
+        # chain, so everything older is expired too).
+        read = ssd.page_reader()
+        t = read(ppa, now_us)[0]
+        chain = [(ppa, segment.segment_id)]
+        for back in backs:
             t = read(back, t)[0]
-            if ssd.blooms.find_segment(back) is None:
+            found = blooms.find_segment(back)
+            if found is None:
                 ssd.expire_page(back)
                 break
-            chain.append(back)
+            chain.append((back, found.segment_id))
 
+        # The latest (valid) version is the compression reference.
         compressing = ssd.config.delta_compression
+        ref_data, ref_ts = None, NO_REF_TS
         if compressing:
-            ref_data, ref_ts, t = self._read_reference(lpa, t)
-        else:
-            ref_data, ref_ts = None, NO_REF_TS
+            head_ppa = ssd.mapping.lookup(lpa)
+            if head_ppa != NULL_PPA:
+                t = read(head_ppa, t)[0]
+                ref_data, ref_ts = core.data[head_ppa], stamps[head_ppa]
 
-        previous_head = index.prune_dropped_head(lpa)
+        previous_head = ssd.index.prune_dropped_head(lpa)
         records = []
-        for src_ppa in chain:
-            version_ts = core.timestamp_us[src_ppa]
+        for src_ppa, segment_id in chain:
+            version_ts = stamps[src_ppa]
             if version_ts == ref_ts:
                 # A refresh-migration duplicate of the reference head:
                 # the same version, already retrievable as the current
@@ -79,10 +97,8 @@ class TimeSSDGarbageCollector:
                 # once the data pages are reclaimed — drop the page,
                 # keep no record.
                 continue
-            data = core.data[src_ppa]
             if compressing:
-                payload, size = ssd.deltas.codec.compress(data, ref_data)
-                ssd._m_delta_compressions.inc()
+                payload, size = ssd.deltas.codec.compress(core.data[src_ppa], ref_data)
                 t = device.timelines.schedule(
                     device.geometry.channel_of_page(src_ppa),
                     t,
@@ -90,25 +106,17 @@ class TimeSSDGarbageCollector:
                 )
             else:
                 # Ablation mode: retained versions move uncompressed.
-                payload, size = data, device.geometry.page_size
-            payload = ssd.seal_retained_payload(payload, lpa, version_ts)
-            segment = ssd.blooms.find_segment(src_ppa)
-            if segment is None:
-                # BF false negative cannot happen; this is the rare case of
-                # a chain page racing expiration mid-walk.  Retain it with
-                # the newest segment so no version silently disappears.
-                segment = ssd.blooms.live_segments()[-1]
+                payload, size = core.data[src_ppa], device.geometry.page_size
+            if ssd.retention_lock is not None:
+                payload = ssd.seal_retained_payload(payload, lpa, version_ts)
             records.append(
                 DeltaRecord(
-                    lpa=lpa,
-                    version_ts=version_ts,
-                    ref_ts=ref_ts,
-                    payload=payload,
-                    size_bytes=size,
-                    segment_id=segment.segment_id,
-                    compressed=compressing,
+                    lpa, version_ts, ref_ts, payload, size, segment_id,
+                    None, None, False, compressing,
                 )
             )
+        if compressing:
+            ssd._m_delta_compressions.inc(len(records))
         # Newest-first linking, merged with the pre-existing delta chain.
         # The records are newest first; when the oldest is newer than the
         # old head (the usual case) they are simply prepended.  But
@@ -122,9 +130,9 @@ class TimeSSDGarbageCollector:
             for newer, older in zip(records, records[1:]):
                 newer.back = older
             records[-1].back = previous_head
-            index.set_delta_head(lpa, records[0])
+            ssd.index.set_delta_head(lpa, records[0])
         elif records:  # none when the whole chain was head duplicates
-            previous = list(index.live_deltas(previous_head))
+            previous = list(ssd.index.live_deltas(previous_head))
             tail = previous[-1].back
             merged = []
             i = j = 0
@@ -140,21 +148,21 @@ class TimeSSDGarbageCollector:
             for newer, older in zip(merged, merged[1:]):
                 newer.back = older
             merged[-1].back = tail
-            index.set_delta_head(lpa, merged[0])
-        for record in records:
-            t = ssd.deltas.add_record(record, t)
-        for src_ppa in chain:
-            if ssd.block_manager.mark_reclaimable(src_ppa):
+            ssd.index.set_delta_head(lpa, merged[0])
+        t = ssd.deltas.add_records(records, t)
+        prt = ssd.block_manager.reclaimable
+        for src_ppa, _segment_id in chain:
+            if not prt[src_ppa]:
+                prt[src_ppa] = 1
                 ssd.note_page_no_longer_retained(src_ppa)
         ssd._h_compressed_chain.record(len(records))
         return t, len(records)
 
-    def _read_reference(self, lpa, now_us):
-        """Read the latest (valid) version as the compression reference."""
-        ssd = self._ssd
-        head_ppa = ssd.mapping.lookup(lpa)
-        if head_ppa == NULL_PPA:
-            return None, NO_REF_TS, now_us
-        t = ssd.read_page_with_retry(head_ppa, now_us)[0]
-        core = ssd.device.core
-        return core.data[head_ppa], core.timestamp_us[head_ppa], t
+    @staticmethod
+    def chain_cost_bound(k, timing):
+        """Media time of compressing a retained page over ``k`` older
+        versions, at most: k + 2 reads (the chain, the reference) and
+        k + 1 compressions, each of whose records may flush a page."""
+        return (k + 2) * timing.read_us + (k + 1) * (
+            timing.delta_compress_us + timing.program_us
+        )

@@ -103,7 +103,7 @@ class TimeSSD(BaseSSD):
     def _on_invalidate(self, lpa, old_ppa, now_us):
         super()._on_invalidate(lpa, old_ppa, now_us)
         segment = self.blooms.record_invalidation(old_ppa)
-        pba = self.device.geometry.block_of_page(old_ppa)
+        pba = old_ppa // self.device.core.pages_per_block
         self._retained_per_block[pba] += 1
         self.retained_pages += 1
         if not self.mapping.is_mapped(lpa):
@@ -116,7 +116,7 @@ class TimeSSD(BaseSSD):
         It joins the active segment's delta buffer (the segment its
         deleted head was just recorded in) and is durable once that
         buffer's delta page is programmed, like every other record.
-        When it does not fit, ``add_record`` first programs the records
+        When it does not fit, ``add_records`` first programs the records
         already buffered; the TRIM does not wait for that program, which
         holds no record of its own (the channel's later operations do)."""
         record = DeltaRecord(
@@ -133,11 +133,11 @@ class TimeSSD(BaseSSD):
             data_back=old_ppa,
         )
         self.index.set_delta_head(lpa, record)
-        self.deltas.add_record(record, now_us)
+        self.deltas.add_records((record,), now_us)
 
     def note_page_no_longer_retained(self, ppa):
         """A retained page expired or was compressed into the delta chain."""
-        pba = self.device.geometry.block_of_page(ppa)
+        pba = ppa // self.device.core.pages_per_block
         census = self._retained_per_block
         count = census.get(pba, 0)
         if count > 0:
@@ -362,9 +362,7 @@ class TimeSSD(BaseSSD):
                     # cost, which the floor need not cover; one that does
                     # not fit is left whole for a longer window, and the
                     # pages behind it still get this one.
-                    if t + self.settle_cost_bound(ppa) > deadline_us:
-                        continue
-                    t = self._settle_stale_page(ppa, t, tally)
+                    t = self._settle_stale_page(ppa, t, tally, deadline_us)
                     if t + step_bound > deadline_us:
                         return t
         finally:
@@ -375,20 +373,17 @@ class TimeSSD(BaseSSD):
     def settle_cost_bound(self, ppa):
         """Upper bound on the media time :meth:`_settle_stale_page` spends
         on ``ppa``: nothing for a page it only marks or discards (valid,
-        PRT-marked, expired); for a retained page heading k uncompressed
-        older versions (the untimed hop rule counts them), k + 2 reads —
-        the chain and the reference — and k + 1 compressions, each of
-        whose records may flush a delta page."""
+        PRT-marked, expired); for a retained page, its chain's
+        ``chain_cost_bound`` — what the idle compressor admits it by."""
         bm = self.block_manager
         if bm.valid[ppa] or bm.reclaimable[ppa] or not self.blooms.is_retained(ppa):
             return 0
-        core, timing = self.device.core, self.device.timing
+        core = self.device.core
         older = self.index.older_versions(
             core.lpa[ppa], core.back_pointer[ppa], core.timestamp_us[ppa]
         )
-        k = sum(1 for _ in older)
-        return (k + 2) * timing.read_us + (k + 1) * (
-            timing.delta_compress_us + timing.program_us
+        return self.collector.chain_cost_bound(
+            sum(1 for _ in older), self.device.timing
         )
 
     @atomic_section(
@@ -399,12 +394,15 @@ class TimeSSD(BaseSSD):
         # reclaimable; a mid-step failure leaves every version
         # retrievable from its original flash page.
     )
-    def _settle_stale_page(self, ppa, now_us, outcome):
+    def _settle_stale_page(self, ppa, now_us, outcome, deadline_us=None):
         """Algorithm 1, lines 13-25, for the stale page at ``ppa``: the one
         stale-page rule, shared by GC's :meth:`relocate_block`,
         :meth:`background_compress` and scrub's refresh of an at-risk
         retained page (compressing it moves the payload onto fresh delta
-        pages and keeps its timestamp and chain linkage)."""
+        pages and keeps its timestamp and chain linkage).  One bloom probe
+        decides expiry, and its segment is the one the record joins; the
+        idle compressor's ``deadline_us`` leaves a chain that does not
+        fit whole."""
         if self.block_manager.reclaimable[ppa]:
             # Already compressed or expired (only committed pages ever
             # enter the PRT): discard without a seal check.
@@ -417,20 +415,22 @@ class TimeSSD(BaseSSD):
             # a version from a timestamp that never committed.
             outcome.discarded_garbage += 1
             return now_us
-        if self.blooms.find_segment(ppa) is None:
+        segment = self.blooms.find_segment(ppa)
+        if segment is None:
             # Expired: invalidated before the retention window opened.
             self.expire_page(ppa)
             outcome.discarded_expired += 1
             return now_us
         # A chain unreadable through the full ladder loses the version;
         # a block under reclaim is erased all the same.
-        t, compressed = self.compress_or_lose(ppa, now_us)
+        t, compressed = self.compress_or_lose(ppa, now_us, segment, deadline_us)
         outcome.compressed += compressed
         return t
 
-    def compress_or_lose(self, ppa, now_us):
+    def compress_or_lose(self, ppa, now_us, segment=None, deadline_us=None):
         """Compress the retained page at ``ppa`` plus its older chain into
-        deltas; returns ``(complete_us, versions_compressed)``.
+        deltas (``compress_version_chain``, which takes ``segment`` and
+        ``deadline_us``); returns ``(complete_us, versions_compressed)``.
 
         When some page of the chain is gone despite the full ladder, the
         version cannot be kept — retrying every idle window is pointless
@@ -438,7 +438,9 @@ class TimeSSD(BaseSSD):
         and the loss accounted: ``(now_us, 0)``.
         """
         try:
-            return self.collector.compress_version_chain(ppa, now_us)
+            return self.collector.compress_version_chain(
+                ppa, now_us, segment, deadline_us
+            )
         except UncorrectableReadError:
             self.block_manager.mark_reclaimable(ppa)
             self.note_page_no_longer_retained(ppa)
@@ -451,11 +453,14 @@ class TimeSSD(BaseSSD):
         kind = self.block_manager.kind
         active = self.block_manager.active_blocks()
         victims = []
-        # Every census entry counts at least one page.  One C-level sort
-        # of the (count, pba) pairs, then the candidate test only until
-        # enough pass: on a census of a few dozen blocks this beats
-        # testing every entry first, and nlargest's Python-level loop.
-        for _count, pba in sorted(zip(census.values(), census.keys()), reverse=True):
+        # Every census entry counts at least one page.  Two C-level sorts
+        # of the PBAs — descending, then (stable) by count — give the
+        # (count, pba) order, descending; then the candidate test only
+        # until enough pass.  On a census of a few dozen blocks this beats
+        # sorting the pairs, testing every entry first, and nlargest.
+        ranked = sorted(census, reverse=True)
+        ranked.sort(key=census.__getitem__, reverse=True)
+        for pba in ranked:
             if pba not in active and kind(pba) is BlockKind.DATA:
                 victims.append(pba)
                 if len(victims) == self.IDLE_SCAN_BLOCKS:
@@ -531,7 +536,7 @@ class TimeSSD(BaseSSD):
         core = device.core
         stamps = core.timestamp_us
         pages = core.data
-        read = self.read_page_with_retry
+        read = self.page_reader()
         hops = self.index.older_versions
         t = self.clock.now_us if start_us is None else start_us
 

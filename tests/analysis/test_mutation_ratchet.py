@@ -101,10 +101,10 @@ MUTATIONS = (
     seed(
         "hygiene-bare-except",  # GC migration swallowing everything
         "ftl/ssd.py",
-        "                except UncorrectableReadError:\n"
-        "                    self.note_lost_valid_page(ppa)\n",
-        "                except:\n"
-        "                    self.note_lost_valid_page(ppa)\n",
+        "            except UncorrectableReadError:\n"
+        "                self.note_lost_valid_page(ppa)\n",
+        "            except:\n"
+        "                self.note_lost_valid_page(ppa)\n",
     ),
     seed(
         "hygiene-print",  # debug print left in the reclaim path
@@ -122,8 +122,8 @@ MUTATIONS = (
     seed(
         "unused-suppression",  # a waiver on a line with nothing to waive
         "ftl/ssd.py",
-        "            return bm.allocate_page(StreamId.GC)\n",
-        "            return bm.allocate_page(StreamId.GC)"
+        "        allocate = bm.allocator(StreamId.GC)\n",
+        "        allocate = bm.allocator(StreamId.GC)"
         "  # almanac: ignore[layering-flash-api]\n",
         select="unused-suppression,layering-flash-api",
     ),
@@ -191,7 +191,7 @@ _REPLAY = (
     "tests/integration/test_end_to_end.py"
     "::test_trace_replay_leaves_a_clean_device[cut]"
 )
-_REFERENCE = "        t = ssd.read_page_with_retry(head_ppa, now_us)[0]\n"
+_REFERENCE = "                t = read(head_ppa, t)[0]\n"
 _CUTS = "tests/faults/test_fault_then_cut.py::"
 _BLOOM_MODEL = (
     "tests/timessd/test_bloom.py"
@@ -393,8 +393,8 @@ FIRMWARE_MUTATIONS = (
     ),
     (
         "ftl/ssd.py",  # swapped positional arguments
-        "                    t = self.migrate_page(ppa, t, tally=tally)\n",
-        "                    t = self.migrate_page(t, ppa, tally=tally)\n",
+        "                t = migrate(ppa, t)[1]\n",
+        "                t = migrate(t, ppa)[1]\n",
         "tests/ftl/test_ssd.py::test_gc_preserves_all_current_data",
     ),
     # --- the one-of-each GC steps (PR 19) --------------------------------------
@@ -416,8 +416,10 @@ FIRMWARE_MUTATIONS = (
     ),
     (
         "ftl/ssd.py",  # a migrated page left valid in the victim
-        "        bm.mark_valid(new_ppa)\n        bm.invalidate_page(ppa)\n",
-        "        bm.mark_valid(new_ppa)\n",
+        "                if valid[ppa]:\n"
+        "                    valid[ppa] = 0\n"
+        "                    valid_per_block[ppa // pages_per_block] -= 1\n",
+        "",
         "tests/ftl/test_ssd.py::test_gc_reclaims_space_under_churn",
     ),
     (
@@ -434,8 +436,8 @@ FIRMWARE_MUTATIONS = (
         # is seeded there: a program issued when its read is, not once
         # the read completes (ROADMAP item 1's cursor row).
         "flash/device.py",
-        "        return dst, self._book_program(pba, dst, sensed, record), corrected\n",
-        "        return dst, self._book_program(pba, dst, now_us, record), corrected\n",
+        "        return dst, self._book_program(pba, dst, sensed), corrected\n",
+        "        return dst, self._book_program(pba, dst, now_us), corrected\n",
         "tests/ftl/test_ssd.py::test_reclaim_programs_each_copy_after_its_read",
     ),
     # --- the TimeKits walk: stamp-only (PR 20), one read per delta page --------
@@ -538,19 +540,15 @@ FIRMWARE_MUTATIONS = (
         # GC's copy of a retained page read raw again: FlashGuard's copy is
         # the one GC copy, which decides whether its read climbs the ladder.
         "ftl/ssd.py",
-        "        ladder = not sensed and self._ladder_on()\n",
-        "        ladder = False\n",
+        "            ladder = ladder_on and not sensed\n",
+        "            ladder = False\n",
         "tests/security/test_flashguard.py::TestRecovery"
         "::test_gc_reads_a_retained_page_through_the_ladder[rescued]",
     ),
     (
         "ftl/ssd.py",  # GC's copy of a retained page programmed raw again
-        "        for _attempt in range(self.PROGRAM_RETRY_LIMIT + 1):\n"
-        "            try:\n"
-        "                if ladder:\n",
-        "        for _attempt in range(1):\n"
-        "            try:\n"
-        "                if ladder:\n",
+        "        attempts = range(self.PROGRAM_RETRY_LIMIT + 1)\n",
+        "        attempts = range(1)\n",
         "tests/security/test_flashguard.py::TestRecovery"
         "::test_gc_copy_of_a_retained_page_survives_a_program_failure",
     ),
@@ -579,9 +577,21 @@ FIRMWARE_MUTATIONS = (
         _BLOOM_MODEL,
     ),
     (
-        "timessd/bloom.py",  # find_segment's memo surviving an add
-        "                active.bloom.add(group)\n                self._found.clear()\n",
-        "                active.bloom.add(group)\n",
+        # find_segment answering from its sealed-filter memo before it
+        # probes the active filter, which an add may have changed since.
+        "timessd/bloom.py",
+        "        if group in active.bloom:\n"
+        "            self._in_active.add(group)\n"
+        "            return active\n"
+        "        found = self._found\n"
+        "        if group in found:\n"
+        "            return found[group]\n",
+        "        found = self._found\n"
+        "        if group in found:\n"
+        "            return found[group]\n"
+        "        if group in active.bloom:\n"
+        "            self._in_active.add(group)\n"
+        "            return active\n",
         _BLOOM_MODEL,
     ),
     (
@@ -640,7 +650,7 @@ FIRMWARE_MUTATIONS = (
     (
         "timessd/gc.py",  # the compression reference marked reclaimable
         _REFERENCE,
-        _REFERENCE + "        ssd.block_manager.mark_reclaimable(head_ppa)\n",
+        _REFERENCE + "                ssd.block_manager.mark_reclaimable(head_ppa)\n",
         _REPLAY,
     ),
     (
@@ -693,18 +703,17 @@ FIRMWARE_MUTATIONS = (
         "::test_a_flushed_tombstone_keeps_the_lpa_deleted_across_a_cut",
     ),
     (
-        "timessd/ssd.py",  # the idle compressor admitting against one fixed step
-        "                    if t + self.settle_cost_bound(ppa) > deadline_us:\n",
-        "                    if t + step_bound > deadline_us:\n",
+        "timessd/gc.py",  # the idle compressor admitting against one fixed step
+        "            and now_us + self.chain_cost_bound(len(backs), device.timing) > deadline_us\n",
+        "            and now_us + 3 * device.timing.read_us + device.timing.delta_compress_us"
+        " + device.timing.program_us > deadline_us\n",
         "tests/timessd/test_gc.py::TestIdleWindowBound"
         "::test_a_window_never_ends_past_its_deadline",
     ),
     (
-        "timessd/ssd.py",  # a chain that does not fit ending the idle window
-        "                    if t + self.settle_cost_bound(ppa) > deadline_us:\n"
-        "                        continue\n",
-        "                    if t + self.settle_cost_bound(ppa) > deadline_us:\n"
-        "                        return t\n",
+        "timessd/gc.py",  # a chain that does not fit ending the idle window
+        "            return now_us, 0\n",
+        "            return deadline_us, 0\n",
         "tests/timessd/test_column_loops.py::test_one_window_outcome_is_pinned_exactly",
     ),
     (
@@ -743,6 +752,22 @@ FIRMWARE_MUTATIONS = (
         "        if False:\n",
         "tests/timekits/test_api.py::TestAsOfContract"
         "::test_a_t_before_the_guaranteed_start_is_refused",
+    ),
+    # --- the write path in one pass per page ------------------------------------
+    (
+        "ftl/ssd.py",  # the GC loop remapping a mapping that names another page
+        "                if lookup(lpa) == ppa:\n"
+        "                    update(lpa, new_ppa)\n",
+        "                update(lpa, new_ppa)\n",
+        "tests/timessd/test_column_loops.py"
+        "::test_a_migration_remaps_only_a_mapping_that_names_its_source",
+    ),
+    (
+        "timessd/gc.py",  # the chain's admission bound without the reference read
+        "        return (k + 2) * timing.read_us + (k + 1) * (\n",
+        "        return (k + 1) * timing.read_us + (k + 1) * (\n",
+        "tests/timessd/test_gc.py::TestIdleWindowBound"
+        "::test_a_chain_is_left_whole_one_microsecond_short_of_its_bound",
     ),
 )
 

@@ -170,7 +170,7 @@ class TestScrubWithCheckpoints:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="ROADMAP item 12: recovered history cannot expire for a "
+        reason="ROADMAP item 5: recovered history cannot expire for a "
         "floor, so the 24-block device runs dry on its first writes",
     )
     def test_the_device_serves_writes_after_a_cut_late_in_the_sweep(self):

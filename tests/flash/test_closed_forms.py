@@ -14,6 +14,7 @@ from repro.common.errors import QueryError
 from repro.ftl.block_manager import BlockKind
 from repro.nvme.commands import StatusCode
 from repro.timekits.api import TimeKits
+from repro.timessd.delta import DELTA_METADATA_BYTES
 
 from tests.nvme.test_path_equivalence import drive
 
@@ -216,3 +217,69 @@ def test_compressing_a_retained_chain_reads_it_then_compresses_it(k):
     assert complete == (
         now + (k + 2) * timing.read_us + (k + 1) * timing.delta_compress_us
     )
+
+
+@pytest.mark.parametrize("make_device", BENCH_DEVICES)
+@pytest.mark.parametrize("route", ["ssd", "submit", "async"])
+def test_an_idle_host_write_is_one_transfer_and_one_program(make_device, route):
+    """A host overwrite of one page on idle lanes, at queue depth 1: the
+    data transfer on its channel, then the cell program on its chip.
+
+    ``write = bus_transfer_us + program_us``
+    """
+    ssd = make_device()
+    page = bytes(ssd.device.geometry.page_size)
+    ssd.write(3, page)
+    ssd.clock.advance_to(idle_now(ssd))
+    timing = ssd.device.timing
+    programs = ssd.device.page_programs.value
+    assert drive(route, ssd, [("W", 3, [page])]) == [
+        (StatusCode.SUCCESS, 1, timing.bus_transfer_us + timing.program_us)
+    ]
+    assert ssd.device.page_programs.value == programs + 1
+
+
+@pytest.mark.parametrize("make_device", BENCH_DEVICES)
+def test_an_idle_erase_is_one_erase_on_its_chip(make_device):
+    """The tail of every reclaim on an idle block: the erase occupies its
+    chip, and the block returns to the free pool.
+
+    ``erase_and_release = erase_us``
+    """
+    ssd = make_device()
+    pba = victim_with_valid_pages(ssd, 0)
+    now = idle_now(ssd)
+    free = ssd.block_manager.free_block_count
+    assert ssd.erase_and_release(pba, now) == now + ssd.device.timing.erase_us
+    assert ssd.block_manager.kind(pba) is BlockKind.FREE
+    assert ssd.block_manager.free_block_count == free + 1
+
+
+def test_compressing_a_chain_that_fills_a_delta_page_adds_one_program():
+    """Algorithm 1's compression of a retained page with k = 3 older
+    versions, whose k + 1 records do not fit in one delta page: after the
+    reads and the compressions, the records that fill the segment's
+    buffer are programmed as one delta page at that cursor, and the one
+    that did not fit stays buffered.
+
+    ``compress_or_lose = (k + 2) * read_us + (k + 1) * delta_compress_us
+    + bus_transfer_us + program_us``
+    """
+    k = 3
+    ssd, _stamps = lpa_with_data_page_versions(k + 2)
+    core, timing, deltas = ssd.device.core, ssd.device.timing, ssd.deltas
+    retained = core.back_pointer[ssd.mapping.lookup(5)]
+    programs = ssd.device.page_programs.value
+    now = ssd.clock.now_us
+    complete, compressed = ssd.compress_or_lose(retained, now)
+    assert compressed == k + 1
+    records = list(ssd.index.live_deltas(ssd.index.delta_head(5)))
+    footprint = sum(r.size_bytes + DELTA_METADATA_BYTES for r in records)
+    assert footprint > deltas.usable_page_bytes()
+    # Newest first: three fill the page, the oldest opens the next one.
+    assert [r.flash_ppa is None for r in records] == [False, False, False, True]
+    assert deltas.flushed_pages.value == 1
+    assert ssd.device.page_programs.value == programs + 1
+    assert complete == now + (k + 2) * timing.read_us + (k + 1) * (
+        timing.delta_compress_us
+    ) + timing.bus_transfer_us + timing.program_us

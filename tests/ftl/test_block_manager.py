@@ -165,7 +165,7 @@ def reference_sealed(bm, kind):
         for pba in range(bm.device.geometry.total_blocks)
         if bm.kind(pba) not in (BlockKind.FREE, BlockKind.RETIRED)
         and (kind is None or bm.kind(pba) is kind)
-        and (core.write_pointer[pba] >= full or bm._info[pba].sealed or core.failed[pba])
+        and (core.write_pointer[pba] >= full or bm._sealed[pba] or core.failed[pba])
     ]
 
 

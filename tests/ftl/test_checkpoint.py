@@ -217,6 +217,6 @@ def test_checkpoint_stream_is_translation_kind():
 
     for pba in find_translation_blocks(ssd.device):
         assert ssd.block_manager.kind(pba) is BlockKind.TRANSLATION
-    active = ssd.block_manager.active_block(CHECKPOINT_STREAM)
+    active = ssd.block_manager.stream_blocks(CHECKPOINT_STREAM)
     if active is not None:
         assert ssd.block_manager.kind(active) is BlockKind.TRANSLATION

@@ -128,17 +128,63 @@ class TestLatencyHistogram:
     )
     @settings(max_examples=100, deadline=None)
     def test_record_buckets_match_bucket_index(self, values):
-        """``record`` computes the bucket inline; ``_bucket_index`` is the
-        spec.  Exact side totals included."""
+        """The fold buckets each sample by ``_bucket_index``, the spec.
+        Exact side totals included."""
         h = LatencyHistogram("x")
         expected = {}
         for v in values:
             h.record(v)
-            index = LatencyHistogram._bucket_index(v)
-            expected[index] = expected.get(index, 0) + 1
-        assert h._buckets == expected
+            low = LatencyHistogram._bucket_bounds(LatencyHistogram._bucket_index(v))[0]
+            expected[low] = expected.get(low, 0) + 1
+        assert h.bucket_counts() == sorted(expected.items())
         assert (h.count, h.total_us) == (len(values), sum(values))
         assert (h.min_us, h.max_us) == (min(values), max(values))
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("record"), st.integers(-3, 2**20)),
+                st.tuples(st.just("record"), st.floats(-2.0, 5000.0)),
+                st.tuples(st.just("record"), st.booleans()),
+                st.tuples(st.just("fold"), st.none()),
+            ),
+            max_size=120,
+        ),
+        st.integers(1, 8),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_buffered_recording_snapshots_as_eager_recording(self, steps, fold_at):
+        """Any sequence of ``record`` calls, its buffer folded at any point
+        (by a read, or by filling up), snapshots as recording each sample
+        straight into the totals and buckets: non-ints are coerced and a
+        negative sample is refused, at the call, either way."""
+        small = type("Small", (LatencyHistogram,), {"__slots__": (), "FOLD_AT": fold_at})
+        h = small("x")
+        eager = {"count": 0, "total": 0, "min": None, "max": 0, "buckets": {}}
+        for op, value in steps:
+            if op == "fold":
+                h.count  # any read folds the buffer
+                continue
+            sample = int(value)
+            if sample < 0:
+                with pytest.raises(ReproError):
+                    h.record(value)
+                continue
+            h.record(value)
+            eager["count"] += 1
+            eager["total"] += sample
+            eager["min"] = sample if eager["min"] is None else min(eager["min"], sample)
+            eager["max"] = max(eager["max"], sample)
+            low = LatencyHistogram._bucket_bounds(LatencyHistogram._bucket_index(sample))[0]
+            eager["buckets"][low] = eager["buckets"].get(low, 0) + 1
+            assert len(h._samples) < fold_at  # memory stays bounded
+        snap = h.snapshot()
+        assert snap["count"] == eager["count"]
+        assert snap["total_us"] == eager["total"]
+        assert snap["min_us"] == (eager["min"] if eager["min"] is not None else 0)
+        assert h.min_us == eager["min"]
+        assert snap["max_us"] == eager["max"]
+        assert snap["buckets"] == [[low, n] for low, n in sorted(eager["buckets"].items())]
 
     def test_record_coerces_non_ints(self):
         h = LatencyHistogram("x")

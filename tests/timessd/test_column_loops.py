@@ -17,7 +17,12 @@ import random
 
 import pytest
 
-from repro.common.errors import AddressError, PowerCutError, UncorrectableReadError
+from repro.common.errors import (
+    AddressError,
+    PowerCutError,
+    ProgramFailureError,
+    UncorrectableReadError,
+)
 from repro.common.units import SECOND_US
 from repro.faults.hooks import FaultHooks
 from repro.faults.plan import FaultPlan
@@ -25,13 +30,21 @@ from repro.flash.core import ColumnarFlashArray
 from repro.flash.device import FlashDevice
 from repro.flash.page import NULL_PPA, PageState
 from repro.flash.reliability import FlashReliability
-from repro.ftl.block_manager import BlockKind
+from repro.ftl.block_manager import BlockKind, StreamId
+from repro.ftl.ssd import ReclaimOutcome
 from repro.timekits.api import TimeKits
 from repro.timessd.config import ContentMode
+from repro.timessd.delta import DeltaPage
 from repro.timessd.index import Version
 from repro.timessd.recovery import rebuild_from_flash, simulate_power_loss
 
-from tests.conftest import churn_real_content, make_timessd, small_geometry
+from tests.conftest import (
+    churn_real_content,
+    fill_and_churn,
+    make_regular_ssd,
+    make_timessd,
+    small_geometry,
+)
 
 WORKING_SET = 96
 
@@ -158,9 +171,13 @@ def run_window(ssd, window, budget_us):
     compressed = []
     original = ssd.collector.compress_version_chain
 
-    def spy(ppa, now_us):
-        compressed.append(ppa)
-        return original(ppa, now_us)
+    def spy(ppa, now_us, *admission):
+        # A chain left whole against its deadline costs nothing and is
+        # not listed: only a compression spends the window.
+        result = original(ppa, now_us, *admission)
+        if result[0] != now_us:
+            compressed.append(ppa)
+        return result
 
     ssd.collector.compress_version_chain = spy
     start = ssd.clock.now_us
@@ -288,6 +305,198 @@ def test_reclaim_dispatches_every_page_of_the_torn_block():
     assert ssd.device.core.write_pointer[pba] == 0
     reclaimable = ssd.block_manager.reclaimable
     assert not any(reclaimable[ppa] for ppa in geo.pages_of_block(pba))
+
+
+# --- the GC loop ----------------------------------------------------------------
+
+
+def reference_migrate(ssd, ppa, now_us):
+    """``migrate_page`` as it was: one copy through the ladder and the
+    program-failure remap with an allocator closure made for it, then
+    ``BlockManager.mark_valid`` / ``invalidate_page`` and the remap of a
+    mapping that still names ``ppa``."""
+    device, bm = ssd.device, ssd.block_manager
+
+    def allocate():
+        return bm.allocate_page(StreamId.GC)
+
+    ladder, step = ssd._ladder_on(), 0
+    for _attempt in range(ssd.PROGRAM_RETRY_LIMIT + 1):
+        try:
+            if ladder:
+                result = ssd._climb_ladder(
+                    device.copy_page, ppa, now_us, allocate=allocate
+                )
+            else:
+                result = device.copy_page(ppa, now_us, allocate, step)
+            break
+        except ProgramFailureError as exc:
+            last_failure = exc
+            ssd._note_program_failure(exc)
+            now_us, step, ladder = exc.sensed_us, None, False
+    else:
+        raise last_failure
+    new_ppa, complete = result[0], result[1]
+    bm.mark_valid(new_ppa)
+    bm.invalidate_page(ppa)
+    lpa = device.core.lpa[ppa]
+    if ssd.mapping.lookup(lpa) == ppa:
+        ssd.mapping.update(lpa, new_ppa)
+    return complete
+
+
+def reference_relocate(ssd, pba, now_us):
+    """``relocate_block`` as it was: one ``reference_migrate`` per valid
+    page, the stale-page rule for the rest, then the erase."""
+    core = ssd.device.core
+    outcome = ReclaimOutcome(pba)
+    t = now_us
+    base = pba * core.pages_per_block
+    valid = ssd.block_manager.valid[base:base + core.write_pointer[pba]]
+    for offset, is_valid in enumerate(valid):
+        ppa = base + offset
+        if not core.state[ppa]:
+            continue
+        if not is_valid:
+            t = ssd._settle_stale_page(ppa, t, outcome)
+            continue
+        try:
+            t = reference_migrate(ssd, ppa, t)
+        except UncorrectableReadError:
+            ssd.note_lost_valid_page(ppa)
+            continue
+        outcome.migrated_valid += 1
+    t = ssd.erase_and_release(pba, t)
+    outcome.complete_us = t
+    ssd._m_gc_migrated.inc(outcome.migrated_valid)
+    return outcome
+
+
+#: Marginal media: reads climb the retry ladder, and now and then one
+#: gives up (a valid page lost in the middle of a reclaim).
+MARGINAL = FlashReliability(
+    raw_bit_error_rate=1.2e-2,
+    ecc_correctable_bits=8,
+    retry_ber_factor=0.6,
+    seed=0x6C,
+)
+
+
+def churned_device(make, media):
+    """A churned device of kind ``make`` on ``media``: clean, marginal,
+    or clean with seeded program failures (transient and permanent)."""
+    overrides = {
+        "geometry": small_geometry(blocks_per_plane=32),
+        "background_gc": False,
+    }
+    if media == "marginal":
+        overrides["reliability"] = MARGINAL
+    elif media == "program-failures":
+        plan = FaultPlan(seed=21)
+        plan.add_program_failure(probability=0.03, max_fires=None)
+        plan.add_program_failure(permanent=True, probability=0.002, max_fires=2)
+        overrides["faults"] = FaultHooks(plan)
+    ssd = make(**overrides)
+    fill_and_churn(ssd, 3 * ssd.logical_pages // 4, 3 * ssd.logical_pages // 2)
+    return ssd
+
+
+def lanes_of(ssd):
+    """Every channel and chip lane's queue, busy time and depth."""
+    device = ssd.device
+    return [
+        (tuple(lane.pending), lane.busy_us, lane.max_depth)
+        for timelines in (device.timelines, device.chip_timelines)
+        for lane in map(timelines.lane, range(timelines.channels))
+    ]
+
+
+def gc_state(ssd):
+    """Lanes, flash columns, firmware marks, L2P and metrics."""
+    device, bm = ssd.device, ssd.block_manager
+    core = device.core
+    geo = device.geometry
+    data = [
+        ("delta", [(r.lpa, r.version_ts) for r in d.records])
+        if isinstance(d, DeltaPage)
+        else d
+        for d in core.data
+    ]
+    return {
+        "lanes": lanes_of(ssd),
+        "columns": [
+            bytes(core.state), core.lpa, core.back_pointer, core.timestamp_us,
+            core.seq_tag, core.programmed_us, data, core.write_pointer,
+            core.erase_count, core.reads_since_erase, bytes(core.failed),
+        ],
+        "marks": [
+            bytes(bm.valid), bytes(bm.reclaimable), bytes(bm.at_risk),
+            bm.valid_per_block, [bm.kind(pba) for pba in range(geo.total_blocks)],
+            bm.free_block_count, bm.retired_blocks,
+        ],
+        "l2p": [ssd.mapping.lookup(lpa) for lpa in range(ssd.logical_pages)],
+        "lost_lpas": dict(ssd.lost_lpas),
+        "failures": (ssd.program_failures, ssd.erase_failures),
+        "metrics": ssd.metrics_snapshot(),
+    }
+
+
+@pytest.mark.parametrize("media", ["clean", "marginal", "program-failures"])
+@pytest.mark.parametrize(
+    "make", [make_regular_ssd, make_timessd], ids=["regular", "timessd"]
+)
+def test_gc_loop_matches_the_per_page_migrate_path(make, media):
+    """Twelve greedy reclaims by ``relocate_block`` and by the per-page
+    path it replaced, on twin churned devices: the same outcomes, and
+    afterwards the same lanes, columns, L2P and metrics snapshot."""
+    got, want = churned_device(make, media), churned_device(make, media)
+    assert gc_state(got) == gc_state(want)
+    lost, failures = got.obs.metrics.counter("reliability.lost_pages").value, got.program_failures
+    outcomes = []
+    for _round in range(12):
+        now = got.clock.now_us
+        victims = [
+            ssd.block_manager.select_victim("greedy", now, BlockKind.DATA)
+            for ssd in (got, want)
+        ]
+        assert victims[0] == victims[1] is not None
+        outcomes.append(
+            (
+                vars(got.relocate_block(victims[0], now)),
+                vars(reference_relocate(want, victims[1], now)),
+            )
+        )
+        got.clock.advance(5000)
+        want.clock.advance(5000)
+    for mine, theirs in outcomes:
+        assert mine == theirs
+    assert gc_state(got) == gc_state(want)
+    assert sum(o["migrated_valid"] for o, _ in outcomes) > 50
+    # The rounds themselves lost valid pages to the ladder / remapped
+    # failed programs.
+    if media == "marginal":
+        assert got.obs.metrics.counter("reliability.lost_pages").value > lost
+    if media == "program-failures":
+        assert got.program_failures > failures
+
+
+def test_a_migration_remaps_only_a_mapping_that_names_its_source():
+    """A valid page whose LPA the mapping no longer names (here: an older
+    version marked valid by hand) moves without pulling the mapping off
+    the current version; the reclaim leaves the L2P as it found it."""
+    ssd = make_timessd(background_gc=False)
+    geo = ssd.device.geometry
+    for _ in range(geo.channels * geo.pages_per_block + 1):
+        ssd.write(7)
+        ssd.clock.advance(1000)
+    head = ssd.mapping.lookup(7)
+    older = ssd.device.core.back_pointer[head]
+    ssd.block_manager.mark_valid(older)
+    pba = geo.block_of_page(older)
+    assert pba != geo.block_of_page(head)
+    outcome = ssd.relocate_block(pba, ssd.clock.now_us)
+    assert outcome.migrated_valid == 1
+    assert ssd.mapping.lookup(7) == head
 
 
 def test_chain_hop_check_matches_the_page_view():
@@ -436,14 +645,8 @@ def build_history_device(reliability=None):
 
 def walk_state(ssd):
     """Everything a walk may move, observed from outside."""
-    device = ssd.device
-    lanes = [
-        (tuple(lane.pending), lane.busy_us, lane.max_depth)
-        for timelines in (device.timelines, device.chip_timelines)
-        for lane in map(timelines.lane, range(timelines.channels))
-    ]
     return {
-        "lanes": lanes,
+        "lanes": lanes_of(ssd),
         "metrics": ssd.metrics_snapshot(),
         "deltas": (ssd.deltas_passed, ssd.deltas_decompressed),
         "now_us": ssd.clock.now_us,

@@ -212,3 +212,27 @@ class TestIdleWindowBound:
         assert ssd.background_compress(start, deadline) <= deadline
         assert lanes_end_by(deadline)
         assert all(ssd.block_manager.reclaimable[ppa] for ppa in chain)
+
+    def test_a_chain_is_left_whole_one_microsecond_short_of_its_bound(self):
+        """The admission bound is the chain's own — k + 2 reads (the
+        reference among them), k + 1 compressions and programs — read off
+        the one walk that also finds the chain to compress: a window one
+        µs shorter than it leaves the head's chain whole, and spends its
+        time on the pages behind it."""
+        ssd, head = self.chain_head_first()
+        device = ssd.device
+        chain = [head] + list(ssd.index.older_versions(
+            0, device.core.back_pointer[head], device.core.timestamp_us[head]
+        ))
+        timing = device.timing
+        chain_bound = 8 * timing.read_us + 7 * (
+            timing.delta_compress_us + timing.program_us
+        )
+        start = max(
+            max(tl.busy_until(lane) for lane in range(tl.channels))
+            for tl in (device.timelines, device.chip_timelines)
+        )
+        compressed = ssd.background_compressed
+        assert ssd.background_compress(start, start + chain_bound - 1) > start
+        assert ssd.background_compressed > compressed
+        assert not any(ssd.block_manager.reclaimable[ppa] for ppa in chain)

@@ -316,7 +316,7 @@ def test_a_head_stamp_reference_needs_the_floor():
         segment_id=delta.segment_id,
     )
     assert forged.version_ts > t1
-    ssd.deltas.add_record(forged, ssd.clock.now_us)
+    ssd.deltas.add_records([forged], ssd.clock.now_us)
     TestTrimTombstone.flush_deltas(ssd)
     assert forged.flash_ppa is not None and delta.flash_ppa is not None
 
