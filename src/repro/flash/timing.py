@@ -37,16 +37,54 @@ class FlashTiming:
     bus_transfer_us: int = 0
 
     def __post_init__(self):
-        for name in (
-            "read_us",
-            "program_us",
-            "erase_us",
-            "delta_compress_us",
-            "delta_decompress_us",
-            "bus_transfer_us",
-        ):
-            if getattr(self, name) < 0:
+        for name, value in vars(self).items():
+            if value < 0:
                 raise ValueError("%s must be non-negative" % name)
+
+    # --- Closed forms: every formula firmware admits or bills work by ------
+    # One bus term per page read or programmed, as ``FlashDevice`` books
+    # them; docs/PERFORMANCE.md lists each with its test row.
+
+    def chain_bound_us(self, k):
+        """Compressing a retained page over ``k`` older versions, at most:
+        k + 2 reads (the chain, the reference) and k + 1 compressions,
+        each of whose records may flush a delta page."""
+        bus = self.bus_transfer_us
+        return (k + 2) * (self.read_us + bus) + (k + 1) * (
+            self.delta_compress_us + bus + self.program_us
+        )
+
+    def idle_compress_floor_us(self):
+        """The idle compressor settles no page once less than three reads,
+        a compression and a program remain."""
+        return self.chain_bound_us(0) + self.read_us + self.bus_transfer_us
+
+    def gc_round_bound_us(self, pages_per_block):
+        """A GC round: every page read, compressed and programmed; the erase."""
+        per_page = self.read_us + 2 * self.bus_transfer_us + self.program_us
+        return pages_per_block * (per_page + self.delta_compress_us) + self.erase_us
+
+    def scrub_step_bound_us(self, retry_limit, settle_us=0):
+        """A scrub step: the ladder's last sense (a failed one books
+        nothing), then a valid page's program or the stale-page rule's
+        ``settle_us``, and never less than a chain of one."""
+        ladder = self.read_us * (1 + retry_limit) + self.bus_transfer_us
+        return ladder + max(self.chain_bound_us(0), settle_us)
+
+    def translation_us(self, reads, writes):
+        """The DFTL lump of pending translation I/O, bus-free (DESIGN.md)."""
+        return reads * self.read_us + writes * self.program_us
+
+    def gc_overhead_us(self, reads, writes, erases, deltas):
+        """Equation 1's numerator: C_read, C_write, C_erase, C_delta."""
+        return (
+            reads * self.read_us + writes * self.program_us
+            + erases * self.erase_us + deltas * self.delta_compress_us
+        )
+
+    def gc_overhead_limit_us(self, threshold):
+        """Equation 1's right-hand side, ``TH * C_write``."""
+        return threshold * self.program_us
 
 
 class Lane:
@@ -119,11 +157,6 @@ class ChannelTimelines:
         no longer count)."""
         self._check(channel)
         return sum(1 for end in self._lanes[channel].pending if end > now_us)
-
-    def max_depth(self, channel):
-        """Deepest the channel's command queue has ever been."""
-        self._check(channel)
-        return self._lanes[channel].max_depth
 
     def max_depths(self):
         """Per-channel high-water queue depth, indexed by channel."""

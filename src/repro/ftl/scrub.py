@@ -166,22 +166,14 @@ class PatrolScrubber:
         return t
 
     def _step_bound(self, ppa=None):
-        """Conservative cost bound of one page's step, for window
-        admission (``ppa`` None: of any page's, at the least).
-
-        Worst case is a full-ladder read plus a refresh: valid-page
-        migration costs a program; a stale page costs what the device's
-        stale-page rule may spend on it (``settle_cost_bound``: on
-        TimeSSD the compression of a retained page's whole chain), and
-        never less than a chain of one.
-        """
+        """What one page's step may cost, for window admission (``ppa``
+        None: any page's, at the least): ``scrub_step_bound_us`` over the
+        device's ``settle_cost_bound``."""
         ssd = self._ssd
-        timing = ssd.device.timing
-        ladder = timing.read_us * (1 + ssd.config.read_retry_limit)
-        refresh = 2 * timing.read_us + timing.delta_compress_us + timing.program_us
-        if ppa is not None:
-            refresh = max(refresh, ssd.settle_cost_bound(ppa))
-        return ladder + refresh + 2 * timing.bus_transfer_us
+        settle_us = 0 if ppa is None else ssd.settle_cost_bound(ppa)
+        return ssd.device.timing.scrub_step_bound_us(
+            ssd.config.read_retry_limit, settle_us
+        )
 
     def _patrol_order(self):
         """Sealed data blocks, oldest-programmed-first (ties by PBA)."""

@@ -770,8 +770,7 @@ class BaseSSD:
             return now_us
         self._translation_reads_seen = mapping.translation_reads
         self._translation_writes_seen = mapping.translation_writes
-        timing = self.device.timing
-        latency = delta_r * timing.read_us + delta_w * timing.program_us
+        latency = self.device.timing.translation_us(delta_r, delta_w)
         channel, _free = self.device.timelines.earliest_free(now_us)
         return self.device.timelines.schedule(channel, now_us, latency)
 
@@ -812,19 +811,9 @@ class BaseSSD:
             self.scrubber.run_window(cursor, deadline_us)
 
     def gc_round_cost_bound(self):
-        """Upper-bound cost of one GC round in microseconds.
-
-        Idle-window admission and the scheduler's background-gc task both
-        budget rounds with it: a full block migration (read + program +
-        possible delta compression per page) plus the erase.
-        """
-        geo = self.device.geometry
-        timing = self.device.timing
-        return (
-            geo.pages_per_block
-            * (timing.read_us + timing.program_us + timing.delta_compress_us)
-            + timing.erase_us
-        )
+        """What idle-window admission and the scheduler's background-gc
+        task budget one GC round by (``FlashTiming.gc_round_bound_us``)."""
+        return self.device.timing.gc_round_bound_us(self.device.geometry.pages_per_block)
 
     def background_collect(self, start_us, deadline_us):
         """GC rounds inside ``[start_us, deadline_us)``, each budgeted by

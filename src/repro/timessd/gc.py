@@ -40,8 +40,8 @@ class TimeSSDGarbageCollector:
         anything — it only converts data-page versions into deltas and
         marks the sources reclaimable in the PRT.  ``segment`` is the
         bloom segment the caller found ``ppa`` in (None: looked up here).
-        With a ``deadline_us`` a chain whose :meth:`chain_cost_bound` (from
-        the one walk below) does not fit is left whole: ``(now_us, 0)``.
+        With a ``deadline_us`` a chain whose ``FlashTiming.chain_bound_us``
+        (from the one walk below) does not fit is left whole: ``(now_us, 0)``.
         """
         ssd = self._ssd
         device = ssd.device
@@ -52,7 +52,7 @@ class TimeSSDGarbageCollector:
         backs = list(ssd.index.older_versions(lpa, core.back_pointer[ppa], stamps[ppa]))
         if (
             deadline_us is not None
-            and now_us + self.chain_cost_bound(len(backs), device.timing) > deadline_us
+            and now_us + device.timing.chain_bound_us(len(backs)) > deadline_us
         ):
             return now_us, 0
         blooms = ssd.blooms
@@ -157,12 +157,3 @@ class TimeSSDGarbageCollector:
                 ssd.note_page_no_longer_retained(src_ppa)
         ssd._h_compressed_chain.record(len(records))
         return t, len(records)
-
-    @staticmethod
-    def chain_cost_bound(k, timing):
-        """Media time of compressing a retained page over ``k`` older
-        versions, at most: k + 2 reads (the chain, the reference) and
-        k + 1 compressions, each of whose records may flush a page."""
-        return (k + 2) * timing.read_us + (k + 1) * (
-            timing.delta_compress_us + timing.program_us
-        )

@@ -49,18 +49,15 @@ class GCOverheadEstimator:
         return self._close_period()
 
     def _close_period(self):
-        timing = self._timing
-        cost_us = (
-            self._gc_reads * timing.read_us
-            + self._gc_writes * timing.program_us
-            + self._gc_erases * timing.erase_us
-            + self._gc_deltas * timing.delta_compress_us
+        cost_us = self._timing.gc_overhead_us(
+            self._gc_reads, self._gc_writes, self._gc_erases, self._gc_deltas
         )
         self.last_overhead_per_write_us = cost_us / self.period_writes
         self._user_writes_in_period = 0
         self._gc_reads = self._gc_writes = self._gc_erases = self._gc_deltas = 0
         self.periods_evaluated += 1
-        exceeded = self.last_overhead_per_write_us > self.threshold * timing.program_us
+        limit = self._timing.gc_overhead_limit_us(self.threshold)
+        exceeded = self.last_overhead_per_write_us > limit
         if exceeded:
             self.periods_exceeded += 1
         return exceeded
@@ -71,7 +68,7 @@ class GCOverheadEstimator:
         1.0 means exactly at threshold; the retention manager shrinks
         more aggressively the further GC overshoots.
         """
-        limit = self.threshold * self._timing.program_us
+        limit = self._timing.gc_overhead_limit_us(self.threshold)
         if limit <= 0:
             return 0.0
         return self.last_overhead_per_write_us / limit

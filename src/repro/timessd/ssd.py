@@ -338,10 +338,7 @@ class TimeSSD(BaseSSD):
         if not (self.config.background_compression and self.config.delta_compression):
             return start_us
         self.background_windows += 1
-        timing = self.device.timing
-        # The window's floor: no page is settled, not even marked expired,
-        # once less than three reads, a compression and a program remain.
-        step_bound = 3 * timing.read_us + timing.delta_compress_us + timing.program_us
+        step_bound = self.device.timing.idle_compress_floor_us()
         t = start_us
         if t + step_bound > deadline_us:
             return t
@@ -374,7 +371,7 @@ class TimeSSD(BaseSSD):
         """Upper bound on the media time :meth:`_settle_stale_page` spends
         on ``ppa``: nothing for a page it only marks or discards (valid,
         PRT-marked, expired); for a retained page, its chain's
-        ``chain_cost_bound`` — what the idle compressor admits it by."""
+        ``chain_bound_us`` — what the idle compressor admits it by."""
         bm = self.block_manager
         if bm.valid[ppa] or bm.reclaimable[ppa] or not self.blooms.is_retained(ppa):
             return 0
@@ -382,9 +379,7 @@ class TimeSSD(BaseSSD):
         older = self.index.older_versions(
             core.lpa[ppa], core.back_pointer[ppa], core.timestamp_us[ppa]
         )
-        return self.collector.chain_cost_bound(
-            sum(1 for _ in older), self.device.timing
-        )
+        return self.device.timing.chain_bound_us(sum(1 for _ in older))
 
     @atomic_section(
         "expiry marking or chain compression of a retained page must "

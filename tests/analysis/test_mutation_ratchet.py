@@ -704,9 +704,8 @@ FIRMWARE_MUTATIONS = (
     ),
     (
         "timessd/gc.py",  # the idle compressor admitting against one fixed step
-        "            and now_us + self.chain_cost_bound(len(backs), device.timing) > deadline_us\n",
-        "            and now_us + 3 * device.timing.read_us + device.timing.delta_compress_us"
-        " + device.timing.program_us > deadline_us\n",
+        "            and now_us + device.timing.chain_bound_us(len(backs)) > deadline_us\n",
+        "            and now_us + device.timing.idle_compress_floor_us() > deadline_us\n",
         "tests/timessd/test_gc.py::TestIdleWindowBound"
         "::test_a_window_never_ends_past_its_deadline",
     ),
@@ -763,11 +762,19 @@ FIRMWARE_MUTATIONS = (
         "::test_a_migration_remaps_only_a_mapping_that_names_its_source",
     ),
     (
-        "timessd/gc.py",  # the chain's admission bound without the reference read
-        "        return (k + 2) * timing.read_us + (k + 1) * (\n",
-        "        return (k + 1) * timing.read_us + (k + 1) * (\n",
+        "flash/timing.py",  # the chain's admission bound without the reference read
+        "        return (k + 2) * (self.read_us + bus) + (k + 1) * (\n",
+        "        return (k + 1) * (self.read_us + bus) + (k + 1) * (\n",
         "tests/timessd/test_gc.py::TestIdleWindowBound"
         "::test_a_chain_is_left_whole_one_microsecond_short_of_its_bound",
+    ),
+    # --- one timing model ---------------------------------------------------------
+    (
+        "flash/timing.py",  # a bound that drops its program term
+        "            self.delta_compress_us + bus + self.program_us\n",
+        "            self.delta_compress_us + bus\n",
+        "tests/flash/test_closed_forms.py"
+        "::test_the_chain_bound_is_exact_when_a_lone_record_fills_a_delta_page[bus0]",
     ),
 )
 

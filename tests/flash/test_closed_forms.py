@@ -9,8 +9,13 @@ TimeSSD one); equality is exact.
 
 import pytest
 
-from repro.bench.config import make_bench_regular, make_bench_timessd
+from repro.bench.config import (
+    bench_geometry,
+    make_bench_regular,
+    make_bench_timessd,
+)
 from repro.common.errors import QueryError
+from repro.flash.timing import FlashTiming
 from repro.ftl.block_manager import BlockKind
 from repro.nvme.commands import StatusCode
 from repro.timekits.api import TimeKits
@@ -56,21 +61,29 @@ def victim_with_valid_pages(ssd, valid):
 def test_gc_round_is_one_cursor_of_reads_and_programs_then_the_erase(
     make_device, valid
 ):
-    """Algorithm 1's cursor on one lane: each valid page is read, its copy
-    programmed once the read completes, then the next page; the erase is
-    issued once the last copy is durable.
+    """Algorithm 1's cursor on one lane: each valid page is read (sense,
+    then bus), its copy programmed (bus, then cell) once the read
+    completes, then the next page; the erase is issued once the last
+    copy is durable.  Background GC admits the round by the bound of one
+    whose every page is also compressed; with and without a bus.
 
-    ``complete = now + v * (read_us + program_us) + erase_us``
+    ``complete = now + v * (read_us + 2 * bus + program_us) + erase_us
+    <= now + gc_round_bound_us(pages_per_block)``
     """
-    ssd = make_device()
-    pba = victim_with_valid_pages(ssd, valid)
-    timing = ssd.device.timing
-    now = idle_now(ssd)
-    outcome = ssd.relocate_block(pba, now)
-    assert outcome.migrated_valid == valid
-    assert outcome.complete_us == (
-        now + valid * (timing.read_us + timing.program_us) + timing.erase_us
-    )
+    for bus in (0, 35):
+        ssd = make_device(timing=FlashTiming(bus_transfer_us=bus))
+        pba = victim_with_valid_pages(ssd, valid)
+        timing = ssd.device.timing
+        now = idle_now(ssd)
+        outcome = ssd.relocate_block(pba, now)
+        assert outcome.migrated_valid == valid
+        booked = outcome.complete_us - now
+        assert booked == valid * (
+            timing.read_us + 2 * bus + timing.program_us
+        ) + timing.erase_us
+        assert booked <= ssd.gc_round_cost_bound() == timing.gc_round_bound_us(
+            ssd.device.geometry.pages_per_block
+        )
 
 
 @pytest.mark.parametrize("make_device", BENCH_DEVICES)
@@ -283,3 +296,146 @@ def test_compressing_a_chain_that_fills_a_delta_page_adds_one_program():
     assert complete == now + (k + 2) * timing.read_us + (k + 1) * (
         timing.delta_compress_us
     ) + timing.bus_transfer_us + timing.program_us
+
+
+# --- The firmware's admission bounds (``FlashTiming``'s closed forms) ------
+#
+# Each bound is held to the bookings it admits: exact where the scenario
+# is its worst case, at least the booked time otherwise, with and without
+# a bus term (every booked read and program carries one).
+
+BUS = pytest.mark.parametrize("bus", [0, 35], ids=["bus0", "bus35"])
+
+
+def with_bus(make_device, bus, **overrides):
+    return make_device(timing=FlashTiming(bus_transfer_us=bus), **overrides)
+
+
+@BUS
+def test_the_chain_bound_is_exact_when_a_lone_record_fills_a_delta_page(bus):
+    """Compressing a retained page with k = 0 older versions, on idle
+    lanes: two reads (the page, the reference), one compression, and —
+    for the record that fills the segment's delta page — one program.
+    The idle compressor admits the page by exactly this.
+
+    ``compress_or_lose(k = 0, flush) = chain_bound_us(0)
+    = 2 * (read_us + bus) + delta_compress_us + bus + program_us``
+    """
+    ssd = with_bus(make_bench_timessd, bus)
+    timing = ssd.device.timing
+    bound = timing.chain_bound_us(0)
+    assert bound == 2 * (timing.read_us + bus) + (
+        timing.delta_compress_us + bus + timing.program_us
+    )
+    for _ in range(2):
+        for lpa in range(16):
+            ssd.write(lpa)
+    for lpa in range(16):
+        retained = ssd.device.core.back_pointer[ssd.mapping.lookup(lpa)]
+        assert ssd.settle_cost_bound(retained) == bound
+        flushed = ssd.deltas.flushed_pages.value
+        now = idle_now(ssd)
+        complete, compressed = ssd.compress_or_lose(retained, now)
+        assert compressed == 1
+        if ssd.deltas.flushed_pages.value > flushed:
+            assert complete == now + bound
+            return
+        # No page filled: the bound less one program.
+        assert complete == now + bound - (bus + timing.program_us)
+    pytest.fail("no record filled a delta page")
+
+
+@pytest.mark.parametrize("make_device", BENCH_DEVICES)
+@pytest.mark.parametrize("page", ["valid", "stale"])
+@BUS
+def test_a_scrub_step_is_within_its_bound(make_device, page, bus):
+    """A forced refresh of one page on idle lanes: the patrol read, then
+    a valid page's copy program, or the stale-page rule (on TimeSSD the
+    compression of the retained version: two reads and a compression).
+    The scrubber admits the step by the full ladder plus the refresh.
+
+    ``scrub(valid) = read_us + 2 * bus + program_us``,
+    ``scrub(stale) <= scrub_step_bound_us(read_retry_limit, settle)``
+    """
+    ssd = with_bus(make_device, bus, patrol_scrub=True)
+    for _ in range(2):
+        for lpa in range(8):
+            ssd.write(lpa)
+    head = ssd.mapping.lookup(3)
+    ppa = head if page == "valid" else ssd.device.core.back_pointer[head]
+    timing = ssd.device.timing
+    settle = ssd.settle_cost_bound(ppa)
+    bound = ssd.scrubber._step_bound(ppa)
+    assert bound == timing.scrub_step_bound_us(ssd.config.read_retry_limit, settle)
+    now = idle_now(ssd)
+    booked = ssd.scrubber._scrub_page(ppa, now, force_refresh=True) - now
+    if page == "valid":
+        assert booked == timing.read_us + 2 * bus + timing.program_us
+    elif settle:
+        assert booked == 3 * (timing.read_us + bus) + timing.delta_compress_us
+    else:  # the baseline retains nothing: the patrol read alone
+        assert booked == timing.read_us + bus
+    assert booked <= bound
+
+
+@pytest.mark.parametrize("make_device", BENCH_DEVICES)
+@BUS
+def test_demand_paged_translation_is_one_lump_before_the_page(make_device, bus):
+    """With a mapping cache far smaller than the working set, each host
+    op misses and evicts a dirty entry: it first waits for one
+    translation-page read and one write-back, booked as one lump on one
+    channel without bus terms (DESIGN.md), then does its own flash op.
+
+    ``read = translation_us(1, 1) + read_us + bus``,
+    ``write = translation_us(1, 1) + bus + program_us``,
+    ``translation_us(r, w) = r * read_us + w * program_us``
+    """
+    ssd = with_bus(make_device, bus, mapping_cache_entries=8)
+    for lpa in range(64):
+        ssd.write(lpa)
+    mapping, timing = ssd.mapping, ssd.device.timing
+    ops = [
+        ("R", 0, timing.read_us + bus),
+        ("W", 1, bus + timing.program_us),
+        ("R", 40, timing.read_us + bus),
+    ]
+    for kind, lpa, own_us in ops:
+        ssd.clock.advance_to(idle_now(ssd))
+        before = (mapping.translation_reads, mapping.translation_writes)
+        if kind == "R":
+            latency = ssd.read(lpa)[1]
+        else:
+            latency = ssd.write(lpa)
+        after = (mapping.translation_reads, mapping.translation_writes)
+        assert (after[0] - before[0], after[1] - before[1]) == (1, 1)
+        assert latency == timing.translation_us(1, 1) + own_us
+    assert timing.translation_us(3, 2) == 3 * timing.read_us + 2 * timing.program_us
+
+
+@pytest.mark.parametrize("make_device", BENCH_DEVICES)
+def test_a_bus_transfer_overlaps_a_sibling_chips_program(make_device):
+    """Two chips on one channel, ``bus_transfer_us > 0``: a host read
+    arriving with a host write whose page is on the sibling chip senses
+    on its own chip and moves its data over the channel while the write's
+    cell program runs, so neither waits for the other.
+
+    ``write = bus + program_us``, ``read = read_us + bus`` (both at once)
+    """
+    ssd = with_bus(make_device, 35, geometry=bench_geometry(chips_per_channel=2))
+    geo = ssd.device.geometry
+    page = bytes(geo.page_size)
+    mapped = range(3 * geo.channels * geo.pages_per_block)
+    for lpa in mapped:
+        ssd.write(lpa, page)
+    now = idle_now(ssd)
+    timing = ssd.device.timing
+    complete = ssd.serve_write_at(len(mapped), page, now)
+    assert complete == now + timing.bus_transfer_us + timing.program_us
+
+    def lanes_of(lpa):
+        return geo.chip_of_block(geo.block_of_page(ssd.mapping.lookup(lpa)))
+
+    channel, chip = lanes_of(len(mapped))
+    sibling = next(lpa for lpa in mapped if lanes_of(lpa) == (channel, 1 - chip))
+    _data, complete = ssd.serve_read_at(sibling, now)
+    assert complete == now + timing.read_us + timing.bus_transfer_us

@@ -1,7 +1,5 @@
 """Demand-paged mapping (DFTL) with timed translation I/O."""
 
-import random
-
 import pytest
 
 from repro.ftl import recovery as ftl_recovery
@@ -17,20 +15,6 @@ def test_fully_cached_mapping_charges_nothing():
         ssd.read(lpa)
     assert ssd.mapping.translation_reads == 0
     assert ssd.mapping.translation_writes == 0
-
-
-def test_cache_misses_cost_device_time():
-    cached = make_regular_ssd()
-    demand = make_regular_ssd(mapping_cache_entries=8)
-    rng = random.Random(1)
-    # Random access over a working set far larger than the cache.
-    lpas = [rng.randrange(256) for _ in range(400)]
-    for ssd in (cached, demand):
-        for lpa in lpas:
-            ssd.write(lpa)
-            ssd.clock.advance(100)
-    assert demand.mapping.translation_reads > 0
-    assert demand.write_latency.mean_us > cached.write_latency.mean_us
 
 
 def test_dirty_evictions_write_translation_pages():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from repro.common.units import SECOND_US
@@ -236,3 +238,42 @@ class TestIdleWindowBound:
         assert ssd.background_compress(start, start + chain_bound - 1) > start
         assert ssd.background_compressed > compressed
         assert not any(ssd.block_manager.reclaimable[ppa] for ppa in chain)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="a window's GC round books past its one-block budget when "
+        "the erase wear-levels up to four more blocks, and a window opens "
+        "while a foreground erase still holds a chip (ROADMAP item 16)",
+    )
+    def test_an_idle_windows_bookings_end_by_its_deadline(self):
+        """Every lane an idle window books is free again by the window's
+        deadline, on a churn of 20 ms gaps over half the device."""
+        ssd = make_timessd()
+        device = ssd.device
+        lanes = [
+            tl.lane(i)
+            for tl in (device.timelines, device.chip_timelines)
+            for i in range(tl.channels)
+        ]
+        overruns = []
+        use_window = ssd._use_idle_window
+
+        def window(start_us, deadline_us):
+            before = [lane.free_at for lane in lanes]
+            use_window(start_us, deadline_us)
+            overruns.extend(
+                lane.free_at - deadline_us
+                for lane, free_at in zip(lanes, before)
+                if lane.free_at != free_at and lane.free_at > deadline_us
+            )
+
+        ssd._use_idle_window = window
+        rng = random.Random(1)
+        working_set = ssd.logical_pages // 2
+        for lpa in range(working_set):
+            ssd.write(lpa)
+        for _ in range(1500):
+            ssd.write(rng.randrange(working_set))
+            ssd.clock.advance(20_000)
+        assert overruns == []
