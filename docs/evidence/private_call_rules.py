@@ -67,9 +67,12 @@ def private_names(tree):
 
 def worker(tree, rule_id, names):
     """Print, as JSON, the names whose seeded call ``rule_id`` reports."""
+    # ``_check_module`` runs rules over one module under the same name
+    # and signature in the analyzers before and after the call graph.
     from repro.analysis.core import (
         Project,
         SourceModule,
+        _check_module,
         collect_files,
         rules_by_id,
     )
@@ -84,7 +87,8 @@ def worker(tree, rule_id, names):
 
     def fires(module):
         project = Project(modules[:index] + [module] + modules[index + 1:])
-        return any(v.line == line for v in rule.check(module, project))
+        found, _ = _check_module(module, [rule], project)
+        return any(v.line == line for v in found)
 
     assert not fires(original), "the unseeded line already fires"
     fired = []

@@ -25,21 +25,17 @@ suppress a finding in place with ``# almanac: ignore[rule-id]``.
 """
 
 from repro.analysis.core import (
-    LintRule,
-    Project,
+    RULES,
     SourceModule,
     Violation,
     all_rules,
     analyze_paths,
-    register,
 )
 
 __all__ = [
-    "LintRule",
-    "Project",
+    "RULES",
     "SourceModule",
     "Violation",
     "all_rules",
     "analyze_paths",
-    "register",
 ]

@@ -1,10 +1,14 @@
-"""Lint framework core: rules, registry, suppressions, and the driver.
+"""Lint framework core: the rule table, the one walk, and the lint run.
 
-A :class:`SourceModule` is one parsed file (source text, AST, dotted
-module name, per-line suppressions).  A :class:`Project` is every module
-of one run plus shared caches (the import graph, package SCCs).  Rules
-subclass :class:`LintRule`, register themselves with :func:`register`,
-and yield :class:`Violation` objects from ``check(module, project)``.
+A :class:`SourceModule` is one parsed file: source text, dotted module
+name, per-line suppressions, and its AST walked once, with the nodes
+the rules read sorted by type (imports, calls, function defs, except
+handlers, arithmetic).  A :class:`Project` is every module of one run
+plus the indices built over them once.  A rule is one row of
+:data:`RULES`; its ``check(module, project)`` is a plain function over
+those buckets that yields ``(anchor, message)`` pairs, the anchor being
+the AST node the finding sits on (one without a position, such as the
+module itself, means line 1, column 1).
 
 Suppression syntax, checked per physical line::
 
@@ -21,20 +25,120 @@ import io
 import os
 import re
 import tokenize
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
+
+from repro.analysis.imports import package_graph
+from repro.analysis.rules import determinism, hygiene, layering, observability
 
 #: Pseudo rule id reported when a file does not parse at all.
 PARSE_ERROR_RULE = "parse-error"
 
-#: Rule id for suppressions that no longer suppress anything.  The rule
-#: class (rules/suppressions.py) exists for --list-rules/--select; the
-#: detection itself lives in the driver, which knows which suppressions
-#: filtered a violation.  Deliberately NOT filterable by a blanket
-#: ignore comment — a stale waiver must not hide its own staleness.
+#: Rule id for suppressions that no longer suppress anything.  Its row
+#: has no check: :func:`analyze_paths` detects it, because only the
+#: run knows which suppressions filtered a violation.  Deliberately NOT
+#: filterable by a blanket ignore comment — a stale waiver must not
+#: hide its own staleness.
 UNUSED_SUPPRESSION_RULE = "unused-suppression"
 
 _SUPPRESS_RE = re.compile(
     r"#\s*almanac:\s*ignore(?:\[(?P<ids>[A-Za-z0-9_,\s-]*)\])?"
+)
+
+Rule = namedtuple("Rule", "rule_id pack description check")
+
+#: Every rule: stable kebab-case id (used in reports and suppressions),
+#: pack, the one-line description ``--list-rules`` shows, and the check.
+RULES = (
+    Rule(
+        "determinism-global-random",
+        "determinism",
+        "forbid the random module's global functions (random.random, "
+        "random.randrange, ...); draw from an explicit random.Random(seed)",
+        determinism.global_random,
+    ),
+    Rule(
+        "determinism-unseeded-rng",
+        "determinism",
+        "random.Random() with no seed argument, or random.SystemRandom(), "
+        "is nondeterministic; pass an explicit seed",
+        determinism.unseeded_rng,
+    ),
+    Rule(
+        "determinism-wallclock",
+        "determinism",
+        "forbid wall-clock reads (time.time, datetime.now, ...); "
+        "simulated time comes from repro.common.clock.SimClock",
+        determinism.wallclock,
+    ),
+    Rule(
+        "hygiene-bare-except",
+        "hygiene",
+        "bare except swallows KeyboardInterrupt and the typed error taxonomy",
+        hygiene.bare_except,
+    ),
+    Rule(
+        "hygiene-mutable-default",
+        "hygiene",
+        "mutable default argument ([], {}, set()) aliases state across calls",
+        hygiene.mutable_default,
+    ),
+    Rule(
+        "hygiene-print",
+        "hygiene",
+        "print() in a library module; return values or use stats helpers",
+        hygiene.print_call,
+    ),
+    Rule(
+        "hygiene-unit-mix",
+        "hygiene",
+        "adding/comparing operands with different unit suffixes "
+        "(us vs ms, bytes vs KiB)",
+        hygiene.unit_mix,
+    ),
+    Rule(
+        UNUSED_SUPPRESSION_RULE,
+        "hygiene",
+        "an '# almanac: ignore[...]' comment suppressed nothing this "
+        "run; stale waivers must expire, not accumulate",
+        None,
+    ),
+    Rule(
+        "layering-cycle",
+        "layering",
+        "repro subpackages must not form import cycles",
+        layering.import_cycle,
+    ),
+    Rule(
+        "layering-flash-api",
+        "layering",
+        "only flash/ftl/timessd may call raw flash program/erase APIs "
+        "(program_page, erase_block)",
+        layering.flash_api,
+    ),
+    Rule(
+        "layering-order",
+        "layering",
+        "repro packages may import their own layer or below "
+        "(common -> flash -> ftl/timessd -> fs/nvme/timekits -> apps)",
+        layering.layer_order,
+    ),
+    Rule(
+        "layering-private-cross-package",
+        "layering",
+        "a _private name may only be imported or called from its own "
+        "repro subpackage (self/cls/super() calls are exempt)",
+        layering.private_cross_package,
+    ),
+    Rule(
+        "obs-uncataloged-metric",
+        "obs",
+        "every emitted metric name must have a catalog row in "
+        "docs/OBSERVABILITY.md, and every catalog row must still be "
+        "referenced in code",
+        observability.uncataloged_metric,
+    ),
 )
 
 
@@ -61,78 +165,22 @@ class Violation:
         return (self.path, self.line, self.col, self.rule_id)
 
 
-class LintRule:
-    """Base class for one rule.  Subclasses set the class attributes and
-    implement :meth:`check` as a generator of :class:`Violation`."""
-
-    #: Stable kebab-case identifier, used in reports and suppressions.
-    rule_id = None
-    #: Rule family: ``determinism``, ``layering``, ``hygiene`` or ``obs``.
-    pack = None
-    #: One-line human description (shown by ``--list-rules``).
-    description = ""
-
-    def check(self, module, project):
-        raise NotImplementedError
-
-    def violation(self, module, node, message):
-        """Build a :class:`Violation` anchored at an AST node (``lineno`` /
-        ``col_offset``) or any object with 1-based ``line`` / ``col``."""
-        line = getattr(node, "lineno", None)
-        if line is not None:
-            col = getattr(node, "col_offset", 0) + 1
-        else:
-            line = getattr(node, "line", 1)
-            col = getattr(node, "col", 1)
-        return Violation(
-            rule_id=self.rule_id,
-            path=module.path,
-            line=line,
-            col=col,
-            message=message,
-        )
-
-
-_REGISTRY = {}
-
-
-def register(cls):
-    """Class decorator: instantiate the rule and add it to the registry."""
-    rule = cls()
-    if not rule.rule_id or not rule.pack:
-        raise ValueError("rule %s must define rule_id and pack" % cls.__name__)
-    if rule.rule_id in _REGISTRY:
-        raise ValueError("duplicate rule id %r" % rule.rule_id)
-    _REGISTRY[rule.rule_id] = rule
-    return cls
-
-
 def all_rules():
-    """Every registered rule, sorted by (pack, rule_id)."""
-    _load_rule_packs()
-    return sorted(_REGISTRY.values(), key=lambda r: (r.pack, r.rule_id))
+    """Every rule, sorted by (pack, rule_id)."""
+    return sorted(RULES, key=lambda r: (r.pack, r.rule_id))
 
 
 def rules_by_id(rule_ids):
-    """Resolve a list of rule ids (or pack names) to rule instances."""
-    _load_rule_packs()
-    chosen = []
+    """Resolve a list of rule ids (or pack names) to rules."""
+    chosen = set()
     for rule_id in rule_ids:
-        if rule_id in _REGISTRY:
-            chosen.append(_REGISTRY[rule_id])
-            continue
-        pack = [r for r in _REGISTRY.values() if r.pack == rule_id]
-        if not pack:
+        matches = [r for r in RULES if rule_id in (r.rule_id, r.pack)]
+        if not matches:
             raise KeyError(
                 "unknown rule or pack %r (try --list-rules)" % rule_id
             )
-        chosen.extend(pack)
-    return sorted(set(chosen), key=lambda r: r.rule_id)
-
-
-def _load_rule_packs():
-    # Importing the package registers every built-in rule exactly once.
-    from repro.analysis import rules  # noqa: F401  (import-for-effect)
+        chosen.update(matches)
+    return sorted(chosen, key=lambda r: r.rule_id)
 
 
 def _parse_suppressions(source):
@@ -141,9 +189,12 @@ def _parse_suppressions(source):
     Tokenized so only *real* comments count — a docstring or string
     literal that mentions ``# almanac: ignore[...]`` (this framework's
     own documentation does) must neither suppress anything nor be
-    reported as an unused suppression.
+    reported as an unused suppression.  A file without the marker text
+    is not tokenized at all.
     """
     table = {}
+    if "almanac:" not in source:
+        return table
     try:
         for token in tokenize.generate_tokens(io.StringIO(source).readline):
             if token.type != tokenize.COMMENT:
@@ -192,7 +243,7 @@ def _module_name_for(path):
 
 
 class SourceModule:
-    """One parsed source file."""
+    """One parsed source file, its nodes sorted by type in one walk."""
 
     def __init__(self, path, source, display_path=None):
         self.path = display_path or path
@@ -205,6 +256,37 @@ class SourceModule:
         except SyntaxError as exc:
             self.tree = None
             self.parse_error = exc
+        self.imports, self.calls, self.defs = [], [], []
+        self.handlers, self.arithmetic = [], []
+        bucket_of = {
+            ast.Import: self.imports,
+            ast.ImportFrom: self.imports,
+            ast.Call: self.calls,
+            ast.FunctionDef: self.defs,
+            ast.AsyncFunctionDef: self.defs,
+            ast.ExceptHandler: self.handlers,
+            ast.BinOp: self.arithmetic,
+            ast.Compare: self.arithmetic,
+            ast.AugAssign: self.arithmetic,
+        }
+        for node in ast.walk(self.tree) if self.tree is not None else ():
+            bucket = bucket_of.get(type(node))
+            if bucket is not None:
+                bucket.append(node)
+        #: module -> local names bound by ``import module [as name]``, and
+        #: module -> {local name: original} bound by ``from module
+        #: import ...``, anywhere in the file.
+        self.import_aliases, self.from_imports = {}, {}
+        for node in self.imports:
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    self.import_aliases.setdefault(alias.name, set()).add(
+                        alias.asname or alias.name
+                    )
+            else:
+                bound = self.from_imports.setdefault(node.module, {})
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = alias.name
 
     @classmethod
     def from_path(cls, path, display_path=None):
@@ -220,12 +302,6 @@ class SourceModule:
             return module
         return cls(path, source, display_path=display_path)
 
-    def is_suppressed(self, violation):
-        names = self.suppressions.get(violation.line)
-        if not names:
-            return False
-        return "*" in names or violation.rule_id in names
-
 
 class _DecodeError:
     """Stand-in for SyntaxError when a file is not valid UTF-8 text."""
@@ -238,19 +314,26 @@ class _DecodeError:
 
 
 class Project:
-    """All modules of one lint run plus shared per-run caches."""
+    """All modules of one lint run and the indices built over them once,
+    on first use."""
 
     def __init__(self, modules):
         self.modules = list(modules)
         self.by_module = {
             m.module: m for m in self.modules if m.module is not None
         }
-        self.cache = {}
 
-    def cached(self, key, build):
-        if key not in self.cache:
-            self.cache[key] = build()
-        return self.cache[key]
+    @cached_property
+    def package_graph(self):
+        return package_graph(self.modules)
+
+    @cached_property
+    def private_definitions(self):
+        return layering.private_definitions(self.modules)
+
+    @cached_property
+    def metric_findings(self):
+        return observability.catalog_findings(self)
 
 
 def collect_files(paths):
@@ -288,16 +371,25 @@ def _check_module(module, rules, project):
     violations = []
     used = set()
     for rule in rules:
-        if rule.rule_id == UNUSED_SUPPRESSION_RULE:
-            continue  # driver-implemented below
-        for violation in rule.check(module, project):
-            names = module.suppressions.get(violation.line)
-            if names and violation.rule_id in names:
-                used.add((violation.line, violation.rule_id))
+        if rule.check is None:
+            continue  # unused-suppression: see _unused_suppressions
+        for anchor, message in rule.check(module, project):
+            line = getattr(anchor, "lineno", 1)
+            names = module.suppressions.get(line)
+            if names and rule.rule_id in names:
+                used.add((line, rule.rule_id))
             elif names and "*" in names:
-                used.add((violation.line, "*"))
+                used.add((line, "*"))
             else:
-                violations.append(violation)
+                violations.append(
+                    Violation(
+                        rule_id=rule.rule_id,
+                        path=module.path,
+                        line=line,
+                        col=getattr(anchor, "col_offset", 0) + 1,
+                        message=message,
+                    )
+                )
     return violations, used
 
 
@@ -306,10 +398,10 @@ def _unused_suppressions(modules, used_by_path, selected_ids):
 
     An id-ful suppression is unused when its id was selected this run
     and filtered nothing on its line.  A blanket ignore is judged only
-    when the full registry ran (a subset run cannot prove it stale).
+    when every rule ran (a subset run cannot prove it stale).
     This check deliberately bypasses suppression filtering.
     """
-    check_blanket = selected_ids >= {r.rule_id for r in all_rules()}
+    check_blanket = selected_ids >= {r.rule_id for r in RULES}
     violations = []
     for module in modules:
         if module.parse_error is not None:
@@ -354,10 +446,10 @@ def _unused_suppressions(modules, used_by_path, selected_ids):
 def analyze_paths(paths, rules=None):
     """Lint ``paths`` (files or directories) and return sorted violations.
 
-    ``rules=None`` means every registered rule.
+    ``rules=None`` means every rule.
     """
     if rules is None:
-        rules = all_rules()
+        rules = RULES
     selected_ids = {rule.rule_id for rule in rules}
     modules = [SourceModule.from_path(p) for p in collect_files(paths)]
     project = Project(modules)

@@ -1,4 +1,4 @@
-"""Import extraction and the DESIGN.md layer map.
+"""Import extraction, name chains and the DESIGN.md layer map.
 
 The simulator is layered (DESIGN.md): each package may import its own
 layer or below, never above.  ``repro/__init__.py`` and
@@ -16,7 +16,6 @@ new top-level packages must be placed in a layer explicitly.
 """
 
 import ast
-from dataclasses import dataclass
 
 ROOT_PACKAGE = "repro"
 
@@ -46,13 +45,16 @@ def subpackage(module_name):
     return sub
 
 
-@dataclass(frozen=True)
-class ImportedName:
-    """One imported module reference with its source location."""
-
-    module: str
-    line: int
-    col: int
+def dotted(node):
+    """``a.b.c`` attribute chain as a list of names, or ``None``."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return list(reversed(parts))
+    return None
 
 
 def resolve_relative(module_name, level, target):
@@ -72,88 +74,36 @@ def resolve_relative(module_name, level, target):
 
 
 def module_imports(module):
-    """Every module imported by ``module``, as :class:`ImportedName`."""
-    if module.tree is None:
-        return []
+    """``(imported module name, import node)`` per module ``module``
+    imports, read from its import bucket."""
     found = []
-    for node in ast.walk(module.tree):
+    for node in module.imports:
         if isinstance(node, ast.Import):
-            for alias in node.names:
-                found.append(
-                    ImportedName(alias.name, node.lineno, node.col_offset + 1)
-                )
-        elif isinstance(node, ast.ImportFrom):
+            found.extend((alias.name, node) for alias in node.names)
+        else:
             target = resolve_relative(
                 module.module, node.level, node.module or ""
             )
             if target:
-                found.append(
-                    ImportedName(target, node.lineno, node.col_offset + 1)
-                )
+                found.append((target, node))
     return found
 
 
-def package_graph(project):
+def package_graph(modules):
     """Directed ``repro`` subpackage graph: edges importer -> imported.
 
     Returns ``{subpackage: {imported_subpackage, ...}}`` with self-edges
-    removed; cached on the project.
+    removed.
     """
-
-    def build():
-        graph = {}
-        for module in project.modules:
-            src = subpackage(module.module)
-            if src is None:
-                continue
-            edges = graph.setdefault(src, set())
-            for imported in module_imports(module):
-                dst = subpackage(imported.module)
-                if dst is not None and dst != src:
-                    edges.add(dst)
-                    graph.setdefault(dst, set())
-        return graph
-
-    return project.cached("package_graph", build)
-
-
-def cyclic_packages(project):
-    """Subpackages on an import cycle (members of any SCC of size > 1)."""
-
-    def build():
-        graph = package_graph(project)
-        index = {}
-        lowlink = {}
-        on_stack = set()
-        stack = []
-        cyclic = set()
-        counter = [0]
-
-        def strongconnect(node):
-            index[node] = lowlink[node] = counter[0]
-            counter[0] += 1
-            stack.append(node)
-            on_stack.add(node)
-            for succ in sorted(graph.get(node, ())):
-                if succ not in index:
-                    strongconnect(succ)
-                    lowlink[node] = min(lowlink[node], lowlink[succ])
-                elif succ in on_stack:
-                    lowlink[node] = min(lowlink[node], index[succ])
-            if lowlink[node] == index[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                if len(component) > 1:
-                    cyclic.update(component)
-
-        for node in sorted(graph):
-            if node not in index:
-                strongconnect(node)
-        return cyclic
-
-    return project.cached("cyclic_packages", build)
+    graph = {}
+    for module in modules:
+        src = subpackage(module.module)
+        if src is None:
+            continue
+        edges = graph.setdefault(src, set())
+        for name, _ in module_imports(module):
+            dst = subpackage(name)
+            if dst is not None and dst != src:
+                edges.add(dst)
+                graph.setdefault(dst, set())
+    return graph

@@ -1,4 +1,4 @@
-"""Violation reporters: human text, machine JSON, and SARIF 2.1.0."""
+"""Violation reporters: human text and SARIF 2.1.0."""
 
 import json
 import os
@@ -23,24 +23,6 @@ def format_text(violations):
     else:
         lines.append("almanac-lint: clean")
     return "\n".join(lines)
-
-
-def format_json(violations):
-    """A JSON array of violation objects (stable key order)."""
-    return json.dumps(
-        [
-            {
-                "rule": v.rule_id,
-                "path": v.path,
-                "line": v.line,
-                "col": v.col,
-                "message": v.message,
-            }
-            for v in violations
-        ],
-        indent=2,
-        sort_keys=True,
-    )
 
 
 def _sarif_uri(path):

@@ -1,9 +1,2 @@
-"""Built-in rule packs.  Importing this package registers every rule."""
-
-from repro.analysis.rules import (  # noqa: F401  (import-for-effect)
-    determinism,
-    hygiene,
-    layering,
-    observability,
-    suppressions,
-)
+"""Built-in rule packs: each module holds its pack's checks, and
+:data:`repro.analysis.core.RULES` lists them."""

@@ -15,8 +15,6 @@
 
 import ast
 
-from repro.analysis.core import LintRule, register
-
 #: Modules whose job is terminal output.
 PRINT_EXEMPT_MODULES = frozenset(
     {
@@ -29,7 +27,7 @@ PRINT_EXEMPT_MODULES = frozenset(
 
 #: Identifier suffix -> canonical unit.  Time units are distinct from
 #: one another and from size units; multiplying is how you convert, so
-#: only +/-/comparisons are checked.
+#: only +/-/+=/-=/comparisons are checked.
 UNIT_SUFFIXES = {
     "_ns": "ns",
     "_us": "us",
@@ -43,125 +41,84 @@ UNIT_SUFFIXES = {
 _MUTABLE_CALLS = frozenset({"list", "dict", "set", "bytearray"})
 
 
-@register
-class MutableDefaultRule(LintRule):
-    rule_id = "hygiene-mutable-default"
-    pack = "hygiene"
-    description = "mutable default argument ([], {}, set()) aliases state across calls"
-
-    def check(self, module, project):
-        for node in ast.walk(module.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            defaults = list(node.args.defaults) + [
-                d for d in node.args.kw_defaults if d is not None
-            ]
-            for default in defaults:
-                if self._mutable(default):
-                    yield self.violation(
-                        module,
-                        default,
-                        "mutable default argument in %s(); default to None "
-                        "and construct inside the body" % node.name,
-                    )
-
-    @staticmethod
-    def _mutable(node):
-        if isinstance(node, (ast.List, ast.Dict, ast.Set)):
-            return True
-        return (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id in _MUTABLE_CALLS
-            and not node.args
-            and not node.keywords
-        )
-
-
-@register
-class BareExceptRule(LintRule):
-    rule_id = "hygiene-bare-except"
-    pack = "hygiene"
-    description = "bare except swallows KeyboardInterrupt and the typed error taxonomy"
-
-    def check(self, module, project):
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.ExceptHandler) and node.type is None:
-                yield self.violation(
-                    module,
-                    node,
-                    "bare except:; catch a repro.common.errors type (or at "
-                    "least Exception)",
+def mutable_default(module, project):
+    for node in module.defs:
+        defaults = list(node.args.defaults) + [
+            d for d in node.args.kw_defaults if d is not None
+        ]
+        for default in defaults:
+            if _mutable(default):
+                yield default, (
+                    "mutable default argument in %s(); default to None "
+                    "and construct inside the body" % node.name
                 )
 
 
-@register
-class PrintRule(LintRule):
-    rule_id = "hygiene-print"
-    pack = "hygiene"
-    description = "print() in a library module; return values or use stats helpers"
-
-    def check(self, module, project):
-        if module.module in PRINT_EXEMPT_MODULES:
-            return
-        for node in ast.walk(module.tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "print"
-            ):
-                yield self.violation(
-                    module,
-                    node,
-                    "print() in a library module; return the value (only the "
-                    "CLI surface prints)",
-                )
-
-
-@register
-class UnitMixRule(LintRule):
-    rule_id = "hygiene-unit-mix"
-    pack = "hygiene"
-    description = (
-        "adding/comparing operands with different unit suffixes "
-        "(us vs ms, bytes vs KiB)"
+def _mutable(node):
+    if isinstance(node, (ast.List, ast.Dict, ast.Set)):
+        return True
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in _MUTABLE_CALLS
+        and not node.args
+        and not node.keywords
     )
 
-    def check(self, module, project):
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.BinOp) and isinstance(
-                node.op, (ast.Add, ast.Sub)
-            ):
-                pairs = [(node.left, node.right)]
-            elif isinstance(node, ast.Compare):
-                operands = [node.left] + list(node.comparators)
-                pairs = list(zip(operands, operands[1:]))
-            else:
-                continue
-            for left, right in pairs:
-                lunit = self._unit_of(left)
-                runit = self._unit_of(right)
-                if lunit and runit and lunit != runit:
-                    yield self.violation(
-                        module,
-                        node,
-                        "mixed units: %s (%s) combined with %s (%s); convert "
-                        "explicitly (see repro.common.units)"
-                        % (self._name_of(left), lunit, self._name_of(right), runit),
-                    )
 
-    @staticmethod
-    def _name_of(node):
-        if isinstance(node, ast.Name):
-            return node.id
-        if isinstance(node, ast.Attribute):
-            return node.attr
-        return "<expr>"
+def bare_except(module, project):
+    for node in module.handlers:
+        if node.type is None:
+            yield node, (
+                "bare except:; catch a repro.common.errors type (or at "
+                "least Exception)"
+            )
 
-    @classmethod
-    def _unit_of(cls, node):
-        name = cls._name_of(node).lower()
-        for suffix, unit in UNIT_SUFFIXES.items():
-            if name.endswith(suffix):
-                return unit
-        return None
+
+def print_call(module, project):
+    if module.module in PRINT_EXEMPT_MODULES:
+        return
+    for node in module.calls:
+        if isinstance(node.func, ast.Name) and node.func.id == "print":
+            yield node, (
+                "print() in a library module; return the value (only the "
+                "CLI surface prints)"
+            )
+
+
+def unit_mix(module, project):
+    for node in module.arithmetic:
+        if isinstance(node, ast.Compare):
+            operands = [node.left] + list(node.comparators)
+            pairs = list(zip(operands, operands[1:]))
+        elif not isinstance(node.op, (ast.Add, ast.Sub)):
+            continue
+        elif isinstance(node, ast.BinOp):
+            pairs = [(node.left, node.right)]
+        else:  # AugAssign: ``total_us += delay_ms``
+            pairs = [(node.target, node.value)]
+        for left, right in pairs:
+            lunit = _unit_of(left)
+            runit = _unit_of(right)
+            if lunit and runit and lunit != runit:
+                yield node, (
+                    "mixed units: %s (%s) combined with %s (%s); convert "
+                    "explicitly (see repro.common.units)"
+                    % (_name_of(left), lunit, _name_of(right), runit)
+                )
+
+
+def _name_of(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return "<expr>"
+
+
+def _unit_of(node):
+    name = _name_of(node).lower()
+    for suffix, unit in UNIT_SUFFIXES.items():
+        if name.endswith(suffix):
+            return unit
+    return None

@@ -28,7 +28,7 @@ import ast
 import os
 import re
 
-from repro.analysis.core import LintRule, register
+from repro.analysis.imports import dotted
 
 #: Registry factory methods whose first argument names a metric.
 METRIC_FACTORIES = frozenset({"counter", "gauge", "histogram"})
@@ -71,18 +71,6 @@ def _covers(template, name):
     return re.match(pattern, name) is not None
 
 
-def dotted(node):
-    """``a.b.c`` as a list of names, or None for non-trivial chains."""
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return list(reversed(parts))
-    return None
-
-
 def _literal_skeleton(node):
     """The literal template of a metric-name expression, or None."""
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -107,14 +95,11 @@ def _literal_skeleton(node):
 
 def emitted_templates(module):
     """(template, node) per readable metric reference in one module."""
-    if module.tree is None:
-        return
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Call) or not node.args:
-            continue
+    for node in module.calls:
         func = node.func
         if (
-            not isinstance(func, ast.Attribute)
+            not node.args
+            or not isinstance(func, ast.Attribute)
             or func.attr not in METRIC_FACTORIES
         ):
             continue
@@ -160,75 +145,59 @@ def find_catalog(start):
         directory = parent
 
 
-class _Line:
-    def __init__(self, line, col=1):
-        self.line = line
-        self.col = col
+def uncataloged_metric(module, project):
+    for found_module, anchor, message in project.metric_findings:
+        if found_module is module:
+            yield anchor, message
 
 
-@register
-class UncatalogedMetricRule(LintRule):
-    rule_id = "obs-uncataloged-metric"
-    pack = "obs"
-    description = (
-        "every emitted metric name must have a catalog row in "
-        "docs/OBSERVABILITY.md, and every catalog row must still be "
-        "referenced in code"
-    )
+def catalog_findings(project):
+    """``(module, anchor, message)`` per drift between the emitted
+    metric names and the catalog rows, both ways."""
+    registry = project.by_module.get(REGISTRY_MODULE)
+    if registry is None:
+        return []
+    catalog_path = find_catalog(registry.path)
+    if catalog_path is None:
+        return []
+    with open(catalog_path, "r", encoding="utf-8") as handle:
+        rows = parse_catalog(handle.read())
+    catalog = [(_template(name), name, line) for name, line in rows]
+    emitted = []
+    for module in project.modules:
+        for template, node in emitted_templates(module):
+            emitted.append((template, module, node))
 
-    def check(self, module, project):
-        findings = project.cached(
-            "obs_catalog_findings", lambda: self._evaluate(project)
+    findings = []
+    catalog_templates = [entry[0] for entry in catalog]
+    for template, module, node in emitted:
+        if any(_covers(c, template) for c in catalog_templates):
+            continue
+        findings.append(
+            (
+                module,
+                node,
+                "metric `%s` is not in the docs/OBSERVABILITY.md "
+                "catalog; add a row (or rename to a cataloged "
+                "name)" % template,
+            )
         )
-        for found_module, anchor, message in findings:
-            if found_module is module:
-                yield self.violation(module, anchor, message)
 
-    def _evaluate(self, project):
-        registry = project.by_module.get(REGISTRY_MODULE)
-        if registry is None:
-            return []
-        catalog_path = find_catalog(registry.path)
-        if catalog_path is None:
-            return []
-        with open(catalog_path, "r", encoding="utf-8") as handle:
-            rows = parse_catalog(handle.read())
-        catalog = [(_template(name), name, line) for name, line in rows]
-        emitted = []
-        for module in project.modules:
-            for template, node in emitted_templates(module):
-                emitted.append((template, module, node))
-
-        findings = []
-        catalog_templates = [entry[0] for entry in catalog]
-        for template, module, node in emitted:
-            if any(_covers(c, template) for c in catalog_templates):
-                continue
-            findings.append(
-                (
-                    module,
-                    node,
-                    "metric `%s` is not in the docs/OBSERVABILITY.md "
-                    "catalog; add a row (or rename to a cataloged "
-                    "name)" % template,
-                )
+    emitted_templates_all = {entry[0] for entry in emitted}
+    for template, name, line in catalog:
+        if any(
+            _covers(e, template) or _covers(template, e)
+            for e in emitted_templates_all
+        ):
+            continue
+        findings.append(
+            (
+                registry,
+                registry.tree,
+                "catalog row `%s` (docs/OBSERVABILITY.md line "
+                "%d) matches no metric referenced in the "
+                "analyzed tree; delete the row or restore the "
+                "metric" % (name, line),
             )
-
-        emitted_templates_all = {entry[0] for entry in emitted}
-        for template, name, line in catalog:
-            if any(
-                _covers(e, template) or _covers(template, e)
-                for e in emitted_templates_all
-            ):
-                continue
-            findings.append(
-                (
-                    registry,
-                    _Line(1),
-                    "catalog row `%s` (docs/OBSERVABILITY.md line "
-                    "%d) matches no metric referenced in the "
-                    "analyzed tree; delete the row or restore the "
-                    "metric" % (name, line),
-                )
-            )
-        return findings
+        )
+    return findings

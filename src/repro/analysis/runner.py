@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from repro.analysis.core import all_rules, analyze_paths, rules_by_id
-from repro.analysis.reporting import format_json, format_sarif, format_text
+from repro.analysis.reporting import format_sarif, format_text
 
 
 def build_parser():
@@ -30,14 +30,12 @@ def build_parser():
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "sarif"),
         default="text",
         help="report format (default: text)",
     )
     parser.add_argument(
         "--select",
-        "--rules",
-        dest="select",
         help="comma-separated rule ids or pack names to run "
         "(default: every rule)",
     )
@@ -49,7 +47,7 @@ def build_parser():
     parser.add_argument(
         "--list-rules",
         action="store_true",
-        help="list registered rules and exit",
+        help="list every rule and exit",
     )
     parser.add_argument(
         "--stats",
@@ -110,9 +108,7 @@ def main(argv=None):
         return 2
     if args.stats:
         _print_stats(violations, rules)
-    if args.format == "json":
-        print(format_json(violations))
-    elif args.format == "sarif":
+    if args.format == "sarif":
         print(format_sarif(violations, rules))
     else:
         print(format_text(violations))

@@ -2,7 +2,7 @@
 
 Layer 0 (with ``repro.common``): everything above may import ``repro.obs``;
 ``repro.obs`` imports nothing above ``repro.common`` — enforced by the
-``layering-obs-isolated`` almanac-lint rule.
+``layering-order`` almanac-lint rule.
 """
 
 from repro.obs.metrics import Counter, Gauge, LatencyHistogram, MetricsRegistry

@@ -74,6 +74,23 @@ def test_unseeded_random_ctor_flagged(lint):
     assert rule_ids(
         lint("from random import Random\nrng = Random()\n", rules=RULES)
     ) == ["determinism-unseeded-rng"]
+    # SystemRandom reads OS entropy and ignores any seed it is given;
+    # its from-import binds a class, not the global RNG, so only the
+    # construction is flagged.
+    source = (
+        "import random\n"
+        "from random import SystemRandom\n"
+        "a = random.SystemRandom()\n"
+        "b = random.SystemRandom(42)\n"
+        "c = SystemRandom()\n"
+    )
+    violations = lint(source, rules=RULES)
+    assert [(v.rule_id, v.line) for v in violations] == [
+        ("determinism-unseeded-rng", 3),
+        ("determinism-unseeded-rng", 4),
+        ("determinism-unseeded-rng", 5),
+    ]
+    assert "ignores any seed" in violations[0].message
 
 
 def test_seeded_random_is_clean(lint):

@@ -83,3 +83,18 @@ def test_same_unit_and_conversion_arithmetic_clean(lint):
         "attr = self.start_us - other.end_us\n"
     )
     assert lint(source, rules=RULES) == []
+
+
+def test_unit_mix_in_augmented_assignment_flagged(lint):
+    source = (
+        "total_us += delay_ms\n"
+        "budget_bytes -= page_kib\n"
+        "total_us += delay_us\n"  # same unit: fine
+        "scale_us *= factor_ms\n"  # multiplying converts: allowed
+    )
+    violations = lint(source, rules=RULES)
+    assert [(v.rule_id, v.line) for v in violations] == [
+        ("hygiene-unit-mix", 1),
+        ("hygiene-unit-mix", 2),
+    ]
+    assert "total_us (us) combined with delay_ms (ms)" in violations[0].message

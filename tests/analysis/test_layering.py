@@ -1,5 +1,6 @@
-"""Layering pack: import order, the FTL flash monopoly, cycles, and
-private names across packages."""
+"""Layering pack: import order (which also keeps ``repro.obs`` below
+every layer it observes), the FTL flash monopoly, cycles, and private
+names across packages."""
 
 from tests.analysis.conftest import rule_ids
 
@@ -109,9 +110,9 @@ def test_acyclic_same_layer_imports_not_cyclic(lint_package):
 def test_obs_importing_flash_flagged(lint_package):
     violations = lint_package(
         {"repro.obs.rogue": "from repro.flash.device import FlashDevice\n"},
-        rules=["layering-obs-isolated"],
+        rules=["layering-order"],
     )
-    assert rule_ids(violations) == ["layering-obs-isolated"]
+    assert rule_ids(violations) == ["layering-order"]
     assert "obs" in violations[0].message
 
 
@@ -123,11 +124,11 @@ def test_obs_importing_ftl_and_timessd_flagged(lint_package):
                 "import repro.timessd.ssd\n"
             )
         },
-        rules=["layering-obs-isolated"],
+        rules=["layering-order"],
     )
     assert rule_ids(violations) == [
-        "layering-obs-isolated",
-        "layering-obs-isolated",
+        "layering-order",
+        "layering-order",
     ]
 
 
@@ -139,7 +140,7 @@ def test_obs_importing_common_and_obs_clean(lint_package):
                 "from repro.obs.metrics import MetricsRegistry\n"
             )
         },
-        rules=["layering-obs-isolated"],
+        rules=["layering-order"],
     )
     assert violations == []
 
@@ -257,7 +258,7 @@ def test_private_name_the_callers_package_also_defines_clean(lint_package):
 
 
 def test_real_obs_package_is_isolated():
-    """The shipped obs package itself must satisfy the isolation rule."""
+    """The shipped obs package itself imports nothing above layer 0."""
     import os
 
     from repro.analysis.core import analyze_paths, rules_by_id
@@ -266,6 +267,6 @@ def test_real_obs_package_is_isolated():
 
     package_dir = os.path.dirname(repro.obs.__file__)
     violations = analyze_paths(
-        [package_dir], rules_by_id(["layering-obs-isolated"])
+        [package_dir], rules_by_id(["layering-order"])
     )
     assert violations == []

@@ -5,7 +5,7 @@ a scratch copy of the real ``src/repro`` tree, and names the rule that
 must catch it.  The copy is linted with only the claimed rule selected,
 so a row proves that *this rule* sees *this bug* in the code as it is
 today — not in a synthetic fixture shaped to fit the rule.  The last
-test closes the loop: every registered rule id is either claimed by a
+test closes the loop: every rule id in the table is either claimed by a
 row or listed in :data:`UNSEEDED` with a written reason.  A rule nobody
 can write a row for polices nothing; deleting it is licensed by this
 file staying green (docs/ANALYSIS.md, "How a rule earns its place").
@@ -145,7 +145,7 @@ MUTATIONS = (
         "        self.ssd.device.erase_block(command.slba, 0)\n",
     ),
     seed(
-        "layering-obs-isolated",  # the observer reaching up into flash
+        "layering-order",  # the observer reaching up into flash
         "obs/metrics.py",
         "from repro.common.errors import ReproError\n",
         "from repro.common.errors import ReproError\n"
@@ -779,7 +779,7 @@ FIRMWARE_MUTATIONS = (
 )
 
 #: Rules no row claims, each with the reason seeding it is impractical.
-#: Empty today: every registered rule catches a seeded bug.
+#: Empty today: every rule catches a seeded bug.
 UNSEEDED = {}
 
 
