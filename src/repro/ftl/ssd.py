@@ -303,7 +303,11 @@ class BaseSSD:
         """Admit one request's ``npages`` reads from ``start_lpa`` in
         order, each at the previous page's completion; returns
         ``(list_of_data, complete_us)``.  A range crossing the device
-        end is refused before its first page."""
+        end is refused before its first page (a one-page request by
+        :meth:`serve_read_at`'s own check: one check per request)."""
+        if npages == 1:
+            data, t = self.serve_read_at(start_lpa, arrival_us)
+            return [data], t
         self.check_lpa_range(start_lpa, npages)
         out = []
         t = arrival_us

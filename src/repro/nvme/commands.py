@@ -9,7 +9,7 @@ readable the model names them (``slba``, ``nlb``, ``t``, ``t2``,
 """
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class Opcode(enum.IntEnum):
@@ -56,7 +56,7 @@ class StatusCode(enum.IntEnum):
     DEGRADED_READ_ONLY = 0xC1
 
 
-@dataclass
+@dataclass(slots=True)
 class NVMeCommand:
     """One submission-queue entry."""
 
@@ -71,7 +71,7 @@ class NVMeCommand:
     admin: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class NVMeCompletion:
     """One completion-queue entry."""
 

@@ -49,36 +49,43 @@ class NVMeController:
         #: Shared with the SSD: per-opcode counts/latencies and
         #: per-status counts land in the device's metrics registry.
         self.obs = ssd.obs
-        #: ``(opcode name, status) -> (op counter, status counter,
-        #: latency histogram or None)``, resolved on first completion.
+        #: ``(opcode type, opcode, status) -> (opcode name, op counter,
+        #: status counter, latency histogram or None)``, resolved on first
+        #: completion; every opcode outside the two enums is ``None``.
         self._completion_metrics = {}
 
     # --- Completion accounting -------------------------------------------------
 
     def _complete(self, command, completion, t_us):
         """Record metrics/trace for a completion at ``t_us``; returns it."""
-        opcode = getattr(command.opcode, "name", str(command.opcode))
+        opcode = command.opcode
+        if type(opcode) not in (Opcode, AdminOpcode):
+            opcode = None  # one INVALID name for whatever a host makes up
         status = completion.status
-        resolved = self._completion_metrics.get((opcode, status))
+        # The type is part of the key: READ and GET_LOG_PAGE are both 2.
+        key = (type(opcode), opcode, status)
+        resolved = self._completion_metrics.get(key)
         if resolved is None:
+            name = "INVALID" if opcode is None else opcode.name
             metrics = self.obs.metrics
-            resolved = self._completion_metrics[opcode, status] = (
-                metrics.counter("nvme.op.%s" % opcode),
+            resolved = self._completion_metrics[key] = (
+                name,
+                metrics.counter("nvme.op.%s" % name),
                 metrics.counter("nvme.status.%s" % status.name),
-                metrics.histogram("nvme.op.%s_us" % opcode)
+                metrics.histogram("nvme.op.%s_us" % name)
                 if status is StatusCode.SUCCESS
                 else None,
             )
-        op_count, status_count, latency = resolved
-        op_count.inc()
-        status_count.inc()
+        name, op_count, status_count, latency = resolved
+        op_count.value += 1
+        status_count.value += 1
         if latency is not None:
             latency.record(completion.latency_us)
         tr = self.obs.trace
         if tr.enabled:
             tr.emit(
                 "nvme",
-                opcode,
+                name,
                 t_us,
                 status=status.name,
                 latency_us=completion.latency_us,
@@ -144,7 +151,7 @@ class NVMeController:
         ssd = self.ssd
         opcode = command.opcode
         if opcode == Opcode.READ:  # tested first: the common case
-            self._check_range(command)
+            _check_fields(command)  # serve_reads_at checks the range
             return ssd.serve_reads_at(command.slba, command.nlb, start_us)
         if opcode == Opcode.FLUSH:
             return 0, start_us  # writes are durable on completion in this model
@@ -184,12 +191,8 @@ class NVMeController:
     # --- Vendor commands ---------------------------------------------------------
 
     def _check_range(self, command):
-        slba = command.slba
-        nlb = command.nlb
-        # ``type(...) is int`` refuses bools and non-integers alike.
-        if type(slba) is not int or type(nlb) is not int or nlb < 1:
-            raise _InvalidField()
-        self.ssd.check_lpa_range(slba, nlb)
+        _check_fields(command)
+        self.ssd.check_lpa_range(command.slba, command.nlb)
 
     def _check_payload(self, command):
         """Refuse a WRITE payload before any of its pages is admitted:
@@ -277,6 +280,13 @@ class _InvalidOpcode(Exception):
 
 class _InvalidField(Exception):
     pass
+
+
+def _check_fields(command):
+    """An LBA range is plain ints, at least one block long."""
+    # ``type(...) is int`` refuses bools and non-integers alike.
+    if type(command.slba) is not int or type(command.nlb) is not int or command.nlb < 1:
+        raise _InvalidField()
 
 
 def _check_vendor_fields(command):

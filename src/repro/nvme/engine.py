@@ -45,12 +45,15 @@ class AsyncNVMeEngine:
         self.pairs = [QueuePair(i) for i in range(queue_pairs)]
         self.obs = ssd.obs
         self._next_cid = 0
+        #: The first cid the next :meth:`pump` returns.
+        self._pumped = 0
         self._inflight = 0
         #: High-water mark of commands simultaneously in flight across
         #: all pairs — the overlap-invariant tests' witness that QD > 1
         #: produces real concurrency, not just reordering.
         self.inflight_max = 0
         self.daemons = []
+        #: Every pump's ring entries ``(cid, completion, t_us)``, in post order.
         self._log = []
 
     # --- Host side --------------------------------------------------------
@@ -69,13 +72,12 @@ class AsyncNVMeEngine:
 
     def enqueue(self, commands):
         """Push commands onto the rings round-robin; returns their cids."""
-        cids = []
-        for command in commands:
-            cid = self._next_cid
-            self._next_cid += 1
-            self.pairs[cid % len(self.pairs)].push(cid, command)
-            cids.append(cid)
-        return cids
+        first = self._next_cid
+        pairs = self.pairs
+        for cid, command in enumerate(commands, first):
+            pairs[cid % len(pairs)].push(cid, command)
+            self._next_cid = cid + 1
+        return list(range(first, self._next_cid))
 
     def pump(self):
         """Drain every ring to completion under the event loop.
@@ -84,7 +86,8 @@ class AsyncNVMeEngine:
         quiescence, and returns ``(completions, elapsed_us)`` with
         completions in *submission* (cid) order — the per-ring
         completion-order record stays available via
-        :meth:`completion_log`.
+        :meth:`completion_log`.  A pump that raised ends the engine: the
+        command that raised never posts.
         """
         arrival = self.loop.now_us
         for pair in self.pairs:
@@ -96,21 +99,24 @@ class AsyncNVMeEngine:
                     root="host-serve",
                 )
         self.loop.run()
-        entries = []
+        # This pump's cids are consecutive from the first one enqueued
+        # since the last pump: each completion has its slot, no sort.
+        first, self._pumped = self._pumped, self._next_cid
+        completions = [None] * (self._next_cid - first)
         end = arrival
         for pair in self.pairs:
-            for cid, completion, t_us in pair.pop_completions():
-                entries.append((cid, completion, t_us))
-                self._log.append((cid, completion.status, t_us))
+            posted = pair.pop_completions()
+            self._log.extend(posted)
+            for cid, completion, t_us in posted:
+                completions[cid - first] = completion
                 if t_us > end:
                     end = t_us
-        entries.sort(key=lambda entry: entry[0])
         self.ssd.clock.advance_to(end)
         metrics = self.obs.metrics
         metrics.gauge("nvme.engine.inflight_max").set(self.inflight_max)
         metrics.gauge("nvme.engine.events").set(self.loop.events_dispatched)
         metrics.gauge("nvme.engine.tasks").set(self.loop.tasks_spawned)
-        return [completion for _cid, completion, _t in entries], end - arrival
+        return completions, end - arrival
 
     def process(self, commands):
         """Enqueue then pump: the one-call submission path."""
@@ -119,24 +125,24 @@ class AsyncNVMeEngine:
 
     def completion_log(self):
         """(cid, status, t_us) triples in the order completions posted."""
-        return list(self._log)
+        return [(cid, completion.status, t_us) for cid, completion, t_us in self._log]
 
     # --- Device side ------------------------------------------------------
 
     def _slot_worker(self, pair):
         """One queue slot: fetch, apply, occupy device time, post."""
-        loop = self.loop
-        while True:
-            entry = pair.fetch()
-            if entry is None:
-                return
-            cid, command = entry
+        clock = self.loop.clock
+        execute_io = self.controller.execute_io
+        sq = pair.sq
+        post = pair.post
+        while sq:
+            cid, command = sq.popleft()
             self._inflight += 1
             if self._inflight > self.inflight_max:
                 self.inflight_max = self._inflight
-            start = loop.now_us
-            completion, end = self.controller.execute_io(command, start)
+            start = clock.now_us
+            completion, end = execute_io(command, start)
             if end > start:
                 yield At(end)
             self._inflight -= 1
-            pair.post(cid, completion, loop.now_us)
+            post(cid, completion, clock.now_us)

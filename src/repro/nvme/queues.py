@@ -2,10 +2,11 @@
 
 A :class:`QueuePair` is the host↔device ring pair of the spec, reduced
 to what the simulation needs: the host pushes ``(cid, command)``
-entries onto the submission ring, the device's slot workers fetch them
-in order, and completions land on the completion ring *in completion
-order* — which under the event-driven engine is genuinely different
-from submission order once commands overlap.
+entries onto the submission ring (a deque), the device's slot workers
+pop them from its left in order, and completions land on the
+completion ring *in completion order* — which under the event-driven
+engine is genuinely different from submission order once commands
+overlap.
 """
 
 from collections import deque
@@ -29,12 +30,6 @@ class QueuePair:
         self.sq.append((cid, command))
         self.submitted += 1
 
-    def fetch(self):
-        """Device side: take the oldest submission, or None if empty."""
-        if not self.sq:
-            return None
-        return self.sq.popleft()
-
     def post(self, cid, completion, t_us):
         """Device side: append a completion entry at time ``t_us``."""
         self.cq.append((cid, completion, t_us))
@@ -45,11 +40,6 @@ class QueuePair:
         entries = self.cq
         self.cq = []
         return entries
-
-    @property
-    def outstanding(self):
-        """Submissions fetched but not yet completed."""
-        return self.submitted - self.posted - len(self.sq)
 
     def __repr__(self):
         return "QueuePair(%d, sq=%d, cq=%d)" % (

@@ -173,16 +173,11 @@ class EventLoop:
         if not daemon:
             self._live += 1
         start = self.now_us if at_us is None else max(self.now_us, at_us)
-        self._push(task, start)
+        self._seq += 1
+        tie = self._tie.key(start, self._seq)
+        heapq.heappush(self._heap, (start, tie, self._seq, task))
         self._trace("task-spawn", start, task=name, root=root)
         return task
-
-    def _push(self, task, t_us):
-        self._seq += 1
-        heapq.heappush(
-            self._heap,
-            (t_us, self._tie.key(t_us, self._seq), self._seq, task),
-        )
 
     # --- Running ----------------------------------------------------------
 
@@ -192,38 +187,43 @@ class EventLoop:
         With ``until_us`` the loop additionally stops before dispatching
         any event past that time (the event stays queued).  Returns the
         number of events dispatched by this call.
+
+        One event resumes one task and queues its next one, inline: this
+        is the simulator's innermost loop.
         """
-        dispatched = 0
-        while self._heap and self._live > 0:
-            entry = self._heap[0]
-            if until_us is not None and entry[0] > until_us:
+        heap = self._heap
+        heappop, heappush = heapq.heappop, heapq.heappush
+        clock = self.clock
+        advance_to = clock.advance_to
+        # FIFO's key is the constant 0: skip the call, keep the value.
+        key = None if type(self._tie) is FifoTieBreak else self._tie.key
+        before = self.events_dispatched
+        while heap and self._live > 0:
+            t_us, _tie, _seq, task = heap[0]
+            if until_us is not None and t_us > until_us:
                 break
-            heapq.heappop(self._heap)
-            t_us, _tie, _seq, task = entry
+            heappop(heap)
             if task.done:
                 continue
-            self.clock.advance_to(t_us)
+            advance_to(t_us)
             self.events_dispatched += 1
-            dispatched += 1
-            self._step(task)
-        return dispatched
-
-    def _step(self, task):
-        """Resume one task and interpret the instruction it yields."""
-        try:
-            instruction = next(task.gen)
-        except StopIteration as stop:
-            self._finish(task, stop.value)
-            return
-        if isinstance(instruction, Delay):
-            self._push(task, self.now_us + instruction.delta_us)
-        elif isinstance(instruction, At):
-            self._push(task, max(self.now_us, instruction.t_us))
-        else:
-            raise SchedulerError(
-                "task %s yielded %r; tasks must yield a wait instruction"
-                % (task.name, instruction)
-            )
+            try:
+                instruction = next(task.gen)
+            except StopIteration as stop:
+                self._finish(task, stop.value)
+                continue
+            if isinstance(instruction, At):
+                t_us = max(clock.now_us, instruction.t_us)
+            elif isinstance(instruction, Delay):
+                t_us = clock.now_us + instruction.delta_us
+            else:
+                raise SchedulerError(
+                    "task %s yielded %r; tasks must yield a wait instruction"
+                    % (task.name, instruction)
+                )
+            seq = self._seq = self._seq + 1
+            heappush(heap, (t_us, 0 if key is None else key(t_us, seq), seq, task))
+        return self.events_dispatched - before
 
     def _finish(self, task, result):
         if task.daemon:

@@ -72,6 +72,28 @@ class TestStandardIO:
         completion = driver.controller.submit(NVMeCommand(opcode=0x55))
         assert completion.status is StatusCode.INVALID_OPCODE
 
+    @pytest.mark.parametrize("route", ["submit", "submit_async"])
+    def test_a_made_up_opcode_mints_no_metric_name(self, driver, route):
+        # The registry is the device's: a host choosing opcode values must
+        # not choose metric names.  Every non-enum opcode is one INVALID.
+        metrics = driver.controller.obs.metrics
+        made_up = [NVMeCommand(op) for op in (0x55, 0x56, 0xFF, "x", None)]
+        if route == "submit":
+            completions = [driver.controller.submit(c) for c in made_up]
+        else:
+            completions, _ = driver.submit_async(made_up, queue_pairs=2)
+        assert {c.status for c in completions} == {StatusCode.INVALID_OPCODE}
+        names = {n for n in metrics.names() if n.startswith("nvme.op.")}
+        assert names == {"nvme.op.INVALID"}
+        assert metrics.get("nvme.op.INVALID").value == len(made_up)
+        # An enum member still names its own counter, and READ and
+        # GET_LOG_PAGE (both opcode 2) stay apart.
+        driver.read(0)
+        driver.smart_log()
+        assert metrics.get("nvme.op.READ").value == 1
+        assert metrics.get("nvme.op.GET_LOG_PAGE").value == 1
+        assert metrics.get("nvme.op.INVALID").value == len(made_up)
+
 
 class TestMalformedFields:
     @pytest.mark.parametrize("route", ["submit", "submit_async"])

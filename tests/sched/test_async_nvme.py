@@ -66,6 +66,51 @@ class TestOutOfOrderCompletion:
         )
         assert [c.result[0] for c in completions] == payloads
 
+    def test_each_pump_returns_its_own_commands_in_cid_order(self):
+        # A pump places each completion at its cid minus the pump's first
+        # cid, with no sort: the second pump here starts at cid 7, its
+        # commands alternate between two rings, and on each ring fast
+        # reads post before slow writes queued ahead of them.
+        ssd = make_regular_ssd()
+        engine = AsyncNVMeEngine(ssd, queue_depth=3, queue_pairs=2)
+        posts = {pair.index: [] for pair in engine.pairs}
+        for pair in engine.pairs:
+            def post(cid, completion, t_us, real=pair.post, log=posts[pair.index]):
+                log.append((cid, completion.status, t_us))
+                real(cid, completion, t_us)
+
+            pair.post = post
+        expected_log = []
+        first = [
+            NVMeCommand(Opcode.WRITE, slba=i, nlb=1, data=[b"a%d" % i])
+            for i in range(7)
+        ]
+        done, _ = engine.process(first)
+        assert [c.result for c in done] == [1] * 7
+        expected_log += posts[0] + posts[1]
+        for ring in posts.values():
+            ring.clear()
+        # Two writes, two reads, ...: each ring gets writes and reads.
+        reads = [k for k in range(14) if k // 2 % 2]
+        second = [
+            NVMeCommand(Opcode.READ, slba=k % 7, nlb=1)
+            if k in reads
+            else NVMeCommand(Opcode.WRITE, slba=20 + k, nlb=1)
+            for k in range(14)
+        ]
+        assert engine.enqueue(second) == list(range(7, 21))
+        completions, _ = engine.pump()
+        assert [c.result for c in completions] == [
+            [b"a%d" % (k % 7)] if k in reads else 1 for k in range(14)
+        ]
+        for ring in posts.values():
+            cids = [cid for cid, _status, _t in ring]
+            assert len(cids) == 7 and cids != sorted(cids)
+        # The log keeps every pump's entries, ring by ring in post order,
+        # as (cid, status, t_us) triples.
+        expected_log += posts[0] + posts[1]
+        assert engine.completion_log() == expected_log
+
     def test_inflight_overlap_at_depth(self):
         ssd = make_regular_ssd()
         engine = AsyncNVMeEngine(ssd, queue_depth=4)
