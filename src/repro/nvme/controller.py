@@ -18,8 +18,7 @@ from repro.common.errors import (
     RetentionViolationError,
     UncorrectableReadError,
 )
-from repro.flash.page import NULL_PPA
-from repro.nvme.commands import AdminOpcode, NVMeCommand, NVMeCompletion, Opcode, StatusCode
+from repro.nvme.commands import AdminOpcode, NVMeCompletion, Opcode, StatusCode
 from repro.timekits.api import TimeKits
 from repro.timessd.ssd import TimeSSD
 
@@ -33,6 +32,17 @@ class IdentifyData:
     page_size: int
     retention_floor_us: int
     time_travel: bool
+
+
+_RANGE = ("slba", "nlb")
+
+
+def _vendor(method):
+    """A vendor command's handler: the TimeKits method named ``method``
+    over the command's fields, in table order; it advances the clock
+    itself.  Looked up per call, so a wrapper later installed on the
+    class (the ledger's tracing spans) still sees the call."""
+    return lambda controller, *args: getattr(controller._kits, method)(*args).value
 
 
 class NVMeController:
@@ -49,34 +59,41 @@ class NVMeController:
         #: Shared with the SSD: per-opcode counts/latencies and
         #: per-status counts land in the device's metrics registry.
         self.obs = ssd.obs
-        #: ``(opcode type, opcode, status) -> (opcode name, op counter,
-        #: status counter, latency histogram or None)``, resolved on first
-        #: completion; every opcode outside the two enums is ``None``.
+        #: ``(opcode name, status) -> (op counter, status counter, latency
+        #: histogram or None)``, resolved on first completion.
         self._completion_metrics = {}
+        #: The commands this device decodes: :attr:`_COMMANDS` with each
+        #: member's name, less the vendor opcodes (0xC0 up) when no
+        #: TimeKits engine is behind them; the queued route takes the
+        #: I/O rows only.
+        self._serial = {
+            key: (handler, fields, queued, key[1].name)
+            for key, (handler, fields, queued) in self._COMMANDS.items()
+            if self._kits is not None or key[1] < 0xC0
+        }
+        self._queued = {key: row for key, row in self._serial.items() if row[2]}
 
     # --- Completion accounting -------------------------------------------------
 
-    def _complete(self, command, completion, t_us):
-        """Record metrics/trace for a completion at ``t_us``; returns it."""
-        opcode = command.opcode
-        if type(opcode) not in (Opcode, AdminOpcode):
-            opcode = None  # one INVALID name for whatever a host makes up
+    def _complete(self, name, completion, t_us):
+        """Record metrics/trace for a completion at ``t_us``; returns it.
+
+        ``name`` is the opcode's, or ``INVALID`` for a command the decode
+        refused: a host choosing opcode values must not choose metric
+        names.
+        """
         status = completion.status
-        # The type is part of the key: READ and GET_LOG_PAGE are both 2.
-        key = (type(opcode), opcode, status)
-        resolved = self._completion_metrics.get(key)
+        resolved = self._completion_metrics.get((name, status))
         if resolved is None:
-            name = "INVALID" if opcode is None else opcode.name
             metrics = self.obs.metrics
-            resolved = self._completion_metrics[key] = (
-                name,
+            resolved = self._completion_metrics[name, status] = (
                 metrics.counter("nvme.op.%s" % name),
                 metrics.counter("nvme.status.%s" % status.name),
                 metrics.histogram("nvme.op.%s_us" % name)
                 if status is StatusCode.SUCCESS
                 else None,
             )
-        name, op_count, status_count, latency = resolved
+        op_count, status_count, latency = resolved
         op_count.value += 1
         status_count.value += 1
         if latency is not None:
@@ -97,162 +114,126 @@ class NVMeController:
     def submit(self, command):
         """Process one command synchronously; returns a completion.
 
-        READ/WRITE/DSM/FLUSH are :meth:`execute_io` at the device clock,
-        run to completion; admin and vendor commands advance the clock
-        themselves.
+        I/O commands run from the device clock, which then moves to their
+        end; admin and vendor commands advance the clock themselves.
         """
         clock = self.ssd.clock
-        start = clock.now_us
-        if not command.admin and command.opcode not in self._HANDLERS:
-            completion, end = self.execute_io(command, start)
-            clock.advance_to(end)
-            return completion
-        try:
-            if command.admin:
-                result = self._admin(command)
-            else:
-                _check_vendor_fields(command)
-                result = self._HANDLERS[command.opcode](self, command)
-        except _COMMAND_ERRORS as exc:
-            completion = NVMeCompletion(_status_for(exc))
-        else:
-            completion = NVMeCompletion(
-                StatusCode.SUCCESS, result, latency_us=clock.now_us - start
-            )
-        return self._complete(command, completion, clock.now_us)
+        completion, end = self._execute(command, clock.now_us, self._serial)
+        clock.advance_to(end)
+        return completion
 
     def execute_io(self, command, start_us):
         """Apply one I/O command with its own time cursor.
 
-        The one interpreter of READ/WRITE/DSM/FLUSH, behind both
-        :meth:`submit` and the async engine's slot workers: the command
-        applies as one atomic step starting at ``start_us``, every page
-        of it admitted by the FTL's ``serve_*_at``, and device errors map
-        to NVMe statuses instead of raising.  Returns
-        ``(completion, end_us)``; a failed command completes
+        The queued route: the async engine's slot workers call it, and
+        the command applies as one atomic step starting at ``start_us``.
+        Returns ``(completion, end_us)``; a failed command completes
         immediately, leaving ``end_us == start_us`` so the issuing slot
-        does not lose its cursor.  Vendor commands are refused
+        does not lose its cursor.  Admin and vendor commands are refused
         ``INVALID_OPCODE`` (they are host-serial by nature).
         """
+        return self._execute(command, start_us, self._queued)
+
+    def _execute(self, command, start_us, table):
+        """Decode ``command`` against the route's ``table``, then apply it
+        from ``start_us``; returns ``(completion, end_us)``.  Both routes
+        run this one decode:
+
+        1. *opcode*: a member of its queue's enum, ``AdminOpcode`` when
+           ``admin`` and ``Opcode`` otherwise.  A value equal to a member
+           is not one: ``True`` and ``1.0`` equal WRITE, and READ and
+           GET_LOG_PAGE are both 2.
+        2. *table*: the route's row for ``(queue, member)`` names the
+           handler and the integer fields it reads.
+        3. *fields*: each of those is ``type(x) is int`` (a bool is
+           not), and a range is at least one block long.
+
+        A command the decode refuses completes ``INVALID_OPCODE`` or
+        ``INVALID_FIELD`` before the FTL is touched.  Every page a
+        handler applies is admitted by the FTL's ``serve_*_at``, and a
+        device error maps to its NVMe status instead of raising.
+        """
+        name = "INVALID"
         end = start_us
         try:
-            result, end = self._apply_io(command, start_us)
+            opcode = command.opcode
+            queue = AdminOpcode if command.admin else Opcode
+            if type(opcode) is not queue:
+                raise _InvalidOpcode()
+            row = table.get((queue, opcode))
+            if row is None:
+                raise _InvalidOpcode()
+            handler, fields, queued, opname = row
+            for field in fields:
+                if type(getattr(command, field)) is not int:
+                    raise _InvalidField()
+            if "nlb" in fields and command.nlb < 1:
+                raise _InvalidField()
+            name = opname
+            if queued:
+                result, end = handler(self, command, start_us)
+            else:
+                args = [getattr(command, field) for field in fields]
+                if "nlb" in fields:  # the one bounds rule, before TimeKits
+                    self.ssd.check_lpa_range(args[0], args[1])
+                result = handler(self, *args)
+                end = self.ssd.clock.now_us
         except _COMMAND_ERRORS as exc:
             completion = NVMeCompletion(_status_for(exc))
         else:
             completion = NVMeCompletion(
                 StatusCode.SUCCESS, result, latency_us=end - start_us
             )
-        return self._complete(command, completion, end), end
+        return self._complete(name, completion, end), end
 
-    def _apply_io(self, command, start_us):
-        """Apply one I/O command starting at ``start_us``; returns
-        ``(result, complete_us)``."""
+    # --- I/O commands: ``(command, start_us) -> (result, end_us)`` ------------
+
+    def _read(self, command, start_us):
+        return self.ssd.serve_reads_at(command.slba, command.nlb, start_us)
+
+    def _write(self, command, start_us):
+        """Every page is checked before the first is admitted: the range,
+        then one page per LBA, each one the device can store."""
         ssd = self.ssd
-        opcode = command.opcode
-        if opcode == Opcode.READ:  # tested first: the common case
-            _check_fields(command)  # serve_reads_at checks the range
-            return ssd.serve_reads_at(command.slba, command.nlb, start_us)
-        if opcode == Opcode.FLUSH:
-            return 0, start_us  # writes are durable on completion in this model
-        if opcode != Opcode.WRITE and opcode != Opcode.DSM:
-            raise _InvalidOpcode()
-        self._check_range(command)
-        if opcode == Opcode.WRITE:
-            self._check_payload(command)
-            lbas = range(command.slba, command.slba + command.nlb)
-            return command.nlb, ssd.serve_writes_at(lbas, command.data, start_us)
-        ssd.serve_trims_at(command.slba, command.nlb, start_us)
+        slba, nlb, data = command.slba, command.nlb, command.data
+        ssd.check_lpa_range(slba, nlb)
+        if data is not None:  # None: token pages; a REAL device refuses the first
+            if not isinstance(data, (list, tuple)) or len(data) != nlb:
+                raise _InvalidField()
+            if ssd.host_page_bytes is not None:
+                for i, page in enumerate(data):
+                    ssd.check_host_page(slba + i, page)
+        return nlb, ssd.serve_writes_at(range(slba, slba + nlb), data, start_us)
+
+    def _trim(self, command, start_us):
+        self.ssd.serve_trims_at(command.slba, command.nlb, start_us)
         return command.nlb, start_us
 
-    # --- Admin commands ---------------------------------------------------------
+    def _flush(self, command, start_us):
+        return 0, start_us  # writes are durable on completion in this model
 
-    def _admin(self, command):
-        if command.opcode == AdminOpcode.IDENTIFY:
-            return IdentifyData(
-                model="TimeSSD" if self._kits else "RegularSSD",
-                logical_pages=self.ssd.logical_pages,
-                page_size=self.ssd.device.geometry.page_size,
-                retention_floor_us=getattr(
-                    self.ssd.config, "retention_floor_us", 0
-                ),
-                time_travel=self._kits is not None,
-            )
-        if command.opcode == AdminOpcode.GET_LOG_PAGE:
-            return {
-                "host_pages_written": self.ssd.host_pages_written,
-                "host_pages_read": self.ssd.host_pages_read,
-                "write_amplification": self.ssd.write_amplification,
-                "gc_runs": self.ssd.gc_runs,
-                "background_gc_runs": self.ssd.background_gc_runs,
-            }
-        raise _InvalidOpcode()
+    # --- Admin commands: ``() -> result`` ---------------------------------------
 
-    # --- Vendor commands ---------------------------------------------------------
+    def _identify(self):
+        return IdentifyData(
+            model="TimeSSD" if self._kits else "RegularSSD",
+            logical_pages=self.ssd.logical_pages,
+            page_size=self.ssd.device.geometry.page_size,
+            retention_floor_us=getattr(self.ssd.config, "retention_floor_us", 0),
+            time_travel=self._kits is not None,
+        )
 
-    def _check_range(self, command):
-        _check_fields(command)
-        self.ssd.check_lpa_range(command.slba, command.nlb)
+    def _get_log_page(self):
+        return {
+            "host_pages_written": self.ssd.host_pages_written,
+            "host_pages_read": self.ssd.host_pages_read,
+            "write_amplification": self.ssd.write_amplification,
+            "gc_runs": self.ssd.gc_runs,
+            "background_gc_runs": self.ssd.background_gc_runs,
+        }
 
-    def _check_payload(self, command):
-        """Refuse a WRITE payload before any of its pages is admitted:
-        one page per LBA, each one the device can store."""
-        data = command.data
-        if data is None:
-            return  # token pages; a REAL device refuses the first one
-        if not isinstance(data, (list, tuple)) or len(data) != command.nlb:
-            raise _InvalidField()
+    def _retention_info(self):
         ssd = self.ssd
-        if ssd.host_page_bytes is not None:
-            for i, page in enumerate(data):
-                ssd.check_host_page(command.slba + i, page)
-
-    def _require_kits(self):
-        if self._kits is None:
-            raise _InvalidOpcode()
-        return self._kits
-
-    def _op_addr_query(self, command):
-        self._check_range(command)
-        return self._require_kits().addr_query(
-            command.slba, command.nlb, command.t, threads=command.threads
-        ).value
-
-    def _op_addr_query_range(self, command):
-        self._check_range(command)
-        return self._require_kits().addr_query_range(
-            command.slba, command.nlb, command.t, command.t2, threads=command.threads
-        ).value
-
-    def _op_addr_query_all(self, command):
-        self._check_range(command)
-        return self._require_kits().addr_query_all(
-            command.slba, command.nlb, threads=command.threads
-        ).value
-
-    def _op_time_query(self, command):
-        return self._require_kits().time_query(command.t, threads=command.threads).value
-
-    def _op_time_query_range(self, command):
-        return self._require_kits().time_query_range(
-            command.t, command.t2, threads=command.threads
-        ).value
-
-    def _op_time_query_all(self, command):
-        return self._require_kits().time_query_all(threads=command.threads).value
-
-    def _op_rollback(self, command):
-        self._check_range(command)
-        return self._require_kits().rollback(
-            command.slba, command.nlb, command.t, threads=command.threads
-        ).value
-
-    def _op_rollback_all(self, command):
-        return self._require_kits().rollback_all(command.t, threads=command.threads).value
-
-    def _op_retention_info(self, command):
-        kits = self._require_kits()
-        ssd = kits.ssd
         return {
             "retention_window_us": ssd.retention_window_us(),
             "retention_floor_us": ssd.config.retention_floor_us,
@@ -261,16 +242,44 @@ class NVMeController:
             "delta_records": ssd.deltas.records_created,
         }
 
-    _HANDLERS = {
-        Opcode.ADDR_QUERY: _op_addr_query,
-        Opcode.ADDR_QUERY_RANGE: _op_addr_query_range,
-        Opcode.ADDR_QUERY_ALL: _op_addr_query_all,
-        Opcode.TIME_QUERY: _op_time_query,
-        Opcode.TIME_QUERY_RANGE: _op_time_query_range,
-        Opcode.TIME_QUERY_ALL: _op_time_query_all,
-        Opcode.ROLLBACK: _op_rollback,
-        Opcode.ROLLBACK_ALL: _op_rollback_all,
-        Opcode.RETENTION_INFO: _op_retention_info,
+    #: The one decode table: ``(queue, member) -> (handler, the integer
+    #: fields it reads, whether the queued route takes it)``.  The queue
+    #: is the member's enum, so READ and GET_LOG_PAGE (both 2) stay
+    #: apart.  A queued handler is ``(command, start_us) -> (result,
+    #: end_us)``; a host-serial one takes the fields' values and returns
+    #: the result.
+    _COMMANDS = {
+        (Opcode, Opcode.READ): (_read, _RANGE, True),
+        (Opcode, Opcode.WRITE): (_write, _RANGE, True),
+        (Opcode, Opcode.DSM): (_trim, _RANGE, True),
+        (Opcode, Opcode.FLUSH): (_flush, (), True),
+        (AdminOpcode, AdminOpcode.IDENTIFY): (_identify, (), False),
+        (AdminOpcode, AdminOpcode.GET_LOG_PAGE): (_get_log_page, (), False),
+        (Opcode, Opcode.RETENTION_INFO): (_retention_info, (), False),
+        (Opcode, Opcode.ADDR_QUERY): (
+            _vendor("addr_query"), _RANGE + ("t", "threads"), False
+        ),
+        (Opcode, Opcode.ADDR_QUERY_RANGE): (
+            _vendor("addr_query_range"), _RANGE + ("t", "t2", "threads"), False
+        ),
+        (Opcode, Opcode.ADDR_QUERY_ALL): (
+            _vendor("addr_query_all"), _RANGE + ("threads",), False
+        ),
+        (Opcode, Opcode.TIME_QUERY): (
+            _vendor("time_query"), ("t", "threads"), False
+        ),
+        (Opcode, Opcode.TIME_QUERY_RANGE): (
+            _vendor("time_query_range"), ("t", "t2", "threads"), False
+        ),
+        (Opcode, Opcode.TIME_QUERY_ALL): (
+            _vendor("time_query_all"), ("threads",), False
+        ),
+        (Opcode, Opcode.ROLLBACK): (
+            _vendor("rollback"), _RANGE + ("t", "threads"), False
+        ),
+        (Opcode, Opcode.ROLLBACK_ALL): (
+            _vendor("rollback_all"), ("t", "threads"), False
+        ),
     }
 
 
@@ -280,20 +289,6 @@ class _InvalidOpcode(Exception):
 
 class _InvalidField(Exception):
     pass
-
-
-def _check_fields(command):
-    """An LBA range is plain ints, at least one block long."""
-    # ``type(...) is int`` refuses bools and non-integers alike.
-    if type(command.slba) is not int or type(command.nlb) is not int or command.nlb < 1:
-        raise _InvalidField()
-
-
-def _check_vendor_fields(command):
-    """A vendor command's timestamps are plain ints (TimeKits checks
-    ``threads`` itself)."""
-    if type(command.t) is not int or type(command.t2) is not int:
-        raise _InvalidField()
 
 
 #: Error to NVMe-status mapping shared by every submission path.

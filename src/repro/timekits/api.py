@@ -51,7 +51,7 @@ def pick_as_of(versions, t):
 def check_threads(threads):
     """``threads`` arrives from the host (the NVMe command's hint): an
     ``int`` >= 1, or :class:`QueryError`."""
-    if not isinstance(threads, int) or threads < 1:
+    if type(threads) is not int or threads < 1:
         raise QueryError("threads must be an int >= 1, got %r" % (threads,))
 
 

@@ -140,8 +140,8 @@ MUTATIONS = (
     seed(
         "layering-flash-api",  # the NVMe layer erasing raw flash on TRIM
         "nvme/controller.py",
-        "        ssd.serve_trims_at(command.slba, command.nlb, start_us)\n",
-        "        ssd.serve_trims_at(command.slba, command.nlb, start_us)\n"
+        "        self.ssd.serve_trims_at(command.slba, command.nlb, start_us)\n",
+        "        self.ssd.serve_trims_at(command.slba, command.nlb, start_us)\n"
         "        self.ssd.device.erase_block(command.slba, 0)\n",
     ),
     seed(
@@ -161,9 +161,9 @@ MUTATIONS = (
     seed(
         "layering-private-cross-package",  # NVMe kicking FTL-private GC
         "nvme/controller.py",
-        "            return ssd.serve_reads_at(command.slba, command.nlb, start_us)\n",
-        "            self.ssd._collect_garbage(start_us)\n"
-        "            return ssd.serve_reads_at(command.slba, command.nlb, start_us)\n",
+        "        return self.ssd.serve_reads_at(command.slba, command.nlb, start_us)\n",
+        "        self.ssd._collect_garbage(start_us)\n"
+        "        return self.ssd.serve_reads_at(command.slba, command.nlb, start_us)\n",
     ),
     # --- obs ------------------------------------------------------------------
     seed(
@@ -226,6 +226,13 @@ FIRMWARE_MUTATIONS = (
         "        start = self._translation_delay(arrival_us)\n",
         "        start = arrival_us\n",
         _PATHS + "test_finite_cache_read_pays_its_translation_io",
+    ),
+    (
+        "nvme/controller.py",  # the decode matching an opcode by value again
+        "            if type(opcode) is not queue:\n",
+        "            if opcode not in list(queue):\n",
+        "tests/nvme/test_nvme.py::TestStandardIO"
+        "::test_a_made_up_opcode_mints_no_metric_name",
     ),
     (
         "ftl/ssd.py",  # a failed program that leaves the device writable

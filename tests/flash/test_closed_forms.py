@@ -439,3 +439,65 @@ def test_a_bus_transfer_overlaps_a_sibling_chips_program(make_device):
     sibling = next(lpa for lpa in mapped if lanes_of(lpa) == (channel, 1 - chip))
     _data, complete = ssd.serve_read_at(sibling, now)
     assert complete == now + timing.read_us + timing.bus_transfer_us
+
+
+FAN_OUT = pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: a request's pages are admitted one after another",
+)
+
+
+def on_every_channel(ssd, lpas):
+    geo = ssd.device.geometry
+    lanes = {geo.channel_of_page(ssd.mapping.lookup(lpa)) for lpa in lpas}
+    return lanes == set(range(geo.channels))
+
+
+@FAN_OUT
+@pytest.mark.parametrize("make_device", BENCH_DEVICES)
+@pytest.mark.parametrize("route", ["ssd", "submit", "async"])
+def test_an_idle_8_page_write_fans_out_over_8_channels(make_device, route):
+    """An 8-page host write on 8 idle channels, one page each: every page
+    transfers and programs at once, so the request costs one page.
+
+    ``write = bus_transfer_us + program_us`` (today 8 of them in a row)
+    """
+    ssd = make_device()
+    geo = ssd.device.geometry
+    page = bytes(geo.page_size)
+    ssd.clock.advance_to(idle_now(ssd))
+    timing = ssd.device.timing
+    outcome = drive(route, ssd, [("W", 0, [page] * geo.channels)])
+    assert on_every_channel(ssd, range(geo.channels))
+    assert outcome == [
+        (
+            StatusCode.SUCCESS,
+            geo.channels,
+            timing.bus_transfer_us + timing.program_us,
+        )
+    ]
+
+
+@FAN_OUT
+@pytest.mark.parametrize("make_device", BENCH_DEVICES)
+@pytest.mark.parametrize("route", ["ssd", "submit", "async"])
+def test_an_idle_8_page_read_fans_out_over_8_channels(make_device, route):
+    """An 8-page host read of pages on 8 idle channels, one each: every
+    page senses and transfers at once, so the request costs one page.
+
+    ``read = read_us + bus_transfer_us`` (today 8 of them in a row)
+    """
+    ssd = make_device()
+    geo = ssd.device.geometry
+    page = bytes(geo.page_size)
+    ssd.write_range(0, geo.channels, [page] * geo.channels)
+    assert on_every_channel(ssd, range(geo.channels))
+    ssd.clock.advance_to(idle_now(ssd))
+    timing = ssd.device.timing
+    assert drive(route, ssd, [("R", 0, geo.channels)]) == [
+        (
+            StatusCode.SUCCESS,
+            [page] * geo.channels,
+            timing.read_us + timing.bus_transfer_us,
+        )
+    ]

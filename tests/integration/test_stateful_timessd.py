@@ -106,10 +106,16 @@ class TimeSSDMachine(RuleBasedStateMachine):
         versions, _ = self.ssd.version_chain(lpa)
         stamps = [v.timestamp_us for v in versions]
         assert stamps == sorted(stamps, reverse=True), "chain not newest-first"
-        written = dict(self.history.get(lpa, []))
+        # Two ops can share a stamp (a rollback's TRIM and the write
+        # after it), so each version is matched in op order, newest
+        # first, never by stamp alone; versions may drop out between.
+        pending = self.history.get(lpa, [])[::-1]
         for v in versions:
-            assert v.timestamp_us in written, "phantom version"
-            assert v.data == written[v.timestamp_us], "version content corrupted"
+            stamped = [k for k, (ts, _c) in enumerate(pending) if ts == v.timestamp_us]
+            assert stamped, "phantom version"
+            k = next((k for k in stamped if pending[k][1] == v.data), None)
+            assert k is not None, "version content corrupted"
+            del pending[: k + 1]
             # A deletion only at a trim stamp, a trim stamp only as one.
             assert (v.source == "deleted") == (v.data is None)
 
@@ -174,10 +180,11 @@ class TimeSSDMachine(RuleBasedStateMachine):
             return
         head = self.ssd.mapping.lookup(lpa)
         actual_ts = self.ssd.device.peek_page(head).oob.timestamp_us
-        if all(ts != actual_ts for ts, _content in self.history[lpa]):
+        if (actual_ts, data) not in self.history[lpa]:
             # The rollback wrote a new version (also when an *older*
-            # version holds the same bytes as the current one); mirror it
-            # in the model with the timestamp the device actually stamped.
+            # version holds the same bytes as the current one, or a TRIM
+            # holds its stamp); mirror it in the model with the timestamp
+            # the device actually stamped.
             self.history[lpa].append((actual_ts, data))
 
     @rule()
@@ -232,3 +239,22 @@ TestTimeSSDStateful = TimeSSDMachine.TestCase
 TestTimeSSDStateful.settings = settings(
     max_examples=25, stateful_step_count=40, deadline=None
 )
+
+
+def test_a_rollback_trim_and_the_write_after_it_share_a_microsecond():
+    # A rollback to before an LPA's first write TRIMs it at the end of
+    # its walk, and the TRIM completes at its arrival, so a write issued
+    # next carries the same stamp.  The chain lists the later op first.
+    machine = TimeSSDMachine()
+    machine.advance(delta_ms=1)
+    machine.write(lpa=7, seed=1)
+    for _ in range(3):
+        machine.advance(delta_ms=1)
+    machine.rollback_restores_past(lpa=7, back_ms=5)
+    trim_ts = machine.history[7][-1][0]
+    machine.write(lpa=7, seed=2)
+    assert [ts for ts, _content in machine.history[7]] == [1000, trim_ts, trim_ts]
+    machine.chain_is_sound(lpa=7)
+    machine.read_matches_model(lpa=7)
+    machine.rollback_restores_past(lpa=7, back_ms=0)
+    machine.chain_is_sound(lpa=7)

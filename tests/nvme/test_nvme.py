@@ -75,20 +75,37 @@ class TestStandardIO:
     @pytest.mark.parametrize("route", ["submit", "submit_async"])
     def test_a_made_up_opcode_mints_no_metric_name(self, driver, route):
         # The registry is the device's: a host choosing opcode values must
-        # not choose metric names.  Every non-enum opcode is one INVALID.
+        # not choose metric names.  Every opcode that is not a member of
+        # its own queue's enum is one INVALID, and changes nothing: a value
+        # equal to a member (True and 1.0 are WRITE, 2.0 is READ, 192.0
+        # ADDR_QUERY) is not that member, nor is a member of the other
+        # queue's enum.
+        ssd = driver.controller.ssd
+        kept = page(driver, "keep")
+        ssd.write(0, kept)
+        written = ssd.host_pages_written
         metrics = driver.controller.obs.metrics
-        made_up = [NVMeCommand(op) for op in (0x55, 0x56, 0xFF, "x", None)]
+        junk = [page(driver, "junk")]
+        made_up = [
+            NVMeCommand(op, data=junk)
+            for op in (0x55, 0x56, 0xFF, "x", None, [1], True, 1.0, 2.0, 192.0)
+            + (AdminOpcode.GET_LOG_PAGE, AdminOpcode.IDENTIFY)
+        ] + [
+            NVMeCommand(op, data=junk, admin=True)
+            for op in (Opcode.READ, Opcode.WRITE, Opcode.ADDR_QUERY, True, 2.0)
+        ]
         if route == "submit":
             completions = [driver.controller.submit(c) for c in made_up]
         else:
             completions, _ = driver.submit_async(made_up, queue_pairs=2)
         assert {c.status for c in completions} == {StatusCode.INVALID_OPCODE}
+        assert ssd.host_pages_written == written
         names = {n for n in metrics.names() if n.startswith("nvme.op.")}
         assert names == {"nvme.op.INVALID"}
         assert metrics.get("nvme.op.INVALID").value == len(made_up)
         # An enum member still names its own counter, and READ and
         # GET_LOG_PAGE (both opcode 2) stay apart.
-        driver.read(0)
+        assert driver.read(0) == [kept]
         driver.smart_log()
         assert metrics.get("nvme.op.READ").value == 1
         assert metrics.get("nvme.op.GET_LOG_PAGE").value == 1
@@ -120,6 +137,9 @@ class TestMalformedFields:
                 NVMeCommand(Opcode.ADDR_QUERY, slba=0, nlb=1, t=1.5),
                 NVMeCommand(Opcode.TIME_QUERY, t=None),
                 NVMeCommand(Opcode.ROLLBACK, slba=0, nlb=1, t="0"),
+                # One integer rule for every field: a bool is not a count.
+                NVMeCommand(Opcode.ADDR_QUERY, slba=0, nlb=1, threads=True),
+                NVMeCommand(Opcode.ROLLBACK, slba=0, nlb=1, threads=True),
             ]
         for command in malformed:
             if route == "submit":
