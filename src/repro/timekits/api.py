@@ -265,8 +265,12 @@ class TimeKits:
         absent or deleted as of ``t`` is TRIMmed if it is mapped, one
         whose as-of version is the one the device reads now is left
         alone, and any other is rewritten with its as-of version.
+
+        A read-only device refuses it before the walk, so a refused
+        rollback reads nothing and moves no clock.
         """
         ssd = self.ssd
+        ssd.ensure_writable()
         start = ssd.clock.now_us
         answer = self.as_of(lpas, t, threads).value
         writes = []

@@ -136,10 +136,19 @@ class RealDeltaCodec(DeltaCodec):
     ``decompress`` is a pure function of ``(blob, reference)`` (the
     reference is None for an ``lzf`` blob): TimeKits walks decode the
     same retained versions again and again, and a hit returns the bytes
-    the first decode produced after its length check.  ``raw`` payloads
-    need no decode and are never cached; neither are errors.  Payloads
-    and pages are immutable bytes, safe to share; the memos change no
-    observable result, only the wall-clock cost.
+    the first decode produced after its length check.  The decode memo
+    is also written through at encode time: a ``compress`` miss that
+    yields an ``xor`` or ``lzf`` payload already holds the page every
+    decode of that payload returns (the round trip is exact), so it
+    stores ``(blob, reference) -> old page``.  It does not while
+    ``lock``, the device's :class:`~repro.timessd.secure.RetentionLock`,
+    is closed: a locked device keeps no decoded past version in RAM
+    (§3.10), as no decode can run then.  ``raw`` payloads need no
+    decode and are never cached; neither are errors, and a blob this
+    codec did not encode (corrupted or foreign) is a different key and
+    decodes in full.  Payloads and pages are immutable bytes, safe to
+    share; the memos change no observable result, only the wall-clock
+    cost.
     """
 
     #: Compress LRU entries kept (pairs of pages; bounded so a big
@@ -147,14 +156,16 @@ class RealDeltaCodec(DeltaCodec):
     MEMO_ENTRIES = 512
 
     #: Decoded bytes the decompress LRU keeps: 4 MiB of pages (4 096 at
-    #: 1 KiB, enough for every repeat a TimeKits command mix makes).
-    #: Each entry also pins its key — a blob of at most one page and,
-    #: for ``xor``, the reference page — so a full memo holds at most
-    #: ~12 MiB.
+    #: 1 KiB).  It holds the pages of the payloads most recently encoded
+    #: or decoded: a ``timekits`` round encodes ~3 100, under the bound,
+    #: so its walks find every one here.  Each entry also pins its key
+    #: — a blob of at most one page and, for ``xor``, the reference
+    #: page — so a full memo holds at most ~12 MiB.
     DECODE_MEMO_BYTES = 4 << 20
 
-    def __init__(self, page_size):
+    def __init__(self, page_size, lock=None):
         self.page_size = page_size
+        self._lock = lock
         self._memo = {}
         self.memo_hits = 0
         self.memo_misses = 0
@@ -197,6 +208,13 @@ class RealDeltaCodec(DeltaCodec):
             result = ("raw", bytes(old_data)), self.page_size
         else:
             result = (mode, blob), len(blob)
+            if self._lock is None or self._lock.unlocked:
+                _lru_put(
+                    self._decode_memo,
+                    (blob, key[1]),
+                    key[0],
+                    self.DECODE_MEMO_BYTES // self.page_size,
+                )
         _lru_put(self._memo, key, result, self.MEMO_ENTRIES)
         return result
 

@@ -23,48 +23,55 @@ def compress(data):
 
     The output can be longer than the input for incompressible data
     (worst case ~3% overhead); callers that care should compare lengths.
+
+    Each position outside a match looks its 3-byte key up in a table of
+    the key's last such position (positions inside a match are never
+    entered) and takes a match there when it lies within
+    ``_MAX_OFFSET``.  A byte that starts no match costs nothing beyond
+    that lookup: the pending literals are the slice ``data[start:i]``,
+    written out in ``_MAX_LITERAL``-byte runs only when a match (or the
+    end) closes it.  ``tests/timessd/test_lzf.py`` holds the output to
+    a byte-at-a-time reference encoder, byte for byte.
     """
     data = bytes(data)
     n = len(data)
     out = bytearray()
-    literals = bytearray()
     table = {}
+    start = 0  # the pending literal run is data[start:i]
     i = 0
-
-    def flush_literals():
-        start = 0
-        while start < len(literals):
-            run = literals[start : start + _MAX_LITERAL]
-            out.append(len(run) - 1)
-            out.extend(run)
-            start += len(run)
-        del literals[:]
-
     while i < n - 2:
         key = data[i : i + 3]
         ref = table.get(key)
         table[key] = i
-        if ref is not None and 0 < i - ref <= _MAX_OFFSET:
-            match_limit = min(n - i, _MAX_MATCH)
-            length = 3
-            while length < match_limit and data[ref + length] == data[i + length]:
-                length += 1
-            flush_literals()
-            offset = i - ref - 1
-            encoded = length - 2
-            if encoded < 7:
-                out.append((encoded << 5) | (offset >> 8))
-            else:
-                out.append((7 << 5) | (offset >> 8))
-                out.append(encoded - 7)
-            out.append(offset & 0xFF)
-            i += length
-        else:
-            literals.append(data[i])
+        if ref is None or i - ref > _MAX_OFFSET:
             i += 1
-
-    literals.extend(data[i:])
-    flush_literals()
+            continue
+        end = i + _MAX_MATCH if n - i > _MAX_MATCH else n
+        j = i + 3
+        k = ref + 3
+        while j < end and data[j] == data[k]:
+            j += 1
+            k += 1
+        if start < i:
+            while i - start > _MAX_LITERAL:
+                out.append(_MAX_LITERAL - 1)
+                out += data[start : start + _MAX_LITERAL]
+                start += _MAX_LITERAL
+            out.append(i - start - 1)
+            out += data[start:i]
+        offset = i - ref - 1
+        encoded = j - i - 2
+        if encoded < 7:
+            out.append((encoded << 5) | (offset >> 8))
+        else:
+            out.append((7 << 5) | (offset >> 8))
+            out.append(encoded - 7)
+        out.append(offset & 0xFF)
+        i = start = j
+    while start < n:
+        out.append(min(n - start, _MAX_LITERAL) - 1)
+        out += data[start : start + _MAX_LITERAL]
+        start += _MAX_LITERAL
     return bytes(out)
 
 

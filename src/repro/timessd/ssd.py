@@ -54,10 +54,14 @@ class TimeSSD(BaseSSD):
             max_segment_age_us=config.bloom_segment_max_age_us,
         )
         self.index = TimeTravelIndex(self.device, self.block_manager.reclaimable)
+        if config.retention_key is not None:
+            self.retention_lock = RetentionLock(RetentionCipher(config.retention_key))
+        else:
+            self.retention_lock = None
         page_size = config.geometry.page_size
         if config.content_mode is ContentMode.REAL:
             self.host_page_bytes = page_size
-            codec = RealDeltaCodec(page_size)
+            codec = RealDeltaCodec(page_size, lock=self.retention_lock)
         else:
             codec = ModeledDeltaCodec(page_size, rng=self._rng)
         self.deltas = DeltaManager(self, codec, page_size)
@@ -69,10 +73,6 @@ class TimeSSD(BaseSSD):
         self.retention = RetentionManager(self.blooms, config.retention_floor_us)
         self.collector = TimeSSDGarbageCollector(self)
         self._retained_per_block = defaultdict(int)
-        if config.retention_key is not None:
-            self.retention_lock = RetentionLock(RetentionCipher(config.retention_key))
-        else:
-            self.retention_lock = None
         self.retained_pages = 0
         self.background_compressed = 0
         self.background_windows = 0

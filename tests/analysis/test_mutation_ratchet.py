@@ -783,6 +783,21 @@ FIRMWARE_MUTATIONS = (
         "tests/flash/test_closed_forms.py"
         "::test_the_chain_bound_is_exact_when_a_lone_record_fills_a_delta_page[bus0]",
     ),
+    # --- the decode memo written through at encode time --------------------------
+    (
+        "timessd/delta.py",  # the seed storing the reference page, not the old one
+        "                    key[0],\n",
+        "                    key[1],\n",
+        "tests/timessd/test_delta.py::TestDecodeMemoWriteThrough"
+        "::test_the_first_decode_after_an_encode_is_a_hit[xor]",
+    ),
+    (
+        "timessd/delta.py",  # a locked device seeding plaintext into the decode memo
+        "            if self._lock is None or self._lock.unlocked:\n",
+        "            if True:\n",
+        "tests/timessd/test_secure.py::TestEncryptedDevice"
+        "::test_a_locked_device_seeds_no_decode_memo",
+    ),
 )
 
 #: Rules no row claims, each with the reason seeding it is impractical.

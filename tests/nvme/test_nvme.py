@@ -306,6 +306,42 @@ class TestRetentionAlarm:
             ssd.clock.advance(100)
         assert status is StatusCode.RETENTION_PROTECTED
 
+    @pytest.mark.parametrize("route", ["submit", "submit_async"])
+    def test_a_refused_rollback_reads_nothing_and_moves_no_clock(self, route):
+        # The floor alarm leaves the device read-only.  A rollback is a
+        # write-back, so it is refused before its walk: on the host-serial
+        # route as DEGRADED_READ_ONLY, on the queued route (which takes
+        # no vendor command) as INVALID_OPCODE.
+        ssd = make_timessd(retention_floor_us=10**15)
+        controller = NVMeController(ssd)
+        t = ssd.clock.now_us
+        for i in range(50_000):
+            command = NVMeCommand(Opcode.WRITE, slba=i % 64, nlb=1, data=[None])
+            status = controller.submit(command).status
+            if status is not StatusCode.SUCCESS:
+                break
+            ssd.clock.advance(100)
+        assert status is StatusCode.RETENTION_PROTECTED
+
+        def state():
+            counters = ssd.metrics_snapshot()["counters"]
+            return (
+                ssd.clock.now_us,
+                [ssd.mapping.lookup(lpa) for lpa in range(ssd.logical_pages)],
+                {k: v for k, v in counters.items() if k.startswith("timekits.")},
+                counters["flash.reads"],
+            )
+
+        before = state()
+        rollback = NVMeCommand(Opcode.ROLLBACK, slba=0, nlb=2, t=t)
+        if route == "submit":
+            completion = controller.submit(rollback)
+            assert completion.status is StatusCode.DEGRADED_READ_ONLY
+        else:
+            (completion,), _ = HostNVMeDriver(ssd).submit_async([rollback])
+            assert completion.status is StatusCode.INVALID_OPCODE
+        assert state() == before
+
 
 class TestFullDevice:
     @pytest.mark.parametrize("route", ["submit", "submit_async"])

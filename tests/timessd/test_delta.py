@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ReproError
 from repro.timessd.delta import ModeledDeltaCodec, RealDeltaCodec
+from repro.timessd.secure import RetentionCipher, RetentionLock
 
 PAGE = 256
 
@@ -150,9 +151,11 @@ class TestDecodeMemo:
 
     def test_repeat_decode_hits_and_matches_fresh_codec(self):
         old, ref = self._xor_pair()
-        codec = RealDeltaCodec(PAGE)
-        payload, _ = codec.compress(old, ref)
+        # Encoded elsewhere: the encoder's own write-through would make
+        # the first decode a hit too (TestDecodeMemoWriteThrough).
+        payload, _ = RealDeltaCodec(PAGE).compress(old, ref)
         assert payload[0] == "xor"
+        codec = RealDeltaCodec(PAGE)
         first = codec.decompress(payload, ref)
         again = codec.decompress(payload, bytearray(ref))
         assert again == first == old
@@ -164,8 +167,8 @@ class TestDecodeMemo:
 
     def test_same_blob_under_two_references_decodes_twice(self):
         old, ref = self._xor_pair()
+        payload, _ = RealDeltaCodec(PAGE).compress(old, ref)
         codec = RealDeltaCodec(PAGE)
-        payload, _ = codec.compress(old, ref)
         other_ref = bytes(b ^ 0xFF for b in ref)
         assert codec.decompress(payload, ref) == old
         other = codec.decompress(payload, other_ref)
@@ -199,3 +202,63 @@ class TestDecodeMemo:
                     codec.decompress(payload, None)
         assert codec._decode_memo == {}
         assert (codec.decode_hits, codec.decode_misses) == (0, 4)
+
+
+def _text_pair():
+    """An old page that LZF shrinks on its own, and a reference one byte
+    away from it, so the pair encodes as ``xor`` and the old page alone
+    as ``lzf``."""
+    old = (b"almanac keeps every version " * 20)[:PAGE]
+    ref = bytearray(old)
+    ref[40] ^= 0x21
+    return old, bytes(ref)
+
+
+class TestDecodeMemoWriteThrough:
+    """An encode seeds the decode memo with the page it just encoded."""
+
+    @pytest.mark.parametrize("mode", ["xor", "lzf"])
+    def test_the_first_decode_after_an_encode_is_a_hit(self, mode):
+        old, ref = _text_pair()
+        if mode == "lzf":
+            ref = None
+        codec = RealDeltaCodec(PAGE)
+        payload, _ = codec.compress(old, ref)
+        assert payload[0] == mode
+        data = codec.decompress(payload, ref)
+        assert (codec.decode_hits, codec.decode_misses) == (1, 0)
+        assert data == old == RealDeltaCodec(PAGE).decompress(payload, ref)
+
+    def test_raw_payloads_are_not_seeded(self):
+        codec = RealDeltaCodec(PAGE)
+        payload, _ = codec.compress(os.urandom(PAGE), os.urandom(PAGE))
+        assert payload[0] == "raw"
+        assert codec._decode_memo == {}
+
+    def test_a_closed_lock_seeds_nothing(self):
+        lock = RetentionLock(RetentionCipher(b"0123456789abcdef"))
+        codec = RealDeltaCodec(PAGE, lock=lock)
+        old, ref = _text_pair()
+        codec.compress(old, ref)
+        codec.compress(old, None)
+        assert codec._decode_memo == {}
+        lock.unlock(b"0123456789abcdef")
+        codec.compress(ref, old)
+        assert len(codec._decode_memo) == 1
+
+    def test_a_corrupted_blob_is_decoded_and_still_raises(self):
+        old, ref = _text_pair()
+        codec = RealDeltaCodec(PAGE)
+        (mode, blob), _ = codec.compress(old, ref)
+        with pytest.raises(ReproError):
+            codec.decompress((mode, blob[:-1]), ref)
+        assert (codec.decode_hits, codec.decode_misses) == (0, 1)
+
+    def test_drop_memos_forgets_the_seeded_pages(self):
+        old, ref = _text_pair()
+        codec = RealDeltaCodec(PAGE)
+        payload, _ = codec.compress(old, ref)
+        codec.drop_memos()
+        assert codec._decode_memo == {}
+        assert codec.decompress(payload, ref) == old
+        assert (codec.decode_hits, codec.decode_misses) == (0, 1)

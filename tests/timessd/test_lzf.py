@@ -84,6 +84,98 @@ def test_structured_roundtrip_property(seed, block, repeats):
     assert lzf.decompress(lzf.compress(data), len(data)) == data
 
 
+def _reference_compress(data):
+    """The byte-at-a-time LibLZF encoder (what ``compress`` did before it
+    kept its pending literals as a slice): one ``bytearray`` append per
+    literal byte, flushed by a closure.  The spec ``compress`` must
+    match byte for byte."""
+    data = bytes(data)
+    n = len(data)
+    out = bytearray()
+    literals = bytearray()
+    table = {}
+    i = 0
+
+    def flush_literals():
+        start = 0
+        while start < len(literals):
+            run = literals[start : start + 32]
+            out.append(len(run) - 1)
+            out.extend(run)
+            start += len(run)
+        del literals[:]
+
+    while i < n - 2:
+        key = data[i : i + 3]
+        ref = table.get(key)
+        table[key] = i
+        if ref is not None and 0 < i - ref <= 1 << 13:
+            match_limit = min(n - i, 264)
+            length = 3
+            while length < match_limit and data[ref + length] == data[i + length]:
+                length += 1
+            flush_literals()
+            offset = i - ref - 1
+            encoded = length - 2
+            if encoded < 7:
+                out.append((encoded << 5) | (offset >> 8))
+            else:
+                out.append((7 << 5) | (offset >> 8))
+                out.append(encoded - 7)
+            out.append(offset & 0xFF)
+            i += length
+        else:
+            literals.append(data[i])
+            i += 1
+
+    literals.extend(data[i:])
+    flush_literals()
+    return bytes(out)
+
+
+_PAGE = 1024
+
+
+@st.composite
+def _shaped_pages(draw):
+    """Inputs shaped like the codec's: all-zero pages, sparse XOR deltas,
+    incompressible bytes and two-letter text, 0 to 2 pages long."""
+    n = draw(st.one_of(st.sampled_from([0, 1, 2, 3, _PAGE, 2 * _PAGE]),
+                       st.integers(0, 2 * _PAGE)))
+    kind = draw(st.sampled_from(["zero", "sparse", "random", "two-letter"]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if kind == "zero":
+        return bytes(n)
+    if kind == "random":
+        return rng.randbytes(n)
+    if kind == "two-letter":
+        return bytes(rng.choice(b"ab") for _ in range(n))
+    page = bytearray(n)
+    for _ in range(rng.randrange(n // 4 + 1)):
+        page[rng.randrange(n)] = rng.randrange(1, 256)
+    return bytes(page)
+
+
+@given(data=st.one_of(st.binary(max_size=2 * _PAGE), _shaped_pages()))
+@settings(max_examples=300, deadline=None)
+def test_encoder_matches_the_bytewise_reference(data):
+    blob = lzf.compress(data)
+    assert blob == _reference_compress(data)
+    assert lzf.decompress(blob, len(data)) == data
+
+
+@pytest.mark.parametrize("distance", [8191, 8192, 8193])
+def test_the_window_edge_matches_the_reference(distance):
+    """A repeat just inside, at and just past the 8 KiB window, which
+    inputs of two pages never reach."""
+    rng = random.Random(distance)
+    head = bytes(range(1, 40))
+    data = head + rng.randbytes(distance - len(head)) + head + rng.randbytes(64)
+    blob = lzf.compress(data)
+    assert blob == _reference_compress(data)
+    assert lzf.decompress(blob, len(data)) == data
+
+
 def _reference_decompress(blob):
     """LibLZF decode, one byte at a time (what ``decompress`` did before
     it copied slices): the spec the slice copies must match."""

@@ -172,6 +172,25 @@ class TestEncryptedDevice:
         ssd.reset_volatile()
         assert codec._decode_memo == {}
 
+    def test_a_locked_device_seeds_no_decode_memo(self):
+        ssd = self.make_device()
+        self.churn_history(ssd)
+        codec = ssd.deltas.codec
+        assert codec.memo_misses > 0  # GC encoded retained versions
+        assert codec._decode_memo == {}
+        # Unlocked, the same GC writes its answers through, and the walk
+        # decodes nothing.
+        ssd = self.make_device()
+        ssd.unlock_retention(KEY)
+        contents = self.churn_history(ssd)
+        codec = ssd.deltas.codec
+        assert codec._decode_memo
+        versions, _ = ssd.version_chain(4)
+        assert any(v.source.startswith("delta") for v in versions)
+        assert codec.decode_hits > 0 and codec.decode_misses == 0
+        by_ts = dict(contents)
+        assert all(v.data == by_ts[v.timestamp_us] for v in versions)
+
     def test_wrong_key_fails_loudly(self):
         ssd = self.make_device()
         with pytest.raises(QueryError):
