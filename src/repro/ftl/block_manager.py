@@ -21,6 +21,7 @@ from functools import partial
 
 from repro.common.atomic import atomic_section
 from repro.common.errors import AddressError, DeviceFullError
+from repro.flash.page import NULL_PPA
 
 
 class BlockKind(enum.Enum):
@@ -300,19 +301,20 @@ class BlockManager:
             valid[ppa] = 1
             self.valid_per_block[ppa // self._core.pages_per_block] += 1
 
-    def mark_valid_many(self, ppas):
-        """:meth:`mark_valid` over an iterable of PPAs, in order (the
-        recovery load: one call per rebuild instead of one per head)."""
-        total_pages = self._core.total_pages
-        pages_per_block = self._core.pages_per_block
-        counts = self.valid_per_block
+    def load_valid(self, head_ppa):
+        """Mark a fresh PVT from a recovery sweep's LPA-indexed
+        ``head_ppa`` column: each head is there once and in range, so no
+        per-head test; a table that is not fresh is refused."""
         valid = self.valid
-        for ppa in ppas:
-            if not 0 <= ppa < total_pages:
-                self._geo.check_ppa(ppa)
-            if not valid[ppa]:
+        if 1 in valid:
+            raise AddressError("loading the PVT of a table that is not fresh")
+        for ppa in head_ppa:
+            if ppa != NULL_PPA:
                 valid[ppa] = 1
-                counts[ppa // pages_per_block] += 1
+        ppb = self._core.pages_per_block
+        self.valid_per_block[:] = array(
+            "q", [valid.count(1, lo, lo + ppb) for lo in range(0, len(valid), ppb)]
+        )
 
     def invalidate_page(self, ppa):
         """Clear the PVT bit for ``ppa`` (update/delete made it stale)."""

@@ -42,6 +42,9 @@ function of firmware state; recovery stays RNG-free (pinned by
 ``tests/timessd/test_power_loss.py``).
 """
 
+from dataclasses import dataclass
+from itertools import compress
+
 from repro.common.atomic import atomic_section
 from repro.common.errors import DeviceFullError, ProgramFailureError
 from repro.flash.page import NULL_PPA, OOBMetadata, seq_tag_of
@@ -58,17 +61,45 @@ _BLOCK_HEADER_BYTES = 24
 _ROOT_HEADER_BYTES = 64
 
 
+@dataclass(slots=True)
 class BlockSummary:
-    """Cached scan of one sealed, full data block."""
+    """One block's scan reduced to the sweep's columns: every intact user
+    page's absolute PPA, LPA and stamp, in page order, and the block's
+    ``committed`` byte mask (1 at exactly those pages' offsets).  A
+    checkpoint caches it for a sealed, full, data block."""
 
-    __slots__ = ("erase_count", "torn_pages", "entries")
+    erase_count: int
+    torn_pages: int
+    ppa: list
+    lpa: list
+    timestamp_us: list
+    committed: bytes
 
-    def __init__(self, erase_count, torn_pages, entries):
-        self.erase_count = erase_count
-        self.torn_pages = torn_pages
-        #: Tuple of ``(offset, lpa, timestamp_us)`` for every intact
-        #: user page in the block.
-        self.entries = entries
+    @classmethod
+    def of_scan(cls, scan, first, housekeeping):
+        """Reduce the scan of the block at page ``first``.  A torn or
+        burned page (programmed, seal mismatched: it never committed) is
+        only counted, an erased hole is not; an intact housekeeping page
+        (negative LPA tag) goes to ``housekeeping`` as ``(pba, ppa,
+        lpa_tag, timestamp_us)``."""
+        intact, lpas, stamps = scan.intact, scan.lpa, scan.timestamp_us
+        ppas = range(first, first + len(lpas))
+        mask = intact
+        if lpas and min(lpas) < 0:
+            mask = bytes(ok and lpa >= 0 for ok, lpa in zip(intact, lpas))
+            housekeeping.extend(
+                (scan.pba, ppa, lpa, ts)
+                for ppa, ok, lpa, ts in zip(ppas, intact, lpas, stamps)
+                if ok and lpa < 0
+            )
+        return cls(
+            scan.erase_count,
+            scan.state.count(1) - intact.count(1),
+            list(compress(ppas, mask)),
+            list(compress(lpas, mask)),
+            list(compress(stamps, mask)),
+            mask,
+        )
 
 
 class CheckpointPart:
@@ -169,7 +200,7 @@ class CheckpointWriter:
         self.seq += 1
         summaries, reused = self._build_summaries()
         size = _ROOT_HEADER_BYTES + sum(
-            _BLOCK_HEADER_BYTES + _ENTRY_BYTES * len(s.entries)
+            _BLOCK_HEADER_BYTES + _ENTRY_BYTES * len(s.ppa)
             for s in summaries.values()
         )
         total_pages = max(1, -(-size // geo.page_size))
@@ -237,34 +268,17 @@ class CheckpointWriter:
                 summaries[pba] = cached
                 reused += 1
                 continue
-            summary = self._summarize(device, pba)
-            if summary is None:
-                continue
+            housekeeping = []
+            scan = device.scan_block_oob(pba)
+            summary = BlockSummary.of_scan(scan, pba * ppb, housekeeping)
+            if housekeeping:
+                continue  # a housekeeping page in a data block: left to the scan
             self._cache[pba] = summary
             summaries[pba] = summary
         # Drop cache entries for blocks that left the sealed-data set
         # (erased, retired, condemned) so the cache tracks the pool.
         self._cache = dict(summaries)
         return summaries, reused
-
-    @staticmethod
-    def _summarize(device, pba):
-        """Scan one full block into a summary (None if not summarizable)."""
-        scan = device.scan_block_oob(pba)
-        entries = []
-        torn = 0
-        for offset in range(scan.write_pointer):
-            if not scan.intact[offset]:
-                torn += 1
-                continue
-            lpa = scan.lpa[offset]
-            if lpa < 0:
-                # Housekeeping page inside a data block — should not
-                # happen, but a summary must never hide one from
-                # recovery.  Leave this block to the full scan.
-                return None
-            entries.append((offset, lpa, scan.timestamp_us[offset]))
-        return BlockSummary(scan.erase_count, torn, tuple(entries))
 
     def _erase_superseded(self, written_blocks, now_us):
         """Erase translation blocks the new checkpoint made obsolete."""

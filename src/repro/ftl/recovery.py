@@ -56,7 +56,7 @@ def rebuild_from_flash(ssd):
 
     return {
         "mapped_lpas": ssd.mapping.mapped_count(),
-        "user_pages": len(sweep.user_pages),
+        "user_pages": len(sweep.user_pages[0]),
         "free_blocks": bm.free_block_count,
         "torn_pages": sweep.torn_pages,
         "retired_blocks": bm.retired_blocks,

@@ -23,10 +23,11 @@ The sweep owns exactly the semantics the two recoveries share:
   ``head_ts`` and ``head_ppa`` (the newest stamp wins; of two versions
   with one stamp, the first swept — so a GC copy on healthy media beats
   its original in a block out of service, which is swept last), the
-  flat ``user_pages`` list and the ``committed`` column.  ``head_ppa``
-  *is* the L2P the mount loads; an intact user page naming an LPA past
-  the device's logical space raises :class:`AddressError` before any
-  table is loaded;
+  three ``user_pages`` columns and the ``committed`` column, a block's
+  columns at a time (a scanned block is reduced to what a checkpoint
+  summary caches).  ``head_ppa`` *is* the L2P the mount loads; an
+  intact user page naming an LPA past the device's logical space raises
+  :class:`AddressError` before any table is loaded;
 * intact housekeeping pages (negative LPA tags: delta pages,
   translation pages in unrecognized blocks) are collected with their
   tag for the caller to classify;
@@ -37,6 +38,8 @@ What the sweep deliberately does *not* do: adopt append points, set
 delta-block kinds, or touch the mapping — those differ between the
 regular FTL and TimeSSD and stay in their respective recovery modules.
 """
+
+from itertools import compress
 
 from repro.common.errors import AddressError
 from repro.flash.page import NULL_PPA
@@ -67,8 +70,9 @@ class OOBSweep:
         #: versions with one stamp the first swept.
         self.head_ts = [-1] * logical_pages
         self.head_ppa = [NULL_PPA] * logical_pages
-        #: Every intact user page: ``(ppa, lpa, timestamp_us)``.
-        self.user_pages = []
+        #: Every intact user page, sweep order, as three parallel int
+        #: columns: ``(ppa, lpa, timestamp_us)``.
+        self.user_pages = ([], [], [])
         #: One byte per PPA, 1 for exactly the pages in ``user_pages``:
         #: their seal was verified by this sweep (scanned blocks) or is
         #: vouched for by a still-matching checkpoint summary.  A positive
@@ -156,49 +160,31 @@ def sweep_oob(ssd, collect_housekeeping=False):
     sweep.scanned_blocks = len(to_scan)
     sweep.summarized_blocks = len(occupied) - len(to_scan)
 
-    # Pass 2, the same order (so the heads, ``user_pages`` and
+    # Pass 2, the same order (so the heads, the user columns and
     # ``housekeeping`` fill exactly as a block-at-a-time sweep fills
-    # them): reduce every vouched-for page into the result.  A head
-    # column indexed past its end is a page naming an LPA the device
-    # does not have.
+    # them): take each block's columns whole — its summary's, or its
+    # scan reduced to one.  A head column indexed past its end is a page
+    # naming an LPA the device does not have.
     scans = device.scan_oob(to_scan)
     head_ts = sweep.head_ts
     head_ppa = sweep.head_ppa
-    user_pages = sweep.user_pages
+    user_ppa, user_lpa, user_ts = sweep.user_pages
     committed = sweep.committed
-    housekeeping = sweep.housekeeping
+    housekeeping = sweep.housekeeping if collect_housekeeping else []
     try:
         for pba, summary in occupied:
             first = pba * ppb
-            if summary is not None:
-                sweep.torn_pages += summary.torn_pages
-                for offset, lpa, ts in summary.entries:
-                    ppa = first + offset
-                    user_pages.append((ppa, lpa, ts))
-                    committed[ppa] = 1
-                    if ts > head_ts[lpa]:
-                        head_ts[lpa] = ts
-                        head_ppa[lpa] = ppa
-                continue
-            scan = next(scans)
-            states = scan.state
-            columns = zip(scan.intact, scan.lpa, scan.timestamp_us)
-            for ppa, (ok, lpa, ts) in enumerate(columns, first):
-                if not ok:
-                    # Torn tail of the interrupted program (or a burned
-                    # page): the sequence tag mismatch proves it never
-                    # committed, so it must not corrupt the rebuilt
-                    # tables.  (An erased hole below the write pointer
-                    # is not torn.)
-                    if states[ppa - first]:
-                        sweep.torn_pages += 1
-                    continue
-                if lpa < 0:
-                    if collect_housekeeping:
-                        housekeeping.append((pba, ppa, lpa, ts))
-                    continue
-                user_pages.append((ppa, lpa, ts))
-                committed[ppa] = 1
+            if summary is None:
+                summary = checkpointing.BlockSummary.of_scan(
+                    next(scans), first, housekeeping
+                )
+            sweep.torn_pages += summary.torn_pages
+            ppas, lpas, stamps = summary.ppa, summary.lpa, summary.timestamp_us
+            user_ppa += ppas
+            user_lpa += lpas
+            user_ts += stamps
+            committed[first:first + len(summary.committed)] = summary.committed
+            for ppa, lpa, ts in zip(ppas, lpas, stamps):
                 if ts > head_ts[lpa]:
                     head_ts[lpa] = ts
                     head_ppa[lpa] = ppa
@@ -220,6 +206,9 @@ def sweep_oob(ssd, collect_housekeeping=False):
         bm.release_block(pba)
         committed[pba * ppb:(pba + 1) * ppb] = bytes(ppb)
     sweep.translation_blocks -= gone
-    sweep.user_pages = [page for page in user_pages if page[0] // ppb not in gone]
+    kept = [ppa // ppb not in gone for ppa in user_ppa]
+    sweep.user_pages = tuple(
+        list(compress(column, kept)) for column in sweep.user_pages
+    )
     sweep.housekeeping = [page for page in housekeeping if page[0] not in gone]
     return sweep

@@ -1127,7 +1127,7 @@ class BaseSSD:
         """Mount the L2P a recovery sweep found: AMT entries and PVT bits
         from its LPA-indexed ``head_ppa`` column, each table in one pass."""
         self.mapping.load(head_ppa)
-        self.block_manager.mark_valid_many(filter(NULL_PPA.__ne__, head_ppa))
+        self.block_manager.load_valid(head_ppa)
 
 
 class RegularSSD(BaseSSD):

@@ -236,15 +236,15 @@ class TimeSegmentedBlooms:
         active = self._segments[-1]
         group_size = self.group_size
         max_age_us = self._max_age_us
-        clock = self._clock
+        now_us = self._clock.now_us  # nothing below moves the clock
         in_active = self._in_active
         for ppa in ppas:
             if (
                 max_age_us is not None
                 and active.bloom.count > 0
-                and clock.now_us - active.created_us >= max_age_us
+                and now_us - active.created_us >= max_age_us
             ):
-                active.sealed_us = clock.now_us
+                active.sealed_us = now_us
                 active = self._new_segment()
             group = ppa // group_size
             if group in in_active:
@@ -253,7 +253,7 @@ class TimeSegmentedBlooms:
             if bloom.count < bloom.capacity:
                 bloom.insert(group)  # the probe and the add, one pass
             elif group not in bloom:
-                active.sealed_us = clock.now_us
+                active.sealed_us = now_us
                 active = self._new_segment()
                 active.bloom.add(group)
             in_active.add(group)

@@ -140,15 +140,16 @@ class RealDeltaCodec(DeltaCodec):
     is also written through at encode time: a ``compress`` miss that
     yields an ``xor`` or ``lzf`` payload already holds the page every
     decode of that payload returns (the round trip is exact), so it
-    stores ``(blob, reference) -> old page``.  It does not while
-    ``lock``, the device's :class:`~repro.timessd.secure.RetentionLock`,
-    is closed: a locked device keeps no decoded past version in RAM
-    (§3.10), as no decode can run then.  ``raw`` payloads need no
-    decode and are never cached; neither are errors, and a blob this
-    codec did not encode (corrupted or foreign) is a different key and
-    decodes in full.  Payloads and pages are immutable bytes, safe to
-    share; the memos change no observable result, only the wall-clock
-    cost.
+    stores ``(blob, reference) -> old page``.  Neither memo takes an
+    entry while ``lock``, the device's
+    :class:`~repro.timessd.secure.RetentionLock`, is closed: both hold
+    plaintext pages (compress keys are old and reference versions), and
+    a locked device keeps no past version in RAM (§3.10).  ``raw``
+    payloads need no decode and are never cached; neither are errors,
+    and a blob this codec did not encode (corrupted or foreign) is a
+    different key and decodes in full.  Payloads and pages are
+    immutable bytes, safe to share; the memos change no observable
+    result, only the wall-clock cost.
     """
 
     #: Compress LRU entries kept (pairs of pages; bounded so a big
@@ -204,18 +205,20 @@ class RealDeltaCodec(DeltaCodec):
         else:
             blob = lzf.compress(old_data)
             mode = "lzf"
+        unlocked = self._lock is None or self._lock.unlocked
         if len(blob) >= self.page_size:
             result = ("raw", bytes(old_data)), self.page_size
         else:
             result = (mode, blob), len(blob)
-            if self._lock is None or self._lock.unlocked:
+            if unlocked:
                 _lru_put(
                     self._decode_memo,
                     (blob, key[1]),
                     key[0],
                     self.DECODE_MEMO_BYTES // self.page_size,
                 )
-        _lru_put(self._memo, key, result, self.MEMO_ENTRIES)
+        if unlocked:
+            _lru_put(self._memo, key, result, self.MEMO_ENTRIES)
         return result
 
     def decompress(self, payload, ref_data):

@@ -120,11 +120,14 @@ def rebuild_from_flash(ssd):
         by_lpa[record.lpa].append(record)
 
     committed = sweep.committed
-    newest_delta_ts = {}  # an LPA with no kept tombstone: one generation
+    newest_delta_ts = [-1] * ssd.logical_pages  # by LPA of one generation
     generations_by_lpa = {}
     unresolvable = 0
+    version_ts = attrgetter("version_ts")
+    set_delta_head = ssd.index.set_delta_head
     for lpa, records in by_lpa.items():
-        records.sort(key=attrgetter("version_ts"), reverse=True)
+        if len(records) > 1:
+            records.sort(key=version_ts, reverse=True)
         floor = records[0].version_ts
         # A flushed tombstone newer than the LPA's newest data page: the
         # TRIM was the LPA's last event, and that page is the version it
@@ -148,11 +151,14 @@ def rebuild_from_flash(ssd):
         head_ref = head_ts[lpa] if head_ts[lpa] > floor else -1
         chain = None
         refs = set()
-        # One [stamp above, newest payload ts] pair per generation, newest
-        # first: the mapped one under no tombstone, then one per kept
-        # tombstone, whose payload records lie between it and the next.
-        generations = [[math.inf, -1]]
-        kept = []
+        # The newest kept payload record's stamp (-1: none) — once a
+        # tombstone is kept, one [stamp above, newest payload ts] pair per
+        # generation, newest first: the mapped one under no tombstone,
+        # then one per kept tombstone, whose payload records lie between
+        # it and the next.
+        payload_ts = -1
+        generations = None
+        newer = None  # the last record kept, linked as the walk goes
         for record in records:
             ref_ts = record.ref_ts
             if (
@@ -166,24 +172,30 @@ def rebuild_from_flash(ssd):
                 if ref_ts <= floor or ref_ts not in chain:
                     unresolvable += 1
                     continue
-            kept.append(record)
+            if newer is None:
+                set_delta_head(lpa, record)
+            else:
+                newer.back = record
+            newer = record
             if record.data_back is None:
                 refs.add(record.version_ts)
-                if generations[-1][1] < 0:
+                if generations is None:
+                    if payload_ts < 0:
+                        payload_ts = record.version_ts
+                elif generations[-1][1] < 0:
                     generations[-1][1] = record.version_ts
             else:
+                if generations is None:
+                    generations = [[math.inf, payload_ts]]
                 generations.append([record.version_ts, -1])
                 refs |= _reachable_data_ts(
                     ssd, lpa, record.data_back, committed, record.version_ts
                 )
-        if not kept:
+        if newer is None:
             continue
-        for newer, older in zip(kept, kept[1:]):
-            newer.back = older
-        kept[-1].back = None
-        ssd.index.set_delta_head(lpa, kept[0])
-        if len(generations) == 1:
-            newest_delta_ts[lpa] = generations[0][1]
+        newer.back = None
+        if generations is None:
+            newest_delta_ts[lpa] = payload_ts
         else:
             generations_by_lpa[lpa] = generations
 
@@ -193,7 +205,7 @@ def rebuild_from_flash(ssd):
     # Retained invalid pages: everything programmed but not a head.
     reclaimable = bm.reclaimable
     retained = []
-    for ppa, lpa, ts in sweep.user_pages:
+    for ppa, lpa, ts in zip(*sweep.user_pages):
         if ppa == head_ppa[lpa]:
             continue
         if ts == head_ts[lpa]:
@@ -203,7 +215,7 @@ def rebuild_from_flash(ssd):
             # the *same* version, not an older one — retaining it would
             # later compress into a self-referential delta record.
             reclaimable[ppa] = 1
-        elif ts <= newest_delta_ts.get(lpa, -1) or (
+        elif ts <= newest_delta_ts[lpa] or (
             lpa in generations_by_lpa
             and ts <= _newest_payload_ts(generations_by_lpa[lpa], ts)
         ):

@@ -686,13 +686,18 @@ FIRMWARE_MUTATIONS = (
     ),
     (
         "ftl/recovery_scan.py",  # the last of two same-stamp versions winning the head
-        "                committed[ppa] = 1\n"
         "                if ts > head_ts[lpa]:\n",
-        "                committed[ppa] = 1\n"
         "                if ts >= head_ts[lpa]:\n",
         _CUTS
         + "test_a_copy_outranks_its_original_in_a_victim_whose_erase_failed"
         "[make_regular_ssd]",
+    ),
+    (
+        "ftl/recovery_scan.py",  # a block's committed mask never stored at mount
+        "            committed[first:first + len(summary.committed)] = summary.committed\n",
+        "",
+        "tests/ftl/test_recovery_scan.py"
+        "::test_the_columnar_sweep_is_the_tuple_reduce[checkpointed]",
     ),
     (
         "ftl/recovery_scan.py",  # the mount never reading the erase counter
@@ -792,9 +797,9 @@ FIRMWARE_MUTATIONS = (
         "::test_the_first_decode_after_an_encode_is_a_hit[xor]",
     ),
     (
-        "timessd/delta.py",  # a locked device seeding plaintext into the decode memo
-        "            if self._lock is None or self._lock.unlocked:\n",
-        "            if True:\n",
+        "timessd/delta.py",  # a locked device keeping plaintext in the codec memos
+        "        unlocked = self._lock is None or self._lock.unlocked\n",
+        "        unlocked = True\n",
         "tests/timessd/test_secure.py::TestEncryptedDevice"
         "::test_a_locked_device_seeds_no_decode_memo",
     ),

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,7 +8,7 @@ from repro.flash.device import FlashDevice
 from repro.flash.page import NULL_PPA, OOBMetadata
 from repro.ftl.block_manager import BlockKind, BlockManager, StreamId
 
-from tests.conftest import small_geometry
+from tests.conftest import make_timessd, small_geometry
 
 
 @pytest.fixture
@@ -275,32 +277,27 @@ def test_greedy_tie_goes_to_the_lowest_pba(bm):
     assert bm.select_cost_benefit_victim(10**6) == first
 
 
-def test_mark_valid_many_is_mark_valid():
-    """The bulk PVT load is the per-page call, in order — a repeated PPA
-    counts once, and an out-of-range one raises where the per-page call
-    would, with everything before it marked."""
-    geo = small_geometry()
-    ppb = geo.pages_per_block
-    ppas = [0, 1, ppb + 3, 1, 5 * ppb, ppb + 3, 2 * ppb - 1]
-    one_by_one, bulk = BlockManager(FlashDevice(geo)), BlockManager(FlashDevice(geo))
+def test_the_fresh_table_loader_is_mark_valid_per_head():
+    """The mount's PVT load: on a churned device's head column it marks
+    exactly what a per-head ``mark_valid`` marks, with the same counts
+    per block, and it refuses a table that already holds a valid page."""
+    ssd = make_timessd()
+    rng = random.Random(3)
+    for _ in range(6 * ssd.device.geometry.pages_per_block):
+        ssd.write(rng.randrange(ssd.logical_pages // 2))
+        ssd.clock.advance(700)
+    head_ppa = [ssd.mapping.lookup(lpa) for lpa in range(ssd.logical_pages)]
+    assert head_ppa.count(NULL_PPA) > 0 < len(head_ppa) - head_ppa.count(NULL_PPA)
+    one_by_one = BlockManager(ssd.device)
+    for ppa in head_ppa:
+        if ppa != NULL_PPA:
+            one_by_one.mark_valid(ppa)
+    loaded = BlockManager(ssd.device)
+    loaded.load_valid(head_ppa)
+    assert loaded.valid == one_by_one.valid == ssd.block_manager.valid
+    assert loaded.valid_per_block == one_by_one.valid_per_block
+    assert loaded.valid_per_block == ssd.block_manager.valid_per_block
 
-    def pvt(bm):
-        return [
-            (bytes(bm.valid[pba * ppb:(pba + 1) * ppb]), bm.valid_count(pba))
-            for pba in range(geo.total_blocks)
-        ]
-
-    for ppa in ppas:
-        one_by_one.mark_valid(ppa)
-    bulk.mark_valid_many(iter(ppas))
-    assert pvt(bulk) == pvt(one_by_one)
-    assert bulk.valid_count(0) == 2 and bulk.valid_count(1) == 2
-
-    for bad in (geo.total_pages, -1):
-        with pytest.raises(AddressError):
-            one_by_one.mark_valid(bad)
-        with pytest.raises(AddressError):
-            bulk.mark_valid_many([7, bad, 8])
-        one_by_one.mark_valid(7)
-        assert pvt(bulk) == pvt(one_by_one)
-        assert not bulk.is_valid(8)
+    with pytest.raises(AddressError, match="not fresh"):
+        loaded.load_valid(head_ppa)
+    assert loaded.valid == one_by_one.valid

@@ -71,7 +71,7 @@ def test_checkpointed_recovery_matches_full_scan_exactly(monkeypatch):
     assert checkpointed.head_ts == full.head_ts
     assert checkpointed.head_ppa == full.head_ppa
     assert checkpointed.committed == full.committed
-    assert sum(full.committed) == len(full.user_pages) > 0
+    assert sum(full.committed) == len(full.user_pages[0]) > 0
     simulate_power_loss(ssd)
     stats = rebuild_from_flash(ssd)
     assert mapping_snapshot(ssd) == before

@@ -14,6 +14,11 @@ raises and always completes with a status the controller maps to; one
 that does not succeed changes no host counter, no ``flash.*`` counter,
 no mapping and no clock; the sibling still reads; and the two routes
 answer every command the queued route takes alike.
+
+The device is drawn too, in one of three conditions: as built; retention-
+locked (a ``retention_key`` device never unlocked, so history is
+refused); and read-only, entered as the retention-floor alarm enters
+it — host writes until a full device may recycle no history.
 """
 
 import hypothesis.strategies as st
@@ -62,13 +67,38 @@ HOSTILE = st.one_of(
 )
 
 
-def device():
-    """A REAL-content TimeSSD with two versions of LBAs 0-3."""
-    ssd = make_timessd(content_mode=ContentMode.REAL)
+KEY = b"correct horse battery staple"
+#: Each device condition's configuration.  The read-only device is small, so
+#: the writes that fill it cost a few milliseconds per example.
+CONDITIONS = {
+    "as built": {},
+    "locked": {"retention_key": KEY},
+    "read-only": {
+        "geometry": small_geometry(blocks_per_plane=4),
+        "retention_floor_us": 10**15,
+    },
+}
+
+
+def device(condition="as built"):
+    """A REAL-content TimeSSD with two versions of LBAs 0-3, in
+    ``condition``."""
+    ssd = make_timessd(content_mode=ContentMode.REAL, **CONDITIONS[condition])
     for version in (b"v1", b"v2"):
         for lba in range(4):
             ssd.write(lba, (version + b"-%d" % lba).ljust(PAGE_SIZE, b"\0"))
         ssd.clock.advance(1000)
+    if condition == "read-only":
+        controller = NVMeController(ssd)
+        for i in range(ssd.device.geometry.total_pages):
+            data = [(b"fill-%d" % i).ljust(PAGE_SIZE, b"\0")]
+            command = NVMeCommand(Opcode.WRITE, slba=4 + i % 60, nlb=1, data=data)
+            if not controller.submit(command).ok:
+                break
+            ssd.clock.advance(100)
+        assert ssd.degraded_reason is not None
+    if condition == "locked":
+        assert not ssd.retention_lock.unlocked
     return ssd
 
 
@@ -109,9 +139,11 @@ def host_serial(command):
 
 
 @FUZZ
-@given(command=commands())
-def test_submit_completes_every_command_and_a_refusal_changes_nothing(command):
-    ssd = device()
+@given(command=commands(), condition=st.sampled_from(sorted(CONDITIONS)))
+def test_submit_completes_every_command_and_a_refusal_changes_nothing(
+    command, condition
+):
+    ssd = device(condition)
     before = state(ssd)
     completion = NVMeController(ssd).submit(command)
     assert completion.status in STATUSES
@@ -120,9 +152,9 @@ def test_submit_completes_every_command_and_a_refusal_changes_nothing(command):
 
 
 @FUZZ
-@given(command=commands())
-def test_the_queued_route_completes_every_command_like_submit(command):
-    ssd, twin = device(), device()
+@given(command=commands(), condition=st.sampled_from(sorted(CONDITIONS)))
+def test_the_queued_route_completes_every_command_like_submit(command, condition):
+    ssd, twin = device(condition), device(condition)
     (alone,), _ = HostNVMeDriver(twin).submit_async([SIBLING])
     (completion, read), _ = HostNVMeDriver(ssd).submit_async([command, SIBLING])
     assert completion.status in STATUSES
@@ -133,7 +165,7 @@ def test_the_queued_route_completes_every_command_like_submit(command):
     if host_serial(command):
         assert completion.status is StatusCode.INVALID_OPCODE
     else:
-        serial = NVMeController(device()).submit(command)
+        serial = NVMeController(device(condition)).submit(command)
         assert (serial.status, serial.result, serial.latency_us) == (
             completion.status,
             completion.result,

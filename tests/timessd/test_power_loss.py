@@ -115,7 +115,7 @@ def _eager_relink(ssd, sweep):
             generations_by_lpa[lpa] = generations
 
     prt = bytearray(ssd.device.geometry.total_pages)
-    for ppa, lpa, ts in sweep.user_pages:
+    for ppa, lpa, ts in zip(*sweep.user_pages):
         head_ts, head_ppa = heads.get(lpa, (None, None))
         if ppa == head_ppa:
             continue
@@ -404,7 +404,7 @@ def test_reachable_reference_timestamps_mirror_the_chain_walk(monkeypatch):
     # The sweep's own column: the same sets, with the seal checks it
     # already made skipped.
     sweep = _power_cycle_keeping_the_sweep(ssd, monkeypatch)
-    assert sum(sweep.committed) == len(sweep.user_pages) > len(chains)
+    assert sum(sweep.committed) == len(sweep.user_pages[0]) > len(chains)
     chains = _assert_reachable_mirrors_walk(ssd, [nobody, sweep.committed])
     long_chains = sorted(
         (lpa, chain) for lpa, chain in chains.items() if len(chain) > 2

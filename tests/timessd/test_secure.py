@@ -155,9 +155,9 @@ class TestEncryptedDevice:
 
     def test_relock_drops_the_codec_plaintext_memos(self):
         ssd = self.make_device()
+        ssd.unlock_retention(KEY)  # a locked device fills neither memo
         self.churn_history(ssd)
         codec = ssd.deltas.codec
-        ssd.unlock_retention(KEY)
         versions, _ = ssd.version_chain(4)
         assert any(v.source.startswith("delta") for v in versions)
         assert codec._memo and codec._decode_memo
@@ -190,6 +190,18 @@ class TestEncryptedDevice:
         assert codec.decode_hits > 0 and codec.decode_misses == 0
         by_ts = dict(contents)
         assert all(v.data == by_ts[v.timestamp_us] for v in versions)
+
+    def test_a_locked_device_keeps_no_codec_memo(self):
+        """Both memos hold plaintext pages, so neither takes an entry
+        while the lock is closed; an unlocked device fills both."""
+        ssd = self.make_device()
+        self.churn_history(ssd)
+        codec = ssd.deltas.codec
+        assert codec.memo_misses > 0  # GC encoded retained versions
+        assert codec._memo == {} and codec._decode_memo == {}
+        ssd.unlock_retention(KEY)
+        self.churn_history(ssd)
+        assert codec._memo and codec._decode_memo
 
     def test_wrong_key_fails_loudly(self):
         ssd = self.make_device()
