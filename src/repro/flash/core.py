@@ -23,6 +23,11 @@ else; bulk consumers go through :meth:`FlashDevice.scan_oob`.  One
 read-only view, :class:`repro.flash.page.Page` via
 :meth:`FlashDevice.peek_page`, is left for tests and host-side tooling.
 
+The chain walk's seal check is memoized host-side:
+:meth:`ColumnarFlashArray.sealed_at` remembers the OOB quadruple it last
+found intact and answers from it while the columns still hold it — a
+pure function's memo, exact by construction, holding no payload byte.
+
 The optional numpy accelerator vectorizes batch sequence-tag
 verification over zero-copy ``int64`` views of the very same columns.
 Runtime dependencies stay empty: numpy is a test extra, and the pure
@@ -114,7 +119,17 @@ class ColumnarFlashArray:
         "last_program_us",
         "reads_since_erase",
         "failed",
+        # host-side memo of sealed_at
+        "_sealed",
+        "_sealed_puts",
     )
+
+    #: Bound on the seal memo: after this many entries are put, it
+    #: starts over empty.  An entry is a 4-tuple of ints, about 210 B,
+    #: so a full memo holds about 3.4 MiB.  A ``timekits`` round puts
+    #: about 4.6 k, so its walks never see the memo start over; a walk
+    #: of every chain of a 0.5 GiB device (fsck) would put 48 k.
+    SEAL_MEMO_PAGES = 1 << 14
 
     def __init__(self, total_blocks, pages_per_block):
         self.total_blocks = total_blocks
@@ -134,6 +149,10 @@ class ColumnarFlashArray:
         self.last_program_us = array(_I64, bytes(8 * b))
         self.reads_since_erase = array(_I64, bytes(8 * b))
         self.failed = bytearray(b)
+        #: Per page, the ``(lpa, back_pointer, timestamp_us, seq_tag)``
+        #: column values :meth:`sealed_at` last found intact, or None.
+        self._sealed = [None] * n
+        self._sealed_puts = 0  # entries put since the memo last started over
 
     # --- NAND operations (the only mutators of the page columns) ---------
 
@@ -204,6 +223,10 @@ class ColumnarFlashArray:
         stop = start + self.pages_per_block
         self.state[start:stop] = bytes(self.pages_per_block)
         self.data[start:stop] = [None] * self.pages_per_block
+        # An erased page never reaches the seal memo (the state test comes
+        # first): dropping the block's entries holds the memo to pages
+        # still programmed.
+        self._sealed[start:stop] = [None] * self.pages_per_block
         # OOB and programmed_us columns keep stale values; every reader
         # masks by the state column first, and skipping the writes keeps
         # erase O(1)-ish in the columns actually cleared.
@@ -242,6 +265,39 @@ class ColumnarFlashArray:
         return self.seq_tag[gidx] & _MASK64 == seq_tag_of(
             self.lpa[gidx], self.back_pointer[gidx], self.timestamp_us[gidx]
         )
+
+    def sealed_at(self, gidx):
+        """:meth:`intact_at`, memoized per page: the chain walk's check,
+        which re-verifies the same retained pages walk after walk.
+
+        The seal is a pure function of the four OOB columns, so a page
+        whose columns still hold a quadruple found intact is intact.
+        Anything else (a program, copy or direct column write since, or a
+        page never checked) is a miss and recomputes the seal; a torn
+        answer is never remembered.  The memo holds at most
+        :attr:`SEAL_MEMO_PAGES` entries.  Every other seal check (GC,
+        recovery, fsck's head check, scrub) asks a page about once, so it
+        takes :meth:`intact_at` and leaves no entry.
+        """
+        if not self.state[gidx]:
+            return False
+        oob = (
+            self.lpa[gidx],
+            self.back_pointer[gidx],
+            self.timestamp_us[gidx],
+            self.seq_tag[gidx],
+        )
+        sealed = self._sealed
+        if sealed[gidx] == oob:
+            return True
+        if oob[3] & _MASK64 != seq_tag_of(oob[0], oob[1], oob[2]):
+            return False
+        if self._sealed_puts >= self.SEAL_MEMO_PAGES:
+            sealed = self._sealed = [None] * self.total_pages
+            self._sealed_puts = 0
+        self._sealed_puts += 1
+        sealed[gidx] = oob
+        return True
 
     def page_slice(self, pba, stop=None):
         """Column slices for one block's first ``stop`` pages.

@@ -14,7 +14,11 @@ from repro.flash.geometry import FlashGeometry
 from repro.flash.page import Page
 from repro.flash.reliability import ReliabilityEngine
 from repro.flash.timing import ChannelTimelines, FlashTiming, book, book_then
-from repro.obs import Scope
+from repro.obs import LatencyHistogram, Scope
+
+#: The per-op latency samples are recorded in place (see
+#: :class:`LatencyHistogram`): a buffer folds at this length.
+_FOLD_AT = LatencyHistogram.FOLD_AT
 
 
 class BlockOOBScan:
@@ -131,6 +135,11 @@ class FlashDevice:
         self._h_read_us = metrics.histogram("flash.read_us")
         self._h_program_us = metrics.histogram("flash.program_us")
         self._h_erase_us = metrics.histogram("flash.erase_us")
+        # Every page read and program books a latency sample: a
+        # non-negative int (integer timing, a completion at or after its
+        # start), so it goes into the buffer without record()'s frame.
+        self._read_samples = self._h_read_us.samples
+        self._program_samples = self._h_program_us.samples
 
     # --- Functional + timed operations --------------------------------------
 
@@ -188,7 +197,10 @@ class FlashDevice:
             now_us,
         )
         self.page_reads.value += 1
-        self._h_read_us.record(complete - now_us)
+        samples = self._read_samples
+        samples.append(complete - now_us)
+        if len(samples) >= _FOLD_AT:
+            self._h_read_us.fold()
         tr = self.obs.trace
         if tr.enabled:
             tr.emit("flash-op", "read", complete, ppa=ppa, start_us=int(now_us))
@@ -232,7 +244,10 @@ class FlashDevice:
             channel, timing.bus_transfer_us, chip, timing.program_us, now_us
         )
         self.page_programs.value += 1
-        self._h_program_us.record(complete - now_us)
+        samples = self._program_samples
+        samples.append(complete - now_us)
+        if len(samples) >= _FOLD_AT:
+            self._h_program_us.fold()
         tr = self.obs.trace
         if tr.enabled:
             tr.emit("flash-op", "program", complete, ppa=ppa, start_us=int(now_us))

@@ -37,7 +37,12 @@ class FlashTiming:
     bus_transfer_us: int = 0
 
     def __post_init__(self):
+        # Simulated time is integer microseconds, and the device records
+        # each op's latency sample (completion minus start) as is: an
+        # int only while every cost is one.
         for name, value in vars(self).items():
+            if type(value) is not int:
+                raise ValueError("%s must be an int, got %r" % (name, value))
             if value < 0:
                 raise ValueError("%s must be non-negative" % name)
 

@@ -78,10 +78,15 @@ class LatencyHistogram:
     into the totals and buckets by value, in bulk, once it holds
     ``FOLD_AT`` samples and before any read.  The totals are order-free
     sums, so the fold is exact whenever it runs.
+
+    A per-flash-op path records without the call: it appends a sample it
+    knows to be a non-negative ``int`` to :attr:`samples` itself and
+    calls :meth:`fold` once the buffer holds ``FOLD_AT`` samples —
+    ``record`` inlined, the way a hot counter adds to ``value``.
     """
 
     __slots__ = (
-        "name", "_count", "_total_us", "_min_us", "_max_us", "_buckets", "_samples"
+        "name", "_count", "_total_us", "_min_us", "_max_us", "_buckets", "samples"
     )
 
     #: Samples buffered before :meth:`record` folds them.
@@ -94,7 +99,9 @@ class LatencyHistogram:
         self._min_us = None
         self._max_us = 0
         self._buckets = {}  # bucket index -> count (sparse)
-        self._samples = []
+        #: The buffer of unfolded samples (one list for the histogram's
+        #: life: a hot path may bind it once).
+        self.samples = []
 
     @staticmethod
     def _bucket_index(value):
@@ -122,15 +129,15 @@ class LatencyHistogram:
             latency_us = int(latency_us)
         if latency_us < 0:
             raise ReproError("latency cannot be negative")
-        samples = self._samples
+        samples = self.samples
         samples.append(latency_us)
         if len(samples) >= self.FOLD_AT:
-            self._fold()
+            self.fold()
 
-    def _fold(self):
+    def fold(self):
         """Move the buffered samples into the totals and buckets; returns
         the histogram (every read of a total folds first)."""
-        samples = self._samples
+        samples = self.samples
         if not samples:
             return self
         by_value = collections.Counter(samples)
@@ -148,10 +155,10 @@ class LatencyHistogram:
         self._max_us = max(self._max_us, max(by_value))
         return self
 
-    count = property(lambda self: self._fold()._count)
-    total_us = property(lambda self: self._fold()._total_us)
-    min_us = property(lambda self: self._fold()._min_us)  # None before a sample
-    max_us = property(lambda self: self._fold()._max_us)
+    count = property(lambda self: self.fold()._count)
+    total_us = property(lambda self: self.fold()._total_us)
+    min_us = property(lambda self: self.fold()._min_us)  # None before a sample
+    max_us = property(lambda self: self.fold()._max_us)
 
     @property
     def mean_us(self):
@@ -181,7 +188,7 @@ class LatencyHistogram:
 
     def bucket_counts(self):
         """Sorted ``[(bucket_low_us, count), ...]`` (invariant: counts sum to count)."""
-        buckets = self._fold()._buckets
+        buckets = self.fold()._buckets
         return [
             (self._bucket_bounds(index)[0], buckets[index])
             for index in sorted(buckets)

@@ -95,6 +95,10 @@ class TimeKits:
 
         A thread beyond the ``len(lpas)``-th gets no LPA and its cursor
         never leaves the start, so only that many cursors exist.
+
+        The page reader every walk reads through is taken once for the
+        command, by :meth:`TimeSSD.history_reader`: a locked device
+        refuses the command there, before any read.
         """
         check_threads(threads)
         ssd = self.ssd
@@ -106,6 +110,7 @@ class TimeKits:
         delta_pages = set()
         cursors = [start] * min(threads, len(lpas))
         chains = {}
+        read = ssd.history_reader() if lpas else None
         for i, lpa in enumerate(lpas):
             k = i % len(cursors)
             versions, complete = ssd.version_chain(
@@ -114,6 +119,7 @@ class TimeKits:
                 until_ts=until_ts,
                 payloads=payloads,
                 delta_pages=delta_pages,
+                read=read,
             )
             cursors[k] = complete
             chains[lpa] = versions

@@ -75,7 +75,9 @@ class TimeTravelIndex:
 
     # --- Data-page chain ------------------------------------------------------
 
-    def older_versions(self, lpa, back, newer_ts=math.inf, committed=None):
+    def older_versions(
+        self, lpa, back, newer_ts=math.inf, committed=None, memo=False
+    ):
         """Yield the PPAs of the data-page versions of ``lpa`` from
         ``back`` down, newest first; untimed (the caller reads what it
         needs).
@@ -92,8 +94,13 @@ class TimeTravelIndex:
         never a hop).  ``committed`` is an optional column of pages
         whose seal is already verified (recovery's sweep): a positive
         hint only, so a page it does not vouch for takes the full check.
+        ``memo`` asks that check through the memoized
+        :meth:`ColumnarFlashArray.sealed_at`: the timed chain walk
+        re-verifies the same retained pages walk after walk, while GC's
+        compression and recovery check a page about once.
         """
         core = self._core
+        intact = core.sealed_at if memo else core.intact_at
         total_pages = core.total_pages
         state = core.state
         lpas = core.lpa
@@ -110,7 +117,7 @@ class TimeTravelIndex:
                 or timestamp_us[back] >= newer_ts
                 or not (
                     (committed is not None and committed[back])
-                    or core.intact_at(back)
+                    or intact(back)
                 )
             ):
                 return

@@ -19,6 +19,7 @@ from repro.common.errors import (
 from repro.common.units import format_duration
 from repro.ftl.block_manager import BlockKind
 from repro.ftl.ssd import BaseSSD, ReclaimOutcome
+from repro.obs import LatencyHistogram
 from repro.timessd.bloom import TimeSegmentedBlooms
 from repro.timessd.config import ContentMode, TimeSSDConfig
 from repro.timessd.delta import (
@@ -32,6 +33,11 @@ from repro.timessd.gc import TimeSSDGarbageCollector
 from repro.timessd.index import TimeTravelIndex, Version
 from repro.timessd.retention import GCOverheadEstimator, RetentionManager
 from repro.timessd.secure import RetentionCipher, RetentionLock
+
+
+#: ``timessd.chain.length`` is recorded in place (see
+#: :class:`LatencyHistogram`): its buffer folds at this length.
+_FOLD_AT = LatencyHistogram.FOLD_AT
 
 
 class TimeSSD(BaseSSD):
@@ -482,6 +488,7 @@ class TimeSSD(BaseSSD):
         until_ts=None,
         payloads=True,
         delta_pages=None,
+        read=None,
     ):
         """All retrievable versions of ``lpa``, newest first.
 
@@ -518,20 +525,18 @@ class TimeSSD(BaseSSD):
         fetches joins it.  :meth:`TimeKits.walk_many` hands one set to
         every walk of a vendor command; left ``None`` the buffer lives
         for this walk alone.
+
+        ``read`` is the page reader :meth:`history_reader` returned for
+        the vendor command this walk belongs to (:meth:`TimeKits.walk_many`
+        takes it once per command); left ``None`` the walk takes its own.
         """
+        if read is None:
+            read = self.history_reader()
         lock = self.retention_lock
-        if lock is not None and not lock.unlocked:
-            # §3.10: with a retention key configured, history retrieval
-            # is firmware-gated — current data stays readable via read(),
-            # but no past version leaves the device until unlock.
-            raise QueryError(
-                "retained history is locked; call unlock_retention(key)"
-            )
         device = self.device
         core = device.core
         stamps = core.timestamp_us
         pages = core.data
-        read = self.page_reader()
         hops = self.index.older_versions
         t = self.clock.now_us if start_us is None else start_us
 
@@ -540,7 +545,7 @@ class TimeSSD(BaseSSD):
         # branch after it.  Every one is booked before any decompression.
         entries = []  # data-page PPAs and live delta records
         reached = False
-        for ppa in hops(lpa, self.mapping.lookup(lpa)):
+        for ppa in hops(lpa, self.mapping.lookup(lpa), memo=True):
             t = read(ppa, t)[0]
             entries.append(ppa)
             if until_ts is not None and stamps[ppa] <= until_ts:
@@ -558,7 +563,9 @@ class TimeSSD(BaseSSD):
                 if until_ts is not None and record.version_ts <= until_ts:
                     break
                 if record.data_back is not None:
-                    for ppa in hops(lpa, record.data_back, record.version_ts):
+                    for ppa in hops(
+                        lpa, record.data_back, record.version_ts, memo=True
+                    ):
                         t = read(ppa, t)[0]
                         entries.append(ppa)
                         if until_ts is not None and stamps[ppa] <= until_ts:
@@ -612,8 +619,28 @@ class TimeSSD(BaseSSD):
             source = "delta" if record.flash_ppa is not None else "delta-ram"
             versions.append(new(Version, (lpa, record.version_ts, data, source)))
             by_ts[record.version_ts] = data
-        self._h_query_chain.record(len(versions))
+        # timessd.chain.length, recorded in place (a non-negative int).
+        chain_samples = self._h_query_chain.samples
+        chain_samples.append(len(versions))
+        if len(chain_samples) >= _FOLD_AT:
+            self._h_query_chain.fold()
         return versions, t
+
+    def history_reader(self):
+        """:meth:`page_reader` for walks of retained history, behind their
+        lock check.
+
+        §3.10: with a retention key configured, history retrieval is
+        firmware-gated — current data stays readable via read(), but no
+        past version leaves the device until unlock — so a locked device
+        raises :class:`QueryError` here, before any read.
+        """
+        lock = self.retention_lock
+        if lock is not None and not lock.unlocked:
+            raise QueryError(
+                "retained history is locked; call unlock_retention(key)"
+            )
+        return self.page_reader()
 
     # --- Observability ----------------------------------------------------------
 

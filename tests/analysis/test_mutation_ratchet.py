@@ -472,9 +472,9 @@ FIRMWARE_MUTATIONS = (
     (
         "timessd/ssd.py",  # a tombstone hiding the versions it deleted
         "                if record.data_back is not None:\n"
-        "                    for ppa in hops(lpa, record.data_back, record.version_ts):\n",
+        "                    for ppa in hops(\n",
         "                if False:\n"
-        "                    for ppa in hops(lpa, record.data_back, record.version_ts):\n",
+        "                    for ppa in hops(\n",
         "tests/timekits/test_api.py::TestRollback"
         "::test_rollback_restores_an_lpa_trimmed_after_t",
     ),
@@ -571,9 +571,9 @@ FIRMWARE_MUTATIONS = (
     (
         "timessd/index.py",  # the sweep's seal cache promoted to an authority
         "(committed is not None and committed[back])\n"
-        "                    or core.intact_at(back)\n",
+        "                    or intact(back)\n",
         "committed[back] if committed is not None\n"
-        "                    else core.intact_at(back)\n",
+        "                    else intact(back)\n",
         "tests/timessd/test_power_loss.py"
         "::test_reachable_reference_timestamps_mirror_the_chain_walk",
     ),
@@ -802,6 +802,13 @@ FIRMWARE_MUTATIONS = (
         "        unlocked = True\n",
         "tests/timessd/test_secure.py::TestEncryptedDevice"
         "::test_a_locked_device_seeds_no_decode_memo",
+    ),
+    # --- the chain walk's seal memo -----------------------------------------------
+    (
+        "flash/core.py",  # a seal memo keyed on the tag alone
+        "        if sealed[gidx] == oob:\n",
+        "        if sealed[gidx] is not None and sealed[gidx][3] == oob[3]:\n",
+        "tests/flash/test_columnar.py::test_the_seal_memo_is_the_recomputed_seal",
     ),
 )
 

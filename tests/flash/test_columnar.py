@@ -12,11 +12,12 @@ both from the columns and through ``peek_page``.
 
 import pytest
 from array import array
+from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.common.errors import FlashStateError
-from repro.flash.core import HAVE_NUMPY, verify_seq_tags
+from repro.flash.core import HAVE_NUMPY, ColumnarFlashArray, verify_seq_tags
 from repro.flash.device import FlashDevice
 from repro.flash.geometry import FlashGeometry
 from repro.flash.page import (
@@ -232,6 +233,98 @@ def test_intact_at_matches_the_page_view(lpa, back, ts, torn):
     assert core.intact_at(gidx + 1) is False  # neighbour still erased
     core.erase(2)  # stale OOB columns survive an erase; state masks them
     assert core.intact_at(gidx) is view_intact() is False
+
+
+#: The five columns a seal check reads, each open to a direct write.
+SEAL_COLUMNS = ("state", "lpa", "back_pointer", "timestamp_us", "seq_tag")
+small = st.integers(-1, 3)  # few values, so quadruples collide often
+
+seal_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("program"), st.integers(0, BLOCKS - 1), small, small, small,
+            st.booleans(),
+        ),
+        st.tuples(
+            st.just("copy"), st.integers(0, BLOCKS * PPB - 1),
+            st.integers(0, BLOCKS - 1),
+        ),
+        st.tuples(st.just("erase"), st.integers(0, BLOCKS - 1)),
+        # A direct column write; a write of None re-seals the page over
+        # its current fields.
+        st.tuples(
+            st.just("poke"), st.sampled_from(SEAL_COLUMNS),
+            st.integers(0, BLOCKS * PPB - 1), st.one_of(small, st.none()),
+        ),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=seal_ops, cap=st.sampled_from([ColumnarFlashArray.SEAL_MEMO_PAGES, 2]))
+# A field rewritten under an intact page's unchanged tag (a memo keyed
+# on the tag alone answers True).
+@example(ops=[("program", 0, 1, 0, 2, False), ("poke", "lpa", 0, 3)], cap=2)
+# A memoized page marked erased (a memo consulted before the state).
+@example(ops=[("program", 0, 1, 0, 2, False), ("poke", "state", 0, 0)], cap=2)
+# A torn page asked twice (a memo that keeps what it was shown).
+@example(ops=[("program", 0, 1, 0, 2, True), ("erase", 1)], cap=2)
+def test_the_seal_memo_is_the_recomputed_seal(ops, cap):
+    """``core.sealed_at`` memoizes each page's seal check; after any
+    sequence of programs, GC copies, erases and direct writes to any of
+    the five columns it reads, every page's answer is the recomputed
+    seal (state set and ``seq_tag`` matching), ``intact_at``'s and the
+    page view's; and the memo never holds more than its bound, here the
+    real one or a bound of two that makes it start over often."""
+    with mock.patch.object(ColumnarFlashArray, "SEAL_MEMO_PAGES", cap):
+        _check_the_seal_memo(ops, cap)
+
+
+def _check_the_seal_memo(ops, cap):
+    core, peek = make_device()
+
+    def check_every_page():
+        for gidx in range(core.total_pages):
+            want = bool(core.state[gidx]) and core.seq_tag[gidx] & _MASK64 == (
+                seq_tag_of(
+                    core.lpa[gidx], core.back_pointer[gidx], core.timestamp_us[gidx]
+                )
+            )
+            assert core.sealed_at(gidx) is want, (gidx, ops)
+            assert core.intact_at(gidx) is want
+            oob = peek(gidx).oob
+            assert (oob is not None and oob.intact) is want
+        assert core.total_pages - core._sealed.count(None) <= cap
+
+    check_every_page()
+    for op in ops:
+        kind = op[0]
+        if kind == "program":
+            _kind, pba, lpa, back, ts, torn = op
+            oob = OOBMetadata(lpa=lpa, back_pointer=back, timestamp_us=ts)
+            offset = core.write_pointer[pba]
+            if offset < PPB and not core.state[pba * PPB + offset]:
+                core.program(pba, offset, b"p", oob.as_torn() if torn else oob)
+        elif kind == "copy":
+            _kind, src, pba = op
+            offset = core.write_pointer[pba]
+            dst = pba * PPB + offset
+            if core.state[src] and offset < PPB and not core.state[dst]:
+                core.copy(src, pba, offset)
+        elif kind == "erase":
+            core.erase(op[1])
+        else:
+            _kind, column, gidx, value = op
+            if value is None:
+                value = seq_tag_of(
+                    core.lpa[gidx], core.back_pointer[gidx], core.timestamp_us[gidx]
+                )
+                column, value = "seq_tag", value - (1 << 64 if value >> 63 else 0)
+            elif column == "state":
+                value &= 1
+            getattr(core, column)[gidx] = value
+        check_every_page()
 
 
 @settings(max_examples=40, deadline=None)

@@ -20,6 +20,14 @@ def test_rejects_negative_costs():
         FlashTiming(read_us=-1)
 
 
+@pytest.mark.parametrize("value", [75.5, 75.0, True, None])
+def test_rejects_non_integer_costs(value):
+    """Every cost is integer microseconds: a flash op's latency sample
+    goes into its histogram uncoerced."""
+    with pytest.raises(ValueError):
+        FlashTiming(read_us=value)
+
+
 class TestChannelTimelines:
     def test_needs_channels(self):
         with pytest.raises(ValueError):

@@ -15,11 +15,17 @@ that does not succeed changes no host counter, no ``flash.*`` counter,
 no mapping and no clock; the sibling still reads; and the two routes
 answer every command the queued route takes alike.
 
-The device is drawn too, in one of three conditions: as built; retention-
+The device is drawn too, in one of four conditions: as built; retention-
 locked (a ``retention_key`` device never unlocked, so history is
-refused); and read-only, entered as the retention-floor alarm enters
-it — host writes until a full device may recycle no history.
+refused); read-only, entered as the retention-floor alarm enters it —
+host writes until a full device may recycle no history; and full, a
+RegularSSD with every LBA written and then overwritten until an
+overwrite completes ``CAPACITY_EXCEEDED`` (read-only since, with no
+floor alarm involved).
 """
+
+import copy
+import functools
 
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
@@ -29,7 +35,7 @@ from repro.nvme.commands import StatusCode
 from repro.nvme.controller import _STATUS_BY_ERROR
 from repro.timessd.config import ContentMode
 
-from tests.conftest import make_timessd, small_geometry
+from tests.conftest import make_regular_ssd, make_timessd, small_geometry
 
 STATUSES = {StatusCode.SUCCESS} | {status for _error, status in _STATUS_BY_ERROR}
 QUEUED = {Opcode.READ, Opcode.WRITE, Opcode.DSM, Opcode.FLUSH}
@@ -77,12 +83,41 @@ CONDITIONS = {
         "geometry": small_geometry(blocks_per_plane=4),
         "retention_floor_us": 10**15,
     },
+    "full": None,  # a RegularSSD; see full_device
 }
+
+
+def full_device():
+    """A copy of :func:`filled_device`: a deep copy takes a fifth of the
+    fill's time, and every example gets a device of its own."""
+    return copy.deepcopy(filled_device())
+
+
+@functools.cache
+def filled_device():
+    """``TestFullDevice``'s recipe: every LBA of a RegularSSD written,
+    then overwritten until an overwrite completes ``CAPACITY_EXCEEDED``.
+    Built once; only ever copied."""
+    ssd = make_regular_ssd()
+    for lba in range(ssd.logical_pages):
+        ssd.write(lba, (b"v-%d" % lba).ljust(PAGE_SIZE, b"\0"))
+    controller = NVMeController(ssd)
+    for lba in range(ssd.logical_pages):
+        data = [(b"w-%d" % lba).ljust(PAGE_SIZE, b"\0")]
+        completion = controller.submit(
+            NVMeCommand(Opcode.WRITE, slba=lba, nlb=1, data=data)
+        )
+        if not completion.ok:
+            break
+    assert completion.status is StatusCode.CAPACITY_EXCEEDED
+    return ssd
 
 
 def device(condition="as built"):
     """A REAL-content TimeSSD with two versions of LBAs 0-3, in
-    ``condition``."""
+    ``condition``; or, when ``full``, :func:`full_device`."""
+    if condition == "full":
+        return full_device()
     ssd = make_timessd(content_mode=ContentMode.REAL, **CONDITIONS[condition])
     for version in (b"v1", b"v2"):
         for lba in range(4):

@@ -177,7 +177,7 @@ class TestLatencyHistogram:
             eager["max"] = max(eager["max"], sample)
             low = LatencyHistogram._bucket_bounds(LatencyHistogram._bucket_index(sample))[0]
             eager["buckets"][low] = eager["buckets"].get(low, 0) + 1
-            assert len(h._samples) < fold_at  # memory stays bounded
+            assert len(h.samples) < fold_at  # memory stays bounded
         snap = h.snapshot()
         assert snap["count"] == eager["count"]
         assert snap["total_us"] == eager["total"]

@@ -282,9 +282,10 @@ def test_exhausted_blocks_cost_no_seal_check_and_no_flash_read(counted):
     assert set(ssd._background_victims()) == set(exhausted)
     calls, count = counted
     count(ColumnarFlashArray, "intact_at")
+    count(ColumnarFlashArray, "sealed_at")
     count(FlashDevice, "read_page")
     got = run_window(ssd, column_window, 10_000_000)
-    assert calls == {"intact_at": 0, "read_page": 0}
+    assert calls == {"intact_at": 0, "sealed_at": 0, "read_page": 0}
     assert got["consumed_us"] == 0 and got["newly_reclaimable"] == []
 
 
@@ -547,11 +548,14 @@ def _reference_data_chain(ssd, lpa, head, t, until_ts, newer_ts=math.inf):
 
 
 def reference_version_chain(
-    ssd, lpa, start_us, until_ts=None, payloads=True, delta_pages=None
+    ssd, lpa, start_us, until_ts=None, payloads=True, delta_pages=None,
+    read=None,
 ):
     """The view-building walk ``version_chain`` replaced (no retention
     key): the data-page chain, then ``walk_delta_chain`` — every delta
-    page and tombstone branch read first — then the decompressions."""
+    page and tombstone branch read first — then the decompressions.
+    ``read`` (the command's page reader) is not used: this walk reads
+    through ``read_page_with_retry``."""
     versions, by_ts = [], {}
 
     def take_page(oob, data, source):
