@@ -38,6 +38,12 @@ class AddressMappingTable:
         self.translation_reads = 0
         self.translation_writes = 0
 
+    @property
+    def demand_paged(self):
+        """Whether the table is a finite demand cache, whose misses and
+        dirty evictions count translation-page I/O (DFTL)."""
+        return self._cache is not None
+
     def _check(self, lpa):
         if not 0 <= lpa < self.logical_pages:
             raise AddressError(

@@ -31,7 +31,9 @@ from repro.ftl.checkpoint import CheckpointWriter
 from repro.ftl.mapping import AddressMappingTable
 from repro.ftl.scrub import PatrolScrubber
 from repro.ftl.wear_leveling import WearLeveler
-from repro.obs import Scope
+from repro.obs import LatencyHistogram, Scope
+
+_FOLD_AT = LatencyHistogram.FOLD_AT
 
 
 @dataclass
@@ -276,8 +278,12 @@ class BaseSSD:
     # Every route into the FTL (the device-clock API above, the NVMe
     # executor's slot cursors, TimeKits' restore threads) comes through
     # these three, so admission — writable gate, checkpoint and idle-gap
-    # detection, ``ftl.host_*`` and latency accounting, the Equation-1
-    # hook — runs exactly once per host page whatever its route.  A
+    # detection, ``ftl.host_*`` and latency accounting (the samples
+    # appended in place), the idle mark, the Equation-1 hook on writes —
+    # runs exactly once per host page whatever its route.  The idle mark
+    # only rises: idle means no admitted page still in service, and
+    # queued commands complete out of order, so a TRIM admitted while a
+    # write is in flight must not pull it back inside that write.  A
     # multi-page request reaches them through the three loops below,
     # the one place its pages are put in order.
 
@@ -343,8 +349,13 @@ class BaseSSD:
             raise
         self.lost_lpas.pop(lpa, None)  # a rewrite clears the media error
         self._m_host_writes.value += 1
-        self.write_latency.record(complete - arrival_us)
-        self._after_host_request(complete, wrote=True)
+        samples = self.write_latency.samples  # ftl.write_us, in place
+        samples.append(complete - arrival_us)
+        if len(samples) >= _FOLD_AT:
+            self.write_latency.fold()
+        if complete > self._last_io_end_us:
+            self._last_io_end_us = complete
+        self._after_host_request(complete)
         return complete
 
     def check_lpa_range(self, start, npages=1):
@@ -383,7 +394,8 @@ class BaseSSD:
         self.lost_lpas.pop(lpa, None)  # deletion clears the media error
         if old != NULL_PPA:
             self._on_invalidate(lpa, old, arrival_us)
-        self._after_host_request(arrival_us, wrote=False)
+        if arrival_us > self._last_io_end_us:
+            self._last_io_end_us = arrival_us
         return old != NULL_PPA
 
     def serve_read_at(self, lpa, arrival_us):
@@ -396,15 +408,26 @@ class BaseSSD:
         self.check_lpa_range(lpa)
         self._before_host_request(arrival_us)
         self._m_host_reads.value += 1
-        ppa = self.mapping.lookup(lpa)
-        start = self._translation_delay(arrival_us)
+        mapping = self.mapping
+        ppa = mapping.lookup(lpa)
+        start = arrival_us
+        if mapping.demand_paged:
+            start = self._translation_delay(arrival_us)
         if ppa == NULL_PPA:
             data, complete = None, arrival_us
         else:
-            complete = self.read_page_with_retry(ppa, start)[0]
-            data = self.device.core.data[ppa]
-        self.read_latency.record(complete - arrival_us)
-        self._after_host_request(complete, wrote=False)
+            device = self.device
+            if self._ladder_on():
+                complete = self._climb_ladder(device.read_page, ppa, start)[0]
+            else:
+                complete = device.read_page(ppa, start)[0]
+            data = device.core.data[ppa]
+        samples = self.read_latency.samples  # ftl.read_us, in place
+        samples.append(complete - arrival_us)
+        if len(samples) >= _FOLD_AT:
+            self.read_latency.fold()
+        if complete > self._last_io_end_us:
+            self._last_io_end_us = complete
         if ppa == NULL_PPA and lpa in self.lost_lpas:
             raise UncorrectableReadError(self.lost_lpas[lpa], lost=True)
         return data, complete
@@ -873,13 +896,11 @@ class BaseSSD:
         chain compression).  The baseline's rule does no media work."""
         return 0
 
-    def _after_host_request(self, complete_us, wrote):
-        """Called as every admitted host page completes.  Idle means no
-        admitted page still in service: queued commands complete out of
-        order, so a TRIM admitted while a write is in flight must not
-        pull the idle mark back inside that write."""
-        if complete_us > self._last_io_end_us:
-            self._last_io_end_us = complete_us
+    def _after_host_request(self, complete_us):
+        """Called by :meth:`serve_write_at` only, as each admitted host
+        page write completes at ``complete_us`` (TimeSSD: Equation 1's
+        write count).  A read or TRIM calls no after-page hook: each
+        ``serve_*_at`` raises the idle mark itself."""
 
     @atomic_section(
         "stale-page bookkeeping (PVT clear; TimeSSD adds the retention "

@@ -19,6 +19,7 @@ from repro.common.errors import (
     UncorrectableReadError,
 )
 from repro.nvme.commands import AdminOpcode, NVMeCompletion, Opcode, StatusCode
+from repro.obs import LatencyHistogram
 from repro.timekits.api import TimeKits
 from repro.timessd.ssd import TimeSSD
 
@@ -35,6 +36,8 @@ class IdentifyData:
 
 
 _RANGE = ("slba", "nlb")
+_SUCCESS = StatusCode.SUCCESS
+_FOLD_AT = LatencyHistogram.FOLD_AT
 
 
 def _vendor(method):
@@ -62,21 +65,30 @@ class NVMeController:
         #: ``(opcode name, status) -> (op counter, status counter, latency
         #: histogram or None)``, resolved on first completion.
         self._completion_metrics = {}
-        #: The commands this device decodes: :attr:`_COMMANDS` with each
-        #: member's name, less the vendor opcodes (0xC0 up) when no
+        #: ``opcode name -> (op counter, SUCCESS counter, latency
+        #: histogram)``: a success's three handles, resolved on its first.
+        self._success_metrics = {}
+        #: The commands this device decodes, per route: ``queue ->
+        #: {member: (handler, fields, queued, name, ranged)}`` from
+        #: :attr:`_COMMANDS`, less the vendor opcodes (0xC0 up) when no
         #: TimeKits engine is behind them; the queued route takes the
         #: I/O rows only.
-        self._serial = {
-            key: (handler, fields, queued, key[1].name)
-            for key, (handler, fields, queued) in self._COMMANDS.items()
-            if self._kits is not None or key[1] < 0xC0
-        }
-        self._queued = {key: row for key, row in self._serial.items() if row[2]}
+        self._serial = {AdminOpcode: {}, Opcode: {}}
+        self._queued = {AdminOpcode: {}, Opcode: {}}
+        for (queue, member), (handler, fields, queued) in self._COMMANDS.items():
+            if self._kits is None and member >= 0xC0:
+                continue
+            row = (handler, fields, queued, member.name, "nlb" in fields)
+            self._serial[queue][member] = row
+            if queued:
+                self._queued[queue][member] = row
 
     # --- Completion accounting -------------------------------------------------
 
     def _complete(self, name, completion, t_us):
         """Record metrics/trace for a completion at ``t_us``; returns it.
+        :meth:`_execute` accounts a success in place and calls this for
+        every other completion.
 
         ``name`` is the opcode's, or ``INVALID`` for a command the decode
         refused: a host choosing opcode values must not choose metric
@@ -85,13 +97,8 @@ class NVMeController:
         status = completion.status
         resolved = self._completion_metrics.get((name, status))
         if resolved is None:
-            metrics = self.obs.metrics
-            resolved = self._completion_metrics[name, status] = (
-                metrics.counter("nvme.op.%s" % name),
-                metrics.counter("nvme.status.%s" % status.name),
-                metrics.histogram("nvme.op.%s_us" % name)
-                if status is StatusCode.SUCCESS
-                else None,
+            resolved = self._completion_metrics[name, status] = self._resolve(
+                name, status
             )
         op_count, status_count, latency = resolved
         op_count.value += 1
@@ -108,6 +115,18 @@ class NVMeController:
                 latency_us=completion.latency_us,
             )
         return completion
+
+    def _resolve(self, name, status):
+        """``(op counter, status counter, latency histogram or None)`` of a
+        ``name`` completion with ``status``; only a success has a latency."""
+        metrics = self.obs.metrics
+        return (
+            metrics.counter("nvme.op.%s" % name),
+            metrics.counter("nvme.status.%s" % status.name),
+            metrics.histogram("nvme.op.%s_us" % name)
+            if status is _SUCCESS
+            else None,
+        )
 
     # --- Queues ---------------------------------------------------------------
 
@@ -160,35 +179,52 @@ class NVMeController:
             queue = AdminOpcode if command.admin else Opcode
             if type(opcode) is not queue:
                 raise _InvalidOpcode()
-            row = table.get((queue, opcode))
+            row = table[queue].get(opcode)
             if row is None:
                 raise _InvalidOpcode()
-            handler, fields, queued, opname = row
+            handler, fields, queued, opname, ranged = row
             for field in fields:
                 if type(getattr(command, field)) is not int:
                     raise _InvalidField()
-            if "nlb" in fields and command.nlb < 1:
+            if ranged and command.nlb < 1:
                 raise _InvalidField()
             name = opname
             if queued:
                 result, end = handler(self, command, start_us)
             else:
                 args = [getattr(command, field) for field in fields]
-                if "nlb" in fields:  # the one bounds rule, before TimeKits
+                if ranged:  # the one bounds rule, before TimeKits
                     self.ssd.check_lpa_range(args[0], args[1])
                 result = handler(self, *args)
                 end = self.ssd.clock.now_us
         except _COMMAND_ERRORS as exc:
             completion = NVMeCompletion(_status_for(exc))
-        else:
-            completion = NVMeCompletion(
-                StatusCode.SUCCESS, result, latency_us=end - start_us
-            )
-        return self._complete(name, completion, end), end
+            return self._complete(name, completion, end), end
+        # A success, accounted in place: what ``_complete`` does, with the
+        # latency (a non-negative int) appended to the histogram's buffer.
+        latency = end - start_us
+        completion = NVMeCompletion(_SUCCESS, result, latency)
+        handles = self._success_metrics.get(name)
+        if handles is None:
+            handles = self._success_metrics[name] = self._resolve(name, _SUCCESS)
+        op_count, status_count, histogram = handles
+        op_count.value += 1
+        status_count.value += 1
+        samples = histogram.samples
+        samples.append(latency)
+        if len(samples) >= _FOLD_AT:
+            histogram.fold()
+        tr = self.obs.trace
+        if tr.enabled:
+            tr.emit("nvme", name, end, status="SUCCESS", latency_us=latency)
+        return completion, end
 
     # --- I/O commands: ``(command, start_us) -> (result, end_us)`` ------------
 
     def _read(self, command, start_us):
+        if command.nlb == 1:
+            data, end = self.ssd.serve_read_at(command.slba, start_us)
+            return [data], end
         return self.ssd.serve_reads_at(command.slba, command.nlb, start_us)
 
     def _write(self, command, start_us):

@@ -23,6 +23,8 @@ plain serial ``execute_io`` loop cursor-for-cursor, which
 ``tests/sched/test_async_nvme.py`` pins down.
 """
 
+from itertools import islice
+
 from repro.nvme.controller import NVMeController
 from repro.nvme.queues import QueuePair
 from repro.sched.core import At, EventLoop
@@ -71,13 +73,23 @@ class AsyncNVMeEngine:
         return self.daemons
 
     def enqueue(self, commands):
-        """Push commands onto the rings round-robin; returns their cids."""
+        """Put a sequence of commands on the rings round-robin (cid ``c``
+        on pair ``c % len(pairs)``); returns their cids.
+
+        Each ring takes its share in one ``extend`` of ``(cid, command)``
+        entries, read from ``commands`` in place.
+        """
         first = self._next_cid
+        cids = range(first, first + len(commands))
         pairs = self.pairs
-        for cid, command in enumerate(commands, first):
-            pairs[cid % len(pairs)].push(cid, command)
-            self._next_cid = cid + 1
-        return list(range(first, self._next_cid))
+        stride = len(pairs)
+        for index, pair in enumerate(pairs):
+            offset = (index - first) % stride
+            mine = cids[offset::stride]
+            pair.sq.extend(zip(mine, islice(commands, offset, None, stride)))
+            pair.submitted += len(mine)
+        self._next_cid = cids.stop
+        return list(cids)
 
     def pump(self):
         """Drain every ring to completion under the event loop.

@@ -1,12 +1,12 @@
 """NVMe submission/completion queue pairs.
 
 A :class:`QueuePair` is the host↔device ring pair of the spec, reduced
-to what the simulation needs: the host pushes ``(cid, command)``
-entries onto the submission ring (a deque), the device's slot workers
-pop them from its left in order, and completions land on the
-completion ring *in completion order* — which under the event-driven
-engine is genuinely different from submission order once commands
-overlap.
+to what the simulation needs: the host's engine extends the submission
+ring (a deque) with ``(cid, command)`` entries and counts them in
+``submitted``, the device's slot workers pop them from its left in
+order, and completions land on the completion ring *in completion
+order* — which under the event-driven engine is genuinely different
+from submission order once commands overlap.
 """
 
 from collections import deque
@@ -24,11 +24,6 @@ class QueuePair:
         self.cq = []
         self.submitted = 0
         self.posted = 0
-
-    def push(self, cid, command):
-        """Host side: ring the doorbell with one submission entry."""
-        self.sq.append((cid, command))
-        self.submitted += 1
 
     def post(self, cid, completion, t_us):
         """Device side: append a completion entry at time ``t_us``."""

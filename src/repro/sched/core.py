@@ -64,7 +64,7 @@ class At:
     __slots__ = ("t_us",)
 
     def __init__(self, t_us):
-        if not isinstance(t_us, int) or isinstance(t_us, bool):
+        if type(t_us) is not int:  # a bool, a float, an int subclass: no
             raise SchedulerError(
                 "At takes an integer microsecond timestamp, got %r" % (t_us,)
             )
@@ -212,8 +212,13 @@ class EventLoop:
             except StopIteration as stop:
                 self._finish(task, stop.value)
                 continue
-            if isinstance(instruction, At):
-                t_us = max(clock.now_us, instruction.t_us)
+            if type(instruction) is At:
+                # max(clock.now_us, t_us), read after the step: the step
+                # may have moved the clock.
+                t_us = instruction.t_us
+                now = clock.now_us
+                if now > t_us:
+                    t_us = now
             elif isinstance(instruction, Delay):
                 t_us = clock.now_us + instruction.delta_us
             else:

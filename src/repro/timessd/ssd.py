@@ -174,9 +174,8 @@ class TimeSSD(BaseSSD):
 
     # --- Write path ---------------------------------------------------------
 
-    def _after_host_request(self, complete_us, wrote):
-        super()._after_host_request(complete_us, wrote)
-        if wrote and self.estimator.note_user_write():
+    def _after_host_request(self, complete_us):
+        if self.estimator.note_user_write():
             # Shrink proportionally to how badly GC overshot the Equation-1
             # threshold (at least one segment, at most four per period).
             drops = max(1, min(4, int(self.estimator.overshoot_ratio())))

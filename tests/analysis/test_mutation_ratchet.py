@@ -174,8 +174,9 @@ MUTATIONS = (
     ),
 )
 
-#: One-edit firmware bugs no lint rule claims: ``(file, old, new, the
-#: tier-1 test that must fail)``.  ROADMAP item 2's firmware mutation
+#: One-edit firmware bugs no lint rule claims: ``(slug, file, old, new,
+#: the tier-1 test that must fail)``; a case is named by that test and
+#: the slug.  ROADMAP item 2's firmware mutation
 #: table, run the same way — seeded into the scratch copy, which goes
 #: first on the named test's ``PYTHONPATH``.
 _PATHS = "tests/nvme/test_path_equivalence.py::"
@@ -185,8 +186,8 @@ _RANDOM_ORDER = (
     "        sweep.partial_blocks, len(sweep.partial_blocks)\n"
     "    ):\n"
 )
-_SENSE = "            complete = self.read_page_with_retry(ppa, start)[0]\n"
-_UNPACK = "            data = self.device.core.data[ppa]\n"
+_SENSE = "                complete = device.read_page(ppa, start)[0]\n"
+_UNPACK = "            data = device.core.data[ppa]\n"
 _REPLAY = (
     "tests/integration/test_end_to_end.py"
     "::test_trace_replay_leaves_a_clean_device[cut]"
@@ -197,9 +198,14 @@ _BLOOM_MODEL = (
     "tests/timessd/test_bloom.py"
     "::test_memoized_lookup_is_the_newest_first_scan[1-1-1-None]"
 )
+_HOOKS = (
+    "tests/nvme/test_admission_hooks.py"
+    "::test_one_note_per_page_written_and_the_old_idle_mark"
+)
 FIRMWARE_MUTATIONS = (
     # --- the host path: PR 14's disagreements and PR 16's gate -----------------
     (
+        "trim-on-read-only",
         "ftl/ssd.py",  # a read-only device accepting TRIM, on any route
         "        self.check_lpa_range(lpa)\n        self.ensure_writable()\n"
         "        self._before_host_request(arrival_us)\n"
@@ -210,24 +216,28 @@ FIRMWARE_MUTATIONS = (
         _PATHS + "test_retry_exhausted_write_degrades_the_device",
     ),
     (
+        "rewrite-stays-lost",
         "ftl/ssd.py",  # a rewritten LBA that stays "lost"
         "        self.lost_lpas.pop(lpa, None)  # a rewrite clears the media error\n",
         "",
         _PATHS + "test_rewrite_and_trim_clear_a_lost_lba",
     ),
     (
+        "trim-stays-lost",
         "ftl/ssd.py",  # ...and a trimmed one
         "        self.lost_lpas.pop(lpa, None)  # deletion clears the media error\n",
         "",
         _PATHS + "test_trim_alone_clears_a_lost_lba",
     ),
     (
+        "read-translation-unbilled",
         "ftl/ssd.py",  # a read's translation I/O billed to whoever is next
-        "        start = self._translation_delay(arrival_us)\n",
-        "        start = arrival_us\n",
+        "            start = self._translation_delay(arrival_us)\n",
+        "            start = arrival_us\n",
         _PATHS + "test_finite_cache_read_pays_its_translation_io",
     ),
     (
+        "opcode-by-value",
         "nvme/controller.py",  # the decode matching an opcode by value again
         "            if type(opcode) is not queue:\n",
         "            if opcode not in list(queue):\n",
@@ -235,17 +245,19 @@ FIRMWARE_MUTATIONS = (
         "::test_a_made_up_opcode_mints_no_metric_name",
     ),
     (
+        "failed-program-stays-writable",
         "ftl/ssd.py",  # a failed program that leaves the device writable
         "            self._enter_degraded(exc)\n            raise\n",
         "            raise\n",
         _PATHS + "test_retry_exhausted_write_degrades_the_device",
     ),
     # --- what the deleted concurrency rules' rows seeded -----------------------
-    FIRMWARE_YIELD + (
+    ("gc-made-async",) + FIRMWARE_YIELD + (
         "tests/sched/test_async_nvme.py"
         "::TestBackgroundDaemons::test_daemons_install_once_and_interleave",
     ),
     (
+        "gc-inside-user-commit",
         "ftl/ssd.py",  # GC fired from inside the user-page commit
         "        ppa = self.block_manager.allocate_page(StreamId.USER)\n"
         "        old = self.mapping.update(lpa, ppa)\n",
@@ -256,6 +268,7 @@ FIRMWARE_MUTATIONS = (
         "::test_back_to_back_traffic_gets_no_background_gc",
     ),
     (
+        "lost-update-across-wait",
         "nvme/engine.py",  # the classic lost update across a wait
         "            if end > start:\n"
         "                yield At(end)\n"
@@ -268,6 +281,7 @@ FIRMWARE_MUTATIONS = (
         "::TestRealConcurrency::test_nothing_stays_in_flight_across_pumps",
     ),
     (
+        "delay-wrapper-forgotten",
         "sched/tasks.py",  # the Delay() wrapper forgotten
         "ssd.gc_round_cost_bound())\n"
         "        yield Delay(end_us - now_us or idle_us)\n",
@@ -277,6 +291,7 @@ FIRMWARE_MUTATIONS = (
         "::test_differential_oracle_across_schedules",
     ),
     (
+        "expiry-daemon-stops",
         "sched/tasks.py",  # the expiry daemon stops once at its target
         "        ssd.expire_retention_step(loop.now_us, target_window_us)\n",
         "        if not ssd.expire_retention_step(loop.now_us, "
@@ -286,6 +301,7 @@ FIRMWARE_MUTATIONS = (
         "::test_differential_oracle_across_schedules",
     ),
     (
+        "bare-decorator",
         "ftl/block_manager.py",  # a bare decorator: ValueError at import
         "    @atomic_section(\n"
         '        "clearing the page marks, forgetting the append point and "\n'
@@ -298,6 +314,7 @@ FIRMWARE_MUTATIONS = (
         "::test_retiring_a_block_in_service_forgets_its_marks",
     ),
     (
+        "class-renamed",
         "timessd/retention.py",  # a class renamed under its importer
         "class GCOverheadEstimator:",
         "class OverheadEstimator:",
@@ -306,6 +323,7 @@ FIRMWARE_MUTATIONS = (
     ),
     # --- what the deleted effect contracts' rows seeded ------------------------
     (
+        "recovery-random-order",
         "ftl/recovery.py",  # recovery adopting blocks in random order
         "    for pba in sweep.partial_blocks:\n",
         _RANDOM_ORDER,
@@ -313,6 +331,7 @@ FIRMWARE_MUTATIONS = (
         "::test_checkpointed_recovery_matches_full_scan_exactly",
     ),
     (
+        "timessd-recovery-random-order",
         "timessd/recovery.py",  # ...and its TimeSSD twin
         "    for pba in sweep.partial_blocks:\n",
         _RANDOM_ORDER,
@@ -320,6 +339,7 @@ FIRMWARE_MUTATIONS = (
         "::test_recovery_draws_nothing_from_the_device_rng",
     ),
     (
+        "relocate-on-read",
         "ftl/ssd.py",  # read-disturb "fix": relocate on read
         _SENSE + _UNPACK,
         _SENSE
@@ -330,6 +350,7 @@ FIRMWARE_MUTATIONS = (
         "tests/ftl/test_ssd.py::test_host_reads_mutate_no_flash",
     ),
     (
+        "program-on-read",
         "ftl/ssd.py",  # a program in the read path
         _SENSE + _UNPACK,
         _SENSE
@@ -340,6 +361,7 @@ FIRMWARE_MUTATIONS = (
         "tests/ftl/test_ssd.py::test_host_reads_mutate_no_flash",
     ),
     (
+        "fault-hook-on-peek",
         # A fault hook on the side-effect-free peek (guarded likewise: a
         # device built without hooks has ``faults = None``).
         "flash/device.py",
@@ -352,12 +374,14 @@ FIRMWARE_MUTATIONS = (
         "::TestEraseAndRead::test_op_counter_spans_all_op_types",
     ),
     (
+        "emit-raises-outside-reproerror",
         "obs/metrics.py",  # a metric emit site raising outside ReproError
         '            raise ReproError("latency cannot be negative")\n',
         '            raise ValueError("latency cannot be negative")\n',
         "tests/obs/test_metrics.py::TestLatencyHistogram::test_rejects_negative",
     ),
     (
+        "patrol-order-from-device-rng",
         # Patrol order drawn from the foreground RNG.  Guarded, so the row
         # proves the property and not that a RegularSSD has no ``_rng``.
         "ftl/scrub.py",
@@ -368,6 +392,7 @@ FIRMWARE_MUTATIONS = (
         _SCRUB + "test_a_scrub_window_draws_nothing_from_the_device_rng",
     ),
     (
+        "scrub-erases-outside-refresh",
         "ftl/scrub.py",  # scrub erasing outside the refresh API
         "            # Lost despite the full ladder: nothing left to refresh.\n",
         "            ssd.device.erase_block(\n"
@@ -377,6 +402,7 @@ FIRMWARE_MUTATIONS = (
     ),
     # --- what the deleted address-domain rules' rows seeded --------------------
     (
+        "head-lba-wrong-oob-field",
         "timessd/gc.py",  # the chain head's LBA read from the wrong OOB field
         "        lpa = core.lpa[ppa]\n",
         "        lpa = core.back_pointer[ppa]\n",
@@ -384,14 +410,16 @@ FIRMWARE_MUTATIONS = (
         "::TestReclaimBlock::test_reclaim_compresses_retained_history",
     ),
     (
+        "lba-tested-as-ppa",
         "ftl/ssd.py",  # an LBA tested as a PPA
-        "        start = self._translation_delay(arrival_us)\n"
+        "            start = self._translation_delay(arrival_us)\n"
         "        if ppa == NULL_PPA:\n",
-        "        start = self._translation_delay(arrival_us)\n"
+        "            start = self._translation_delay(arrival_us)\n"
         "        if lpa == NULL_PPA:\n",
         "tests/ftl/test_ssd.py::test_read_unwritten_returns_none",
     ),
     (
+        "bloom-wrong-domain",
         "timessd/ssd.py",  # the bloom filter keyed by the wrong domain
         "        segment = self.blooms.record_invalidation(old_ppa)\n",
         "        segment = self.blooms.record_invalidation(lpa)\n",
@@ -399,6 +427,7 @@ FIRMWARE_MUTATIONS = (
         "::TestRetentionUnderGC::test_versions_survive_gc_as_deltas",
     ),
     (
+        "swapped-arguments",
         "ftl/ssd.py",  # swapped positional arguments
         "                t = migrate(ppa, t)[1]\n",
         "                t = migrate(t, ppa)[1]\n",
@@ -406,6 +435,7 @@ FIRMWARE_MUTATIONS = (
     ),
     # --- the one-of-each GC steps (PR 19) --------------------------------------
     (
+        "prt-bits-outlive-erase",
         "ftl/block_manager.py",  # an erased block whose PRT bits outlive it
         "        for column in (self.valid, self.reclaimable, self.at_risk):\n",
         "        for column in (self.valid, self.at_risk):\n",
@@ -413,6 +443,7 @@ FIRMWARE_MUTATIONS = (
         "::test_reclaim_dispatches_every_page_of_the_torn_block",
     ),
     (
+        "scrub-skips-at-risk-check",
         "ftl/scrub.py",  # scrub refreshes a popped PPA without checking its at-risk bit
         "            if not at_risk[ppa]:\n"
         "                queue.popleft()  # no longer at risk: costs no budget\n"
@@ -422,6 +453,7 @@ FIRMWARE_MUTATIONS = (
         "::test_a_page_erased_before_its_turn_costs_no_budget",
     ),
     (
+        "migrated-page-left-valid",
         "ftl/ssd.py",  # a migrated page left valid in the victim
         "                if valid[ppa]:\n"
         "                    valid[ppa] = 0\n"
@@ -430,6 +462,7 @@ FIRMWARE_MUTATIONS = (
         "tests/ftl/test_ssd.py::test_gc_reclaims_space_under_churn",
     ),
     (
+        "foreground-rounds-uncounted",
         "ftl/ssd.py",  # foreground rounds nobody counts (TimeSSD, PRs 4-18)
         "            self._collect_garbage(now_us)\n"
         "            self._m_gc_runs.inc()\n",
@@ -438,6 +471,7 @@ FIRMWARE_MUTATIONS = (
         "::TestGCAccounting::test_gc_run_counters_match_properties",
     ),
     (
+        "copy-programmed-at-round-start",
         # The baseline's old timing: copies programmed at round start.  The
         # copy's program is issued inside the device copy now, so the bug
         # is seeded there: a program issued when its read is, not once
@@ -449,6 +483,7 @@ FIRMWARE_MUTATIONS = (
     ),
     # --- the TimeKits walk: stamp-only (PR 20), one read per delta page --------
     (
+        "time-query-billed-decompression",
         "timessd/ssd.py",  # a time query billed a decompressor it never runs
         "            if record.compressed and payloads:\n",
         "            if record.compressed:\n",
@@ -456,6 +491,7 @@ FIRMWARE_MUTATIONS = (
         "::test_stamp_only_walk_reads_what_the_full_walk_reads_never_decompresses",
     ),
     (
+        "delta-page-reread-per-lpa",
         "timekits/api.py",  # every LPA of a command re-reading the same delta page
         "                delta_pages=delta_pages,\n",
         "",
@@ -463,6 +499,7 @@ FIRMWARE_MUTATIONS = (
         "::TestAddrQueries::test_one_command_reads_a_shared_delta_page_once",
     ),
     (
+        "trimmed-lpa-missing-from-chronology",
         "timekits/api.py",  # a trimmed LPA's writes missing from the chronology
         "            self.ssd.lpas_with_history(), threads, payloads=False\n",
         "            list(self.ssd.mapping.mapped_lpas()), threads, payloads=False\n",
@@ -470,6 +507,7 @@ FIRMWARE_MUTATIONS = (
         "::TestTimeQueries::test_time_queries_list_writes_to_since_trimmed_lpas",
     ),
     (
+        "tombstone-hides-deleted-versions",
         "timessd/ssd.py",  # a tombstone hiding the versions it deleted
         "                if record.data_back is not None:\n"
         "                    for ppa in hops(\n",
@@ -480,6 +518,7 @@ FIRMWARE_MUTATIONS = (
     ),
     # --- the TimeKits walk from the OOB columns ---------------------------------
     (
+        "hop-read-raw",
         # A chain hop read raw with the reliability model on: the walk reads
         # through ``read_page_with_retry``, whose use of the one ladder
         # predicate is the only thing between a hop and the ladder.
@@ -492,6 +531,7 @@ FIRMWARE_MUTATIONS = (
         "::test_a_retained_version_is_read_through_the_retry_ladder",
     ),
     (
+        "decode-booked-in-read-pass",
         # A decompression booked inside the read pass, as a walk that
         # decodes each delta as it reaches it books it: every read
         # behind it starts later on its lane.
@@ -508,6 +548,7 @@ FIRMWARE_MUTATIONS = (
         "::test_version_chain_matches_the_read_result_walk[clean-media]",
     ),
     (
+        "ram-decode-on-channel-0",
         "timessd/ssd.py",  # a RAM decode booked on channel 0
         "                    t += decompress_us\n",
         "                    t = timelines.schedule(0, t, decompress_us)\n",
@@ -515,6 +556,7 @@ FIRMWARE_MUTATIONS = (
         "::test_a_ram_delta_decode_books_no_flash_channel",
     ),
     (
+        "deleted-lpa-left-alone",
         "timekits/api.py",  # a mapped LPA deleted as of t left alone
         "                    ssd.serve_trim_at(lpa, ssd.clock.now_us)\n",
         "                    pass\n",
@@ -522,6 +564,7 @@ FIRMWARE_MUTATIONS = (
         "::test_rollback_leaves_an_lpa_trimmed_at_t_deleted",
     ),
     (
+        "cursor-per-walk-thread",
         "timekits/api.py",  # one cursor per requested thread: 10**12 of them
         "        cursors = [start] * min(threads, len(lpas))\n",
         "        cursors = [start] * threads\n",
@@ -529,6 +572,7 @@ FIRMWARE_MUTATIONS = (
         "::test_huge_thread_count_is_served_as_one_thread_per_lba",
     ),
     (
+        "cursor-per-restore-thread",
         "ftl/ssd.py",  # ...and per restore thread, in the one write loop
         "        cursors = [arrival_us] * min(threads, len(lpas))\n",
         "        cursors = [arrival_us] * threads\n",
@@ -537,6 +581,7 @@ FIRMWARE_MUTATIONS = (
     ),
     # --- one hop rule, one stale-page rule (PR 32) -----------------------------
     (
+        "hop-into-as-old-page",
         "timessd/index.py",  # a hop into a page as old as the version above it
         "                or timestamp_us[back] >= newer_ts\n",
         "                or timestamp_us[back] > newer_ts\n",
@@ -544,6 +589,7 @@ FIRMWARE_MUTATIONS = (
         "::test_chain_hop_check_matches_the_page_view",
     ),
     (
+        "gc-copy-read-raw",
         # GC's copy of a retained page read raw again: FlashGuard's copy is
         # the one GC copy, which decides whether its read climbs the ladder.
         "ftl/ssd.py",
@@ -553,6 +599,7 @@ FIRMWARE_MUTATIONS = (
         "::test_gc_reads_a_retained_page_through_the_ladder[rescued]",
     ),
     (
+        "gc-copy-programmed-raw",
         "ftl/ssd.py",  # GC's copy of a retained page programmed raw again
         "        attempts = range(self.PROGRAM_RETRY_LIMIT + 1)\n",
         "        attempts = range(1)\n",
@@ -561,6 +608,7 @@ FIRMWARE_MUTATIONS = (
     ),
     # --- the delta codec's decode memo ----------------------------------------
     (
+        "decode-memo-keyed-on-blob",
         "timessd/delta.py",  # decode memo keyed on the blob alone
         "        key = (blob, ref)\n",
         "        key = blob\n",
@@ -569,6 +617,7 @@ FIRMWARE_MUTATIONS = (
     ),
     # --- the one-pass recovery (PR 21) -----------------------------------------
     (
+        "seal-cache-as-authority",
         "timessd/index.py",  # the sweep's seal cache promoted to an authority
         "(committed is not None and committed[back])\n"
         "                    or intact(back)\n",
@@ -578,12 +627,14 @@ FIRMWARE_MUTATIONS = (
         "::test_reachable_reference_timestamps_mirror_the_chain_walk",
     ),
     (
+        "rolled-over-filter-known",
         "timessd/bloom.py",  # a group "known" to be in a filter that rolled over
         "        self._found.clear()\n        self._in_active.clear()\n",
         "        self._found.clear()\n",
         _BLOOM_MODEL,
     ),
     (
+        "sealed-memo-before-active-filter",
         # find_segment answering from its sealed-filter memo before it
         # probes the active filter, which an add may have changed since.
         "timessd/bloom.py",
@@ -602,6 +653,7 @@ FIRMWARE_MUTATIONS = (
         _BLOOM_MODEL,
     ),
     (
+        "copy-skips-channel-booking",
         # A copy's program (the tail it shares with every program) skipping
         # its zero-latency channel booking: busy_until is the same, the
         # lane's queue depth is not.
@@ -620,6 +672,7 @@ FIRMWARE_MUTATIONS = (
         "::test_fused_bookings_match_two_schedules_per_op[1-1-0]",
     ),
     (
+        "mount-billed-as-host-traffic",
         "ftl/mapping.py",  # a mount billed as host traffic (PRs 8-20)
         "        self._table[:] = head_ppa\n",
         "        for lpa, ppa in enumerate(head_ppa):\n"
@@ -630,6 +683,7 @@ FIRMWARE_MUTATIONS = (
     ),
     # --- what the deleted raise-after-mutate rule's rows seeded ----------------
     (
+        "range-check-after-store",
         # The range check moved after the store: LPA -1 overwrites the
         # last entry (and bills a cache miss) before AddressError escapes.
         "ftl/mapping.py",
@@ -649,18 +703,21 @@ FIRMWARE_MUTATIONS = (
     ),
     # --- what the hand-written trace audits targeted: the fsck on the cut ------
     (
+        "overwritten-page-left-valid",
         "ftl/ssd.py",  # an overwritten page left valid: an orphan
         "        self.block_manager.invalidate_page(old_ppa)\n",
         "",
         _REPLAY,
     ),
     (
+        "reference-marked-reclaimable",
         "timessd/gc.py",  # the compression reference marked reclaimable
         _REFERENCE,
         _REFERENCE + "                ssd.block_manager.mark_reclaimable(head_ppa)\n",
         _REPLAY,
     ),
     (
+        "block-released-unerased",
         # A reclaimed block released unerased.  The replay's next program
         # into it raises FlashStateError before the fsck looks: a FREE
         # block is reused too soon for any free-pool bug to reach the audit.
@@ -670,6 +727,7 @@ FIRMWARE_MUTATIONS = (
         _REPLAY,
     ),
     (
+        "range-past-end-programs-first-page",
         "ftl/ssd.py",  # a range crossing the device end programs its first page
         '        the mark beyond their completions).\n        """\n'
         "        self.check_lpa_range(start_lpa, npages)\n",
@@ -678,6 +736,7 @@ FIRMWARE_MUTATIONS = (
     ),
     # --- one retirement rule, on erase and on mount ----------------------------
     (
+        "grown-bad-retired-on-sight",
         "ftl/recovery_scan.py",  # the mount retiring a grown-bad block on sight
         "    gone = set(condemned) - {ppa // ppb for ppa in head_ppa if ppa != NULL_PPA}\n",
         "    gone = set(condemned)\n",
@@ -685,6 +744,7 @@ FIRMWARE_MUTATIONS = (
         + "test_a_grown_bad_block_keeps_its_acked_pages_across_a_cut[make_timessd]",
     ),
     (
+        "last-same-stamp-wins",
         "ftl/recovery_scan.py",  # the last of two same-stamp versions winning the head
         "                if ts > head_ts[lpa]:\n",
         "                if ts >= head_ts[lpa]:\n",
@@ -693,6 +753,7 @@ FIRMWARE_MUTATIONS = (
         "[make_regular_ssd]",
     ),
     (
+        "committed-mask-never-stored",
         "ftl/recovery_scan.py",  # a block's committed mask never stored at mount
         "            committed[first:first + len(summary.committed)] = summary.committed\n",
         "",
@@ -700,6 +761,7 @@ FIRMWARE_MUTATIONS = (
         "::test_the_columnar_sweep_is_the_tuple_reduce[checkpointed]",
     ),
     (
+        "erase-counter-never-read",
         "ftl/recovery_scan.py",  # the mount never reading the erase counter
         "        in_service = bm.in_service(pba)\n",
         "        in_service = not core.failed[pba]\n",
@@ -708,6 +770,7 @@ FIRMWARE_MUTATIONS = (
     ),
     # --- one history per LPA -----------------------------------------------------
     (
+        "trim-without-tombstone",
         "timessd/ssd.py",  # a TRIM that appends no tombstone
         "            self._append_tombstone(lpa, old_ppa, segment, now_us)\n",
         "            pass\n",
@@ -715,6 +778,7 @@ FIRMWARE_MUTATIONS = (
         "::test_a_flushed_tombstone_keeps_the_lpa_deleted_across_a_cut",
     ),
     (
+        "one-fixed-admission-step",
         "timessd/gc.py",  # the idle compressor admitting against one fixed step
         "            and now_us + device.timing.chain_bound_us(len(backs)) > deadline_us\n",
         "            and now_us + device.timing.idle_compress_floor_us() > deadline_us\n",
@@ -722,12 +786,14 @@ FIRMWARE_MUTATIONS = (
         "::test_a_window_never_ends_past_its_deadline",
     ),
     (
+        "unfit-chain-ends-window",
         "timessd/gc.py",  # a chain that does not fit ending the idle window
         "            return now_us, 0\n",
         "            return deadline_us, 0\n",
         "tests/timessd/test_column_loops.py::test_one_window_outcome_is_pinned_exactly",
     ),
     (
+        "deleted-branch-judged-by-later-records",
         "timessd/recovery.py",  # a deleted branch's pages judged by later records
         "                generations.append([record.version_ts, -1])\n",
         "                pass\n",
@@ -735,12 +801,14 @@ FIRMWARE_MUTATIONS = (
         "::test_a_compressed_rewrite_leaves_the_deleted_branch_retained",
     ),
     (
+        "head-stamp-without-floor",
         "timessd/recovery.py",  # the head's stamp a reference without the floor
         "        head_ref = head_ts[lpa] if head_ts[lpa] > floor else -1\n",
         "        head_ref = head_ts[lpa]\n",
         "tests/timessd/test_power_loss.py::test_a_head_stamp_reference_needs_the_floor",
     ),
     (
+        "rollback-all-mapped-only",
         "timekits/api.py",  # rollback_all walking the mapped LPAs only
         "        return self.rollback_lpas(self.ssd.lpas_with_history(), t, threads)\n",
         "        return self.rollback_lpas(\n"
@@ -751,6 +819,7 @@ FIRMWARE_MUTATIONS = (
     ),
     # --- one as-of rule ---------------------------------------------------------
     (
+        "absent-lpa-answered-oldest",
         "timekits/api.py",  # an LPA absent at t answered with its oldest version
         "            return version\n    return None\n",
         "            return version\n    return versions[-1] if versions else None\n",
@@ -758,6 +827,7 @@ FIRMWARE_MUTATIONS = (
         "::test_an_lpa_first_written_after_t_was_absent",
     ),
     (
+        "unvouched-t-answered",
         "timekits/api.py",  # a t the device cannot vouch for answered anyway
         "        if t < start:\n",
         "        if False:\n",
@@ -766,6 +836,7 @@ FIRMWARE_MUTATIONS = (
     ),
     # --- the write path in one pass per page ------------------------------------
     (
+        "remap-names-another-page",
         "ftl/ssd.py",  # the GC loop remapping a mapping that names another page
         "                if lookup(lpa) == ppa:\n"
         "                    update(lpa, new_ppa)\n",
@@ -774,6 +845,7 @@ FIRMWARE_MUTATIONS = (
         "::test_a_migration_remaps_only_a_mapping_that_names_its_source",
     ),
     (
+        "chain-bound-without-reference-read",
         "flash/timing.py",  # the chain's admission bound without the reference read
         "        return (k + 2) * (self.read_us + bus) + (k + 1) * (\n",
         "        return (k + 1) * (self.read_us + bus) + (k + 1) * (\n",
@@ -782,6 +854,7 @@ FIRMWARE_MUTATIONS = (
     ),
     # --- one timing model ---------------------------------------------------------
     (
+        "bound-drops-program-term",
         "flash/timing.py",  # a bound that drops its program term
         "            self.delta_compress_us + bus + self.program_us\n",
         "            self.delta_compress_us + bus\n",
@@ -790,6 +863,7 @@ FIRMWARE_MUTATIONS = (
     ),
     # --- the decode memo written through at encode time --------------------------
     (
+        "seed-stores-reference-page",
         "timessd/delta.py",  # the seed storing the reference page, not the old one
         "                    key[0],\n",
         "                    key[1],\n",
@@ -797,6 +871,7 @@ FIRMWARE_MUTATIONS = (
         "::test_the_first_decode_after_an_encode_is_a_hit[xor]",
     ),
     (
+        "locked-device-seeds-plaintext",
         "timessd/delta.py",  # a locked device keeping plaintext in the codec memos
         "        unlocked = self._lock is None or self._lock.unlocked\n",
         "        unlocked = True\n",
@@ -805,10 +880,29 @@ FIRMWARE_MUTATIONS = (
     ),
     # --- the chain walk's seal memo -----------------------------------------------
     (
+        "seal-memo-keyed-on-tag",
         "flash/core.py",  # a seal memo keyed on the tag alone
         "        if sealed[gidx] == oob:\n",
         "        if sealed[gidx] is not None and sealed[gidx][3] == oob[3]:\n",
         "tests/flash/test_columnar.py::test_the_seal_memo_is_the_recomputed_seal",
+    ),
+    # --- admission: the idle mark inline, the write hook on writes only --------
+    (
+        "read-feeds-equation-1",
+        "ftl/ssd.py",  # a read feeds Equation 1
+        "        samples = self.read_latency.samples  # ftl.read_us, in place\n",
+        "        self._after_host_request(complete)\n"
+        "        samples = self.read_latency.samples  # ftl.read_us, in place\n",
+        _HOOKS + "[timessd-submit]",
+    ),
+    (
+        "read-leaves-idle-mark",
+        "ftl/ssd.py",  # a read leaves the idle mark where it was
+        "        if complete > self._last_io_end_us:\n"
+        "            self._last_io_end_us = complete\n"
+        "        if ppa == NULL_PPA and lpa in self.lost_lpas:\n",
+        "        if ppa == NULL_PPA and lpa in self.lost_lpas:\n",
+        _HOOKS + "[regular-async-qd8]",
     ),
 )
 
@@ -902,14 +996,15 @@ def test_seeded_bug_is_caught_by_its_claimed_rule(tree, mutation):
 
 
 @pytest.mark.parametrize(
-    "relpath, old, new, test_id",
+    "slug, relpath, old, new, test_id",
     FIRMWARE_MUTATIONS,
-    ids=[
-        "%02d-%s" % (i, row[3].rsplit("::", 1)[1])
-        for i, row in enumerate(FIRMWARE_MUTATIONS)
-    ],
+    # Named by killing test and slug, never by position: an inserted row
+    # renames no other case.
+    ids=["%s-%s" % (row[4].rsplit("::", 1)[1], row[0]) for row in FIRMWARE_MUTATIONS],
 )
-def test_seeded_firmware_bug_fails_its_named_test(tree, relpath, old, new, test_id):
+def test_seeded_firmware_bug_fails_its_named_test(
+    tree, slug, relpath, old, new, test_id
+):
     path = str(tree / "src" / "repro" / relpath)
     original = _read(path)
     assert original.count(old) == 1, (relpath, original.count(old), old)

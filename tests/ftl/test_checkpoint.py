@@ -220,3 +220,42 @@ def test_checkpoint_stream_is_translation_kind():
     active = ssd.block_manager.stream_blocks(CHECKPOINT_STREAM)
     if active is not None:
         assert ssd.block_manager.kind(active) is BlockKind.TRANSLATION
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="CheckpointWriter.adopt restarts the program count at the mount "
+    "(ROADMAP item 6): a device cut more often than every interval never "
+    "checkpoints again",
+)
+def test_a_mount_counts_what_it_scanned_toward_the_next_checkpoint():
+    # The wanted rule: the pages programmed since the adopted checkpoint,
+    # which the mount had to scan, count toward the next one.  Six blocks
+    # of writes after the first checkpoint, a cut, three more: nine
+    # blocks past it on an interval of eight, so one more is due.
+    ssd = make_regular_ssd(
+        geometry=small_geometry(blocks_per_plane=32),
+        checkpoint_interval_blocks=8,
+    )
+    pages_per_block = ssd.device.geometry.pages_per_block
+    written = ssd.obs.metrics.counter("recovery.checkpoint.written")
+    lpa = 0
+
+    def write(pages):
+        nonlocal lpa
+        for _ in range(pages):
+            ssd.write(lpa)
+            lpa += 1
+            ssd.clock.advance(500)
+
+    while written.value == 0:
+        write(1)
+    write(6 * pages_per_block)
+    assert written.value == 1
+    simulate_power_loss(ssd)
+    stats = rebuild_from_flash(ssd)
+    assert stats["checkpoint_seq"] == ssd.checkpointer.seq == 1
+    assert stats["scanned_blocks"] >= 6
+    write(3 * pages_per_block)
+    assert ssd.gc_runs == 0  # every program above is a host page
+    assert ssd.checkpointer.seq > 1

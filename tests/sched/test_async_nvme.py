@@ -111,6 +111,41 @@ class TestOutOfOrderCompletion:
         expected_log += posts[0] + posts[1]
         assert engine.completion_log() == expected_log
 
+    @pytest.mark.parametrize("queue_pairs", [1, 2, 3])
+    def test_a_pump_from_an_odd_cid_fills_each_ring_round_robin(self, queue_pairs):
+        # cid c goes to pair c % len(pairs) whatever the first cid: the
+        # second pump here starts at cid 5 and the third at cid 12.
+        ssd = make_regular_ssd()
+        engine = AsyncNVMeEngine(ssd, queue_depth=3, queue_pairs=queue_pairs)
+        engine.process([
+            NVMeCommand(Opcode.WRITE, slba=i, nlb=1, data=[b"a%d" % i])
+            for i in range(5)
+        ])
+        submitted = [pair.submitted for pair in engine.pairs]
+        for first, count in ((5, 7), (12, 10)):
+            reads = [
+                NVMeCommand(Opcode.READ, slba=(first + k) % 5, nlb=1)
+                for k in range(count)
+            ]
+            cids = list(range(first, first + count))
+            assert engine.enqueue(reads) == cids
+            for pair in engine.pairs:
+                mine = [cid for cid in cids if cid % queue_pairs == pair.index]
+                assert [cid for cid, _command in pair.sq] == mine
+                assert [command for _cid, command in pair.sq] == [
+                    reads[cid - first] for cid in mine
+                ]
+                submitted[pair.index] += len(mine)
+                assert pair.submitted == submitted[pair.index]
+            completions, _ = engine.pump()
+            assert [c.result for c in completions] == [
+                [b"a%d" % (cid % 5)] for cid in cids
+            ]
+            assert all(not pair.sq for pair in engine.pairs)
+        assert sorted(
+            cid for cid, _status, _t in engine.completion_log()
+        ) == list(range(22))
+
     def test_inflight_overlap_at_depth(self):
         ssd = make_regular_ssd()
         engine = AsyncNVMeEngine(ssd, queue_depth=4)

@@ -100,6 +100,11 @@ class TestWaitValidation:
         with pytest.raises(SchedulerError):
             At("soon")
 
+    @pytest.mark.parametrize("t_us", [True, 1.0, "1"], ids=["bool", "float", "str"])
+    def test_at_takes_an_int_and_nothing_equal_to_one(self, t_us):
+        with pytest.raises(SchedulerError):
+            At(t_us)
+
     def test_yielding_a_non_instruction_fails_loud(self):
         loop = make_loop()
 
